@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .suites import (DECAY_TARGETS, SUITE_NAMES, SuiteConfig,
                      emit_decay_csv, parse_complex, run_suites)
 
@@ -33,6 +33,14 @@ def _load_params_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
     return raw
+
+
+def _number(kind, value, name: str):
+    """kind(value), or a ConfigError naming the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def build_config(args: argparse.Namespace) -> SuiteConfig:
@@ -57,10 +65,10 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
     if not 0.0 < abs(q) < 1.0:
         raise ConfigError(f"q must have modulus in (0, 1), got {q_text}")
 
-    seed = int(pick("seed", args.seed, 20240901))
+    seed = _number(int, pick("seed", args.seed, 20240901), "seed")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must fit in 64 bits")
-    draws = int(pick("draws", args.draws, 12))
+    draws = _number(int, pick("draws", args.draws, 12), "draws")
     if draws < 1:
         raise ConfigError("draws must be positive")
 
@@ -72,23 +80,24 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
         raise ConfigError("explicit parameter set is empty")
 
     eps_rel = args.tol if args.tol is not None else file_cfg.get("eps_rel")
-    env_tol = os.environ.get("QTAYLOR_TOL")
-    if env_tol is not None:
-        eps_rel = float(env_tol)
-    max_terms = file_cfg.get("max_terms")
-    env_terms = os.environ.get("QTAYLOR_MAX_TERMS")
-    if env_terms is not None:
-        max_terms = int(env_terms)
+    eps_rel = os.environ.get("QTAYLOR_TOL", eps_rel)
+    max_terms = os.environ.get("QTAYLOR_MAX_TERMS", file_cfg.get("max_terms"))
 
-    return SuiteConfig(
+    cfg = SuiteConfig(
         suites=suites, q=q, seed=seed, draws=draws,
         modulus_lo=float(lo), modulus_hi=float(hi),
-        eps_rel=float(eps_rel) if eps_rel is not None else None,
-        max_terms=int(max_terms) if max_terms is not None else None,
+        eps_rel=_number(float, eps_rel, "tolerance") if eps_rel is not None else None,
+        max_terms=(_number(int, max_terms, "max_terms")
+                   if max_terms is not None else None),
         negative_controls=bool(args.negative_controls
                                or file_cfg.get("negative_controls", False)),
         explicit_kernel=tuple(file_cfg.get("explicit", ()) or ()),
     )
+    try:
+        cfg.context()
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _emit_report(report, path: str | None) -> None:

@@ -21,18 +21,15 @@ import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
-from .qcore import (QContext, factor_clearance, qpoch_infinite, qpoch_multi)
-from .taylor import BasisPair, taylor_coefficient, taylor_expand
+from .qcore import QContext, factor_clearance, qpoch_infinite, qpoch_multi
+from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
+                     ratio_products, taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
-
-
-def _pinf(a: complex, ctx: QContext) -> complex:
-    return qpoch_infinite(a, ctx).value
 
 
 def _sym_inf(alpha: complex, z: complex, ctx: QContext) -> complex:
     """(alpha z; q)_inf (alpha / z; q)_inf."""
-    return _pinf(alpha * z, ctx) * _pinf(alpha / z, ctx)
+    return qpoch_infinite(alpha * z, ctx).value * qpoch_infinite(alpha / z, ctx).value
 
 
 @dataclass(frozen=True)
@@ -259,25 +256,6 @@ def _g_ratio(kp: KernelParams, k: int) -> complex:
     return lead * num / den * q
 
 
-def _basis_series(z: complex, pair: BasisPair, coeff_ratio, n_trunc: int,
-                  ctx: QContext) -> complex:
-    """sum_{k<=n} coeff_k * Phi_k(z; pair) with coeff_0 = 1, by ratio updates."""
-    a, c = pair.a, pair.c
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(n_trunc + 1):
-        total += term
-        if k == n_trunc:
-            break
-        den = (1.0 - c * z * x) * (1.0 - c * x / z)
-        if abs(den) <= ctx.pole_margin ** 2:
-            raise PoleProximity("basis denominator within margin during series sum")
-        term *= coeff_ratio(k) * (1.0 - a * z * x) * (1.0 - a * x / z) / den
-        x *= ctx.q
-    return total
-
-
 def H_series_function(kp: KernelParams) -> SymmetricFunction:
     """H as a SymmetricFunction of z (for the operator pipeline)."""
     return SymmetricFunction(lambda z: kernel_H(z, kp), name="H")
@@ -294,17 +272,9 @@ def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
     coefficients; the involuted statement is the same call on
     involute(kp), which compares t_k(K) against K(c/de) g_k.
     """
-    ctx = kp.ctx
     hb = H_at_b(kp)
-    h = H_series_function(kp)
-    worst = 0.0
-    for k in range(k_max + 1):
-        lhs = taylor_coefficient(h, kp.phi_pair, k, ctx)
-        rhs = hb * fk_coefficient(kp, k)
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0.0:
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    expected = [hb * fk_coefficient(kp, k) for k in range(k_max + 1)]
+    return coefficient_gap(H_series_function(kp), kp.phi_pair, expected, kp.ctx)
 
 
 def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
@@ -317,8 +287,10 @@ def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
     B = kernel_B(z, kp)
     hb = 1.0 + 0.0j if force_unit_Hb else H_at_b(kp)
     kc = 1.0 + 0.0j if force_unit_Kcde else K_at_cde(kp)
-    sf = _basis_series(z, kp.phi_pair, lambda k: _f_ratio(kp, k), n_trunc, ctx)
-    sg = _basis_series(z, kp.psi_pair, lambda k: _g_ratio(kp, k), n_trunc, ctx)
+    fs = ratio_products(lambda k: _f_ratio(kp, k), n_trunc)
+    gs = ratio_products(lambda k: _g_ratio(kp, k), n_trunc)
+    sf = basis_sum(z, kp.phi_pair, fs, ctx)
+    sg = basis_sum(z, kp.psi_pair, gs, ctx)
     return F, A * hb * sf, B * kc * sg
 
 
@@ -347,8 +319,6 @@ def complementary_remainder_gap(z: complex, kp: KernelParams, n: int) -> float:
 def remainder_gap_curve(z: complex, kp: KernelParams, orders: Sequence[int],
                         *, g_trunc: int | None = None) -> list[float]:
     """complementary_remainder_gap at several orders, sharing the coefficients."""
-    from .taylor import TaylorExpansion
-
     ctx = kp.ctx
     n_max = max(orders)
     expansion = taylor_expand(H_series_function(kp), kp.phi_pair, n_max, ctx)
@@ -358,13 +328,13 @@ def remainder_gap_curve(z: complex, kp: KernelParams, orders: Sequence[int],
     kc = K_at_cde(kp)
     if g_trunc is None:
         g_trunc = adaptive_series_depth(kp)
-    sg = _basis_series(z, kp.psi_pair, lambda k: _g_ratio(kp, k), g_trunc, ctx)
+    gs = ratio_products(lambda k: _g_ratio(kp, k), g_trunc)
+    sg = basis_sum(z, kp.psi_pair, gs, ctx)
     target = B * kc * sg
+    terms = basis_terms(z, expansion.pair, expansion.coefficients, ctx)
     gaps = []
     for n in orders:
-        partial = TaylorExpansion(expansion.pair,
-                                  expansion.coefficients[:n + 1]).sum_at(z, ctx)
-        lhs = A * (hkz - partial)
+        lhs = A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j))
         gaps.append(abs(lhs - target) / max(abs(lhs), abs(target)))
     return gaps
 
@@ -382,6 +352,36 @@ def M_clearing(z: complex, kp: KernelParams) -> complex:
             * _sym_inf(kp.c ** 2 / (kp.b * kp.d * kp.e), z, kp.ctx))
 
 
+def _cleared_family_sum(z: complex, pair: BasisPair, ratio_fn, kp: KernelParams,
+                        n_trunc: int) -> complex:
+    """sum_{k<=n} u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c).
+
+    u_k are the ratio_fn(kp, .) products.  The infinite tail product is
+    evaluated once and divided down one factor pair per order, so the sum
+    carries no basis denominators.
+    """
+    ctx = kp.ctx
+    q = ctx.q
+    a, c = pair.a, pair.c
+    tail = _sym_inf(c, z, ctx)
+    fin = 1.0 + 0.0j
+    coeff = 1.0 + 0.0j
+    total = 0.0 + 0.0j
+    x = 1.0 + 0.0j
+    for k in range(n_trunc + 1):
+        total += coeff * fin * tail
+        if k == n_trunc:
+            break
+        div = (1.0 - c * z * x) * (1.0 - c * x / z)
+        if abs(div) <= ctx.pole_margin ** 2:
+            raise PoleProximity(f"tail-product update within margin (c = {c})")
+        tail /= div
+        fin *= (1.0 - a * z * x) * (1.0 - a * x / z)
+        coeff *= ratio_fn(kp, k)
+        x *= q
+    return total
+
+
 def pole_cleared_E_terms(z: complex, kp: KernelParams,
                          n_trunc: int) -> tuple[complex, complex, complex]:
     """The three additive terms of the pole-cleared residual E(z).
@@ -393,50 +393,14 @@ def pole_cleared_E_terms(z: complex, kp: KernelParams,
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     if z == 0:
         raise DomainError("E is defined on the punctured plane")
-    q = ctx.q
+    phi, psi = kp.phi_pair, kp.psi_pair
     t1 = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
-
-    # first family: pre2 * sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
-    pre2 = _sym_inf(c / (d * e), z, ctx)
-    tail = _sym_inf(c, z, ctx)
-    fin = 1.0 + 0.0j
-    fk = 1.0 + 0.0j
-    s2 = 0.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(n_trunc + 1):
-        s2 += fk * fin * tail
-        if k == n_trunc:
-            break
-        div = (1.0 - c * z * x) * (1.0 - c * x / z)
-        if abs(div) <= ctx.pole_margin ** 2:
-            raise PoleProximity("tail-product update within margin (first family)")
-        tail /= div
-        fin *= (1.0 - b * z * x) * (1.0 - b * x / z)
-        fk *= _f_ratio(kp, k)
-        x *= q
-    t2 = H_at_b(kp) * pre2 * s2
-
-    # second family: pre3 * sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
-    c2 = c * c / (b * d * e)
-    pre3 = _sym_inf(b, z, ctx)
-    tail = _sym_inf(c2, z, ctx)
-    fin = 1.0 + 0.0j
-    gk = 1.0 + 0.0j
-    s3 = 0.0 + 0.0j
-    x = 1.0 + 0.0j
-    cde = c / (d * e)
-    for k in range(n_trunc + 1):
-        s3 += gk * fin * tail
-        if k == n_trunc:
-            break
-        div = (1.0 - c2 * z * x) * (1.0 - c2 * x / z)
-        if abs(div) <= ctx.pole_margin ** 2:
-            raise PoleProximity("tail-product update within margin (second family)")
-        tail /= div
-        fin *= (1.0 - cde * z * x) * (1.0 - cde * x / z)
-        gk *= _g_ratio(kp, k)
-        x *= q
-    t3 = K_at_cde(kp) * pre3 * s3
+    # first family: (cz/de, c/dez;q)_inf sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
+    t2 = (H_at_b(kp) * _sym_inf(psi.a, z, ctx)
+          * _cleared_family_sum(z, phi, _f_ratio, kp, n_trunc))
+    # second family: (bz, b/z;q)_inf sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
+    t3 = (K_at_cde(kp) * _sym_inf(b, z, ctx)
+          * _cleared_family_sum(z, psi, _g_ratio, kp, n_trunc))
     return t1, t2, t3
 
 
@@ -581,12 +545,7 @@ def calP_quadruple(alpha: complex, beta: complex, gamma: complex, delta: complex
     """
     pos = np.convolve(_euler_coeffs(alpha, ctx), _euler_coeffs(gamma, ctx))
     neg = np.convolve(_euler_coeffs(beta, ctx), _euler_coeffs(delta, ctx))
-    total = 0.0 + 0.0j
-    for i, p in enumerate(pos):
-        j = i + n
-        if 0 <= j < len(neg):
-            total += p * neg[j]
-    return total
+    return _laurent_pair(pos, neg, n)
 
 
 def calP1(kp: KernelParams, n: int, k: int) -> complex:
@@ -634,17 +593,10 @@ def cancellation_identity_residual(kp: KernelParams, n: int, k_trunc: int) -> fl
         raise DomainError("the cancellation family starts at n = 1")
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     lhs = calP_quadruple(c / d, c / d, c / e, c / e, n, ctx)
-    s1 = 0.0 + 0.0j
-    s2 = 0.0 + 0.0j
-    fk = 1.0 + 0.0j
-    gk = 1.0 + 0.0j
-    for k in range(k_trunc + 1):
-        s1 += fk * calP1(kp, n, k)
-        s2 += gk * calP2(kp, n, k)
-        fk *= _f_ratio(kp, k)
-        gk *= _g_ratio(kp, k)
-    t2 = H_at_b(kp) * s1
-    t3 = K_at_cde(kp) * s2
+    fs = ratio_products(lambda k: _f_ratio(kp, k), k_trunc)
+    gs = ratio_products(lambda k: _g_ratio(kp, k), k_trunc)
+    t2 = H_at_b(kp) * sum((f * calP1(kp, n, k) for k, f in enumerate(fs)), 0.0 + 0.0j)
+    t3 = K_at_cde(kp) * sum((g * calP2(kp, n, k) for k, g in enumerate(gs)), 0.0 + 0.0j)
     scale = max(abs(lhs), abs(t2), abs(t3))
     return abs(lhs - t2 - t3) / scale if scale else 0.0
 

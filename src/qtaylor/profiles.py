@@ -16,16 +16,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .kernel import (KernelParams, H_at_b, K_at_cde, _f_ratio, _g_ratio,
                      pole_cleared_E_terms)
-from .qcore import QContext, qpoch_finite, qpoch_infinite, theta
-
-
-def _pinf(a: complex, ctx: QContext) -> complex:
-    return qpoch_infinite(a, ctx).value
+from .qcore import QContext, _pinf, qpoch_finite, theta
 
 
 def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
@@ -129,17 +127,16 @@ class ProfileClosedForms:
     Kcde: complex
 
 
-def _scalar_profile_sum(kp: KernelParams, ratio_fn, weight: complex,
-                        k_trunc: int | None = None) -> complex:
-    """sum_k coeff_k weight^k with coeff_0 = 1, adaptively truncated."""
-    ctx = kp.ctx
-    cap = k_trunc if k_trunc is not None else ctx.max_terms
+def _adaptive_sum(terms: Iterable[complex], ctx: QContext) -> complex:
+    """Sum terms in order, adaptively truncated.
+
+    Stops once three consecutive terms, from k = 8 on, fall below eps_tail
+    relative to the running total.
+    """
     total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
     small = 0
-    for k in range(cap + 1):
+    for k, term in enumerate(terms):
         total += term
-        term *= ratio_fn(kp, k) * weight
         if abs(term) < ctx.eps_tail * abs(total):
             small += 1
             if small >= 3 and k >= 8:
@@ -147,6 +144,15 @@ def _scalar_profile_sum(kp: KernelParams, ratio_fn, weight: complex,
         else:
             small = 0
     return total
+
+
+def _scalar_profile_sum(kp: KernelParams, ratio_fn, weight: complex,
+                        k_trunc: int | None = None) -> complex:
+    """sum_k coeff_k weight^k with coeff_0 = 1, adaptively truncated."""
+    cap = k_trunc if k_trunc is not None else kp.ctx.max_terms
+    terms = accumulate((ratio_fn(kp, k) * weight for k in range(cap)), mul,
+                       initial=1.0 + 0.0j)
+    return _adaptive_sum(terms, kp.ctx)
 
 
 def profile_sums_and_closed_forms(kp: KernelParams,
@@ -290,28 +296,19 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
     t1 = (profile_kernel_P(s, w, c / d, b, lam, ctx)
           * profile_kernel_P(s, w, c / e, c / (d * e), lam, ctx))
 
-    def family_sum(alpha0: complex, beta0: complex, ratio_fn) -> complex:
-        kernel_val = profile_kernel_P(s, w, alpha0, beta0, lam, ctx)
-        alpha, beta = alpha0, beta0
+    def family_terms(alpha: complex, beta: complex, ratio_fn) -> Iterable[complex]:
+        kernel_val = profile_kernel_P(s, w, alpha, beta, lam, ctx)
         coeff = 1.0 + 0.0j
-        total = 0.0 + 0.0j
-        small = 0
         for k in range(k_trunc + 1):
-            total += coeff * kernel_val
-            if abs(coeff * kernel_val) < ctx.eps_tail * abs(total):
-                small += 1
-                if small >= 3 and k >= 8:
-                    break
-            else:
-                small = 0
+            yield coeff * kernel_val
             kernel_val *= _profile_ratio_step(alpha, beta, t, s, ctx)
             alpha *= ctx.q
             beta *= ctx.q
             coeff *= ratio_fn(kp, k)
-        return total
 
-    t2 = H_at_b(kp) * family_sum(c, b, _f_ratio)
-    t3 = K_at_cde(kp) * family_sum(c * c / (b * d * e), c / (d * e), _g_ratio)
+    t2 = H_at_b(kp) * _adaptive_sum(family_terms(c, b, _f_ratio), ctx)
+    t3 = K_at_cde(kp) * _adaptive_sum(
+        family_terms(c * c / (b * d * e), c / (d * e), _g_ratio), ctx)
     return t1, t2, t3
 
 

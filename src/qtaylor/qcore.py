@@ -56,8 +56,8 @@ class QContext:
         object.__setattr__(self, "q", complex(self.q))
         if not 0.0 < abs(self.q) < 1.0:
             raise DomainError(f"base must satisfy 0 < |q| < 1, got q={self.q}")
-        if self.eps_rel <= 0.0 or self.eps_tail <= 0.0:
-            raise DomainError("eps_rel and eps_tail must be positive")
+        if not (0.0 < self.eps_rel < math.inf and 0.0 < self.eps_tail < math.inf):
+            raise DomainError("eps_rel and eps_tail must be positive and finite")
         if self.max_terms < 16:
             raise DomainError("max_terms must be at least 16")
         if self.pole_margin <= 0.0:
@@ -73,7 +73,7 @@ class QContext:
     def squared(self) -> "QContext":
         """Context with base q^2 (used by base-q^2 product evaluations)."""
         return QContext(self.q * self.q, self.eps_rel, self.eps_tail,
-                        self.max_terms, self.pole_margin)
+                        self.max_terms, self.pole_margin, self.root_sign)
 
     def with_tolerances(self, eps_rel: float | None = None,
                         max_terms: int | None = None) -> "QContext":
@@ -146,6 +146,11 @@ def qpoch_infinite(a: complex, ctx: QContext) -> TailBound:
     r = abs(x)  # = |a||q|^n < threshold <= eps_tail*eps_rel << 1
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
     return TailBound(value, tail, n)
+
+
+def _pinf(a: complex, ctx: QContext) -> complex:
+    """The value of (a;q)_inf, without its tail certificate."""
+    return qpoch_infinite(a, ctx).value
 
 
 def qpoch_multi(params: Sequence[complex], n: int | None, ctx: QContext) -> TailBound:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
-from .qcore import QContext, factor_clearance, qpoch_finite, qpoch_infinite
-from .taylor import BasisPair, taylor_coefficient
+from .qcore import QContext, _pinf, factor_clearance, qpoch_finite
+from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
+                     ratio_products)
 from .wpoperator import SymmetricFunction
 
 
@@ -40,10 +41,6 @@ class QuadraticParams:
             raise ConvergenceRegionViolation("first family requires |b/a| < 1")
         if abs(self.alpha) >= 1.0:
             raise ConvergenceRegionViolation("companion family requires |alpha| < 1")
-
-
-def _pinf(u: complex, ctx: QContext) -> complex:
-    return qpoch_infinite(u, ctx).value
 
 
 def quadratic_product(z: complex, qp: QuadraticParams, ctx: QContext) -> complex:
@@ -90,30 +87,15 @@ def _h_ratio(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
 
 def quadratic_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
     """h_k in closed form (h_0 = 1)."""
-    h = 1.0 + 0.0j
-    for j in range(k):
-        h *= _h_ratio(qp, j, ctx)
-    return h
+    return ratio_products(lambda j: _h_ratio(qp, j, ctx), k)[k]
 
 
 def quadratic_residual(z: complex, qp: QuadraticParams, n_trunc: int,
                        ctx: QContext) -> float:
     """|Q(z) - C_{a,b} sum_{k<=n} h_k Phi_k(z; a, b)| / |Q(z)|."""
-    a, b = qp.a, qp.b
     lhs = quadratic_product(z, qp, ctx)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(n_trunc + 1):
-        total += term
-        if k == n_trunc:
-            break
-        den = (1.0 - b * z * x) * (1.0 - b * x / z)
-        if abs(den) <= ctx.pole_margin ** 2:
-            raise PoleProximity("basis denominator within margin")
-        term *= _h_ratio(qp, k, ctx) * (1.0 - a * z * x) * (1.0 - a * x / z) / den
-        x *= ctx.q
-    rhs = quadratic_constant(qp, ctx) * total
+    hs = ratio_products(lambda k: _h_ratio(qp, k, ctx), n_trunc)
+    rhs = quadratic_constant(qp, ctx) * basis_sum(z, BasisPair(qp.a, qp.b), hs, ctx)
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -124,37 +106,19 @@ def quadratic_function(qp: QuadraticParams, ctx: QContext) -> SymmetricFunction:
 def quadratic_taylor_identification(qp: QuadraticParams, k_max: int,
                                     ctx: QContext) -> float:
     """Max relative gap between pipeline t_k(Q) for the pair (a, b) and C h_k."""
-    f = quadratic_function(qp, ctx)
-    pair = BasisPair(qp.a, qp.b)
     cab = quadratic_constant(qp, ctx)
-    worst = 0.0
-    h = 1.0 + 0.0j
-    for k in range(k_max + 1):
-        lhs = taylor_coefficient(f, pair, k, ctx)
-        rhs = cab * h
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0.0:
-            worst = max(worst, abs(lhs - rhs) / scale)
-        h *= _h_ratio(qp, k, ctx)
-    return worst
+    hs = ratio_products(lambda k: _h_ratio(qp, k, ctx), k_max)
+    return coefficient_gap(quadratic_function(qp, ctx), BasisPair(qp.a, qp.b),
+                           [cab * h for h in hs], ctx)
 
 
 def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int],
                          ctx: QContext, *, depth: int = 200) -> list[float]:
     """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails)."""
-    a, b = qp.a, qp.b
     lhs = abs(quadratic_product(z, qp, ctx))
     cab = quadratic_constant(qp, ctx)
-    terms = []
-    term = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(depth):
-        terms.append(term)
-        den = (1.0 - b * z * x) * (1.0 - b * x / z)
-        term *= _h_ratio(qp, k, ctx) * (1.0 - a * z * x) * (1.0 - a * x / z) / den
-        x *= ctx.q
-        if abs(term) < 1e-30 * max(abs(t) for t in terms):
-            break
+    hs = ratio_products(lambda k: _h_ratio(qp, k, ctx), depth - 1)
+    terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
     out = []
     for n in orders:
         tail = cab * sum(terms[n + 1:])
@@ -195,10 +159,7 @@ def _r_ratio(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
 
 
 def companion_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    r = 1.0 + 0.0j
-    for j in range(k):
-        r *= _r_ratio(qp, j, ctx)
-    return r
+    return ratio_products(lambda j: _r_ratio(qp, j, ctx), k)[k]
 
 
 def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int,
@@ -207,22 +168,9 @@ def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int,
 
     The basis pair is (q^{1/2}, -alpha q^{1/2}).
     """
-    al = qp.alpha
-    q, rq = ctx.q, ctx.sqrt_q
     lhs = companion_product(z, qp, ctx)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(n_trunc + 1):
-        total += term
-        if k == n_trunc:
-            break
-        den = (1.0 + al * rq * z * x) * (1.0 + al * rq * x / z)
-        if abs(den) <= ctx.pole_margin ** 2:
-            raise PoleProximity("companion basis denominator within margin")
-        term *= _r_ratio(qp, k, ctx) * (1.0 - rq * z * x) * (1.0 - rq * x / z) / den
-        x *= ctx.q
-    rhs = companion_constant(qp, ctx) * total
+    rs = ratio_products(lambda k: _r_ratio(qp, k, ctx), n_trunc)
+    rhs = companion_constant(qp, ctx) * basis_sum(z, companion_pair(qp, ctx), rs, ctx)
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -238,19 +186,10 @@ def companion_pair(qp: QuadraticParams, ctx: QContext) -> BasisPair:
 def companion_taylor_identification(qp: QuadraticParams, k_max: int,
                                     ctx: QContext) -> float:
     """Max relative gap between pipeline t_k of the companion and C r_k."""
-    f = companion_function(qp, ctx)
-    pair = companion_pair(qp, ctx)
     cd = companion_constant(qp, ctx)
-    worst = 0.0
-    r = 1.0 + 0.0j
-    for k in range(k_max + 1):
-        lhs = taylor_coefficient(f, pair, k, ctx)
-        rhs = cd * r
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0.0:
-            worst = max(worst, abs(lhs - rhs) / scale)
-        r *= _r_ratio(qp, k, ctx)
-    return worst
+    rs = ratio_products(lambda k: _r_ratio(qp, k, ctx), k_max)
+    return coefficient_gap(companion_function(qp, ctx), companion_pair(qp, ctx),
+                           [cd * r for r in rs], ctx)
 
 
 def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> float:
@@ -266,16 +205,8 @@ def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> f
     q, rq = ctx.q, ctx.sqrt_q
     series = vwp_eval(VWPSpec(-al, (rq * z, rq / z, al, -d, -q / d), al),
                       None, ctx).value
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(200):
-        total += term
-        den = (1.0 + al * rq * z * x) * (1.0 + al * rq * x / z)
-        term *= _r_ratio(qp, k, ctx) * (1.0 - rq * z * x) * (1.0 - rq * x / z) / den
-        x *= q
-        if abs(term) < ctx.eps_tail * abs(total) and k >= 8:
-            break
+    rs = ratio_products(lambda k: _r_ratio(qp, k, ctx), 199)
+    total = basis_sum(z, companion_pair(qp, ctx), rs, ctx)
     scale = max(abs(series), abs(total))
     return abs(series - total) / scale if scale else 0.0
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
 from .qcore import QContext, factor_clearance, qpoch_finite, qpoch_infinite
@@ -54,7 +56,6 @@ def phi_basis(z: complex, pair: BasisPair, k: int, ctx: QContext) -> complex:
     if k == 0:
         return 1.0 + 0.0j
     pair.check_admissible(z, ctx)
-    q = ctx.q
     a, c = pair.a, pair.c
     num = qpoch_finite(a * z, k, ctx) * qpoch_finite(a / z, k, ctx)
     den = qpoch_finite(c * z, k, ctx) * qpoch_finite(c / z, k, ctx)
@@ -67,28 +68,47 @@ def phi_function(pair: BasisPair, n: int, ctx: QContext) -> SymmetricFunction:
                              name=f"phi_{n}")
 
 
+def ratio_products(ratio: Callable[[int], complex], n: int) -> list[complex]:
+    """Coefficients [u_0, ..., u_n] with u_0 = 1 and u_{k+1} = u_k ratio(k)."""
+    return list(accumulate((ratio(k) for k in range(n)), mul, initial=1.0 + 0.0j))
+
+
+def basis_terms(z: complex, pair: BasisPair, coeffs: Iterable[complex],
+                ctx: QContext) -> list[complex]:
+    """The terms [u_k Phi_k(z; a, c)] of a basis series, by ratio updates.
+
+    Every basis denominator factor pair is checked against the pole margin
+    before it divides, so a point on the pole set raises PoleProximity.
+    """
+    q = ctx.q
+    a, c = pair.a, pair.c
+    terms = []
+    basis = 1.0 + 0.0j
+    x = 1.0 + 0.0j
+    for k, u in enumerate(coeffs):
+        if k:
+            den = (1.0 - c * z * x) * (1.0 - c * x / z)
+            if abs(den) <= ctx.pole_margin ** 2:
+                raise PoleProximity(f"z = {z} within margin of the (c = {c}) "
+                                    "basis pole set")
+            basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / den
+            x *= q
+        terms.append(u * basis)
+    return terms
+
+
+def basis_sum(z: complex, pair: BasisPair, coeffs: Iterable[complex],
+              ctx: QContext) -> complex:
+    """sum_k u_k Phi_k(z; a, c) over the given coefficients."""
+    return sum(basis_terms(z, pair, coeffs, ctx), 0.0 + 0.0j)
+
+
 def phi_combination(pair: BasisPair, coeffs: Sequence[complex],
                     ctx: QContext) -> SymmetricFunction:
     """Finite combination sum_k u_k Phi_k(.; a, c) as a SymmetricFunction."""
     us = tuple(complex(u) for u in coeffs)
-
-    def fn(z: complex) -> complex:
-        q = ctx.q
-        a, c = pair.a, pair.c
-        total = 0.0 + 0.0j
-        basis = 1.0 + 0.0j
-        x = 1.0 + 0.0j
-        for k, u in enumerate(us):
-            total += u * basis
-            if k + 1 < len(us):
-                den = (1.0 - c * z * x) * (1.0 - c * x / z)
-                if abs(den) <= ctx.pole_margin ** 2:
-                    raise PoleProximity("basis denominator within margin")
-                basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / den
-                x *= q
-        return total
-
-    return SymmetricFunction(fn, name="phi_combination")
+    return SymmetricFunction(lambda z: basis_sum(z, pair, us, ctx),
+                             name="phi_combination")
 
 
 def _coeff_prefactor(pair: BasisPair, k: int, ctx: QContext) -> complex:
@@ -115,6 +135,18 @@ def taylor_coefficient(f, pair: BasisPair, k: int, ctx: QContext) -> complex:
     return _coeff_prefactor(pair, k, ctx) * cooper_eval(f, z, pair.c, k, ctx)
 
 
+def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
+                    ctx: QContext) -> float:
+    """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
+    worst = 0.0
+    for k, rhs in enumerate(expected):
+        lhs = taylor_coefficient(f, pair, k, ctx)
+        scale = max(abs(lhs), abs(rhs))
+        if scale > 0.0:
+            worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
 @dataclass(frozen=True)
 class TaylorExpansion:
     """Coefficients t_0..t_n of a function relative to a basis pair."""
@@ -123,18 +155,7 @@ class TaylorExpansion:
     coefficients: tuple[complex, ...]
 
     def sum_at(self, z: complex, ctx: QContext) -> complex:
-        q = ctx.q
-        a, c = self.pair.a, self.pair.c
-        total = 0.0 + 0.0j
-        basis = 1.0 + 0.0j
-        x = 1.0 + 0.0j
-        for k, t in enumerate(self.coefficients):
-            total += t * basis
-            if k + 1 < len(self.coefficients):
-                basis *= ((1.0 - a * z * x) * (1.0 - a * x / z)
-                          / ((1.0 - c * z * x) * (1.0 - c * x / z)))
-                x *= q
-        return total
+        return basis_sum(z, self.pair, self.coefficients, ctx)
 
 
 def taylor_expand(f, pair: BasisPair, n: int, ctx: QContext) -> TaylorExpansion:
@@ -206,21 +227,13 @@ def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
             raise PoleProximity(f"annulus [{r_lo}, {r_hi}] touches pole circle |z| = {mod:.4g}")
     radii = [r_lo] if n_radii == 1 else [
         r_lo * (r_hi / r_lo) ** (i / (n_radii - 1)) for i in range(n_radii)]
-    sups = [1.0] + [0.0] * k_max
-    q = ctx.q
-    a, c = pair.a, pair.c
+    sups = [0.0] * (k_max + 1)
+    ones = [1.0] * (k_max + 1)
     for r in radii:
         for j in range(n_angles):
             z = r * cmath.exp(2j * math.pi * (j + 0.21) / n_angles)
-            basis = 1.0 + 0.0j
-            x = 1.0 + 0.0j
-            for k in range(1, k_max + 1):
-                den = (1.0 - c * z * x) * (1.0 - c * x / z)
-                if abs(den) <= ctx.pole_margin ** 2:
-                    raise PoleProximity("sample point within margin of the pole set")
-                basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / den
-                x *= q
-                sups[k] = max(sups[k], abs(basis))
+            for k, phi in enumerate(basis_terms(z, pair, ones, ctx)):
+                sups[k] = max(sups[k], abs(phi))
     return sups
 
 

@@ -188,6 +188,24 @@ class TestCommandLine:
         code = cli.main(["--suite", "qcore", "--seed", "3", "--draws", "4"])
         assert code == 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("QTAYLOR_TOL", "abc"), ("QTAYLOR_TOL", "0"), ("QTAYLOR_TOL", "nan"),
+        ("QTAYLOR_MAX_TERMS", "4"), ("QTAYLOR_MAX_TERMS", "many")])
+    def test_bad_env_setting_is_config_error(self, monkeypatch, capsys, name, value):
+        monkeypatch.setenv(name, value)
+        assert cli.main(["--suite", "qcore", "--seed", "3", "--draws", "4"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("eps_rel", "abc"), ("eps_rel", -1e-10), ("max_terms", 4)])
+    def test_bad_file_setting_is_config_error(self, tmp_path, field, value):
+        cfgfile = tmp_path / "params.json"
+        cfgfile.write_text(json.dumps({"suite": "qcore", field: value}))
+        assert cli.main(["--params", str(cfgfile)]) == 2
+
+    def test_nonpositive_tol_flag_is_config_error(self):
+        assert cli.main(["--suite", "qcore", "--tol", "0"]) == 2
+
     def test_emit_csv(self, tmp_path):
         out = tmp_path / "gap.csv"
         code = cli.main(["--emit-csv", f"remainder_gap:{out}", "--q", "0.4",

@@ -5,6 +5,7 @@ import pytest
 
 from qtaylor.errors import DomainError, ZeroDenominator
 from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
+                            _f_ratio, _g_ratio,
                             K_lowering_residual, KernelParams,
                             adaptive_series_depth, bailey_crosscheck,
                             complementary_remainder_gap, fk_coefficient,
@@ -16,7 +17,7 @@ from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
 from qtaylor.qcore import QContext
 from qtaylor.sampling import (sample_kernel_params,
                               sample_profile_kernel_params, sample_z)
-from qtaylor.taylor import phi_basis
+from qtaylor.taylor import phi_basis, ratio_products
 
 
 @pytest.fixture
@@ -92,6 +93,14 @@ class TestCoefficientFamilies:
         for k in range(13):
             g = gk_coefficient(kp, k)
             assert g == pytest.approx(fk_coefficient(ip, k), rel=1e-12)
+
+    def test_ratio_products_match_closed_form(self, kp):
+        fs = ratio_products(lambda k: _f_ratio(kp, k), 12)
+        gs = ratio_products(lambda k: _g_ratio(kp, k), 12)
+        assert len(fs) == len(gs) == 13
+        for k in range(13):
+            assert fs[k] == pytest.approx(fk_coefficient(kp, k), rel=1e-12)
+            assert gs[k] == pytest.approx(gk_coefficient(kp, k), rel=1e-12)
 
     def test_taylor_crosscheck(self, ctx4, rng):
         kp = sample_kernel_params(rng, ctx4, lo=0.35, hi=0.85)

@@ -31,6 +31,7 @@ class TestContext:
 
     def test_squared_context(self, ctx):
         assert ctx.squared().q == pytest.approx(ctx.q ** 2)
+        assert ctx.other_branch().squared().root_sign == -1
 
     def test_sqrt_branch(self, ctx):
         assert ctx.sqrt_q == pytest.approx(math.sqrt(0.45))

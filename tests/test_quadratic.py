@@ -59,6 +59,11 @@ class TestWatsonTypeExpansion:
         with pytest.raises(PoleProximity):
             quadratic_residual(1 / qp.b, qp, 40, ctx)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_tail_curve_rejects_later_pole_circle(self, m, ctx, qp):
+        with pytest.raises(PoleProximity):
+            quadratic_tail_curve(qp.b * ctx.q ** m, qp, [4, 6], ctx)
+
 
 class TestCompanionExpansion:
     def test_seeded_draws(self, ctx, rng):

@@ -7,8 +7,8 @@ from qtaylor.errors import PoleProximity, ZeroDenominator
 from qtaylor.qcore import qpoch_finite, qpoch_infinite
 from qtaylor.sampling import sample_basis_pair, sample_complex, sample_z
 from qtaylor.taylor import (BasisPair, TaylorExpansion, basis_limit_modulus,
-                            basis_sup_curve, basis_sup_estimate, flatness_check,
-                            phi_basis, phi_combination, phi_function,
+                            basis_sup_curve, basis_sup_estimate, basis_terms,
+                            flatness_check, phi_basis, phi_combination, phi_function,
                             taylor_coefficient, taylor_expand,
                             taylor_sum_and_remainder)
 from qtaylor.wpoperator import SymmetricFunction
@@ -35,6 +35,15 @@ class TestBasis:
         pair = BasisPair(0.6, 0.5)
         with pytest.raises(PoleProximity):
             phi_basis(1 / 0.5 + 1e-9, pair, 2, ctx)
+        with pytest.raises(PoleProximity):
+            TaylorExpansion(pair, (1, 1, 1)).sum_at(1 / pair.c, ctx)
+
+    def test_basis_terms_match_finite_products(self, ctx, rng):
+        pair = sample_basis_pair(rng)
+        z = sample_z(rng)
+        terms = basis_terms(z, pair, [1] * 13, ctx)
+        for k, term in enumerate(terms):
+            assert term == pytest.approx(phi_basis(z, pair, k, ctx), rel=1e-12)
 
     def test_symmetry(self, ctx, rng):
         pair = sample_basis_pair(rng)
