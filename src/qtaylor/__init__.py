@@ -18,7 +18,7 @@ from .kernel import (KernelParams, bailey_crosscheck,
                      cancellation_identity_residual, complementary_remainder_gap,
                      fk_coefficient, gk_coefficient, involute, kernel_factors,
                      kernel_taylor_crosscheck, laurent_coefficient,
-                     pole_cleared_E, truncated_E_N, two_basis_residual)
+                     pole_cleared_E, two_basis_residual)
 from .profiles import (AnnulusSpec, ProfileMoments, annular_factorization_residual,
                        canonical_growth_profile, contiguous_moment,
                        exponential_profile_limit_residual, generating_Q,

@@ -9,6 +9,9 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
+from typing import Iterator
 
 from .errors import (DivergenceSuspected, DomainError, TruncationFailure,
                      ZeroDenominator)
@@ -142,8 +145,12 @@ def phi_eval(spec: PhiSeriesSpec, trunc: int | None, ctx: QContext) -> TailBound
     return _series_sum(ratio, trunc, ctx)
 
 
-def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> TailBound:
-    """Evaluate a very-well-poised series through its ratio-form summand."""
+def _vwp_ratio(spec: VWPSpec, ctx: QContext):
+    """term_{k+1} / term_k of the very-well-poised summand, called for k = 0, 1, ...
+
+    The ratio of the (1 - a q^{2k}) factors is taken directly, so no square
+    root of a appears; a denominator factor within the pole margin raises.
+    """
     a, q, z = spec.a, ctx.q, spec.argument
     if abs(1.0 - a) <= ctx.pole_margin:
         raise DomainError("very-well-poised series requires a != 1")
@@ -170,7 +177,22 @@ def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> TailBound:
         qk[0] = x * q
         return (lead_new / lead_old) * (num / den) * z
 
-    return _series_sum(ratio, trunc, ctx)
+    return ratio
+
+
+def vwp_terms(spec: VWPSpec, n: int, ctx: QContext) -> Iterator[complex]:
+    """The summands t_0 = 1, t_1, ..., t_n of a very-well-poised series, lazily.
+
+    A leading parameter a = 1 raises at the call; a denominator factor
+    within the pole margin raises when its term is reached.
+    """
+    ratio = _vwp_ratio(spec, ctx)
+    return accumulate((ratio(k) for k in range(n)), mul, initial=1.0 + 0.0j)
+
+
+def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> TailBound:
+    """Evaluate a very-well-poised series through its ratio-form summand."""
+    return _series_sum(_vwp_ratio(spec, ctx), trunc, ctx)
 
 
 def vwp_peak_term(spec: VWPSpec, trunc: int, ctx: QContext) -> float:
@@ -179,21 +201,7 @@ def vwp_peak_term(spec: VWPSpec, trunc: int, ctx: QContext) -> float:
     Terminating sums cancel catastrophically by design, so residuals are
     reported relative to this peak, per the scale convention.
     """
-    a, q, z = spec.a, ctx.q, spec.argument
-    peak = 1.0
-    term = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k in range(trunc):
-        x2 = x * x
-        num = (1.0 - a * x) * (1.0 - a * x2 * q * q)
-        den = (1.0 - q * x) * (1.0 - a * x2)
-        for b in spec.b_list:
-            num *= 1.0 - b * x
-            den *= 1.0 - (a * q / b) * x
-        term *= num / den * z
-        x *= q
-        peak = max(peak, abs(term))
-    return peak
+    return max(abs(t) for t in vwp_terms(spec, trunc, ctx))
 
 
 def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,

@@ -15,15 +15,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
+from .hyper import VWPSpec, vwp_eval, vwp_terms
 from .qcore import QContext, factor_clearance, qpoch_infinite, qpoch_multi
 from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
-                     ratio_products, taylor_expand)
+                     taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
 
 
@@ -229,40 +230,28 @@ def gk_coefficient(kp: KernelParams, k: int) -> complex:
     return lead * num / den * q ** k
 
 
-def _f_ratio(kp: KernelParams, k: int) -> complex:
-    """f_{k+1} / f_k."""
+def f_spec(kp: KernelParams) -> VWPSpec:
+    """f_k as the summand of a very-well-poised series.
+
+    Leading parameter bc/q, parameters (d, e, c^2/deq), argument q: the
+    8W7 of Bailey's nonterminating 8phi7 without the basis pair (bz, b/z).
+    """
     b, c, d, e = kp.b, kp.c, kp.d, kp.e
     q = kp.ctx.q
-    qk = q ** k
-    lead = (1.0 - b * c * q ** (2 * k + 1)) / (1.0 - b * c * q ** (2 * k - 1))
-    num = ((1.0 - (b * c / q) * qk) * (1.0 - d * qk) * (1.0 - e * qk)
-           * (1.0 - (c * c / (d * e * q)) * qk))
-    den = ((1.0 - q * qk) * (1.0 - (b * c / d) * qk)
-           * (1.0 - (b * c / e) * qk) * (1.0 - (b * d * e * q / c) * qk))
-    return lead * num / den * q
+    return VWPSpec(b * c / q, (d, e, c * c / (d * e * q)), q)
 
 
-def _g_ratio(kp: KernelParams, k: int) -> complex:
-    """g_{k+1} / g_k."""
+def g_spec(kp: KernelParams) -> VWPSpec:
+    """g_k as a very-well-poised summand: f_spec of the involuted quadruple."""
     b, c, d, e = kp.b, kp.c, kp.d, kp.e
     q = kp.ctx.q
-    qk = q ** k
-    x = c ** 3 / (b * d ** 2 * e ** 2)
-    lead = (1.0 - x * q ** (2 * k + 1)) / (1.0 - x * q ** (2 * k - 1))
-    num = ((1.0 - (x / q) * qk) * (1.0 - (c / (b * d)) * qk)
-           * (1.0 - (c / (b * e)) * qk) * (1.0 - (c * c / (d * e * q)) * qk))
-    den = ((1.0 - q * qk) * (1.0 - (c * c / (d * e * e)) * qk)
-           * (1.0 - (c * c / (d * d * e)) * qk) * (1.0 - (c * q / (b * d * e)) * qk))
-    return lead * num / den * q
+    return VWPSpec(c ** 3 / (b * d ** 2 * e ** 2 * q),
+                   (c / (b * d), c / (b * e), c * c / (d * e * q)), q)
 
 
 def H_series_function(kp: KernelParams) -> SymmetricFunction:
     """H as a SymmetricFunction of z (for the operator pipeline)."""
     return SymmetricFunction(lambda z: kernel_H(z, kp), name="H")
-
-
-def K_series_function(kp: KernelParams) -> SymmetricFunction:
-    return SymmetricFunction(lambda z: kernel_K(z, kp), name="K")
 
 
 def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
@@ -287,10 +276,8 @@ def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
     B = kernel_B(z, kp)
     hb = 1.0 + 0.0j if force_unit_Hb else H_at_b(kp)
     kc = 1.0 + 0.0j if force_unit_Kcde else K_at_cde(kp)
-    fs = ratio_products(lambda k: _f_ratio(kp, k), n_trunc)
-    gs = ratio_products(lambda k: _g_ratio(kp, k), n_trunc)
-    sf = basis_sum(z, kp.phi_pair, fs, ctx)
-    sg = basis_sum(z, kp.psi_pair, gs, ctx)
+    sf = basis_sum(z, kp.phi_pair, vwp_terms(f_spec(kp), n_trunc, ctx), ctx)
+    sg = basis_sum(z, kp.psi_pair, vwp_terms(g_spec(kp), n_trunc, ctx), ctx)
     return F, A * hb * sf, B * kc * sg
 
 
@@ -316,8 +303,8 @@ def complementary_remainder_gap(z: complex, kp: KernelParams, n: int) -> float:
     return remainder_gap_curve(z, kp, [n])[0]
 
 
-def remainder_gap_curve(z: complex, kp: KernelParams, orders: Sequence[int],
-                        *, g_trunc: int | None = None) -> list[float]:
+def remainder_gap_curve(z: complex, kp: KernelParams,
+                        orders: Sequence[int]) -> list[float]:
     """complementary_remainder_gap at several orders, sharing the coefficients."""
     ctx = kp.ctx
     n_max = max(orders)
@@ -326,9 +313,7 @@ def remainder_gap_curve(z: complex, kp: KernelParams, orders: Sequence[int],
     B = kernel_B(z, kp)
     hkz = kernel_H(z, kp)
     kc = K_at_cde(kp)
-    if g_trunc is None:
-        g_trunc = adaptive_series_depth(kp)
-    gs = ratio_products(lambda k: _g_ratio(kp, k), g_trunc)
+    gs = vwp_terms(g_spec(kp), adaptive_series_depth(kp), ctx)
     sg = basis_sum(z, kp.psi_pair, gs, ctx)
     target = B * kc * sg
     terms = basis_terms(z, expansion.pair, expansion.coefficients, ctx)
@@ -352,33 +337,28 @@ def M_clearing(z: complex, kp: KernelParams) -> complex:
             * _sym_inf(kp.c ** 2 / (kp.b * kp.d * kp.e), z, kp.ctx))
 
 
-def _cleared_family_sum(z: complex, pair: BasisPair, ratio_fn, kp: KernelParams,
-                        n_trunc: int) -> complex:
-    """sum_{k<=n} u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c).
+def _cleared_family_sum(z: complex, pair: BasisPair, coeffs: Iterable[complex],
+                        ctx: QContext) -> complex:
+    """sum_k u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c).
 
-    u_k are the ratio_fn(kp, .) products.  The infinite tail product is
-    evaluated once and divided down one factor pair per order, so the sum
-    carries no basis denominators.
+    The infinite tail product is evaluated once and divided down one factor
+    pair per order, so the sum carries no basis denominators.
     """
-    ctx = kp.ctx
     q = ctx.q
     a, c = pair.a, pair.c
     tail = _sym_inf(c, z, ctx)
     fin = 1.0 + 0.0j
-    coeff = 1.0 + 0.0j
     total = 0.0 + 0.0j
     x = 1.0 + 0.0j
-    for k in range(n_trunc + 1):
-        total += coeff * fin * tail
-        if k == n_trunc:
-            break
-        div = (1.0 - c * z * x) * (1.0 - c * x / z)
-        if abs(div) <= ctx.pole_margin ** 2:
-            raise PoleProximity(f"tail-product update within margin (c = {c})")
-        tail /= div
-        fin *= (1.0 - a * z * x) * (1.0 - a * x / z)
-        coeff *= ratio_fn(kp, k)
-        x *= q
+    for k, u in enumerate(coeffs):
+        if k:
+            div = (1.0 - c * z * x) * (1.0 - c * x / z)
+            if abs(div) <= ctx.pole_margin ** 2:
+                raise PoleProximity(f"tail-product update within margin (c = {c})")
+            tail /= div
+            fin *= (1.0 - a * z * x) * (1.0 - a * x / z)
+            x *= q
+        total += u * fin * tail
     return total
 
 
@@ -397,28 +377,21 @@ def pole_cleared_E_terms(z: complex, kp: KernelParams,
     t1 = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
     # first family: (cz/de, c/dez;q)_inf sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
     t2 = (H_at_b(kp) * _sym_inf(psi.a, z, ctx)
-          * _cleared_family_sum(z, phi, _f_ratio, kp, n_trunc))
+          * _cleared_family_sum(z, phi, vwp_terms(f_spec(kp), n_trunc, ctx), ctx))
     # second family: (bz, b/z;q)_inf sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
     t3 = (K_at_cde(kp) * _sym_inf(b, z, ctx)
-          * _cleared_family_sum(z, psi, _g_ratio, kp, n_trunc))
+          * _cleared_family_sum(z, psi, vwp_terms(g_spec(kp), n_trunc, ctx), ctx))
     return t1, t2, t3
 
 
 def pole_cleared_E(z: complex, kp: KernelParams, n_trunc: int) -> complex:
-    """The pole-cleared residual E(z); vanishes on both Taylor grids."""
+    """E(z) with both coefficient sums cut at n_trunc; flat through grid depth n_trunc."""
     t1, t2, t3 = pole_cleared_E_terms(z, kp, n_trunc)
     return t1 - t2 - t3
 
 
-def truncated_E_N(z: complex, kp: KernelParams, N: int) -> complex:
-    """E_N(z): both coefficient sums cut at N; flat through grid depth N only."""
-    t1, t2, t3 = pole_cleared_E_terms(z, kp, N)
-    return t1 - t2 - t3
-
-
 def laurent_coefficient_detail(G: Callable[[complex], complex], n: int, radius: float,
-                               ctx: QContext, *, nodes: int = 64,
-                               pole_moduli: Sequence[float] = (),
+                               ctx: QContext, *, pole_moduli: Sequence[float] = (),
                                scale_floor: float = 0.0) -> tuple[complex, float, int]:
     """Trapezoid contour coefficient [z^{-n}] G with node doubling.
 
@@ -450,8 +423,8 @@ def laurent_coefficient_detail(G: Callable[[complex], complex], n: int, radius: 
             scale = max(scale, abs(term))
         return total / m, scale
 
-    prev, scale = estimate(nodes)
-    m = nodes
+    m = 64
+    prev, scale = estimate(m)
     while m < 1024:
         m *= 2
         cur, scale = estimate(m)
@@ -463,16 +436,14 @@ def laurent_coefficient_detail(G: Callable[[complex], complex], n: int, radius: 
 
 
 def laurent_coefficient(G: Callable[[complex], complex], n: int, radius: float,
-                        ctx: QContext, *, nodes: int = 64,
-                        pole_moduli: Sequence[float] = ()) -> complex:
+                        ctx: QContext, *, pole_moduli: Sequence[float] = ()) -> complex:
     """Contour Laurent coefficient [z^{-n}] G on |z| = radius."""
-    value, _, _ = laurent_coefficient_detail(G, n, radius, ctx, nodes=nodes,
-                                             pole_moduli=pole_moduli)
+    value, _, _ = laurent_coefficient_detail(G, n, radius, ctx, pole_moduli=pole_moduli)
     return value
 
 
-def E_contour_coefficient(kp: KernelParams, n: int, radius: float = 1.0,
-                          n_trunc: int | None = None) -> tuple[complex, float, int]:
+def E_contour_coefficient(kp: KernelParams, n: int,
+                          radius: float = 1.0) -> tuple[complex, float, int]:
     """[z^{-n}] of the pole-cleared residual by contour quadrature.
 
     Returns (coefficient, term_scale, nodes).  The stabilisation threshold
@@ -480,8 +451,7 @@ def E_contour_coefficient(kp: KernelParams, n: int, radius: float = 1.0,
     contour, because E itself vanishes identically.
     """
     ctx = kp.ctx
-    if n_trunc is None:
-        n_trunc = adaptive_series_depth(kp)
+    n_trunc = adaptive_series_depth(kp)
     floor = 0.0
     for j in range(16):
         zj = radius * cmath.exp(2j * math.pi * (j + 0.37) / 16)
@@ -593,8 +563,8 @@ def cancellation_identity_residual(kp: KernelParams, n: int, k_trunc: int) -> fl
         raise DomainError("the cancellation family starts at n = 1")
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     lhs = calP_quadruple(c / d, c / d, c / e, c / e, n, ctx)
-    fs = ratio_products(lambda k: _f_ratio(kp, k), k_trunc)
-    gs = ratio_products(lambda k: _g_ratio(kp, k), k_trunc)
+    fs = vwp_terms(f_spec(kp), k_trunc, ctx)
+    gs = vwp_terms(g_spec(kp), k_trunc, ctx)
     t2 = H_at_b(kp) * sum((f * calP1(kp, n, k) for k, f in enumerate(fs)), 0.0 + 0.0j)
     t3 = K_at_cde(kp) * sum((g * calP2(kp, n, k) for k, g in enumerate(gs)), 0.0 + 0.0j)
     scale = max(abs(lhs), abs(t2), abs(t3))
@@ -637,23 +607,18 @@ def K_lowering_residual(z: complex, kp: KernelParams) -> float:
 def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
     """Residual of the kernel identity with both series evaluated as 8W7 sums.
 
-    Rewrites the two coefficient series through the very-well-poised
-    machinery (leading parameter bc/q; parameter list d, e, c^2/deq, bz,
-    b/z; argument q) and its involuted copy, then tests
-    F = A H(b) W1 + B K(c/de) W2.
+    Each coefficient series becomes one very-well-poised series: its
+    coefficient spec (f_spec, g_spec) with the basis pair (az, a/z) appended
+    to the parameter list.  Then F = A H(b) W1 + B K(c/de) W2 is tested.
     """
-    from .hyper import VWPSpec, vwp_eval
-
     ctx = kp.ctx
-    q = ctx.q
 
-    def w_series(p: KernelParams) -> complex:
-        a0 = p.b * p.c / q
-        blist = (p.d, p.e, p.c * p.c / (p.d * p.e * q), p.b * z, p.b / z)
-        return vwp_eval(VWPSpec(a0, blist, q), None, ctx).value
+    def w_series(spec: VWPSpec, pair: BasisPair) -> complex:
+        blist = spec.b_list + (pair.a * z, pair.a / z)
+        return vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
 
-    w1 = w_series(kp)
-    w2 = w_series(involute(kp))
+    w1 = w_series(f_spec(kp), kp.phi_pair)
+    w2 = w_series(g_spec(kp), kp.psi_pair)
     t1 = kernel_F(z, kp)
     t2 = kernel_A(z, kp) * H_at_b(kp) * w1
     t3 = kernel_B(z, kp) * K_at_cde(kp) * w2

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
-from .kernel import (KernelParams, H_at_b, K_at_cde, _f_ratio, _g_ratio,
+from .hyper import VWPSpec, vwp_terms
+from .kernel import (KernelParams, H_at_b, K_at_cde, f_spec, g_spec,
                      pole_cleared_E_terms)
 from .qcore import QContext, _pinf, qpoch_finite, theta
 
@@ -146,17 +145,17 @@ def _adaptive_sum(terms: Iterable[complex], ctx: QContext) -> complex:
     return total
 
 
-def _scalar_profile_sum(kp: KernelParams, ratio_fn, weight: complex,
-                        k_trunc: int | None = None) -> complex:
-    """sum_k coeff_k weight^k with coeff_0 = 1, adaptively truncated."""
-    cap = k_trunc if k_trunc is not None else kp.ctx.max_terms
-    terms = accumulate((ratio_fn(kp, k) * weight for k in range(cap)), mul,
-                       initial=1.0 + 0.0j)
-    return _adaptive_sum(terms, kp.ctx)
+def _scalar_profile_sum(spec: VWPSpec, weight: complex, ctx: QContext) -> complex:
+    """sum_k u_k weight^k over the summands u_k of spec, adaptively truncated.
+
+    weight^k is absorbed into the argument, so the terms are the summands of
+    one very-well-poised series.
+    """
+    spec = replace(spec, argument=spec.argument * weight)
+    return _adaptive_sum(vwp_terms(spec, ctx.max_terms, ctx), ctx)
 
 
-def profile_sums_and_closed_forms(kp: KernelParams,
-                                  k_trunc: int | None = None) -> ProfileClosedForms:
+def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
     """F_* and G_* by summation, by product evaluation, and as theta quotients.
 
     Requires |bq/c| < 1 for the direct summations.
@@ -167,8 +166,8 @@ def profile_sums_and_closed_forms(kp: KernelParams,
     if abs(weight * q) >= 1.0:
         raise ConvergenceRegionViolation(
             f"|bq/c| = {abs(weight * q):.3g} >= 1: profile sums diverge")
-    f_series = _scalar_profile_sum(kp, _f_ratio, weight, k_trunc)
-    g_series = _scalar_profile_sum(kp, _g_ratio, weight, k_trunc)
+    f_series = _scalar_profile_sum(f_spec(kp), weight, ctx)
+    g_series = _scalar_profile_sum(g_spec(kp), weight, ctx)
     f_prod = (_pinf(b * c, ctx) * _pinf(b * c / (d * e), ctx)
               * _pinf(b * e * q / c, ctx) * _pinf(b * d * q / c, ctx)) / (
         _pinf(b * c / d, ctx) * _pinf(b * c / e, ctx)
@@ -296,19 +295,17 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
     t1 = (profile_kernel_P(s, w, c / d, b, lam, ctx)
           * profile_kernel_P(s, w, c / e, c / (d * e), lam, ctx))
 
-    def family_terms(alpha: complex, beta: complex, ratio_fn) -> Iterable[complex]:
+    def family_terms(alpha: complex, beta: complex, spec: VWPSpec) -> Iterable[complex]:
         kernel_val = profile_kernel_P(s, w, alpha, beta, lam, ctx)
-        coeff = 1.0 + 0.0j
-        for k in range(k_trunc + 1):
+        for coeff in vwp_terms(spec, k_trunc, ctx):
             yield coeff * kernel_val
             kernel_val *= _profile_ratio_step(alpha, beta, t, s, ctx)
             alpha *= ctx.q
             beta *= ctx.q
-            coeff *= ratio_fn(kp, k)
 
-    t2 = H_at_b(kp) * _adaptive_sum(family_terms(c, b, _f_ratio), ctx)
+    t2 = H_at_b(kp) * _adaptive_sum(family_terms(c, b, f_spec(kp)), ctx)
     t3 = K_at_cde(kp) * _adaptive_sum(
-        family_terms(c * c / (b * d * e), c / (d * e), _g_ratio), ctx)
+        family_terms(c * c / (b * d * e), c / (d * e), g_spec(kp)), ctx)
     return t1, t2, t3
 
 
@@ -329,7 +326,7 @@ class ProfileMoments:
     convergent: bool
 
 
-def contiguous_moment(kp: KernelParams, m: int, k_trunc: int | None = None) -> ProfileMoments:
+def contiguous_moment(kp: KernelParams, m: int) -> ProfileMoments:
     """F_m = sum f_k (b/c)^k q^{mk} and its g-family analogue.
 
     The convergence predicate is the term-ratio bound |b/c| |q|^{m+1} < 1;
@@ -342,8 +339,8 @@ def contiguous_moment(kp: KernelParams, m: int, k_trunc: int | None = None) -> P
         nan = complex(math.nan, math.nan)
         return ProfileMoments(m, nan, nan, False)
     weight = (b / c) * q ** m
-    fm = _scalar_profile_sum(kp, _f_ratio, weight, k_trunc)
-    gm = _scalar_profile_sum(kp, _g_ratio, weight, k_trunc)
+    fm = _scalar_profile_sum(f_spec(kp), weight, ctx)
+    gm = _scalar_profile_sum(g_spec(kp), weight, ctx)
     return ProfileMoments(m, fm, gm, True)
 
 
@@ -477,7 +474,7 @@ def canonical_growth_profile(lam: complex, N: int, w: complex,
 
 
 def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex,
-                    k_trunc: int, e_trunc: int | None = None) -> float:
+                    k_trunc: int) -> float:
     """Gap between the generating residual at s = q^N and (b/c)^N E/Z on layer N.
 
     Exact identity; both sides are near zero, so the gap is reported
@@ -488,9 +485,7 @@ def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex,
     t1, t2, t3 = generating_Q_terms(q ** N, w, kp, lam, k_trunc)
     lhs = t1 - t2 - t3
     z = lam * q ** N * w
-    if e_trunc is None:
-        e_trunc = k_trunc
-    e1, e2, e3 = pole_cleared_E_terms(z, kp, e_trunc)
+    e1, e2, e3 = pole_cleared_E_terms(z, kp, k_trunc)
     rhs = (b / c) ** N * (e1 - e2 - e3) / canonical_Z(z, kp)
     scale = max(abs(t1), abs(t2), abs(t3))
     return abs(lhs - rhs) / scale if scale else 0.0

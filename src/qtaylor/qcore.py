@@ -234,10 +234,3 @@ def factor_clearance(u: complex, ctx: QContext) -> float:
         x *= q
     raise TruncationFailure("factor clearance scan did not terminate")
 
-
-def relative_to_scale(deviation: float, *terms: complex) -> float:
-    """Deviation divided by the largest |term| of the identity under test."""
-    scale = max((abs(t) for t in terms), default=0.0)
-    if scale == 0.0:
-        return 0.0 if deviation == 0.0 else math.inf
-    return deviation / scale

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
+from .hyper import VWPSpec, vwp_eval, vwp_terms
 from .qcore import QContext, _pinf, factor_clearance, qpoch_finite
-from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
-                     ratio_products)
+from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
 from .wpoperator import SymmetricFunction
 
 
@@ -66,35 +66,28 @@ def quadratic_constant(qp: QuadraticParams, ctx: QContext) -> complex:
     return num / (_pinf(a * b, ctx) * _pinf(b / a, ctx))
 
 
-def _h_ratio(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    """h_{k+1} / h_k for the Watson-type coefficients.
+def h_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
+    """The Watson-type coefficients h_k as a very-well-poised summand.
 
-    h_k is the very-well-poised summand with leading parameter ab/q,
-    parameter list (b q^{-1/2}, -b q^{-1/2}, aq/b, az, a/z) and argument
-    -b/a; the z-dependent pair is carried by the basis, so the scalar
-    coefficient keeps the factor (-b/a)^k.
+    Leading parameter ab/q, parameters (b q^{-1/2}, -b q^{-1/2}, aq/b) and
+    argument -b/a; the pair (az, a/z) of the full series is carried by the
+    basis.
     """
     a, b = qp.a, qp.b
     q, rq = ctx.q, ctx.sqrt_q
-    qk = q ** k
-    lead = (1.0 - a * b * q ** (2 * k + 1)) / (1.0 - a * b * q ** (2 * k - 1))
-    num = ((1.0 - a * b * qk / q) * (1.0 - b * qk / rq)
-           * (1.0 + b * qk / rq) * (1.0 - (a * q / b) * qk))
-    den = ((1.0 - q * qk) * (1.0 - a * rq * qk)
-           * (1.0 + a * rq * qk) * (1.0 - b * b * qk / q))
-    return lead * num / den * (-b / a)
+    return VWPSpec(a * b / q, (b / rq, -b / rq, a * q / b), -b / a)
 
 
 def quadratic_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    """h_k in closed form (h_0 = 1)."""
-    return ratio_products(lambda j: _h_ratio(qp, j, ctx), k)[k]
+    """h_k (h_0 = 1), by ratio updates of the h_spec summand."""
+    return list(vwp_terms(h_spec(qp, ctx), k, ctx))[k]
 
 
 def quadratic_residual(z: complex, qp: QuadraticParams, n_trunc: int,
                        ctx: QContext) -> float:
     """|Q(z) - C_{a,b} sum_{k<=n} h_k Phi_k(z; a, b)| / |Q(z)|."""
     lhs = quadratic_product(z, qp, ctx)
-    hs = ratio_products(lambda k: _h_ratio(qp, k, ctx), n_trunc)
+    hs = vwp_terms(h_spec(qp, ctx), n_trunc, ctx)
     rhs = quadratic_constant(qp, ctx) * basis_sum(z, BasisPair(qp.a, qp.b), hs, ctx)
     return abs(lhs - rhs) / abs(lhs)
 
@@ -107,17 +100,20 @@ def quadratic_taylor_identification(qp: QuadraticParams, k_max: int,
                                     ctx: QContext) -> float:
     """Max relative gap between pipeline t_k(Q) for the pair (a, b) and C h_k."""
     cab = quadratic_constant(qp, ctx)
-    hs = ratio_products(lambda k: _h_ratio(qp, k, ctx), k_max)
+    hs = vwp_terms(h_spec(qp, ctx), k_max, ctx)
     return coefficient_gap(quadratic_function(qp, ctx), BasisPair(qp.a, qp.b),
                            [cab * h for h in hs], ctx)
 
 
 def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int],
-                         ctx: QContext, *, depth: int = 200) -> list[float]:
-    """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails)."""
+                         ctx: QContext) -> list[float]:
+    """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails).
+
+    The tails are summed through order 199.
+    """
     lhs = abs(quadratic_product(z, qp, ctx))
     cab = quadratic_constant(qp, ctx)
-    hs = ratio_products(lambda k: _h_ratio(qp, k, ctx), depth - 1)
+    hs = vwp_terms(h_spec(qp, ctx), 199, ctx)
     terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
     out = []
     for n in orders:
@@ -146,20 +142,18 @@ def companion_constant(qp: QuadraticParams, ctx: QContext) -> complex:
     return num / (_pinf(-al, ctx) * _pinf(-al * q, ctx))
 
 
-def _r_ratio(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    """r_{k+1} / r_k for the companion coefficients."""
+def r_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
+    """The companion coefficients r_k as a very-well-poised summand.
+
+    Leading parameter -alpha, parameters (alpha, -d, -q/d), argument alpha.
+    """
     al, d = qp.alpha, qp.d
-    q = ctx.q
-    qk = q ** k
-    lead = (1.0 + al * q ** (2 * k + 2)) / (1.0 + al * q ** (2 * k))
-    num = ((1.0 + al * qk) * (1.0 - al * qk) * (1.0 + d * qk) * (1.0 + q * qk / d))
-    den = ((1.0 - q * qk) * (1.0 + q * qk) * (1.0 - (al * q / d) * qk)
-           * (1.0 - al * d * qk))
-    return lead * num / den * al
+    return VWPSpec(-al, (al, -d, -ctx.q / d), al)
 
 
 def companion_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    return ratio_products(lambda j: _r_ratio(qp, j, ctx), k)[k]
+    """r_k (r_0 = 1), by ratio updates of the r_spec summand."""
+    return list(vwp_terms(r_spec(qp, ctx), k, ctx))[k]
 
 
 def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int,
@@ -169,7 +163,7 @@ def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int,
     The basis pair is (q^{1/2}, -alpha q^{1/2}).
     """
     lhs = companion_product(z, qp, ctx)
-    rs = ratio_products(lambda k: _r_ratio(qp, k, ctx), n_trunc)
+    rs = vwp_terms(r_spec(qp, ctx), n_trunc, ctx)
     rhs = companion_constant(qp, ctx) * basis_sum(z, companion_pair(qp, ctx), rs, ctx)
     return abs(lhs - rhs) / abs(lhs)
 
@@ -187,7 +181,7 @@ def companion_taylor_identification(qp: QuadraticParams, k_max: int,
                                     ctx: QContext) -> float:
     """Max relative gap between pipeline t_k of the companion and C r_k."""
     cd = companion_constant(qp, ctx)
-    rs = ratio_products(lambda k: _r_ratio(qp, k, ctx), k_max)
+    rs = vwp_terms(r_spec(qp, ctx), k_max, ctx)
     return coefficient_gap(companion_function(qp, ctx), companion_pair(qp, ctx),
                            [cd * r for r in rs], ctx)
 
@@ -195,18 +189,14 @@ def companion_taylor_identification(qp: QuadraticParams, k_max: int,
 def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> float:
     """Companion series against its very-well-poised specialisation.
 
-    The coefficient series equals the 8W7 evaluation with leading
-    parameter -alpha, parameters (q^{1/2} z, q^{1/2}/z, alpha, -d, -q/d)
-    and argument alpha.
+    The coefficient series equals the 8W7 evaluation of r_spec with the
+    basis pair (q^{1/2} z, q^{1/2}/z) added to its parameter list.
     """
-    from .hyper import VWPSpec, vwp_eval
-
-    al, d = qp.alpha, qp.d
-    q, rq = ctx.q, ctx.sqrt_q
-    series = vwp_eval(VWPSpec(-al, (rq * z, rq / z, al, -d, -q / d), al),
-                      None, ctx).value
-    rs = ratio_products(lambda k: _r_ratio(qp, k, ctx), 199)
-    total = basis_sum(z, companion_pair(qp, ctx), rs, ctx)
+    spec = r_spec(qp, ctx)
+    pair = companion_pair(qp, ctx)
+    blist = (pair.a * z, pair.a / z) + spec.b_list
+    series = vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
+    total = basis_sum(z, pair, vwp_terms(spec, 199, ctx), ctx)
     scale = max(abs(series), abs(total))
     return abs(series - total) / scale if scale else 0.0
 

@@ -628,8 +628,11 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     z = sample_z(rng)
     m_val = kernel.M_clearing(z, kp)
     t1, t2, t3 = kernel.two_basis_terms(z, kp, depth)
-    e_direct = kernel.pole_cleared_E(z, kp, depth)
-    dev = abs(m_val * (t1 - t2 - t3) - e_direct) / max(abs(t1 * m_val), abs(e_direct))
+    e_terms = kernel.pole_cleared_E_terms(z, kp, depth)
+    e_direct = e_terms[0] - e_terms[1] - e_terms[2]
+    # both routes are near-cancelling sums: scale by their largest additive term
+    scale = max(abs(t) for t in (m_val * t1, m_val * t2, m_val * t3) + e_terms)
+    dev = abs(m_val * (t1 - t2 - t3) - e_direct) / scale
     out.append(_rec("kernel", "pole-clearing-paths", "M-pole-clear", {"z": z},
                     dev, 1e-8))
 
@@ -637,12 +640,12 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     worst = 0.0
     for m in range(N + 1):
         z0 = kp.b * q ** m
-        value = kernel.truncated_E_N(z0, kp, N)
+        value = kernel.pole_cleared_E(z0, kp, N)
         scale = max(abs(t) for t in kernel.pole_cleared_E_terms(z0, kp, N))
         worst = max(worst, abs(value) / scale)
     z0 = kp.b * q ** (N + 3)
     scale = max(abs(t) for t in kernel.pole_cleared_E_terms(z0, kp, N))
-    beyond = abs(kernel.truncated_E_N(z0, kp, N)) / scale
+    beyond = abs(kernel.pole_cleared_E(z0, kp, N)) / scale
     dev = worst if beyond > 1e-5 else math.inf
     out.append(_rec("kernel", "truncated-flatness", "finite-grid-zeros",
                     {"N": N}, dev, 1e-7,

@@ -10,9 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
 from .qcore import QContext, factor_clearance, qpoch_finite, qpoch_infinite
@@ -34,9 +32,6 @@ class BasisPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "c", complex(self.c))
-
-    def grid_point(self, m: int, ctx: QContext) -> complex:
-        return self.a * ctx.q ** m
 
     def check_admissible(self, z: complex, ctx: QContext) -> None:
         """Reject z within the pole margin of the basis pole set."""
@@ -66,11 +61,6 @@ def phi_function(pair: BasisPair, n: int, ctx: QContext) -> SymmetricFunction:
     """Phi_n(.; a, c) wrapped as a SymmetricFunction."""
     return SymmetricFunction(lambda z: phi_basis(z, pair, n, ctx),
                              name=f"phi_{n}")
-
-
-def ratio_products(ratio: Callable[[int], complex], n: int) -> list[complex]:
-    """Coefficients [u_0, ..., u_n] with u_0 = 1 and u_{k+1} = u_k ratio(k)."""
-    return list(accumulate((ratio(k) for k in range(n)), mul, initial=1.0 + 0.0j))
 
 
 def basis_terms(z: complex, pair: BasisPair, coeffs: Iterable[complex],
@@ -206,32 +196,33 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
 
 
 def basis_sup_estimate(pair: BasisPair, annulus: tuple[float, float], k_max: int,
-                       ctx: QContext, *, n_radii: int = 3, n_angles: int = 48) -> float:
+                       ctx: QContext) -> float:
     """Empirical sup of |Phi_k| over sampled z in the annulus and k <= k_max.
 
     Evidence for uniform boundedness: the per-k sups plateau because the
     ratio of consecutive basis elements tends to 1.
     """
-    return max(basis_sup_curve(pair, annulus, k_max, ctx,
-                               n_radii=n_radii, n_angles=n_angles))
+    return max(basis_sup_curve(pair, annulus, k_max, ctx))
 
 
 def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
-                    ctx: QContext, *, n_radii: int = 3, n_angles: int = 48) -> list[float]:
-    """Per-k sampled sups sup_z |Phi_k(z)| on the annulus (k = 0..k_max)."""
+                    ctx: QContext) -> list[float]:
+    """Per-k sampled sups sup_z |Phi_k(z)| on the annulus (k = 0..k_max).
+
+    The sample is 48 angles on each of 3 geometrically spaced radii.
+    """
     r_lo, r_hi = annulus
     if not 0.0 < r_lo <= r_hi:
         raise DomainError("annulus radii must satisfy 0 < r_lo <= r_hi")
     for mod in _pole_moduli(pair, ctx):
         if r_lo - ctx.pole_margin <= mod <= r_hi + ctx.pole_margin:
             raise PoleProximity(f"annulus [{r_lo}, {r_hi}] touches pole circle |z| = {mod:.4g}")
-    radii = [r_lo] if n_radii == 1 else [
-        r_lo * (r_hi / r_lo) ** (i / (n_radii - 1)) for i in range(n_radii)]
+    radii = [r_lo * (r_hi / r_lo) ** (i / 2) for i in range(3)]
     sups = [0.0] * (k_max + 1)
     ones = [1.0] * (k_max + 1)
     for r in radii:
-        for j in range(n_angles):
-            z = r * cmath.exp(2j * math.pi * (j + 0.21) / n_angles)
+        for j in range(48):
+            z = r * cmath.exp(2j * math.pi * (j + 0.21) / 48)
             for k, phi in enumerate(basis_terms(z, pair, ones, ctx)):
                 sups[k] = max(sups[k], abs(phi))
     return sups

@@ -37,12 +37,6 @@ class SymmetricFunction:
     def __call__(self, z: complex) -> complex:
         return self.fn(z)
 
-    def symmetry_defect(self, z: complex) -> float:
-        """|f(z) - f(1/z)| relative to max(|f(z)|, |f(1/z)|)."""
-        fz, fiz = self.fn(z), self.fn(1.0 / z)
-        scale = max(abs(fz), abs(fiz))
-        return abs(fz - fiz) / scale if scale else 0.0
-
 
 @dataclass(frozen=True)
 class OperatorChainSpec:

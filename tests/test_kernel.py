@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from qtaylor import kernel
 from qtaylor.errors import DomainError, ZeroDenominator
+from qtaylor.hyper import vwp_terms
 from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
-                            _f_ratio, _g_ratio,
                             K_lowering_residual, KernelParams,
                             adaptive_series_depth, bailey_crosscheck,
-                            complementary_remainder_gap, fk_coefficient,
-                            gk_coefficient, involute, kernel_factors, kernel_H,
-                            kernel_K, M_clearing, pole_cleared_E,
+                            complementary_remainder_gap, f_spec, fk_coefficient,
+                            g_spec, gk_coefficient, involute, kernel_factors,
+                            kernel_H, kernel_K, M_clearing, pole_cleared_E,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_residual, two_basis_terms,
-                            kernel_taylor_crosscheck, truncated_E_N)
+                            kernel_taylor_crosscheck)
 from qtaylor.qcore import QContext
 from qtaylor.sampling import (sample_kernel_params,
                               sample_profile_kernel_params, sample_z)
-from qtaylor.taylor import phi_basis, ratio_products
+from qtaylor.suites import SuiteConfig, run_suites
+from qtaylor.taylor import phi_basis
 
 
 @pytest.fixture
@@ -94,9 +96,9 @@ class TestCoefficientFamilies:
             g = gk_coefficient(kp, k)
             assert g == pytest.approx(fk_coefficient(ip, k), rel=1e-12)
 
-    def test_ratio_products_match_closed_form(self, kp):
-        fs = ratio_products(lambda k: _f_ratio(kp, k), 12)
-        gs = ratio_products(lambda k: _g_ratio(kp, k), 12)
+    def test_vwp_terms_match_closed_form(self, kp):
+        fs = list(vwp_terms(f_spec(kp), 12, kp.ctx))
+        gs = list(vwp_terms(g_spec(kp), 12, kp.ctx))
         assert len(fs) == len(gs) == 13
         for k in range(13):
             assert fs[k] == pytest.approx(fk_coefficient(kp, k), rel=1e-12)
@@ -195,10 +197,40 @@ class TestPoleClearedResidual:
 
     def test_truncation_converges(self, kp, rng):
         z = sample_z(rng)
-        e60 = truncated_E_N(z, kp, 60)
-        e100 = truncated_E_N(z, kp, 100)
+        e60 = pole_cleared_E(z, kp, 60)
+        e100 = pole_cleared_E(z, kp, 100)
         scale = max(abs(t) for t in pole_cleared_E_terms(z, kp, 60))
         assert abs(e60 - e100) < 1e-10 * scale
+
+
+class TestPoleClearingPathsCheck:
+    """The suite's pole-clearing-paths record at q = 0.65, default seed.
+
+    Both routes to E are near-cancelling there (|M t1| ~ 4e-3 against
+    |M t2|, |M t3| ~ 1.4e4), so the check is scaled by the largest
+    additive term.
+    """
+
+    def test_passes_at_rounding_level_and_still_detects_truncation(self, monkeypatch):
+        seen = []
+        original = kernel.M_clearing
+
+        def spy(z, kp):
+            seen.append((z, kp))
+            return original(z, kp)
+
+        monkeypatch.setattr(kernel, "M_clearing", spy)
+        report = run_suites(SuiteConfig(suites=("kernel",), q=0.65))
+        record, = [r for r in report.records if r.check == "pole-clearing-paths"]
+        assert record.passed and record.residual < 1e-12
+        # the same point with E truncated at depth 5 must fail clearly
+        (z, kp), = seen
+        depth = adaptive_series_depth(kp)
+        m_val = original(z, kp)
+        t = [m_val * x for x in two_basis_terms(z, kp, depth)]
+        e5 = pole_cleared_E_terms(z, kp, 5)
+        scale = max(abs(x) for x in t + list(pole_cleared_E_terms(z, kp, depth)))
+        assert abs(t[0] - t[1] - t[2] - (e5[0] - e5[1] - e5[2])) / scale > 1e-6
 
 
 class TestLoweringLaws:

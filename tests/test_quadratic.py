@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from qtaylor.errors import ConvergenceRegionViolation, PoleProximity
+from qtaylor.hyper import vwp_terms
+from qtaylor.qcore import qpoch_finite
 from qtaylor.quadratic import (QuadraticParams, companion_coefficient,
                                companion_residual, companion_series_vs_vwp,
                                companion_taylor_identification,
-                               folding_identity_check, quadratic_coefficient,
-                               quadratic_residual, quadratic_tail_curve,
-                               quadratic_taylor_identification)
+                               folding_identity_check, h_spec,
+                               quadratic_coefficient, quadratic_residual,
+                               quadratic_tail_curve,
+                               quadratic_taylor_identification, r_spec)
 from qtaylor.sampling import sample_complex, sample_quadratic_params, sample_z
 
 
@@ -26,6 +29,32 @@ class TestParameters:
     def test_companion_bound_enforced(self):
         with pytest.raises(ConvergenceRegionViolation):
             QuadraticParams(0.8, 0.4, 1.1, 0.6)
+
+
+def _pochs(params, k, ctx):
+    return math.prod(qpoch_finite(u, k, ctx) for u in params)
+
+
+class TestCoefficientSpecs:
+    """vwp_terms of h_spec and r_spec against the closed forms, k <= 12."""
+
+    def test_h_closed_form(self, qp, ctx):
+        a, b, q, rq = qp.a, qp.b, ctx.q, ctx.sqrt_q
+        for k, h in enumerate(vwp_terms(h_spec(qp, ctx), 12, ctx)):
+            closed = ((1 - a * b * q ** (2 * k - 1)) / (1 - a * b / q)
+                      * _pochs([a * b / q, b / rq, -b / rq, a * q / b], k, ctx)
+                      / _pochs([q, a * rq, -a * rq, b * b / q], k, ctx)
+                      * (-b / a) ** k)
+            assert h == pytest.approx(closed, rel=1e-12)
+
+    def test_r_closed_form(self, qp, ctx):
+        al, d, q = qp.alpha, qp.d, ctx.q
+        for k, r in enumerate(vwp_terms(r_spec(qp, ctx), 12, ctx)):
+            closed = ((1 + al * q ** (2 * k)) / (1 + al)
+                      * _pochs([-al, al, -d, -q / d], k, ctx)
+                      / _pochs([q, -q, al * q / d, al * d], k, ctx)
+                      * al ** k)
+            assert r == pytest.approx(closed, rel=1e-12)
 
 
 class TestWatsonTypeExpansion:
