@@ -17,16 +17,16 @@ from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, phi_eval,
 from .kernel import (KernelParams, bailey_crosscheck,
                      cancellation_identity_residual, complementary_remainder_gap,
                      fk_coefficient, gk_coefficient, involute, kernel_factors,
-                     kernel_taylor_crosscheck, laurent_coefficient,
-                     pole_cleared_E, two_basis_residual)
+                     kernel_taylor_crosscheck, laurent_coefficient_detail,
+                     two_basis_residual)
 from .profiles import (AnnulusSpec, ProfileMoments, annular_factorization_residual,
                        canonical_growth_profile, contiguous_moment,
-                       exponential_profile_limit_residual, generating_Q,
+                       exponential_profile_limit_residual,
                        L_profile, leading_profile_residual,
                        profile_coefficient_residual, profile_kernel_P,
                        profile_kernel_coefficient, profile_sums_and_closed_forms)
 from .qcore import (QContext, TailBound, qpoch_finite, qpoch_infinite,
-                    qpoch_multi, theta, weierstrass_residual)
+                    qpoch_multi, scaled_residual, theta)
 from .quadratic import (QuadraticParams, companion_residual,
                         folding_identity_check, quadratic_residual,
                         quadratic_taylor_identification)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,7 +24,8 @@ import numpy as np
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
 from .hyper import VWPSpec, vwp_eval, vwp_terms
-from .qcore import QContext, factor_clearance, qpoch_infinite, qpoch_multi
+from .qcore import (QContext, factor_clearance, qpoch_infinite, qpoch_multi,
+                    scaled_residual)
 from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
@@ -293,9 +296,8 @@ def two_basis_residual(z: complex, kp: KernelParams, n_trunc: int, *,
     controls: dropping either zeroth Taylor value must destroy the
     identity.
     """
-    t1, t2, t3 = two_basis_terms(z, kp, n_trunc, force_unit_Hb=force_unit_Hb,
-                                 force_unit_Kcde=force_unit_Kcde)
-    return abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))
+    return scaled_residual(*two_basis_terms(z, kp, n_trunc, force_unit_Hb=force_unit_Hb,
+                                            force_unit_Kcde=force_unit_Kcde))
 
 
 def complementary_remainder_gap(z: complex, kp: KernelParams, n: int) -> float:
@@ -320,7 +322,7 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
     gaps = []
     for n in orders:
         lhs = A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j))
-        gaps.append(abs(lhs - target) / max(abs(lhs), abs(target)))
+        gaps.append(scaled_residual(lhs, target))
     return gaps
 
 
@@ -384,95 +386,57 @@ def pole_cleared_E_terms(z: complex, kp: KernelParams,
     return t1, t2, t3
 
 
-def pole_cleared_E(z: complex, kp: KernelParams, n_trunc: int) -> complex:
-    """E(z) with both coefficient sums cut at n_trunc; flat through grid depth n_trunc."""
-    t1, t2, t3 = pole_cleared_E_terms(z, kp, n_trunc)
-    return t1 - t2 - t3
+def laurent_coefficient_detail(G: Callable[[complex], Sequence[complex]],
+                               ns: Iterable[int], radius: float,
+                               ctx: QContext) -> list[tuple[complex, float, int]]:
+    """Trapezoid contour coefficients [z^{-n}] of G = t_0 - t_1 - ... on |z| = radius.
 
-
-def laurent_coefficient_detail(G: Callable[[complex], complex], n: int, radius: float,
-                               ctx: QContext, *, pole_moduli: Sequence[float] = (),
-                               scale_floor: float = 0.0) -> tuple[complex, float, int]:
-    """Trapezoid contour coefficient [z^{-n}] G with node doubling.
-
-    Returns (coefficient, scale, nodes) where scale is the largest sampled
-    |G(z_j) z_j^n| term of the quadrature sum, floored by scale_floor.
-    Doubles 64 -> ... -> 1024 until the change drops below eps_rel * scale.
-
-    scale_floor matters when G is itself a near-cancelling identity
-    residual: its sampled values are noise relative to the terms that
-    produced them, so stabilisation must be judged against that term
-    scale, not against |G|.
+    G(z) returns the additive terms (t_0, t_1, ...).  One sample of G on m
+    equispaced nodes serves every n: [z^{-n}] = r^n ifft(values)[n mod m],
+    values being t_0 - t_1 - ... at the nodes (the trapezoid rule, see
+    Trefethen & Weideman, SIAM Rev. 56, 2014).
+    The sample starts at 64 nodes and doubles, keeping the earlier nodes,
+    until every coefficient changes by at most eps_rel * scale; scale is
+    r^n times the largest sampled |t_i|, because G itself may be a
+    near-cancelling identity residual.  Returns (coefficient, scale, nodes)
+    for each n; QuadratureNonConvergence past 1024 nodes.
     """
-    for mod in pole_moduli:
-        if abs(radius - mod) <= ctx.pole_margin * max(1.0, mod):
-            raise PoleProximity(f"contour radius {radius} within margin of pole circle {mod}")
-    cached: dict[int, complex] = {}
+    ns = list(ns)
 
-    def estimate(m: int) -> tuple[complex, float]:
-        total = 0.0 + 0.0j
-        scale = scale_floor
-        step = 1024 // m
-        for j in range(m):
-            idx = j * step
-            if idx not in cached:
-                zj = radius * cmath.exp(2j * math.pi * idx / 1024)
-                cached[idx] = G(zj) * zj ** n
-            term = cached[idx]
-            total += term
-            scale = max(scale, abs(term))
-        return total / m, scale
+    def sample(m: int, offset: float) -> np.ndarray:
+        return np.array([G(radius * cmath.exp(2j * math.pi * (j + offset) / m))
+                         for j in range(m)], dtype=complex)
 
-    m = 64
-    prev, scale = estimate(m)
-    while m < 1024:
-        m *= 2
-        cur, scale = estimate(m)
-        if abs(cur - prev) <= ctx.eps_rel * max(scale, 1e-300):
-            return cur, scale, m
-        prev = cur
-    raise QuadratureNonConvergence(
-        f"contour coefficient did not stabilise by {m} nodes")
+    terms = sample(64, 0.0)
+    prev = None
+    while True:
+        m = len(terms)
+        values = np.fft.ifft(reduce(operator.sub, terms.T))
+        peak = float(np.abs(terms).max())
+        out = [(complex(radius ** n * values[n % m]), radius ** n * peak, m)
+               for n in ns]
+        if prev is not None and all(abs(c - p) <= ctx.eps_rel * scale
+                                    for (c, scale, _), (p, _, _) in zip(out, prev)):
+            return out
+        if m == 1024:
+            raise QuadratureNonConvergence(
+                f"contour coefficient did not stabilise by {m} nodes")
+        doubled = np.empty((2 * m, terms.shape[1]), dtype=complex)
+        doubled[0::2] = terms
+        doubled[1::2] = sample(m, 0.5)
+        terms, prev = doubled, out
 
 
-def laurent_coefficient(G: Callable[[complex], complex], n: int, radius: float,
-                        ctx: QContext, *, pole_moduli: Sequence[float] = ()) -> complex:
-    """Contour Laurent coefficient [z^{-n}] G on |z| = radius."""
-    value, _, _ = laurent_coefficient_detail(G, n, radius, ctx, pole_moduli=pole_moduli)
-    return value
+def E_contour_coefficient(kp: KernelParams,
+                          ns: Iterable[int]) -> list[tuple[complex, float, int]]:
+    """[z^{-n}] of the pole-cleared residual on |z| = 1, for each n in ns.
 
-
-def E_contour_coefficient(kp: KernelParams, n: int,
-                          radius: float = 1.0) -> tuple[complex, float, int]:
-    """[z^{-n}] of the pole-cleared residual by contour quadrature.
-
-    Returns (coefficient, term_scale, nodes).  The stabilisation threshold
-    and the reported scale use the largest additive term of E on the
-    contour, because E itself vanishes identically.
+    Returns (coefficient, term_scale, nodes) per n; the scale is the largest
+    additive term of E on the contour, because E itself vanishes identically.
     """
-    ctx = kp.ctx
     n_trunc = adaptive_series_depth(kp)
-    floor = 0.0
-    for j in range(16):
-        zj = radius * cmath.exp(2j * math.pi * (j + 0.37) / 16)
-        t1, t2, t3 = pole_cleared_E_terms(zj, kp, n_trunc)
-        floor = max(floor, abs(t1), abs(t2), abs(t3))
-    floor *= radius ** n
-
-    def G(z: complex) -> complex:
-        a1, a2, a3 = pole_cleared_E_terms(z, kp, n_trunc)
-        return a1 - a2 - a3
-
-    return laurent_coefficient_detail(G, n, radius, ctx, scale_floor=floor)
-
-
-def contour_radius(lo: float, hi: float, ctx: QContext) -> float:
-    """Geometric-mean radius between two pole moduli, rejected when too tight."""
-    if hi <= lo:
-        lo, hi = hi, lo
-    if hi - lo < 2 * ctx.pole_margin:
-        raise PoleProximity("pole circles leave no room for a contour")
-    return math.sqrt(lo * hi)
+    return laurent_coefficient_detail(lambda z: pole_cleared_E_terms(z, kp, n_trunc),
+                                      ns, 1.0, kp.ctx)
 
 
 def _euler_coeffs(u: complex, ctx: QContext, *, tol: float = 1e-24) -> np.ndarray:
@@ -567,8 +531,7 @@ def cancellation_identity_residual(kp: KernelParams, n: int, k_trunc: int) -> fl
     gs = vwp_terms(g_spec(kp), k_trunc, ctx)
     t2 = H_at_b(kp) * sum((f * calP1(kp, n, k) for k, f in enumerate(fs)), 0.0 + 0.0j)
     t3 = K_at_cde(kp) * sum((g * calP2(kp, n, k) for k, g in enumerate(gs)), 0.0 + 0.0j)
-    scale = max(abs(lhs), abs(t2), abs(t3))
-    return abs(lhs - t2 - t3) / scale if scale else 0.0
+    return scaled_residual(lhs, t2, t3)
 
 
 def H_lowering_residual(z: complex, kp: KernelParams) -> float:
@@ -583,8 +546,7 @@ def H_lowering_residual(z: complex, kp: KernelParams) -> float:
     pref = (2.0 * c * (1.0 - d) * (1.0 - e) * (1.0 - c * c / (d * e * q))
             / (d * e * (1.0 - q)))
     rhs = pref * kernel_H(z, kp, c=c * rq ** 3, d=d * q, e=e * q)
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale if scale else 0.0
+    return scaled_residual(lhs, rhs)
 
 
 def K_lowering_residual(z: complex, kp: KernelParams) -> float:
@@ -600,8 +562,7 @@ def K_lowering_residual(z: complex, kp: KernelParams) -> float:
     pref = (2.0 * b * (1.0 - c / (b * e)) * (1.0 - c / (b * d))
             * (1.0 - c * c / (d * e * q)) / (1.0 - q))
     rhs = pref * kernel_K(z, kp, b=b / rq, c=c * rq, d=d, e=e)
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale if scale else 0.0
+    return scaled_residual(lhs, rhs)
 
 
 def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
@@ -622,5 +583,4 @@ def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
     t1 = kernel_F(z, kp)
     t2 = kernel_A(z, kp) * H_at_b(kp) * w1
     t3 = kernel_B(z, kp) * K_at_cde(kp) * w2
-    scale = max(abs(t1), abs(t2), abs(t3))
-    return abs(t1 - t2 - t3) / scale if scale else 0.0
+    return scaled_residual(t1, t2, t3)

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import VWPSpec, vwp_terms
 from .kernel import (KernelParams, H_at_b, K_at_cde, f_spec, g_spec,
                      pole_cleared_E_terms)
-from .qcore import QContext, _pinf, qpoch_finite, theta
+from .qcore import QContext, _pinf, qpoch_finite, scaled_residual, theta
 
 
 def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
@@ -94,8 +96,7 @@ def annular_factorization_residual(lam: complex, N: int, w: complex,
     lhs = _pinf(lam / z, ctx)
     rhs = ((-lam / z) ** N * q ** (N * (N - 1) // 2)
            * qpoch_finite(w * q, N, ctx) * _pinf(1.0 / w, ctx))
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale if scale else 0.0
+    return scaled_residual(lhs, rhs)
 
 
 def L_profile(w: complex, alpha: complex, beta: complex, lam: complex,
@@ -200,9 +201,7 @@ def leading_profile_terms(w: complex, kp: KernelParams, lam: complex,
 
 def leading_profile_residual(w: complex, kp: KernelParams, lam: complex) -> float:
     """Scale-relative residual of the leading profile cancellation."""
-    t1, t2, t3 = leading_profile_terms(w, kp, lam)
-    scale = max(abs(t1), abs(t2), abs(t3))
-    return abs(t1 - t2 - t3) / scale if scale else 0.0
+    return scaled_residual(*leading_profile_terms(w, kp, lam))
 
 
 def leading_profile_theta_residual(t: complex, kp: KernelParams) -> float:
@@ -220,8 +219,7 @@ def leading_profile_theta_residual(t: complex, kp: KernelParams) -> float:
           * theta(c * t / (d * e), ctx))
     t3 = (closed.Kcde * closed.G_star_product * theta(b * t, ctx)
           * theta(c * c * t / (b * d * e), ctx))
-    scale = max(abs(lhs), abs(t2), abs(t3))
-    return abs(lhs - t2 - t3) / scale if scale else 0.0
+    return scaled_residual(lhs, t2, t3)
 
 
 def _validate_s_disc(s: complex, w: complex, alpha: complex, beta: complex,
@@ -309,13 +307,6 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
     return t1, t2, t3
 
 
-def generating_Q(s: complex, w: complex, kp: KernelParams, lam: complex,
-                 k_trunc: int) -> complex:
-    """The scaled profile-generating residual; identically ~0 where defined."""
-    t1, t2, t3 = generating_Q_terms(s, w, kp, lam, k_trunc)
-    return t1 - t2 - t3
-
-
 @dataclass(frozen=True)
 class ProfileMoments:
     """Contiguous moments F_m, G_m of the two coefficient families."""
@@ -387,9 +378,7 @@ def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
 def profile_coefficient_residual(j: int, w: complex, kp: KernelParams,
                                  lam: complex) -> float:
     """Scale-relative residual of the order-j profile coefficient identity."""
-    t1, t2, t3 = profile_coefficient_terms(j, w, kp, lam)
-    scale = max(abs(t1), abs(t2), abs(t3))
-    return abs(t1 - t2 - t3) / scale if scale else 0.0
+    return scaled_residual(*profile_coefficient_terms(j, w, kp, lam))
 
 
 @dataclass(frozen=True)
@@ -429,12 +418,8 @@ def exponential_profile_limit_residual(k: int, w: complex, kp: KernelParams,
     q0 = ((b / c) ** N * sym_quot(c / d, b) * sym_quot(c / e, c / (d * e)))
     q0_lim = (L_profile(w, c / d, b, lam, ctx)
               * L_profile(w, c / e, c / (d * e), lam, ctx))
-
-    def rel(x: complex, y: complex) -> float:
-        s = max(abs(x), abs(y))
-        return abs(x - y) / s if s else 0.0
-
-    return ProfileLimitResiduals(rel(rk, r_lim), rel(sk, s_lim), rel(q0, q0_lim))
+    return ProfileLimitResiduals(scaled_residual(rk, r_lim), scaled_residual(sk, s_lim),
+                                 scaled_residual(q0, q0_lim))
 
 
 @dataclass(frozen=True)
@@ -482,10 +467,8 @@ def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex,
     """
     b, c, ctx = kp.b, kp.c, kp.ctx
     q = ctx.q
-    t1, t2, t3 = generating_Q_terms(q ** N, w, kp, lam, k_trunc)
-    lhs = t1 - t2 - t3
+    terms = generating_Q_terms(q ** N, w, kp, lam, k_trunc)
     z = lam * q ** N * w
-    e1, e2, e3 = pole_cleared_E_terms(z, kp, k_trunc)
-    rhs = (b / c) ** N * (e1 - e2 - e3) / canonical_Z(z, kp)
-    scale = max(abs(t1), abs(t2), abs(t3))
-    return abs(lhs - rhs) / scale if scale else 0.0
+    rhs = ((b / c) ** N * reduce(operator.sub, pole_cleared_E_terms(z, kp, k_trunc))
+           / canonical_Z(z, kp))
+    return abs(reduce(operator.sub, terms) - rhs) / max(abs(t) for t in terms)

@@ -12,14 +12,17 @@ Conventions
   bound on the omitted log-factors.
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
-  additive term of the identity ("scale"), never to the near-zero result.
+  additive term of the identity ("scale"), never to the near-zero result:
+  :func:`scaled_residual` is that rule.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import DomainError, TruncationFailure
@@ -210,11 +213,14 @@ def weierstrass_terms(x: complex, y: complex, u: complex, v: complex,
     return t1, t2, t3
 
 
-def weierstrass_residual(x: complex, y: complex, u: complex, v: complex,
-                         ctx: QContext) -> complex:
-    """Residual of the theta addition formula; identically ~0."""
-    t1, t2, t3 = weierstrass_terms(x, y, u, v, ctx)
-    return t1 - t2 - t3
+def scaled_residual(*terms: complex) -> float:
+    """|t_0 - t_1 - t_2 - ...| over max |t_i|; 0.0 when every term is 0.
+
+    The terms are subtracted in order, so the result is bit-equal to the
+    inline ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.
+    """
+    scale = max(abs(t) for t in terms)
+    return abs(reduce(operator.sub, terms)) / scale if scale else 0.0
 
 
 def factor_clearance(u: complex, ctx: QContext) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
 from .hyper import VWPSpec, vwp_eval, vwp_terms
-from .qcore import QContext, _pinf, factor_clearance, qpoch_finite
+from .qcore import QContext, _pinf, factor_clearance, qpoch_finite, scaled_residual
 from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
 from .wpoperator import SymmetricFunction
 
@@ -196,9 +196,7 @@ def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> f
     pair = companion_pair(qp, ctx)
     blist = (pair.a * z, pair.a / z) + spec.b_list
     series = vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
-    total = basis_sum(z, pair, vwp_terms(spec, 199, ctx), ctx)
-    scale = max(abs(series), abs(total))
-    return abs(series - total) / scale if scale else 0.0
+    return scaled_residual(series, basis_sum(z, pair, vwp_terms(spec, 199, ctx), ctx))
 
 
 def folding_identity_check(x: complex, n: int, ctx: QContext) -> float:
@@ -210,12 +208,7 @@ def folding_identity_check(x: complex, n: int, ctx: QContext) -> float:
     if n < 0:
         raise DomainError("n must be nonnegative")
     ctx2 = ctx.squared()
-    lhs_fin = qpoch_finite(x, n, ctx) * qpoch_finite(-x, n, ctx)
-    rhs_fin = qpoch_finite(x * x, n, ctx2)
-    scale_fin = max(abs(lhs_fin), abs(rhs_fin))
-    res_fin = abs(lhs_fin - rhs_fin) / scale_fin if scale_fin else 0.0
-    lhs_inf = _pinf(x, ctx) * _pinf(-x, ctx)
-    rhs_inf = _pinf(x * x, ctx2)
-    scale_inf = max(abs(lhs_inf), abs(rhs_inf))
-    res_inf = abs(lhs_inf - rhs_inf) / scale_inf if scale_inf else 0.0
+    res_fin = scaled_residual(qpoch_finite(x, n, ctx) * qpoch_finite(-x, n, ctx),
+                              qpoch_finite(x * x, n, ctx2))
+    res_inf = scaled_residual(_pinf(x, ctx) * _pinf(-x, ctx), _pinf(x * x, ctx2))
     return max(res_fin, res_inf)

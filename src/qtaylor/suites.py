@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hyper, kernel, profiles, qcore, quadratic, taylor, wpoperator
 from .errors import ConfigError, QTaylorError
-from .qcore import QContext
+from .qcore import QContext, scaled_residual
 from .sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
                        sample_kernel_z, sample_on_circle,
                        sample_profile_kernel_params, sample_quadratic_params,
@@ -172,7 +172,7 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
         n = rng.randrange(0, 32)
         lhs = qcore.qpoch_finite(a, n + 1, ctx)
         rhs = qcore.qpoch_finite(a, n, ctx) * (1 - a * q ** n)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+        worst = max(worst, scaled_residual(lhs, rhs))
     out.append(_rec("qcore", "recurrence", "qpoch-def", {"draws": 32}, worst, 1e-13))
 
     worst = 0.0
@@ -181,7 +181,7 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
         k = rng.randrange(0, 9)
         lhs = qcore.qpoch_infinite(a, ctx).value
         rhs = qcore.qpoch_finite(a, k, ctx) * qcore.qpoch_infinite(a * q ** k, ctx).value
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        worst = max(worst, scaled_residual(lhs, rhs))
     out.append(_rec("qcore", "infinite-shift", "qpoch-infinite-split",
                     {"draws": cfg.draws}, worst, 1e-12))
 
@@ -194,8 +194,7 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
     worst = 0.0
     for _ in range(200):
         u = sample_complex(rng, 0.3, 1.6)
-        t1, t2 = qcore.theta(u, ctx), qcore.theta(q / u, ctx)
-        worst = max(worst, abs(t1 - t2) / max(abs(t1), abs(t2)))
+        worst = max(worst, scaled_residual(qcore.theta(u, ctx), qcore.theta(q / u, ctx)))
     out.append(_rec("qcore", "theta-symmetry", "theta-def", {"draws": 200},
                     worst, 1e-12))
 
@@ -207,9 +206,7 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
     worst = 0.0
     for _ in range(200):
         x, y, u, v = (sample_complex(rng, 0.5, 1.5) for _ in range(4))
-        t1, t2, t3 = qcore.weierstrass_terms(x, y, u, v, ctx)
-        s = max(abs(t1), abs(t2), abs(t3))
-        worst = max(worst, abs(t1 - t2 - t3) / s)
+        worst = max(worst, scaled_residual(*qcore.weierstrass_terms(x, y, u, v, ctx)))
     out.append(_rec("qcore", "weierstrass-addition", "weierstrass-addition",
                     {"draws": 200}, worst, 1e-12))
     return out
@@ -335,7 +332,7 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
         z = _sample_operator_point(rng, ctx)
         v1 = wpoperator.apply_Dcq(f, z, 0.0, ctx)
         v2 = wpoperator.apply_Dq(f, z, ctx)
-        worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-30))
+        worst = max(worst, scaled_residual(v1, v2))
     out.append(_rec("operator", "dcq-c0-reduction", "Dcq", {"draws": cfg.draws},
                     worst, 1e-13))
 
@@ -380,7 +377,7 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             v2 = wpoperator.apply_iterated(f, z, wpoperator.OperatorChainSpec(c, m), ctx)
         except QTaylorError:
             continue
-        worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2)))
+        worst = max(worst, scaled_residual(v1, v2))
     out.append(_rec("operator", "closed-form-vs-recursion", "p0-cooper",
                     {"draws": cfg.draws, "m_max": 6}, worst, 1e-8))
 
@@ -402,14 +399,13 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
     z = _sample_operator_point(rng, ctx)
     v1 = wpoperator.apply_Dq(g_odd, z, ctx)
     v2 = wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q)
-    dev = abs(v1 - v2) / max(abs(v1), abs(v2))
+    dev = scaled_residual(v1, v2)
     pair = sample_basis_pair(rng)
     f = taylor.phi_combination(pair, [0.7, 1.1 - 0.3j, 0.8j, 0.5], ctx)
     flipped = ctx.other_branch()
     for k in range(4):
-        t1 = taylor.taylor_coefficient(f, pair, k, ctx)
-        t2 = taylor.taylor_coefficient(f, pair, k, flipped)
-        dev = max(dev, abs(t1 - t2) / max(abs(t1), abs(t2), 1e-30))
+        dev = max(dev, scaled_residual(taylor.taylor_coefficient(f, pair, k, ctx),
+                                       taylor.taylor_coefficient(f, pair, k, flipped)))
     out.append(_rec("operator", "branch-invariance", "Dq", {"z": z}, dev, 1e-10))
 
     pair = sample_basis_pair(rng)
@@ -467,7 +463,7 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         lhs = taylor.taylor_coefficient(h, pair, k, ctx)
         rhs = (al * taylor.taylor_coefficient(f, pair, k, ctx)
                + be * taylor.taylor_coefficient(g, pair, k, ctx))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+        worst = max(worst, scaled_residual(lhs, rhs))
     out.append(_rec("taylor", "linearity", "taylor-coeff-finite", {}, worst, 1e-10))
 
     z = sample_z(rng)
@@ -620,8 +616,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     worst = 0.0
     for m in range(11):
         for z0 in (kp.b * q ** m, kp.c / (kp.d * kp.e) * q ** m):
-            t1, t2, t3 = kernel.pole_cleared_E_terms(z0, kp, depth)
-            worst = max(worst, abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3)))
+            worst = max(worst, scaled_residual(*kernel.pole_cleared_E_terms(z0, kp, depth)))
     out.append(_rec("kernel", "E-grid-zeros", "E-grid-zeros", {"depth": 10},
                     worst, 1e-7))
 
@@ -639,13 +634,8 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     N = 5
     worst = 0.0
     for m in range(N + 1):
-        z0 = kp.b * q ** m
-        value = kernel.pole_cleared_E(z0, kp, N)
-        scale = max(abs(t) for t in kernel.pole_cleared_E_terms(z0, kp, N))
-        worst = max(worst, abs(value) / scale)
-    z0 = kp.b * q ** (N + 3)
-    scale = max(abs(t) for t in kernel.pole_cleared_E_terms(z0, kp, N))
-    beyond = abs(kernel.pole_cleared_E(z0, kp, N)) / scale
+        worst = max(worst, scaled_residual(*kernel.pole_cleared_E_terms(kp.b * q ** m, kp, N)))
+    beyond = scaled_residual(*kernel.pole_cleared_E_terms(kp.b * q ** (N + 3), kp, N))
     dev = worst if beyond > 1e-5 else math.inf
     out.append(_rec("kernel", "truncated-flatness", "finite-grid-zeros",
                     {"N": N}, dev, 1e-7,
@@ -668,8 +658,8 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
     rng = cfg.rng_for("laurent")
     out = []
 
-    v1 = kernel.laurent_coefficient(lambda z: z ** 5, -5, 1.0, ctx)
-    v2 = kernel.laurent_coefficient(lambda z: z ** 5, 2, 1.0, ctx)
+    (v1, _, _), (v2, _, _) = kernel.laurent_coefficient_detail(
+        lambda z: (z ** 5,), (-5, 2), 1.0, ctx)
     out.append(_rec("laurent", "monomial", "laurent-criterion", {},
                     max(abs(v1 - 1.0), abs(v2)), 1e-12))
 
@@ -683,39 +673,37 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
             return (qcore.qpoch_infinite(al * z, ctx).value
                     * qcore.qpoch_infinite(be / z, ctx).value
                     * qcore.qpoch_infinite(ga * z, ctx).value
-                    * qcore.qpoch_infinite(de / z, ctx).value)
+                    * qcore.qpoch_infinite(de / z, ctx).value,)
 
-        ct = kernel.laurent_coefficient(g, n, 1.0, ctx)
-        worst = max(worst, abs(qd - ct) / max(abs(qd), abs(ct)))
+        [(ct, _, _)] = kernel.laurent_coefficient_detail(g, [n], 1.0, ctx)
+        worst = max(worst, scaled_residual(qd, ct))
     out.append(_rec("laurent", "quadruple-vs-contour", "calP-quadruple",
                     {"draws": 3}, worst, 1e-8))
 
     kp = sample_kernel_params(rng, ctx)
-    worst = 0.0
-    for n in range(1, 7):
-        coeff, scale, nodes = kernel.E_contour_coefficient(kp, n)
-        worst = max(worst, abs(coeff) / scale)
+    e_coeffs = kernel.E_contour_coefficient(kp, range(1, 7))
+    worst = max(abs(coeff) / scale for coeff, scale, _ in e_coeffs)
     out.append(_rec("laurent", "E-negative-coefficients",
                     "coefficient-cancellation", {"n": "1..6"}, worst, 1e-6))
 
+    depth = kernel.adaptive_series_depth(kp)
     worst = 0.0
     cross = 0.0
-    for n in (1, 2):
-        worst = max(worst, kernel.cancellation_identity_residual(kp, n, 50))
-        coeff, scale, _ = kernel.E_contour_coefficient(kp, n)
+    for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
+        worst = max(worst, kernel.cancellation_identity_residual(kp, n, depth))
         structured = (kernel.calP_quadruple(kp.c / kp.d, kp.c / kp.d,
                                             kp.c / kp.e, kp.c / kp.e, n, ctx)
                       - kernel.H_at_b(kp) * sum(
                           kernel.fk_coefficient(kp, k) * kernel.calP1(kp, n, k)
-                          for k in range(50))
+                          for k in range(depth))
                       - kernel.K_at_cde(kp) * sum(
                           kernel.gk_coefficient(kp, k) * kernel.calP2(kp, n, k)
-                          for k in range(50)))
+                          for k in range(depth)))
         cross = max(cross, abs(structured - coeff) / scale)
     not_small = abs(kernel.calP1(kp, 1, 0))
     dev = max(worst, cross) if not_small > 1e-3 else math.inf
     out.append(_rec("laurent", "structured-cancellation",
-                    "coefficient-cancellation", {"n": "1,2", "k_trunc": 50},
+                    "coefficient-cancellation", {"n": "1,2", "k_trunc": depth},
                     dev, 1e-6,
                     detail=f"individual |P1_(1,0)|={not_small:.3e} (not small)"))
     return out
@@ -787,13 +775,11 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     out.append(_rec("profiles", "profile-kernel", "P-exact-scaling", {"w": w},
                     dev, 1e-12))
 
-    worst = 0.0
-    for j in range(5):
-        closed = profiles.profile_kernel_coefficient(j, w, al, be, lam, ctx)
-        contour = kernel.laurent_coefficient(
-            lambda s: profiles.profile_kernel_P(s, w, al, be, lam, ctx), -j,
-            min(0.3, 0.4 / abs(lam * w)), ctx)
-        worst = max(worst, abs(closed - contour) / max(abs(closed), abs(contour)))
+    contour = kernel.laurent_coefficient_detail(
+        lambda s: (profiles.profile_kernel_P(s, w, al, be, lam, ctx),),
+        [-j for j in range(5)], min(0.3, 0.4 / abs(lam * w)), ctx)
+    worst = max(scaled_residual(profiles.profile_kernel_coefficient(j, w, al, be, lam, ctx),
+                                coeff) for j, (coeff, _, _) in enumerate(contour))
     out.append(_rec("profiles", "kernel-coefficients", "P-coeff-general",
                     {"j_max": 4}, worst, 1e-8))
 
@@ -801,10 +787,8 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     for s in (0.0, q ** 8, q ** 6, q ** 4):
         for _ in range(3):
             w = sample_z(rng, 0.85, 1.2)
-            t1, t2, t3 = profiles.generating_Q_terms(s, w, kp, lam, 60)
-            worst = max(worst, abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3)))
-            worst = max(worst, abs(profiles.generating_Q(s, w, kp, lam, 60))
-                        / max(abs(t1), abs(t2), abs(t3)))
+            worst = max(worst, scaled_residual(
+                *profiles.generating_Q_terms(s, w, kp, lam, 60)))
     out.append(_rec("profiles", "generating-residual", "global-Q-zero",
                     {"s": "0,q^8,q^6,q^4"}, worst, 1e-7))
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
-from .qcore import QContext, factor_clearance, qpoch_finite, qpoch_infinite
+from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_infinite,
+                    scaled_residual)
 from .wpoperator import SymmetricFunction, cooper_eval, grid_functional_weights
 
 
@@ -130,10 +131,7 @@ def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
     """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
     worst = 0.0
     for k, rhs in enumerate(expected):
-        lhs = taylor_coefficient(f, pair, k, ctx)
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0.0:
-            worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max(worst, scaled_residual(taylor_coefficient(f, pair, k, ctx), rhs))
     return worst
 
 
@@ -214,7 +212,7 @@ def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
     r_lo, r_hi = annulus
     if not 0.0 < r_lo <= r_hi:
         raise DomainError("annulus radii must satisfy 0 < r_lo <= r_hi")
-    for mod in _pole_moduli(pair, ctx):
+    for mod in _pole_circles(pair, ctx):
         if r_lo - ctx.pole_margin <= mod <= r_hi + ctx.pole_margin:
             raise PoleProximity(f"annulus [{r_lo}, {r_hi}] touches pole circle |z| = {mod:.4g}")
     radii = [r_lo * (r_hi / r_lo) ** (i / 2) for i in range(3)]
@@ -239,7 +237,7 @@ def basis_limit_modulus(z: complex, pair: BasisPair, ctx: QContext) -> float:
     return abs(num / den)
 
 
-def _pole_moduli(pair: BasisPair, ctx: QContext) -> list[float]:
+def _pole_circles(pair: BasisPair, ctx: QContext) -> list[float]:
     mods = []
     if pair.c != 0:
         ac, aq = abs(pair.c), abs(ctx.q)

@@ -25,12 +25,10 @@ from .qcore import QContext, qpoch_finite
 class SymmetricFunction:
     """An evaluation contract z -> f(z) with declared symmetry f(z) = f(1/z).
 
-    pole_moduli lists the moduli of declared pole circles (informational;
-    admissibility checks happen at the evaluation sites that need them).
+    Admissibility checks happen at the evaluation sites that need them.
     """
 
     fn: Callable[[complex], complex]
-    pole_moduli: tuple[float, ...] = ()
     name: str = ""
     symmetric: bool = True
 

@@ -185,8 +185,7 @@ def test_criterion_07_laurent_cancellation():
     kp = sample_kernel_params(rng, ctx)
     worst = 0.0
     cross = 0.0
-    for n in range(1, 7):
-        coeff, scale, _ = E_contour_coefficient(kp, n)
+    for n, (coeff, scale, _) in enumerate(E_contour_coefficient(kp, range(1, 7)), 1):
         worst = max(worst, abs(coeff) / scale)
         if n <= 2:
             structured = (calP_quadruple(kp.c / kp.d, kp.c / kp.d,

@@ -141,10 +141,11 @@ class TestCommandLine:
         assert json.loads(lines[-1])["summary"]["passed"] is True
         assert "PASS" in capsys.readouterr().out
 
-    def test_reports_identical_for_same_seed(self, tmp_path):
+    @pytest.mark.parametrize("suite", ["taylor", "laurent", "profiles"])
+    def test_reports_identical_for_same_seed(self, suite, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for p in paths:
-            cli.main(["--suite", "taylor", "--seed", "21", "--draws", "6",
+            cli.main(["--suite", suite, "--seed", "21", "--draws", "6",
                       "--report", str(p)])
         assert paths[0].read_text() == paths[1].read_text()
 

@@ -11,7 +11,7 @@ from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
                             adaptive_series_depth, bailey_crosscheck,
                             complementary_remainder_gap, f_spec, fk_coefficient,
                             g_spec, gk_coefficient, involute, kernel_factors,
-                            kernel_H, kernel_K, M_clearing, pole_cleared_E,
+                            kernel_H, kernel_K, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_residual, two_basis_terms,
                             kernel_taylor_crosscheck)
@@ -175,7 +175,7 @@ class TestPoleClearedResidual:
         z = sample_z(rng)
         lhs = M_clearing(z, kp) * (lambda t: t[0] - t[1] - t[2])(
             two_basis_terms(z, kp, depth))
-        rhs = pole_cleared_E(z, kp, depth)
+        rhs = (lambda t: t[0] - t[1] - t[2])(pole_cleared_E_terms(z, kp, depth))
         scale = max(abs(t) for t in pole_cleared_E_terms(z, kp, depth))
         assert abs(lhs - rhs) < 1e-11 * scale
 
@@ -197,8 +197,8 @@ class TestPoleClearedResidual:
 
     def test_truncation_converges(self, kp, rng):
         z = sample_z(rng)
-        e60 = pole_cleared_E(z, kp, 60)
-        e100 = pole_cleared_E(z, kp, 100)
+        e60, e100 = ((lambda t: t[0] - t[1] - t[2])(pole_cleared_E_terms(z, kp, n))
+                     for n in (60, 100))
         scale = max(abs(t) for t in pole_cleared_E_terms(z, kp, 60))
         assert abs(e60 - e100) < 1e-10 * scale
 

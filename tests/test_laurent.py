@@ -1,15 +1,18 @@
 import cmath
+from unittest import mock
 
 import pytest
 
-from qtaylor.errors import PoleProximity, QuadratureNonConvergence
+from qtaylor import kernel
+from qtaylor.errors import QuadratureNonConvergence
 from qtaylor.kernel import (E_contour_coefficient, H_at_b, K_at_cde,
-                            KernelParams, calP1, calP2, calP_quadruple,
-                            cancellation_identity_residual, contour_radius,
+                            KernelParams, calP1, calP2,
+                            calP_quadruple, cancellation_identity_residual,
                             fk_coefficient, gk_coefficient,
-                            laurent_coefficient, laurent_coefficient_detail)
+                            laurent_coefficient_detail)
 from qtaylor.qcore import qpoch_infinite
 from qtaylor.sampling import sample_complex
+from qtaylor.suites import SuiteConfig, run_laurent
 
 
 @pytest.fixture
@@ -18,27 +21,32 @@ def kp(ctx4):
                         ctx4)
 
 
+def coefficient(G, n, radius, ctx):
+    [(value, _, _)] = laurent_coefficient_detail(G, [n], radius, ctx)
+    return value
+
+
 class TestContourCoefficient:
     def test_monomial(self, ctx):
-        assert laurent_coefficient(lambda z: z ** 5, -5, 1.0, ctx) == \
+        assert coefficient(lambda z: (z ** 5,), -5, 1.0, ctx) == \
             pytest.approx(1.0, abs=1e-13)
         for n in (1, 2, 6):
-            assert abs(laurent_coefficient(lambda z: z ** 5, n, 1.0, ctx)) < 1e-13
+            assert abs(coefficient(lambda z: (z ** 5,), n, 1.0, ctx)) < 1e-13
 
-    def test_radius_validated_against_poles(self, ctx):
-        with pytest.raises(PoleProximity):
-            laurent_coefficient(lambda z: z, 0, 1.0, ctx, pole_moduli=[1.0])
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 1.7])
+    def test_laurent_polynomial_from_two_terms(self, radius, ctx):
+        # G = (z^3 + 2 z^-2 - 0.5) - 0.25/z; [z^-n] G for n = -3, 0, 1, 2, 5
+        want = {-3: 1.0, 0: -0.5, 1: -0.25, 2: 2.0, 5: 0.0}
+        got = laurent_coefficient_detail(
+            lambda z: (z ** 3 + 2 / z ** 2 - 0.5, 0.25 / z), want, radius, ctx)
+        for (n, expected), (value, scale, nodes) in zip(want.items(), got):
+            assert abs(value - expected) <= 1e-12 * max(1.0, scale)
+            assert nodes >= 128
 
     def test_nonconvergence_detected(self, ctx):
         # a branch cut on the contour defeats trapezoid convergence
         with pytest.raises(QuadratureNonConvergence):
-            laurent_coefficient(cmath.sqrt, 1, 1.0, ctx)
-
-    def test_radius_selection(self, ctx):
-        r = contour_radius(0.5, 2.0, ctx)
-        assert r == pytest.approx(1.0)
-        with pytest.raises(PoleProximity):
-            contour_radius(1.0, 1.0 + 1e-9, ctx)
+            coefficient(lambda z: (cmath.sqrt(z),), 1, 1.0, ctx)
 
 
 class TestStructuredCoefficients:
@@ -52,16 +60,21 @@ class TestStructuredCoefficients:
                 return (qpoch_infinite(al * z, ctx4).value
                         * qpoch_infinite(be / z, ctx4).value
                         * qpoch_infinite(ga * z, ctx4).value
-                        * qpoch_infinite(de / z, ctx4).value)
+                        * qpoch_infinite(de / z, ctx4).value,)
 
-            contour = laurent_coefficient(g, n, 1.0, ctx4)
+            contour = coefficient(g, n, 1.0, ctx4)
             assert abs(structured - contour) <= 1e-8 * max(abs(structured),
                                                            abs(contour))
 
     def test_residual_coefficients_vanish(self, kp):
-        for n in range(1, 7):
-            coeff, scale, _ = E_contour_coefficient(kp, n)
+        for coeff, scale, _ in E_contour_coefficient(kp, range(1, 7)):
             assert abs(coeff) < 1e-6 * scale
+
+    def test_one_sample_serves_every_order(self, kp):
+        with mock.patch.object(kernel, "pole_cleared_E_terms",
+                               wraps=kernel.pole_cleared_E_terms) as spy:
+            E_contour_coefficient(kp, range(1, 7))
+        assert 0 < spy.call_count <= 1024
 
     def test_cancellation_identity(self, kp):
         for n in (1, 2):
@@ -75,17 +88,26 @@ class TestStructuredCoefficients:
                                          for k in range(50))
                       - K_at_cde(kp) * sum(gk_coefficient(kp, k) * calP2(kp, n, k)
                                            for k in range(50)))
-        coeff, scale, _ = E_contour_coefficient(kp, n)
+        [(coeff, scale, _)] = E_contour_coefficient(kp, [n])
         assert abs(structured - coeff) < 1e-6 * scale
 
     def test_individual_terms_not_small(self, kp):
         # the cancellation is between the families, not termwise
-        _, scale, _ = E_contour_coefficient(kp, 1)
+        [(_, scale, _)] = E_contour_coefficient(kp, [1])
         assert abs(calP1(kp, 1, 0)) > 1e-3 * scale
 
     def test_quadrature_detail_reports_scale(self, kp):
-        coeff, scale, nodes = laurent_coefficient_detail(
-            lambda z: z ** 3, -3, 1.0, kp.ctx)
+        [(coeff, scale, nodes)] = laurent_coefficient_detail(
+            lambda z: (z ** 3,), [-3], 1.0, kp.ctx)
         assert coeff == pytest.approx(1.0, abs=1e-12)
         assert scale == pytest.approx(1.0)
         assert nodes >= 128
+
+
+def test_structured_cancellation_at_high_base():
+    # 50 fixed terms leave q^50 ~ 2e-8 of the leading f_k, g_k at q = 0.7;
+    # at the adaptive depth the check reads rounding
+    records = run_laurent(SuiteConfig(q=0.7))
+    [rec] = [r for r in records if r.check == "structured-cancellation"]
+    assert rec.params["k_trunc"] > 50
+    assert rec.passed and rec.residual < 1e-6

@@ -6,11 +6,12 @@ import pytest
 
 from qtaylor.errors import (ConvergenceRegionViolation, DomainError,
                             PoleProximity)
-from qtaylor.kernel import KernelParams, involute, laurent_coefficient
+from qtaylor.kernel import (KernelParams, involute, laurent_coefficient_detail,
+                            pole_cleared_E_terms)
 from qtaylor.profiles import (AnnulusSpec, annular_factorization_residual,
                               bridge_residual, canonical_Z,
                               canonical_growth_profile, contiguous_moment,
-                              exponential_profile_limit_residual, generating_Q,
+                              exponential_profile_limit_residual,
                               generating_Q_terms, L_profile,
                               leading_profile_residual,
                               leading_profile_theta_residual,
@@ -180,8 +181,8 @@ class TestProfileKernelCoefficients:
         al, be = 0.6 + 0.1j, 0.8 - 0.2j
         w = 1.1 + 0.25j
         closed = profile_kernel_coefficient(j, w, al, be, lam, ctx4)
-        contour = laurent_coefficient(
-            lambda s: profile_kernel_P(s, w, al, be, lam, ctx4), -j, 0.3, ctx4)
+        [(contour, _, _)] = laurent_coefficient_detail(
+            lambda s: (profile_kernel_P(s, w, al, be, lam, ctx4),), [-j], 0.3, ctx4)
         assert abs(closed - contour) <= 1e-8 * max(abs(closed), abs(contour))
 
 
@@ -199,8 +200,8 @@ class TestGeneratingResidual:
                 assert abs(t1 - t2 - t3) < 1e-7 * max(abs(t1), abs(t2), abs(t3))
 
     def test_value_api(self, kp, lam, ctx4):
-        v = generating_Q(ctx4.q ** 5, 1.05 + 0.2j, kp, lam, 60)
-        assert abs(v) < 1e-7
+        t1, t2, t3 = generating_Q_terms(ctx4.q ** 5, 1.05 + 0.2j, kp, lam, 60)
+        assert abs(t1 - t2 - t3) < 1e-7
 
     @pytest.mark.parametrize("N", [4, 7, 10])
     def test_bridge_to_pole_cleared_residual(self, N, kp, lam, rng):
@@ -270,7 +271,9 @@ class TestCoefficientHierarchy:
         cde = c / (d * e)
 
         def quad_coeff(fn, rho):
-            return laurent_coefficient(fn, -j, rho, ctx4)
+            [(coeff, _, _)] = laurent_coefficient_detail(lambda s: (fn(s),), [-j],
+                                                         rho, ctx4)
+            return coeff
 
         prod_quad = quad_coeff(
             lambda s: (profile_kernel_P(s, w, c / d, b, lam, ctx4)
@@ -348,8 +351,8 @@ class TestCanonicalGrowth:
 
     def test_quotient_reassembly(self, kp, lam, ctx4):
         # Z * (E/Z) returns E (factorisation sanity)
-        from qtaylor.kernel import pole_cleared_E
         z = lam * ctx4.q ** 5 * (1.18 + 0.25j)
-        e = pole_cleared_E(z, kp, 60)
+        t1, t2, t3 = pole_cleared_E_terms(z, kp, 60)
+        e = t1 - t2 - t3
         quotient = e / canonical_Z(z, kp)
         assert canonical_Z(z, kp) * quotient == pytest.approx(e, rel=1e-12)

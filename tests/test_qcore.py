@@ -4,7 +4,7 @@ import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
 from qtaylor.qcore import (QContext, qpoch_finite, qpoch_infinite, qpoch_multi,
-                           theta, weierstrass_residual, weierstrass_terms)
+                           scaled_residual, theta, weierstrass_terms)
 from qtaylor.sampling import sample_complex
 
 
@@ -147,10 +147,26 @@ class TestWeierstrassAddition:
 
     def test_degenerate_x_equals_u(self, ctx, rng):
         x, y, v = (sample_complex(rng, 0.5, 1.4) for _ in range(3))
-        res = weierstrass_residual(x, y, x, v, ctx)
-        t1, t2, _ = weierstrass_terms(x, y, x, v, ctx)
-        assert abs(res) < 1e-12 * max(abs(t1), abs(t2), 1.0)
+        t1, t2, t3 = weierstrass_terms(x, y, x, v, ctx)
+        assert abs(t1 - t2 - t3) < 1e-12 * max(abs(t1), abs(t2), 1.0)
 
     def test_rejects_zero_argument(self, ctx):
         with pytest.raises(DomainError):
-            weierstrass_residual(0.0, 1.0, 1.0, 1.0, ctx)
+            weierstrass_terms(0.0, 1.0, 1.0, 1.0, ctx)
+
+
+class TestScaledResidual:
+    def test_bit_equal_to_inline_form(self, rng):
+        for _ in range(200):
+            t1, t2, t3 = (sample_complex(rng, 1e-3, 1e3) for _ in range(3))
+            inline = abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))
+            assert scaled_residual(t1, t2, t3) == inline
+            assert scaled_residual(t1, t2) == abs(t1 - t2) / max(abs(t1), abs(t2))
+
+    def test_first_term_minus_the_rest(self):
+        assert scaled_residual(3.0, 1.0, 2.0) == 0.0
+        assert scaled_residual(1.0, 2.0, 3.0) == 4.0 / 3.0
+
+    def test_zero_terms(self):
+        assert scaled_residual(0.0, 0.0j, 0.0) == 0.0
+        assert scaled_residual(0.0j) == 0.0
