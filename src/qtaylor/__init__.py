@@ -25,8 +25,8 @@ from .profiles import (AnnulusSpec, ProfileMoments, annular_factorization_residu
                        L_profile, leading_profile_residual,
                        profile_coefficient_residual, profile_kernel_P,
                        profile_kernel_coefficient, profile_sums_and_closed_forms)
-from .qcore import (QContext, TailBound, qpoch_finite, qpoch_infinite,
-                    qpoch_multi, scaled_residual, theta)
+from .qcore import (QContext, TailBound, geometric_depth, qpoch_finite,
+                    qpoch_infinite, qpoch_multi, scaled_residual, theta)
 from .quadratic import (QuadraticParams, companion_residual,
                         folding_identity_check, quadratic_residual,
                         quadratic_taylor_identification)

@@ -7,7 +7,8 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration.  Reports are line-delimited JSON records followed by a
 summary object; rerunning with the same seed reproduces them byte for
-byte.  Environment overrides: QTAYLOR_TOL (eps_rel), QTAYLOR_MAX_TERMS.
+byte.  Environment overrides: QTAYLOR_TOL (eps_rel; like --tol it sets no
+truncation depth) and QTAYLOR_MAX_TERMS (a user depth cap, none by default).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ class DomainError(QTaylorError):
 
 
 class TruncationFailure(QTaylorError):
-    """A truncated product/series could not reach its tail target within max_terms."""
+    """A product/series has no geometric tail, or needs more terms than max_terms."""
 
 
 class DivergenceSuspected(QTaylorError):

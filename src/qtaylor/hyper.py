@@ -13,9 +13,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterator
 
-from .errors import (DivergenceSuspected, DomainError, TruncationFailure,
-                     ZeroDenominator)
-from .qcore import QContext, TailBound, qpoch_multi
+from .errors import DivergenceSuspected, DomainError, ZeroDenominator
+from .qcore import QContext, TailBound, geometric_depth, qpoch_multi
 
 
 @dataclass(frozen=True)
@@ -70,50 +69,37 @@ def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
     """Shared partial-sum driver.
 
     term_ratio(k) must return the multiplier taking term_k to term_{k+1}.
-    Truncation: through index `trunc` when given, else adaptive (stop when
-    3 consecutive terms fall below eps_tail * |partial sum| and k >= 8).
+    Truncation: through index `trunc` when given, else after the first t_k
+    with geometric_depth(rate, |t_k| / |partial sum|) = 0, rate being the
+    last decreasing term ratio (at least |q|).  A vanishing term ends the
+    sum exactly.  Adaptive mode raises DivergenceSuspected after 8
+    consecutive growing terms past geometric_depth(|q|), where the q-power
+    factors of the ratio have settled.
     """
-    total = 0.0 + 0.0j
+    q_rate = abs(ctx.q)
+    settled = geometric_depth(q_rate) if trunc is None else 0
+    rate = q_rate
+    total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     k = 0
-    small_run = 0
     grow_run = 0
-    ratio_obs = abs(ctx.q)
-    while True:
-        total += term
-        if trunc is not None and k >= trunc:
-            break
-        if term == 0:
-            break  # a vanished numerator factor terminates the series exactly
+    while term != 0 and (trunc is None or k < trunc):
         nxt = term * term_ratio(k)
-        # divergence guard: adaptive mode only, and only once the term
-        # ratio has settled (finite partial sums may grow transiently)
-        significant = abs(nxt) > ctx.eps_tail * max(abs(total), 1e-300)
-        if trunc is None and significant and abs(nxt) > abs(term) and k >= 16:
+        if abs(nxt) < abs(term):
+            rate = max(abs(nxt) / abs(term), q_rate)
+            grow_run = 0
+        elif trunc is None and k >= settled:
             grow_run += 1
             if grow_run >= 8:
-                raise DivergenceSuspected(
-                    f"8 consecutive growing terms at k={k + 1}")
-        elif significant:
-            grow_run = 0
-        if abs(term) > 0:
-            ratio_obs = min(abs(nxt) / abs(term), 0.999) if abs(nxt) < abs(term) else ratio_obs
+                raise DivergenceSuspected(f"8 consecutive growing terms at k={k + 1}")
         term = nxt
+        total += term
         k += 1
-        if trunc is None:
-            if abs(term) < ctx.eps_tail * abs(total):
-                small_run += 1
-            else:
-                small_run = 0
-            if small_run >= 3 and k >= 8:
-                total += term
-                k += 1
-                break
-            if k >= ctx.max_terms:
-                raise TruncationFailure(f"series did not settle within {ctx.max_terms} terms")
-    r = max(ratio_obs, abs(ctx.q))
-    tail = abs(term) * r / (1.0 - r) if term != 0 else 0.0
-    return TailBound(total, tail, k + 1 if trunc is not None else k)
+        if (trunc is None and total
+                and geometric_depth(rate, abs(term) / abs(total), ctx.max_terms) == 0):
+            break
+    tail = abs(term) * rate / (1.0 - rate)
+    return TailBound(total, tail, k + 1)
 
 
 def phi_eval(spec: PhiSeriesSpec, trunc: int | None, ctx: QContext) -> TailBound:
@@ -122,7 +108,7 @@ def phi_eval(spec: PhiSeriesSpec, trunc: int | None, ctx: QContext) -> TailBound
     Terminating series (some a_i = q^{-n}) are exact at n+1 terms; the
     driver stops at the first vanishing term.  Raises ZeroDenominator if a
     denominator factor falls within the pole margin, DivergenceSuspected
-    after 8 consecutive growing significant terms.
+    after 8 consecutive growing terms past the settled depth.
     """
     q, z = ctx.q, spec.argument
     qk = [1.0 + 0.0j]  # running power q^k, wrapped for closure mutation
@@ -195,13 +181,9 @@ def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> TailBound:
     return _series_sum(_vwp_ratio(spec, ctx), trunc, ctx)
 
 
-def vwp_peak_term(spec: VWPSpec, trunc: int, ctx: QContext) -> float:
-    """Largest |summand| of the very-well-poised partial sum through trunc.
-
-    Terminating sums cancel catastrophically by design, so residuals are
-    reported relative to this peak, per the scale convention.
-    """
-    return max(abs(t) for t in vwp_terms(spec, trunc, ctx))
+def vwp_depth(spec: VWPSpec, ctx: QContext) -> int:
+    """Depth of a coefficient family: the last index its adaptive sum keeps."""
+    return vwp_eval(spec, None, ctx).terms_used - 1
 
 
 def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
@@ -224,7 +206,7 @@ def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
     if abs(den) == 0.0:
         raise ZeroDenominator("vanishing denominator product in 6W5 evaluation")
     rhs = num / den
-    scale = max(abs(tb.value), abs(rhs), vwp_peak_term(spec, tb.terms_used, ctx))
+    scale = max(abs(tb.value), abs(rhs), *map(abs, vwp_terms(spec, tb.terms_used, ctx)))
     return abs(tb.value - rhs) / scale
 
 
@@ -250,7 +232,7 @@ def jackson_8w7_residual(a: complex, b: complex, c: complex, d: complex,
     if abs(den) == 0.0:
         raise ZeroDenominator("vanishing denominator product in 8W7 evaluation")
     rhs = num / den
-    scale = max(abs(lhs), abs(rhs), vwp_peak_term(spec, n, ctx))
+    scale = max(abs(lhs), abs(rhs), *map(abs, vwp_terms(spec, n, ctx)))
     return abs(lhs - rhs) / scale
 
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
-from .hyper import VWPSpec, vwp_eval, vwp_terms
-from .qcore import (QContext, factor_clearance, qpoch_infinite, qpoch_multi,
-                    scaled_residual)
+from .hyper import VWPSpec, vwp_depth, vwp_eval, vwp_terms
+from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_infinite,
+                    qpoch_multi, scaled_residual)
 from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
@@ -327,10 +327,8 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
 
 
 def adaptive_series_depth(kp: KernelParams) -> int:
-    """Truncation depth making the O(q^k) coefficient tails negligible."""
-    q = abs(kp.ctx.q)
-    depth = int(math.ceil(math.log(kp.ctx.eps_tail) / math.log(q))) + 16
-    return min(depth, kp.ctx.max_terms)
+    """Truncation depth of both coefficient families: the larger vwp_depth of f, g."""
+    return max(vwp_depth(f_spec(kp), kp.ctx), vwp_depth(g_spec(kp), kp.ctx))
 
 
 def M_clearing(z: complex, kp: KernelParams) -> complex:
@@ -439,21 +437,25 @@ def E_contour_coefficient(kp: KernelParams,
                                       ns, 1.0, kp.ctx)
 
 
-def _euler_coeffs(u: complex, ctx: QContext, *, tol: float = 1e-24) -> np.ndarray:
-    """Series coefficients of (u t;q)_inf in powers of t (Euler expansion)."""
+def _euler_coeffs(u: complex, ctx: QContext) -> np.ndarray:
+    """Series coefficients of (u t;q)_inf in powers of t (Euler expansion).
+
+    The ratios e_i / e_(i-1) = -u q^(i-1) / (1 - q^i) shrink like |q|^i, so
+    the list stops at the first e_i whose geometric tail at the current
+    ratio is negligible against the largest coefficient.
+    """
     q = ctx.q
     coeffs = [1.0 + 0.0j]
-    e = 1.0 + 0.0j
-    i = 1
     peak = 1.0
-    while i < ctx.max_terms:
-        e *= -u * q ** (i - 1) / (1.0 - q ** i)
-        coeffs.append(e)
-        peak = max(peak, abs(e))
-        if abs(e) < tol * peak and i >= 4:
-            break
-        i += 1
-    return np.asarray(coeffs, dtype=complex)
+    qi = 1.0 + 0.0j  # q^(i-1)
+    while True:
+        ratio = -u * qi / (1.0 - qi * q)
+        coeffs.append(coeffs[-1] * ratio)
+        peak = max(peak, abs(coeffs[-1]))
+        qi *= q
+        if abs(ratio) < 1.0 and geometric_depth(abs(ratio), abs(coeffs[-1]) / peak,
+                                                ctx.max_terms) == 0:
+            return np.asarray(coeffs, dtype=complex)
 
 
 def _gauss_coeffs(u: complex, k: int, ctx: QContext) -> np.ndarray:

@@ -18,13 +18,14 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
-from .hyper import VWPSpec, vwp_terms
-from .kernel import (KernelParams, H_at_b, K_at_cde, f_spec, g_spec,
-                     pole_cleared_E_terms)
-from .qcore import QContext, _pinf, qpoch_finite, scaled_residual, theta
+from .hyper import VWPSpec, _series_sum, _vwp_ratio, vwp_eval
+from .kernel import (KernelParams, H_at_b, K_at_cde, adaptive_series_depth, f_spec,
+                     g_spec, pole_cleared_E_terms)
+from .qcore import (QContext, _pinf, factor_clearance, qpoch_finite, scaled_residual,
+                    theta)
 
 
 def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
@@ -34,7 +35,6 @@ def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
     denominator legitimately differ by many orders of magnitude are not
     misdiagnosed as poles.
     """
-    from .qcore import factor_clearance
     for u in bases:
         if factor_clearance(u, ctx) <= ctx.pole_margin:
             raise PoleProximity(f"{what}: denominator base {u} within pole margin")
@@ -86,12 +86,8 @@ def annular_factorization_residual(lam: complex, N: int, w: complex,
     if lam == 0 or w == 0:
         raise DomainError("anchor and w must be nonzero")
     q = ctx.q
-    for j in range(ctx.max_terms):
-        s = q ** j / w
-        if abs(s) < 1.0 - ctx.pole_margin:
-            break
-        if abs(1.0 - s) <= ctx.pole_margin:
-            raise PoleProximity("w within margin of a zero of (1/w;q)_inf")
+    if factor_clearance(1.0 / w, ctx) <= ctx.pole_margin:
+        raise PoleProximity("w within margin of a zero of (1/w;q)_inf")
     z = lam * q ** N * w
     lhs = _pinf(lam / z, ctx)
     rhs = ((-lam / z) ** N * q ** (N * (N - 1) // 2)
@@ -127,33 +123,13 @@ class ProfileClosedForms:
     Kcde: complex
 
 
-def _adaptive_sum(terms: Iterable[complex], ctx: QContext) -> complex:
-    """Sum terms in order, adaptively truncated.
-
-    Stops once three consecutive terms, from k = 8 on, fall below eps_tail
-    relative to the running total.
-    """
-    total = 0.0 + 0.0j
-    small = 0
-    for k, term in enumerate(terms):
-        total += term
-        if abs(term) < ctx.eps_tail * abs(total):
-            small += 1
-            if small >= 3 and k >= 8:
-                break
-        else:
-            small = 0
-    return total
-
-
 def _scalar_profile_sum(spec: VWPSpec, weight: complex, ctx: QContext) -> complex:
     """sum_k u_k weight^k over the summands u_k of spec, adaptively truncated.
 
     weight^k is absorbed into the argument, so the terms are the summands of
     one very-well-poised series.
     """
-    spec = replace(spec, argument=spec.argument * weight)
-    return _adaptive_sum(vwp_terms(spec, ctx.max_terms, ctx), ctx)
+    return vwp_eval(replace(spec, argument=spec.argument * weight), None, ctx).value
 
 
 def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
@@ -285,25 +261,28 @@ def _profile_ratio_step(alpha: complex, beta: complex, t: complex, s: complex,
     return num / den
 
 
-def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
-                       k_trunc: int) -> tuple[complex, complex, complex]:
+def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
+                       ) -> tuple[complex, complex, complex]:
     """The three additive terms of the scaled profile-generating residual."""
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
+    q = ctx.q
     t = lam * w
     t1 = (profile_kernel_P(s, w, c / d, b, lam, ctx)
           * profile_kernel_P(s, w, c / e, c / (d * e), lam, ctx))
 
-    def family_terms(alpha: complex, beta: complex, spec: VWPSpec) -> Iterable[complex]:
-        kernel_val = profile_kernel_P(s, w, alpha, beta, lam, ctx)
-        for coeff in vwp_terms(spec, k_trunc, ctx):
-            yield coeff * kernel_val
-            kernel_val *= _profile_ratio_step(alpha, beta, t, s, ctx)
-            alpha *= ctx.q
-            beta *= ctx.q
+    def family_sum(alpha: complex, beta: complex, spec: VWPSpec) -> complex:
+        """sum_k u_k P_{alpha q^k, beta q^k}(s, w), summed by its term ratio."""
+        coeff_ratio = _vwp_ratio(spec, ctx)
 
-    t2 = H_at_b(kp) * _adaptive_sum(family_terms(c, b, f_spec(kp)), ctx)
-    t3 = K_at_cde(kp) * _adaptive_sum(
-        family_terms(c * c / (b * d * e), c / (d * e), g_spec(kp)), ctx)
+        def ratio(k: int) -> complex:
+            qk = q ** k
+            return coeff_ratio(k) * _profile_ratio_step(alpha * qk, beta * qk, t, s, ctx)
+
+        return (profile_kernel_P(s, w, alpha, beta, lam, ctx)
+                * _series_sum(ratio, None, ctx).value)
+
+    t2 = H_at_b(kp) * family_sum(c, b, f_spec(kp))
+    t3 = K_at_cde(kp) * family_sum(c * c / (b * d * e), c / (d * e), g_spec(kp))
     return t1, t2, t3
 
 
@@ -458,8 +437,7 @@ def canonical_growth_profile(lam: complex, N: int, w: complex,
     return CanonicalGrowth(zval, monomial, cfac)
 
 
-def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex,
-                    k_trunc: int) -> float:
+def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex) -> float:
     """Gap between the generating residual at s = q^N and (b/c)^N E/Z on layer N.
 
     Exact identity; both sides are near zero, so the gap is reported
@@ -467,8 +445,8 @@ def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex,
     """
     b, c, ctx = kp.b, kp.c, kp.ctx
     q = ctx.q
-    terms = generating_Q_terms(q ** N, w, kp, lam, k_trunc)
+    terms = generating_Q_terms(q ** N, w, kp, lam)
     z = lam * q ** N * w
-    rhs = ((b / c) ** N * reduce(operator.sub, pole_cleared_E_terms(z, kp, k_trunc))
-           / canonical_Z(z, kp))
+    e_terms = pole_cleared_E_terms(z, kp, adaptive_series_depth(kp))
+    rhs = (b / c) ** N * reduce(operator.sub, e_terms) / canonical_Z(z, kp)
     return abs(reduce(operator.sub, terms) - rhs) / max(abs(t) for t in terms)

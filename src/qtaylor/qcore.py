@@ -1,15 +1,20 @@
 """Complex arithmetic core: q-shifted factorials, theta products, addition residual.
 
 All evaluations are plain binary64 complex arithmetic threaded through a
-:class:`QContext`, which fixes the base q, the truncation policy for
-infinite products, and the pole margin used by every admissibility check.
+:class:`QContext`, which fixes the base q, the agreement tolerance, an
+optional user cap on product and series depths, and the pole margin used
+by every admissibility check.
 
 Conventions
 -----------
 * ``(a;q)_n = prod_{j=0}^{n-1} (1 - a q^j)``, the empty product being 1.
-* ``(a;q)_inf`` is truncated at the first ``N >= 16`` with
-  ``|a| |q|^N < eps_tail * eps_rel`` and carries a certified geometric
-  bound on the omitted log-factors.
+* Every truncation depth follows one rule, :func:`geometric_depth`: a
+  tail dominated by a geometric series ``lead * rate^N / (1 - rate)`` is
+  cut off once that bound falls below ``TAIL_TARGET`` = 2^-55, a quarter
+  of the binary64 unit roundoff (Gasper & Rahman, *Basic Hypergeometric
+  Series*, 2nd ed., 2004, sec. 1.3).  ``(a;q)_inf`` takes its depth from
+  ``(|a|, |q|)`` and carries a certified bound on the omitted log-factors;
+  series apply the rule to their observed term ratio.
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
@@ -21,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -30,7 +35,7 @@ from .errors import DomainError, TruncationFailure
 
 @dataclass(frozen=True)
 class QContext:
-    """Evaluation context: base, tolerance policy, truncation policy.
+    """Evaluation context: base, tolerance policy, depth cap.
 
     Parameters
     ----------
@@ -38,11 +43,11 @@ class QContext:
         The base, required to satisfy 0 < |q| < 1.
     eps_rel:
         Relative agreement tolerance used by consistency checks and as the
-        stabilisation threshold of adaptive quadrature.
-    eps_tail:
-        Tail target for truncated infinite products and series.
+        stabilisation threshold of adaptive quadrature.  It does not set
+        any truncation depth.
     max_terms:
-        Hard cap on product factors / series terms.
+        Optional user cap (None: no cap).  A depth derived by
+        :func:`geometric_depth` beyond it raises TruncationFailure.
     pole_margin:
         Minimum admissible distance of any denominator factor from zero
         (the "delta" of the admissibility checks).
@@ -50,8 +55,7 @@ class QContext:
 
     q: complex
     eps_rel: float = 1e-10
-    eps_tail: float = 1e-14
-    max_terms: int = 512
+    max_terms: int | None = None
     pole_margin: float = 1e-6
     root_sign: int = 1
 
@@ -59,9 +63,9 @@ class QContext:
         object.__setattr__(self, "q", complex(self.q))
         if not 0.0 < abs(self.q) < 1.0:
             raise DomainError(f"base must satisfy 0 < |q| < 1, got q={self.q}")
-        if not (0.0 < self.eps_rel < math.inf and 0.0 < self.eps_tail < math.inf):
-            raise DomainError("eps_rel and eps_tail must be positive and finite")
-        if self.max_terms < 16:
+        if not 0.0 < self.eps_rel < math.inf:
+            raise DomainError("eps_rel must be positive and finite")
+        if self.max_terms is not None and self.max_terms < 16:
             raise DomainError("max_terms must be at least 16")
         if self.pole_margin <= 0.0:
             raise DomainError("pole_margin must be positive")
@@ -75,21 +79,52 @@ class QContext:
 
     def squared(self) -> "QContext":
         """Context with base q^2 (used by base-q^2 product evaluations)."""
-        return QContext(self.q * self.q, self.eps_rel, self.eps_tail,
-                        self.max_terms, self.pole_margin, self.root_sign)
-
-    def with_tolerances(self, eps_rel: float | None = None,
-                        max_terms: int | None = None) -> "QContext":
-        return QContext(self.q,
-                        self.eps_rel if eps_rel is None else eps_rel,
-                        self.eps_tail,
-                        self.max_terms if max_terms is None else max_terms,
-                        self.pole_margin, self.root_sign)
+        return replace(self, q=self.q * self.q)
 
     def other_branch(self) -> "QContext":
         """The same context with the opposite square-root branch."""
-        return QContext(self.q, self.eps_rel, self.eps_tail, self.max_terms,
-                        self.pole_margin, -self.root_sign)
+        return replace(self, root_sign=-self.root_sign)
+
+
+TAIL_TARGET = 2.0 ** -55
+
+
+def geometric_depth(rate: float, lead: float = 1.0, cap: int | None = None) -> int:
+    """Smallest N >= 0 with lead * rate^N / (1 - rate) < TAIL_TARGET.
+
+    That bounds a tail whose first term is at most lead * rate^N and whose
+    terms shrink at least by the factor rate.  Raises TruncationFailure
+    when rate is not in [0, 1) or lead is not finite, or when N > cap.
+    """
+    if not (0.0 <= rate < 1.0 and lead < math.inf):
+        raise TruncationFailure(
+            f"no geometric tail bound for rate {rate:.6g}, lead {lead:.3g}")
+    target = TAIL_TARGET * (1.0 - rate)
+    if lead < target:
+        return 0
+    if rate == 0.0:
+        return 1
+    n = math.floor(math.log(target / lead) / math.log(rate)) + 1
+    # the logarithms may round across an integer: settle N exactly
+    if lead * rate ** n >= target:
+        n += 1
+    elif lead * rate ** (n - 1) < target:
+        n -= 1
+    if cap is not None and n > cap:
+        raise TruncationFailure(
+            f"a tail of rate {rate:.3g} needs {n} terms, more than max_terms={cap}")
+    return n
+
+
+def fit_window(rate: float) -> list[int]:
+    """Nine consecutive orders over which a decay like rate^n is fitted.
+
+    The window starts at the first n with rate^n < 1e-2, where the decay
+    has left its transient, but no later than order 12: the coefficients
+    of the operator pipeline reach their rounding floor past order ~20.
+    """
+    start = min(max(1, math.floor(math.log(1e-2) / math.log(rate)) + 1), 12)
+    return list(range(start, start + 9))
 
 
 @dataclass(frozen=True)
@@ -105,9 +140,6 @@ class TailBound:
     value: complex
     tail_abs: float
     terms_used: int
-
-    def __complex__(self) -> complex:
-        return self.value
 
 
 def qpoch_finite(a: complex, n: int, ctx: QContext) -> complex:
@@ -126,27 +158,22 @@ def qpoch_finite(a: complex, n: int, ctx: QContext) -> complex:
 def qpoch_infinite(a: complex, ctx: QContext) -> TailBound:
     """Truncated infinite product (a;q)_inf with a certified tail bound.
 
-    The truncation index is the first N >= 16 with
-    |a| |q|^N < eps_tail * eps_rel.  Raises TruncationFailure when that
-    index would exceed ctx.max_terms.
+    The depth is geometric_depth(|q|, |a|): the omitted log-factors sum to
+    at most |a||q|^N / ((1 - |q|)(1 - |a||q|^N)) < TAIL_TARGET (to first
+    order), which is the certificate returned as tail_abs.  Raises
+    TruncationFailure when the depth exceeds the user cap ctx.max_terms.
     """
     a = complex(a)
     if a == 0:
         return TailBound(1.0 + 0.0j, 0.0, 0)
     q = ctx.q
-    threshold = ctx.eps_tail * ctx.eps_rel
+    n = geometric_depth(abs(q), abs(a), ctx.max_terms)
     value = 1.0 + 0.0j
     x = a
-    n = 0
-    while n < 16 or abs(x) >= threshold:
-        if n >= ctx.max_terms:
-            raise TruncationFailure(
-                f"(a;q)_inf with |a|={abs(a):.3g}, |q|={abs(q):.3g} "
-                f"needs more than {ctx.max_terms} factors")
+    for _ in range(n):
         value *= 1.0 - x
         x *= q
-        n += 1
-    r = abs(x)  # = |a||q|^n < threshold <= eps_tail*eps_rel << 1
+    r = abs(x)  # = |a||q|^n < TAIL_TARGET (1 - |q|)
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
     return TailBound(value, tail, n)
 
@@ -229,14 +256,14 @@ def factor_clearance(u: complex, ctx: QContext) -> float:
     Once |u q^j| < 1 - pole_margin every remaining factor is safely away
     from zero, so the scan terminates after O(log |u|) steps.
     """
+    if not cmath.isfinite(u):
+        raise DomainError(f"factor clearance of a non-finite base {u}")
     q = ctx.q
     limit = 1.0 - ctx.pole_margin
     best = math.inf
     x = complex(u)
-    for _ in range(4 * ctx.max_terms):
-        if abs(x) < limit:
-            return best
+    while abs(x) >= limit:
         best = min(best, abs(1.0 - x))
         x *= q
-    raise TruncationFailure("factor clearance scan did not terminate")
+    return best
 

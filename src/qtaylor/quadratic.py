@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
-from .hyper import VWPSpec, vwp_eval, vwp_terms
+from .hyper import VWPSpec, vwp_depth, vwp_eval, vwp_terms
 from .qcore import QContext, _pinf, factor_clearance, qpoch_finite, scaled_residual
 from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
 from .wpoperator import SymmetricFunction
@@ -109,11 +109,12 @@ def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int],
                          ctx: QContext) -> list[float]:
     """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails).
 
-    The tails are summed through order 199.
+    The tails are summed through the depth of the h family (vwp_depth).
     """
     lhs = abs(quadratic_product(z, qp, ctx))
     cab = quadratic_constant(qp, ctx)
-    hs = vwp_terms(h_spec(qp, ctx), 199, ctx)
+    spec = h_spec(qp, ctx)
+    hs = vwp_terms(spec, vwp_depth(spec, ctx), ctx)
     terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
     out = []
     for n in orders:
@@ -196,7 +197,8 @@ def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> f
     pair = companion_pair(qp, ctx)
     blist = (pair.a * z, pair.a / z) + spec.b_list
     series = vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
-    return scaled_residual(series, basis_sum(z, pair, vwp_terms(spec, 199, ctx), ctx))
+    rs = vwp_terms(spec, vwp_depth(spec, ctx), ctx)
+    return scaled_residual(series, basis_sum(z, pair, rs, ctx))
 
 
 def folding_identity_check(x: complex, n: int, ctx: QContext) -> float:

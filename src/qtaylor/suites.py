@@ -106,10 +106,9 @@ class SuiteConfig:
     explicit_kernel: tuple = ()
 
     def context(self) -> QContext:
-        ctx = QContext(self.q)
-        if self.eps_rel is not None or self.max_terms is not None:
-            ctx = ctx.with_tolerances(self.eps_rel, self.max_terms)
-        return ctx
+        if self.eps_rel is None:
+            return QContext(self.q, max_terms=self.max_terms)
+        return QContext(self.q, self.eps_rel, self.max_terms)
 
     def rng_for(self, suite: str) -> random.Random:
         return random.Random(self.seed + _SUITE_OFFSET[suite])
@@ -561,6 +560,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                     {"k_max": 6}, max(dev, dev_inv), 1e-7))
 
     worst = 0.0
+    trunc = 0
     base_res = None
     quadruples = [kernel_params_from_config(entry, ctx)
                   for entry in cfg.explicit_kernel]
@@ -570,17 +570,18 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
               else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
                                         hi=cfg.modulus_hi))
         z = sample_kernel_z(rng, kp)
-        r = kernel.two_basis_residual(z, kp, 60)
+        depth = n_trunc(kp)
+        r = kernel.two_basis_residual(z, kp, depth)
         if base_res is None:
-            base_res = (z, kp, r)
-        worst = max(worst, r)
-        worst = max(worst, kernel.two_basis_residual(1 / z, kp, 60))
+            base_res = (z, kp, depth, r)
+        trunc = max(trunc, depth)
+        worst = max(worst, r, kernel.two_basis_residual(1 / z, kp, depth))
     out.append(_rec("kernel", "two-basis-identity", "two-basis-identity",
-                    {"draws": n_draws, "trunc": 60,
+                    {"draws": n_draws, "trunc": trunc,
                      "explicit": bool(quadruples)}, worst, 1e-7))
 
-    z, kp, r = base_res
-    neg = kernel.two_basis_residual(z, kp, 60, force_unit_Hb=True)
+    z, kp, depth, r = base_res
+    neg = kernel.two_basis_residual(z, kp, depth, force_unit_Hb=True)
     ratio = neg / max(r, 1e-300)
     out.append(_rec("kernel", "negative-control-Hb", "two-basis-identity",
                     {"z": z}, 1.0 / ratio, 1e-6,
@@ -588,17 +589,18 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
 
     kp = sample_profile_kernel_params(rng, ctx)
     z = sample_z(rng)
-    orders = list(range(4, 13))
+    orders = qcore.fit_window(abs(q))
     gaps = kernel.remainder_gap_curve(z, kp, orders)
     fit = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
     dev = abs(fit - abs(q)) / abs(q)
-    single = kernel.complementary_remainder_gap(z, kp, 6)
+    single = kernel.complementary_remainder_gap(z, kp, orders[2])
     dev = max(dev, abs(single - gaps[2]) / gaps[2])
     gaps_i = kernel.remainder_gap_curve(z, kernel.involute(kp), orders)
     fit_i = math.exp(np.polyfit(orders, np.log(gaps_i), 1)[0])
     dev = max(dev, abs(fit_i - abs(q)) / abs(q))
     out.append(_rec("kernel", "remainder-gap-ratio", "R-H-limit",
-                    {"orders": "4..12", "fit": fit, "fit_involuted": fit_i},
+                    {"orders": f"{orders[0]}..{orders[-1]}", "fit": fit,
+                     "fit_involuted": fit_i},
                     dev, 0.30))
 
     worst = 0.0
@@ -788,14 +790,14 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
         for _ in range(3):
             w = sample_z(rng, 0.85, 1.2)
             worst = max(worst, scaled_residual(
-                *profiles.generating_Q_terms(s, w, kp, lam, 60)))
+                *profiles.generating_Q_terms(s, w, kp, lam)))
     out.append(_rec("profiles", "generating-residual", "global-Q-zero",
                     {"s": "0,q^8,q^6,q^4"}, worst, 1e-7))
 
     worst = 0.0
     for N in range(4, 11):
         w = sample_z(rng, 0.9, 1.15)
-        worst = max(worst, profiles.bridge_residual(N, w, kp, lam, 60))
+        worst = max(worst, profiles.bridge_residual(N, w, kp, lam))
     out.append(_rec("profiles", "bridge-identity",
                     "scaled-Q-equals-profile-generator", {"N": "4..10"},
                     worst, 1e-6))
@@ -879,17 +881,21 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     out = []
 
     worst = worst_c = 0.0
+    trunc = trunc_c = 0
     qp0 = None
     for _ in range(cfg.draws):
         qp = sample_quadratic_params(rng)
         qp0 = qp0 or qp
         z = sample_z(rng)
-        worst = max(worst, quadratic.quadratic_residual(z, qp, 60, ctx))
-        worst_c = max(worst_c, quadratic.companion_residual(z, qp, 60, ctx))
+        depth = hyper.vwp_depth(quadratic.h_spec(qp, ctx), ctx)
+        depth_c = hyper.vwp_depth(quadratic.r_spec(qp, ctx), ctx)
+        trunc, trunc_c = max(trunc, depth), max(trunc_c, depth_c)
+        worst = max(worst, quadratic.quadratic_residual(z, qp, depth, ctx))
+        worst_c = max(worst_c, quadratic.companion_residual(z, qp, depth_c, ctx))
     out.append(_rec("quadratic", "watson-type-expansion", "quadratic-bailey",
-                    {"draws": cfg.draws, "trunc": 60}, worst, 1e-8))
+                    {"draws": cfg.draws, "trunc": trunc}, worst, 1e-8))
     out.append(_rec("quadratic", "companion-expansion", "quadratic-companion-bailey",
-                    {"draws": cfg.draws, "trunc": 60}, worst_c, 1e-8))
+                    {"draws": cfg.draws, "trunc": trunc_c}, worst_c, 1e-8))
 
     h0 = quadratic.quadratic_coefficient(qp0, 0, ctx)
     r0 = quadratic.companion_coefficient(qp0, 0, ctx)
@@ -911,12 +917,12 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
                     {"k_max": 6}, dev, 1e-7))
 
     z = sample_z(rng)
-    orders = [4, 6, 8, 10, 12]
+    orders = qcore.fit_window(abs(qp0.b / qp0.a))
     tails = quadratic.quadratic_tail_curve(z, qp0, orders, ctx)
     fit = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
     dev = abs(fit - abs(qp0.b / qp0.a)) / abs(qp0.b / qp0.a)
     out.append(_rec("quadratic", "tail-decay", "quadratic-remainder-tail",
-                    {"fit": fit}, dev, 0.10))
+                    {"orders": f"{orders[0]}..{orders[-1]}", "fit": fit}, dev, 0.10))
 
     dev = quadratic.companion_series_vs_vwp(z, qp0, ctx)
     out.append(_rec("quadratic", "companion-vwp-form", "quadratic-companion-bailey",
@@ -970,7 +976,8 @@ def _sabotaged_kernel_check(cfg: SuiteConfig) -> CheckRecord:
     rng = cfg.rng_for("kernel")
     kp = sample_kernel_params(rng, ctx)
     z = sample_z(rng)
-    res = kernel.two_basis_residual(z, kp, 60, force_unit_Hb=True)
+    res = kernel.two_basis_residual(z, kp, kernel.adaptive_series_depth(kp),
+                                    force_unit_Hb=True)
     return _rec("kernel", "two-basis-identity-sabotaged", "two-basis-identity",
                 {"z": z, "forced_unit_Hb": True}, res, 1e-7,
                 detail="expected failure: zeroth Taylor value dropped")

@@ -240,12 +240,11 @@ def test_criterion_09_profile_suite():
     worst_q = 0.0
     for s in (0.0, ctx.q ** 8, ctx.q ** 6, ctx.q ** 4):
         for _ in range(3):
-            t1, t2, t3 = generating_Q_terms(s, sample_z(rng, 0.85, 1.2), kp,
-                                            lam, 60)
+            t1, t2, t3 = generating_Q_terms(s, sample_z(rng, 0.85, 1.2), kp, lam)
             worst_q = max(worst_q, abs(t1 - t2 - t3) / max(abs(t1), abs(t2),
                                                            abs(t3)))
     assert worst_q < 1e-7
-    worst_bridge = max(bridge_residual(N, sample_z(rng, 0.9, 1.15), kp, lam, 60)
+    worst_bridge = max(bridge_residual(N, sample_z(rng, 0.9, 1.15), kp, lam)
                        for N in range(4, 11))
     assert worst_bridge < 1e-6
     report(9, "profile suite",

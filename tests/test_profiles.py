@@ -189,24 +189,24 @@ class TestProfileKernelCoefficients:
 class TestGeneratingResidual:
     def test_vanishes_at_s_zero(self, kp, lam, rng):
         w = sample_z(rng, 0.85, 1.2)
-        t1, t2, t3 = generating_Q_terms(0.0, w, kp, lam, 60)
+        t1, t2, t3 = generating_Q_terms(0.0, w, kp, lam)
         assert abs(t1 - t2 - t3) < 1e-8 * max(abs(t1), abs(t2), abs(t3))
 
     def test_vanishes_on_s_grid(self, kp, lam, ctx4, rng):
         for s in (ctx4.q ** 8, ctx4.q ** 6, ctx4.q ** 4):
             for _ in range(3):
                 w = sample_z(rng, 0.85, 1.2)
-                t1, t2, t3 = generating_Q_terms(s, w, kp, lam, 60)
+                t1, t2, t3 = generating_Q_terms(s, w, kp, lam)
                 assert abs(t1 - t2 - t3) < 1e-7 * max(abs(t1), abs(t2), abs(t3))
 
     def test_value_api(self, kp, lam, ctx4):
-        t1, t2, t3 = generating_Q_terms(ctx4.q ** 5, 1.05 + 0.2j, kp, lam, 60)
+        t1, t2, t3 = generating_Q_terms(ctx4.q ** 5, 1.05 + 0.2j, kp, lam)
         assert abs(t1 - t2 - t3) < 1e-7
 
     @pytest.mark.parametrize("N", [4, 7, 10])
     def test_bridge_to_pole_cleared_residual(self, N, kp, lam, rng):
         w = sample_z(rng, 0.9, 1.15)
-        assert bridge_residual(N, w, kp, lam, 60) < 1e-6
+        assert bridge_residual(N, w, kp, lam) < 1e-6
 
 
 class TestContiguousMoments:

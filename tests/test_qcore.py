@@ -3,7 +3,8 @@ import math
 import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
-from qtaylor.qcore import (QContext, qpoch_finite, qpoch_infinite, qpoch_multi,
+from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, geometric_depth,
+                           qpoch_finite, qpoch_infinite, qpoch_multi,
                            scaled_residual, theta, weierstrass_terms)
 from qtaylor.sampling import sample_complex
 
@@ -76,15 +77,30 @@ class TestQPochhammer:
 
     def test_tail_bound_certificate(self, ctx):
         tb = qpoch_infinite(ctx.q, ctx)
-        assert 0.0 < tb.tail_abs < ctx.eps_tail
-        # the certified bound dominates the actual omitted log-tail
-        omitted = abs(ctx.q) ** (tb.terms_used + 1)
-        assert tb.tail_abs >= omitted / (1 - abs(ctx.q)) * 0.5
+        # below a quarter of the binary64 unit roundoff
+        assert 0.0 < tb.tail_abs < TAIL_TARGET
+        # the certified bound dominates the actual omitted log-tail (up to
+        # the rounding of |a||q|^N, formed by N multiplications)
+        q = abs(ctx.q)
+        n = tb.terms_used
+        omitted = sum(-math.log1p(-q ** j) for j in range(n + 1, n + 200))
+        assert tb.tail_abs >= omitted * (1 - 1e-13)
+        # and one factor fewer would miss the target
+        assert q * q ** (n - 1) / (1 - q) >= TAIL_TARGET
 
     def test_truncation_failure(self):
         ctx = QContext(0.9, max_terms=16)
         with pytest.raises(TruncationFailure):
             qpoch_infinite(0.5, ctx)
+
+    def test_high_base_needs_no_cap(self):
+        # (0.8;0.9)_inf takes 388 factors; a fixed 512-factor cap with a
+        # 1e-24 target used to need 522
+        tb = qpoch_infinite(0.8, QContext(0.9))
+        brute = brute_product(0.8, 0.9, 4000)
+        assert abs(tb.value - brute) <= 1e-13 * abs(brute)
+        with pytest.raises(TruncationFailure):
+            qpoch_infinite(0.8, QContext(0.9, max_terms=16))
 
     def test_shift_identity(self, ctx, rng):
         # (u;q)_inf = (u;q)_k (u q^k;q)_inf
@@ -94,6 +110,39 @@ class TestQPochhammer:
             lhs = qpoch_infinite(a, ctx).value
             rhs = qpoch_finite(a, k, ctx) * qpoch_infinite(a * ctx.q ** k, ctx).value
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+class TestGeometricDepth:
+    def test_first_depth_below_target(self, rng):
+        for _ in range(2000):
+            rate = rng.uniform(0.0, 0.999)
+            lead = 10.0 ** rng.uniform(-20.0, 20.0)
+            n = geometric_depth(rate, lead)
+            assert lead * rate ** n / (1 - rate) < TAIL_TARGET
+            if n:
+                assert lead * rate ** (n - 1) / (1 - rate) >= TAIL_TARGET
+
+    def test_edge_cases(self):
+        assert geometric_depth(0.5, 0.0) == 0
+        assert geometric_depth(0.0, 1.0) == 1
+        assert geometric_depth(0.0, TAIL_TARGET / 2) == 0
+
+    @pytest.mark.parametrize("rate, lead", [(1.0, 1.0), (1.5, 1.0), (-0.1, 1.0),
+                                            (0.5, math.inf), (0.5, math.nan)])
+    def test_no_geometric_tail(self, rate, lead):
+        with pytest.raises(TruncationFailure):
+            geometric_depth(rate, lead)
+
+    def test_cap(self):
+        n = geometric_depth(0.9)
+        assert geometric_depth(0.9, cap=n) == n
+        with pytest.raises(TruncationFailure):
+            geometric_depth(0.9, cap=n - 1)
+
+    def test_fit_window(self):
+        assert fit_window(0.45) == list(range(6, 15))  # 0.45^6 = 8.3e-3
+        assert fit_window(0.05) == list(range(2, 11))
+        assert fit_window(0.8) == list(range(12, 21))  # latest start
 
 
 class TestQPochhammerMulti:
