@@ -12,8 +12,6 @@ cancellations provide the independent routes through the same identity.
 
 from __future__ import annotations
 
-import cmath
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -31,8 +29,8 @@ from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
 from .wpoperator import SymmetricFunction, apply_Dcq
 
 
-def _sym_inf(alpha: complex, z: complex, ctx: QContext) -> complex:
-    """(alpha z; q)_inf (alpha / z; q)_inf."""
+def _sym_inf(alpha: complex, z, ctx: QContext):
+    """(alpha z; q)_inf (alpha / z; q)_inf, at a point or an ndarray of points."""
     return qpoch_infinite(alpha * z, ctx).value * qpoch_infinite(alpha / z, ctx).value
 
 
@@ -209,10 +207,12 @@ def fk_coefficient(kp: KernelParams, k: int) -> complex:
     q = ctx.q
     bcq = b * c / q
     lead = (1.0 - bcq * q ** (2 * k)) / (1.0 - bcq)
-    num = qpoch_multi([bcq, d, e, c * c / (d * e * q)], k, ctx).value
-    den = qpoch_multi([q, b * c / d, b * c / e, b * d * e * q / c], k, ctx).value
-    if abs(den) <= ctx.pole_margin:
+    # guard each factor: the product (q;q)_40 alone is 1.5e-6 at q = 0.9
+    bases = (b * c / d, b * c / e, b * d * e * q / c)
+    if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
         raise ZeroDenominator("vanishing denominator in f_k")
+    num = qpoch_multi([bcq, d, e, c * c / (d * e * q)], k, ctx).value
+    den = qpoch_multi([q, *bases], k, ctx).value
     return lead * num / den * q ** k
 
 
@@ -224,12 +224,12 @@ def gk_coefficient(kp: KernelParams, k: int) -> complex:
     q = ctx.q
     xq = c ** 3 / (b * d ** 2 * e ** 2 * q)
     lead = (1.0 - xq * q ** (2 * k)) / (1.0 - xq)
+    bases = (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e))
+    if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
+        raise ZeroDenominator("vanishing denominator in g_k")
     num = qpoch_multi([xq, c / (b * d), c / (b * e), c * c / (d * e * q)],
                       k, ctx).value
-    den = qpoch_multi([q, c * c / (d * e * e), c * c / (d * d * e),
-                       c * q / (b * d * e)], k, ctx).value
-    if abs(den) <= ctx.pole_margin:
-        raise ZeroDenominator("vanishing denominator in g_k")
+    den = qpoch_multi([q, *bases], k, ctx).value
     return lead * num / den * q ** k
 
 
@@ -337,41 +337,45 @@ def M_clearing(z: complex, kp: KernelParams) -> complex:
             * _sym_inf(kp.c ** 2 / (kp.b * kp.d * kp.e), z, kp.ctx))
 
 
-def _cleared_family_sum(z: complex, pair: BasisPair, coeffs: Iterable[complex],
-                        ctx: QContext) -> complex:
+def _cleared_family_sum(z, pair: BasisPair, coeffs: Iterable[complex],
+                        ctx: QContext):
     """sum_k u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c).
 
     The infinite tail product is evaluated once and divided down one factor
-    pair per order, so the sum carries no basis denominators.
+    pair per order, so the sum carries no basis denominators.  z may be an
+    ndarray of points: the loop runs over k, each step over every point,
+    and a tail update within the margin at any point raises.
     """
     q = ctx.q
     a, c = pair.a, pair.c
     tail = _sym_inf(c, z, ctx)
+    cz, az = c * z, a * z
     fin = 1.0 + 0.0j
     total = 0.0 + 0.0j
     x = 1.0 + 0.0j
     for k, u in enumerate(coeffs):
         if k:
-            div = (1.0 - c * z * x) * (1.0 - c * x / z)
-            if abs(div) <= ctx.pole_margin ** 2:
+            div = (1.0 - cz * x) * (1.0 - c * x / z)
+            if np.any(abs(div) <= ctx.pole_margin ** 2):
                 raise PoleProximity(f"tail-product update within margin (c = {c})")
             tail /= div
-            fin *= (1.0 - a * z * x) * (1.0 - a * x / z)
+            fin *= (1.0 - az * x) * (1.0 - a * x / z)
             x *= q
         total += u * fin * tail
     return total
 
 
-def pole_cleared_E_terms(z: complex, kp: KernelParams,
-                         n_trunc: int) -> tuple[complex, complex, complex]:
+def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:
     """The three additive terms of the pole-cleared residual E(z).
 
     E = t1 - t2 - t3 where t1 is the numerator product of F and t2, t3
     are the pole-cleared coefficient sums; each infinite product is
-    truncated with a certified tail.
+    truncated with a certified tail.  z may be an ndarray of points (the
+    terms are then arrays): H(b), K(c/de) and the two coefficient lists
+    do not depend on z and are computed once per call.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    if z == 0:
+    if np.any(z == 0):
         raise DomainError("E is defined on the punctured plane")
     phi, psi = kp.phi_pair, kp.psi_pair
     t1 = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
@@ -384,26 +388,28 @@ def pole_cleared_E_terms(z: complex, kp: KernelParams,
     return t1, t2, t3
 
 
-def laurent_coefficient_detail(G: Callable[[complex], Sequence[complex]],
+def laurent_coefficient_detail(G: Callable[[np.ndarray], Sequence],
                                ns: Iterable[int], radius: float,
                                ctx: QContext) -> list[tuple[complex, float, int]]:
     """Trapezoid contour coefficients [z^{-n}] of G = t_0 - t_1 - ... on |z| = radius.
 
-    G(z) returns the additive terms (t_0, t_1, ...).  One sample of G on m
+    G receives an ndarray of nodes and returns the additive terms
+    (t_0, t_1, ...), each an array over those nodes.  One sample of G on m
     equispaced nodes serves every n: [z^{-n}] = r^n ifft(values)[n mod m],
     values being t_0 - t_1 - ... at the nodes (the trapezoid rule, see
     Trefethen & Weideman, SIAM Rev. 56, 2014).
-    The sample starts at 64 nodes and doubles, keeping the earlier nodes,
-    until every coefficient changes by at most eps_rel * scale; scale is
-    r^n times the largest sampled |t_i|, because G itself may be a
-    near-cancelling identity residual.  Returns (coefficient, scale, nodes)
-    for each n; QuadratureNonConvergence past 1024 nodes.
+    The sample starts at 64 nodes and doubles, keeping the earlier nodes
+    and calling G once on the batch of half-offset nodes (so at most five
+    calls), until every coefficient changes by at most eps_rel * scale;
+    scale is r^n times the largest sampled |t_i|, because G itself may be
+    a near-cancelling identity residual.  Returns (coefficient, scale,
+    nodes) for each n; QuadratureNonConvergence past 1024 nodes.
     """
     ns = list(ns)
 
     def sample(m: int, offset: float) -> np.ndarray:
-        return np.array([G(radius * cmath.exp(2j * math.pi * (j + offset) / m))
-                         for j in range(m)], dtype=complex)
+        nodes = radius * np.exp(2j * np.pi * (np.arange(m) + offset) / m)
+        return np.stack(G(nodes), axis=1)
 
     terms = sample(64, 0.0)
     prev = None
@@ -458,20 +464,6 @@ def _euler_coeffs(u: complex, ctx: QContext) -> np.ndarray:
             return np.asarray(coeffs, dtype=complex)
 
 
-def _gauss_coeffs(u: complex, k: int, ctx: QContext) -> np.ndarray:
-    """Polynomial coefficients of (u t;q)_k in powers of t."""
-    q = ctx.q
-    poly = np.zeros(k + 1, dtype=complex)
-    poly[0] = 1.0
-    x = complex(u)
-    for j in range(k):
-        shifted = np.zeros(k + 1, dtype=complex)
-        shifted[1:j + 2] = poly[:j + 1] * (-x)
-        poly = poly + shifted
-        x *= q
-    return poly
-
-
 def calP_quadruple(alpha: complex, beta: complex, gamma: complex, delta: complex,
                    n: int, ctx: QContext) -> complex:
     """[z^{-n}] (alpha z, beta/z, gamma z, delta/z;q)_inf by the quadruple sum.
@@ -481,59 +473,88 @@ def calP_quadruple(alpha: complex, beta: complex, gamma: complex, delta: complex
     """
     pos = np.convolve(_euler_coeffs(alpha, ctx), _euler_coeffs(gamma, ctx))
     neg = np.convolve(_euler_coeffs(beta, ctx), _euler_coeffs(delta, ctx))
-    return _laurent_pair(pos, neg, n)
+    return complex(laurent_pair(pos, neg, n))
 
 
-def calP1(kp: KernelParams, n: int, k: int) -> complex:
-    """[z^{-n}] (cz/de, c/dez;q)_inf (bz, b/z;q)_k (czq^k, cq^k/z;q)_inf.
+def calP_tables(kp: KernelParams, k_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient tables of the two cleared family products, rows k = 0..k_trunc.
 
-    The z and 1/z directions carry the same parameter bases, so a single
-    coefficient array serves both sides of the convolution.
+    Row k of the first table holds the coefficients in z of
+    (cz/de;q)_inf (bz;q)_k (czq^k;q)_inf, row k of the second those of
+    (bz;q)_inf (cz/de;q)_k (c^2 zq^k/bde;q)_inf.  The 1/z side of each
+    product carries the same bases, so laurent_pair(table, table, n)[k] is
+    P1_{n,k} = [z^{-n}] (cz/de, c/dez;q)_inf (bz, b/z;q)_k (czq^k, cq^k/z;q)_inf,
+    resp. P2_{n,k}, for every n.
     """
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
+    return (_calP_table(kp.psi_pair.a, kp.phi_pair, k_trunc, kp.ctx),
+            _calP_table(kp.phi_pair.a, kp.psi_pair, k_trunc, kp.ctx))
+
+
+def _calP_table(outer: complex, pair: BasisPair, k_trunc: int,
+                ctx: QContext) -> np.ndarray:
+    """Rows (outer z;q)_inf (az;q)_k (czq^k;q)_inf for k = 0..k_trunc, zero-padded.
+
+    The Euler factor of `outer` is expanded once and (az;q)_k grows by one
+    factor per row.
+    """
     q = ctx.q
-    pos = np.convolve(np.convolve(_euler_coeffs(c / (d * e), ctx),
-                                  _euler_coeffs(c * q ** k, ctx)),
-                      _gauss_coeffs(b, k, ctx))
-    return _laurent_pair(pos, pos, n)
+    euler = _euler_coeffs(outer, ctx)
+    finite = np.ones(1, dtype=complex)
+    x = complex(pair.a)
+    rows = []
+    for k in range(k_trunc + 1):
+        rows.append(np.convolve(np.convolve(euler, _euler_coeffs(pair.c * q ** k, ctx)),
+                                finite))
+        finite = np.append(finite, 0.0) - x * np.append(0.0, finite)
+        x *= q
+    width = max(map(len, rows))
+    return np.array([np.pad(row, (0, width - len(row))) for row in rows])
 
 
-def calP2(kp: KernelParams, n: int, k: int) -> complex:
-    """[z^{-n}] (bz, b/z;q)_inf (cz/de, c/dez;q)_k (c^2 zq^k/bde, c^2 q^k/bdez;q)_inf."""
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q = ctx.q
-    c2 = c * c / (b * d * e)
-    pos = np.convolve(np.convolve(_euler_coeffs(b, ctx),
-                                  _euler_coeffs(c2 * q ** k, ctx)),
-                      _gauss_coeffs(c / (d * e), k, ctx))
-    return _laurent_pair(pos, pos, n)
+def laurent_pair(pos: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
+    """[z^{-n}] of P(z) N(1/z) = sum_i pos_i neg_{i+n}, along the last axis."""
+    if n < 0:
+        pos, neg, n = neg, pos, -n
+    m = max(min(pos.shape[-1], neg.shape[-1] - n), 0)
+    return (pos[..., :m] * neg[..., n:n + m]).sum(axis=-1)
 
 
-def _laurent_pair(pos: np.ndarray, neg: np.ndarray, n: int) -> complex:
-    total = 0.0 + 0.0j
-    for i, p in enumerate(pos):
-        j = i + n
-        if 0 <= j < len(neg):
-            total += p * neg[j]
-    return total
+def structured_E_terms(kp: KernelParams, n: int, tables: tuple[np.ndarray, np.ndarray],
+                       fs: Iterable[complex], gs: Iterable[complex]
+                       ) -> tuple[complex, complex, complex]:
+    """[z^{-n}] of the three additive terms of E by the structured sums.
+
+    P_n(c/d, c/d, c/e, c/e), H(b) sum_k f_k P1_{n,k} and
+    K(c/de) sum_k g_k P2_{n,k}, with P1, P2 read from calP_tables and the
+    coefficients f_k, g_k supplied by the caller (k below the table rows).
+    """
+    c, d, e = kp.c, kp.d, kp.e
+
+    def family(table: np.ndarray, coeffs: Iterable[complex]) -> complex:
+        u = np.array(list(coeffs), dtype=complex)
+        rows = table[:len(u)]
+        return complex(u @ laurent_pair(rows, rows, n))
+
+    return (calP_quadruple(c / d, c / d, c / e, c / e, n, kp.ctx),
+            H_at_b(kp) * family(tables[0], fs),
+            K_at_cde(kp) * family(tables[1], gs))
 
 
-def cancellation_identity_residual(kp: KernelParams, n: int, k_trunc: int) -> float:
+def cancellation_identity_residual(kp: KernelParams, n: int,
+                                   tables: tuple[np.ndarray, np.ndarray]) -> float:
     """Residual of the Laurent-coefficient cancellation at order n >= 1.
 
     |P_n(c/d, c/d, c/e, c/e) - H(b) sum_k f_k P1_{n,k} - K(c/de) sum_k g_k P2_{n,k}|
-    over the largest of the three term magnitudes; all pieces via the
-    structured sums, independent of the contour quadrature oracle.
+    over the largest term magnitude, summed over k = 0..k_trunc with
+    tables = calP_tables(kp, k_trunc) and the very-well-poised summands
+    f_k, g_k; structured sums only, independent of the contour oracle.
     """
     if n < 1:
         raise DomainError("the cancellation family starts at n = 1")
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    lhs = calP_quadruple(c / d, c / d, c / e, c / e, n, ctx)
-    fs = vwp_terms(f_spec(kp), k_trunc, ctx)
-    gs = vwp_terms(g_spec(kp), k_trunc, ctx)
-    t2 = H_at_b(kp) * sum((f * calP1(kp, n, k) for k, f in enumerate(fs)), 0.0 + 0.0j)
-    t3 = K_at_cde(kp) * sum((g * calP2(kp, n, k) for k, g in enumerate(gs)), 0.0 + 0.0j)
-    return scaled_residual(lhs, t2, t3)
+    k_trunc = len(tables[0]) - 1
+    return scaled_residual(*structured_E_terms(
+        kp, n, tables, vwp_terms(f_spec(kp), k_trunc, kp.ctx),
+        vwp_terms(g_spec(kp), k_trunc, kp.ctx)))
 
 
 def H_lowering_residual(z: complex, kp: KernelParams) -> float:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import VWPSpec, _series_sum, _vwp_ratio, vwp_eval
 from .kernel import (KernelParams, H_at_b, K_at_cde, adaptive_series_depth, f_spec,
@@ -33,11 +35,12 @@ def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
 
     Clearance is tested factor by factor, so quotients whose numerator and
     denominator legitimately differ by many orders of magnitude are not
-    misdiagnosed as poles.
+    misdiagnosed as poles.  An ndarray base is judged by its worst node.
     """
-    for u in bases:
-        if factor_clearance(u, ctx) <= ctx.pole_margin:
-            raise PoleProximity(f"{what}: denominator base {u} within pole margin")
+    for base in bases:
+        for u in np.ravel(base):
+            if factor_clearance(u, ctx) <= ctx.pole_margin:
+                raise PoleProximity(f"{what}: denominator base {u} within pole margin")
 
 
 @dataclass(frozen=True)
@@ -198,22 +201,25 @@ def leading_profile_theta_residual(t: complex, kp: KernelParams) -> float:
     return scaled_residual(lhs, t2, t3)
 
 
-def _validate_s_disc(s: complex, w: complex, alpha: complex, beta: complex,
+def _validate_s_disc(s, w: complex, alpha: complex, beta: complex,
                      lam: complex, ctx: QContext) -> None:
+    """Reject s (at its worst node, for an ndarray) outside the validated disc."""
     t = lam * w
-    worst = max(abs(s * alpha * t), abs(s * beta * t),
-                abs(s * t * ctx.q / alpha), abs(s * t * ctx.q / beta))
+    s_max = float(np.max(np.abs(s)))
+    worst = max(abs(s_max * alpha * t), abs(s_max * beta * t),
+                abs(s_max * t * ctx.q / alpha), abs(s_max * t * ctx.q / beta))
     if worst >= 0.5:
         raise ConvergenceRegionViolation(
-            f"|s| = {abs(s):.3g} outside the validated disc (arg bound {worst:.3g})")
+            f"|s| = {s_max:.3g} outside the validated disc (arg bound {worst:.3g})")
 
 
-def profile_kernel_P(s: complex, w: complex, alpha: complex, beta: complex,
-                     lam: complex, ctx: QContext) -> complex:
+def profile_kernel_P(s, w: complex, alpha: complex, beta: complex,
+                     lam: complex, ctx: QContext):
     """The profile kernel: a four-quotient product, holomorphic in s near 0.
 
     P(0, w) is the limiting profile L_{alpha,beta}(w); at s = q^N the
     kernel reproduces the exactly rescaled product quotient on layer N.
+    An ndarray of s (contour nodes) gives the array of values.
     """
     _validate_s_disc(s, w, alpha, beta, lam, ctx)
     t = lam * w

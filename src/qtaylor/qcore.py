@@ -30,6 +30,8 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, TruncationFailure
 
 
@@ -155,27 +157,30 @@ def qpoch_finite(a: complex, n: int, ctx: QContext) -> complex:
     return value
 
 
-def qpoch_infinite(a: complex, ctx: QContext) -> TailBound:
+def qpoch_infinite(a, ctx: QContext) -> TailBound:
     """Truncated infinite product (a;q)_inf with a certified tail bound.
 
     The depth is geometric_depth(|q|, |a|): the omitted log-factors sum to
     at most |a||q|^N / ((1 - |q|)(1 - |a||q|^N)) < TAIL_TARGET (to first
-    order), which is the certificate returned as tail_abs.  Raises
-    TruncationFailure when the depth exceeds the user cap ctx.max_terms.
+    order), which is the certificate returned as tail_abs.  An ndarray of
+    bases runs the same loop elementwise at one depth, taken from the
+    largest |a|, so the certificate of the largest row bounds every row;
+    the value is then an array and terms_used counts the factors of every
+    row.  Raises TruncationFailure when the depth exceeds the user cap
+    ctx.max_terms.
     """
-    a = complex(a)
-    if a == 0:
-        return TailBound(1.0 + 0.0j, 0.0, 0)
     q = ctx.q
-    n = geometric_depth(abs(q), abs(a), ctx.max_terms)
-    value = 1.0 + 0.0j
-    x = a
+    batch = isinstance(a, np.ndarray)
+    x = np.array(a, dtype=complex) if batch else complex(a)
+    peak = (lambda v: float(np.abs(v).max(initial=0.0))) if batch else abs
+    n = geometric_depth(abs(q), peak(x), ctx.max_terms)
+    value = np.ones_like(x) if batch else 1.0 + 0.0j
     for _ in range(n):
         value *= 1.0 - x
         x *= q
-    r = abs(x)  # = |a||q|^n < TAIL_TARGET (1 - |q|)
+    r = peak(x)  # = max |a||q|^n < TAIL_TARGET (1 - |q|)
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
-    return TailBound(value, tail, n)
+    return TailBound(value, tail, n * (x.size if batch else 1))
 
 
 def _pinf(a: complex, ctx: QContext) -> complex:
@@ -204,35 +209,34 @@ def qpoch_multi(params: Sequence[complex], n: int | None, ctx: QContext) -> Tail
     return TailBound(value, tail, terms)
 
 
-def theta(u: complex, ctx: QContext) -> complex:
+def theta(u, ctx: QContext):
     """Multiplicative theta: theta(u) = (u;q)_inf (q/u;q)_inf.
 
     Satisfies theta(u) = theta(q/u) and vanishes at u = q^m, m in Z.
+    An ndarray of u gives the array of values.
     """
-    u = complex(u)
-    if u == 0:
+    if np.any(u == 0):
         raise DomainError("theta requires u != 0")
     return qpoch_infinite(u, ctx).value * qpoch_infinite(ctx.q / u, ctx).value
 
 
-def theta_multi(us: Iterable[complex], ctx: QContext) -> complex:
-    """Product of multiplicative thetas over a parameter list."""
+def theta_multi(us: Iterable, ctx: QContext):
+    """Product of multiplicative thetas over a parameter list (of scalars or arrays)."""
     value = 1.0 + 0.0j
     for u in us:
         value *= theta(u, ctx)
     return value
 
 
-def weierstrass_terms(x: complex, y: complex, u: complex, v: complex,
-                      ctx: QContext) -> tuple[complex, complex, complex]:
+def weierstrass_terms(x, y, u, v, ctx: QContext) -> tuple:
     """The three additive terms of the theta addition formula.
 
     Returns (t1, t2, t3) with t1 - t2 - t3 = 0 as an identity:
     t1 = theta(xy, x/y, uv, u/v), t2 = theta(xv, x/v, uy, u/y),
-    t3 = (u/y) theta(yv, y/v, xu, x/u).
+    t3 = (u/y) theta(yv, y/v, xu, x/u).  Arrays of points give arrays of terms.
     """
     for name, w in (("x", x), ("y", y), ("u", u), ("v", v)):
-        if w == 0:
+        if np.any(w == 0):
             raise DomainError(f"weierstrass residual requires {name} != 0")
     t1 = theta_multi([x * y, x / y, u * v, u / v], ctx)
     t2 = theta_multi([x * v, x / v, u * y, u / y], ctx)
@@ -240,14 +244,18 @@ def weierstrass_terms(x: complex, y: complex, u: complex, v: complex,
     return t1, t2, t3
 
 
-def scaled_residual(*terms: complex) -> float:
+def scaled_residual(*terms):
     """|t_0 - t_1 - t_2 - ...| over max |t_i|; 0.0 when every term is 0.
 
     The terms are subtracted in order, so the result is bit-equal to the
-    inline ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.
+    inline ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.  Array
+    terms give the residual at every point.
     """
-    scale = max(abs(t) for t in terms)
-    return abs(reduce(operator.sub, terms)) / scale if scale else 0.0
+    scale = reduce(np.maximum, map(abs, terms))
+    diff = abs(reduce(operator.sub, terms))
+    if np.ndim(scale):
+        return np.divide(diff, scale, out=np.zeros_like(scale), where=scale > 0)
+    return diff / scale if scale else 0.0
 
 
 def factor_clearance(u: complex, ctx: QContext) -> float:

@@ -12,11 +12,11 @@ import time
 import numpy as np
 
 from qtaylor.kernel import (adaptive_series_depth,
-                            E_contour_coefficient, H_at_b, K_at_cde,
-                            calP1, calP_quadruple, calP2,
+                            E_contour_coefficient, calP_tables,
                             cancellation_identity_residual, fk_coefficient,
                             gk_coefficient, involute, pole_cleared_E_terms,
-                            remainder_gap_curve, two_basis_residual)
+                            remainder_gap_curve, structured_E_terms,
+                            two_basis_residual)
 from qtaylor.profiles import (annular_factorization_residual, bridge_residual,
                               generating_Q_terms, leading_profile_residual,
                               profile_sums_and_closed_forms)
@@ -183,21 +183,17 @@ def test_criterion_07_laurent_cancellation():
     rng = random.Random(107)
     ctx = QContext(0.4)
     kp = sample_kernel_params(rng, ctx)
+    tables = calP_tables(kp, 50)
+    fs = [fk_coefficient(kp, k) for k in range(51)]
+    gs = [gk_coefficient(kp, k) for k in range(51)]
     worst = 0.0
     cross = 0.0
     for n, (coeff, scale, _) in enumerate(E_contour_coefficient(kp, range(1, 7)), 1):
         worst = max(worst, abs(coeff) / scale)
         if n <= 2:
-            structured = (calP_quadruple(kp.c / kp.d, kp.c / kp.d,
-                                         kp.c / kp.e, kp.c / kp.e, n, ctx)
-                          - H_at_b(kp) * sum(fk_coefficient(kp, k)
-                                             * calP1(kp, n, k)
-                                             for k in range(51))
-                          - K_at_cde(kp) * sum(gk_coefficient(kp, k)
-                                               * calP2(kp, n, k)
-                                               for k in range(51)))
-            cross = max(cross, abs(structured - coeff) / scale)
-            assert cancellation_identity_residual(kp, n, 50) < 1e-6
+            t1, t2, t3 = structured_E_terms(kp, n, tables, fs, gs)
+            cross = max(cross, abs(t1 - t2 - t3 - coeff) / scale)
+            assert cancellation_identity_residual(kp, n, tables) < 1e-6
     assert worst < 1e-6
     assert cross < 1e-6
     report(7, "negative Laurent coefficients",

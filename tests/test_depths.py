@@ -63,3 +63,16 @@ def test_remainder_gap_check_needs_complementary_target(monkeypatch, q):
 def test_no_truncation_failure_at_high_bases(q, seed):
     report = run_suites(SuiteConfig(q=q, seed=seed))
     assert not [r for r in report.records if "TruncationFailure" in r.detail]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite, q", [
+    ("hyper", 0.8), ("hyper", 0.9), ("hyper", -0.8), ("hyper", 0.6 + 0.5j),
+    ("kernel", 0.9), ("laurent", 0.9),
+])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 3])
+def test_no_suite_abort_at_high_bases(suite, q, seed):
+    # the fixed Rogers probe left |aq/(bcd)| >= 1 past |q| ~ 0.82, and the
+    # f_k/g_k guard took (q;q)_40 ~ 1.5e-6 at q = 0.9 for a pole
+    report = run_suites(SuiteConfig(suites=(suite,), q=q, seed=seed))
+    assert not [r.detail for r in report.records if r.check == "suite-abort"]

@@ -7,6 +7,7 @@ from qtaylor.hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual,
                            phi_eval, rogers_6w5_residual, vwp_eval,
                            vwp_expanded_spec, well_poised_defect)
 from qtaylor.sampling import sample_complex
+from qtaylor.suites import SuiteConfig, run_hyper
 
 
 class TestPhiSeries:
@@ -112,6 +113,13 @@ class TestRogersSummation:
 
     def test_small_c_limit_region(self, ctx):
         assert rogers_6w5_residual(0.04, 0.8, 0.05 + 0.01j, 0.8, ctx) < 1e-8
+
+    @pytest.mark.parametrize("q", [0.45, 0.9, -0.8, 0.6 + 0.5j])
+    def test_suite_probe_scales_with_q(self, q):
+        # the suite's small-c probe keeps |aq/(bcd)| at 0.55 at every base
+        records = {r.check: r for r in run_hyper(SuiteConfig(q=q))}
+        assert "suite-abort" not in records
+        assert records["rogers-summation"].passed
 
     def test_convergence_region_enforced(self, ctx):
         with pytest.raises(DomainError):

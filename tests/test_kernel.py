@@ -96,6 +96,15 @@ class TestCoefficientFamilies:
             g = gk_coefficient(kp, k)
             assert g == pytest.approx(fk_coefficient(ip, k), rel=1e-12)
 
+    def test_high_base_denominators_are_not_poles(self):
+        # (q;q)_40 = 1.5e-6 at q = 0.9: the product is small, no factor is
+        kp = KernelParams(0.55 + 0.2j, 0.62 - 0.25j, 0.48 + 0.33j, 0.71 - 0.12j,
+                          QContext(0.9))
+        fs = list(vwp_terms(f_spec(kp), 40, kp.ctx))
+        gs = list(vwp_terms(g_spec(kp), 40, kp.ctx))
+        assert fk_coefficient(kp, 40) == pytest.approx(fs[40], rel=1e-10)
+        assert gk_coefficient(kp, 40) == pytest.approx(gs[40], rel=1e-10)
+
     def test_vwp_terms_match_closed_form(self, kp):
         fs = list(vwp_terms(f_spec(kp), 12, kp.ctx))
         gs = list(vwp_terms(g_spec(kp), 12, kp.ctx))
