@@ -14,8 +14,7 @@ from .errors import (ConfigError, ConvergenceRegionViolation, DivergenceSuspecte
                      TruncationFailure, ZeroDenominator)
 from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, phi_eval,
                     rogers_6w5_residual, vwp_eval)
-from .kernel import (KernelParams, bailey_crosscheck,
-                     cancellation_identity_residual, complementary_remainder_gap,
+from .kernel import (KernelParams, bailey_crosscheck, cancellation_identity_residual,
                      fk_coefficient, gk_coefficient, involute, kernel_factors,
                      kernel_taylor_crosscheck, laurent_coefficient_detail,
                      two_basis_residual)

@@ -19,9 +19,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
-from .suites import (DECAY_TARGETS, SUITE_NAMES, SuiteConfig,
-                     emit_decay_csv, parse_complex, run_suites)
+from .errors import ConfigError, DomainError, ZeroDenominator
+from .suites import (DECAY_TARGETS, SUITE_NAMES, SuiteConfig, emit_decay_csv,
+                     kernel_params_from_config, parse_complex, run_suites)
 
 
 def _load_params_file(path: str) -> dict:
@@ -77,8 +77,9 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
     if not 0.0 < lo <= hi:
         raise ConfigError("modulus_range must satisfy 0 < lo <= hi")
 
-    if "explicit" in file_cfg and not file_cfg["explicit"]:
-        raise ConfigError("explicit parameter set is empty")
+    explicit = file_cfg.get("explicit", [])
+    if not isinstance(explicit, list) or ("explicit" in file_cfg and not explicit):
+        raise ConfigError("explicit must be a nonempty list of {b, c, d, e} objects")
 
     eps_rel = args.tol if args.tol is not None else file_cfg.get("eps_rel")
     eps_rel = os.environ.get("QTAYLOR_TOL", eps_rel)
@@ -92,11 +93,13 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
                    if max_terms is not None else None),
         negative_controls=bool(args.negative_controls
                                or file_cfg.get("negative_controls", False)),
-        explicit_kernel=tuple(file_cfg.get("explicit", ()) or ()),
+        explicit_kernel=tuple(explicit),
     )
     try:
-        cfg.context()
-    except DomainError as exc:
+        ctx = cfg.context()
+        for entry in explicit:
+            kernel_params_from_config(entry, ctx)
+    except (DomainError, ZeroDenominator) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

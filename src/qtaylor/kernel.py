@@ -300,14 +300,9 @@ def two_basis_residual(z: complex, kp: KernelParams, n_trunc: int, *,
                                             force_unit_Kcde=force_unit_Kcde))
 
 
-def complementary_remainder_gap(z: complex, kp: KernelParams, n: int) -> float:
-    """Gap |A R_n H(z) - B K(c/de) S_g| / scale, R_n via the operator pipeline."""
-    return remainder_gap_curve(z, kp, [n])[0]
-
-
 def remainder_gap_curve(z: complex, kp: KernelParams,
                         orders: Sequence[int]) -> list[float]:
-    """complementary_remainder_gap at several orders, sharing the coefficients."""
+    """Gap |A R_n H(z) - B K(c/de) S_g| / scale at each order, R_n via the operator pipeline."""
     ctx = kp.ctx
     n_max = max(orders)
     expansion = taylor_expand(H_series_function(kp), kp.phi_pair, n_max, ctx)

@@ -1,10 +1,21 @@
 """Check catalog for the verification suites.
 
 Each check evaluates one identity family at seeded draws and emits a
-CheckRecord carrying the draw parameters, the worst scale-relative
-residual, the tolerance it was judged against and the verdict.  Records
-are deterministic functions of (config, seed): suite RNGs are derived
-from the master seed by fixed offsets, never from global state.
+CheckRecord carrying the draw parameters, the worst residual, its scale,
+the tolerance and the verdict.  Records are deterministic functions of
+(config, seed): suite RNGs are derived from the master seed by fixed
+offsets, never from global state.
+
+Every check is a ``with check(name, anchor, tol, **params) as c:`` block
+(:class:`Check`) that keeps its worst residual.  ``scale`` is what that
+residual was divided by: the largest |t_i| of an identity t_0 = t_1 + ...
+judged by ``c.terms`` (``qcore.scaled_residual``), |ref| of a relative
+error judged by ``c.rel``, and 1.0 for a residual passed to ``c.see``
+as is.  A ``QTaylorError`` or ``ArithmeticError`` raised inside a block
+fails that check alone, with residual inf and ``"<Type>: message"`` in
+``detail``.  Draws and values that several checks share are made before
+the first of them opens; an error there, such as a sampler that runs out
+of tries, aborts the suite as one ``suite-abort`` record.
 
 Anchor strings are stable identity labels used for traceability in
 reports; check ids are unique within a suite.
@@ -15,12 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
 from . import hyper, kernel, profiles, qcore, quadratic, taylor, wpoperator
-from .errors import ConfigError, QTaylorError
+from .errors import ConfigError, DomainError, QTaylorError
 from .qcore import QContext, scaled_residual
 from .sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
                        sample_kernel_z, sample_on_circle,
@@ -56,14 +68,12 @@ def parse_complex(text: str) -> complex:
         raise ConfigError(f"bad complex literal {text!r}") from exc
 
 
-def kernel_params_from_config(entry: dict, ctx: QContext):
+def kernel_params_from_config(entry, ctx: QContext) -> kernel.KernelParams:
     """Build a kernel quadruple from a config record {b, c, d, e}."""
-    from .kernel import KernelParams
-    try:
-        return KernelParams(*(parse_complex(str(entry[k])) for k in "bcde"),
-                            ctx)
-    except KeyError as exc:
-        raise ConfigError(f"explicit kernel entry missing field {exc}") from exc
+    if not isinstance(entry, dict) or not set("bcde") <= entry.keys():
+        raise ConfigError("explicit kernel entries must be objects with fields "
+                          f"b, c, d, e; got {entry!r}")
+    return kernel.KernelParams(*(parse_complex(str(entry[k])) for k in "bcde"), ctx)
 
 
 @dataclass
@@ -78,16 +88,10 @@ class CheckRecord:
     scale: float
     tol: float
     passed: bool
-    terms: int | None = None
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite, "check": self.check, "anchor": self.anchor,
-            "params": self.params, "residual": self.residual, "scale": self.scale,
-            "tol": self.tol, "passed": self.passed, "terms": self.terms,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -136,75 +140,104 @@ class VerificationReport:
                 "passed": self.all_passed}
 
 
-def _rec(suite, check, anchor, params, residual, tol, *, scale=1.0, terms=None,
-         detail="") -> CheckRecord:
-    residual = float(residual)
-    ok = bool(math.isfinite(residual) and residual < tol)
+def _clean(v):
+    """A JSON-ready parameter value; complex numbers in 're+imi' form."""
+    if isinstance(v, complex):
+        return format_complex(v)
+    return v.item() if isinstance(v, np.generic) else v
 
-    def clean(v):
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, complex):
-            return format_complex(v)
-        if isinstance(v, (np.floating, float)):
-            return float(v)
-        if isinstance(v, (np.integer, int)):
-            return int(v)
-        return v
 
-    return CheckRecord(suite, check, anchor,
-                       {k: clean(v) for k, v in params.items()},
-                       residual, float(scale), float(tol), ok, terms, detail)
+class Check:
+    """One check of a suite: a ``with`` block that writes its record on exit.
+
+    The record slot in ``records`` is reserved when the block opens, so
+    records keep the order in which their checks opened.
+    """
+
+    def __init__(self, records: list, suite: str, check: str, anchor: str,
+                 tol: float, **params):
+        self._records = records
+        self.suite, self.check, self.anchor, self.tol = suite, check, anchor, tol
+        self.params = params
+        self.residual, self.scale, self.detail = 0.0, 1.0, ""
+
+    def see(self, *residuals, scale=1.0) -> None:
+        """Keep the largest residual and the scale it was divided by; a NaN sticks."""
+        worst = float(np.max(residuals))
+        if not (worst < self.residual or math.isnan(self.residual)):
+            self.residual, self.scale = worst, float(scale)
+
+    def rel(self, value, ref) -> None:
+        """Judge value against a reference value: |value - ref| / |ref|."""
+        self.see(abs(value - ref) / abs(ref), scale=abs(ref))
+
+    def terms(self, *terms) -> None:
+        """Judge t_0 = t_1 + ... by scaled_residual at a point or an array of points."""
+        res = np.ravel(scaled_residual(*terms))
+        i = np.argmax(res)
+        self.see(res[i], scale=np.ravel(reduce(np.maximum, map(abs, terms)))[i])
+
+    def __enter__(self) -> Check:
+        self._slot = len(self._records)
+        self._records.append(None)
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if exc is not None:
+            if (isinstance(exc, ConfigError)
+                    or not isinstance(exc, (QTaylorError, ArithmeticError))):
+                return False
+            self.residual, self.scale = math.inf, 1.0
+            self.detail = f"{kind.__name__}: {exc}"
+        self._records[self._slot] = CheckRecord(
+            self.suite, self.check, self.anchor,
+            {k: _clean(v) for k, v in self.params.items()}, self.residual,
+            self.scale, float(self.tol),
+            bool(math.isfinite(self.residual) and self.residual < self.tol),
+            self.detail)
+        return True
 
 
 # ---------------------------------------------------------------- qcore
 
 def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("qcore")
-    out = []
+    ctx, rng, out = cfg.context(), cfg.rng_for("qcore"), []
+    check = partial(Check, out, "qcore")
     q = ctx.q
 
-    worst = 0.0
-    for _ in range(32):
-        a = sample_complex(rng, 0.1, 1.4)
-        n = rng.randrange(0, 32)
-        lhs = qcore.qpoch_finite(a, n + 1, ctx)
-        rhs = qcore.qpoch_finite(a, n, ctx) * (1 - a * q ** n)
-        worst = max(worst, scaled_residual(lhs, rhs))
-    out.append(_rec("qcore", "recurrence", "qpoch-def", {"draws": 32}, worst, 1e-13))
+    with check("recurrence", "qpoch-def", 1e-13, draws=32) as c:
+        for _ in range(32):
+            a = sample_complex(rng, 0.1, 1.4)
+            n = rng.randrange(0, 32)
+            c.terms(qcore.qpoch_finite(a, n + 1, ctx),
+                    qcore.qpoch_finite(a, n, ctx) * (1 - a * q ** n))
 
-    worst = 0.0
-    for _ in range(cfg.draws):
-        a = sample_complex(rng, 0.2, 0.95)
-        k = rng.randrange(0, 9)
-        lhs = qcore.qpoch_infinite(a, ctx).value
-        rhs = qcore.qpoch_finite(a, k, ctx) * qcore.qpoch_infinite(a * q ** k, ctx).value
-        worst = max(worst, scaled_residual(lhs, rhs))
-    out.append(_rec("qcore", "infinite-shift", "qpoch-infinite-split",
-                    {"draws": cfg.draws}, worst, 1e-12))
+    with check("infinite-shift", "qpoch-infinite-split", 1e-12, draws=cfg.draws) as c:
+        for _ in range(cfg.draws):
+            a = sample_complex(rng, 0.2, 0.95)
+            k = rng.randrange(0, 9)
+            c.terms(qcore.qpoch_infinite(a, ctx).value,
+                    qcore.qpoch_finite(a, k, ctx)
+                    * qcore.qpoch_infinite(a * q ** k, ctx).value)
 
     a, b = sample_complex(rng), sample_complex(rng)
-    lhs = qcore.qpoch_multi([a, b], None, ctx).value
-    rhs = qcore.qpoch_infinite(a, ctx).value * qcore.qpoch_infinite(b, ctx).value
-    out.append(_rec("qcore", "multi-factorwise", "qpoch-multi",
-                    {"a": a, "b": b}, abs(lhs - rhs) / abs(rhs), 1e-12))
+    with check("multi-factorwise", "qpoch-multi", 1e-12, a=a, b=b) as c:
+        c.rel(qcore.qpoch_multi([a, b], None, ctx).value,
+              qcore.qpoch_infinite(a, ctx).value * qcore.qpoch_infinite(b, ctx).value)
 
     u = np.array([sample_complex(rng, 0.3, 1.6) for _ in range(200)])
-    worst = scaled_residual(qcore.theta(u, ctx), qcore.theta(q / u, ctx)).max()
-    out.append(_rec("qcore", "theta-symmetry", "theta-def", {"draws": 200},
-                    worst, 1e-12))
+    with check("theta-symmetry", "theta-def", 1e-12, draws=200) as c:
+        c.terms(qcore.theta(u, ctx), qcore.theta(q / u, ctx))
 
-    zero_dev = max(abs(qcore.theta(1.0, ctx)), abs(qcore.theta(q, ctx)))
-    scale = abs(qcore.theta(-1.0, ctx))
-    out.append(_rec("qcore", "theta-grid-zero", "theta-def", {}, zero_dev / scale,
-                    1e-12, scale=scale))
+    with check("theta-grid-zero", "theta-def", 1e-12) as c:
+        zero_dev = max(abs(qcore.theta(1.0, ctx)), abs(qcore.theta(q, ctx)))
+        scale = abs(qcore.theta(-1.0, ctx))
+        c.see(zero_dev / scale, scale=scale)
 
     x, y, u, v = np.array([[sample_complex(rng, 0.5, 1.5) for _ in range(4)]
                            for _ in range(200)]).T
-    worst = scaled_residual(*qcore.weierstrass_terms(x, y, u, v, ctx)).max()
-    out.append(_rec("qcore", "weierstrass-addition", "weierstrass-addition",
-                    {"draws": 200}, worst, 1e-12))
+    with check("weierstrass-addition", "weierstrass-addition", 1e-12, draws=200) as c:
+        c.terms(*qcore.weierstrass_terms(x, y, u, v, ctx))
     return out
 
 
@@ -219,81 +252,67 @@ def _rogers_draw(rng, ctx):
 
 
 def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("hyper")
+    ctx, rng, out = cfg.context(), cfg.rng_for("hyper"), []
+    check = partial(Check, out, "hyper")
     q = ctx.q
-    out = []
 
-    spec = hyper.PhiSeriesSpec((0.4 + 0.1j, 0.3), (0.5 - 0.2j,), 0.0)
-    val = hyper.phi_eval(spec, None, ctx).value
-    out.append(_rec("hyper", "phi-z0", "basic-hypergeometric-def", {},
-                    abs(val - 1.0), 1e-15))
+    with check("phi-z0", "basic-hypergeometric-def", 1e-15) as c:
+        spec = hyper.PhiSeriesSpec((0.4 + 0.1j, 0.3), (0.5 - 0.2j,), 0.0)
+        c.see(abs(hyper.phi_eval(spec, None, ctx).value - 1.0))
 
-    spec = hyper.PhiSeriesSpec((1 / q, 0.4), (0.6,), 0.3 + 0.2j)
-    exact = hyper.phi_eval(spec, 1, ctx).value
-    longer = hyper.phi_eval(spec, 9, ctx).value
-    out.append(_rec("hyper", "phi-terminating", "basic-hypergeometric-def",
-                    {"n": 1}, abs(exact - longer) / abs(exact), 1e-13))
+    with check("phi-terminating", "basic-hypergeometric-def", 1e-13, n=1) as c:
+        spec = hyper.PhiSeriesSpec((1 / q, 0.4), (0.6,), 0.3 + 0.2j)
+        exact = hyper.phi_eval(spec, 1, ctx).value
+        c.rel(hyper.phi_eval(spec, 9, ctx).value, exact)
 
-    worst = 0.0
-    for _ in range(cfg.draws):
-        nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
-        dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
-        z = sample_complex(rng, 0.1, 0.5)
-        spec = hyper.PhiSeriesSpec(nums, dens, z)
-        adaptive = hyper.phi_eval(spec, None, ctx).value
-        brute = hyper.phi_eval(spec, 220, ctx).value
-        worst = max(worst, abs(adaptive - brute) / abs(brute))
-    out.append(_rec("hyper", "phi-vs-long-sum", "basic-hypergeometric-def",
-                    {"draws": cfg.draws}, worst, 1e-12))
+    with check("phi-vs-long-sum", "basic-hypergeometric-def", 1e-12,
+               draws=cfg.draws) as c:
+        for _ in range(cfg.draws):
+            nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
+            dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
+            z = sample_complex(rng, 0.1, 0.5)
+            spec = hyper.PhiSeriesSpec(nums, dens, z)
+            c.rel(hyper.phi_eval(spec, None, ctx).value, hyper.phi_eval(spec, 220, ctx).value)
 
-    vspec = hyper.VWPSpec(0.55, (0.6 + 0.2j, 0.7, 0.4 - 0.3j), 0.3 + 0.1j)
-    s8 = hyper.vwp_eval(vspec, 8, ctx).value
-    s9 = hyper.vwp_eval(vspec, 9, ctx).value
-    # the k=9 summand rebuilt from shifted factorial products
     k = 9
-    a0 = vspec.a
-    summand = ((1 - a0 * q ** (2 * k)) / (1 - a0)
-               * qcore.qpoch_finite(a0, k, ctx)
-               * qcore.qpoch_multi(vspec.b_list, k, ctx).value
-               / (qcore.qpoch_finite(q, k, ctx)
-                  * qcore.qpoch_multi([a0 * q / b for b in vspec.b_list], k, ctx).value)
-               * vspec.argument ** k)
-    out.append(_rec("hyper", "vwp-telescoping", "W-summand", {"k": k},
-                    abs((s9 - s8) - summand) / max(abs(s9), abs(summand)), 1e-14))
+    with check("vwp-telescoping", "W-summand", 1e-14, k=k) as c:
+        vspec = hyper.VWPSpec(0.55, (0.6 + 0.2j, 0.7, 0.4 - 0.3j), 0.3 + 0.1j)
+        s8 = hyper.vwp_eval(vspec, 8, ctx).value
+        s9 = hyper.vwp_eval(vspec, 9, ctx).value
+        # the k=9 summand rebuilt from shifted factorial products
+        a0 = vspec.a
+        summand = ((1 - a0 * q ** (2 * k)) / (1 - a0)
+                   * qcore.qpoch_finite(a0, k, ctx)
+                   * qcore.qpoch_multi(vspec.b_list, k, ctx).value
+                   / (qcore.qpoch_finite(q, k, ctx)
+                      * qcore.qpoch_multi([a0 * q / b for b in vspec.b_list], k, ctx).value)
+                   * vspec.argument ** k)
+        c.see(abs((s9 - s8) - summand) / max(abs(s9), abs(summand)))
 
-    worst = 0.0
-    for _ in range(6):
-        a = rng.uniform(0.3, 0.8)  # real positive: explicit root exists
-        root = math.sqrt(a)
-        blist = tuple(sample_complex(rng, 0.4, 0.9) for _ in range(2))
-        z = sample_complex(rng, 0.1, 0.4)
-        vs = hyper.VWPSpec(a, blist, z)
-        v1 = hyper.vwp_eval(vs, 24, ctx).value
-        v2 = hyper.phi_eval(hyper.vwp_expanded_spec(vs, root, ctx), 24, ctx).value
-        v3 = hyper.phi_eval(hyper.vwp_expanded_spec(vs, -root, ctx), 24, ctx).value
-        worst = max(worst, abs(v1 - v2) / abs(v1), abs(v1 - v3) / abs(v1))
-        worst = max(worst, hyper.well_poised_defect(vs, ctx))
-    out.append(_rec("hyper", "vwp-expanded-roots", "W-notation", {"draws": 6},
-                    worst, 1e-12))
+    with check("vwp-expanded-roots", "W-notation", 1e-12, draws=6) as c:
+        for _ in range(6):
+            a = rng.uniform(0.3, 0.8)  # real positive: explicit root exists
+            root = math.sqrt(a)
+            blist = tuple(sample_complex(rng, 0.4, 0.9) for _ in range(2))
+            z = sample_complex(rng, 0.1, 0.4)
+            vs = hyper.VWPSpec(a, blist, z)
+            v1 = hyper.vwp_eval(vs, 24, ctx).value
+            for r in (root, -root):
+                c.rel(hyper.phi_eval(hyper.vwp_expanded_spec(vs, r, ctx), 24, ctx).value, v1)
+            c.see(hyper.well_poised_defect(vs, ctx))
 
-    worst = 0.0
-    for _ in range(cfg.draws):
-        a, b, c, d = _rogers_draw(rng, ctx)
-        worst = max(worst, hyper.rogers_6w5_residual(a, b, c, d, ctx))
-    # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
-    small_c = hyper.rogers_6w5_residual(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx)
-    worst = max(worst, small_c)
-    out.append(_rec("hyper", "rogers-summation", "rogers-6w5", {"draws": cfg.draws},
-                    worst, 1e-9))
+    with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
+        for _ in range(cfg.draws):
+            c.see(hyper.rogers_6w5_residual(*_rogers_draw(rng, ctx), ctx))
+        # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
+        c.see(hyper.rogers_6w5_residual(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
 
-    worst = 0.0
-    for _ in range(cfg.draws):
-        a, b, c, d = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
-        n = rng.randrange(0, 13)
-        worst = max(worst, hyper.jackson_8w7_residual(a, b, c, d, n, ctx))
-    out.append(_rec("hyper", "jackson-summation", "jackson-8w7",
-                    {"draws": cfg.draws, "n_max": 12}, worst, 1e-10))
+    with check("jackson-summation", "jackson-8w7", 1e-10, draws=cfg.draws,
+               n_max=12) as ch:
+        for _ in range(cfg.draws):
+            a, b, c, d = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
+            n = rng.randrange(0, 13)
+            ch.see(hyper.jackson_8w7_residual(a, b, c, d, n, ctx))
     return out
 
 
@@ -312,540 +331,458 @@ def _random_phi_function(rng, ctx, degree):
 
 
 def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("operator")
-    out = []
-
-    z = _sample_operator_point(rng, ctx)
-    const = wpoperator.SymmetricFunction(lambda _: 2.7 - 0.4j)
-    xfun = wpoperator.SymmetricFunction(lambda w: (w + 1 / w) / 2)
-    dev = abs(wpoperator.apply_Dq(const, z, ctx))
-    dev = max(dev, abs(wpoperator.apply_Dq(xfun, z, ctx) - 1.0))
-    out.append(_rec("operator", "dq-basics", "Dq", {"z": z}, dev, 1e-13))
-
-    worst = 0.0
-    for _ in range(cfg.draws):
-        f = _random_phi_function(rng, ctx, 3)
-        z = _sample_operator_point(rng, ctx)
-        v1 = wpoperator.apply_Dcq(f, z, 0.0, ctx)
-        v2 = wpoperator.apply_Dq(f, z, ctx)
-        worst = max(worst, scaled_residual(v1, v2))
-    out.append(_rec("operator", "dcq-c0-reduction", "Dcq", {"draws": cfg.draws},
-                    worst, 1e-13))
-
-    pair = sample_basis_pair(rng)
-    f1 = taylor.phi_function(pair, 1, ctx)
-    want = -2 * pair.a * (1 - pair.c / pair.a) * (1 - pair.a * pair.c)
-    worst = 0.0
-    for _ in range(4):
-        z = _sample_operator_point(rng, ctx)
-        worst = max(worst, abs(wpoperator.apply_Dcq(f1, z, pair.c, ctx) - want) / abs(want))
-    out.append(_rec("operator", "phi1-lowering", "lowering-Phi",
-                    {"a": pair.a, "c": pair.c}, worst, 1e-12))
-
-    worst = 0.0
+    ctx, rng, out = cfg.context(), cfg.rng_for("operator"), []
+    check = partial(Check, out, "operator")
     q = ctx.q
     rq = ctx.sqrt_q
-    for n in range(1, 6):
-        pair = sample_basis_pair(rng)
-        fn = taylor.phi_function(pair, n, ctx)
-        z = _sample_operator_point(rng, ctx)
-        for k in range(n + 1):
-            got = wpoperator.apply_iterated(fn, z, wpoperator.OperatorChainSpec(pair.c, k), ctx)
-            a, c = pair.a, pair.c
-            pref = ((-1) ** k * (2 * a) ** k * rq ** (k * (k - 1) // 2)
-                    * qcore.qpoch_finite(q, n, ctx) * qcore.qpoch_finite(c / a, k, ctx)
-                    * qcore.qpoch_finite(a * c * q ** (n - 1), k, ctx)
-                    / (qcore.qpoch_finite(q, n - k, ctx) * (1 - q) ** k))
-            shifted = taylor.BasisPair(a * rq ** k, c * rq ** (3 * k))
-            want = pref * taylor.phi_basis(z, shifted, n - k, ctx)
-            worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
-    out.append(_rec("operator", "iterated-lowering", "iterated-lowering",
-                    {"n_max": 5}, worst, 1e-9))
 
-    worst = 0.0
-    for _ in range(cfg.draws):
-        f = _random_phi_function(rng, ctx, 8)
-        z = _sample_operator_point(rng, ctx)
-        m = rng.randrange(0, 7)
-        c = sample_complex(rng)
-        try:
-            v1 = wpoperator.cooper_eval(f, z, c, m, ctx)
-            v2 = wpoperator.apply_iterated(f, z, wpoperator.OperatorChainSpec(c, m), ctx)
-        except QTaylorError:
-            continue
-        worst = max(worst, scaled_residual(v1, v2))
-    out.append(_rec("operator", "closed-form-vs-recursion", "p0-cooper",
-                    {"draws": cfg.draws, "m_max": 6}, worst, 1e-8))
+    z = _sample_operator_point(rng, ctx)
+    with check("dq-basics", "Dq", 1e-13, z=z) as c:
+        const = wpoperator.SymmetricFunction(lambda _: 2.7 - 0.4j)
+        xfun = wpoperator.SymmetricFunction(lambda w: (w + 1 / w) / 2)
+        c.see(abs(wpoperator.apply_Dq(const, z, ctx)),
+              abs(wpoperator.apply_Dq(xfun, z, ctx) - 1.0))
+
+    with check("dcq-c0-reduction", "Dcq", 1e-13, draws=cfg.draws) as c:
+        for _ in range(cfg.draws):
+            f = _random_phi_function(rng, ctx, 3)
+            z = _sample_operator_point(rng, ctx)
+            c.terms(wpoperator.apply_Dcq(f, z, 0.0, ctx), wpoperator.apply_Dq(f, z, ctx))
+
+    pair = sample_basis_pair(rng)
+    with check("phi1-lowering", "lowering-Phi", 1e-12, a=pair.a, c=pair.c) as c:
+        f1 = taylor.phi_function(pair, 1, ctx)
+        want = -2 * pair.a * (1 - pair.c / pair.a) * (1 - pair.a * pair.c)
+        for _ in range(4):
+            z = _sample_operator_point(rng, ctx)
+            c.rel(wpoperator.apply_Dcq(f1, z, pair.c, ctx), want)
+
+    with check("iterated-lowering", "iterated-lowering", 1e-9, n_max=5) as ch:
+        for n in range(1, 6):
+            pair = sample_basis_pair(rng)
+            fn = taylor.phi_function(pair, n, ctx)
+            z = _sample_operator_point(rng, ctx)
+            for k in range(n + 1):
+                got = wpoperator.apply_iterated(fn, z, wpoperator.OperatorChainSpec(pair.c, k), ctx)
+                a, c = pair.a, pair.c
+                pref = ((-1) ** k * (2 * a) ** k * rq ** (k * (k - 1) // 2)
+                        * qcore.qpoch_finite(q, n, ctx) * qcore.qpoch_finite(c / a, k, ctx)
+                        * qcore.qpoch_finite(a * c * q ** (n - 1), k, ctx)
+                        / (qcore.qpoch_finite(q, n - k, ctx) * (1 - q) ** k))
+                shifted = taylor.BasisPair(a * rq ** k, c * rq ** (3 * k))
+                want = pref * taylor.phi_basis(z, shifted, n - k, ctx)
+                ch.see(abs(got - want) / max(abs(want), 1e-30))
+
+    with check("closed-form-vs-recursion", "p0-cooper", 1e-8, draws=cfg.draws,
+               m_max=6) as ch:
+        for _ in range(cfg.draws):
+            f = _random_phi_function(rng, ctx, 8)
+            z = _sample_operator_point(rng, ctx)
+            m = rng.randrange(0, 7)
+            c = sample_complex(rng)
+            ch.terms(wpoperator.cooper_eval(f, z, c, m, ctx),
+                     wpoperator.apply_iterated(f, z, wpoperator.OperatorChainSpec(c, m), ctx))
 
     pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
-    worst = 0.0
-    for n in range(7):
-        fn = taylor.phi_function(pair, n, ctx)
-        for k in range(7):
-            t = taylor.taylor_coefficient(fn, pair, k, ctx)
-            worst = max(worst, abs(t - (1.0 if k == n else 0.0)))
-    out.append(_rec("operator", "delta-property", "delta-property",
-                    {"a": pair.a, "c": pair.c, "order": 6}, worst, 1e-8))
+    with check("delta-property", "delta-property", 1e-8, a=pair.a, c=pair.c,
+               order=6) as c:
+        for n in range(7):
+            fn = taylor.phi_function(pair, n, ctx)
+            for k in range(7):
+                t = taylor.taylor_coefficient(fn, pair, k, ctx)
+                c.see(abs(t - (1.0 if k == n else 0.0)))
 
     # negating the root reflects the evaluation point; the divided
     # difference of an odd symmetric function and the full coefficient
     # functional of any symmetric function are branch-free
-    g_odd = wpoperator.SymmetricFunction(
-        lambda w: ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2)
     z = _sample_operator_point(rng, ctx)
-    v1 = wpoperator.apply_Dq(g_odd, z, ctx)
-    v2 = wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q)
-    dev = scaled_residual(v1, v2)
-    pair = sample_basis_pair(rng)
-    f = taylor.phi_combination(pair, [0.7, 1.1 - 0.3j, 0.8j, 0.5], ctx)
-    flipped = ctx.other_branch()
-    for k in range(4):
-        dev = max(dev, scaled_residual(taylor.taylor_coefficient(f, pair, k, ctx),
-                                       taylor.taylor_coefficient(f, pair, k, flipped)))
-    out.append(_rec("operator", "branch-invariance", "Dq", {"z": z}, dev, 1e-10))
+    with check("branch-invariance", "Dq", 1e-10, z=z) as c:
+        g_odd = wpoperator.SymmetricFunction(
+            lambda w: ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2)
+        c.terms(wpoperator.apply_Dq(g_odd, z, ctx),
+                wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q))
+        pair = sample_basis_pair(rng)
+        f = taylor.phi_combination(pair, [0.7, 1.1 - 0.3j, 0.8j, 0.5], ctx)
+        flipped = ctx.other_branch()
+        for k in range(4):
+            c.terms(taylor.taylor_coefficient(f, pair, k, ctx),
+                    taylor.taylor_coefficient(f, pair, k, flipped))
 
     pair = sample_basis_pair(rng)
-    a, c = pair.a, pair.c
-    w = wpoperator.grid_functional_weights(a, c, 1, ctx)
-    phi1 = taylor.phi_function(pair, 1, ctx)
-    scalar = w[0] * phi1(a) + w[1] * phi1(a * q)
-    want = -2 * a * (1 - c / a) * (1 - a * c)  # order-1 lowering value
-    dev = abs(w[0] + w[1])  # annihilates constants
-    dev = max(dev / max(abs(w[0]), abs(w[1])), abs(scalar - want) / abs(want))
-    out.append(_rec("operator", "grid-functional-weights", "finite-grid-functional",
-                    {"j": 1}, dev, 1e-10))
+    with check("grid-functional-weights", "finite-grid-functional", 1e-10, j=1) as ch:
+        a, c = pair.a, pair.c
+        w = wpoperator.grid_functional_weights(a, c, 1, ctx)
+        phi1 = taylor.phi_function(pair, 1, ctx)
+        scalar = w[0] * phi1(a) + w[1] * phi1(a * q)
+        want = -2 * a * (1 - c / a) * (1 - a * c)  # order-1 lowering value
+        # the weights annihilate constants
+        ch.see(abs(w[0] + w[1]) / max(abs(w[0]), abs(w[1])), abs(scalar - want) / abs(want))
     return out
 
 
 # ---------------------------------------------------------------- taylor
 
 def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("taylor")
+    ctx, rng, out = cfg.context(), cfg.rng_for("taylor"), []
+    check = partial(Check, out, "taylor")
     q = ctx.q
-    out = []
 
-    worst = 0.0
-    for _ in range(max(cfg.draws // 2, 4)):
-        pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
-        n = rng.randrange(1, 9)
-        coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)]
-        f = taylor.phi_combination(pair, coeffs, ctx)
-        for k in range(n + 1):
-            t = taylor.taylor_coefficient(f, pair, k, ctx)
-            worst = max(worst, abs(t - coeffs[k]) / abs(coeffs[k]))
-    out.append(_rec("taylor", "coefficient-recovery", "finite-coeff",
-                    {"n_max": 8}, worst, 1e-8))
+    with check("coefficient-recovery", "finite-coeff", 1e-8, n_max=8) as c:
+        for _ in range(max(cfg.draws // 2, 4)):
+            pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
+            n = rng.randrange(1, 9)
+            coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)]
+            f = taylor.phi_combination(pair, coeffs, ctx)
+            for k in range(n + 1):
+                c.rel(taylor.taylor_coefficient(f, pair, k, ctx), coeffs[k])
 
     a, c, d = sample_complex(rng, 0.4, 0.85), sample_complex(rng, 0.35, 0.8), \
         sample_complex(rng, 0.4, 0.85)
-    pair = taylor.BasisPair(a, c)
-    f = taylor.phi_function(taylor.BasisPair(d, c), 1, ctx)
-    t0 = taylor.taylor_coefficient(f, pair, 0, ctx)
-    t1 = taylor.taylor_coefficient(f, pair, 1, ctx)
-    w0 = (1 - a * d) * (1 - d / a) / ((1 - a * c) * (1 - c / a))
-    w1 = (d / a) * (1 - c / d) * (1 - c * d) / ((1 - c / a) * (1 - a * c))
-    dev = max(abs(t0 - w0) / abs(w0), abs(t1 - w1) / abs(w1))
-    out.append(_rec("taylor", "first-reexpansion", "first-reexpansion",
-                    {"a": a, "c": c, "d": d}, dev, 1e-9))
+    with check("first-reexpansion", "first-reexpansion", 1e-9, a=a, c=c, d=d) as ch:
+        pair = taylor.BasisPair(a, c)
+        f = taylor.phi_function(taylor.BasisPair(d, c), 1, ctx)
+        t0 = taylor.taylor_coefficient(f, pair, 0, ctx)
+        t1 = taylor.taylor_coefficient(f, pair, 1, ctx)
+        w0 = (1 - a * d) * (1 - d / a) / ((1 - a * c) * (1 - c / a))
+        w1 = (d / a) * (1 - c / d) * (1 - c * d) / ((1 - c / a) * (1 - a * c))
+        ch.rel(t0, w0)
+        ch.rel(t1, w1)
 
     pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
     f = taylor.phi_combination(pair, [1.0, 0.8 + 0.1j, 0.5], ctx)
     g = taylor.phi_combination(pair, [0.3, -0.6j, 0.9, 0.2], ctx)
     al, be = sample_complex(rng, 0.5, 1.5), sample_complex(rng, 0.5, 1.5)
-    h = wpoperator.SymmetricFunction(lambda z: al * f(z) + be * g(z))
-    worst = 0.0
-    for k in range(4):
-        lhs = taylor.taylor_coefficient(h, pair, k, ctx)
-        rhs = (al * taylor.taylor_coefficient(f, pair, k, ctx)
-               + be * taylor.taylor_coefficient(g, pair, k, ctx))
-        worst = max(worst, scaled_residual(lhs, rhs))
-    out.append(_rec("taylor", "linearity", "taylor-coeff-finite", {}, worst, 1e-10))
+    with check("linearity", "taylor-coeff-finite", 1e-10) as c:
+        h = wpoperator.SymmetricFunction(lambda z: al * f(z) + be * g(z))
+        for k in range(4):
+            c.terms(taylor.taylor_coefficient(h, pair, k, ctx),
+                    al * taylor.taylor_coefficient(f, pair, k, ctx)
+                    + be * taylor.taylor_coefficient(g, pair, k, ctx))
 
     z = sample_z(rng)
-    t_sum, remainder = taylor.taylor_sum_and_remainder(f, pair, 2, z, ctx)
-    out.append(_rec("taylor", "remainder-consistency", "T-and-R", {"z": z},
-                    abs((t_sum + remainder) - f(z)) / abs(f(z)), 1e-15,
-                    detail="T_n + R_n reproduces f(z) to rounding"))
+    with check("remainder-consistency", "T-and-R", 1e-15, z=z) as c:
+        t_sum, remainder = taylor.taylor_sum_and_remainder(f, pair, 2, z, ctx)
+        c.rel(t_sum + remainder, f(z))
+        c.detail = "T_n + R_n reproduces f(z) to rounding"
 
     pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
-    flat = wpoperator.SymmetricFunction(
-        lambda z: qcore.qpoch_infinite(pair.a * z, ctx).value
-        * qcore.qpoch_infinite(pair.a / z, ctx).value)
-    # depth where the rounding floor of near-grid cofactors stays harmless
-    k_flat = 3
-    while k_flat < 6 and abs(q) ** (-(k_flat + 1) * (k_flat + 2) / 2) < 1e6:
-        k_flat += 1
-    flat_dev = taylor.flatness_check(flat, pair, k_flat, ctx)
-    bfac = wpoperator.SymmetricFunction(
-        lambda z: qcore.qpoch_infinite(pair.a * z, ctx).value
-        * qcore.qpoch_infinite(pair.a / z, ctx).value
-        * (1.3 + 0.5 * (z + 1 / z)))
-    flat_dev = max(flat_dev, taylor.flatness_check(bfac, pair, k_flat - 1, ctx))
-    bumpy = taylor.flatness_check(taylor.phi_function(pair, 3, ctx), pair, 4, ctx)
-    dev = flat_dev if bumpy > 1e-4 else math.inf
-    out.append(_rec("taylor", "flat-function", "flat-functions",
-                    {"a": pair.a, "c": pair.c}, dev, 1e-8,
-                    detail=f"negative control (phi_3) flatness={bumpy:.3e}"))
+    with check("flat-function", "flat-functions", 1e-8, a=pair.a, c=pair.c) as c:
+        flat = wpoperator.SymmetricFunction(
+            lambda z: qcore.qpoch_infinite(pair.a * z, ctx).value
+            * qcore.qpoch_infinite(pair.a / z, ctx).value)
+        # depth where the rounding floor of near-grid cofactors stays harmless
+        k_flat = 3
+        while k_flat < 6 and abs(q) ** (-(k_flat + 1) * (k_flat + 2) / 2) < 1e6:
+            k_flat += 1
+        c.see(taylor.flatness_check(flat, pair, k_flat, ctx))
+        bfac = wpoperator.SymmetricFunction(lambda z: flat(z) * (1.3 + 0.5 * (z + 1 / z)))
+        c.see(taylor.flatness_check(bfac, pair, k_flat - 1, ctx))
+        bumpy = taylor.flatness_check(taylor.phi_function(pair, 3, ctx), pair, 4, ctx)
+        c.see(0.0 if bumpy > 1e-4 else math.inf)
+        c.detail = f"negative control (phi_3) flatness={bumpy:.3e}"
 
     pair = taylor.BasisPair(sample_complex(rng, 0.4, 0.8), 0.5)
-    sups = taylor.basis_sup_curve(pair, (0.95, 1.05), 40, ctx)
-    est = taylor.basis_sup_estimate(pair, (0.95, 1.05), 40, ctx)
-    plateau = max(sups[30:]) / max(sups[15:25])
-    z0 = 1.02 + 0.0j
-    lim = taylor.basis_limit_modulus(z0, pair, ctx)
-    tail_dev = abs(abs(taylor.phi_basis(z0, pair, 40, ctx)) - lim) / lim
-    dev = max(abs(plateau - 1.0), tail_dev, abs(sups[0] - 1.0),
-              abs(est - max(sups)))
-    out.append(_rec("taylor", "basis-boundedness", "basis-bounded",
-                    {"a": pair.a, "c": pair.c}, dev, 1e-4,
-                    detail=f"sampled sup={est:.4g}"))
+    with check("basis-boundedness", "basis-bounded", 1e-4, a=pair.a, c=pair.c) as c:
+        sups = taylor.basis_sup_curve(pair, (0.95, 1.05), 40, ctx)
+        est = taylor.basis_sup_estimate(pair, (0.95, 1.05), 40, ctx)
+        plateau = max(sups[30:]) / max(sups[15:25])
+        z0 = 1.02 + 0.0j
+        lim = taylor.basis_limit_modulus(z0, pair, ctx)
+        tail_dev = abs(abs(taylor.phi_basis(z0, pair, 40, ctx)) - lim) / lim
+        c.see(abs(plateau - 1.0), tail_dev, abs(sups[0] - 1.0), abs(est - max(sups)))
+        c.detail = f"sampled sup={est:.4g}"
     return out
 
 
 # ---------------------------------------------------------------- kernel
 
 def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("kernel")
+    ctx, rng, out = cfg.context(), cfg.rng_for("kernel"), []
+    check = partial(Check, out, "kernel")
     q = ctx.q
-    out = []
-    n_trunc = kernel.adaptive_series_depth
+    n_half = max(cfg.draws // 2, 4)
 
-    worst_fact = worst_inv = 0.0
-    for _ in range(max(cfg.draws // 2, 4)):
-        kp = sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi)
-        z = sample_z(rng)
-        kf = kernel.kernel_factors(z, kp)
-        worst_fact = max(worst_fact,
-                         abs(kf.F - kf.A * kf.H) / abs(kf.F),
-                         abs(kf.F - kf.B * kf.K) / abs(kf.F))
-        ip = kernel.involute(kp)
-        iip = kernel.involute(ip)
-        dev = max(abs(iip.b - kp.b), abs(iip.c - kp.c), abs(iip.d - kp.d),
+    points = [(sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi),
+               sample_z(rng)) for _ in range(n_half)]
+    with check("factorisation", "A-B", 1e-12, draws=n_half) as c:
+        for kp, z in points:
+            kf = kernel.kernel_factors(z, kp)
+            c.rel(kf.A * kf.H, kf.F)
+            c.rel(kf.B * kf.K, kf.F)
+
+    with check("involution", "involution", 1e-12, draws=n_half) as c:
+        for kp, z in points:
+            ip = kernel.involute(kp)
+            iip = kernel.involute(ip)
+            c.see(abs(iip.b - kp.b), abs(iip.c - kp.c), abs(iip.d - kp.d),
                   abs(iip.e - kp.e))
-        dev = max(dev, abs(kernel.kernel_H(z, ip) - kernel.kernel_K(z, kp))
-                  / abs(kernel.kernel_K(z, kp)))
-        dev = max(dev, abs(taylor.phi_basis(z, ip.phi_pair, 5, ctx)
-                           - taylor.phi_basis(z, kp.psi_pair, 5, ctx))
-                  / abs(taylor.phi_basis(z, kp.psi_pair, 5, ctx)))
-        worst_inv = max(worst_inv, dev)
-    out.append(_rec("kernel", "factorisation", "A-B", {"draws": cfg.draws // 2},
-                    worst_fact, 1e-12))
-    out.append(_rec("kernel", "involution", "involution", {"draws": cfg.draws // 2},
-                    worst_inv, 1e-12))
+            c.rel(kernel.kernel_H(z, ip), kernel.kernel_K(z, kp))
+            c.rel(taylor.phi_basis(z, ip.phi_pair, 5, ctx),
+                  taylor.phi_basis(z, kp.psi_pair, 5, ctx))
 
     kp = sample_kernel_params(rng, ctx)
-    worst = 0.0
-    for k in range(13):
-        g = kernel.gk_coefficient(kp, k)
-        fi = kernel.fk_coefficient(kernel.involute(kp), k)
-        worst = max(worst, abs(g - fi) / max(abs(g), 1e-30))
-    out.append(_rec("kernel", "g-equals-involuted-f", "g-coeff", {"k_max": 12},
-                    worst, 1e-12))
+    with check("g-equals-involuted-f", "g-coeff", 1e-12, k_max=12) as c:
+        for k in range(13):
+            g = kernel.gk_coefficient(kp, k)
+            fi = kernel.fk_coefficient(kernel.involute(kp), k)
+            c.see(abs(g - fi) / max(abs(g), 1e-30))
 
-    ratios = [abs(kernel.fk_coefficient(kp, k + 1) / kernel.fk_coefficient(kp, k))
-              for k in range(20, 40)]
-    dev = max(abs(r - abs(q)) / abs(q) for r in ratios)
-    out.append(_rec("kernel", "f-ratio-geometric", "f-coeff", {"k": "20..40"},
-                    dev, 0.10))
+    with check("f-ratio-geometric", "f-coeff", 0.10, k="20..40") as c:
+        for k in range(20, 40):
+            ratio = kernel.fk_coefficient(kp, k + 1) / kernel.fk_coefficient(kp, k)
+            c.rel(abs(ratio), abs(q))
 
     kp = sample_kernel_params(rng, ctx, lo=0.35, hi=0.85)
-    dev = kernel.kernel_taylor_crosscheck(kp, 6)
-    dev_inv = kernel.kernel_taylor_crosscheck(kernel.involute(kp), 6)
-    out.append(_rec("kernel", "taylor-crosscheck", "f-coeff-taylor",
-                    {"k_max": 6}, max(dev, dev_inv), 1e-7))
+    with check("taylor-crosscheck", "f-coeff-taylor", 1e-7, k_max=6) as c:
+        c.see(kernel.kernel_taylor_crosscheck(kp, 6),
+              kernel.kernel_taylor_crosscheck(kernel.involute(kp), 6))
 
-    worst = 0.0
-    trunc = 0
-    base_res = None
     quadruples = [kernel_params_from_config(entry, ctx)
                   for entry in cfg.explicit_kernel]
     n_draws = len(quadruples) or cfg.draws
-    for i in range(n_draws):
-        kp = (quadruples[i] if quadruples
-              else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
-                                        hi=cfg.modulus_hi))
-        z = sample_kernel_z(rng, kp)
-        depth = n_trunc(kp)
-        r = kernel.two_basis_residual(z, kp, depth)
-        if base_res is None:
-            base_res = (z, kp, depth, r)
-        trunc = max(trunc, depth)
-        worst = max(worst, r, kernel.two_basis_residual(1 / z, kp, depth))
-    out.append(_rec("kernel", "two-basis-identity", "two-basis-identity",
-                    {"draws": n_draws, "trunc": trunc,
-                     "explicit": bool(quadruples)}, worst, 1e-7))
+    first = None
+    with check("two-basis-identity", "two-basis-identity", 1e-7, draws=n_draws,
+               trunc=0, explicit=bool(quadruples)) as c:
+        for i in range(n_draws):
+            kp = (quadruples[i] if quadruples
+                  else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
+                                            hi=cfg.modulus_hi))
+            z = sample_kernel_z(rng, kp)
+            depth = kernel.adaptive_series_depth(kp)
+            c.params["trunc"] = max(c.params["trunc"], depth)
+            r = kernel.two_basis_residual(z, kp, depth)
+            first = first or (z, kp, depth, r)
+            c.see(r, kernel.two_basis_residual(1 / z, kp, depth))
 
-    z, kp, depth, r = base_res
-    neg = kernel.two_basis_residual(z, kp, depth, force_unit_Hb=True)
-    ratio = neg / max(r, 1e-300)
-    out.append(_rec("kernel", "negative-control-Hb", "two-basis-identity",
-                    {"z": z}, 1.0 / ratio, 1e-6,
-                    detail=f"degradation {ratio:.3e}x"))
+    with check("negative-control-Hb", "two-basis-identity", 1e-6) as c:
+        if first is None:
+            raise DomainError("two-basis-identity evaluated no draw to degrade")
+        z, kp, depth, r = first
+        c.params["z"] = z
+        ratio = kernel.two_basis_residual(z, kp, depth, force_unit_Hb=True) / max(r, 1e-300)
+        c.see(1.0 / ratio)
+        c.detail = f"degradation {ratio:.3e}x"
 
     kp = sample_profile_kernel_params(rng, ctx)
     z = sample_z(rng)
     orders = qcore.fit_window(abs(q))
-    gaps = kernel.remainder_gap_curve(z, kp, orders)
-    fit = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
-    dev = abs(fit - abs(q)) / abs(q)
-    single = kernel.complementary_remainder_gap(z, kp, orders[2])
-    dev = max(dev, abs(single - gaps[2]) / gaps[2])
-    gaps_i = kernel.remainder_gap_curve(z, kernel.involute(kp), orders)
-    fit_i = math.exp(np.polyfit(orders, np.log(gaps_i), 1)[0])
-    dev = max(dev, abs(fit_i - abs(q)) / abs(q))
-    out.append(_rec("kernel", "remainder-gap-ratio", "R-H-limit",
-                    {"orders": f"{orders[0]}..{orders[-1]}", "fit": fit,
-                     "fit_involuted": fit_i},
-                    dev, 0.30))
+    with check("remainder-gap-ratio", "R-H-limit", 0.30,
+               orders=f"{orders[0]}..{orders[-1]}") as c:
+        for key, kq in (("fit", kp), ("fit_involuted", kernel.involute(kp))):
+            gaps = kernel.remainder_gap_curve(z, kq, orders)
+            c.params[key] = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
+            c.rel(c.params[key], abs(q))
 
-    worst = 0.0
-    for _ in range(max(cfg.draws // 2, 4)):
-        kp = sample_kernel_params(rng, ctx)
-        z = sample_z(rng)
-        worst = max(worst, kernel.H_lowering_residual(z, kp))
-        worst = max(worst, kernel.H_lowering_residual(z, kernel.involute(kp)))
-        worst = max(worst, kernel.K_lowering_residual(z, kp))
-    out.append(_rec("kernel", "lowering-laws", "H-lowering",
-                    {"draws": cfg.draws // 2}, worst, 1e-8))
+    with check("lowering-laws", "H-lowering", 1e-8, draws=n_half) as c:
+        for _ in range(n_half):
+            kp = sample_kernel_params(rng, ctx)
+            z = sample_z(rng)
+            c.see(kernel.H_lowering_residual(z, kp),
+                  kernel.H_lowering_residual(z, kernel.involute(kp)),
+                  kernel.K_lowering_residual(z, kp))
 
     kp = sample_kernel_params(rng, ctx)
-    depth = n_trunc(kp)
-    grid = np.array([z0 for m in range(11)
-                     for z0 in (kp.b * q ** m, kp.c / (kp.d * kp.e) * q ** m)])
-    worst = scaled_residual(*kernel.pole_cleared_E_terms(grid, kp, depth)).max()
-    out.append(_rec("kernel", "E-grid-zeros", "E-grid-zeros", {"depth": 10},
-                    worst, 1e-7))
+    depth = kernel.adaptive_series_depth(kp)
+    with check("E-grid-zeros", "E-grid-zeros", 1e-7, grid_powers="0..10",
+               depth=depth) as c:
+        grid = np.array([z0 for m in range(11)
+                         for z0 in (kp.b * q ** m, kp.c / (kp.d * kp.e) * q ** m)])
+        c.terms(*kernel.pole_cleared_E_terms(grid, kp, depth))
 
     z = sample_z(rng)
-    m_val = kernel.M_clearing(z, kp)
-    t1, t2, t3 = kernel.two_basis_terms(z, kp, depth)
-    e_terms = kernel.pole_cleared_E_terms(z, kp, depth)
-    e_direct = e_terms[0] - e_terms[1] - e_terms[2]
-    # both routes are near-cancelling sums: scale by their largest additive term
-    scale = max(abs(t) for t in (m_val * t1, m_val * t2, m_val * t3) + e_terms)
-    dev = abs(m_val * (t1 - t2 - t3) - e_direct) / scale
-    out.append(_rec("kernel", "pole-clearing-paths", "M-pole-clear", {"z": z},
-                    dev, 1e-8))
+    with check("pole-clearing-paths", "M-pole-clear", 1e-8, z=z) as c:
+        m_val = kernel.M_clearing(z, kp)
+        t1, t2, t3 = kernel.two_basis_terms(z, kp, depth)
+        e_terms = kernel.pole_cleared_E_terms(z, kp, depth)
+        e_direct = e_terms[0] - e_terms[1] - e_terms[2]
+        # both routes are near-cancelling sums: scale by their largest additive term
+        scale = max(abs(t) for t in (m_val * t1, m_val * t2, m_val * t3) + e_terms)
+        c.see(abs(m_val * (t1 - t2 - t3) - e_direct) / scale, scale=scale)
 
     N = 5
-    grid = kp.b * q ** np.array([*range(N + 1), N + 3])
-    *flat, beyond = scaled_residual(*kernel.pole_cleared_E_terms(grid, kp, N))
-    worst = max(flat)
-    dev = worst if beyond > 1e-5 else math.inf
-    out.append(_rec("kernel", "truncated-flatness", "finite-grid-zeros",
-                    {"N": N}, dev, 1e-7,
-                    detail=f"beyond-depth residual {beyond:.3e} (not flat)"))
+    with check("truncated-flatness", "finite-grid-zeros", 1e-7, N=N) as c:
+        grid = kp.b * q ** np.array([*range(N + 1), N + 3])
+        *flat, beyond = scaled_residual(*kernel.pole_cleared_E_terms(grid, kp, N))
+        c.see(*flat, 0.0 if beyond > 1e-5 else math.inf)
+        c.detail = f"beyond-depth residual {beyond:.3e} (not flat)"
 
-    worst = 0.0
-    for _ in range(max(cfg.draws // 3, 3)):
-        kp = sample_kernel_params(rng, ctx)
-        worst = max(worst, kernel.bailey_crosscheck(kp, sample_kernel_z(rng, kp)))
-        worst = max(worst, kernel.bailey_crosscheck(kp, sample_on_circle(rng)))
-    out.append(_rec("kernel", "vwp-rewriting", "deduce-bailey-8phi7",
-                    {"draws": cfg.draws // 3}, worst, 1e-7))
+    n_third = max(cfg.draws // 3, 3)
+    with check("vwp-rewriting", "deduce-bailey-8phi7", 1e-7, draws=n_third) as c:
+        for _ in range(n_third):
+            kp = sample_kernel_params(rng, ctx)
+            c.see(kernel.bailey_crosscheck(kp, sample_kernel_z(rng, kp)),
+                  kernel.bailey_crosscheck(kp, sample_on_circle(rng)))
     return out
 
 
 # ---------------------------------------------------------------- laurent
 
 def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("laurent")
-    out = []
+    ctx, rng, out = cfg.context(), cfg.rng_for("laurent"), []
+    check = partial(Check, out, "laurent")
 
-    (v1, _, _), (v2, _, _) = kernel.laurent_coefficient_detail(
-        lambda z: (z ** 5,), (-5, 2), 1.0, ctx)
-    out.append(_rec("laurent", "monomial", "laurent-criterion", {},
-                    max(abs(v1 - 1.0), abs(v2)), 1e-12))
+    with check("monomial", "laurent-criterion", 1e-12) as c:
+        (v1, _, _), (v2, _, _) = kernel.laurent_coefficient_detail(
+            lambda z: (z ** 5,), (-5, 2), 1.0, ctx)
+        c.see(abs(v1 - 1.0), abs(v2))
 
-    worst = 0.0
-    for _ in range(3):
-        al, be, ga, de = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
-        n = rng.randrange(0, 4)
-        qd = kernel.calP_quadruple(al, be, ga, de, n, ctx)
+    with check("quadruple-vs-contour", "calP-quadruple", 1e-8, draws=3) as c:
+        for _ in range(3):
+            al, be, ga, de = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
+            n = rng.randrange(0, 4)
+            qd = kernel.calP_quadruple(al, be, ga, de, n, ctx)
 
-        def g(z, al=al, be=be, ga=ga, de=de):
-            return (qcore.qpoch_infinite(al * z, ctx).value
-                    * qcore.qpoch_infinite(be / z, ctx).value
-                    * qcore.qpoch_infinite(ga * z, ctx).value
-                    * qcore.qpoch_infinite(de / z, ctx).value,)
+            def g(z, al=al, be=be, ga=ga, de=de):
+                return (qcore.qpoch_infinite(al * z, ctx).value
+                        * qcore.qpoch_infinite(be / z, ctx).value
+                        * qcore.qpoch_infinite(ga * z, ctx).value
+                        * qcore.qpoch_infinite(de / z, ctx).value,)
 
-        [(ct, _, _)] = kernel.laurent_coefficient_detail(g, [n], 1.0, ctx)
-        worst = max(worst, scaled_residual(qd, ct))
-    out.append(_rec("laurent", "quadruple-vs-contour", "calP-quadruple",
-                    {"draws": 3}, worst, 1e-8))
+            [(ct, _, _)] = kernel.laurent_coefficient_detail(g, [n], 1.0, ctx)
+            c.terms(qd, ct)
 
     kp = sample_kernel_params(rng, ctx)
     e_coeffs = kernel.E_contour_coefficient(kp, range(1, 7))
-    worst = max(abs(coeff) / scale for coeff, scale, _ in e_coeffs)
-    out.append(_rec("laurent", "E-negative-coefficients",
-                    "coefficient-cancellation", {"n": "1..6"}, worst, 1e-6))
+    with check("E-negative-coefficients", "coefficient-cancellation", 1e-6,
+               n="1..6") as c:
+        for coeff, scale, _ in e_coeffs:
+            c.see(abs(coeff) / scale, scale=scale)
 
-    depth = kernel.adaptive_series_depth(kp)
-    tables = kernel.calP_tables(kp, depth)
-    fs = [kernel.fk_coefficient(kp, k) for k in range(depth)]
-    gs = [kernel.gk_coefficient(kp, k) for k in range(depth)]
-    worst = 0.0
-    cross = 0.0
-    for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
-        worst = max(worst, kernel.cancellation_identity_residual(kp, n, tables))
-        t1, t2, t3 = kernel.structured_E_terms(kp, n, tables, fs, gs)
-        cross = max(cross, abs(t1 - t2 - t3 - coeff) / scale)
-    not_small = abs(kernel.laurent_pair(tables[0][0], tables[0][0], 1))
-    dev = max(worst, cross) if not_small > 1e-3 else math.inf
-    out.append(_rec("laurent", "structured-cancellation",
-                    "coefficient-cancellation", {"n": "1,2", "k_trunc": depth},
-                    dev, 1e-6,
-                    detail=f"individual |P1_(1,0)|={not_small:.3e} (not small)"))
+    with check("structured-cancellation", "coefficient-cancellation", 1e-6,
+               n="1,2") as c:
+        depth = c.params["k_trunc"] = kernel.adaptive_series_depth(kp)
+        tables = kernel.calP_tables(kp, depth)
+        fs = [kernel.fk_coefficient(kp, k) for k in range(depth)]
+        gs = [kernel.gk_coefficient(kp, k) for k in range(depth)]
+        for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
+            t1, t2, t3 = kernel.structured_E_terms(kp, n, tables, fs, gs)
+            c.see(kernel.cancellation_identity_residual(kp, n, tables))
+            c.see(abs(t1 - t2 - t3 - coeff) / scale, scale=scale)
+        not_small = abs(kernel.laurent_pair(tables[0][0], tables[0][0], 1))
+        c.see(0.0 if not_small > 1e-3 else math.inf)
+        c.detail = f"individual |P1_(1,0)|={not_small:.3e} (not small)"
     return out
 
 
 # ---------------------------------------------------------------- profiles
 
 def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("profiles")
+    ctx, rng, out = cfg.context(), cfg.rng_for("profiles"), []
+    check = partial(Check, out, "profiles")
     q = ctx.q
-    out = []
 
     lam = sample_complex(rng, 0.4, 0.8)
-    worst = 0.0
-    for N in (0, 5, 10, 20):
-        w = sample_z(rng, 0.9, 1.15)
-        worst = max(worst, profiles.annular_factorization_residual(lam, N, w, ctx))
-    out.append(_rec("profiles", "annular-factorisation", "q-annular-factorization",
-                    {"N_max": 20}, worst, 1e-10))
+    with check("annular-factorisation", "q-annular-factorization", 1e-10,
+               N_max=20) as c:
+        for N in (0, 5, 10, 20):
+            w = sample_z(rng, 0.9, 1.15)
+            c.see(profiles.annular_factorization_residual(lam, N, w, ctx))
 
     al, be = sample_complex(rng, 0.4, 0.9), sample_complex(rng, 0.4, 0.9)
     w = sample_z(rng, 0.9, 1.2)
-    lp = profiles.L_profile(w, al, be, lam, ctx)
-    th = qcore.theta(al / (lam * w), ctx) / qcore.theta(be / (lam * w), ctx)
-    dev = abs(lp - th) / abs(th)
-    dev = max(dev, abs(profiles.L_profile(w, al, al, lam, ctx) - 1.0))
-    out.append(_rec("profiles", "profile-quotient", "L-alpha-beta", {"w": w},
-                    dev, 1e-12))
+    with check("profile-quotient", "L-alpha-beta", 1e-12, w=w) as c:
+        c.rel(profiles.L_profile(w, al, be, lam, ctx),
+              qcore.theta(al / (lam * w), ctx) / qcore.theta(be / (lam * w), ctx))
+        c.see(abs(profiles.L_profile(w, al, al, lam, ctx) - 1.0))
 
     kp = sample_profile_kernel_params(rng, ctx)
     lam = kp.b
     cf = profiles.profile_sums_and_closed_forms(kp)
-    dev = max(
-        abs(cf.F_star_series - cf.F_star_product) / abs(cf.F_star_product),
-        abs(cf.G_star_series - cf.G_star_product) / abs(cf.G_star_product),
-        abs(cf.Hb * cf.F_star_product - cf.Hb_F_star_theta) / abs(cf.Hb_F_star_theta),
-        abs(cf.Kcde * cf.G_star_product - cf.Kcde_G_star_theta) / abs(cf.Kcde_G_star_theta))
-    cfi = profiles.profile_sums_and_closed_forms(kernel.involute(kp))
-    dev = max(dev, abs(cf.G_star_product - cfi.F_star_product) / abs(cf.G_star_product))
-    out.append(_rec("profiles", "scalar-profile-sums", "Fstar-eval",
-                    {"b": kp.b, "c": kp.c}, dev, 1e-9))
+    with check("scalar-profile-sums", "Fstar-eval", 1e-9, b=kp.b, c=kp.c) as c:
+        c.rel(cf.F_star_series, cf.F_star_product)
+        c.rel(cf.G_star_series, cf.G_star_product)
+        c.rel(cf.Hb * cf.F_star_product, cf.Hb_F_star_theta)
+        c.rel(cf.Kcde * cf.G_star_product, cf.Kcde_G_star_theta)
+        cfi = profiles.profile_sums_and_closed_forms(kernel.involute(kp))
+        c.rel(cfi.F_star_product, cf.G_star_product)
 
-    worst = 0.0
-    for _ in range(cfg.draws):
-        w = sample_z(rng, 0.8, 1.25)
-        worst = max(worst, profiles.leading_profile_residual(w, kp, lam))
-    t_anchor = max(profiles.leading_profile_theta_residual(1 / kp.b, kp),
-                   profiles.leading_profile_theta_residual(kp.d * kp.e / kp.c, kp))
-    worst_theta = profiles.leading_profile_theta_residual(0.9 + 0.3j, kp)
-    out.append(_rec("profiles", "leading-profile", "first-profile-identity",
-                    {"draws": cfg.draws}, max(worst, worst_theta), 1e-8,
-                    detail=f"interpolation anchors residual {t_anchor:.3e}"))
+    with check("leading-profile", "first-profile-identity", 1e-8, draws=cfg.draws) as c:
+        for _ in range(cfg.draws):
+            w = sample_z(rng, 0.8, 1.25)
+            c.see(profiles.leading_profile_residual(w, kp, lam))
+        t_anchor = max(profiles.leading_profile_theta_residual(1 / kp.b, kp),
+                       profiles.leading_profile_theta_residual(kp.d * kp.e / kp.c, kp))
+        c.see(profiles.leading_profile_theta_residual(0.9 + 0.3j, kp))
+        c.detail = f"interpolation anchors residual {t_anchor:.3e}"
 
     al, be = kp.c / kp.d, kp.b
     w = sample_z(rng, 0.9, 1.15)
-    dev = abs(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx)
-              - profiles.L_profile(w, al, be, lam, ctx))
-    for N in (4, 7):
-        z = lam * q ** N * w
-        quot = ((be / al) ** N
-                * qcore.qpoch_infinite(al * z, ctx).value
-                * qcore.qpoch_infinite(al / z, ctx).value
-                / (qcore.qpoch_infinite(be * z, ctx).value
-                   * qcore.qpoch_infinite(be / z, ctx).value))
-        dev = max(dev, abs(profiles.profile_kernel_P(q ** N, w, al, be, lam, ctx) - quot)
-                  / abs(quot))
-    dev = max(dev, abs(profiles.profile_kernel_P(q ** 4, w, al, al, lam, ctx) - 1.0))
-    out.append(_rec("profiles", "profile-kernel", "P-exact-scaling", {"w": w},
-                    dev, 1e-12))
+    with check("profile-kernel", "P-exact-scaling", 1e-12, w=w) as c:
+        c.see(abs(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx)
+                  - profiles.L_profile(w, al, be, lam, ctx)))
+        for N in (4, 7):
+            z = lam * q ** N * w
+            quot = ((be / al) ** N
+                    * qcore.qpoch_infinite(al * z, ctx).value
+                    * qcore.qpoch_infinite(al / z, ctx).value
+                    / (qcore.qpoch_infinite(be * z, ctx).value
+                       * qcore.qpoch_infinite(be / z, ctx).value))
+            c.rel(profiles.profile_kernel_P(q ** N, w, al, be, lam, ctx), quot)
+        c.see(abs(profiles.profile_kernel_P(q ** 4, w, al, al, lam, ctx) - 1.0))
 
-    contour = kernel.laurent_coefficient_detail(
-        lambda s: (profiles.profile_kernel_P(s, w, al, be, lam, ctx),),
-        [-j for j in range(5)], min(0.3, 0.4 / abs(lam * w)), ctx)
-    worst = max(scaled_residual(profiles.profile_kernel_coefficient(j, w, al, be, lam, ctx),
-                                coeff) for j, (coeff, _, _) in enumerate(contour))
-    out.append(_rec("profiles", "kernel-coefficients", "P-coeff-general",
-                    {"j_max": 4}, worst, 1e-8))
+    with check("kernel-coefficients", "P-coeff-general", 1e-8, j_max=4) as c:
+        contour = kernel.laurent_coefficient_detail(
+            lambda s: (profiles.profile_kernel_P(s, w, al, be, lam, ctx),),
+            [-j for j in range(5)], min(0.3, 0.4 / abs(lam * w)), ctx)
+        for j, (coeff, _, _) in enumerate(contour):
+            c.terms(profiles.profile_kernel_coefficient(j, w, al, be, lam, ctx), coeff)
 
-    worst = 0.0
-    for s in (0.0, q ** 8, q ** 6, q ** 4):
-        for _ in range(3):
-            w = sample_z(rng, 0.85, 1.2)
-            worst = max(worst, scaled_residual(
-                *profiles.generating_Q_terms(s, w, kp, lam)))
-    out.append(_rec("profiles", "generating-residual", "global-Q-zero",
-                    {"s": "0,q^8,q^6,q^4"}, worst, 1e-7))
+    with check("generating-residual", "global-Q-zero", 1e-7, s="0,q^8,q^6,q^4") as c:
+        for s in (0.0, q ** 8, q ** 6, q ** 4):
+            for _ in range(3):
+                w = sample_z(rng, 0.85, 1.2)
+                c.terms(*profiles.generating_Q_terms(s, w, kp, lam))
 
-    worst = 0.0
-    for N in range(4, 11):
-        w = sample_z(rng, 0.9, 1.15)
-        worst = max(worst, profiles.bridge_residual(N, w, kp, lam))
-    out.append(_rec("profiles", "bridge-identity",
-                    "scaled-Q-equals-profile-generator", {"N": "4..10"},
-                    worst, 1e-6))
+    with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6,
+               N="4..10") as c:
+        for N in range(4, 11):
+            w = sample_z(rng, 0.9, 1.15)
+            c.see(profiles.bridge_residual(N, w, kp, lam))
 
-    mom0 = profiles.contiguous_moment(kp, 0)
-    mom1 = profiles.contiguous_moment(kp, 1)
-    dev = abs(mom0.F_m - cf.F_star_series) / abs(cf.F_star_series)
-    flag_ok = mom0.convergent and mom1.convergent
-    boundary = profiles.contiguous_moment(kp, -12)
-    dev = dev if (flag_ok and not boundary.convergent) else math.inf
-    out.append(_rec("profiles", "contiguous-moments", "profile-moments", {},
-                    dev, 1e-12,
-                    detail="m=-12 correctly flagged nonconvergent"))
+    with check("contiguous-moments", "profile-moments", 1e-12) as c:
+        mom0 = profiles.contiguous_moment(kp, 0)
+        mom1 = profiles.contiguous_moment(kp, 1)
+        c.rel(mom0.F_m, cf.F_star_series)
+        boundary = profiles.contiguous_moment(kp, -12)
+        flags_ok = mom0.convergent and mom1.convergent and not boundary.convergent
+        c.see(0.0 if flags_ok else math.inf)
+        c.detail = "m=-12 correctly flagged nonconvergent"
 
-    worst = 0.0
-    for j in (0, 1):
-        w = sample_z(rng, 0.9, 1.15)
-        worst = max(worst, profiles.profile_coefficient_residual(j, w, kp, lam))
-    j0 = profiles.profile_coefficient_residual(0, w, kp, lam)
-    lead = profiles.leading_profile_residual(w, kp, lam)
-    out.append(_rec("profiles", "coefficient-hierarchy", "first-correction-target",
-                    {"j": "0,1"}, worst, 1e-6,
-                    detail=f"j=0 vs leading gap {abs(j0 - lead):.2e}"))
+    with check("coefficient-hierarchy", "first-correction-target", 1e-6, j="0,1") as c:
+        for j in (0, 1):
+            w = sample_z(rng, 0.9, 1.15)
+            c.see(profiles.profile_coefficient_residual(j, w, kp, lam))
+        j0 = profiles.profile_coefficient_residual(0, w, kp, lam)
+        lead = profiles.leading_profile_residual(w, kp, lam)
+        c.detail = f"j=0 vs leading gap {abs(j0 - lead):.2e}"
 
     w = sample_z(rng, 0.9, 1.15)
-    errs = []
-    for N in (6, 8, 10, 12):
-        res = profiles.exponential_profile_limit_residual(2, w, kp, lam, N)
-        errs.append(res.r_residual)
-    trend = math.exp(np.polyfit([6, 8, 10, 12], np.log(errs), 1)[0])
-    res9 = profiles.exponential_profile_limit_residual(2, w, kp, lam, 9)
-    res9i = profiles.exponential_profile_limit_residual(2, w, kernel.involute(kp), lam, 9)
-    dev = max(abs(trend - abs(q)) / abs(q),
-              abs(res9.s_residual - res9i.r_residual) / res9.s_residual)
-    out.append(_rec("profiles", "exponential-profile-limits", "R-profile-limit",
-                    {"k": 2, "trend": trend}, dev, 0.25))
+    with check("exponential-profile-limits", "R-profile-limit", 0.25, k=2) as c:
+        errs = [profiles.exponential_profile_limit_residual(2, w, kp, lam, N).r_residual
+                for N in (6, 8, 10, 12)]
+        trend = c.params["trend"] = math.exp(np.polyfit([6, 8, 10, 12], np.log(errs), 1)[0])
+        res9 = profiles.exponential_profile_limit_residual(2, w, kp, lam, 9)
+        res9i = profiles.exponential_profile_limit_residual(2, w, kernel.involute(kp), lam, 9)
+        c.rel(trend, abs(q))
+        c.rel(res9i.r_residual, res9.s_residual)
 
     # radius in the widest gap between the zero circles of the split's
     # bounded factor (anchor b: circles at |w| = 1, q^{-1}, |c/bde| q^j);
     # the plateau evidence is uniformity in N at each fixed grid point
     radius = _clear_w_radius(kp)
-    w_grid = [radius * cmath.exp(2j * math.pi * (t + 0.13) / 4) for t in range(4)]
-    spread = 1.0
-    reassembly = 0.0
-    for w in w_grid:
-        mags = []
-        for N in range(4, 13):
-            cg = profiles.canonical_growth_profile(lam, N, w, kp)
-            mags.append(abs(cg.C_factor))
-            reassembly = max(reassembly,
-                             abs(cg.Z_value - cg.extracted_monomial * cg.C_factor)
-                             / abs(cg.Z_value))
-        spread = max(spread, max(mags) / min(mags))
-    dev = reassembly if spread < 10.0 else math.inf
-    out.append(_rec("profiles", "canonical-growth", "canonical-product-annular-growth",
-                    {"N": "4..12", "radius": radius, "spread": spread}, dev, 1e-10))
+    with check("canonical-growth", "canonical-product-annular-growth", 1e-10,
+               N="4..12", radius=radius) as c:
+        spread = 1.0
+        for t in range(4):
+            w = radius * cmath.exp(2j * math.pi * (t + 0.13) / 4)
+            mags = []
+            for N in range(4, 13):
+                cg = profiles.canonical_growth_profile(lam, N, w, kp)
+                mags.append(abs(cg.C_factor))
+                c.rel(cg.extracted_monomial * cg.C_factor, cg.Z_value)
+            spread = max(spread, max(mags) / min(mags))
+        c.params["spread"] = spread
+        c.see(0.0 if spread < 10.0 else math.inf)
     return out
 
 
@@ -853,14 +790,13 @@ def _clear_w_radius(kp) -> float:
     """A w-radius maximally clear of the canonical split's zero circles."""
     aq = abs(kp.ctx.q)
     circles = [1.0, 1.0 / aq]
-    for base in (abs(kp.c / (kp.b * kp.d * kp.e)),):
-        m = base
-        while m > 0.7:
-            m *= aq
-        while m < 2.6:
-            if 0.7 < m < 2.6:
-                circles.append(m)
-            m /= aq
+    m = abs(kp.c / (kp.b * kp.d * kp.e))
+    while m > 0.7:
+        m *= aq
+    while m < 2.6:
+        if m > 0.7:
+            circles.append(m)
+        m /= aq
     grid = [0.98 + 0.02 * i for i in range(1, 40)]
     return max(grid, key=lambda r: min(abs(math.log(r / c)) for c in circles))
 
@@ -868,63 +804,53 @@ def _clear_w_radius(kp) -> float:
 # ---------------------------------------------------------------- quadratic
 
 def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx = cfg.context()
-    rng = cfg.rng_for("quadratic")
-    out = []
+    ctx, rng, out = cfg.context(), cfg.rng_for("quadratic"), []
+    check = partial(Check, out, "quadratic")
 
-    worst = worst_c = 0.0
-    trunc = trunc_c = 0
-    qp0 = None
-    for _ in range(cfg.draws):
-        qp = sample_quadratic_params(rng)
-        qp0 = qp0 or qp
-        z = sample_z(rng)
-        depth = hyper.vwp_depth(quadratic.h_spec(qp, ctx), ctx)
-        depth_c = hyper.vwp_depth(quadratic.r_spec(qp, ctx), ctx)
-        trunc, trunc_c = max(trunc, depth), max(trunc_c, depth_c)
-        worst = max(worst, quadratic.quadratic_residual(z, qp, depth, ctx))
-        worst_c = max(worst_c, quadratic.companion_residual(z, qp, depth_c, ctx))
-    out.append(_rec("quadratic", "watson-type-expansion", "quadratic-bailey",
-                    {"draws": cfg.draws, "trunc": trunc}, worst, 1e-8))
-    out.append(_rec("quadratic", "companion-expansion", "quadratic-companion-bailey",
-                    {"draws": cfg.draws, "trunc": trunc_c}, worst_c, 1e-8))
+    points = [(sample_quadratic_params(rng), sample_z(rng)) for _ in range(cfg.draws)]
+    for name, anchor, spec, residual in (
+            ("watson-type-expansion", "quadratic-bailey", quadratic.h_spec,
+             quadratic.quadratic_residual),
+            ("companion-expansion", "quadratic-companion-bailey", quadratic.r_spec,
+             quadratic.companion_residual)):
+        with check(name, anchor, 1e-8, draws=cfg.draws) as c:
+            depths = [hyper.vwp_depth(spec(qp, ctx), ctx) for qp, _ in points]
+            c.params["trunc"] = max(depths)
+            for (qp, z), depth in zip(points, depths):
+                c.see(residual(z, qp, depth, ctx))
 
-    h0 = quadratic.quadratic_coefficient(qp0, 0, ctx)
-    r0 = quadratic.companion_coefficient(qp0, 0, ctx)
-    out.append(_rec("quadratic", "unit-leading-coefficients", "quadratic-coeff",
-                    {}, max(abs(h0 - 1), abs(r0 - 1)), 1e-15))
+    qp0 = points[0][0]
+    with check("unit-leading-coefficients", "quadratic-coeff", 1e-15) as c:
+        c.see(abs(quadratic.quadratic_coefficient(qp0, 0, ctx) - 1),
+              abs(quadratic.companion_coefficient(qp0, 0, ctx) - 1))
 
-    hr = abs(quadratic.quadratic_coefficient(qp0, 31, ctx)
-             / quadratic.quadratic_coefficient(qp0, 30, ctx))
-    rr = abs(quadratic.companion_coefficient(qp0, 31, ctx)
-             / quadratic.companion_coefficient(qp0, 30, ctx))
-    dev = max(abs(hr - abs(qp0.b / qp0.a)) / abs(qp0.b / qp0.a),
-              abs(rr - abs(qp0.alpha)) / abs(qp0.alpha))
-    out.append(_rec("quadratic", "coefficient-decay", "quadratic-coeff",
-                    {"k": 30}, dev, 0.10))
+    with check("coefficient-decay", "quadratic-coeff", 0.10, k=30) as c:
+        hr = abs(quadratic.quadratic_coefficient(qp0, 31, ctx)
+                 / quadratic.quadratic_coefficient(qp0, 30, ctx))
+        rr = abs(quadratic.companion_coefficient(qp0, 31, ctx)
+                 / quadratic.companion_coefficient(qp0, 30, ctx))
+        c.rel(hr, abs(qp0.b / qp0.a))
+        c.rel(rr, abs(qp0.alpha))
 
-    dev = max(quadratic.quadratic_taylor_identification(qp0, 6, ctx),
+    with check("taylor-identification", "quadratic-taylor-coeff", 1e-7, k_max=6) as c:
+        c.see(quadratic.quadratic_taylor_identification(qp0, 6, ctx),
               quadratic.companion_taylor_identification(qp0, 6, ctx))
-    out.append(_rec("quadratic", "taylor-identification", "quadratic-taylor-coeff",
-                    {"k_max": 6}, dev, 1e-7))
 
     z = sample_z(rng)
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
-    tails = quadratic.quadratic_tail_curve(z, qp0, orders, ctx)
-    fit = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
-    dev = abs(fit - abs(qp0.b / qp0.a)) / abs(qp0.b / qp0.a)
-    out.append(_rec("quadratic", "tail-decay", "quadratic-remainder-tail",
-                    {"orders": f"{orders[0]}..{orders[-1]}", "fit": fit}, dev, 0.10))
+    with check("tail-decay", "quadratic-remainder-tail", 0.10,
+               orders=f"{orders[0]}..{orders[-1]}") as c:
+        tails = quadratic.quadratic_tail_curve(z, qp0, orders, ctx)
+        fit = c.params["fit"] = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
+        c.rel(fit, abs(qp0.b / qp0.a))
 
-    dev = quadratic.companion_series_vs_vwp(z, qp0, ctx)
-    out.append(_rec("quadratic", "companion-vwp-form", "quadratic-companion-bailey",
-                    {"z": z}, dev, 1e-10))
+    with check("companion-vwp-form", "quadratic-companion-bailey", 1e-10, z=z) as c:
+        c.see(quadratic.companion_series_vs_vwp(z, qp0, ctx))
 
     x = sample_complex(rng, 0.3, 0.9)
-    dev = max(quadratic.folding_identity_check(x, 5, ctx),
+    with check("folding", "folding-identities", 1e-10, x=x) as c:
+        c.see(quadratic.folding_identity_check(x, 5, ctx),
               quadratic.folding_identity_check(0.9, 0, ctx))
-    out.append(_rec("quadratic", "folding", "folding-identities", {"x": x},
-                    dev, 1e-10))
     return out
 
 
@@ -941,7 +867,7 @@ _RUNNERS = {
 
 
 def run_suites(cfg: SuiteConfig) -> VerificationReport:
-    """Execute the selected suites; check errors become failed records."""
+    """Execute the selected suites; an error fails the check that raised it."""
     report = VerificationReport(config_echo={
         "q": format_complex(cfg.q), "seed": cfg.seed, "draws": cfg.draws,
         "suites": list(cfg.suites), "negative_controls": cfg.negative_controls,
@@ -949,30 +875,27 @@ def run_suites(cfg: SuiteConfig) -> VerificationReport:
     for name in cfg.suites:
         if name not in _RUNNERS:
             raise ConfigError(f"unknown suite {name!r}")
-        runner = _RUNNERS[name]
         try:
-            records = runner(cfg)
-        except QTaylorError as exc:
+            records = _RUNNERS[name](cfg)
+        except QTaylorError as exc:  # outside every check, or a ConfigError
             records = [CheckRecord(name, "suite-abort", "runner", {}, math.inf,
-                                   0.0, 0.0, False, None,
-                                   f"{type(exc).__name__}: {exc}")]
+                                   0.0, 0.0, False, f"{type(exc).__name__}: {exc}")]
         if cfg.negative_controls and name == "kernel":
-            records.append(_sabotaged_kernel_check(cfg))
+            _sabotaged_kernel_check(cfg, records)
         report.records.extend(records)
     return report
 
 
-def _sabotaged_kernel_check(cfg: SuiteConfig) -> CheckRecord:
+def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
     """Negative-control path: H(b) forced to 1 must be reported as a failure."""
-    ctx = cfg.context()
-    rng = cfg.rng_for("kernel")
+    ctx, rng = cfg.context(), cfg.rng_for("kernel")
     kp = sample_kernel_params(rng, ctx)
     z = sample_z(rng)
-    res = kernel.two_basis_residual(z, kp, kernel.adaptive_series_depth(kp),
-                                    force_unit_Hb=True)
-    return _rec("kernel", "two-basis-identity-sabotaged", "two-basis-identity",
-                {"z": z, "forced_unit_Hb": True}, res, 1e-7,
-                detail="expected failure: zeroth Taylor value dropped")
+    with Check(records, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
+               1e-7, z=z, forced_unit_Hb=True) as c:
+        c.see(kernel.two_basis_residual(z, kp, kernel.adaptive_series_depth(kp),
+                                        force_unit_Hb=True))
+        c.detail = "expected failure: zeroth Taylor value dropped"
 
 
 # ---------------------------------------------------------------- decay CSV

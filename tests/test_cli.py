@@ -198,7 +198,10 @@ class TestCommandLine:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("eps_rel", "abc"), ("eps_rel", -1e-10), ("max_terms", 4)])
+        ("eps_rel", "abc"), ("eps_rel", -1e-10), ("max_terms", 4),
+        ("explicit", [{"b": "0.5", "c": "0.6", "d": "0.4"}]),
+        ("explicit", [{"b": "zz", "c": "0.6", "d": "0.4", "e": "0.7"}]),
+        ("explicit", [1]), ("explicit", {"b": "0.5"})])
     def test_bad_file_setting_is_config_error(self, tmp_path, field, value):
         cfgfile = tmp_path / "params.json"
         cfgfile.write_text(json.dumps({"suite": "qcore", field: value}))

@@ -72,7 +72,9 @@ def test_no_truncation_failure_at_high_bases(q, seed):
 ])
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2, 3])
 def test_no_suite_abort_at_high_bases(suite, q, seed):
-    # the fixed Rogers probe left |aq/(bcd)| >= 1 past |q| ~ 0.82, and the
-    # f_k/g_k guard took (q;q)_40 ~ 1.5e-6 at q = 0.9 for a pole
+    # an error fails only the check that raised it, so look for both; the
+    # fixed Rogers probe left |aq/(bcd)| >= 1 past |q| ~ 0.82, and the f_k/g_k
+    # guard took (q;q)_40 ~ 1.5e-6 at q = 0.9 for a pole
     report = run_suites(SuiteConfig(suites=(suite,), q=q, seed=seed))
-    assert not [r.detail for r in report.records if r.check == "suite-abort"]
+    assert not [r.detail for r in report.records if r.check == "suite-abort"
+                or r.detail.startswith(("ZeroDenominator:", "DomainError:"))]

@@ -9,7 +9,7 @@ from qtaylor.hyper import vwp_terms
 from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
                             K_lowering_residual, KernelParams,
                             adaptive_series_depth, bailey_crosscheck,
-                            complementary_remainder_gap, f_spec, fk_coefficient,
+                            f_spec, fk_coefficient,
                             g_spec, gk_coefficient, involute, kernel_factors,
                             kernel_H, kernel_K, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
@@ -156,17 +156,11 @@ class TestComplementaryRemainder:
         fit = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
         assert abs(fit - abs(ctx4.q)) < 0.25 * abs(ctx4.q)
 
-    def test_single_order_matches_curve(self, ctx4, rng):
-        kp = sample_profile_kernel_params(rng, ctx4)
-        z = sample_z(rng)
-        assert complementary_remainder_gap(z, kp, 6) == pytest.approx(
-            remainder_gap_curve(z, kp, [6])[0])
-
     def test_deep_order_gap_is_small(self):
         # numerically stable regime: |c| < |b q| keeps the pipeline clean
         ctx = QContext(0.45)
         kp = KernelParams(0.85, 0.25 + 0.05j, 0.6 + 0.2j, 0.55 - 0.3j, ctx)
-        gap = complementary_remainder_gap(1.1 + 0.3j, kp, 30)
+        [gap] = remainder_gap_curve(1.1 + 0.3j, kp, [30])
         assert gap < 1e-6
 
 
