@@ -25,7 +25,7 @@ from .profiles import (AnnulusSpec, ProfileMoments, annular_factorization_residu
                        profile_coefficient_residual, profile_kernel_P,
                        profile_kernel_coefficient, profile_sums_and_closed_forms)
 from .qcore import (QContext, TailBound, geometric_depth, qpoch_finite,
-                    qpoch_infinite, qpoch_multi, scaled_residual, theta)
+                    qpoch_infinite, qpoch_multi, residual_and_scale, scaled_residual, theta)
 from .quadratic import (QuadraticParams, companion_residual,
                         folding_identity_check, quadratic_residual,
                         quadratic_taylor_identification)

@@ -18,7 +18,7 @@ Conventions
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
-  :func:`scaled_residual` is that rule.
+  :func:`residual_and_scale` is that rule.
 """
 
 from __future__ import annotations
@@ -244,18 +244,22 @@ def weierstrass_terms(x, y, u, v, ctx: QContext) -> tuple:
     return t1, t2, t3
 
 
-def scaled_residual(*terms):
-    """|t_0 - t_1 - t_2 - ...| over max |t_i|; 0.0 when every term is 0.
+def residual_and_scale(*terms):
+    """(|t_0 - t_1 - ...| / scale, scale) with scale = max |t_i|; 0.0 if every t_i is 0.
 
-    The terms are subtracted in order, so the result is bit-equal to the
-    inline ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.  Array
-    terms give the residual at every point.
+    The terms are subtracted in order, so the residual is bit-equal to the inline
+    ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.  Arrays give both at every point.
     """
     scale = reduce(np.maximum, map(abs, terms))
     diff = abs(reduce(operator.sub, terms))
     if np.ndim(scale):
-        return np.divide(diff, scale, out=np.zeros_like(scale), where=scale > 0)
-    return diff / scale if scale else 0.0
+        return np.divide(diff, scale, out=np.zeros_like(scale), where=scale > 0), scale
+    return (diff / scale if scale else 0.0), scale
+
+
+def scaled_residual(*terms):
+    """The residual of :func:`residual_and_scale` alone."""
+    return residual_and_scale(*terms)[0]
 
 
 def factor_clearance(u: complex, ctx: QContext) -> float:

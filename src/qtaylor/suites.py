@@ -9,7 +9,7 @@ offsets, never from global state.
 Every check is a ``with check(name, anchor, tol, **params) as c:`` block
 (:class:`Check`) that keeps its worst residual.  ``scale`` is what that
 residual was divided by: the largest |t_i| of an identity t_0 = t_1 + ...
-judged by ``c.terms`` (``qcore.scaled_residual``), |ref| of a relative
+judged by ``c.terms`` (``qcore.residual_and_scale``), |ref| of a relative
 error judged by ``c.rel``, and 1.0 for a residual passed to ``c.see``
 as is.  A ``QTaylorError`` or ``ArithmeticError`` raised inside a block
 fails that check alone, with residual inf and ``"<Type>: message"`` in
@@ -27,13 +27,13 @@ import cmath
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
 from . import hyper, kernel, profiles, qcore, quadratic, taylor, wpoperator
 from .errors import ConfigError, DomainError, QTaylorError
-from .qcore import QContext, scaled_residual
+from .qcore import QContext, residual_and_scale, scaled_residual
 from .sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
                        sample_kernel_z, sample_on_circle,
                        sample_profile_kernel_params, sample_quadratic_params,
@@ -172,10 +172,10 @@ class Check:
         self.see(abs(value - ref) / abs(ref), scale=abs(ref))
 
     def terms(self, *terms) -> None:
-        """Judge t_0 = t_1 + ... by scaled_residual at a point or an array of points."""
-        res = np.ravel(scaled_residual(*terms))
+        """Judge t_0 = t_1 + ... by residual_and_scale at a point or an array of points."""
+        res, scale = map(np.ravel, residual_and_scale(*terms))
         i = np.argmax(res)
-        self.see(res[i], scale=np.ravel(reduce(np.maximum, map(abs, terms)))[i])
+        self.see(res[i], scale=scale[i])
 
     def __enter__(self) -> Check:
         self._slot = len(self._records)
@@ -825,12 +825,9 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
               abs(quadratic.companion_coefficient(qp0, 0, ctx) - 1))
 
     with check("coefficient-decay", "quadratic-coeff", 0.10, k=30) as c:
-        hr = abs(quadratic.quadratic_coefficient(qp0, 31, ctx)
-                 / quadratic.quadratic_coefficient(qp0, 30, ctx))
-        rr = abs(quadratic.companion_coefficient(qp0, 31, ctx)
-                 / quadratic.companion_coefficient(qp0, 30, ctx))
-        c.rel(hr, abs(qp0.b / qp0.a))
-        c.rel(rr, abs(qp0.alpha))
+        for coeff, ratio in ((quadratic.quadratic_coefficient, qp0.b / qp0.a),
+                             (quadratic.companion_coefficient, qp0.alpha)):
+            c.rel(abs(coeff(qp0, 31, ctx) / coeff(qp0, 30, ctx)), abs(ratio))
 
     with check("taylor-identification", "quadratic-taylor-coeff", 1e-7, k_max=6) as c:
         c.see(quadratic.quadratic_taylor_identification(qp0, 6, ctx),
@@ -891,10 +888,12 @@ def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
     ctx, rng = cfg.context(), cfg.rng_for("kernel")
     kp = sample_kernel_params(rng, ctx)
     z = sample_z(rng)
+    # evaluated outside the block: an error must escape, not pass for the designed failure
+    res = kernel.two_basis_residual(z, kp, kernel.adaptive_series_depth(kp),
+                                    force_unit_Hb=True)
     with Check(records, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
                1e-7, z=z, forced_unit_Hb=True) as c:
-        c.see(kernel.two_basis_residual(z, kp, kernel.adaptive_series_depth(kp),
-                                        force_unit_Hb=True))
+        c.see(res)
         c.detail = "expected failure: zeroth Taylor value dropped"
 
 

@@ -65,3 +65,16 @@ def test_records_carry_the_scale_they_were_divided_by():
     assert records["theta-symmetry"].scale != 1.0
     assert records["multi-factorwise"].scale != 1.0
     assert "terms" not in records["recurrence"].to_dict()
+
+
+def test_negative_control_error_escapes(monkeypatch):
+    # an error in the sabotaged evaluation must not pass for its designed failure
+    real = kernel.two_basis_residual
+
+    def broken(z, kp, n, force_unit_Hb=False):
+        if force_unit_Hb:
+            raise ZeroDenominator("forced")
+        return real(z, kp, n)
+    monkeypatch.setattr(kernel, "two_basis_residual", broken)
+    with pytest.raises(ZeroDenominator):
+        run_suites(SuiteConfig(suites=("kernel",), draws=4, negative_controls=True))

@@ -50,6 +50,9 @@ class TestRunner:
         sabotaged = [r for r in report.records
                      if r.check == "two-basis-identity-sabotaged"]
         assert len(sabotaged) == 1 and not sabotaged[0].passed
+        # a designed failure: a finite degraded residual, not an error
+        assert math.isfinite(sabotaged[0].residual)
+        assert sabotaged[0].detail == "expected failure: zeroth Taylor value dropped"
         assert not report.all_passed
 
     def test_summary_structure(self):

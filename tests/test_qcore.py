@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
 from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, geometric_depth,
                            qpoch_finite, qpoch_infinite, qpoch_multi,
-                           scaled_residual, theta, weierstrass_terms)
+                           residual_and_scale, scaled_residual, theta,
+                           weierstrass_terms)
 from qtaylor.sampling import sample_complex
 
 
@@ -219,3 +221,9 @@ class TestScaledResidual:
     def test_zero_terms(self):
         assert scaled_residual(0.0, 0.0j, 0.0) == 0.0
         assert scaled_residual(0.0j) == 0.0
+
+    def test_scale_is_the_largest_term(self):
+        assert residual_and_scale(1.0, 2.0, -3.0) == (2.0 / 3.0, 3.0)
+        assert residual_and_scale(0.0, 0.0j) == (0.0, 0.0)
+        res, scale = residual_and_scale(np.array([1.0, 0.0, 4.0]), np.array([2.0, 0.0, 1.0]))
+        assert res.tolist() == [0.5, 0.0, 0.75] and scale.tolist() == [2.0, 0.0, 4.0]
