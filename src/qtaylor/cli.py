@@ -73,7 +73,10 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
     if draws < 1:
         raise ConfigError("draws must be positive")
 
-    lo, hi = file_cfg.get("modulus_range", (0.3, 0.9))
+    bounds = file_cfg.get("modulus_range", (0.3, 0.9))
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise ConfigError(f"modulus_range must be a pair [lo, hi], got {bounds!r}")
+    lo, hi = (_number(float, v, "modulus_range") for v in bounds)
     if not 0.0 < lo <= hi:
         raise ConfigError("modulus_range must satisfy 0 < lo <= hi")
 
@@ -87,7 +90,7 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 
     cfg = SuiteConfig(
         suites=suites, q=q, seed=seed, draws=draws,
-        modulus_lo=float(lo), modulus_hi=float(hi),
+        modulus_lo=lo, modulus_hi=hi,
         eps_rel=_number(float, eps_rel, "tolerance") if eps_rel is not None else None,
         max_terms=(_number(int, max_terms, "max_terms")
                    if max_terms is not None else None),

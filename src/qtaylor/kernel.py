@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,6 +42,10 @@ class KernelParams:
     parameter-level denominator base stays clear of the set {q^-j} by the
     context pole margin, which also keeps the two Taylor grids b q^m and
     (c/de) q^m from colliding.
+
+    H(b), K(c/de) and the family depth do not depend on z: each is computed
+    once per instance, when first read (Hb, Kcde, series_depth), and an
+    equal quadruple built separately computes its own.
     """
 
     b: complex
@@ -85,6 +89,29 @@ class KernelParams:
     def psi_pair(self) -> BasisPair:
         return BasisPair(self.c / (self.d * self.e),
                          self.c ** 2 / (self.b * self.d * self.e))
+
+    @cached_property
+    def Hb(self) -> complex:
+        b, c, d, e, ctx = self.b, self.c, self.d, self.e, self.ctx
+        num = qpoch_multi([b * c / d, c / (b * d), b * c / e, c / (b * e)], None, ctx).value
+        den = qpoch_multi([b * c, c / b, b * c / (d * e), c / (b * d * e)], None, ctx).value
+        if abs(den) == 0.0:
+            raise ZeroDenominator("vanishing denominator in H(b)")
+        return num / den
+
+    @cached_property
+    def Kcde(self) -> complex:
+        b, c, d, e, ctx = self.b, self.c, self.d, self.e, self.ctx
+        num = qpoch_multi([c * c / (d * d * e), e, c * c / (d * e * e), d], None, ctx).value
+        den = qpoch_multi([b * c / (d * e), b * d * e / c,
+                           c ** 3 / (b * d ** 2 * e ** 2), c / b], None, ctx).value
+        if abs(den) == 0.0:
+            raise ZeroDenominator("vanishing denominator in K(c/de)")
+        return num / den
+
+    @cached_property
+    def series_depth(self) -> int:
+        return max(vwp_depth(f_spec(self), self.ctx), vwp_depth(g_spec(self), self.ctx))
 
     def involuted(self) -> "KernelParams":
         b, c, d, e = self.b, self.c, self.d, self.e
@@ -179,24 +206,13 @@ def kernel_factors(z: complex, kp: KernelParams) -> KernelFactors:
 
 
 def H_at_b(kp: KernelParams) -> complex:
-    """Zeroth Taylor value H(b) in closed product form."""
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    num = qpoch_multi([b * c / d, c / (b * d), b * c / e, c / (b * e)], None, ctx).value
-    den = qpoch_multi([b * c, c / b, b * c / (d * e), c / (b * d * e)], None, ctx).value
-    if abs(den) == 0.0:
-        raise ZeroDenominator("vanishing denominator in H(b)")
-    return num / den
+    """Zeroth Taylor value H(b) in closed product form (cached on kp)."""
+    return kp.Hb
 
 
 def K_at_cde(kp: KernelParams) -> complex:
-    """Zeroth Taylor value K(c/de) in closed product form."""
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    num = qpoch_multi([c * c / (d * d * e), e, c * c / (d * e * e), d], None, ctx).value
-    den = qpoch_multi([b * c / (d * e), b * d * e / c,
-                       c ** 3 / (b * d ** 2 * e ** 2), c / b], None, ctx).value
-    if abs(den) == 0.0:
-        raise ZeroDenominator("vanishing denominator in K(c/de)")
-    return num / den
+    """Zeroth Taylor value K(c/de) in closed product form (cached on kp)."""
+    return kp.Kcde
 
 
 def fk_coefficient(kp: KernelParams, k: int) -> complex:
@@ -322,8 +338,8 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
 
 
 def adaptive_series_depth(kp: KernelParams) -> int:
-    """Truncation depth of both coefficient families: the larger vwp_depth of f, g."""
-    return max(vwp_depth(f_spec(kp), kp.ctx), vwp_depth(g_spec(kp), kp.ctx))
+    """Depth of both coefficient families: the larger vwp_depth of f, g (cached on kp)."""
+    return kp.series_depth
 
 
 def M_clearing(z: complex, kp: KernelParams) -> complex:
@@ -366,8 +382,8 @@ def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:
     E = t1 - t2 - t3 where t1 is the numerator product of F and t2, t3
     are the pole-cleared coefficient sums; each infinite product is
     truncated with a certified tail.  z may be an ndarray of points (the
-    terms are then arrays): H(b), K(c/de) and the two coefficient lists
-    do not depend on z and are computed once per call.
+    terms are then arrays): the two coefficient lists do not depend on z
+    and are computed once per call, H(b) and K(c/de) once per kp.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     if np.any(z == 0):

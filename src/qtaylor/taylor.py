@@ -1,8 +1,9 @@
 """Rational bases Phi_k, coefficient extraction, Taylor sums and flatness.
 
-The coefficient functional is computed through the closed-form grid
-expression (cooper_eval); the literal operator recursion stays available
-as an independent witness in the tests.
+An expansion to order n samples f once on the grid a q^i, i = 0..n, and
+reads each coefficient t_k as its prefactored weight row (_coeff_row, the
+closed-form grid functional) times those values; the literal operator
+recursion stays available as an independent witness in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, PoleProximity, ZeroDenominator
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_infinite,
                     scaled_residual)
-from .wpoperator import SymmetricFunction, cooper_eval, grid_functional_weights
+from .wpoperator import SymmetricFunction, grid_functional_weights
 
 
 @dataclass(frozen=True)
@@ -116,23 +117,32 @@ def _coeff_prefactor(pair: BasisPair, k: int, ctx: QContext) -> complex:
             / ((2.0 * a) ** k * d1 * d2 * d3))
 
 
+def _coeff_row(pair: BasisPair, k: int, ctx: QContext) -> list[complex]:
+    """Prefactored weights of t_k: t_k(f) = sum_i row_i f(a q^i), i = 0..k."""
+    pref = _coeff_prefactor(pair, k, ctx)
+    return [pref * w for w in grid_functional_weights(pair.a, pair.c, k, ctx)]
+
+
+def _grid_sample(f, pair: BasisPair, n: int, ctx: QContext) -> list[complex]:
+    """f at the grid nodes a q^i, i = 0..n."""
+    return [f(pair.a * ctx.q ** i) for i in range(n + 1)]
+
+
 def taylor_coefficient(f, pair: BasisPair, k: int, ctx: QContext) -> complex:
     """k-th well-poised Taylor coefficient of f relative to (a, c).
 
-    Prefactored evaluation of the k-fold operator at z = a q^{k/2}, via the
-    closed-form grid expression.
+    The prefactored k-fold operator at z = a q^{k/2}: its weight row
+    applied to f on the nodes a q^i, i <= k.
     """
-    z = pair.a * ctx.sqrt_q ** k
-    return _coeff_prefactor(pair, k, ctx) * cooper_eval(f, z, pair.c, k, ctx)
+    row = _coeff_row(pair, k, ctx)
+    return sum(w * v for w, v in zip(row, _grid_sample(f, pair, k, ctx)))
 
 
 def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
                     ctx: QContext) -> float:
     """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
-    worst = 0.0
-    for k, rhs in enumerate(expected):
-        worst = max(worst, scaled_residual(taylor_coefficient(f, pair, k, ctx), rhs))
-    return worst
+    coeffs = taylor_expand(f, pair, len(expected) - 1, ctx).coefficients
+    return max(map(scaled_residual, coeffs, expected), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,10 @@ class TaylorExpansion:
 
 
 def taylor_expand(f, pair: BasisPair, n: int, ctx: QContext) -> TaylorExpansion:
-    """Extract coefficients 0..n (each via the closed-form functional)."""
-    coeffs = tuple(taylor_coefficient(f, pair, k, ctx) for k in range(n + 1))
+    """Coefficients 0..n from one sample of f on the nodes a q^i, i = 0..n."""
+    values = _grid_sample(f, pair, n, ctx)
+    coeffs = tuple(sum(w * v for w, v in zip(_coeff_row(pair, k, ctx), values))
+                   for k in range(n + 1))
     return TaylorExpansion(pair, coeffs)
 
 
@@ -171,25 +183,16 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
     on the grid therefore scores at rounding level, while a genuinely
     visible function scores far above it.
     """
-    a, c = pair.a, pair.c
-    h_scale = max(abs(h(abs(a) * cmath.exp(2j * math.pi * (j + 0.13) / 8)))
+    h_scale = max(abs(h(abs(pair.a) * cmath.exp(2j * math.pi * (j + 0.13) / 8)))
                   for j in range(8))
     if h_scale == 0.0:
         return 0.0
-    values: dict[int, complex] = {}
-
-    def node_value(i: int) -> complex:
-        if i not in values:
-            values[i] = h(a * ctx.q ** i)
-        return values[i]
-
+    values = _grid_sample(h, pair, k_max, ctx)
     worst = 0.0
     for k in range(k_max + 1):
-        pref = _coeff_prefactor(pair, k, ctx)
-        weights = grid_functional_weights(a, c, k, ctx)
-        tk = sum(pref * w * node_value(i) for i, w in enumerate(weights))
-        norm = sum(abs(pref * w) for w in weights)
-        worst = max(worst, abs(tk) / (norm * h_scale))
+        row = _coeff_row(pair, k, ctx)
+        tk = sum(w * v for w, v in zip(row, values))
+        worst = max(worst, abs(tk) / (sum(map(abs, row)) * h_scale))
     return worst
 
 

@@ -4,8 +4,9 @@ Implements the Askey-Wilson operator D_q, its well-poised extension
 D_{c,q}, the iterated operator with the per-step shift c -> c q^{3(j-1)/2},
 and the closed-form expression of the k-fold operator as a finite weighted
 sum of grid evaluations ("cooper_eval").  The closed form and the literal
-recursion are two independent computation paths; their agreement is one of
-the core checks of the suite.
+recursion are two independent computation paths; their agreement is the
+check operator/closed-form-vs-recursion.  Coefficient extraction in taylor
+applies the same closed form as weight rows (grid_functional_weights).
 
 The square root of q is always the principal branch (ctx.sqrt_q); the
 operators are branch-independent on symmetric functions and the tests

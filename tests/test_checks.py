@@ -78,3 +78,11 @@ def test_negative_control_error_escapes(monkeypatch):
     monkeypatch.setattr(kernel, "two_basis_residual", broken)
     with pytest.raises(ZeroDenominator):
         run_suites(SuiteConfig(suites=("kernel",), draws=4, negative_controls=True))
+
+
+def test_canonical_growth_failure_names_the_spread():
+    # the C-factor spread, not the reassembly, fails at this draw
+    [rec] = [r for r in run_profiles(SuiteConfig(q=0.7, seed=2798990346))
+             if r.check == "canonical-growth"]
+    assert not rec.passed and rec.params["spread"] >= 10.0
+    assert rec.detail == "C-factor spread 11.3 >= 10 at radius 1.58"

@@ -204,11 +204,14 @@ class TestCommandLine:
         ("eps_rel", "abc"), ("eps_rel", -1e-10), ("max_terms", 4),
         ("explicit", [{"b": "0.5", "c": "0.6", "d": "0.4"}]),
         ("explicit", [{"b": "zz", "c": "0.6", "d": "0.4", "e": "0.7"}]),
-        ("explicit", [1]), ("explicit", {"b": "0.5"})])
-    def test_bad_file_setting_is_config_error(self, tmp_path, field, value):
+        ("explicit", [1]), ("explicit", {"b": "0.5"}),
+        ("modulus_range", 5), ("modulus_range", [0.3]), ("modulus_range", ["a", 1])])
+    def test_bad_file_setting_is_config_error(self, tmp_path, capsys, field, value):
         cfgfile = tmp_path / "params.json"
         cfgfile.write_text(json.dumps({"suite": "qcore", field: value}))
         assert cli.main(["--params", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
 
     def test_nonpositive_tol_flag_is_config_error(self):
         assert cli.main(["--suite", "qcore", "--tol", "0"]) == 2

@@ -58,6 +58,39 @@ class TestKernelFactors:
         assert K_at_cde(kp) == pytest.approx(kernel_K(zc, kp), rel=1e-12)
 
 
+class TestQuadrupleCache:
+    """H(b), K(c/de) and the family depth are computed once per KernelParams."""
+
+    def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
+        products, depths = [], []
+        real_multi, real_depth = kernel.qpoch_multi, kernel.vwp_depth
+        monkeypatch.setattr(kernel, "qpoch_multi",
+                            lambda *a: products.append(a) or real_multi(*a))
+        monkeypatch.setattr(kernel, "vwp_depth", lambda *a: depths.append(a) or real_depth(*a))
+
+        def evaluate(quadruple):
+            values = (H_at_b(quadruple), K_at_cde(quadruple), adaptive_series_depth(quadruple))
+            return values, (len(products), len(depths))
+        first, counts = evaluate(kp)
+        assert counts == (4, 2)
+        assert evaluate(kp) == (first, (4, 2))
+        # no process-wide cache: an equal quadruple and the involuted one recompute
+        twin = KernelParams(kp.b, kp.c, kp.d, kp.e, kp.ctx)
+        assert twin == kp and evaluate(twin) == (first, (8, 4))
+        assert evaluate(involute(kp))[1] == (12, 6)
+
+    def test_failed_value_is_not_cached(self, monkeypatch, kp):
+        monkeypatch.setattr(kernel, "qpoch_multi", _raise_zero)
+        with pytest.raises(ZeroDivisionError):
+            H_at_b(kp)
+        monkeypatch.undo()
+        assert H_at_b(kp) == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
+
+
+def _raise_zero(*args):
+    raise ZeroDivisionError("forced")
+
+
 class TestInvolution:
     def test_order_two(self, kp):
         back = involute(involute(kp))
@@ -155,6 +188,16 @@ class TestComplementaryRemainder:
         gaps = remainder_gap_curve(z, involute(kp), orders)
         fit = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
         assert abs(fit - abs(ctx4.q)) < 0.25 * abs(ctx4.q)
+
+    def test_one_H_sample_per_expansion(self, monkeypatch, rng):
+        # orders 12..20 at q = 0.7: 21 grid nodes plus H(z) itself, not 231 + 1
+        ctx = QContext(0.7)
+        kp = sample_profile_kernel_params(rng, ctx)
+        calls = []
+        real = kernel.kernel_H
+        monkeypatch.setattr(kernel, "kernel_H", lambda *a, **k: calls.append(a) or real(*a, **k))
+        remainder_gap_curve(sample_z(rng), kp, list(range(12, 21)))
+        assert len(calls) == 22
 
     def test_deep_order_gap_is_small(self):
         # numerically stable regime: |c| < |b q| keeps the pipeline clean

@@ -4,14 +4,16 @@ import math
 import pytest
 
 from qtaylor.errors import PoleProximity, ZeroDenominator
-from qtaylor.qcore import qpoch_finite, qpoch_infinite
-from qtaylor.sampling import sample_basis_pair, sample_complex, sample_z
-from qtaylor.taylor import (BasisPair, TaylorExpansion, basis_limit_modulus,
-                            basis_sup_curve, basis_sup_estimate, basis_terms,
-                            flatness_check, phi_basis, phi_combination, phi_function,
-                            taylor_coefficient, taylor_expand,
+from qtaylor.kernel import H_series_function
+from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
+from qtaylor.sampling import (sample_basis_pair, sample_complex,
+                              sample_profile_kernel_params, sample_z)
+from qtaylor.taylor import (BasisPair, TaylorExpansion, _coeff_prefactor,
+                            basis_limit_modulus, basis_sup_curve, basis_sup_estimate,
+                            basis_terms, flatness_check, phi_basis, phi_combination,
+                            phi_function, taylor_coefficient, taylor_expand,
                             taylor_sum_and_remainder)
-from qtaylor.wpoperator import SymmetricFunction
+from qtaylor.wpoperator import SymmetricFunction, cooper_eval, grid_functional_weights
 
 
 class TestBasis:
@@ -149,6 +151,53 @@ class TestSumsAndRemainders:
         exp = taylor_expand(f, pair, n, ctx)
         for k in range(n + 1):
             assert exp.coefficients[k] == pytest.approx(us[k], rel=1e-8)
+
+
+def _assert_matches_per_order_route(f, pair, n, ctx):
+    """taylor_expand against prefactor x cooper_eval at a q^{k/2}, order by order.
+
+    Each order is allowed 1e-12 of the functional's reach
+    sum_i |pref w_i f(a q^i)|: the two routes sum the same terms in another
+    order, at nodes rounded differently.
+    """
+    got = taylor_expand(f, pair, n, ctx).coefficients
+    assert len(got) == n + 1
+    for k in range(n + 1):
+        pref = _coeff_prefactor(pair, k, ctx)
+        want = pref * cooper_eval(f, pair.a * ctx.sqrt_q ** k, pair.c, k, ctx)
+        reach = sum(abs(pref * w * f(pair.a * ctx.q ** i))
+                    for i, w in enumerate(grid_functional_weights(pair.a, pair.c, k, ctx)))
+        assert abs(got[k] - want) <= 1e-12 * reach, (k, got[k], want, reach)
+
+
+class TestSharedGrid:
+    """An expansion samples f once per grid node and keeps every coefficient."""
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 20])
+    def test_expansion_evaluates_each_node_once(self, ctx, n):
+        pair = BasisPair(0.6 + 0.1j, 0.4)
+        inner = phi_combination(BasisPair(0.5, 0.4), [1.0, 0.3j, 0.8], ctx)
+        seen = []
+        f = SymmetricFunction(lambda z: seen.append(z) or inner(z))
+        taylor_expand(f, pair, n, ctx)
+        assert len(seen) == n + 1
+
+    @pytest.mark.parametrize("q", [0.45, -0.3, 0.5j, 0.7])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_per_order_route(self, rng, q, flip):
+        ctx = QContext(q).other_branch() if flip else QContext(q)
+        for _ in range(3):
+            pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
+            n = rng.randrange(1, 9)
+            f = phi_combination(pair, [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)],
+                                ctx)
+            _assert_matches_per_order_route(f, pair, n, ctx)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_kernel_H_to_order_20_matches_per_order_route(self, rng, flip):
+        ctx = QContext(0.7).other_branch() if flip else QContext(0.7)
+        kp = sample_profile_kernel_params(rng, ctx)
+        _assert_matches_per_order_route(H_series_function(kp), kp.phi_pair, 20, ctx)
 
 
 class TestFlatness:
