@@ -8,13 +8,15 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from typing import Iterator
 
 from .errors import DivergenceSuspected, DomainError, ZeroDenominator
-from .qcore import QContext, TailBound, geometric_depth, qpoch_multi
+from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, qpoch_multi,
+                    qpoch_quotient)
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,12 @@ def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
 
     term_ratio(k) must return the multiplier taking term_k to term_{k+1}.
     Truncation: through index `trunc` when given, else after the first t_k
-    with geometric_depth(rate, |t_k| / |partial sum|) = 0, rate being the
-    last decreasing term ratio (at least |q|).  A vanishing term ends the
-    sum exactly.  Adaptive mode raises DivergenceSuspected after 8
-    consecutive growing terms past geometric_depth(|q|), where the q-power
-    factors of the ratio have settled.
+    with |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
+    decreasing term ratio (at least |q|); geometric_depth(rate, lead) = 0 is
+    that test, called only to enforce ctx.max_terms or reject a non-finite
+    lead.  A vanishing term ends the sum exactly.  Adaptive mode raises
+    DivergenceSuspected after 8 consecutive growing terms past
+    geometric_depth(|q|), where the q-power factors of the ratio have settled.
     """
     q_rate = abs(ctx.q)
     settled = geometric_depth(q_rate) if trunc is None else 0
@@ -95,9 +98,11 @@ def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
         term = nxt
         total += term
         k += 1
-        if (trunc is None and total
-                and geometric_depth(rate, abs(term) / abs(total), ctx.max_terms) == 0):
-            break
+        if trunc is None and total:
+            lead = abs(term) / abs(total)
+            if (lead < TAIL_TARGET * (1.0 - rate) if ctx.max_terms is None and lead < math.inf
+                    else geometric_depth(rate, lead, ctx.max_terms) == 0):
+                break
     tail = abs(term) * rate / (1.0 - rate)
     return TailBound(total, tail, k + 1)
 
@@ -200,12 +205,9 @@ def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
         raise DomainError(f"|aq/(bcd)| = {abs(arg):.3g} >= 1")
     spec = VWPSpec(a, (b, c, d), arg)
     tb = vwp_eval(spec, None, ctx)
-    num = qpoch_multi([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
-                      None, ctx).value
-    den = qpoch_multi([a * q / b, a * q / c, a * q / d, arg], None, ctx).value
-    if abs(den) == 0.0:
-        raise ZeroDenominator("vanishing denominator product in 6W5 evaluation")
-    rhs = num / den
+    rhs = qpoch_quotient([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
+                         [a * q / b, a * q / c, a * q / d, arg], ctx,
+                         "vanishing denominator product in 6W5 evaluation", ZeroDenominator)
     scale = max(abs(tb.value), abs(rhs), *map(abs, vwp_terms(spec, tb.terms_used, ctx)))
     return abs(tb.value - rhs) / scale
 

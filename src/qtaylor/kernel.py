@@ -22,16 +22,17 @@ import numpy as np
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
 from .hyper import VWPSpec, vwp_depth, vwp_eval, vwp_terms
-from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_infinite,
-                    qpoch_multi, scaled_residual)
+# qpoch_infinite stays bound here: bench/test_bench.py checks this import site
+from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups, qpoch_multi,
+                    qpoch_infinite, qpoch_quotient, scaled_residual)  # noqa: F401
 from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
 
 
-def _sym_inf(alpha: complex, z, ctx: QContext):
-    """(alpha z; q)_inf (alpha / z; q)_inf, at a point or an ndarray of points."""
-    return qpoch_infinite(alpha * z, ctx).value * qpoch_infinite(alpha / z, ctx).value
+def sym_bases(z, *alphas) -> list:
+    """The bases alpha z, alpha / z of (alpha z, alpha / z;q)_inf for each alpha."""
+    return [w for alpha in alphas for w in (alpha * z, alpha / z)]
 
 
 @dataclass(frozen=True)
@@ -92,22 +93,18 @@ class KernelParams:
 
     @cached_property
     def Hb(self) -> complex:
-        b, c, d, e, ctx = self.b, self.c, self.d, self.e, self.ctx
-        num = qpoch_multi([b * c / d, c / (b * d), b * c / e, c / (b * e)], None, ctx).value
-        den = qpoch_multi([b * c, c / b, b * c / (d * e), c / (b * d * e)], None, ctx).value
-        if abs(den) == 0.0:
-            raise ZeroDenominator("vanishing denominator in H(b)")
-        return num / den
+        b, c, d, e = self.b, self.c, self.d, self.e
+        return qpoch_quotient([b * c / d, c / (b * d), b * c / e, c / (b * e)],
+                              [b * c, c / b, b * c / (d * e), c / (b * d * e)], self.ctx,
+                              "vanishing denominator in H(b)", ZeroDenominator)
 
     @cached_property
     def Kcde(self) -> complex:
-        b, c, d, e, ctx = self.b, self.c, self.d, self.e, self.ctx
-        num = qpoch_multi([c * c / (d * d * e), e, c * c / (d * e * e), d], None, ctx).value
-        den = qpoch_multi([b * c / (d * e), b * d * e / c,
-                           c ** 3 / (b * d ** 2 * e ** 2), c / b], None, ctx).value
-        if abs(den) == 0.0:
-            raise ZeroDenominator("vanishing denominator in K(c/de)")
-        return num / den
+        b, c, d, e = self.b, self.c, self.d, self.e
+        return qpoch_quotient([c * c / (d * d * e), e, c * c / (d * e * e), d],
+                              [b * c / (d * e), b * d * e / c,
+                               c ** 3 / (b * d ** 2 * e ** 2), c / b], self.ctx,
+                              "vanishing denominator in K(c/de)", ZeroDenominator)
 
     @cached_property
     def series_depth(self) -> int:
@@ -138,57 +135,41 @@ class KernelFactors:
 
 
 def kernel_F(z: complex, kp: KernelParams) -> complex:
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    num = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
-    den = _sym_inf(c, z, ctx) * _sym_inf(c * c / (b * d * e), z, ctx)
-    if abs(den) == 0.0:
-        raise PoleProximity("z on a pole of F")
-    return num / den
+    b, c, d, e = kp.b, kp.c, kp.d, kp.e
+    return qpoch_quotient(sym_bases(z, c / d, c / e), sym_bases(z, c, c * c / (b * d * e)),
+                          kp.ctx, "z on a pole of F")
 
 
 def kernel_A(z: complex, kp: KernelParams) -> complex:
-    c, ctx = kp.c, kp.ctx
-    den = _sym_inf(c * c / (kp.b * kp.d * kp.e), z, ctx)
-    if abs(den) == 0.0:
-        raise PoleProximity("z on a pole of A")
-    return _sym_inf(c / (kp.d * kp.e), z, ctx) / den
+    b, c, d, e = kp.b, kp.c, kp.d, kp.e
+    return qpoch_quotient(sym_bases(z, c / (d * e)), sym_bases(z, c * c / (b * d * e)),
+                          kp.ctx, "z on a pole of A")
 
 
 def kernel_B(z: complex, kp: KernelParams) -> complex:
-    den = _sym_inf(kp.c, z, kp.ctx)
-    if abs(den) == 0.0:
-        raise PoleProximity("z on a pole of B")
-    return _sym_inf(kp.b, z, kp.ctx) / den
+    return qpoch_quotient(sym_bases(z, kp.b), sym_bases(z, kp.c), kp.ctx, "z on a pole of B")
 
 
 def kernel_H(z: complex, kp: KernelParams, *, c: complex | None = None,
              d: complex | None = None, e: complex | None = None) -> complex:
     """H(z; c, d, e); keyword overrides evaluate the shifted kernels."""
-    ctx = kp.ctx
     c = kp.c if c is None else c
     d = kp.d if d is None else d
     e = kp.e if e is None else e
-    num = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
-    den = _sym_inf(c, z, ctx) * _sym_inf(c / (d * e), z, ctx)
-    if abs(den) == 0.0:
-        raise PoleProximity("z on a pole of H")
-    return num / den
+    return qpoch_quotient(sym_bases(z, c / d, c / e), sym_bases(z, c, c / (d * e)),
+                          kp.ctx, "z on a pole of H")
 
 
 def kernel_K(z: complex, kp: KernelParams, *, b: complex | None = None,
              c: complex | None = None, d: complex | None = None,
              e: complex | None = None) -> complex:
     """K(z; b, c, d, e); keyword overrides evaluate the shifted kernels."""
-    ctx = kp.ctx
     b = kp.b if b is None else b
     c = kp.c if c is None else c
     d = kp.d if d is None else d
     e = kp.e if e is None else e
-    num = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
-    den = _sym_inf(b, z, ctx) * _sym_inf(c * c / (b * d * e), z, ctx)
-    if abs(den) == 0.0:
-        raise PoleProximity("z on a pole of K")
-    return num / den
+    return qpoch_quotient(sym_bases(z, c / d, c / e), sym_bases(z, b, c * c / (b * d * e)),
+                          kp.ctx, "z on a pole of K")
 
 
 def kernel_factors(z: complex, kp: KernelParams) -> KernelFactors:
@@ -344,22 +325,20 @@ def adaptive_series_depth(kp: KernelParams) -> int:
 
 def M_clearing(z: complex, kp: KernelParams) -> complex:
     """The pole-clearing product M(z) = (cz, c/z, c^2 z/bde, c^2/bdez;q)_inf."""
-    return (_sym_inf(kp.c, z, kp.ctx)
-            * _sym_inf(kp.c ** 2 / (kp.b * kp.d * kp.e), z, kp.ctx))
+    return qpoch_groups([sym_bases(z, kp.c, kp.c ** 2 / (kp.b * kp.d * kp.e))], kp.ctx)[0]
 
 
-def _cleared_family_sum(z, pair: BasisPair, coeffs: Iterable[complex],
+def _cleared_family_sum(z, pair: BasisPair, coeffs: Iterable[complex], tail,
                         ctx: QContext):
     """sum_k u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c).
 
-    The infinite tail product is evaluated once and divided down one factor
-    pair per order, so the sum carries no basis denominators.  z may be an
-    ndarray of points: the loop runs over k, each step over every point,
-    and a tail update within the margin at any point raises.
+    The given tail = (cz, c/z;q)_inf is divided down one factor pair per
+    order, so the sum carries no basis denominators.  z may be an ndarray
+    of points: the loop runs over k, each step over every point, and a tail
+    update within the margin at any point raises.
     """
     q = ctx.q
     a, c = pair.a, pair.c
-    tail = _sym_inf(c, z, ctx)
     cz, az = c * z, a * z
     fin = 1.0 + 0.0j
     total = 0.0 + 0.0j
@@ -381,21 +360,23 @@ def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:
 
     E = t1 - t2 - t3 where t1 is the numerator product of F and t2, t3
     are the pole-cleared coefficient sums; each infinite product is
-    truncated with a certified tail.  z may be an ndarray of points (the
-    terms are then arrays): the two coefficient lists do not depend on z
-    and are computed once per call, H(b) and K(c/de) once per kp.
+    truncated with a certified tail, all in one qpoch_infinite call.  z may
+    be an ndarray of points (the terms are then arrays): the coefficient
+    lists are computed once per call, H(b) and K(c/de) once per kp.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     if np.any(z == 0):
         raise DomainError("E is defined on the punctured plane")
     phi, psi = kp.phi_pair, kp.psi_pair
-    t1 = _sym_inf(c / d, z, ctx) * _sym_inf(c / e, z, ctx)
+    t1, outer_f, outer_g, tail_f, tail_g = qpoch_groups(
+        [sym_bases(z, c / d, c / e), sym_bases(z, psi.a), sym_bases(z, b),
+         sym_bases(z, phi.c), sym_bases(z, psi.c)], ctx)
     # first family: (cz/de, c/dez;q)_inf sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
-    t2 = (H_at_b(kp) * _sym_inf(psi.a, z, ctx)
-          * _cleared_family_sum(z, phi, vwp_terms(f_spec(kp), n_trunc, ctx), ctx))
+    t2 = (H_at_b(kp) * outer_f
+          * _cleared_family_sum(z, phi, vwp_terms(f_spec(kp), n_trunc, ctx), tail_f, ctx))
     # second family: (bz, b/z;q)_inf sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
-    t3 = (K_at_cde(kp) * _sym_inf(b, z, ctx)
-          * _cleared_family_sum(z, psi, vwp_terms(g_spec(kp), n_trunc, ctx), ctx))
+    t3 = (K_at_cde(kp) * outer_g
+          * _cleared_family_sum(z, psi, vwp_terms(g_spec(kp), n_trunc, ctx), tail_g, ctx))
     return t1, t2, t3
 
 

@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import VWPSpec, _series_sum, _vwp_ratio, vwp_eval
 from .kernel import (KernelParams, H_at_b, K_at_cde, adaptive_series_depth, f_spec,
-                     g_spec, pole_cleared_E_terms)
-from .qcore import (QContext, _pinf, factor_clearance, qpoch_finite, scaled_residual,
-                    theta)
+                     g_spec, pole_cleared_E_terms, sym_bases)
+from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotient,
+                    scaled_residual, theta_bases)
 
 
 def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
@@ -92,9 +92,9 @@ def annular_factorization_residual(lam: complex, N: int, w: complex,
     if factor_clearance(1.0 / w, ctx) <= ctx.pole_margin:
         raise PoleProximity("w within margin of a zero of (1/w;q)_inf")
     z = lam * q ** N * w
-    lhs = _pinf(lam / z, ctx)
+    lhs, inf_w = qpoch_groups([[lam / z], [1.0 / w]], ctx)
     rhs = ((-lam / z) ** N * q ** (N * (N - 1) // 2)
-           * qpoch_finite(w * q, N, ctx) * _pinf(1.0 / w, ctx))
+           * qpoch_finite(w * q, N, ctx) * inf_w)
     return scaled_residual(lhs, rhs)
 
 
@@ -107,9 +107,8 @@ def L_profile(w: complex, alpha: complex, beta: complex, lam: complex,
     """
     t = lam * w
     _require_clear(ctx, "L profile", t * ctx.q / beta, beta / t)
-    num = _pinf(t * ctx.q / alpha, ctx) * _pinf(alpha / t, ctx)
-    den = _pinf(t * ctx.q / beta, ctx) * _pinf(beta / t, ctx)
-    return num / den
+    return qpoch_quotient([t * ctx.q / alpha, alpha / t], [t * ctx.q / beta, beta / t], ctx,
+                          "L profile: vanishing denominator")
 
 
 @dataclass(frozen=True)
@@ -148,20 +147,15 @@ def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
             f"|bq/c| = {abs(weight * q):.3g} >= 1: profile sums diverge")
     f_series = _scalar_profile_sum(f_spec(kp), weight, ctx)
     g_series = _scalar_profile_sum(g_spec(kp), weight, ctx)
-    f_prod = (_pinf(b * c, ctx) * _pinf(b * c / (d * e), ctx)
-              * _pinf(b * e * q / c, ctx) * _pinf(b * d * q / c, ctx)) / (
-        _pinf(b * c / d, ctx) * _pinf(b * c / e, ctx)
-        * _pinf(b * d * e * q / c, ctx) * _pinf(b * q / c, ctx))
-    g_prod = (_pinf(c ** 3 / (b * d * d * e * e), ctx) * _pinf(b * c / (d * e), ctx)
-              * _pinf(q / e, ctx) * _pinf(q / d, ctx)) / (
-        _pinf(c * c / (d * e * e), ctx) * _pinf(c * c / (d * d * e), ctx)
-        * _pinf(c * q / (b * d * e), ctx) * _pinf(b * q / c, ctx))
-    hb_f_theta = (theta(c / (b * d), ctx) * theta(c / (b * e), ctx)
-                  / (theta(c / b, ctx) * theta(c / (b * d * e), ctx)))
-    kg_theta = (theta(d, ctx) * theta(e, ctx)
-                / (theta(b * d * e / c, ctx) * theta(c / b, ctx)))
-    return ProfileClosedForms(f_series, f_prod, g_series, g_prod,
-                              hb_f_theta, kg_theta, H_at_b(kp), K_at_cde(kp))
+    f_num, f_den, g_num, g_den, hf_num, hf_den, kg_num, kg_den = qpoch_groups(
+        [[b * c, b * c / (d * e), b * e * q / c, b * d * q / c],
+         [b * c / d, b * c / e, b * d * e * q / c, b * q / c],
+         [c ** 3 / (b * d * d * e * e), b * c / (d * e), q / e, q / d],
+         [c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e), b * q / c],
+         theta_bases(ctx, c / (b * d), c / (b * e)), theta_bases(ctx, c / b, c / (b * d * e)),
+         theta_bases(ctx, d, e), theta_bases(ctx, b * d * e / c, c / b)], ctx)
+    return ProfileClosedForms(f_series, f_num / f_den, g_series, g_num / g_den,
+                              hf_num / hf_den, kg_num / kg_den, H_at_b(kp), K_at_cde(kp))
 
 
 def leading_profile_terms(w: complex, kp: KernelParams, lam: complex,
@@ -193,12 +187,11 @@ def leading_profile_theta_residual(t: complex, kp: KernelParams) -> float:
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     closed = profile_sums_and_closed_forms(kp)
-    lhs = theta(c * t / d, ctx) * theta(c * t / e, ctx)
-    t2 = (closed.Hb * closed.F_star_product * theta(c * t, ctx)
-          * theta(c * t / (d * e), ctx))
-    t3 = (closed.Kcde * closed.G_star_product * theta(b * t, ctx)
-          * theta(c * c * t / (b * d * e), ctx))
-    return scaled_residual(lhs, t2, t3)
+    lhs, theta_f, theta_g = qpoch_groups(
+        [theta_bases(ctx, c * t / d, c * t / e), theta_bases(ctx, c * t, c * t / (d * e)),
+         theta_bases(ctx, b * t, c * c * t / (b * d * e))], ctx)
+    return scaled_residual(lhs, closed.Hb * closed.F_star_product * theta_f,
+                           closed.Kcde * closed.G_star_product * theta_g)
 
 
 def _validate_s_disc(s, w: complex, alpha: complex, beta: complex,
@@ -226,11 +219,10 @@ def profile_kernel_P(s, w: complex, alpha: complex, beta: complex,
     q = ctx.q
     _require_clear(ctx, "profile kernel", beta * t * s, t * q / beta,
                    t * q * s / alpha, beta / t)
-    p1 = _pinf(alpha * t * s, ctx) / _pinf(beta * t * s, ctx)
-    p2 = _pinf(t * q / alpha, ctx) / _pinf(t * q / beta, ctx)
-    p3 = _pinf(t * q * s / beta, ctx) / _pinf(t * q * s / alpha, ctx)
-    p4 = _pinf(alpha / t, ctx) / _pinf(beta / t, ctx)
-    return p1 * p2 * p3 * p4
+    n1, d1, n2, d2, n3, d3, n4, d4 = qpoch_groups(
+        [[alpha * t * s], [beta * t * s], [t * q / alpha], [t * q / beta],
+         [t * q * s / beta], [t * q * s / alpha], [alpha / t], [beta / t]], ctx)
+    return (n1 / d1) * (n2 / d2) * (n3 / d3) * (n4 / d4)
 
 
 def profile_kernel_coefficient(j: int, w: complex, alpha: complex, beta: complex,
@@ -392,9 +384,8 @@ def exponential_profile_limit_residual(k: int, w: complex, kp: KernelParams,
 
     def sym_quot(alpha: complex, beta: complex) -> complex:
         _require_clear(ctx, "profile quotient", beta * z, beta / z)
-        num = _pinf(alpha * z, ctx) * _pinf(alpha / z, ctx)
-        den = _pinf(beta * z, ctx) * _pinf(beta / z, ctx)
-        return num / den
+        return qpoch_quotient(sym_bases(z, alpha), sym_bases(z, beta), ctx,
+                              "profile quotient: vanishing denominator")
 
     rk = scale_pow * sym_quot(c * qk, b * qk)
     r_lim = L_profile(w, c, b, lam, ctx)
@@ -418,9 +409,7 @@ class CanonicalGrowth:
 
 def canonical_Z(z: complex, kp: KernelParams) -> complex:
     """Z(z) = (bz, b/z, cz/de, c/dez;q)_inf, the two-grid canonical product."""
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    return (_pinf(b * z, ctx) * _pinf(b / z, ctx)
-            * _pinf(c * z / (d * e), ctx) * _pinf(c / (d * e * z), ctx))
+    return qpoch_groups([sym_bases(z, kp.b, kp.c / (kp.d * kp.e))], kp.ctx)[0]
 
 
 def canonical_growth_profile(lam: complex, N: int, w: complex,
@@ -433,13 +422,12 @@ def canonical_growth_profile(lam: complex, N: int, w: complex,
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
     z = lam * q ** N * w
-    zval = canonical_Z(z, kp)
     monomial = q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N
     cde = c / (d * e)
-    cfac = (_pinf(b * z, ctx) * _pinf(cde * z, ctx)
-            * qpoch_finite(lam * w * q / b, N, ctx)
-            * qpoch_finite(lam * w * q / cde, N, ctx)
-            * _pinf(b / (lam * w), ctx) * _pinf(cde / (lam * w), ctx))
+    zval, cinf = qpoch_groups([sym_bases(z, b, cde),
+                               [b * z, cde * z, b / (lam * w), cde / (lam * w)]], ctx)
+    cfac = (cinf * qpoch_finite(lam * w * q / b, N, ctx)
+            * qpoch_finite(lam * w * q / cde, N, ctx))
     return CanonicalGrowth(zval, monomial, cfac)
 
 

@@ -12,9 +12,12 @@ Conventions
   tail dominated by a geometric series ``lead * rate^N / (1 - rate)`` is
   cut off once that bound falls below ``TAIL_TARGET`` = 2^-55, a quarter
   of the binary64 unit roundoff (Gasper & Rahman, *Basic Hypergeometric
-  Series*, 2nd ed., 2004, sec. 1.3).  ``(a;q)_inf`` takes its depth from
-  ``(|a|, |q|)`` and carries a certified bound on the omitted log-factors;
-  series apply the rule to their observed term ratio.
+  Series*, 2nd ed., 2004, sec. 1.3).  Series apply it to their observed
+  term ratio.
+* One array kernel, :func:`qpoch_infinite`, evaluates every ``(a;q)_inf``;
+  a product quotient passes all its bases in one call (:func:`qpoch_groups`,
+  :func:`qpoch_quotient`), at the depth of the largest ``|a|`` and with a
+  certified bound on the omitted log-factors.
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
@@ -28,11 +31,12 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, TruncationFailure
+from .errors import DomainError, PoleProximity, QTaylorError, TruncationFailure
 
 
 @dataclass(frozen=True)
@@ -158,55 +162,93 @@ def qpoch_finite(a: complex, n: int, ctx: QContext) -> complex:
 
 
 def qpoch_infinite(a, ctx: QContext) -> TailBound:
-    """Truncated infinite product (a;q)_inf with a certified tail bound.
+    """Truncated infinite products (a;q)_inf with a certified tail bound.
 
-    The depth is geometric_depth(|q|, |a|): the omitted log-factors sum to
-    at most |a||q|^N / ((1 - |q|)(1 - |a||q|^N)) < TAIL_TARGET (to first
-    order), which is the certificate returned as tail_abs.  An ndarray of
-    bases runs the same loop elementwise at one depth, taken from the
-    largest |a|, so the certificate of the largest row bounds every row;
-    the value is then an array and terms_used counts the factors of every
-    row.  Raises TruncationFailure when the depth exceeds the user cap
-    ctx.max_terms.
+    a is a scalar, a sequence or an ndarray of bases, and the value has its
+    shape (a complex for a scalar).  Every base runs at the depth of the
+    largest, N = geometric_depth(|q|, max|a|): with r = max|a q^N|, the
+    omitted log-factors of each sum to at most r / ((1 - |q|)(1 - r)) <
+    TAIL_TARGET (to first order), the certificate returned as tail_abs.
+    One array kernel serves all bases: the block [a; q; ...; q] of N + 1
+    rows, multiplied cumulatively down the rows, holds a q^j, and the value
+    is the product of 1 - a q^j over its first N rows, in chunks of at most
+    2^14 entries.  A scalar gives the loop ``value *= 1 - x; x *= q`` bit
+    for bit.  terms_used counts the factors of every base.  Raises
+    TruncationFailure when the depth exceeds the user cap ctx.max_terms.
     """
     q = ctx.q
-    batch = isinstance(a, np.ndarray)
-    x = np.array(a, dtype=complex) if batch else complex(a)
-    peak = (lambda v: float(np.abs(v).max(initial=0.0))) if batch else abs
-    n = geometric_depth(abs(q), peak(x), ctx.max_terms)
-    value = np.ones_like(x) if batch else 1.0 + 0.0j
-    for _ in range(n):
-        value *= 1.0 - x
-        x *= q
-    r = peak(x)  # = max |a||q|^n < TAIL_TARGET (1 - |q|)
+    x = np.asarray(a, dtype=complex)
+    flat = x.ravel()
+    # Python's abs, as in the scalar loop (NumPy's may differ in the last bit)
+    n = geometric_depth(abs(q), max(map(abs, flat.tolist()), default=0.0), ctx.max_terms)
+    value = np.empty_like(flat)
+    last = np.empty_like(flat)
+    width = max(1, 2 ** 14 // (n + 1))
+    for lo in range(0, flat.size, width):
+        block = np.empty((n + 1, min(width, flat.size - lo)), dtype=complex)
+        block[0] = flat[lo:lo + width]
+        block[1:] = q
+        np.multiply.accumulate(block, axis=0, out=block)
+        last[lo:lo + width] = block[n]
+        value[lo:lo + width] = np.prod(np.subtract(1.0, block[:n], out=block[:n]), axis=0)
+    r = max(map(abs, last.tolist()), default=0.0)  # < TAIL_TARGET (1 - |q|)
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
-    return TailBound(value, tail, n * (x.size if batch else 1))
+    return TailBound(complex(value[0]) if x.ndim == 0 else value.reshape(x.shape),
+                     tail, n * flat.size)
 
 
-def _pinf(a: complex, ctx: QContext) -> complex:
-    """The value of (a;q)_inf, without its tail certificate."""
-    return qpoch_infinite(a, ctx).value
+def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
+    """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call.
+
+    Bases are scalars or ndarrays that broadcast to one shape, each entering
+    the call once; the products have that shape.  An empty group gives 1.
+    """
+    bases = [a for group in groups for a in group]
+    if any(isinstance(a, np.ndarray) for a in bases):
+        bases = [np.asarray(a, dtype=complex) for a in bases]
+        values = qpoch_infinite(np.concatenate([a.ravel() for a in bases]), ctx).value
+        rows, lo = [], 0
+        for a in bases:
+            rows.append(values[lo:lo + a.size].reshape(a.shape))
+            lo += a.size
+    else:
+        rows = qpoch_infinite(bases, ctx).value.tolist()
+    rows = iter(rows)
+    return [math.prod(islice(rows, len(group))) for group in groups]
+
+
+def qpoch_quotient(num: Sequence, den: Sequence, ctx: QContext, what: str,
+                   error: type[QTaylorError] = PoleProximity):
+    """prod (a;q)_inf over num / prod (b;q)_inf over den, from one qpoch_infinite call.
+
+    Raises error(what) when the denominator vanishes at any point.
+    """
+    top, bottom = qpoch_groups([num, den], ctx)
+    if np.any(bottom == 0):
+        raise error(what)
+    return top / bottom
 
 
 def qpoch_multi(params: Sequence[complex], n: int | None, ctx: QContext) -> TailBound:
     """Product of q-shifted factorials over a parameter list.
 
-    ``n=None`` means the infinite product; tail bounds of the factors
-    accumulate additively in the log domain.  The empty list gives 1.
+    ``n=None`` means the infinite product, all factors from one
+    qpoch_infinite call; the tail certificate of the largest factor bounds
+    each one, and the bounds add in the log domain.  The empty list gives 1.
     """
+    if n is None:
+        tb = qpoch_infinite(params, ctx)
+        value = math.prod(tb.value.tolist(), start=1.0 + 0.0j)
+        return TailBound(value, tb.tail_abs * len(params), tb.terms_used)
     value = 1.0 + 0.0j
-    tail = 0.0
-    terms = 0
     for a in params:
-        if n is None:
-            tb = qpoch_infinite(a, ctx)
-            value *= tb.value
-            tail += tb.tail_abs
-            terms += tb.terms_used
-        else:
-            value *= qpoch_finite(a, n, ctx)
-            terms += n
-    return TailBound(value, tail, terms)
+        value *= qpoch_finite(a, n, ctx)
+    return TailBound(value, 0.0, n * len(params))
+
+
+def theta_bases(ctx: QContext, *us) -> list:
+    """The bases u, q/u of theta(u) for each u: a theta product as one qpoch_groups group."""
+    return [w for u in us for w in (u, ctx.q / u)]
 
 
 def theta(u, ctx: QContext):
@@ -217,15 +259,7 @@ def theta(u, ctx: QContext):
     """
     if np.any(u == 0):
         raise DomainError("theta requires u != 0")
-    return qpoch_infinite(u, ctx).value * qpoch_infinite(ctx.q / u, ctx).value
-
-
-def theta_multi(us: Iterable, ctx: QContext):
-    """Product of multiplicative thetas over a parameter list (of scalars or arrays)."""
-    value = 1.0 + 0.0j
-    for u in us:
-        value *= theta(u, ctx)
-    return value
+    return qpoch_groups([theta_bases(ctx, u)], ctx)[0]
 
 
 def weierstrass_terms(x, y, u, v, ctx: QContext) -> tuple:
@@ -233,15 +267,16 @@ def weierstrass_terms(x, y, u, v, ctx: QContext) -> tuple:
 
     Returns (t1, t2, t3) with t1 - t2 - t3 = 0 as an identity:
     t1 = theta(xy, x/y, uv, u/v), t2 = theta(xv, x/v, uy, u/y),
-    t3 = (u/y) theta(yv, y/v, xu, x/u).  Arrays of points give arrays of terms.
+    t3 = (u/y) theta(yv, y/v, xu, x/u), all from one qpoch_infinite call.
+    Arrays of points give arrays of terms.
     """
     for name, w in (("x", x), ("y", y), ("u", u), ("v", v)):
         if np.any(w == 0):
             raise DomainError(f"weierstrass residual requires {name} != 0")
-    t1 = theta_multi([x * y, x / y, u * v, u / v], ctx)
-    t2 = theta_multi([x * v, x / v, u * y, u / y], ctx)
-    t3 = (u / y) * theta_multi([y * v, y / v, x * u, x / u], ctx)
-    return t1, t2, t3
+    t1, t2, t3 = qpoch_groups([theta_bases(ctx, x * y, x / y, u * v, u / v),
+                               theta_bases(ctx, x * v, x / v, u * y, u / y),
+                               theta_bases(ctx, y * v, y / v, x * u, x / u)], ctx)
+    return t1, t2, (u / y) * t3
 
 
 def residual_and_scale(*terms):

@@ -466,8 +466,7 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
     pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
     with check("flat-function", "flat-functions", 1e-8, a=pair.a, c=pair.c) as c:
         flat = wpoperator.SymmetricFunction(
-            lambda z: qcore.qpoch_infinite(pair.a * z, ctx).value
-            * qcore.qpoch_infinite(pair.a / z, ctx).value)
+            lambda z: qcore.qpoch_groups([kernel.sym_bases(z, pair.a)], ctx)[0])
         # depth where the rounding floor of near-grid cofactors stays harmless
         k_flat = 3
         while k_flat < 6 and abs(q) ** (-(k_flat + 1) * (k_flat + 2) / 2) < 1e6:
@@ -631,10 +630,7 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
             qd = kernel.calP_quadruple(al, be, ga, de, n, ctx)
 
             def g(z, al=al, be=be, ga=ga, de=de):
-                return (qcore.qpoch_infinite(al * z, ctx).value
-                        * qcore.qpoch_infinite(be / z, ctx).value
-                        * qcore.qpoch_infinite(ga * z, ctx).value
-                        * qcore.qpoch_infinite(de / z, ctx).value,)
+                return (qcore.qpoch_groups([[al * z, be / z, ga * z, de / z]], ctx)[0],)
 
             [(ct, _, _)] = kernel.laurent_coefficient_detail(g, [n], 1.0, ctx)
             c.terms(qd, ct)
@@ -710,11 +706,8 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
                   - profiles.L_profile(w, al, be, lam, ctx)))
         for N in (4, 7):
             z = lam * q ** N * w
-            quot = ((be / al) ** N
-                    * qcore.qpoch_infinite(al * z, ctx).value
-                    * qcore.qpoch_infinite(al / z, ctx).value
-                    / (qcore.qpoch_infinite(be * z, ctx).value
-                       * qcore.qpoch_infinite(be / z, ctx).value))
+            quot = (be / al) ** N * qcore.qpoch_quotient(
+                kernel.sym_bases(z, al), kernel.sym_bases(z, be), ctx, "z on a pole")
             c.rel(profiles.profile_kernel_P(q ** N, w, al, be, lam, ctx), quot)
         c.see(abs(profiles.profile_kernel_P(q ** 4, w, al, al, lam, ctx) - 1.0))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_infinite,
+from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_quotient,
                     scaled_residual)
 from .wpoperator import SymmetricFunction, grid_functional_weights
 
@@ -231,13 +231,8 @@ def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
 
 def basis_limit_modulus(z: complex, pair: BasisPair, ctx: QContext) -> float:
     """|(az, a/z;q)_inf / (cz, c/z;q)_inf|: the large-k limit of |Phi_k(z)|."""
-    num = (qpoch_infinite(pair.a * z, ctx).value
-           * qpoch_infinite(pair.a / z, ctx).value)
-    den = (qpoch_infinite(pair.c * z, ctx).value
-           * qpoch_infinite(pair.c / z, ctx).value)
-    if abs(den) == 0.0:
-        raise PoleProximity("z lies on the basis pole set")
-    return abs(num / den)
+    return abs(qpoch_quotient([pair.a * z, pair.a / z], [pair.c * z, pair.c / z], ctx,
+                              "z lies on the basis pole set"))
 
 
 def _pole_circles(pair: BasisPair, ctx: QContext) -> list[float]:

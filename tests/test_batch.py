@@ -1,12 +1,13 @@
-"""Batched evaluation paths against their per-point scalar references.
+"""Batched and grouped evaluation paths against their per-point scalar references.
 
-Products, thetas and the pole-cleared residual accept ndarrays of points;
-the structured Laurent sums read every order from one table per family.
-Each batched result is compared with the scalar loop it replaced.  The
-batch runs every row at the depth of its largest |a| and NumPy may fuse a
-complex multiply, so results differ by rounding: the tolerances below are
-fixed from the binary64 unit roundoff and the number of rounded
-operations, not from observed differences.
+Products, thetas and the pole-cleared residual accept ndarrays of points,
+and every infinite-product quotient evaluates all of its bases in one
+qpoch_infinite call; the structured Laurent sums read every order from one
+table per family.  Each batched or grouped result is compared with the
+per-base scalar loop it replaced.  A group runs every base at the depth of
+its largest |a| and NumPy may fuse a complex multiply, so results differ by
+rounding: the tolerances below are fixed from the binary64 unit roundoff
+and the number of rounded operations, not from observed differences.
 """
 
 import cmath
@@ -16,11 +17,13 @@ import random
 import numpy as np
 import pytest
 
+from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor
 from qtaylor.kernel import (KernelParams, adaptive_series_depth, calP_tables,
                             laurent_pair, pole_cleared_E_terms)
 from qtaylor.qcore import (QContext, geometric_depth, qpoch_infinite,
                            scaled_residual, theta, weierstrass_terms)
-from qtaylor.sampling import sample_complex, sample_kernel_params
+from qtaylor.sampling import (sample_complex, sample_kernel_params,
+                              sample_profile_kernel_params, sample_quadratic_params, sample_z)
 
 EPS = np.finfo(float).eps  # 2^-52
 
@@ -124,6 +127,146 @@ class TestBatchedTheta:
         from qtaylor.errors import DomainError
         with pytest.raises(DomainError):
             theta(np.array([0.5, 0.0, 1.2]), ctx)
+
+
+def loop_product(bases, q):
+    """prod (a;q)_inf by one scalar loop per base."""
+    return math.prod((scalar_qpoch_infinite(a, q)[0] for a in bases), start=1.0 + 0.0j)
+
+
+def group_tol(q, *groups):
+    """Relative bound for products of these groups against the per-base loops.
+
+    Every base runs at the depth N of the largest |a| with one complex
+    multiply and one subtraction per factor, as in test_rows_match_scalar_calls,
+    and each base adds one multiply or divide to the product.
+    """
+    bases = [a for group in groups for a in group]
+    depth = geometric_depth(abs(q), max(map(abs, bases)))
+    return 8 * (depth + 1) * len(bases) * EPS
+
+
+def sym(z, *alphas):
+    return [w for alpha in alphas for w in (alpha * z, alpha / z)]
+
+
+def grouped_cases(ctx):
+    """(name, thunk) for each function that forms its products from one call."""
+    rng = random.Random(14)
+    kp = sample_profile_kernel_params(rng, ctx)
+    kp.Hb, kp.Kcde  # computed here once: the E terms and the profile sums read them
+    qp = sample_quadratic_params(rng)
+    z, w, s = sample_z(rng), sample_z(rng, 0.9, 1.15), 0.01 + 0.02j
+    x, y, u, v = (sample_complex(rng, 0.5, 1.5) for _ in range(4))
+    al, be, lam = kp.c / kp.d, kp.b, kp.b
+    return [
+        ("kernel_F", lambda: kernel.kernel_F(z, kp)),
+        ("kernel_A", lambda: kernel.kernel_A(z, kp)),
+        ("kernel_B", lambda: kernel.kernel_B(z, kp)),
+        ("kernel_H", lambda: kernel.kernel_H(z, kp)),
+        ("kernel_K", lambda: kernel.kernel_K(z, kp)),
+        ("Hb", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Hb),
+        ("Kcde", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Kcde),
+        ("M_clearing", lambda: kernel.M_clearing(z, kp)),
+        ("pole_cleared_E_terms", lambda: kernel.pole_cleared_E_terms(z, kp, 12)),
+        ("qpoch_multi", lambda: qcore.qpoch_multi([x, y, u, v], None, ctx)),
+        ("theta", lambda: qcore.theta(x, ctx)),
+        ("weierstrass_terms", lambda: qcore.weierstrass_terms(x, y, u, v, ctx)),
+        ("L_profile", lambda: profiles.L_profile(w, al, be, lam, ctx)),
+        ("profile_kernel_P", lambda: profiles.profile_kernel_P(s, w, al, be, lam, ctx)),
+        ("profile_sums_and_closed_forms", lambda: profiles.profile_sums_and_closed_forms(kp)),
+        ("canonical_Z", lambda: profiles.canonical_Z(z, kp)),
+        ("quadratic_product", lambda: quadratic.quadratic_product(z, qp, ctx)),
+        ("quadratic_constant", lambda: quadratic.quadratic_constant(qp, ctx)),
+        ("companion_product", lambda: quadratic.companion_product(z, qp, ctx)),
+        ("companion_constant", lambda: quadratic.companion_constant(qp, ctx)),
+        ("rogers_6w5_residual",
+         lambda: hyper.rogers_6w5_residual(0.3, 0.8 + 0.1j, 0.75, 0.9 - 0.2j, ctx)),
+        ("basis_limit_modulus", lambda: taylor.basis_limit_modulus(z, kp.phi_pair, ctx)),
+    ]
+
+
+class TestGroupedProducts:
+    @pytest.mark.parametrize("q", [0.45, 0.7])
+    def test_one_product_call_per_function(self, monkeypatch, q):
+        ctx = QContext(q)
+        cases = grouped_cases(ctx)
+        calls = []
+        real = qcore.qpoch_infinite
+        monkeypatch.setattr(qcore, "qpoch_infinite", lambda a, c: calls.append(a) or real(a, c))
+        for name, thunk in cases:
+            calls.clear()
+            thunk()
+            assert len(calls) == 1, name
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_groups_match_per_base_loops(self, q):
+        ctx = QContext(q)
+        rng = random.Random(16)
+        groups = [[sample_complex(rng, 0.05, 1.4) for _ in range(k)] for k in (1, 2, 4, 8)]
+        got = qcore.qpoch_groups(groups + [[]], ctx)
+        assert got[-1] == 1
+        tol = group_tol(ctx.q, *groups)
+        for group, value in zip(groups, got):
+            ref = loop_product(group, ctx.q)
+            assert abs(value - ref) <= tol * abs(ref)
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_array_and_scalar_bases_in_one_group(self, q):
+        ctx = QContext(q)
+        rng = random.Random(17)
+        zs = np.array([sample_z(rng) for _ in range(15)]).reshape(3, 5)
+        c = sample_complex(rng, 0.3, 0.9)
+        num, den = qcore.qpoch_groups([[0.4 * zs, 0.4 / zs, c], [1.1 / zs]], ctx)
+        assert num.shape == den.shape == zs.shape
+        for i in np.ndindex(zs.shape):
+            groups = [[0.4 * zs[i], 0.4 / zs[i], c], [1.1 / zs[i]]]
+            tol = group_tol(ctx.q, *groups)
+            for value, group in zip((num[i], den[i]), groups):
+                ref = loop_product(group, ctx.q)
+                assert abs(value - ref) <= tol * abs(ref)
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_quotients_match_per_base_loops(self, q):
+        ctx = QContext(q)
+        q = ctx.q
+        rng = random.Random(18)
+        kp = sample_kernel_params(rng, ctx)
+        b, c, d, e = kp.b, kp.c, kp.d, kp.e
+        qp = sample_quadratic_params(rng)
+        a2, b2, al2, d2 = qp.a, qp.b, qp.alpha, qp.d
+        rq = ctx.sqrt_q
+        z, w, lam = sample_z(rng), sample_z(rng, 0.9, 1.15), sample_complex(rng, 0.4, 0.8)
+        t = lam * w
+        cc = c * c / (b * d * e)
+        # (value, numerator bases, denominator bases, numerator base q)
+        cases = [
+            (kernel.kernel_F(z, kp), sym(z, c / d, c / e), sym(z, c, cc), q),
+            (kernel.kernel_A(z, kp), sym(z, c / (d * e)), sym(z, cc), q),
+            (kernel.kernel_B(z, kp), sym(z, b), sym(z, c), q),
+            (kernel.kernel_H(z, kp), sym(z, c / d, c / e), sym(z, c, c / (d * e)), q),
+            (kernel.kernel_K(z, kp), sym(z, c / d, c / e), sym(z, b, cc), q),
+            (kp.Hb, [b * c / d, c / (b * d), b * c / e, c / (b * e)],
+             [b * c, c / b, b * c / (d * e), c / (b * d * e)], q),
+            (kernel.M_clearing(z, kp), sym(z, c, cc), [], q),
+            (qcore.theta(z, ctx), [z, q / z], [], q),
+            (profiles.L_profile(w, c / d, b, lam, ctx), [t * q * d / c, c / (d * t)],
+             [t * q / b, b / t], q),
+            (profiles.canonical_Z(z, kp), sym(z, b, c / (d * e)), [], q),
+            (quadratic.quadratic_product(z, qp, ctx),
+             [a2 * z * q, a2 * q / z, b2 * b2 * z / a2, b2 * b2 / (a2 * z)], sym(z, b2), q * q),
+            (quadratic.quadratic_constant(qp, ctx),
+             [q, a2 * a2 * q, b2 * b2, b2 * b2 / (a2 * a2)], [a2 * b2, b2 / a2], q * q),
+            (quadratic.companion_product(z, qp, ctx),
+             [al2 * d2 * rq * z, al2 * d2 * rq / z, al2 * rq * q * z / d2,
+              al2 * rq * q / (d2 * z)], sym(z, -al2 * rq), q * q),
+            (quadratic.companion_constant(qp, ctx), [al2 * d2, al2 * q / d2],
+             [-al2, -al2 * q], q),
+        ]
+        for i, (value, num, den, q_num) in enumerate(cases):
+            ref = loop_product(num, q_num) / loop_product(den, q)
+            tol = group_tol(q, num, den)
+            assert abs(value - ref) <= tol * abs(ref), i
 
 
 class TestBatchedE:

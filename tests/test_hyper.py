@@ -1,12 +1,18 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
-from qtaylor.errors import (DivergenceSuspected, DomainError, ZeroDenominator)
+from qtaylor.errors import (DivergenceSuspected, DomainError, TruncationFailure,
+                            ZeroDenominator)
 from qtaylor.hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual,
                            phi_eval, rogers_6w5_residual, vwp_eval,
                            vwp_expanded_spec, well_poised_defect)
-from qtaylor.sampling import sample_complex
+from qtaylor.kernel import f_spec, g_spec
+from qtaylor.qcore import QContext
+from qtaylor.quadratic import h_spec, r_spec
+from qtaylor.sampling import sample_complex, sample_kernel_params, sample_quadratic_params
 from qtaylor.suites import SuiteConfig, run_hyper
 
 
@@ -96,6 +102,35 @@ class TestVWPSeries:
                                     k, ctx).value)
                    * spec.argument ** k)
         assert abs((s9 - s8) - summand) <= 1e-14 * max(abs(s9), abs(summand))
+
+
+def family_specs(q):
+    """The four coefficient families f, g, h, r at one sampled draw."""
+    ctx = QContext(q)
+    rng = random.Random(15)
+    kp, qp = sample_kernel_params(rng, ctx), sample_quadratic_params(rng)
+    return ctx, [f_spec(kp), g_spec(kp), h_spec(qp, ctx), r_spec(qp, ctx)]
+
+
+class TestAdaptiveStop:
+    """The adaptive sum stops where geometric_depth(rate, |t_k| / |S_k|) first reads 0."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.7, -0.6])
+    def test_stop_index_is_the_depth_rule(self, q):
+        ctx, specs = family_specs(q)
+        # a cap no sum reaches sends every stop test through geometric_depth
+        capped = replace(ctx, max_terms=10 ** 6)
+        for spec in specs:
+            tb, ref = vwp_eval(spec, None, ctx), vwp_eval(spec, None, capped)
+            assert (tb.terms_used, tb.value, tb.tail_abs) == (ref.terms_used, ref.value,
+                                                              ref.tail_abs)
+
+    @pytest.mark.parametrize("q", [0.2, 0.7, -0.6])
+    def test_small_cap_still_raises(self, q):
+        ctx, specs = family_specs(q)
+        for spec in specs:
+            with pytest.raises(TruncationFailure):
+                vwp_eval(spec, None, replace(ctx, max_terms=16))
 
 
 class TestRogersSummation:

@@ -63,24 +63,24 @@ class TestQuadrupleCache:
 
     def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
         products, depths = [], []
-        real_multi, real_depth = kernel.qpoch_multi, kernel.vwp_depth
-        monkeypatch.setattr(kernel, "qpoch_multi",
-                            lambda *a: products.append(a) or real_multi(*a))
+        real_quotient, real_depth = kernel.qpoch_quotient, kernel.vwp_depth
+        monkeypatch.setattr(kernel, "qpoch_quotient",
+                            lambda *a: products.append(a) or real_quotient(*a))
         monkeypatch.setattr(kernel, "vwp_depth", lambda *a: depths.append(a) or real_depth(*a))
 
         def evaluate(quadruple):
             values = (H_at_b(quadruple), K_at_cde(quadruple), adaptive_series_depth(quadruple))
             return values, (len(products), len(depths))
         first, counts = evaluate(kp)
-        assert counts == (4, 2)
-        assert evaluate(kp) == (first, (4, 2))
+        assert counts == (2, 2)
+        assert evaluate(kp) == (first, (2, 2))
         # no process-wide cache: an equal quadruple and the involuted one recompute
         twin = KernelParams(kp.b, kp.c, kp.d, kp.e, kp.ctx)
-        assert twin == kp and evaluate(twin) == (first, (8, 4))
-        assert evaluate(involute(kp))[1] == (12, 6)
+        assert twin == kp and evaluate(twin) == (first, (4, 4))
+        assert evaluate(involute(kp))[1] == (6, 6)
 
     def test_failed_value_is_not_cached(self, monkeypatch, kp):
-        monkeypatch.setattr(kernel, "qpoch_multi", _raise_zero)
+        monkeypatch.setattr(kernel, "qpoch_quotient", _raise_zero)
         with pytest.raises(ZeroDivisionError):
             H_at_b(kp)
         monkeypatch.undo()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qtaylor.errors import ConvergenceRegionViolation, PoleProximity
-from qtaylor.hyper import vwp_terms
+from qtaylor.hyper import vwp_depth, vwp_terms
 from qtaylor.qcore import qpoch_finite
-from qtaylor.quadratic import (QuadraticParams, companion_coefficient,
+from qtaylor.quadratic import (QuadraticParams, companion_coefficient, companion_product,
                                companion_residual, companion_series_vs_vwp,
                                companion_taylor_identification,
                                folding_identity_check, h_spec,
@@ -14,6 +14,7 @@ from qtaylor.quadratic import (QuadraticParams, companion_coefficient,
                                quadratic_tail_curve,
                                quadratic_taylor_identification, r_spec)
 from qtaylor.sampling import sample_complex, sample_quadratic_params, sample_z
+from qtaylor.suites import SuiteConfig, run_quadratic
 
 
 @pytest.fixture
@@ -117,6 +118,28 @@ class TestCompanionExpansion:
     def test_vwp_specialisation(self, qp, ctx, rng):
         z = sample_z(rng)
         assert companion_series_vs_vwp(z, qp, ctx) < 1e-10
+
+
+class TestExpansionScale:
+    """The expansion residuals are scaled by their largest term, not by |Q(z)|."""
+
+    def near_zero_point(self):
+        # q = 0.9, seed 2: |Q_companion(z)| = 3.7e-9 at draw 9, terms of order 1
+        cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
+        ctx, rng = cfg.context(), cfg.rng_for("quadratic")
+        points = [(sample_quadratic_params(rng), sample_z(rng)) for _ in range(cfg.draws)]
+        return ctx, points[9]
+
+    def test_companion_record_passes_at_high_base(self):
+        cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
+        [record] = [r for r in run_quadratic(cfg) if r.check == "companion-expansion"]
+        assert record.passed and record.residual < 1e-13
+
+    def test_truncation_still_fails_at_the_same_point(self):
+        ctx, (qp, z) = self.near_zero_point()
+        assert abs(companion_product(z, qp, ctx)) < 1e-8
+        assert companion_residual(z, qp, vwp_depth(r_spec(qp, ctx), ctx), ctx) < 1e-13
+        assert companion_residual(z, qp, 3, ctx) > 1e-8
 
 
 class TestFolding:
