@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
-from typing import Iterator
 
 from .errors import DivergenceSuspected, DomainError, ZeroDenominator
 from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, qpoch_multi,
@@ -36,6 +33,10 @@ class PhiSeriesSpec:
         if len(self.denominator_params) != len(self.numerator_params) - 1:
             raise DomainError("need exactly one fewer denominator than numerator parameter")
 
+    def ratio(self, ctx: QContext):
+        """The term ratio: numerators a_i, denominators b_j."""
+        return term_ratio(self.numerator_params, self.denominator_params, self.argument, ctx)
+
 
 @dataclass(frozen=True)
 class VWPSpec:
@@ -54,6 +55,21 @@ class VWPSpec:
         object.__setattr__(self, "b_list", tuple(complex(b) for b in self.b_list))
         object.__setattr__(self, "argument", complex(self.argument))
 
+    def ratio(self, ctx: QContext):
+        """The term ratio: numerators (a, b_j), denominators a q / b_j, lead a."""
+        a = self.a
+        if abs(1.0 - a) <= ctx.pole_margin:
+            raise DomainError("very-well-poised series requires a != 1")
+        return term_ratio((a,) + self.b_list, tuple(a * ctx.q / b for b in self.b_list),
+                          self.argument, ctx, lead=a)
+
+
+@dataclass(frozen=True)
+class SeriesSum(TailBound):
+    """A series partial sum with the terms t_0 = 1, ..., t_N it added (N + 1 = terms_used)."""
+
+    terms: tuple[complex, ...]
+
 
 def vwp_expanded_spec(spec: VWPSpec, root: complex, ctx: QContext) -> PhiSeriesSpec:
     """Explicit (r+1)phi_r parameter list of a very-well-poised series.
@@ -67,10 +83,10 @@ def vwp_expanded_spec(spec: VWPSpec, root: complex, ctx: QContext) -> PhiSeriesS
     return PhiSeriesSpec(nums, dens, spec.argument)
 
 
-def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
-    """Shared partial-sum driver.
+def _series_sum(ratio, trunc: int | None, ctx: QContext) -> SeriesSum:
+    """Shared partial sum of every series; returns the value with the terms it added.
 
-    term_ratio(k) must return the multiplier taking term_k to term_{k+1}.
+    ratio(k) must return the multiplier taking term_k to term_{k+1}.
     Truncation: through index `trunc` when given, else after the first t_k
     with |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
     decreasing term ratio (at least |q|); geometric_depth(rate, lead) = 0 is
@@ -82,12 +98,11 @@ def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
     q_rate = abs(ctx.q)
     settled = geometric_depth(q_rate) if trunc is None else 0
     rate = q_rate
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    k = 0
-    grow_run = 0
+    total = term = 1.0 + 0.0j
+    terms = [term]
+    k = grow_run = 0
     while term != 0 and (trunc is None or k < trunc):
-        nxt = term * term_ratio(k)
+        nxt = term * ratio(k)
         if abs(nxt) < abs(term):
             rate = max(abs(nxt) / abs(term), q_rate)
             grow_run = 0
@@ -96,6 +111,7 @@ def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
             if grow_run >= 8:
                 raise DivergenceSuspected(f"8 consecutive growing terms at k={k + 1}")
         term = nxt
+        terms.append(term)
         total += term
         k += 1
         if trunc is None and total:
@@ -104,91 +120,63 @@ def _series_sum(term_ratio, trunc: int | None, ctx: QContext) -> TailBound:
                     else geometric_depth(rate, lead, ctx.max_terms) == 0):
                 break
     tail = abs(term) * rate / (1.0 - rate)
-    return TailBound(total, tail, k + 1)
+    return SeriesSum(total, tail, k + 1, tuple(terms))
 
 
-def phi_eval(spec: PhiSeriesSpec, trunc: int | None, ctx: QContext) -> TailBound:
-    """Evaluate an (r+1)phi_r partial sum.
+def term_ratio(nums: tuple[complex, ...], dens: tuple[complex, ...], z: complex,
+               ctx: QContext, lead: complex | None = None):
+    """The term ratio t_{k+1} / t_k of a series, as ratio(k) for k = 0, 1, ...
 
-    Terminating series (some a_i = q^{-n}) are exact at n+1 terms; the
-    driver stops at the first vanishing term.  Raises ZeroDenominator if a
-    denominator factor falls within the pole margin, DivergenceSuspected
-    after 8 consecutive growing terms past the settled depth.
+    prod_i (1 - n_i q^k) z / ((1 - q^{k+1}) prod_j (1 - d_j q^k)), times
+    (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a very-well-poised summand:
+    the ratio of its (1 - a q^{2k}) factors is taken directly, so no square
+    root of a appears.  q^k is the running product.  A denominator factor
+    (lead or d_j) within the pole margin raises ZeroDenominator.
     """
-    q, z = ctx.q, spec.argument
-    qk = [1.0 + 0.0j]  # running power q^k, wrapped for closure mutation
+    q, margin = ctx.q, ctx.pole_margin
+    x = 1.0 + 0.0j
 
     def ratio(k: int) -> complex:
-        x = qk[0]
+        nonlocal x
+        if lead is not None:
+            x2 = x * x
+            lead_old = 1.0 - lead * x2
+            if abs(lead_old) <= margin:
+                raise ZeroDenominator("leading very-well-poised factor vanished")
+            lead_ratio = (1.0 - lead * x2 * q * q) / lead_old
         num = 1.0 + 0.0j
-        for a in spec.numerator_params:
+        for a in nums:
             num *= 1.0 - a * x
         den = 1.0 - q * x  # the (q;q)_k factor advanced to index k+1
-        for b in spec.denominator_params:
+        for b in dens:
             fac = 1.0 - b * x
-            if abs(fac) <= ctx.pole_margin:
-                raise ZeroDenominator(
-                    f"denominator parameter {b} hits q^(-{k}) within margin")
+            if abs(fac) <= margin:
+                raise ZeroDenominator(f"denominator parameter {b} hits q^(-{k}) within margin")
             den *= fac
-        qk[0] = x * q
-        return num / den * z
-
-    return _series_sum(ratio, trunc, ctx)
-
-
-def _vwp_ratio(spec: VWPSpec, ctx: QContext):
-    """term_{k+1} / term_k of the very-well-poised summand, called for k = 0, 1, ...
-
-    The ratio of the (1 - a q^{2k}) factors is taken directly, so no square
-    root of a appears; a denominator factor within the pole margin raises.
-    """
-    a, q, z = spec.a, ctx.q, spec.argument
-    if abs(1.0 - a) <= ctx.pole_margin:
-        raise DomainError("very-well-poised series requires a != 1")
-    qk = [1.0 + 0.0j]
-
-    def ratio(k: int) -> complex:
-        x = qk[0]
-        x2 = x * x
-        # ratio of the (1 - a q^{2k}) factors between indices k and k+1
-        lead_old = 1.0 - a * x2
-        lead_new = 1.0 - a * x2 * q * q
-        if abs(lead_old) <= ctx.pole_margin:
-            raise ZeroDenominator("leading very-well-poised factor vanished")
-        num = 1.0 - a * x
-        for b in spec.b_list:
-            num *= 1.0 - b * x
-        den = 1.0 - q * x
-        for b in spec.b_list:
-            fac = 1.0 - (a * q / b) * x
-            if abs(fac) <= ctx.pole_margin:
-                raise ZeroDenominator(
-                    f"denominator parameter {a * q / b} hits q^(-{k}) within margin")
-            den *= fac
-        qk[0] = x * q
-        return (lead_new / lead_old) * (num / den) * z
+        x *= q
+        r = num / den
+        return (r if lead is None else lead_ratio * r) * z
 
     return ratio
 
 
-def vwp_terms(spec: VWPSpec, n: int, ctx: QContext) -> Iterator[complex]:
-    """The summands t_0 = 1, t_1, ..., t_n of a very-well-poised series, lazily.
+def phi_eval(spec: PhiSeriesSpec, trunc: int | None, ctx: QContext) -> SeriesSum:
+    """Evaluate an (r+1)phi_r partial sum.
 
-    A leading parameter a = 1 raises at the call; a denominator factor
-    within the pole margin raises when its term is reached.
+    Terminating series (some a_i = q^{-n}) are exact at n+1 terms; the
+    sum stops at the first vanishing term.  Raises ZeroDenominator if a
+    denominator factor falls within the pole margin, DivergenceSuspected
+    after 8 consecutive growing terms past the settled depth.
     """
-    ratio = _vwp_ratio(spec, ctx)
-    return accumulate((ratio(k) for k in range(n)), mul, initial=1.0 + 0.0j)
+    return _series_sum(spec.ratio(ctx), trunc, ctx)
 
 
-def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> TailBound:
-    """Evaluate a very-well-poised series through its ratio-form summand."""
-    return _series_sum(_vwp_ratio(spec, ctx), trunc, ctx)
+def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> SeriesSum:
+    """Evaluate a very-well-poised series through its ratio-form summand.
 
-
-def vwp_depth(spec: VWPSpec, ctx: QContext) -> int:
-    """Depth of a coefficient family: the last index its adaptive sum keeps."""
-    return vwp_eval(spec, None, ctx).terms_used - 1
+    `.terms` holds the summands t_0 = 1, ..., t_N that were added.
+    """
+    return _series_sum(spec.ratio(ctx), trunc, ctx)
 
 
 def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
@@ -208,8 +196,7 @@ def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
     rhs = qpoch_quotient([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                          [a * q / b, a * q / c, a * q / d, arg], ctx,
                          "vanishing denominator product in 6W5 evaluation", ZeroDenominator)
-    scale = max(abs(tb.value), abs(rhs), *map(abs, vwp_terms(spec, tb.terms_used, ctx)))
-    return abs(tb.value - rhs) / scale
+    return abs(tb.value - rhs) / max(abs(tb.value), abs(rhs), *map(abs, tb.terms))
 
 
 def jackson_8w7_residual(a: complex, b: complex, c: complex, d: complex,
@@ -226,7 +213,7 @@ def jackson_8w7_residual(a: complex, b: complex, c: complex, d: complex,
     e = a * a * q ** (n + 1) / (b * c * d)
     f = q ** (-n)
     spec = VWPSpec(a, (b, c, d, e, f), q)
-    lhs = vwp_eval(spec, n, ctx).value
+    lhs = vwp_eval(spec, n, ctx)
     num = qpoch_multi([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                       n, ctx).value
     den = qpoch_multi([a * q / b, a * q / c, a * q / d, a * q / (b * c * d)],
@@ -234,15 +221,10 @@ def jackson_8w7_residual(a: complex, b: complex, c: complex, d: complex,
     if abs(den) == 0.0:
         raise ZeroDenominator("vanishing denominator product in 8W7 evaluation")
     rhs = num / den
-    scale = max(abs(lhs), abs(rhs), *map(abs, vwp_terms(spec, n, ctx)))
-    return abs(lhs - rhs) / scale
+    return abs(lhs.value - rhs) / max(abs(lhs.value), abs(rhs), *map(abs, lhs.terms))
 
 
 def well_poised_defect(spec: VWPSpec, ctx: QContext) -> float:
     """Max |a q - a_j b_j| over the expanded parameter pairing (0 by construction)."""
     a, q = spec.a, ctx.q
-    target = a * q
-    defect = 0.0
-    for b in spec.b_list:
-        defect = max(defect, abs(target - b * (a * q / b)))
-    return defect
+    return max((abs(a * q - b * (a * q / b)) for b in spec.b_list), default=0.0)

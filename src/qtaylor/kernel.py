@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
-from .hyper import VWPSpec, vwp_depth, vwp_eval, vwp_terms
+from .hyper import VWPSpec, vwp_eval
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
 from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups, qpoch_multi,
                     qpoch_infinite, qpoch_quotient, scaled_residual)  # noqa: F401
@@ -44,9 +44,9 @@ class KernelParams:
     context pole margin, which also keeps the two Taylor grids b q^m and
     (c/de) q^m from colliding.
 
-    H(b), K(c/de) and the family depth do not depend on z: each is computed
-    once per instance, when first read (Hb, Kcde, series_depth), and an
-    equal quadruple built separately computes its own.
+    H(b), K(c/de) and the coefficient families do not depend on z: each is
+    computed once per instance, when first read (Hb, Kcde, series_depth,
+    family_terms), and an equal quadruple built separately computes its own.
     """
 
     b: complex
@@ -107,8 +107,25 @@ class KernelParams:
                               "vanishing denominator in K(c/de)", ZeroDenominator)
 
     @cached_property
+    def _families(self) -> tuple[tuple[complex, ...], ...]:
+        """f_0..f_N and g_0..g_N, N = series_depth: each family is summed
+        adaptively, and the one that stopped earlier is summed again to N."""
+        specs = (f_spec(self), g_spec(self))
+        terms = [vwp_eval(spec, None, self.ctx).terms for spec in specs]
+        n = max(map(len, terms)) - 1
+        return tuple(t if len(t) > n else vwp_eval(spec, n, self.ctx).terms
+                     for spec, t in zip(specs, terms))
+
+    @cached_property
     def series_depth(self) -> int:
-        return max(vwp_depth(f_spec(self), self.ctx), vwp_depth(g_spec(self), self.ctx))
+        """The larger adaptive depth (last index kept) of the f and g families."""
+        return max(map(len, self._families)) - 1
+
+    def family_terms(self, n: int) -> tuple[tuple[complex, ...], ...]:
+        """(f_0..f_n, g_0..g_n): sliced from the cache, summed afresh past series_depth."""
+        if n <= self.series_depth:
+            return tuple(t[:n + 1] for t in self._families)
+        return tuple(vwp_eval(spec, n, self.ctx).terms for spec in (f_spec(self), g_spec(self)))
 
     def involuted(self) -> "KernelParams":
         b, c, d, e = self.b, self.c, self.d, self.e
@@ -196,38 +213,35 @@ def K_at_cde(kp: KernelParams) -> complex:
     return kp.Kcde
 
 
-def fk_coefficient(kp: KernelParams, k: int) -> complex:
-    """Coefficient f_k of the first family (very-well-poised summand, q^k included)."""
+def _closed_summand(x: complex, nums: list, bases: tuple, k: int, ctx: QContext,
+                    name: str) -> complex:
+    """(1 - x q^{2k}) / (1 - x) (x, nums;q)_k / (q, bases;q)_k q^k in closed product form."""
     if k == 0:
         return 1.0 + 0.0j
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
-    bcq = b * c / q
-    lead = (1.0 - bcq * q ** (2 * k)) / (1.0 - bcq)
+    lead = (1.0 - x * q ** (2 * k)) / (1.0 - x)
     # guard each factor: the product (q;q)_40 alone is 1.5e-6 at q = 0.9
-    bases = (b * c / d, b * c / e, b * d * e * q / c)
     if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
-        raise ZeroDenominator("vanishing denominator in f_k")
-    num = qpoch_multi([bcq, d, e, c * c / (d * e * q)], k, ctx).value
+        raise ZeroDenominator(f"vanishing denominator in {name}")
+    num = qpoch_multi([x, *nums], k, ctx).value
     den = qpoch_multi([q, *bases], k, ctx).value
     return lead * num / den * q ** k
+
+
+def fk_coefficient(kp: KernelParams, k: int) -> complex:
+    """Coefficient f_k of the first family (very-well-poised summand, q^k included)."""
+    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
+    return _closed_summand(b * c / q, [d, e, c * c / (d * e * q)],
+                           (b * c / d, b * c / e, b * d * e * q / c), k, kp.ctx, "f_k")
 
 
 def gk_coefficient(kp: KernelParams, k: int) -> complex:
     """Coefficient g_k of the second family (the involuted f_k, in closed form)."""
-    if k == 0:
-        return 1.0 + 0.0j
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q = ctx.q
-    xq = c ** 3 / (b * d ** 2 * e ** 2 * q)
-    lead = (1.0 - xq * q ** (2 * k)) / (1.0 - xq)
-    bases = (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e))
-    if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
-        raise ZeroDenominator("vanishing denominator in g_k")
-    num = qpoch_multi([xq, c / (b * d), c / (b * e), c * c / (d * e * q)],
-                      k, ctx).value
-    den = qpoch_multi([q, *bases], k, ctx).value
-    return lead * num / den * q ** k
+    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
+    return _closed_summand(c ** 3 / (b * d ** 2 * e ** 2 * q),
+                           [c / (b * d), c / (b * e), c * c / (d * e * q)],
+                           (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e)),
+                           k, kp.ctx, "g_k")
 
 
 def f_spec(kp: KernelParams) -> VWPSpec:
@@ -276,8 +290,9 @@ def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
     B = kernel_B(z, kp)
     hb = 1.0 + 0.0j if force_unit_Hb else H_at_b(kp)
     kc = 1.0 + 0.0j if force_unit_Kcde else K_at_cde(kp)
-    sf = basis_sum(z, kp.phi_pair, vwp_terms(f_spec(kp), n_trunc, ctx), ctx)
-    sg = basis_sum(z, kp.psi_pair, vwp_terms(g_spec(kp), n_trunc, ctx), ctx)
+    fs, gs = kp.family_terms(n_trunc)
+    sf = basis_sum(z, kp.phi_pair, fs, ctx)
+    sg = basis_sum(z, kp.psi_pair, gs, ctx)
     return F, A * hb * sf, B * kc * sg
 
 
@@ -306,20 +321,13 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
     A = kernel_A(z, kp)
     B = kernel_B(z, kp)
     hkz = kernel_H(z, kp)
-    kc = K_at_cde(kp)
-    gs = vwp_terms(g_spec(kp), adaptive_series_depth(kp), ctx)
-    sg = basis_sum(z, kp.psi_pair, gs, ctx)
-    target = B * kc * sg
+    target = B * K_at_cde(kp) * basis_sum(z, kp.psi_pair, kp.family_terms(kp.series_depth)[1], ctx)
     terms = basis_terms(z, expansion.pair, expansion.coefficients, ctx)
-    gaps = []
-    for n in orders:
-        lhs = A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j))
-        gaps.append(scaled_residual(lhs, target))
-    return gaps
+    return [scaled_residual(A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j)), target) for n in orders]
 
 
 def adaptive_series_depth(kp: KernelParams) -> int:
-    """Depth of both coefficient families: the larger vwp_depth of f, g (cached on kp)."""
+    """Depth of both coefficient families: the larger adaptive depth of f, g (cached on kp)."""
     return kp.series_depth
 
 
@@ -361,22 +369,23 @@ def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:
     E = t1 - t2 - t3 where t1 is the numerator product of F and t2, t3
     are the pole-cleared coefficient sums; each infinite product is
     truncated with a certified tail, all in one qpoch_infinite call.  z may
-    be an ndarray of points (the terms are then arrays): the coefficient
-    lists are computed once per call, H(b) and K(c/de) once per kp.
+    be an ndarray of points (the terms are then arrays): the coefficients,
+    H(b) and K(c/de) are read from kp's caches.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     if np.any(z == 0):
         raise DomainError("E is defined on the punctured plane")
     phi, psi = kp.phi_pair, kp.psi_pair
+    fs, gs = kp.family_terms(n_trunc)
     t1, outer_f, outer_g, tail_f, tail_g = qpoch_groups(
         [sym_bases(z, c / d, c / e), sym_bases(z, psi.a), sym_bases(z, b),
          sym_bases(z, phi.c), sym_bases(z, psi.c)], ctx)
     # first family: (cz/de, c/dez;q)_inf sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
     t2 = (H_at_b(kp) * outer_f
-          * _cleared_family_sum(z, phi, vwp_terms(f_spec(kp), n_trunc, ctx), tail_f, ctx))
+          * _cleared_family_sum(z, phi, fs, tail_f, ctx))
     # second family: (bz, b/z;q)_inf sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
     t3 = (K_at_cde(kp) * outer_g
-          * _cleared_family_sum(z, psi, vwp_terms(g_spec(kp), n_trunc, ctx), tail_g, ctx))
+          * _cleared_family_sum(z, psi, gs, tail_g, ctx))
     return t1, t2, t3
 
 
@@ -543,10 +552,8 @@ def cancellation_identity_residual(kp: KernelParams, n: int,
     """
     if n < 1:
         raise DomainError("the cancellation family starts at n = 1")
-    k_trunc = len(tables[0]) - 1
-    return scaled_residual(*structured_E_terms(
-        kp, n, tables, vwp_terms(f_spec(kp), k_trunc, kp.ctx),
-        vwp_terms(g_spec(kp), k_trunc, kp.ctx)))
+    return scaled_residual(*structured_E_terms(kp, n, tables,
+                                               *kp.family_terms(len(tables[0]) - 1)))
 
 
 def H_lowering_residual(z: complex, kp: KernelParams) -> float:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
-from .hyper import VWPSpec, _series_sum, _vwp_ratio, vwp_eval
+from .hyper import VWPSpec, _series_sum, vwp_eval
 from .kernel import (KernelParams, H_at_b, K_at_cde, adaptive_series_depth, f_spec,
                      g_spec, pole_cleared_E_terms, sym_bases)
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotient,
@@ -84,7 +84,9 @@ def annular_factorization_residual(lam: complex, N: int, w: complex,
 
     (lam/z;q)_inf = (-lam/z)^N q^{N(N-1)/2} (wq;q)_N (1/w;q)_inf at
     z = lam q^N w; an algebraic identity, so the scale-relative residual
-    is pure rounding.
+    is pure rounding.  The prefactor is formed as the one power product
+    (-1)^N w^{-N} q^{-N(N+1)/2}: at q = 0.1 and N = 20 it is about 1e210,
+    where (-lam/z)^N alone would overflow.
     """
     if lam == 0 or w == 0:
         raise DomainError("anchor and w must be nonzero")
@@ -93,7 +95,7 @@ def annular_factorization_residual(lam: complex, N: int, w: complex,
         raise PoleProximity("w within margin of a zero of (1/w;q)_inf")
     z = lam * q ** N * w
     lhs, inf_w = qpoch_groups([[lam / z], [1.0 / w]], ctx)
-    rhs = ((-lam / z) ** N * q ** (N * (N - 1) // 2)
+    rhs = ((-1) ** N * w ** -N * q ** -(N * (N + 1) // 2)
            * qpoch_finite(w * q, N, ctx) * inf_w)
     return scaled_residual(lhs, rhs)
 
@@ -234,14 +236,16 @@ def profile_kernel_coefficient(j: int, w: complex, alpha: complex, beta: complex
     """
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
-    q = ctx.q
-    rho = alpha / beta
-    total = 0.0 + 0.0j
-    for u in range(j + 1):
-        total += (qpoch_finite(rho, u, ctx) * qpoch_finite(rho, j - u, ctx)
-                  / (qpoch_finite(q, u, ctx) * qpoch_finite(q, j - u, ctx))
-                  * beta ** u * (q / alpha) ** (j - u))
+    total = sum((_kernel_weight(u, j, alpha, beta, ctx) for u in range(j + 1)), 0.0 + 0.0j)
     return L_profile(w, alpha, beta, lam, ctx) * (lam * w) ** j * total
+
+
+def _kernel_weight(u: int, j: int, alpha: complex, beta: complex, ctx: QContext) -> complex:
+    """(a/b;q)_u (a/b;q)_{j-u} / ((q;q)_u (q;q)_{j-u}) beta^u (q/alpha)^{j-u}."""
+    q, rho = ctx.q, alpha / beta
+    return (qpoch_finite(rho, u, ctx) * qpoch_finite(rho, j - u, ctx)
+            / (qpoch_finite(q, u, ctx) * qpoch_finite(q, j - u, ctx))
+            * beta ** u * (q / alpha) ** (j - u))
 
 
 def _profile_ratio_step(alpha: complex, beta: complex, t: complex, s: complex,
@@ -270,7 +274,7 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
 
     def family_sum(alpha: complex, beta: complex, spec: VWPSpec) -> complex:
         """sum_k u_k P_{alpha q^k, beta q^k}(s, w), summed by its term ratio."""
-        coeff_ratio = _vwp_ratio(spec, ctx)
+        coeff_ratio = spec.ratio(ctx)
 
         def ratio(k: int) -> complex:
             qk = q ** k
@@ -321,7 +325,6 @@ def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
     profile quotients turns the k-sums into contiguous moments.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q = ctx.q
     t1 = sum(profile_kernel_coefficient(i, w, c / d, b, lam, ctx)
              * profile_kernel_coefficient(j - i, w, c / e, c / (d * e), lam, ctx)
              for i in range(j + 1))
@@ -337,13 +340,8 @@ def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
             moments[m] = mom
 
     def family_term(alpha0: complex, beta0: complex, pick) -> complex:
-        rho = alpha0 / beta0
-        total = 0.0 + 0.0j
-        for u in range(j + 1):
-            kappa = (qpoch_finite(rho, u, ctx) * qpoch_finite(rho, j - u, ctx)
-                     / (qpoch_finite(q, u, ctx) * qpoch_finite(q, j - u, ctx))
-                     * beta0 ** u * (q / alpha0) ** (j - u))
-            total += kappa * pick(moments[2 * u - j])
+        total = sum((_kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
+                     for u in range(j + 1)), 0.0 + 0.0j)
         return L_profile(w, alpha0, beta0, lam, ctx) * (lam * w) ** j * total
 
     t2 = H_at_b(kp) * family_term(c, b, lambda mom: mom.F_m)

@@ -10,9 +10,10 @@ convergent tails, so the decay checks here need no complementary term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
-from .hyper import VWPSpec, vwp_depth, vwp_eval, vwp_terms
+from .hyper import VWPSpec, vwp_eval
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_infinite,
                     qpoch_quotient, scaled_residual)
 from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
@@ -78,18 +79,30 @@ def h_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
     return VWPSpec(a * b / q, (b / rq, -b / rq, a * q / b), -b / a)
 
 
+def _summands(spec: VWPSpec, n: int | Sequence[complex], ctx: QContext) -> Sequence[complex]:
+    """The summands t_0..t_n of spec, or n itself when it already holds them."""
+    return vwp_eval(spec, n, ctx).terms if isinstance(n, int) else n
+
+
+def _coefficient(spec: VWPSpec, k: int, ctx: QContext) -> complex:
+    """t_k of spec; 0 past the first vanishing term of a terminating series."""
+    terms = vwp_eval(spec, k, ctx).terms
+    return terms[k] if k < len(terms) else 0.0 + 0.0j
+
+
 def quadratic_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
     """h_k (h_0 = 1), by ratio updates of the h_spec summand."""
-    return list(vwp_terms(h_spec(qp, ctx), k, ctx))[k]
+    return _coefficient(h_spec(qp, ctx), k, ctx)
 
 
-def quadratic_residual(z: complex, qp: QuadraticParams, n_trunc: int,
+def quadratic_residual(z: complex, qp: QuadraticParams, n_trunc: int | Sequence[complex],
                        ctx: QContext) -> float:
     """Residual of Q(z) = sum_{k<=n} C_{a,b} h_k Phi_k(z; a, b) over its largest term.
 
+    n_trunc is n, or the coefficients h_0..h_n of one h_spec evaluation.
     |Q(z)| is no scale: it can be far below the terms that sum to it.
     """
-    hs = vwp_terms(h_spec(qp, ctx), n_trunc, ctx)
+    hs = _summands(h_spec(qp, ctx), n_trunc, ctx)
     cab = quadratic_constant(qp, ctx)
     terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
     return scaled_residual(quadratic_product(z, qp, ctx), *(cab * t for t in terms))
@@ -103,7 +116,7 @@ def quadratic_taylor_identification(qp: QuadraticParams, k_max: int,
                                     ctx: QContext) -> float:
     """Max relative gap between pipeline t_k(Q) for the pair (a, b) and C h_k."""
     cab = quadratic_constant(qp, ctx)
-    hs = vwp_terms(h_spec(qp, ctx), k_max, ctx)
+    hs = vwp_eval(h_spec(qp, ctx), k_max, ctx).terms
     return coefficient_gap(quadratic_function(qp, ctx), BasisPair(qp.a, qp.b),
                            [cab * h for h in hs], ctx)
 
@@ -112,18 +125,13 @@ def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int],
                          ctx: QContext) -> list[float]:
     """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails).
 
-    The tails are summed through the depth of the h family (vwp_depth).
+    The tails are summed through the adaptive depth of the h family.
     """
     lhs = abs(quadratic_product(z, qp, ctx))
     cab = quadratic_constant(qp, ctx)
-    spec = h_spec(qp, ctx)
-    hs = vwp_terms(spec, vwp_depth(spec, ctx), ctx)
+    hs = vwp_eval(h_spec(qp, ctx), None, ctx).terms
     terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
-    out = []
-    for n in orders:
-        tail = cab * sum(terms[n + 1:])
-        out.append(abs(tail) / lhs)
-    return out
+    return [abs(cab * sum(terms[n + 1:])) / lhs for n in orders]
 
 
 def companion_product(z: complex, qp: QuadraticParams, ctx: QContext) -> complex:
@@ -158,17 +166,18 @@ def r_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
 
 def companion_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
     """r_k (r_0 = 1), by ratio updates of the r_spec summand."""
-    return list(vwp_terms(r_spec(qp, ctx), k, ctx))[k]
+    return _coefficient(r_spec(qp, ctx), k, ctx)
 
 
-def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int,
+def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int | Sequence[complex],
                        ctx: QContext) -> float:
     """Residual of Q_companion(z) = sum_{k<=n} C r_k basis_k(z) over its largest term.
 
+    n_trunc is n, or the coefficients r_0..r_n of one r_spec evaluation.
     The basis pair is (q^{1/2}, -alpha q^{1/2}).  At q = 0.9, seed 2,
     |Q_companion(z)| = 3.7e-9 against terms of order 1.
     """
-    rs = vwp_terms(r_spec(qp, ctx), n_trunc, ctx)
+    rs = _summands(r_spec(qp, ctx), n_trunc, ctx)
     cd = companion_constant(qp, ctx)
     terms = basis_terms(z, companion_pair(qp, ctx), rs, ctx)
     return scaled_residual(companion_product(z, qp, ctx), *(cd * t for t in terms))
@@ -187,7 +196,7 @@ def companion_taylor_identification(qp: QuadraticParams, k_max: int,
                                     ctx: QContext) -> float:
     """Max relative gap between pipeline t_k of the companion and C r_k."""
     cd = companion_constant(qp, ctx)
-    rs = vwp_terms(r_spec(qp, ctx), k_max, ctx)
+    rs = vwp_eval(r_spec(qp, ctx), k_max, ctx).terms
     return coefficient_gap(companion_function(qp, ctx), companion_pair(qp, ctx),
                            [cd * r for r in rs], ctx)
 
@@ -202,7 +211,7 @@ def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> f
     pair = companion_pair(qp, ctx)
     blist = (pair.a * z, pair.a / z) + spec.b_list
     series = vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
-    rs = vwp_terms(spec, vwp_depth(spec, ctx), ctx)
+    rs = vwp_eval(spec, None, ctx).terms
     return scaled_residual(series, basis_sum(z, pair, rs, ctx))
 
 

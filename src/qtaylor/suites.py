@@ -646,8 +646,8 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
                n="1,2") as c:
         depth = c.params["k_trunc"] = kernel.adaptive_series_depth(kp)
         tables = kernel.calP_tables(kp, depth)
-        fs = [kernel.fk_coefficient(kp, k) for k in range(depth)]
-        gs = [kernel.gk_coefficient(kp, k) for k in range(depth)]
+        fs = [kernel.fk_coefficient(kp, k) for k in range(depth + 1)]
+        gs = [kernel.gk_coefficient(kp, k) for k in range(depth + 1)]
         for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
             t1, t2, t3 = kernel.structured_E_terms(kp, n, tables, fs, gs)
             c.see(kernel.cancellation_identity_residual(kp, n, tables))
@@ -807,10 +807,10 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
             ("companion-expansion", "quadratic-companion-bailey", quadratic.r_spec,
              quadratic.companion_residual)):
         with check(name, anchor, 1e-8, draws=cfg.draws) as c:
-            depths = [hyper.vwp_depth(spec(qp, ctx), ctx) for qp, _ in points]
-            c.params["trunc"] = max(depths)
-            for (qp, z), depth in zip(points, depths):
-                c.see(residual(z, qp, depth, ctx))
+            sums = [hyper.vwp_eval(spec(qp, ctx), None, ctx) for qp, _ in points]
+            c.params["trunc"] = max(s.terms_used for s in sums) - 1
+            for (qp, z), s in zip(points, sums):
+                c.see(residual(z, qp, s.terms, ctx))
 
     qp0 = points[0][0]
     with check("unit-leading-coefficients", "quadratic-coeff", 1e-15) as c:
@@ -818,9 +818,10 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
               abs(quadratic.companion_coefficient(qp0, 0, ctx) - 1))
 
     with check("coefficient-decay", "quadratic-coeff", 0.10, k=30) as c:
-        for coeff, ratio in ((quadratic.quadratic_coefficient, qp0.b / qp0.a),
-                             (quadratic.companion_coefficient, qp0.alpha)):
-            c.rel(abs(coeff(qp0, 31, ctx) / coeff(qp0, 30, ctx)), abs(ratio))
+        for spec, ratio in ((quadratic.h_spec, qp0.b / qp0.a),
+                            (quadratic.r_spec, qp0.alpha)):
+            *_, u30, u31 = hyper.vwp_eval(spec(qp0, ctx), 31, ctx).terms
+            c.rel(abs(u31 / u30), abs(ratio))
 
     with check("taylor-identification", "quadratic-taylor-coeff", 1e-7, k_max=6) as c:
         c.see(quadratic.quadratic_taylor_identification(qp0, 6, ctx),

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qtaylor import kernel
+from qtaylor import hyper, kernel
 from qtaylor.errors import DomainError, ZeroDenominator
-from qtaylor.hyper import vwp_terms
+from qtaylor.hyper import vwp_eval
 from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
                             K_lowering_residual, KernelParams,
                             adaptive_series_depth, bailey_crosscheck,
@@ -59,25 +59,61 @@ class TestKernelFactors:
 
 
 class TestQuadrupleCache:
-    """H(b), K(c/de) and the family depth are computed once per KernelParams."""
+    """H(b), K(c/de) and the family terms are computed once per KernelParams."""
 
     def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
-        products, depths = [], []
-        real_quotient, real_depth = kernel.qpoch_quotient, kernel.vwp_depth
+        # the families are summed adaptively, and the shallower one again to the
+        # common depth: 3 runs of _series_sum per instance when their depths differ
+        depths = {vwp_eval(spec, None, kp.ctx).terms_used for spec in (f_spec(kp), g_spec(kp))}
+        sums = 1 + len(depths)
+        products, series = [], []
+        real_quotient, real_series_sum = kernel.qpoch_quotient, hyper._series_sum
         monkeypatch.setattr(kernel, "qpoch_quotient",
                             lambda *a: products.append(a) or real_quotient(*a))
-        monkeypatch.setattr(kernel, "vwp_depth", lambda *a: depths.append(a) or real_depth(*a))
+        monkeypatch.setattr(hyper, "_series_sum",
+                            lambda *a: series.append(a) or real_series_sum(*a))
 
         def evaluate(quadruple):
-            values = (H_at_b(quadruple), K_at_cde(quadruple), adaptive_series_depth(quadruple))
-            return values, (len(products), len(depths))
+            values = (H_at_b(quadruple), K_at_cde(quadruple), adaptive_series_depth(quadruple),
+                      quadruple.family_terms(quadruple.series_depth))
+            return values, (len(products), len(series))
         first, counts = evaluate(kp)
-        assert counts == (2, 2)
-        assert evaluate(kp) == (first, (2, 2))
+        assert counts == (2, sums)
+        assert evaluate(kp) == (first, (2, sums))
         # no process-wide cache: an equal quadruple and the involuted one recompute
         twin = KernelParams(kp.b, kp.c, kp.d, kp.e, kp.ctx)
-        assert twin == kp and evaluate(twin) == (first, (4, 4))
-        assert evaluate(involute(kp))[1] == (6, 6)
+        assert twin == kp and evaluate(twin) == (first, (4, 2 * sums))
+        assert evaluate(involute(kp))[1] == (6, 3 * sums)
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6])
+    def test_each_family_summed_at_most_twice(self, monkeypatch, q, rng):
+        ctx = QContext(q)
+        kp = sample_kernel_params(rng, ctx)
+        specs = {"f": f_spec(kp), "g": g_spec(kp)}
+        sums = []
+        real_eval = kernel.vwp_eval
+        monkeypatch.setattr(kernel, "vwp_eval",
+                            lambda spec, *a: sums.append(spec) or real_eval(spec, *a))
+        depth = adaptive_series_depth(kp)
+        for n in (0, 3, depth // 2, depth):
+            for z in (sample_z(rng), 1.1 - 0.2j):
+                two_basis_residual(z, kp, n)
+                pole_cleared_E_terms(z, kp, n)
+            pole_cleared_E_terms(np.array([sample_z(rng) for _ in range(4)]), kp, n)
+        for spec in specs.values():
+            assert 1 <= sums.count(spec) <= 2
+        assert sums.count(specs["f"]) + sums.count(specs["g"]) == len(sums) <= 3
+        # the cached terms are bit for bit a fresh fixed-depth sum
+        monkeypatch.undo()
+        for spec, cached in zip(specs.values(), kp.family_terms(depth)):
+            fresh = vwp_eval(spec, depth, ctx).terms
+            assert len(cached) == depth + 1 and cached == fresh
+
+    def test_deeper_request_sums_afresh(self, kp):
+        depth = adaptive_series_depth(kp)
+        fs, gs = kp.family_terms(depth + 5)
+        assert fs == vwp_eval(f_spec(kp), depth + 5, kp.ctx).terms
+        assert gs[:depth + 1] == kp.family_terms(depth)[1]
 
     def test_failed_value_is_not_cached(self, monkeypatch, kp):
         monkeypatch.setattr(kernel, "qpoch_quotient", _raise_zero)
@@ -133,14 +169,14 @@ class TestCoefficientFamilies:
         # (q;q)_40 = 1.5e-6 at q = 0.9: the product is small, no factor is
         kp = KernelParams(0.55 + 0.2j, 0.62 - 0.25j, 0.48 + 0.33j, 0.71 - 0.12j,
                           QContext(0.9))
-        fs = list(vwp_terms(f_spec(kp), 40, kp.ctx))
-        gs = list(vwp_terms(g_spec(kp), 40, kp.ctx))
+        fs = vwp_eval(f_spec(kp), 40, kp.ctx).terms
+        gs = vwp_eval(g_spec(kp), 40, kp.ctx).terms
         assert fk_coefficient(kp, 40) == pytest.approx(fs[40], rel=1e-10)
         assert gk_coefficient(kp, 40) == pytest.approx(gs[40], rel=1e-10)
 
     def test_vwp_terms_match_closed_form(self, kp):
-        fs = list(vwp_terms(f_spec(kp), 12, kp.ctx))
-        gs = list(vwp_terms(g_spec(kp), 12, kp.ctx))
+        fs = vwp_eval(f_spec(kp), 12, kp.ctx).terms
+        gs = vwp_eval(g_spec(kp), 12, kp.ctx).terms
         assert len(fs) == len(gs) == 13
         for k in range(13):
             assert fs[k] == pytest.approx(fk_coefficient(kp, k), rel=1e-12)

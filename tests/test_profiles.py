@@ -18,7 +18,7 @@ from qtaylor.profiles import (AnnulusSpec, annular_factorization_residual,
                               profile_coefficient_residual,
                               profile_kernel_P, profile_kernel_coefficient,
                               profile_sums_and_closed_forms)
-from qtaylor.qcore import qpoch_infinite, theta
+from qtaylor.qcore import QContext, qpoch_infinite, theta
 from qtaylor.sampling import (sample_complex, sample_profile_kernel_params,
                               sample_z)
 
@@ -48,6 +48,12 @@ class TestAnnularFactorisation:
     def test_deep_layers(self, N, ctx4):
         assert annular_factorization_residual(0.6 + 0.1j, N, 1.05 + 0.2j,
                                               ctx4) < 1e-10
+
+    @pytest.mark.parametrize("q", [0.1, 0.05])
+    def test_deepest_layer_at_small_base(self, q):
+        # (-lam/z)^20 alone overflows here: |lam/z| = 1/(q^20 |w|) ~ 1e20 at q = 0.1
+        assert annular_factorization_residual(0.6 + 0.1j, 20, 1.3 + 0.2j,
+                                              QContext(q)) < 1e-10
 
     def test_zero_set_validation(self, ctx4):
         with pytest.raises(PoleProximity):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtaylor.errors import ConvergenceRegionViolation, PoleProximity
-from qtaylor.hyper import vwp_depth, vwp_terms
+from qtaylor.hyper import vwp_eval
 from qtaylor.qcore import qpoch_finite
 from qtaylor.quadratic import (QuadraticParams, companion_coefficient, companion_product,
                                companion_residual, companion_series_vs_vwp,
@@ -37,11 +37,13 @@ def _pochs(params, k, ctx):
 
 
 class TestCoefficientSpecs:
-    """vwp_terms of h_spec and r_spec against the closed forms, k <= 12."""
+    """The summands of h_spec and r_spec against the closed forms, k <= 12."""
 
     def test_h_closed_form(self, qp, ctx):
         a, b, q, rq = qp.a, qp.b, ctx.q, ctx.sqrt_q
-        for k, h in enumerate(vwp_terms(h_spec(qp, ctx), 12, ctx)):
+        hs = vwp_eval(h_spec(qp, ctx), 12, ctx).terms
+        assert len(hs) == 13
+        for k, h in enumerate(hs):
             closed = ((1 - a * b * q ** (2 * k - 1)) / (1 - a * b / q)
                       * _pochs([a * b / q, b / rq, -b / rq, a * q / b], k, ctx)
                       / _pochs([q, a * rq, -a * rq, b * b / q], k, ctx)
@@ -50,7 +52,9 @@ class TestCoefficientSpecs:
 
     def test_r_closed_form(self, qp, ctx):
         al, d, q = qp.alpha, qp.d, ctx.q
-        for k, r in enumerate(vwp_terms(r_spec(qp, ctx), 12, ctx)):
+        rs = vwp_eval(r_spec(qp, ctx), 12, ctx).terms
+        assert len(rs) == 13
+        for k, r in enumerate(rs):
             closed = ((1 + al * q ** (2 * k)) / (1 + al)
                       * _pochs([-al, al, -d, -q / d], k, ctx)
                       / _pochs([q, -q, al * q / d, al * d], k, ctx)
@@ -138,7 +142,8 @@ class TestExpansionScale:
     def test_truncation_still_fails_at_the_same_point(self):
         ctx, (qp, z) = self.near_zero_point()
         assert abs(companion_product(z, qp, ctx)) < 1e-8
-        assert companion_residual(z, qp, vwp_depth(r_spec(qp, ctx), ctx), ctx) < 1e-13
+        depth = vwp_eval(r_spec(qp, ctx), None, ctx).terms_used - 1
+        assert companion_residual(z, qp, depth, ctx) < 1e-13
         assert companion_residual(z, qp, 3, ctx) > 1e-8
 
 
