@@ -8,11 +8,12 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergenceSuspected, DomainError, ZeroDenominator
-from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, qpoch_multi,
+from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, q_powers, qpoch_multi,
                     qpoch_quotient)
 
 
@@ -83,79 +84,122 @@ def vwp_expanded_spec(spec: VWPSpec, root: complex, ctx: QContext) -> PhiSeriesS
     return PhiSeriesSpec(nums, dens, spec.argument)
 
 
-def _series_sum(ratio, trunc: int | None, ctx: QContext) -> SeriesSum:
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry of a nonempty mask, or its length when there is none."""
+    i = int(mask.argmax())
+    return i if mask[i] else mask.size
+
+
+def _running_rate(abs_terms: np.ndarray, rate: float, q_rate: float):
+    """Per step of |t|: did it decrease, and the rate after it (the last decreasing
+    ratio, at least q_rate; `rate` before the first decrease)."""
+    dec = abs_terms[1:] < abs_terms[:-1]
+    last = np.maximum.accumulate(np.where(dec, np.arange(dec.size), -1))
+    step = np.maximum(abs_terms[1:] / abs_terms[:-1], q_rate)
+    return dec, np.where(last >= 0, step[last], rate)
+
+
+def _series_sum(ratio, trunc: int | None, ctx: QContext,
+                start: SeriesSum | None = None) -> SeriesSum:
     """Shared partial sum of every series; returns the value with the terms it added.
 
-    ratio(k) must return the multiplier taking term_k to term_{k+1}.
+    ratio(k, x) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
+    i = k, k+1, ..., and the block's first pole as (offset, error) or None.
+    Blocks of geometric_depth(|q|) ratios, doubling, lie at fixed places; the
+    terms and partial sums are np.multiply/np.add.accumulate, which associate
+    as a loop over k does.  Nothing past the stop index raises or warns.
     Truncation: through index `trunc` when given, else after the first t_k
     with |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
-    decreasing term ratio (at least |q|); geometric_depth(rate, lead) = 0 is
-    that test, called only to enforce ctx.max_terms or reject a non-finite
-    lead.  A vanishing term ends the sum exactly.  Adaptive mode raises
-    DivergenceSuspected after 8 consecutive growing terms past
-    geometric_depth(|q|), where the q-power factors of the ratio have settled.
+    decreasing term ratio (at least |q|): geometric_depth(rate, lead) = 0,
+    called only under ctx.max_terms or for a non-finite lead.  A vanishing
+    term ends the sum.  Adaptive mode raises DivergenceSuspected after 8
+    growing terms in a row past geometric_depth(|q|), where the q-power
+    factors of the ratio have settled.  `start`, an earlier sum of the same
+    series, is continued to `trunc`, bit for bit as one sum.
     """
     q_rate = abs(ctx.q)
-    settled = geometric_depth(q_rate) if trunc is None else 0
-    rate = q_rate
-    total = term = 1.0 + 0.0j
-    terms = [term]
-    k = grow_run = 0
-    while term != 0 and (trunc is None or k < trunc):
-        nxt = term * ratio(k)
-        if abs(nxt) < abs(term):
-            rate = max(abs(nxt) / abs(term), q_rate)
-            grow_run = 0
-        elif trunc is None and k >= settled:
-            grow_run += 1
-            if grow_run >= 8:
-                raise DivergenceSuspected(f"8 consecutive growing terms at k={k + 1}")
-        term = nxt
-        terms.append(term)
-        total += term
-        k += 1
-        if trunc is None and total:
-            lead = abs(term) / abs(total)
-            if (lead < TAIL_TARGET * (1.0 - rate) if ctx.max_terms is None and lead < math.inf
-                    else geometric_depth(rate, lead, ctx.max_terms) == 0):
+    settled = geometric_depth(q_rate)
+    terms = [1.0 + 0.0j] if start is None else list(start.terms)
+    k = len(terms) - 1
+    term, total, rate, grow = terms[-1], terms[0], q_rate, 0
+    lo, size = 0, settled  # the block holding k: no ratio depends on where a sum starts
+    while lo + size <= k:
+        lo, size = lo + size, 2 * size
+    x = q_powers(1.0, lo, ctx)[lo]
+    with np.errstate(all="ignore"):  # entries past the stop may overflow or divide by 0
+        if start is not None:  # the running sum and rate where `start` stopped
+            total = start.value
+            rate = float(_running_rate(np.abs(terms), rate, q_rate)[1][-1]) if k else rate
+        while term != 0 and (trunc is None or k < trunc):
+            xs = q_powers(x, size, ctx)
+            x = xs[size]
+            r, pole = ratio(lo, xs[:size])
+            skip = k - lo
+            n = size - skip if trunc is None else min(size - skip, trunc - k)
+            t = np.multiply.accumulate(np.concatenate(([term], r[skip:skip + n])))
+            s = np.add.accumulate(np.concatenate(([total], t[1:])))[1:]
+            at = np.abs(t)
+            dec, rates = _running_rate(at, rate, q_rate)
+            t, at = t[1:], at[1:]
+            at_pole, diverge = (pole[0] - skip if pole else n), n
+            stop = min(at_pole, _first(t == 0), n - 1 if k + n == trunc else n)
+            if trunc is None:
+                if lo:  # past the first block every index is past `settled`
+                    i = np.arange(n)
+                    run = i - np.maximum.accumulate(np.where(dec, i, -1 - grow))
+                    diverge, grow = _first(run >= 8), int(run[-1])
+                lead = at / np.abs(s)
+                target = TAIL_TARGET * (1.0 - rates)
+                stop = min(stop, diverge, _first(lead < target))
+                if ctx.max_terms is not None or not np.isfinite(lead[:stop]).all():
+                    # geometric_depth enforces the cap, or rejects the non-finite lead
+                    stop = next((j for j in range(stop) if s[j] != 0 and geometric_depth(
+                        float(rates[j]), float(lead[j]), ctx.max_terms) == 0), stop)
+            if stop == at_pole < n:
+                raise pole[1]
+            if stop == diverge < n:
+                raise DivergenceSuspected(f"8 consecutive growing terms at k={k + stop + 1}")
+            last = min(stop, n - 1)
+            terms.extend(t[:last + 1].tolist())
+            term, total, rate = complex(t[last]), complex(s[last]), float(rates[last])
+            k += last + 1
+            if stop < n:
                 break
-    tail = abs(term) * rate / (1.0 - rate)
-    return SeriesSum(total, tail, k + 1, tuple(terms))
+            lo, size = lo + size, 2 * size
+    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms))
 
 
 def term_ratio(nums: tuple[complex, ...], dens: tuple[complex, ...], z: complex,
                ctx: QContext, lead: complex | None = None):
-    """The term ratio t_{k+1} / t_k of a series, as ratio(k) for k = 0, 1, ...
+    """The term ratios t_{k+1} / t_k of a series, as a block function ratio(k, x).
 
-    prod_i (1 - n_i q^k) z / ((1 - q^{k+1}) prod_j (1 - d_j q^k)), times
-    (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a very-well-poised summand:
-    the ratio of its (1 - a q^{2k}) factors is taken directly, so no square
-    root of a appears.  q^k is the running product.  A denominator factor
-    (lead or d_j) within the pole margin raises ZeroDenominator.
+    At x = q^k, ..., q^(k+n-1): the ndarray of prod_i (1 - n_i q^k) z /
+    ((1 - q^{k+1}) prod_j (1 - d_j q^k)), times (1 - lead q^{2k+2}) /
+    (1 - lead q^{2k}) for a very-well-poised summand (no square root of a
+    appears), each product in the order listed; and the first denominator
+    factor (lead, then the d_j) within the pole margin as (offset,
+    ZeroDenominator), or None.
     """
-    q, margin = ctx.q, ctx.pole_margin
-    x = 1.0 + 0.0j
+    q, margin, m = ctx.q, ctx.pole_margin, len(nums)
+    params = np.array(tuple(nums) + (q,) + tuple(dens), dtype=complex)[:, None]
 
-    def ratio(k: int) -> complex:
-        nonlocal x
+    def ratio(k: int, x: np.ndarray):
+        facs = 1.0 - params * x
+        r = np.multiply.reduce(facs[:m]) / np.multiply.reduce(facs[m:])
+        gaps = np.abs(facs[m + 1:])
         if lead is not None:
-            x2 = x * x
-            lead_old = 1.0 - lead * x2
-            if abs(lead_old) <= margin:
-                raise ZeroDenominator("leading very-well-poised factor vanished")
-            lead_ratio = (1.0 - lead * x2 * q * q) / lead_old
-        num = 1.0 + 0.0j
-        for a in nums:
-            num *= 1.0 - a * x
-        den = 1.0 - q * x  # the (q;q)_k factor advanced to index k+1
-        for b in dens:
-            fac = 1.0 - b * x
-            if abs(fac) <= margin:
-                raise ZeroDenominator(f"denominator parameter {b} hits q^(-{k}) within margin")
-            den *= fac
-        x *= q
-        r = num / den
-        return (r if lead is None else lead_ratio * r) * z
+            lx2 = lead * (x * x)
+            lead_old = 1.0 - lx2
+            r = (1.0 - lx2 * q * q) / lead_old * r
+            gaps = np.concatenate((np.abs(lead_old)[None], gaps))
+        if np.minimum.reduce(gaps, axis=None, initial=np.inf) > margin:
+            return r * z, None
+        near = gaps <= margin
+        i = _first(near.any(axis=0))
+        j = _first(near[:, i]) - (lead is not None)
+        return r * z, (i, ZeroDenominator(
+            f"leading very-well-poised factor vanished at k={k + i}" if j < 0 else
+            f"denominator parameter {dens[j]} hits q^(-{k + i}) within margin"))
 
     return ratio
 

@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
-from .hyper import VWPSpec, vwp_eval
+from .hyper import VWPSpec, _series_sum, vwp_eval
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
 from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups, qpoch_multi,
                     qpoch_infinite, qpoch_quotient, scaled_residual)  # noqa: F401
-from .taylor import (BasisPair, basis_sum, basis_terms, coefficient_gap,
+from .taylor import (BasisPair, basis_factors, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
 
@@ -109,12 +109,13 @@ class KernelParams:
     @cached_property
     def _families(self) -> tuple[tuple[complex, ...], ...]:
         """f_0..f_N and g_0..g_N, N = series_depth: each family is summed
-        adaptively, and the one that stopped earlier is summed again to N."""
+        adaptively, and the one that stopped earlier is continued to N."""
         specs = (f_spec(self), g_spec(self))
-        terms = [vwp_eval(spec, None, self.ctx).terms for spec in specs]
-        n = max(map(len, terms)) - 1
-        return tuple(t if len(t) > n else vwp_eval(spec, n, self.ctx).terms
-                     for spec, t in zip(specs, terms))
+        sums = [vwp_eval(spec, None, self.ctx) for spec in specs]
+        n = max(s.terms_used for s in sums) - 1
+        return tuple(s.terms if s.terms_used > n else
+                     _series_sum(spec.ratio(self.ctx), n, self.ctx, s).terms
+                     for spec, s in zip(specs, sums))
 
     @cached_property
     def series_depth(self) -> int:
@@ -336,31 +337,17 @@ def M_clearing(z: complex, kp: KernelParams) -> complex:
     return qpoch_groups([sym_bases(z, kp.c, kp.c ** 2 / (kp.b * kp.d * kp.e))], kp.ctx)[0]
 
 
-def _cleared_family_sum(z, pair: BasisPair, coeffs: Iterable[complex], tail,
+def _cleared_family_sum(z, pair: BasisPair, coeffs: Sequence[complex], tail,
                         ctx: QContext):
-    """sum_k u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c).
-
-    The given tail = (cz, c/z;q)_inf is divided down one factor pair per
-    order, so the sum carries no basis denominators.  z may be an ndarray
-    of points: the loop runs over k, each step over every point, and a tail
-    update within the margin at any point raises.
-    """
-    q = ctx.q
-    a, c = pair.a, pair.c
-    cz, az = c * z, a * z
-    fin = 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k, u in enumerate(coeffs):
-        if k:
-            div = (1.0 - cz * x) * (1.0 - c * x / z)
-            if np.any(abs(div) <= ctx.pole_margin ** 2):
-                raise PoleProximity(f"tail-product update within margin (c = {c})")
-            tail /= div
-            fin *= (1.0 - az * x) * (1.0 - a * x / z)
-            x *= q
-        total += u * fin * tail
-    return total
+    """sum_k u_k (az, a/z;q)_k (czq^k, cq^k/z;q)_inf for the pair (a, c), z maybe an
+    ndarray of points.  The given tail = (cz, c/z;q)_inf is divided down one factor
+    pair per order (np.divide.accumulate), so the sum carries no basis denominators."""
+    us = np.asarray(coeffs, dtype=complex)
+    num, den = basis_factors(z, pair, us.size - 1, ctx)
+    first = np.ones((1,) + den.shape[1:])
+    fins = np.multiply.accumulate(np.concatenate((first, num)))
+    tails = np.divide.accumulate(np.concatenate((tail * first, den)))
+    return sum(us.reshape(us.shape + (1,) * np.ndim(z)) * fins * tails, 0.0 + 0.0j)
 
 
 def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:

@@ -248,26 +248,23 @@ def _kernel_weight(u: int, j: int, alpha: complex, beta: complex, ctx: QContext)
             * beta ** u * (q / alpha) ** (j - u))
 
 
-def _profile_ratio_step(alpha: complex, beta: complex, t: complex, s: complex,
-                        ctx: QContext) -> complex:
-    """P_{alpha q, beta q}(s, w) / P_{alpha, beta}(s, w) (one-factor updates)."""
+def _profile_ratio_step(alpha: np.ndarray, beta: np.ndarray, t: complex, s: complex,
+                        ctx: QContext):
+    """P_{alpha q, beta q}(s, w) / P_{alpha, beta}(s, w) (one-factor updates) at arrays
+    alpha, beta, and the first pole within the margin as (index, PoleProximity)."""
     num = ((1.0 - beta * t * s) * (1.0 - t / alpha)
            * (1.0 - t * s / beta) * (1.0 - beta / t))
-    den_factors = (1.0 - alpha * t * s, 1.0 - t / beta,
-                   1.0 - t * s / alpha, 1.0 - alpha / t)
-    den = 1.0 + 0.0j
-    for fac in den_factors:
-        if abs(fac) <= ctx.pole_margin:
-            raise PoleProximity("profile kernel shift update within margin")
-        den *= fac
-    return num / den
+    facs = np.array([1.0 - alpha * t * s, 1.0 - t / beta,
+                     1.0 - t * s / alpha, 1.0 - alpha / t])
+    hit = (np.abs(facs) <= ctx.pole_margin).any(axis=0)
+    pole = (int(hit.argmax()), PoleProximity("profile kernel shift update within margin"))
+    return num / np.prod(facs, axis=0), pole if hit.any() else None
 
 
 def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
                        ) -> tuple[complex, complex, complex]:
     """The three additive terms of the scaled profile-generating residual."""
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q = ctx.q
     t = lam * w
     t1 = (profile_kernel_P(s, w, c / d, b, lam, ctx)
           * profile_kernel_P(s, w, c / e, c / (d * e), lam, ctx))
@@ -276,9 +273,11 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
         """sum_k u_k P_{alpha q^k, beta q^k}(s, w), summed by its term ratio."""
         coeff_ratio = spec.ratio(ctx)
 
-        def ratio(k: int) -> complex:
-            qk = q ** k
-            return coeff_ratio(k) * _profile_ratio_step(alpha * qk, beta * qk, t, s, ctx)
+        def ratio(k: int, x: np.ndarray):
+            (r, pole), (step, step_pole) = (coeff_ratio(k, x),
+                                            _profile_ratio_step(alpha * x, beta * x, t, s, ctx))
+            return r * step, min(filter(None, (pole, step_pole)), key=lambda p: p[0],
+                                 default=None)
 
         return (profile_kernel_P(s, w, alpha, beta, lam, ctx)
                 * _series_sum(ratio, None, ctx).value)

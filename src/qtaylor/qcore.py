@@ -161,6 +161,13 @@ def qpoch_finite(a: complex, n: int, ctx: QContext) -> complex:
     return value
 
 
+def q_powers(x0: complex, n: int, ctx: QContext) -> np.ndarray:
+    """x0 q^j for j = 0..n as one running product: the loop ``x *= q``, bit for bit."""
+    xs = np.full(n + 1, ctx.q)
+    xs[0] = x0
+    return np.multiply.accumulate(xs, out=xs)
+
+
 def qpoch_infinite(a, ctx: QContext) -> TailBound:
     """Truncated infinite products (a;q)_inf with a certified tail bound.
 

@@ -79,9 +79,10 @@ def h_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
     return VWPSpec(a * b / q, (b / rq, -b / rq, a * q / b), -b / a)
 
 
-def _summands(spec: VWPSpec, n: int | Sequence[complex], ctx: QContext) -> Sequence[complex]:
-    """The summands t_0..t_n of spec, or n itself when it already holds them."""
-    return vwp_eval(spec, n, ctx).terms if isinstance(n, int) else n
+def _summands(spec: VWPSpec, n: int | Sequence[complex] | None,
+              ctx: QContext) -> Sequence[complex]:
+    """The summands t_0..t_n of spec (adaptive for None), or n when it holds them."""
+    return vwp_eval(spec, n, ctx).terms if n is None or isinstance(n, int) else n
 
 
 def _coefficient(spec: VWPSpec, k: int, ctx: QContext) -> complex:
@@ -122,14 +123,14 @@ def quadratic_taylor_identification(qp: QuadraticParams, k_max: int,
 
 
 def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int],
-                         ctx: QContext) -> list[float]:
+                         ctx: QContext, hs: Sequence[complex] | None = None) -> list[float]:
     """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails).
 
-    The tails are summed through the adaptive depth of the h family.
+    The tails run through the adaptive depth of the h family (hs: its terms).
     """
     lhs = abs(quadratic_product(z, qp, ctx))
     cab = quadratic_constant(qp, ctx)
-    hs = vwp_eval(h_spec(qp, ctx), None, ctx).terms
+    hs = _summands(h_spec(qp, ctx), hs, ctx)
     terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
     return [abs(cab * sum(terms[n + 1:])) / lhs for n in orders]
 
@@ -201,17 +202,18 @@ def companion_taylor_identification(qp: QuadraticParams, k_max: int,
                            [cd * r for r in rs], ctx)
 
 
-def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext) -> float:
+def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext,
+                            rs: Sequence[complex] | None = None) -> float:
     """Companion series against its very-well-poised specialisation.
 
     The coefficient series equals the 8W7 evaluation of r_spec with the
-    basis pair (q^{1/2} z, q^{1/2}/z) added to its parameter list.
-    """
+    basis pair (q^{1/2} z, q^{1/2}/z) added to its parameter list (rs: the
+    terms of the adaptive r_spec evaluation)."""
     spec = r_spec(qp, ctx)
     pair = companion_pair(qp, ctx)
     blist = (pair.a * z, pair.a / z) + spec.b_list
     series = vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
-    rs = vwp_eval(spec, None, ctx).terms
+    rs = _summands(spec, rs, ctx)
     return scaled_residual(series, basis_sum(z, pair, rs, ctx))
 
 

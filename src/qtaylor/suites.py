@@ -801,6 +801,7 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     check = partial(Check, out, "quadratic")
 
     points = [(sample_quadratic_params(rng), sample_z(rng)) for _ in range(cfg.draws)]
+    summed = {}  # the h and r terms of the first draw, reused by the tail checks
     for name, anchor, spec, residual in (
             ("watson-type-expansion", "quadratic-bailey", quadratic.h_spec,
              quadratic.quadratic_residual),
@@ -808,6 +809,7 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
              quadratic.companion_residual)):
         with check(name, anchor, 1e-8, draws=cfg.draws) as c:
             sums = [hyper.vwp_eval(spec(qp, ctx), None, ctx) for qp, _ in points]
+            summed[spec] = sums[0].terms
             c.params["trunc"] = max(s.terms_used for s in sums) - 1
             for (qp, z), s in zip(points, sums):
                 c.see(residual(z, qp, s.terms, ctx))
@@ -831,12 +833,12 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
     with check("tail-decay", "quadratic-remainder-tail", 0.10,
                orders=f"{orders[0]}..{orders[-1]}") as c:
-        tails = quadratic.quadratic_tail_curve(z, qp0, orders, ctx)
+        tails = quadratic.quadratic_tail_curve(z, qp0, orders, ctx, summed.get(quadratic.h_spec))
         fit = c.params["fit"] = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
         c.rel(fit, abs(qp0.b / qp0.a))
 
     with check("companion-vwp-form", "quadratic-companion-bailey", 1e-10, z=z) as c:
-        c.see(quadratic.companion_series_vs_vwp(z, qp0, ctx))
+        c.see(quadratic.companion_series_vs_vwp(z, qp0, ctx, summed.get(quadratic.r_spec)))
 
     x = sample_complex(rng, 0.3, 0.9)
     with check("folding", "folding-identities", 1e-10, x=x) as c:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_quotient,
+from .qcore import (QContext, factor_clearance, q_powers, qpoch_finite, qpoch_quotient,
                     scaled_residual)
 from .wpoperator import SymmetricFunction, grid_functional_weights
 
@@ -65,31 +67,33 @@ def phi_function(pair: BasisPair, n: int, ctx: QContext) -> SymmetricFunction:
                              name=f"phi_{n}")
 
 
-def basis_terms(z: complex, pair: BasisPair, coeffs: Iterable[complex],
-                ctx: QContext) -> list[complex]:
-    """The terms [u_k Phi_k(z; a, c)] of a basis series, by ratio updates.
-
-    Every basis denominator factor pair is checked against the pole margin
-    before it divides, so a point on the pole set raises PoleProximity.
-    """
-    q = ctx.q
+def basis_factors(z, pair: BasisPair, n: int, ctx: QContext):
+    """(1 - a z q^k)(1 - a q^k/z) and (1 - c z q^k)(1 - c q^k/z), k = 0..n-1 on the
+    first axis, z (maybe an ndarray of points) on the others; PoleProximity if a
+    denominator pair is within the pole margin at any point."""
     a, c = pair.a, pair.c
-    terms = []
-    basis = 1.0 + 0.0j
-    x = 1.0 + 0.0j
-    for k, u in enumerate(coeffs):
-        if k:
-            den = (1.0 - c * z * x) * (1.0 - c * x / z)
-            if abs(den) <= ctx.pole_margin ** 2:
-                raise PoleProximity(f"z = {z} within margin of the (c = {c}) "
-                                    "basis pole set")
-            basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / den
-            x *= q
-        terms.append(u * basis)
-    return terms
+    x = q_powers(1.0, max(n, 0), ctx)[:n]
+    x = x.reshape(x.shape + (1,) * np.ndim(z))
+    den = (1.0 - c * z * x) * (1.0 - c * x / z)
+    near = np.abs(den) <= ctx.pole_margin ** 2
+    if near.any():
+        raise PoleProximity(f"z = {np.broadcast_to(z, near.shape)[near][0]} within margin "
+                            f"of the (c = {c}) basis pole set")
+    return (1.0 - a * z * x) * (1.0 - a * x / z), den
 
 
-def basis_sum(z: complex, pair: BasisPair, coeffs: Iterable[complex],
+def basis_terms(z, pair: BasisPair, coeffs: Sequence[complex], ctx: QContext):
+    """The terms [u_k Phi_k(z; a, c)] of a basis series, k = 0..n, Phi_k being one
+    running product over the basis_factors ratios: a list for a scalar z, for an
+    ndarray of points an ndarray with k along the first axis."""
+    us = np.asarray(coeffs, dtype=complex)
+    num, den = basis_factors(z, pair, us.size - 1, ctx)
+    phi = np.multiply.accumulate(np.concatenate((np.ones((1,) + den.shape[1:]), num / den)))
+    terms = us.reshape(us.shape + (1,) * np.ndim(z)) * phi[:us.size]
+    return terms if np.ndim(z) else terms.tolist()
+
+
+def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
               ctx: QContext) -> complex:
     """sum_k u_k Phi_k(z; a, c) over the given coefficients."""
     return sum(basis_terms(z, pair, coeffs, ctx), 0.0 + 0.0j)
@@ -219,14 +223,9 @@ def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
         if r_lo - ctx.pole_margin <= mod <= r_hi + ctx.pole_margin:
             raise PoleProximity(f"annulus [{r_lo}, {r_hi}] touches pole circle |z| = {mod:.4g}")
     radii = [r_lo * (r_hi / r_lo) ** (i / 2) for i in range(3)]
-    sups = [0.0] * (k_max + 1)
-    ones = [1.0] * (k_max + 1)
-    for r in radii:
-        for j in range(48):
-            z = r * cmath.exp(2j * math.pi * (j + 0.21) / 48)
-            for k, phi in enumerate(basis_terms(z, pair, ones, ctx)):
-                sups[k] = max(sups[k], abs(phi))
-    return sups
+    zs = np.array([r * cmath.exp(2j * math.pi * (j + 0.21) / 48)
+                   for r in radii for j in range(48)])
+    return np.abs(basis_terms(zs, pair, [1.0] * (k_max + 1), ctx)).max(axis=1).tolist()
 
 
 def basis_limit_modulus(z: complex, pair: BasisPair, ctx: QContext) -> float:

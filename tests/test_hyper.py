@@ -1,16 +1,18 @@
 import math
 import random
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qtaylor.errors import (DivergenceSuspected, DomainError, TruncationFailure,
                             ZeroDenominator)
-from qtaylor.hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual,
-                           phi_eval, rogers_6w5_residual, vwp_eval,
-                           vwp_expanded_spec, well_poised_defect)
+from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
+                           jackson_8w7_residual, phi_eval, rogers_6w5_residual, term_ratio,
+                           vwp_eval, vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
-from qtaylor.qcore import QContext
+from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers
 from qtaylor.quadratic import h_spec, r_spec
 from qtaylor.sampling import sample_complex, sample_kernel_params, sample_quadratic_params
 from qtaylor.suites import SuiteConfig, run_hyper
@@ -104,6 +106,9 @@ class TestVWPSeries:
         assert abs((s9 - s8) - summand) <= 1e-14 * max(abs(s9), abs(summand))
 
 
+EPS = 2.0 ** -52
+
+
 def family_specs(q):
     """The four coefficient families f, g, h, r at one sampled draw."""
     ctx = QContext(q)
@@ -176,3 +181,186 @@ class TestJacksonSummation:
             n = rng.randrange(0, 13)
             worst = max(worst, jackson_8w7_residual(a, b, c, d, n, ctx))
         assert worst < 1e-10
+
+
+# ---------------------------------------------------------------- block sums
+
+def _loop_ratio(nums, dens, z, ctx, lead=None):
+    """The scalar term ratio of the one-term-at-a-time loop that the block sum replaced."""
+    q, margin = ctx.q, ctx.pole_margin
+    x = 1.0 + 0.0j
+
+    def ratio(k):
+        nonlocal x
+        if lead is not None:
+            x2 = x * x
+            lead_old = 1.0 - lead * x2
+            if abs(lead_old) <= margin:
+                raise ZeroDenominator("leading very-well-poised factor vanished")
+            lead_ratio = (1.0 - lead * x2 * q * q) / lead_old
+        num = 1.0 + 0.0j
+        for a in nums:
+            num *= 1.0 - a * x
+        den = 1.0 - q * x
+        for b in dens:
+            fac = 1.0 - b * x
+            if abs(fac) <= margin:
+                raise ZeroDenominator(f"denominator parameter {b} hits q^(-{k}) within margin")
+            den *= fac
+        x *= q
+        r = num / den
+        return (r if lead is None else lead_ratio * r) * z
+
+    return ratio
+
+
+def _loop_vwp_ratio(spec, ctx):
+    return _loop_ratio((spec.a,) + spec.b_list, tuple(spec.a * ctx.q / b for b in spec.b_list),
+                       spec.argument, ctx, lead=spec.a)
+
+
+def _loop_sum(ratio, trunc, ctx):
+    """The one-term-at-a-time _series_sum that the block sum replaced: the oracle."""
+    q_rate = abs(ctx.q)
+    settled = geometric_depth(q_rate) if trunc is None else 0
+    rate = q_rate
+    total = term = 1.0 + 0.0j
+    terms = [term]
+    k = grow_run = 0
+    while term != 0 and (trunc is None or k < trunc):
+        nxt = term * ratio(k)
+        if abs(nxt) < abs(term):
+            rate = max(abs(nxt) / abs(term), q_rate)
+            grow_run = 0
+        elif trunc is None and k >= settled:
+            grow_run += 1
+            if grow_run >= 8:
+                raise DivergenceSuspected(f"8 consecutive growing terms at k={k + 1}")
+        term = nxt
+        terms.append(term)
+        total += term
+        k += 1
+        if trunc is None and total:
+            lead = abs(term) / abs(total)
+            if (lead < TAIL_TARGET * (1.0 - rate) if ctx.max_terms is None and lead < math.inf
+                    else geometric_depth(rate, lead, ctx.max_terms) == 0):
+                break
+    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms))
+
+
+def _scalar_blocks(ratio):
+    """A block function made of a scalar ratio(k), so both sums can run one rule."""
+    return lambda k, x: (np.array([ratio(k + i) for i in range(len(x))]), None)
+
+
+ORACLE_BASES = [0.2, 0.45, 0.7, -0.6, 0.5j, 0.9]
+
+
+class TestBlockSum:
+    """_series_sum in array blocks against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("q", ORACLE_BASES)
+    def test_matches_the_scalar_loop(self, q):
+        ctx, specs = family_specs(q)
+        for spec in specs:
+            for trunc in (None, 7, 40):
+                new = vwp_eval(spec, trunc, ctx)
+                old = _loop_sum(_loop_vwp_ratio(spec, ctx), trunc, ctx)
+                assert new.terms_used == old.terms_used
+                # the arithmetic is the loop's, rounded by NumPy: a few ulps of sum |t|
+                scale = sum(map(abs, old.terms))
+                assert abs(new.value - old.value) <= 8 * EPS * scale
+                assert all(abs(a - b) <= 8 * EPS * scale for a, b in zip(new.terms, old.terms))
+
+    @pytest.mark.parametrize("q", ORACLE_BASES)
+    def test_phi_series_match_the_scalar_loop(self, q, rng):
+        ctx = QContext(q)
+        for _ in range(6):
+            nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
+            dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
+            spec = PhiSeriesSpec(nums, dens, sample_complex(rng, 0.1, 0.5))
+            new = phi_eval(spec, None, ctx)
+            old = _loop_sum(_loop_ratio(nums, dens, spec.argument, ctx), None, ctx)
+            assert new.terms_used == old.terms_used
+            assert abs(new.value - old.value) <= 8 * EPS * sum(map(abs, old.terms))
+
+    def test_pole_before_the_stop_raises_with_its_index(self, ctx):
+        spec = PhiSeriesSpec((0.4, 0.3), (1 / ctx.q ** 5,), 0.2)
+        for trunc in (None, 6, 200):
+            with pytest.raises(ZeroDenominator, match=r"hits q\^\(-5\)"):
+                phi_eval(spec, trunc, ctx)
+        # the block function reports the first pole of its block with its index;
+        # the lead factor 1 - a q^(2k) comes before the denominators
+        ratio = term_ratio((0.5,), (ctx.q ** -3,), 0.1, ctx, lead=ctx.q ** -6)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, (offset, error) = ratio(2, q_powers(ctx.q ** 2, 4, ctx)[:4])
+        assert offset == 1 and "vanished at k=3" in str(error)
+
+    def test_pole_after_the_stop_is_never_reached(self, ctx):
+        # t_k shrinks like 1e-9^k, so the sum stops at k = 2, before the pole at
+        # k = 6 that the first block of geometric_depth(0.45) = 49 ratios holds;
+        # a terminating series stops at its zero term t_2 before the pole at k = 9
+        fast = PhiSeriesSpec((0.4, 0.3), (1 / ctx.q ** 6,), 1e-9)
+        ending = PhiSeriesSpec((1 / ctx.q, 0.3), (1 / ctx.q ** 9,), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi_eval(fast, None, ctx).terms_used == 3
+            assert phi_eval(ending, None, ctx).terms_used == 3
+            assert phi_eval(ending, 40, ctx).terms_used == 3
+            # nor does an overflow past the stop warn
+            blow_up = _scalar_blocks(lambda k: 1e-9 if k < 3 else 1e300)
+            assert _series_sum(blow_up, None, ctx).terms_used == 3
+        for summed in (lambda: phi_eval(fast, 10, ctx),
+                       lambda: _loop_sum(_loop_ratio((0.4, 0.3), (1 / ctx.q ** 6,), 1e-9, ctx),
+                                         10, ctx)):
+            with pytest.raises(ZeroDenominator, match=r"hits q\^\(-6\)"):
+                summed()
+
+    def test_growing_run_straddling_two_blocks(self):
+        # q = 0.2: blocks of 24, 48, 96 ratios start at k = 0, 24, 72; the terms
+        # shrink slowly (no stop) until k = 68, then grow across k = 72
+        ctx = QContext(0.2)
+        assert geometric_depth(0.2) == 24
+
+        def ratio(k):
+            return 1.001 if k >= 68 else 0.999
+
+        for summed in (lambda: _series_sum(_scalar_blocks(ratio), None, ctx),
+                       lambda: _loop_sum(ratio, None, ctx)):
+            with pytest.raises(DivergenceSuspected, match=r"at k=76$"):
+                summed()
+        # seven growing terms are no divergence
+        seven = _series_sum(_scalar_blocks(lambda k: 0.999 if k < 68 else 1.001 if k < 75 else 0.5),
+                            None, ctx)
+        assert seven.terms_used > 76
+
+    def test_terminating_series_ends_at_its_zero_term(self, ctx):
+        spec = PhiSeriesSpec((ctx.q ** -3, 0.4), (0.6,), 0.3)
+        for trunc in (None, 4, 12, 200):
+            tb = phi_eval(spec, trunc, ctx)
+            assert tb.terms_used == 5 and tb.terms[-1] == 0 and tb.terms[3] != 0
+
+    @pytest.mark.parametrize("q", [0.2, 0.7, -0.6])
+    def test_max_terms_cap(self, q):
+        ctx, specs = family_specs(q)
+        capped = replace(ctx, max_terms=16)
+        for spec in specs:
+            with pytest.raises(TruncationFailure) as new:
+                vwp_eval(spec, None, capped)
+            with pytest.raises(TruncationFailure) as old:
+                _loop_sum(_loop_vwp_ratio(spec, capped), None, capped)
+            assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("q", ORACLE_BASES)
+    def test_adaptive_and_fixed_terms_share_their_prefix(self, q):
+        ctx, specs = family_specs(q)
+        for spec in specs:
+            adaptive = vwp_eval(spec, None, ctx)
+            n = adaptive.terms_used - 1
+            for trunc in (1, 5, n - 1, n, n + 7, 3 * n):
+                fixed = vwp_eval(spec, trunc, ctx).terms
+                common = min(len(fixed), n + 1)
+                assert fixed[:common] == adaptive.terms[:common]
+            # continuing the adaptive sum gives the fixed-depth sum, bit for bit
+            longer = _series_sum(spec.ratio(ctx), 3 * n, ctx, adaptive)
+            assert longer == vwp_eval(spec, 3 * n, ctx)

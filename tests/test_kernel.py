@@ -15,7 +15,7 @@ from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_residual, two_basis_terms,
                             kernel_taylor_crosscheck)
-from qtaylor.qcore import QContext
+from qtaylor.qcore import QContext, qpoch_groups
 from qtaylor.sampling import (sample_kernel_params,
                               sample_profile_kernel_params, sample_z)
 from qtaylor.suites import SuiteConfig, run_suites
@@ -62,7 +62,7 @@ class TestQuadrupleCache:
     """H(b), K(c/de) and the family terms are computed once per KernelParams."""
 
     def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
-        # the families are summed adaptively, and the shallower one again to the
+        # the families are summed adaptively, and the shallower one continued to the
         # common depth: 3 runs of _series_sum per instance when their depths differ
         depths = {vwp_eval(spec, None, kp.ctx).terms_used for spec in (f_spec(kp), g_spec(kp))}
         sums = 1 + len(depths)
@@ -70,8 +70,9 @@ class TestQuadrupleCache:
         real_quotient, real_series_sum = kernel.qpoch_quotient, hyper._series_sum
         monkeypatch.setattr(kernel, "qpoch_quotient",
                             lambda *a: products.append(a) or real_quotient(*a))
-        monkeypatch.setattr(hyper, "_series_sum",
-                            lambda *a: series.append(a) or real_series_sum(*a))
+        for module in (hyper, kernel):
+            monkeypatch.setattr(module, "_series_sum",
+                                lambda *a: series.append(a) or real_series_sum(*a))
 
         def evaluate(quadruple):
             values = (H_at_b(quadruple), K_at_cde(quadruple), adaptive_series_depth(quadruple),
@@ -90,19 +91,26 @@ class TestQuadrupleCache:
         ctx = QContext(q)
         kp = sample_kernel_params(rng, ctx)
         specs = {"f": f_spec(kp), "g": g_spec(kp)}
-        sums = []
-        real_eval = kernel.vwp_eval
+        passes, extensions = [], []
+        real_eval, real_series_sum = kernel.vwp_eval, kernel._series_sum
         monkeypatch.setattr(kernel, "vwp_eval",
-                            lambda spec, *a: sums.append(spec) or real_eval(spec, *a))
+                            lambda spec, *a: passes.append((spec,) + a) or real_eval(spec, *a))
+        monkeypatch.setattr(kernel, "_series_sum",
+                            lambda ratio, n, ctx, start: extensions.append((n, start))
+                            or real_series_sum(ratio, n, ctx, start))
         depth = adaptive_series_depth(kp)
         for n in (0, 3, depth // 2, depth):
             for z in (sample_z(rng), 1.1 - 0.2j):
                 two_basis_residual(z, kp, n)
                 pole_cleared_E_terms(z, kp, n)
             pole_cleared_E_terms(np.array([sample_z(rng) for _ in range(4)]), kp, n)
-        for spec in specs.values():
-            assert 1 <= sums.count(spec) <= 2
-        assert sums.count(specs["f"]) + sums.count(specs["g"]) == len(sums) <= 3
+        # one adaptive pass per family, and at most one extension, from where the
+        # shallower family's pass stopped to the common depth
+        assert passes == [(spec, None, ctx) for spec in specs.values()]
+        assert len(extensions) <= 1
+        for n, start in extensions:
+            assert n == depth and start.terms_used <= depth
+            assert start.terms in [vwp_eval(spec, None, ctx).terms for spec in specs.values()]
         # the cached terms are bit for bit a fresh fixed-depth sum
         monkeypatch.undo()
         for spec, cached in zip(specs.values(), kp.family_terms(depth)):
@@ -243,7 +251,39 @@ class TestComplementaryRemainder:
         assert gap < 1e-6
 
 
+def _loop_cleared_family_sum(z, pair, coeffs, tail, ctx):
+    """The one-order-at-a-time pole-cleared sum that the array form replaced: the oracle."""
+    q = ctx.q
+    a, c = pair.a, pair.c
+    cz, az = c * z, a * z
+    fin, total, x, scale = 1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j, 0.0
+    for k, u in enumerate(coeffs):
+        if k:
+            tail /= (1.0 - cz * x) * (1.0 - c * x / z)
+            fin *= (1.0 - az * x) * (1.0 - a * x / z)
+            x *= q
+        total += u * fin * tail
+        scale += abs(u * fin * tail)
+    return total, scale
+
+
 class TestPoleClearedResidual:
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.3 + 0.5j])
+    def test_cleared_sums_match_the_loop(self, rng, q):
+        ctx = QContext(q)
+        kp = sample_kernel_params(rng, ctx)
+        fs, gs = kp.family_terms(kp.series_depth)
+        zs = np.array([sample_z(rng) for _ in range(6)])
+        for pair, coeffs in ((kp.phi_pair, fs), (kp.psi_pair, gs)):
+            tails = qpoch_groups([[pair.c * zs, pair.c / zs]], ctx)[0]
+            batch = kernel._cleared_family_sum(zs, pair, coeffs, tails, ctx)
+            for z, tail, got in zip(zs.tolist(), tails.tolist(), batch):
+                want, scale = _loop_cleared_family_sum(z, pair, coeffs, tail, ctx)
+                one = kernel._cleared_family_sum(z, pair, coeffs, tail, ctx)
+                # the same products in the same order, rounded by NumPy's loops
+                for value in (got, one):
+                    assert abs(value - want) <= 4 * len(coeffs) * 2.0 ** -52 * scale
+
     def test_grid_zeros(self, kp, ctx4):
         depth = adaptive_series_depth(kp)
         for m in range(11):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qtaylor.errors import PoleProximity, ZeroDenominator
@@ -52,6 +53,78 @@ class TestBasis:
         z = sample_z(rng)
         assert phi_basis(z, pair, 4, ctx) == pytest.approx(
             phi_basis(1 / z, pair, 4, ctx), rel=1e-12)
+
+
+def _loop_basis_terms(z, pair, coeffs, ctx):
+    """The one-order-at-a-time basis_terms that the running product replaced: the oracle."""
+    q = ctx.q
+    a, c = pair.a, pair.c
+    terms = []
+    basis = 1.0 + 0.0j
+    x = 1.0 + 0.0j
+    for k, u in enumerate(coeffs):
+        if k:
+            den = (1.0 - c * z * x) * (1.0 - c * x / z)
+            if abs(den) <= ctx.pole_margin ** 2:
+                raise PoleProximity(f"z = {z} within margin of the (c = {c}) basis pole set")
+            basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / den
+            x *= q
+        terms.append(u * basis)
+    return terms
+
+
+class TestBasisTermsOverPoints:
+    """basis_terms over an ndarray of points against one call per point."""
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.3 + 0.5j])
+    def test_scalar_point_matches_the_loop(self, rng, q):
+        ctx = QContext(q)
+        for _ in range(5):
+            pair = sample_basis_pair(rng)
+            z = sample_z(rng)
+            coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(60)]
+            got, want = basis_terms(z, pair, coeffs, ctx), _loop_basis_terms(z, pair, coeffs, ctx)
+            # the same products, rounded by NumPy's loops: at most a few ulps per order
+            assert all(abs(g - w) <= 4 * (k + 1) * 2.0 ** -52 * abs(w)
+                       for k, (g, w) in enumerate(zip(got, want)))
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.3 + 0.5j])
+    def test_array_of_points_matches_scalar_calls(self, rng, q):
+        ctx = QContext(q)
+        pair = sample_basis_pair(rng)
+        coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(40)]
+        zs = np.array([sample_z(rng) for _ in range(9)]).reshape(3, 3)
+        terms = basis_terms(zs, pair, coeffs, ctx)
+        assert terms.shape == (40, 3, 3)
+        for idx in np.ndindex(zs.shape):
+            one = np.array(basis_terms(complex(zs[idx]), pair, coeffs, ctx))
+            # the same products, maybe rounded by another NumPy loop: a few ulps
+            got = terms[(slice(None),) + idx]
+            assert np.all(np.abs(got - one) <= 8 * 2.0 ** -52 * np.abs(one))
+
+    def test_one_point_on_the_pole_set_raises(self, ctx, rng):
+        pair = BasisPair(0.6, 0.5)
+        zs = np.array([sample_z(rng) for _ in range(5)] + [1 / (pair.c * ctx.q ** 3)])
+        with pytest.raises(PoleProximity):
+            basis_terms(zs, pair, [1.0] * 6, ctx)
+        # the pole factor enters Phi_4 first: shorter sums never meet it
+        assert basis_terms(zs, pair, [1.0] * 4, ctx).shape == (4, 6)
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6])
+    def test_sup_curve_equals_the_per_point_loop(self, rng, q):
+        ctx = QContext(q)
+        pair = BasisPair(sample_complex(rng, 0.4, 0.8), 0.5)
+        annulus, k_max = (0.98, 1.02), 40
+        radii = [annulus[0] * (annulus[1] / annulus[0]) ** (i / 2) for i in range(3)]
+        sups = [0.0] * (k_max + 1)
+        for r in radii:
+            for j in range(48):
+                z = r * cmath.exp(2j * math.pi * (j + 0.21) / 48)
+                for k, phi in enumerate(basis_terms(z, pair, [1.0] * (k_max + 1), ctx)):
+                    sups[k] = max(sups[k], abs(phi))
+        curve = basis_sup_curve(pair, annulus, k_max, ctx)
+        assert len(curve) == k_max + 1
+        assert all(abs(a - b) <= 8 * 2.0 ** -52 * b for a, b in zip(curve, sups))
 
 
 class TestCoefficientExtraction:
