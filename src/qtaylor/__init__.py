@@ -15,7 +15,8 @@ from .errors import (ConfigError, ConvergenceRegionViolation, DivergenceSuspecte
 from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, phi_eval,
                     rogers_6w5_residual, vwp_eval)
 from .kernel import (KernelParams, bailey_crosscheck, cancellation_identity_residual,
-                     fk_coefficient, gk_coefficient, involute, kernel_factors,
+                     fk_coefficient, fk_coefficients, gk_coefficient, gk_coefficients,
+                     involute, kernel_factors,
                      kernel_taylor_crosscheck, laurent_coefficient_detail,
                      two_basis_residual)
 from .profiles import (AnnulusSpec, ProfileMoments, annular_factorization_residual,

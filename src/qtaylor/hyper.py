@@ -105,9 +105,9 @@ def _series_sum(ratio, trunc: int | None, ctx: QContext,
 
     ratio(k, x) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
     i = k, k+1, ..., and the block's first pole as (offset, error) or None.
-    Blocks of geometric_depth(|q|) ratios, doubling, lie at fixed places; the
-    terms and partial sums are np.multiply/np.add.accumulate, which associate
-    as a loop over k does.  Nothing past the stop index raises or warns.
+    A first block of 2 geometric_depth(|q|) ratios and doubling blocks after
+    it lie at fixed places; the terms and partial sums are
+    np.multiply/np.add.accumulate, which associate as a loop over k does.  Nothing past the stop index raises or warns.
     Truncation: through index `trunc` when given, else after the first t_k
     with |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
     decreasing term ratio (at least |q|): geometric_depth(rate, lead) = 0,
@@ -122,7 +122,7 @@ def _series_sum(ratio, trunc: int | None, ctx: QContext,
     terms = [1.0 + 0.0j] if start is None else list(start.terms)
     k = len(terms) - 1
     term, total, rate, grow = terms[-1], terms[0], q_rate, 0
-    lo, size = 0, settled  # the block holding k: no ratio depends on where a sum starts
+    lo, size = 0, 2 * settled  # the block holding k: no ratio depends on where a sum starts
     while lo + size <= k:
         lo, size = lo + size, 2 * size
     x = q_powers(1.0, lo, ctx)[lo]
@@ -144,9 +144,10 @@ def _series_sum(ratio, trunc: int | None, ctx: QContext,
             at_pole, diverge = (pole[0] - skip if pole else n), n
             stop = min(at_pole, _first(t == 0), n - 1 if k + n == trunc else n)
             if trunc is None:
-                if lo:  # past the first block every index is past `settled`
+                if k + n > settled:  # growth counts from the ratio at x = q^settled on
                     i = np.arange(n)
-                    run = i - np.maximum.accumulate(np.where(dec, i, -1 - grow))
+                    run = i - np.maximum.accumulate(np.where(dec | (i < settled - k), i,
+                                                             -1 - grow))
                     diverge, grow = _first(run >= 8), int(run[-1])
                 lead = at / np.abs(s)
                 target = TAIL_TARGET * (1.0 - rates)

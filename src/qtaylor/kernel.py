@@ -12,6 +12,7 @@ cancellations provide the independent routes through the same identity.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -23,8 +24,8 @@ from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
 from .hyper import VWPSpec, _series_sum, vwp_eval
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
-from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups, qpoch_multi,
-                    qpoch_infinite, qpoch_quotient, scaled_residual)  # noqa: F401
+from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups,
+                    qpoch_infinite, qpoch_quotient, qpoch_table, scaled_residual)  # noqa: F401
 from .taylor import (BasisPair, basis_factors, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import SymmetricFunction, apply_Dcq
@@ -214,35 +215,47 @@ def K_at_cde(kp: KernelParams) -> complex:
     return kp.Kcde
 
 
-def _closed_summand(x: complex, nums: list, bases: tuple, k: int, ctx: QContext,
-                    name: str) -> complex:
-    """(1 - x q^{2k}) / (1 - x) (x, nums;q)_k / (q, bases;q)_k q^k in closed product form."""
-    if k == 0:
-        return 1.0 + 0.0j
+def _closed_family(x: complex, nums: list, bases: tuple, n: int, ctx: QContext,
+                   name: str) -> list[complex]:
+    """(1 - x q^{2k}) / (1 - x) (x, nums;q)_k / (q, bases;q)_k q^k, k = 0..n, in closed
+    product form: every (u;q)_k from one qpoch_table, the products over the
+    parameters and the rest in Python scalar arithmetic, as qpoch_multi does."""
     q = ctx.q
-    lead = (1.0 - x * q ** (2 * k)) / (1.0 - x)
     # guard each factor: the product (q;q)_40 alone is 1.5e-6 at q = 0.9
     if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
         raise ZeroDenominator(f"vanishing denominator in {name}")
-    num = qpoch_multi([x, *nums], k, ctx).value
-    den = qpoch_multi([q, *bases], k, ctx).value
-    return lead * num / den * q ** k
+    top = 1 + len(nums)
+    table = qpoch_table([x, *nums, q, *bases], n, ctx).tolist()
+    return [1.0 + 0.0j] + [(1.0 - x * q ** (2 * k)) / (1.0 - x)
+                           * math.prod(row[:top], start=1.0 + 0.0j)
+                           / math.prod(row[top:], start=1.0 + 0.0j) * q ** k
+                           for k, row in enumerate(table[1:], 1)]
+
+
+def fk_coefficients(kp: KernelParams, n: int) -> list[complex]:
+    """The first family f_0..f_n (very-well-poised summands, q^k included)."""
+    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
+    return _closed_family(b * c / q, [d, e, c * c / (d * e * q)],
+                          (b * c / d, b * c / e, b * d * e * q / c), n, kp.ctx, "f_k")
+
+
+def gk_coefficients(kp: KernelParams, n: int) -> list[complex]:
+    """The second family g_0..g_n (the involuted f_k, in closed form)."""
+    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
+    return _closed_family(c ** 3 / (b * d ** 2 * e ** 2 * q),
+                          [c / (b * d), c / (b * e), c * c / (d * e * q)],
+                          (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e)),
+                          n, kp.ctx, "g_k")
 
 
 def fk_coefficient(kp: KernelParams, k: int) -> complex:
-    """Coefficient f_k of the first family (very-well-poised summand, q^k included)."""
-    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
-    return _closed_summand(b * c / q, [d, e, c * c / (d * e * q)],
-                           (b * c / d, b * c / e, b * d * e * q / c), k, kp.ctx, "f_k")
+    """Coefficient f_k: the last entry of fk_coefficients(kp, k)."""
+    return fk_coefficients(kp, k)[k]
 
 
 def gk_coefficient(kp: KernelParams, k: int) -> complex:
-    """Coefficient g_k of the second family (the involuted f_k, in closed form)."""
-    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
-    return _closed_summand(c ** 3 / (b * d ** 2 * e ** 2 * q),
-                           [c / (b * d), c / (b * e), c * c / (d * e * q)],
-                           (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e)),
-                           k, kp.ctx, "g_k")
+    """Coefficient g_k: the last entry of gk_coefficients(kp, k)."""
+    return gk_coefficients(kp, k)[k]
 
 
 def f_spec(kp: KernelParams) -> VWPSpec:
@@ -277,7 +290,7 @@ def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
     involute(kp), which compares t_k(K) against K(c/de) g_k.
     """
     hb = H_at_b(kp)
-    expected = [hb * fk_coefficient(kp, k) for k in range(k_max + 1)]
+    expected = [hb * f for f in fk_coefficients(kp, k_max)]
     return coefficient_gap(H_series_function(kp), kp.phi_pair, expected, kp.ctx)
 
 

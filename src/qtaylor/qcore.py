@@ -161,6 +161,20 @@ def qpoch_finite(a: complex, n: int, ctx: QContext) -> complex:
     return value
 
 
+def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
+    """(a;q)_j for j = 0..n down the rows, one column per base: each column is the
+    running product of qpoch_finite, bit for bit (two cumulative products down the rows)."""
+    if n < 0:
+        raise DomainError("qpoch_table requires n >= 0")
+    block = np.empty((n + 1, len(params)), dtype=complex)
+    block[0] = params
+    block[1:] = ctx.q
+    np.multiply.accumulate(block, axis=0, out=block)
+    block[1:] = 1.0 - block[:n]
+    block[0] = 1.0
+    return np.multiply.accumulate(block, axis=0, out=block)
+
+
 def q_powers(x0: complex, n: int, ctx: QContext) -> np.ndarray:
     """x0 q^j for j = 0..n as one running product: the loop ``x *= q``, bit for bit."""
     xs = np.full(n + 1, ctx.q)

@@ -519,15 +519,14 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
 
     kp = sample_kernel_params(rng, ctx)
     with check("g-equals-involuted-f", "g-coeff", 1e-12, k_max=12) as c:
-        for k in range(13):
-            g = kernel.gk_coefficient(kp, k)
-            fi = kernel.fk_coefficient(kernel.involute(kp), k)
+        for g, fi in zip(kernel.gk_coefficients(kp, 12),
+                         kernel.fk_coefficients(kernel.involute(kp), 12)):
             c.see(abs(g - fi) / max(abs(g), 1e-30))
 
     with check("f-ratio-geometric", "f-coeff", 0.10, k="20..40") as c:
+        fs = kernel.fk_coefficients(kp, 40)
         for k in range(20, 40):
-            ratio = kernel.fk_coefficient(kp, k + 1) / kernel.fk_coefficient(kp, k)
-            c.rel(abs(ratio), abs(q))
+            c.rel(abs(fs[k + 1] / fs[k]), abs(q))
 
     kp = sample_kernel_params(rng, ctx, lo=0.35, hi=0.85)
     with check("taylor-crosscheck", "f-coeff-taylor", 1e-7, k_max=6) as c:
@@ -646,8 +645,8 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
                n="1,2") as c:
         depth = c.params["k_trunc"] = kernel.adaptive_series_depth(kp)
         tables = kernel.calP_tables(kp, depth)
-        fs = [kernel.fk_coefficient(kp, k) for k in range(depth + 1)]
-        gs = [kernel.gk_coefficient(kp, k) for k in range(depth + 1)]
+        fs = kernel.fk_coefficients(kp, depth)
+        gs = kernel.gk_coefficients(kp, depth)
         for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
             t1, t2, t3 = kernel.structured_E_terms(kp, n, tables, fs, gs)
             c.see(kernel.cancellation_identity_residual(kp, n, tables))

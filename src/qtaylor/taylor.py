@@ -1,9 +1,10 @@
 """Rational bases Phi_k, coefficient extraction, Taylor sums and flatness.
 
 An expansion to order n samples f once on the grid a q^i, i = 0..n, and
-reads each coefficient t_k as its prefactored weight row (_coeff_row, the
-closed-form grid functional) times those values; the literal operator
-recursion stays available as an independent witness in the tests.
+reads each coefficient t_k as its prefactored weight row times those
+values; coefficient_rows builds the rows 0..n in one pass (the closed-form
+grid functional of wpoperator.cooper_rows).  The literal operator recursion
+stays available as an independent witness in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DomainError, PoleProximity, ZeroDenominator
 from .qcore import (QContext, factor_clearance, q_powers, qpoch_finite, qpoch_quotient,
                     scaled_residual)
-from .wpoperator import SymmetricFunction, grid_functional_weights
+from .wpoperator import SymmetricFunction, cooper_rows
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,12 @@ def _coeff_prefactor(pair: BasisPair, k: int, ctx: QContext) -> complex:
             / ((2.0 * a) ** k * d1 * d2 * d3))
 
 
-def _coeff_row(pair: BasisPair, k: int, ctx: QContext) -> list[complex]:
-    """Prefactored weights of t_k: t_k(f) = sum_i row_i f(a q^i), i = 0..k."""
-    pref = _coeff_prefactor(pair, k, ctx)
-    return [pref * w for w in grid_functional_weights(pair.a, pair.c, k, ctx)]
+def coefficient_rows(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[list[complex]]:
+    """Prefactored weights of t_k for each k in orders: t_k(f) = sum_i row_i f(a q^i),
+    i = 0..k; the grid functional rows of all orders come from one cooper_rows call."""
+    prefs = [_coeff_prefactor(pair, k, ctx) for k in orders]
+    rows = cooper_rows(pair.c, [(pair.a * ctx.sqrt_q ** k, k) for k in orders], ctx)
+    return [[pref * w for w in reversed(row)] for pref, row in zip(prefs, rows)]
 
 
 def _grid_sample(f, pair: BasisPair, n: int, ctx: QContext) -> list[complex]:
@@ -138,7 +141,7 @@ def taylor_coefficient(f, pair: BasisPair, k: int, ctx: QContext) -> complex:
     The prefactored k-fold operator at z = a q^{k/2}: its weight row
     applied to f on the nodes a q^i, i <= k.
     """
-    row = _coeff_row(pair, k, ctx)
+    [row] = coefficient_rows(pair, [k], ctx)
     return sum(w * v for w, v in zip(row, _grid_sample(f, pair, k, ctx)))
 
 
@@ -163,9 +166,8 @@ class TaylorExpansion:
 def taylor_expand(f, pair: BasisPair, n: int, ctx: QContext) -> TaylorExpansion:
     """Coefficients 0..n from one sample of f on the nodes a q^i, i = 0..n."""
     values = _grid_sample(f, pair, n, ctx)
-    coeffs = tuple(sum(w * v for w, v in zip(_coeff_row(pair, k, ctx), values))
-                   for k in range(n + 1))
-    return TaylorExpansion(pair, coeffs)
+    rows = coefficient_rows(pair, range(n + 1), ctx)
+    return TaylorExpansion(pair, tuple(sum(w * v for w, v in zip(row, values)) for row in rows))
 
 
 def taylor_sum_and_remainder(f, pair: BasisPair, n: int, z: complex,
@@ -192,12 +194,9 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
     if h_scale == 0.0:
         return 0.0
     values = _grid_sample(h, pair, k_max, ctx)
-    worst = 0.0
-    for k in range(k_max + 1):
-        row = _coeff_row(pair, k, ctx)
-        tk = sum(w * v for w, v in zip(row, values))
-        worst = max(worst, abs(tk) / (sum(map(abs, row)) * h_scale))
-    return worst
+    rows = coefficient_rows(pair, range(k_max + 1), ctx)
+    return max((abs(sum(w * v for w, v in zip(row, values))) / (sum(map(abs, row)) * h_scale)
+                for row in rows), default=0.0)
 
 
 def basis_sup_estimate(pair: BasisPair, annulus: tuple[float, float], k_max: int,

@@ -5,8 +5,9 @@ D_{c,q}, the iterated operator with the per-step shift c -> c q^{3(j-1)/2},
 and the closed-form expression of the k-fold operator as a finite weighted
 sum of grid evaluations ("cooper_eval").  The closed form and the literal
 recursion are two independent computation paths; their agreement is the
-check operator/closed-form-vs-recursion.  Coefficient extraction in taylor
-applies the same closed form as weight rows (grid_functional_weights).
+check operator/closed-form-vs-recursion.  One builder, cooper_rows, gives
+the closed-form weights of any list of orders; coefficient extraction in
+taylor reads all rows of an expansion from one call.
 
 The square root of q is always the principal branch (ctx.sqrt_q); the
 operators are branch-independent on symmetric functions and the tests
@@ -15,11 +16,14 @@ confirm this by negating the root.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from .errors import DomainError, ExceptionalPoint, NearSingularPoint
-from .qcore import QContext, qpoch_finite
+from .qcore import QContext
 
 
 @dataclass
@@ -117,50 +121,52 @@ def apply_iterated(f, z: complex, chain: OperatorChainSpec, ctx: QContext) -> co
     return level(chain.depth, 0)
 
 
-def _guarded_qpoch(a: complex, n: int, ctx: QContext) -> complex:
-    """(a;q)_n with an ExceptionalPoint on any factor within the pole margin."""
-    q = ctx.q
-    value = 1.0 + 0.0j
-    x = complex(a)
-    for _ in range(n):
-        fac = 1.0 - x
-        if abs(fac) <= ctx.pole_margin * max(1.0, abs(x)):
-            raise ExceptionalPoint(f"cardinal denominator factor 1-({x}) within margin")
-        value *= fac
-        x *= q
-    return value
+def cooper_rows(c: complex, points: Sequence[tuple[complex, int]],
+                ctx: QContext) -> list[list[complex]]:
+    """Weights u_0..u_m with D^{(m)} f(z) = sum_r u_r f(q^{m/2-r} z), for each (z, m).
 
-
-def _cooper_weights(z: complex, c: complex, m: int, ctx: QContext) -> list[complex]:
-    """Weights u_r with D^{(m)} f(z) = sum_r u_r f(q^{m/2-r} z), r = 0..m.
-
-    The monomial z^{2(r-m)} of the cardinal factor is folded into its
-    reciprocal-square denominator, z^{2(r-m)} / (q^{2r-m+1} z^{-2};q)_{m-r}
-    = 1 / prod_j (z^2 - q^{2r-m+1+j}), so grid points deep on the q-grid
-    do not overflow intermediate powers.
+    Each cardinal factor of an order is formed once; a weight is a product
+    over slices of the factor lists, never a division by a numerator factor.
+    The denominators of u_r are 1 - q^s z^2, s = m-2r+1..m-r, and, with
+    z^{2(r-m)} folded in so that deep grid points do not overflow,
+    z^2 - q^s, s = 2r-m+1..r; its numerator takes 1 - c z q^{e/2} from
+    e = m-2r and 1 - c q^{e/2} / z from e = 2r-m (m-1 factors each, e in
+    steps of 2), the prefactor both from e = m-2 (m+1 each).  The
+    q-binomials come from one (q;q)_j table.  ExceptionalPoint: a cardinal
+    denominator factor within the pole margin of zero.
     """
-    q, rq = ctx.q, ctx.sqrt_q
-    pref = ((-2.0 * z) ** m * rq ** (m * (3 - m) // 2) / (1.0 - q) ** m
-            * qpoch_finite(c * rq ** (m - 2) * z, m + 1, ctx)
-            * qpoch_finite(c * rq ** (m - 2) / z, m + 1, ctx))
-    weights: list[complex] = []
-    z2 = z * z
-    for r in range(m + 1):
-        d1 = _guarded_qpoch(q ** (m - 2 * r + 1) * z2, r, ctx)
-        d2 = 1.0 + 0.0j
-        for j in range(m - r):
-            s = q ** (2 * r - m + 1 + j)
-            fac = z2 - s
-            if abs(fac) <= ctx.pole_margin * max(abs(z2), abs(s)):
-                raise ExceptionalPoint(
-                    f"cardinal denominator z^2 - q^{2 * r - m + 1 + j} within margin")
-            d2 *= fac
-        num = (qpoch_finite(c * rq ** (m - 2 * r) * z, m - 1, ctx)
-               * qpoch_finite(c * rq ** (2 * r - m) / z, m - 1, ctx))
-        cmr = num / (d1 * d2)
-        binom = qpoch_finite(q ** (r + 1), m - r, ctx) / qpoch_finite(q, m - r, ctx)
-        weights.append(pref * q ** (r * (m - r)) * binom * cmr)
-    return weights
+    q, rq, margin = ctx.q, ctx.sqrt_q, ctx.pole_margin
+    top = max((m for _, m in points), default=0)
+    qs = [q ** s for s in range(1 - top, top + 1)]
+    halves = [rq ** e for e in range(-top, 3 * top - 1)]
+    qq = list(accumulate([1.0 - x for x in qs[top:]], operator.mul, initial=1.0 + 0.0j))
+    rows = []
+    for z, m in points:
+        if m <= 0:
+            if m < 0:
+                raise DomainError("operator order must be nonnegative")
+            rows.append([1.0 + 0.0j])
+            continue
+        z2, qm = z * z, qs[top - m:top + m - 1]
+        d1 = [1.0 - x * z2 for x in qm]
+        d2 = [z2 - x for x in qm]
+        # z^2 - q^s = -q^s (1 - q^-s z^2): the factors 1 - q^s z^2 guard both kinds.
+        # |q^s| peaks at qm[0] = q^(1-m): below that bound no factor is within its margin
+        if min(map(abs, d1)) <= margin * max(1.0, abs(qm[0] * z2)):
+            for x in qm:
+                if abs(1.0 - x * z2) <= margin * max(1.0, abs(x * z2)):
+                    raise ExceptionalPoint(
+                        f"cardinal denominator factor 1-({x * z2}) within margin")
+        cz, cw, hm = c * z, c / z, halves[top - m:top + 3 * m - 1:2]
+        n1 = [1.0 - cz * h for h in hm]
+        n2 = [1.0 - cw * h for h in hm]
+        pref = ((-2.0 * z) ** m * rq ** (m * (3 - m) // 2) / (1.0 - q) ** m
+                * math.prod(n1[m - 1:]) * math.prod(n2[m - 1:]))
+        rows.append([pref * q ** (r * (m - r)) * (qq[m] / (qq[r] * qq[m - r]))
+                     * (math.prod(n1[m - r:2 * m - r - 1]) * math.prod(n2[r:r + m - 1])
+                        / (math.prod(d1[2 * m - 2 * r:2 * m - r]) * math.prod(d2[2 * r:r + m])))
+                     for r in range(m + 1)])
+    return rows
 
 
 def cooper_eval(f, z: complex, c: complex, m: int, ctx: QContext) -> complex:
@@ -170,29 +176,16 @@ def cooper_eval(f, z: complex, c: complex, m: int, ctx: QContext) -> complex:
     (q^{2r-m+1} z^{-2};q)_{m-r} come within the pole margin of zero
     (ExceptionalPoint); such z are meant to be resampled by the caller.
     """
-    if m < 0:
-        raise DomainError("operator order must be nonnegative")
-    if m == 0:
-        return f(z)
+    [weights] = cooper_rows(c, [(z, m)], ctx)
     rq = ctx.sqrt_q
-    weights = _cooper_weights(z, c, m, ctx)
-    total = 0.0 + 0.0j
-    for r, u in enumerate(weights):
-        total += u * f(rq ** (m - 2 * r) * z)
-    return total
+    return sum(u * f(rq ** (m - 2 * r) * z) for r, u in enumerate(weights))
 
 
 def grid_functional_weights(a: complex, c: complex, j: int, ctx: QContext) -> list[complex]:
     """Weights w_0..w_j of the grid functional L_j(h) = sum_i w_i h(a q^i).
 
     L_j is the j-fold operator evaluated at z = a q^{j/2}; w_i multiplies
-    the node a q^i.  For j = 0 the single weight is 1.
+    the node a q^i (the cooper_rows row reversed).  For j = 0 the single
+    weight is 1.
     """
-    if j < 0:
-        raise DomainError("functional order must be nonnegative")
-    if j == 0:
-        return [1.0 + 0.0j]
-    z = a * ctx.sqrt_q ** j
-    u = _cooper_weights(z, c, j, ctx)
-    # node q^{j/2 - r} z = a q^{j - r}: weight index i = j - r
-    return [u[j - i] for i in range(j + 1)]
+    return cooper_rows(c, [(a * ctx.sqrt_q ** j, j)], ctx)[0][::-1]

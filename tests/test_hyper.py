@@ -317,22 +317,46 @@ class TestBlockSum:
                 summed()
 
     def test_growing_run_straddling_two_blocks(self):
-        # q = 0.2: blocks of 24, 48, 96 ratios start at k = 0, 24, 72; the terms
-        # shrink slowly (no stop) until k = 68, then grow across k = 72
+        # q = 0.2: blocks of 48, 96, 192 ratios start at k = 0, 48, 144; the terms
+        # shrink slowly (no stop) until k = 140, then grow across k = 144
         ctx = QContext(0.2)
         assert geometric_depth(0.2) == 24
 
         def ratio(k):
-            return 1.001 if k >= 68 else 0.999
+            return 1.001 if k >= 140 else 0.999
 
         for summed in (lambda: _series_sum(_scalar_blocks(ratio), None, ctx),
                        lambda: _loop_sum(ratio, None, ctx)):
-            with pytest.raises(DivergenceSuspected, match=r"at k=76$"):
+            with pytest.raises(DivergenceSuspected, match=r"at k=148$"):
                 summed()
         # seven growing terms are no divergence
-        seven = _series_sum(_scalar_blocks(lambda k: 0.999 if k < 68 else 1.001 if k < 75 else 0.5),
-                            None, ctx)
-        assert seven.terms_used > 76
+        seven = _series_sum(_scalar_blocks(lambda k: 0.999 if k < 140 else 1.001 if k < 147
+                                           else 0.5), None, ctx)
+        assert seven.terms_used > 148
+
+    @pytest.mark.parametrize("start, at", [(0, 32), (20, 32), (30, 38), (44, 52)])
+    def test_growing_run_counts_from_the_settled_depth(self, start, at):
+        # growth counts from the ratio at q^24 on, inside the first block of 48
+        ctx = QContext(0.2)
+
+        def ratio(k):
+            return 1.001 if k >= start else 0.999
+
+        for summed in (lambda: _series_sum(_scalar_blocks(ratio), None, ctx),
+                       lambda: _loop_sum(ratio, None, ctx)):
+            with pytest.raises(DivergenceSuspected, match=rf"at k={at}$"):
+                summed()
+
+    @pytest.mark.parametrize("q", ORACLE_BASES)
+    def test_first_block_holds_twice_the_settled_depth(self, q):
+        # a family that stops just past geometric_depth(|q|) is summed in one block
+        ctx = QContext(q)
+        settled = geometric_depth(abs(q))
+        sizes = []
+        blocks = _scalar_blocks(lambda k: abs(q) * (1.0 + 1.0 / (k + 1)))
+        summed = _series_sum(lambda k, x: sizes.append(len(x)) or blocks(k, x), None, ctx)
+        assert settled < summed.terms_used <= 2 * settled
+        assert sizes == [2 * settled]
 
     def test_terminating_series_ends_at_its_zero_term(self, ctx):
         spec = PhiSeriesSpec((ctx.q ** -3, 0.4), (0.6,), 0.3)

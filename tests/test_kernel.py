@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from qtaylor.hyper import vwp_eval
 from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
                             K_lowering_residual, KernelParams,
                             adaptive_series_depth, bailey_crosscheck,
-                            f_spec, fk_coefficient,
-                            g_spec, gk_coefficient, involute, kernel_factors,
+                            f_spec, fk_coefficient, fk_coefficients,
+                            g_spec, gk_coefficient, gk_coefficients, involute, kernel_factors,
                             kernel_H, kernel_K, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_residual, two_basis_terms,
                             kernel_taylor_crosscheck)
-from qtaylor.qcore import QContext, qpoch_groups
+from qtaylor.qcore import QContext, factor_clearance, qpoch_groups, qpoch_multi
 from qtaylor.sampling import (sample_kernel_params,
                               sample_profile_kernel_params, sample_z)
-from qtaylor.suites import SuiteConfig, run_suites
+from qtaylor.suites import SuiteConfig, run_laurent, run_suites
 from qtaylor.taylor import phi_basis
 
 
@@ -194,6 +195,70 @@ class TestCoefficientFamilies:
         kp = sample_kernel_params(rng, ctx4, lo=0.35, hi=0.85)
         assert kernel_taylor_crosscheck(kp, 6) < 1e-7
         assert kernel_taylor_crosscheck(involute(kp), 6) < 1e-7
+
+
+def closed_summand(x, nums, bases, k, ctx, name):
+    """The per-k closed form the family tables replace: fresh products at every k."""
+    if k == 0:
+        return 1.0 + 0.0j
+    q = ctx.q
+    lead = (1.0 - x * q ** (2 * k)) / (1.0 - x)
+    if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
+        raise ZeroDenominator(f"vanishing denominator in {name}")
+    num = qpoch_multi([x, *nums], k, ctx).value
+    den = qpoch_multi([q, *bases], k, ctx).value
+    return lead * num / den * q ** k
+
+
+def family_parameters(kp):
+    """(x, nums, bases) of f_k and of g_k."""
+    b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
+    return {"f_k": (b * c / q, [d, e, c * c / (d * e * q)],
+                    (b * c / d, b * c / e, b * d * e * q / c)),
+            "g_k": (c ** 3 / (b * d ** 2 * e ** 2 * q),
+                    [c / (b * d), c / (b * e), c * c / (d * e * q)],
+                    (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e)))}
+
+
+class TestFamilyTables:
+    """f_0..f_n and g_0..g_n from one pass, bit for bit the per-k closed form."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.45, 0.7, -0.6, 0.5j, 0.9])
+    def test_tables_equal_the_per_k_closed_form(self, q):
+        ctx = QContext(q)
+        rng = random.Random(13)
+        for _ in range(3):
+            kp = sample_kernel_params(rng, ctx)
+            params = family_parameters(kp)
+            for name, table in (("f_k", fk_coefficients(kp, 60)),
+                                ("g_k", gk_coefficients(kp, 60))):
+                want = [closed_summand(*params[name], k, ctx, name) for k in range(61)]
+                assert table == want, name
+            assert [fk_coefficient(kp, k) for k in (0, 1, 17, 60)] == \
+                [fk_coefficients(kp, 60)[k] for k in (0, 1, 17, 60)]
+
+    def test_short_tables(self, kp):
+        assert fk_coefficients(kp, 0) == gk_coefficients(kp, 0) == [1.0 + 0.0j]
+        assert len(fk_coefficients(kp, 1)) == 2
+        with pytest.raises(DomainError):
+            fk_coefficient(kp, -1)
+
+    def test_near_pole_base_raises(self, kp):
+        # KernelParams rejects such a quadruple up front; the table keeps its own guard
+        x, nums, bases = family_parameters(kp)["f_k"]
+        near = (1.0 + 1e-9) / kp.ctx.q ** 3
+        for n in (0, 1, 40):
+            with pytest.raises(ZeroDenominator, match="vanishing denominator in f_k"):
+                kernel._closed_family(x, nums, (bases[0], near, bases[2]), n, kp.ctx, "f_k")
+
+    def test_structured_cancellation_builds_each_table_once(self, monkeypatch):
+        built = []
+        real = kernel._closed_family
+        monkeypatch.setattr(kernel, "_closed_family",
+                            lambda *a: built.append(a[-1]) or real(*a))
+        records = run_laurent(SuiteConfig(q=0.7, draws=4))
+        assert [r.passed for r in records if r.check == "structured-cancellation"] == [True]
+        assert built == ["f_k", "g_k"]
 
 
 class TestTwoBasisIdentity:

@@ -5,7 +5,7 @@ import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
 from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, geometric_depth,
-                           qpoch_finite, qpoch_infinite, qpoch_multi,
+                           qpoch_finite, qpoch_infinite, qpoch_multi, qpoch_table,
                            residual_and_scale, scaled_residual, theta,
                            weierstrass_terms)
 from qtaylor.sampling import sample_complex
@@ -65,6 +65,17 @@ class TestQPochhammer:
     def test_negative_order_rejected(self, ctx):
         with pytest.raises(DomainError):
             qpoch_finite(0.3, -1, ctx)
+        with pytest.raises(DomainError):
+            qpoch_table([0.3], -1, ctx)
+
+    @pytest.mark.parametrize("q", [0.2, 0.7, -0.6, 0.5j, 0.9])
+    def test_table_columns_are_the_finite_products(self, q, rng):
+        ctx = QContext(q)
+        params = [sample_complex(rng, 0.05, 3.0) for _ in range(9)]
+        table = qpoch_table(params, 70, ctx)
+        assert table.shape == (71, 9)
+        for col, a in zip(table.T.tolist(), params):
+            assert col == [qpoch_finite(a, n, ctx) for n in range(71)]
 
     def test_infinite_zero_argument(self, ctx):
         tb = qpoch_infinite(0.0, ctx)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qtaylor import taylor
 from qtaylor.errors import PoleProximity, ZeroDenominator
 from qtaylor.kernel import H_series_function
 from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
@@ -254,6 +255,18 @@ class TestSharedGrid:
         f = SymmetricFunction(lambda z: seen.append(z) or inner(z))
         taylor_expand(f, pair, n, ctx)
         assert len(seen) == n + 1
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 20])
+    def test_one_row_build_per_expansion(self, monkeypatch, ctx, n):
+        pair = BasisPair(0.6 + 0.1j, 0.4)
+        f = phi_combination(BasisPair(0.5, 0.4), [1.0, 0.3j, 0.8], ctx)
+        builds = []
+        real = taylor.cooper_rows
+        monkeypatch.setattr(taylor, "cooper_rows",
+                            lambda c, points, ctx: builds.append(points) or real(c, points, ctx))
+        taylor_expand(f, pair, n, ctx)
+        flatness_check(f, pair, n, ctx)
+        assert [[m for _, m in points] for points in builds] == [list(range(n + 1))] * 2
 
     @pytest.mark.parametrize("q", [0.45, -0.3, 0.5j, 0.7])
     @pytest.mark.parametrize("flip", [False, True])

@@ -1,14 +1,16 @@
 import math
+import random
 
 import pytest
 
+from qtaylor import wpoperator
 from qtaylor.errors import (DomainError, ExceptionalPoint, NearSingularPoint)
-from qtaylor.qcore import qpoch_finite
+from qtaylor.qcore import QContext, qpoch_finite
 from qtaylor.sampling import sample_basis_pair, sample_complex, sample_with
 from qtaylor.taylor import (BasisPair, phi_basis, phi_combination, phi_function,
                             taylor_coefficient)
 from qtaylor.wpoperator import (OperatorChainSpec, SymmetricFunction, apply_Dcq,
-                                apply_Dq, apply_iterated, cooper_eval,
+                                apply_Dq, apply_iterated, cooper_eval, cooper_rows,
                                 grid_functional_weights)
 
 
@@ -197,3 +199,81 @@ class TestGridFunctional:
         direct = sum(wi * f(pair.a * ctx.q ** i) for i, wi in enumerate(w))
         via_cooper = cooper_eval(f, pair.a * ctx.sqrt_q ** k, pair.c, k, ctx)
         assert direct == pytest.approx(via_cooper, rel=1e-11)
+
+
+def guarded_qpoch(a, n, ctx):
+    value, x = 1.0 + 0.0j, complex(a)
+    for _ in range(n):
+        fac = 1.0 - x
+        if abs(fac) <= ctx.pole_margin * max(1.0, abs(x)):
+            raise ExceptionalPoint(f"cardinal denominator factor 1-({x}) within margin")
+        value *= fac
+        x *= ctx.q
+    return value
+
+
+def product_form_weights(z, c, m, ctx):
+    """The per-weight product form the row builder replaces: O(m) fresh products
+    for every weight of order m."""
+    q, rq = ctx.q, ctx.sqrt_q
+    pref = ((-2.0 * z) ** m * rq ** (m * (3 - m) // 2) / (1.0 - q) ** m
+            * qpoch_finite(c * rq ** (m - 2) * z, m + 1, ctx)
+            * qpoch_finite(c * rq ** (m - 2) / z, m + 1, ctx))
+    weights = []
+    z2 = z * z
+    for r in range(m + 1):
+        d1 = guarded_qpoch(q ** (m - 2 * r + 1) * z2, r, ctx)
+        d2 = 1.0 + 0.0j
+        for j in range(m - r):
+            s = q ** (2 * r - m + 1 + j)
+            fac = z2 - s
+            if abs(fac) <= ctx.pole_margin * max(abs(z2), abs(s)):
+                raise ExceptionalPoint("cardinal denominator z^2 - q^s within margin")
+            d2 *= fac
+        num = (qpoch_finite(c * rq ** (m - 2 * r) * z, m - 1, ctx)
+               * qpoch_finite(c * rq ** (2 * r - m) / z, m - 1, ctx))
+        binom = qpoch_finite(q ** (r + 1), m - r, ctx) / qpoch_finite(q, m - r, ctx)
+        weights.append(pref * q ** (r * (m - r)) * binom * num / (d1 * d2))
+    return weights
+
+
+class TestWeightRows:
+    """cooper_rows against the product-form loop, row by row."""
+
+    # observed: at most ~60 eps of the reach up to order 20
+    TOL = 256 * 2.0 ** -52
+
+    @pytest.mark.parametrize("q", [0.2, 0.45, 0.7, -0.6, 0.5j, 0.9])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_rows_match_the_product_form(self, q, flip):
+        ctx = QContext(q).other_branch() if flip else QContext(q)
+        rng = random.Random(11)
+        for _ in range(3):
+            pair = sample_basis_pair(rng)
+            z = operator_point(rng, ctx)
+            # the Taylor grid of an expansion to order 20, and a generic point
+            points = [(pair.a * ctx.sqrt_q ** m, m) for m in range(21)]
+            points += [(z, m) for m in range(9)]
+            rows = cooper_rows(pair.c, points, ctx)
+            assert [len(row) for row in rows] == [m + 1 for _, m in points]
+            for (w, m), row in zip(points, rows):
+                want = product_form_weights(w, pair.c, m, ctx) if m else [1.0]
+                reach = sum(map(abs, want))
+                assert max(abs(a - b) for a, b in zip(row, want)) <= self.TOL * reach, (w, m)
+
+    def test_functionals_read_the_builder(self, ctx, monkeypatch):
+        calls = []
+        real = wpoperator.cooper_rows
+        monkeypatch.setattr(wpoperator, "cooper_rows",
+                            lambda c, points, ctx: calls.append(points) or real(c, points, ctx))
+        f = SymmetricFunction(lambda z: (z + 1 / z) / 2)
+        z = 1.1 + 0.2j
+        assert cooper_eval(f, z, 0.3, 2, ctx) == sum(
+            u * f(ctx.sqrt_q ** (2 - 2 * r) * z) for r, u in enumerate(real(0.3, [(z, 2)], ctx)[0]))
+        assert grid_functional_weights(0.6, 0.3, 3, ctx) == real(
+            0.3, [(0.6 * ctx.sqrt_q ** 3, 3)], ctx)[0][::-1]
+        assert calls == [[(z, 2)], [(0.6 * ctx.sqrt_q ** 3, 3)]]
+
+    def test_negative_order_rejected(self, ctx):
+        with pytest.raises(DomainError):
+            cooper_rows(0.3, [(1.1, 2), (1.1, -1)], ctx)
