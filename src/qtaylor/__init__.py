@@ -12,14 +12,13 @@ from .errors import (ConfigError, ConvergenceRegionViolation, DivergenceSuspecte
                      DomainError, ExceptionalPoint, NearSingularPoint,
                      PoleProximity, QTaylorError, QuadratureNonConvergence,
                      TruncationFailure, ZeroDenominator)
-from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, phi_eval,
-                    rogers_6w5_residual, vwp_eval)
+from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, rogers_6w5_residual,
+                    series_eval)
 from .kernel import (KernelParams, bailey_crosscheck, cancellation_identity_residual,
-                     fk_coefficient, fk_coefficients, gk_coefficient, gk_coefficients,
-                     involute, kernel_factors,
+                     fk_coefficients, gk_coefficients, involute, kernel_factors,
                      kernel_taylor_crosscheck, laurent_coefficient_detail,
                      two_basis_residual)
-from .profiles import (AnnulusSpec, ProfileMoments, annular_factorization_residual,
+from .profiles import (ProfileMoments, annular_factorization_residual,
                        canonical_growth_profile, contiguous_moment,
                        exponential_profile_limit_residual,
                        L_profile, leading_profile_residual,
@@ -35,7 +34,7 @@ from .suites import (SuiteConfig, VerificationReport, emit_decay_csv,
 from .taylor import (BasisPair, TaylorExpansion, basis_sup_estimate,
                      flatness_check, phi_basis, taylor_coefficient,
                      taylor_sum_and_remainder)
-from .wpoperator import (OperatorChainSpec, SymmetricFunction, apply_Dcq,
+from .wpoperator import (OperatorChainSpec, apply_Dcq,
                          apply_Dq, apply_iterated, cooper_eval,
                          grid_functional_weights)
 

@@ -5,7 +5,8 @@
            [--negative-controls]
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration.  Reports are line-delimited JSON records followed by a
+configuration (a bad setting, or a params, report or CSV path that cannot be
+read or written).  Reports are line-delimited JSON records followed by a
 summary object; rerunning with the same seed reproduces them byte for
 byte.  Environment overrides: QTAYLOR_TOL (eps_rel; like --tol it sets no
 truncation depth) and QTAYLOR_MAX_TERMS (a user depth cap, none by default).
@@ -37,10 +38,16 @@ def _load_params_file(path: str) -> dict:
 
 
 def _number(kind, value, name: str):
-    """kind(value), or a ConfigError naming the setting."""
+    """kind(value), or a ConfigError naming the setting.
+
+    A boolean is no number, and an int setting takes no fractional value."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
@@ -167,10 +174,10 @@ def main(argv: list[str] | None = None) -> int:
             _emit_csv(cfg, args.emit_csv)
             return 0
         report = run_suites(cfg)
-    except ConfigError as exc:
+        _emit_report(report, args.report)
+    except (ConfigError, OSError) as exc:  # OSError: a params or output path that fails
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    _emit_report(report, args.report)
     return 0 if report.all_passed else 1
 
 

@@ -136,7 +136,9 @@ def _series_sum(ratio, trunc: int | None, ctx: QContext,
             r, pole = ratio(lo, xs[:size])
             skip = k - lo
             n = size - skip if trunc is None else min(size - skip, trunc - k)
-            t = np.multiply.accumulate(np.concatenate(([term], r[skip:skip + n])))
+            # padded by one factor: NumPy multiplies a lone pair by a vectorised loop that
+            # can round differently, so a block of one ratio would break bit-equality
+            t = np.multiply.accumulate(np.concatenate(([term], r[skip:skip + n], [1.0])))[:-1]
             s = np.add.accumulate(np.concatenate(([total], t[1:])))[1:]
             at = np.abs(t)
             dec, rates = _running_rate(at, rate, q_rate)
@@ -205,23 +207,27 @@ def term_ratio(nums: tuple[complex, ...], dens: tuple[complex, ...], z: complex,
     return ratio
 
 
-def phi_eval(spec: PhiSeriesSpec, trunc: int | None, ctx: QContext) -> SeriesSum:
-    """Evaluate an (r+1)phi_r partial sum.
+def series_eval(spec: PhiSeriesSpec | VWPSpec, trunc: int | None,
+                ctx: QContext) -> SeriesSum:
+    """Evaluate a series of either spec type through its term ratio.
 
-    Terminating series (some a_i = q^{-n}) are exact at n+1 terms; the
-    sum stops at the first vanishing term.  Raises ZeroDenominator if a
-    denominator factor falls within the pole margin, DivergenceSuspected
-    after 8 consecutive growing terms past the settled depth.
+    Adaptive for trunc None, else through index trunc; `.terms` holds the
+    summands t_0 = 1, ..., t_N that were added.  Terminating series (some
+    a_i = q^{-n}) are exact at n+1 terms; the sum stops at the first
+    vanishing term.  Raises ZeroDenominator if a denominator factor falls
+    within the pole margin, DivergenceSuspected after 8 consecutive growing
+    terms past the settled depth.
     """
     return _series_sum(spec.ratio(ctx), trunc, ctx)
 
 
-def vwp_eval(spec: VWPSpec, trunc: int | None, ctx: QContext) -> SeriesSum:
-    """Evaluate a very-well-poised series through its ratio-form summand.
+def sum_through(spec: PhiSeriesSpec | VWPSpec, n: int, ctx: QContext,
+                start: SeriesSum) -> SeriesSum:
+    """`start`, an earlier sum of spec, when it holds t_n; else `start` continued to n.
 
-    `.terms` holds the summands t_0 = 1, ..., t_N that were added.
+    The first n + 1 terms are those of series_eval(spec, n, ctx), bit for bit.
     """
-    return _series_sum(spec.ratio(ctx), trunc, ctx)
+    return start if n < start.terms_used else _series_sum(spec.ratio(ctx), n, ctx, start)
 
 
 def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
@@ -237,7 +243,7 @@ def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
     if abs(arg) >= 1.0:
         raise DomainError(f"|aq/(bcd)| = {abs(arg):.3g} >= 1")
     spec = VWPSpec(a, (b, c, d), arg)
-    tb = vwp_eval(spec, None, ctx)
+    tb = series_eval(spec, None, ctx)
     rhs = qpoch_quotient([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                          [a * q / b, a * q / c, a * q / d, arg], ctx,
                          "vanishing denominator product in 6W5 evaluation", ZeroDenominator)
@@ -258,7 +264,7 @@ def jackson_8w7_residual(a: complex, b: complex, c: complex, d: complex,
     e = a * a * q ** (n + 1) / (b * c * d)
     f = q ** (-n)
     spec = VWPSpec(a, (b, c, d, e, f), q)
-    lhs = vwp_eval(spec, n, ctx)
+    lhs = series_eval(spec, n, ctx)
     num = qpoch_multi([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                       n, ctx).value
     den = qpoch_multi([a * q / b, a * q / c, a * q / d, a * q / (b * c * d)],

@@ -22,13 +22,13 @@ import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
-from .hyper import VWPSpec, _series_sum, vwp_eval
+from .hyper import SeriesSum, VWPSpec, series_eval, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
 from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups,
                     qpoch_infinite, qpoch_quotient, qpoch_table, scaled_residual)  # noqa: F401
 from .taylor import (BasisPair, basis_factors, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
-from .wpoperator import SymmetricFunction, apply_Dcq
+from .wpoperator import apply_Dcq
 
 
 def sym_bases(z, *alphas) -> list:
@@ -108,31 +108,23 @@ class KernelParams:
                               "vanishing denominator in K(c/de)", ZeroDenominator)
 
     @cached_property
-    def _families(self) -> tuple[tuple[complex, ...], ...]:
-        """f_0..f_N and g_0..g_N, N = series_depth: each family is summed
+    def _sums(self) -> tuple[SeriesSum, ...]:
+        """The f and g sums through series_depth N: each family is summed
         adaptively, and the one that stopped earlier is continued to N."""
         specs = (f_spec(self), g_spec(self))
-        sums = [vwp_eval(spec, None, self.ctx) for spec in specs]
+        sums = [series_eval(spec, None, self.ctx) for spec in specs]
         n = max(s.terms_used for s in sums) - 1
-        return tuple(s.terms if s.terms_used > n else
-                     _series_sum(spec.ratio(self.ctx), n, self.ctx, s).terms
-                     for spec, s in zip(specs, sums))
+        return tuple(sum_through(spec, n, self.ctx, s) for spec, s in zip(specs, sums))
 
-    @cached_property
+    @property
     def series_depth(self) -> int:
         """The larger adaptive depth (last index kept) of the f and g families."""
-        return max(map(len, self._families)) - 1
+        return max(s.terms_used for s in self._sums) - 1
 
     def family_terms(self, n: int) -> tuple[tuple[complex, ...], ...]:
-        """(f_0..f_n, g_0..g_n): sliced from the cache, summed afresh past series_depth."""
-        if n <= self.series_depth:
-            return tuple(t[:n + 1] for t in self._families)
-        return tuple(vwp_eval(spec, n, self.ctx).terms for spec in (f_spec(self), g_spec(self)))
-
-    def involuted(self) -> "KernelParams":
-        b, c, d, e = self.b, self.c, self.d, self.e
-        return KernelParams(c / (d * e), c * c / (b * d * e),
-                            c / (b * e), c / (b * d), self.ctx)
+        """(f_0..f_n, g_0..g_n): sliced from the cached sums, continued past series_depth."""
+        return tuple(sum_through(spec, n, self.ctx, s).terms[:n + 1]
+                     for spec, s in zip((f_spec(self), g_spec(self)), self._sums))
 
 
 def involute(kp: KernelParams) -> KernelParams:
@@ -141,7 +133,8 @@ def involute(kp: KernelParams) -> KernelParams:
     Applying it twice returns the original quadruple; it exchanges the two
     bases, the two prefactors and the two normalised kernels.
     """
-    return kp.involuted()
+    b, c, d, e = kp.b, kp.c, kp.d, kp.e
+    return KernelParams(c / (d * e), c * c / (b * d * e), c / (b * e), c / (b * d), kp.ctx)
 
 
 @dataclass(frozen=True)
@@ -205,16 +198,6 @@ def kernel_factors(z: complex, kp: KernelParams) -> KernelFactors:
     return KernelFactors(F, A, B, H, K)
 
 
-def H_at_b(kp: KernelParams) -> complex:
-    """Zeroth Taylor value H(b) in closed product form (cached on kp)."""
-    return kp.Hb
-
-
-def K_at_cde(kp: KernelParams) -> complex:
-    """Zeroth Taylor value K(c/de) in closed product form (cached on kp)."""
-    return kp.Kcde
-
-
 def _closed_family(x: complex, nums: list, bases: tuple, n: int, ctx: QContext,
                    name: str) -> list[complex]:
     """(1 - x q^{2k}) / (1 - x) (x, nums;q)_k / (q, bases;q)_k q^k, k = 0..n, in closed
@@ -248,16 +231,6 @@ def gk_coefficients(kp: KernelParams, n: int) -> list[complex]:
                           n, kp.ctx, "g_k")
 
 
-def fk_coefficient(kp: KernelParams, k: int) -> complex:
-    """Coefficient f_k: the last entry of fk_coefficients(kp, k)."""
-    return fk_coefficients(kp, k)[k]
-
-
-def gk_coefficient(kp: KernelParams, k: int) -> complex:
-    """Coefficient g_k: the last entry of gk_coefficients(kp, k)."""
-    return gk_coefficients(kp, k)[k]
-
-
 def f_spec(kp: KernelParams) -> VWPSpec:
     """f_k as the summand of a very-well-poised series.
 
@@ -277,11 +250,6 @@ def g_spec(kp: KernelParams) -> VWPSpec:
                    (c / (b * d), c / (b * e), c * c / (d * e * q)), q)
 
 
-def H_series_function(kp: KernelParams) -> SymmetricFunction:
-    """H as a SymmetricFunction of z (for the operator pipeline)."""
-    return SymmetricFunction(lambda z: kernel_H(z, kp), name="H")
-
-
 def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
     """Max relative gap between operator-pipeline t_k(H) and H(b) f_k, k <= k_max.
 
@@ -289,9 +257,8 @@ def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
     coefficients; the involuted statement is the same call on
     involute(kp), which compares t_k(K) against K(c/de) g_k.
     """
-    hb = H_at_b(kp)
-    expected = [hb * f for f in fk_coefficients(kp, k_max)]
-    return coefficient_gap(H_series_function(kp), kp.phi_pair, expected, kp.ctx)
+    expected = [kp.Hb * f for f in fk_coefficients(kp, k_max)]
+    return coefficient_gap(lambda z: kernel_H(z, kp), kp.phi_pair, expected, kp.ctx)
 
 
 def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
@@ -302,8 +269,8 @@ def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
     F = kernel_F(z, kp)
     A = kernel_A(z, kp)
     B = kernel_B(z, kp)
-    hb = 1.0 + 0.0j if force_unit_Hb else H_at_b(kp)
-    kc = 1.0 + 0.0j if force_unit_Kcde else K_at_cde(kp)
+    hb = 1.0 + 0.0j if force_unit_Hb else kp.Hb
+    kc = 1.0 + 0.0j if force_unit_Kcde else kp.Kcde
     fs, gs = kp.family_terms(n_trunc)
     sf = basis_sum(z, kp.phi_pair, fs, ctx)
     sg = basis_sum(z, kp.psi_pair, gs, ctx)
@@ -331,18 +298,13 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
     """Gap |A R_n H(z) - B K(c/de) S_g| / scale at each order, R_n via the operator pipeline."""
     ctx = kp.ctx
     n_max = max(orders)
-    expansion = taylor_expand(H_series_function(kp), kp.phi_pair, n_max, ctx)
+    expansion = taylor_expand(lambda w: kernel_H(w, kp), kp.phi_pair, n_max, ctx)
     A = kernel_A(z, kp)
     B = kernel_B(z, kp)
     hkz = kernel_H(z, kp)
-    target = B * K_at_cde(kp) * basis_sum(z, kp.psi_pair, kp.family_terms(kp.series_depth)[1], ctx)
+    target = B * kp.Kcde * basis_sum(z, kp.psi_pair, kp.family_terms(kp.series_depth)[1], ctx)
     terms = basis_terms(z, expansion.pair, expansion.coefficients, ctx)
     return [scaled_residual(A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j)), target) for n in orders]
-
-
-def adaptive_series_depth(kp: KernelParams) -> int:
-    """Depth of both coefficient families: the larger adaptive depth of f, g (cached on kp)."""
-    return kp.series_depth
 
 
 def M_clearing(z: complex, kp: KernelParams) -> complex:
@@ -381,11 +343,9 @@ def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:
         [sym_bases(z, c / d, c / e), sym_bases(z, psi.a), sym_bases(z, b),
          sym_bases(z, phi.c), sym_bases(z, psi.c)], ctx)
     # first family: (cz/de, c/dez;q)_inf sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
-    t2 = (H_at_b(kp) * outer_f
-          * _cleared_family_sum(z, phi, fs, tail_f, ctx))
+    t2 = kp.Hb * outer_f * _cleared_family_sum(z, phi, fs, tail_f, ctx)
     # second family: (bz, b/z;q)_inf sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
-    t3 = (K_at_cde(kp) * outer_g
-          * _cleared_family_sum(z, psi, gs, tail_g, ctx))
+    t3 = kp.Kcde * outer_g * _cleared_family_sum(z, psi, gs, tail_g, ctx)
     return t1, t2, t3
 
 
@@ -439,8 +399,7 @@ def E_contour_coefficient(kp: KernelParams,
     Returns (coefficient, term_scale, nodes) per n; the scale is the largest
     additive term of E on the contour, because E itself vanishes identically.
     """
-    n_trunc = adaptive_series_depth(kp)
-    return laurent_coefficient_detail(lambda z: pole_cleared_E_terms(z, kp, n_trunc),
+    return laurent_coefficient_detail(lambda z: pole_cleared_E_terms(z, kp, kp.series_depth),
                                       ns, 1.0, kp.ctx)
 
 
@@ -537,8 +496,8 @@ def structured_E_terms(kp: KernelParams, n: int, tables: tuple[np.ndarray, np.nd
         return complex(u @ laurent_pair(rows, rows, n))
 
     return (calP_quadruple(c / d, c / d, c / e, c / e, n, kp.ctx),
-            H_at_b(kp) * family(tables[0], fs),
-            K_at_cde(kp) * family(tables[1], gs))
+            kp.Hb * family(tables[0], fs),
+            kp.Kcde * family(tables[1], gs))
 
 
 def cancellation_identity_residual(kp: KernelParams, n: int,
@@ -598,11 +557,11 @@ def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
 
     def w_series(spec: VWPSpec, pair: BasisPair) -> complex:
         blist = spec.b_list + (pair.a * z, pair.a / z)
-        return vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
+        return series_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
 
     w1 = w_series(f_spec(kp), kp.phi_pair)
     w2 = w_series(g_spec(kp), kp.psi_pair)
     t1 = kernel_F(z, kp)
-    t2 = kernel_A(z, kp) * H_at_b(kp) * w1
-    t3 = kernel_B(z, kp) * K_at_cde(kp) * w2
+    t2 = kernel_A(z, kp) * kp.Hb * w1
+    t3 = kernel_B(z, kp) * kp.Kcde * w2
     return scaled_residual(t1, t2, t3)

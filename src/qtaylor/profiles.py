@@ -13,19 +13,16 @@ E/Z through the exact bridge relation.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
-from .hyper import VWPSpec, _series_sum, vwp_eval
-from .kernel import (KernelParams, H_at_b, K_at_cde, adaptive_series_depth, f_spec,
-                     g_spec, pole_cleared_E_terms, sym_bases)
+from .hyper import VWPSpec, _series_sum, series_eval
+from .kernel import KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotient,
                     scaled_residual, theta_bases)
 
@@ -41,41 +38,6 @@ def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
         for u in np.ravel(base):
             if factor_clearance(u, ctx) <= ctx.pole_margin:
                 raise PoleProximity(f"{what}: denominator base {u} within pole margin")
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Annular layer z = anchor * q^N * w with r <= |w| <= R."""
-
-    anchor: complex
-    r: float
-    R: float
-    N: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < self.R:
-            raise DomainError("annulus radii must satisfy 0 < r < R")
-        if self.N < 0:
-            raise DomainError("layer index must be nonnegative")
-        object.__setattr__(self, "anchor", complex(self.anchor))
-
-    def z_of(self, w: complex, ctx: QContext) -> complex:
-        return self.anchor * ctx.q ** self.N * w
-
-    def w_grid(self, count: int) -> list[complex]:
-        """Deterministic sample of w values spread over the annulus."""
-        out = []
-        for i in range(count):
-            rad = self.r * (self.R / self.r) ** ((i % 3) / 2 if count > 2 else 0.5)
-            out.append(rad * cmath.exp(2j * math.pi * (i + 0.31) / count))
-        return out
-
-    def validate_against(self, zero_moduli: Sequence[float], ctx: QContext) -> None:
-        """Reject the annulus when a declared zero circle crosses it."""
-        for mod in zero_moduli:
-            if self.r - ctx.pole_margin <= mod <= self.R + ctx.pole_margin:
-                raise PoleProximity(
-                    f"annulus [{self.r}, {self.R}] touches zero circle |w| = {mod:.4g}")
 
 
 def annular_factorization_residual(lam: complex, N: int, w: complex,
@@ -133,7 +95,7 @@ def _scalar_profile_sum(spec: VWPSpec, weight: complex, ctx: QContext) -> comple
     weight^k is absorbed into the argument, so the terms are the summands of
     one very-well-poised series.
     """
-    return vwp_eval(replace(spec, argument=spec.argument * weight), None, ctx).value
+    return series_eval(replace(spec, argument=spec.argument * weight), None, ctx).value
 
 
 def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
@@ -157,7 +119,7 @@ def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
          theta_bases(ctx, c / (b * d), c / (b * e)), theta_bases(ctx, c / b, c / (b * d * e)),
          theta_bases(ctx, d, e), theta_bases(ctx, b * d * e / c, c / b)], ctx)
     return ProfileClosedForms(f_series, f_num / f_den, g_series, g_num / g_den,
-                              hf_num / hf_den, kg_num / kg_den, H_at_b(kp), K_at_cde(kp))
+                              hf_num / hf_den, kg_num / kg_den, kp.Hb, kp.Kcde)
 
 
 def leading_profile_terms(w: complex, kp: KernelParams, lam: complex,
@@ -282,8 +244,8 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
         return (profile_kernel_P(s, w, alpha, beta, lam, ctx)
                 * _series_sum(ratio, None, ctx).value)
 
-    t2 = H_at_b(kp) * family_sum(c, b, f_spec(kp))
-    t3 = K_at_cde(kp) * family_sum(c * c / (b * d * e), c / (d * e), g_spec(kp))
+    t2 = kp.Hb * family_sum(c, b, f_spec(kp))
+    t3 = kp.Kcde * family_sum(c * c / (b * d * e), c / (d * e), g_spec(kp))
     return t1, t2, t3
 
 
@@ -343,8 +305,8 @@ def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
                      for u in range(j + 1)), 0.0 + 0.0j)
         return L_profile(w, alpha0, beta0, lam, ctx) * (lam * w) ** j * total
 
-    t2 = H_at_b(kp) * family_term(c, b, lambda mom: mom.F_m)
-    t3 = K_at_cde(kp) * family_term(c * c / (b * d * e), c / (d * e),
+    t2 = kp.Hb * family_term(c, b, lambda mom: mom.F_m)
+    t3 = kp.Kcde * family_term(c * c / (b * d * e), c / (d * e),
                                     lambda mom: mom.G_m)
     return t1, t2, t3
 
@@ -438,6 +400,6 @@ def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex) -> float
     q = ctx.q
     terms = generating_Q_terms(q ** N, w, kp, lam)
     z = lam * q ** N * w
-    e_terms = pole_cleared_E_terms(z, kp, adaptive_series_depth(kp))
+    e_terms = pole_cleared_E_terms(z, kp, kp.series_depth)
     rhs = (b / c) ** N * reduce(operator.sub, e_terms) / canonical_Z(z, kp)
     return abs(reduce(operator.sub, terms) - rhs) / max(abs(t) for t in terms)

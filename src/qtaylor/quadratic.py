@@ -10,29 +10,33 @@ convergent tails, so the decay checks here need no complementary term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
-from .hyper import VWPSpec, vwp_eval
+from .hyper import SeriesSum, VWPSpec, series_eval, sum_through
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_infinite,
                     qpoch_quotient, scaled_residual)
 from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
-from .wpoperator import SymmetricFunction
 
 
 @dataclass(frozen=True)
 class QuadraticParams:
-    """Parameters of the two quadratic families.
+    """Parameters of the two quadratic families with their evaluation context.
 
     (a, b) with |b/a| < 1 drives the Watson-type product; (alpha, d) with
     |alpha| < 1 drives the companion.  Pole circles: {b q^m, q^m / b} and
     {-alpha q^{m+1/2}, -q^{m-1/2}/alpha}.
+
+    C_{a,b}, the companion constant and the adaptive h and r sums do not
+    depend on z: each is computed once per instance, when first read (Cab,
+    Cad, h_sum, r_sum), and h_terms(n), r_terms(n) read the sums.
     """
 
     a: complex
     b: complex
     alpha: complex
     d: complex
+    ctx: QContext
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "alpha", "d"):
@@ -45,10 +49,55 @@ class QuadraticParams:
         if abs(self.alpha) >= 1.0:
             raise ConvergenceRegionViolation("companion family requires |alpha| < 1")
 
+    @property
+    def h_pair(self) -> BasisPair:
+        return BasisPair(self.a, self.b)
 
-def quadratic_product(z: complex, qp: QuadraticParams, ctx: QContext) -> complex:
+    @property
+    def r_pair(self) -> BasisPair:
+        """The companion basis pair (q^{1/2}, -alpha q^{1/2})."""
+        rq = self.ctx.sqrt_q
+        return BasisPair(rq, -self.alpha * rq)
+
+    @cached_property
+    def Cab(self) -> complex:
+        """C_{a,b}: the value Q(a), forced by the k = 0 coefficient."""
+        a, b, q = self.a, self.b, self.ctx.q
+        return qpoch_quotient([q, a * a * q, b * b, b * b / (a * a)],
+                              [a * b, a * b * q, b / a, b * q / a], self.ctx.squared(),
+                              "vanishing denominator in C_{a,b}")
+
+    @cached_property
+    def Cad(self) -> complex:
+        """The companion constant (alpha d, alpha q/d;q)_inf / (-alpha, -alpha q;q)_inf."""
+        al, d, q = self.alpha, self.d, self.ctx.q
+        return qpoch_quotient([al * d, al * q / d], [-al, -al * q], self.ctx,
+                              "vanishing denominator in the companion constant")
+
+    @cached_property
+    def h_sum(self) -> SeriesSum:
+        """The h family summed adaptively."""
+        return series_eval(h_spec(self), None, self.ctx)
+
+    @cached_property
+    def r_sum(self) -> SeriesSum:
+        """The r family summed adaptively."""
+        return series_eval(r_spec(self), None, self.ctx)
+
+    def h_terms(self, n: int | None = None) -> tuple[complex, ...]:
+        """h_0..h_n (h_0 = 1), through the adaptive depth for None."""
+        return self.h_sum.terms if n is None else \
+            sum_through(h_spec(self), n, self.ctx, self.h_sum).terms[:n + 1]
+
+    def r_terms(self, n: int | None = None) -> tuple[complex, ...]:
+        """r_0..r_n (r_0 = 1), through the adaptive depth for None."""
+        return self.r_sum.terms if n is None else \
+            sum_through(r_spec(self), n, self.ctx, self.r_sum).terms[:n + 1]
+
+
+def quadratic_product(z: complex, qp: QuadraticParams) -> complex:
     """The Watson-type product: base-q^2 numerator over (bz, b/z;q)_inf."""
-    a, b = qp.a, qp.b
+    a, b, ctx = qp.a, qp.b, qp.ctx
     q = ctx.q
     if (factor_clearance(b * z, ctx) <= ctx.pole_margin
             or factor_clearance(b / z, ctx) <= ctx.pole_margin):
@@ -58,16 +107,7 @@ def quadratic_product(z: complex, qp: QuadraticParams, ctx: QContext) -> complex
                           "z within margin of the (b) pole set")
 
 
-def quadratic_constant(qp: QuadraticParams, ctx: QContext) -> complex:
-    """C_{a,b}: the value Q(a), forced by the k = 0 coefficient."""
-    a, b = qp.a, qp.b
-    q = ctx.q
-    return qpoch_quotient([q, a * a * q, b * b, b * b / (a * a)],
-                          [a * b, a * b * q, b / a, b * q / a], ctx.squared(),
-                          "vanishing denominator in C_{a,b}")
-
-
-def h_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
+def h_spec(qp: QuadraticParams) -> VWPSpec:
     """The Watson-type coefficients h_k as a very-well-poised summand.
 
     Leading parameter ab/q, parameters (b q^{-1/2}, -b q^{-1/2}, aq/b) and
@@ -75,69 +115,39 @@ def h_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
     basis.
     """
     a, b = qp.a, qp.b
-    q, rq = ctx.q, ctx.sqrt_q
+    q, rq = qp.ctx.q, qp.ctx.sqrt_q
     return VWPSpec(a * b / q, (b / rq, -b / rq, a * q / b), -b / a)
 
 
-def _summands(spec: VWPSpec, n: int | Sequence[complex] | None,
-              ctx: QContext) -> Sequence[complex]:
-    """The summands t_0..t_n of spec (adaptive for None), or n when it holds them."""
-    return vwp_eval(spec, n, ctx).terms if n is None or isinstance(n, int) else n
-
-
-def _coefficient(spec: VWPSpec, k: int, ctx: QContext) -> complex:
-    """t_k of spec; 0 past the first vanishing term of a terminating series."""
-    terms = vwp_eval(spec, k, ctx).terms
-    return terms[k] if k < len(terms) else 0.0 + 0.0j
-
-
-def quadratic_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    """h_k (h_0 = 1), by ratio updates of the h_spec summand."""
-    return _coefficient(h_spec(qp, ctx), k, ctx)
-
-
-def quadratic_residual(z: complex, qp: QuadraticParams, n_trunc: int | Sequence[complex],
-                       ctx: QContext) -> float:
+def quadratic_residual(z: complex, qp: QuadraticParams, n: int | None = None) -> float:
     """Residual of Q(z) = sum_{k<=n} C_{a,b} h_k Phi_k(z; a, b) over its largest term.
 
-    n_trunc is n, or the coefficients h_0..h_n of one h_spec evaluation.
-    |Q(z)| is no scale: it can be far below the terms that sum to it.
+    n defaults to the adaptive depth of the h family.  |Q(z)| is no scale:
+    it can be far below the terms that sum to it.
     """
-    hs = _summands(h_spec(qp, ctx), n_trunc, ctx)
-    cab = quadratic_constant(qp, ctx)
-    terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
-    return scaled_residual(quadratic_product(z, qp, ctx), *(cab * t for t in terms))
+    terms = basis_terms(z, qp.h_pair, qp.h_terms(n), qp.ctx)
+    return scaled_residual(quadratic_product(z, qp), *(qp.Cab * t for t in terms))
 
 
-def quadratic_function(qp: QuadraticParams, ctx: QContext) -> SymmetricFunction:
-    return SymmetricFunction(lambda z: quadratic_product(z, qp, ctx), name="Q")
-
-
-def quadratic_taylor_identification(qp: QuadraticParams, k_max: int,
-                                    ctx: QContext) -> float:
+def quadratic_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
     """Max relative gap between pipeline t_k(Q) for the pair (a, b) and C h_k."""
-    cab = quadratic_constant(qp, ctx)
-    hs = vwp_eval(h_spec(qp, ctx), k_max, ctx).terms
-    return coefficient_gap(quadratic_function(qp, ctx), BasisPair(qp.a, qp.b),
-                           [cab * h for h in hs], ctx)
+    return coefficient_gap(lambda z: quadratic_product(z, qp), qp.h_pair,
+                           [qp.Cab * h for h in qp.h_terms(k_max)], qp.ctx)
 
 
-def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int],
-                         ctx: QContext, hs: Sequence[complex] | None = None) -> list[float]:
+def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int]) -> list[float]:
     """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails).
 
-    The tails run through the adaptive depth of the h family (hs: its terms).
+    The tails run through the adaptive depth of the h family.
     """
-    lhs = abs(quadratic_product(z, qp, ctx))
-    cab = quadratic_constant(qp, ctx)
-    hs = _summands(h_spec(qp, ctx), hs, ctx)
-    terms = basis_terms(z, BasisPair(qp.a, qp.b), hs, ctx)
-    return [abs(cab * sum(terms[n + 1:])) / lhs for n in orders]
+    lhs = abs(quadratic_product(z, qp))
+    terms = basis_terms(z, qp.h_pair, qp.h_terms(), qp.ctx)
+    return [abs(qp.Cab * sum(terms[n + 1:])) / lhs for n in orders]
 
 
-def companion_product(z: complex, qp: QuadraticParams, ctx: QContext) -> complex:
+def companion_product(z: complex, qp: QuadraticParams) -> complex:
     """The companion product with base-q^2 numerator and half-integer shifts."""
-    al, d = qp.alpha, qp.d
+    al, d, ctx = qp.alpha, qp.d, qp.ctx
     q, rq = ctx.q, ctx.sqrt_q
     if (factor_clearance(-al * rq * z, ctx) <= ctx.pole_margin
             or factor_clearance(-al * rq / z, ctx) <= ctx.pole_margin):
@@ -149,72 +159,42 @@ def companion_product(z: complex, qp: QuadraticParams, ctx: QContext) -> complex
                           "z within margin of the companion pole set")
 
 
-def companion_constant(qp: QuadraticParams, ctx: QContext) -> complex:
-    al, d = qp.alpha, qp.d
-    q = ctx.q
-    return qpoch_quotient([al * d, al * q / d], [-al, -al * q], ctx,
-                          "vanishing denominator in the companion constant")
-
-
-def r_spec(qp: QuadraticParams, ctx: QContext) -> VWPSpec:
+def r_spec(qp: QuadraticParams) -> VWPSpec:
     """The companion coefficients r_k as a very-well-poised summand.
 
     Leading parameter -alpha, parameters (alpha, -d, -q/d), argument alpha.
     """
     al, d = qp.alpha, qp.d
-    return VWPSpec(-al, (al, -d, -ctx.q / d), al)
+    return VWPSpec(-al, (al, -d, -qp.ctx.q / d), al)
 
 
-def companion_coefficient(qp: QuadraticParams, k: int, ctx: QContext) -> complex:
-    """r_k (r_0 = 1), by ratio updates of the r_spec summand."""
-    return _coefficient(r_spec(qp, ctx), k, ctx)
-
-
-def companion_residual(z: complex, qp: QuadraticParams, n_trunc: int | Sequence[complex],
-                       ctx: QContext) -> float:
+def companion_residual(z: complex, qp: QuadraticParams, n: int | None = None) -> float:
     """Residual of Q_companion(z) = sum_{k<=n} C r_k basis_k(z) over its largest term.
 
-    n_trunc is n, or the coefficients r_0..r_n of one r_spec evaluation.
-    The basis pair is (q^{1/2}, -alpha q^{1/2}).  At q = 0.9, seed 2,
-    |Q_companion(z)| = 3.7e-9 against terms of order 1.
+    n defaults to the adaptive depth of the r family.  The basis pair is
+    (q^{1/2}, -alpha q^{1/2}).  At q = 0.9, seed 2, |Q_companion(z)| = 3.7e-9
+    against terms of order 1.
     """
-    rs = _summands(r_spec(qp, ctx), n_trunc, ctx)
-    cd = companion_constant(qp, ctx)
-    terms = basis_terms(z, companion_pair(qp, ctx), rs, ctx)
-    return scaled_residual(companion_product(z, qp, ctx), *(cd * t for t in terms))
+    terms = basis_terms(z, qp.r_pair, qp.r_terms(n), qp.ctx)
+    return scaled_residual(companion_product(z, qp), *(qp.Cad * t for t in terms))
 
 
-def companion_function(qp: QuadraticParams, ctx: QContext) -> SymmetricFunction:
-    return SymmetricFunction(lambda z: companion_product(z, qp, ctx), name="Qc")
-
-
-def companion_pair(qp: QuadraticParams, ctx: QContext) -> BasisPair:
-    rq = ctx.sqrt_q
-    return BasisPair(rq, -qp.alpha * rq)
-
-
-def companion_taylor_identification(qp: QuadraticParams, k_max: int,
-                                    ctx: QContext) -> float:
+def companion_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
     """Max relative gap between pipeline t_k of the companion and C r_k."""
-    cd = companion_constant(qp, ctx)
-    rs = vwp_eval(r_spec(qp, ctx), k_max, ctx).terms
-    return coefficient_gap(companion_function(qp, ctx), companion_pair(qp, ctx),
-                           [cd * r for r in rs], ctx)
+    return coefficient_gap(lambda z: companion_product(z, qp), qp.r_pair,
+                           [qp.Cad * r for r in qp.r_terms(k_max)], qp.ctx)
 
 
-def companion_series_vs_vwp(z: complex, qp: QuadraticParams, ctx: QContext,
-                            rs: Sequence[complex] | None = None) -> float:
+def companion_series_vs_vwp(z: complex, qp: QuadraticParams) -> float:
     """Companion series against its very-well-poised specialisation.
 
-    The coefficient series equals the 8W7 evaluation of r_spec with the
-    basis pair (q^{1/2} z, q^{1/2}/z) added to its parameter list (rs: the
-    terms of the adaptive r_spec evaluation)."""
-    spec = r_spec(qp, ctx)
-    pair = companion_pair(qp, ctx)
+    The coefficient series, summed through the adaptive depth of the r
+    family, equals the 8W7 evaluation of r_spec with the basis pair
+    (q^{1/2} z, q^{1/2}/z) added to its parameter list."""
+    spec, pair = r_spec(qp), qp.r_pair
     blist = (pair.a * z, pair.a / z) + spec.b_list
-    series = vwp_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
-    rs = _summands(spec, rs, ctx)
-    return scaled_residual(series, basis_sum(z, pair, rs, ctx))
+    series = series_eval(VWPSpec(spec.a, blist, spec.argument), None, qp.ctx).value
+    return scaled_residual(series, basis_sum(z, pair, qp.r_terms(), qp.ctx))
 
 
 def folding_identity_check(x: complex, n: int, ctx: QContext) -> float:

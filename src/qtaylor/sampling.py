@@ -118,7 +118,7 @@ def sample_basis_pair(rng: random.Random, *, lo: float = 0.3, hi: float = 0.9,
     return sample_with(rng, build, pred, tries)
 
 
-def sample_quadratic_params(rng: random.Random, *, max_ratio: float = 0.6,
+def sample_quadratic_params(rng: random.Random, ctx: QContext, *, max_ratio: float = 0.6,
                             tries: int = MAX_TRIES) -> QuadraticParams:
     """Draw (a, b, alpha, d) with |b/a| and |alpha| inside the test region."""
 
@@ -127,7 +127,7 @@ def sample_quadratic_params(rng: random.Random, *, max_ratio: float = 0.6,
         b = sample_complex(r, 0.25, max_ratio * abs(a))
         alpha = sample_complex(r, 0.25, max_ratio)
         d = sample_complex(r, 0.4, 0.9)
-        return QuadraticParams(a, b, alpha, d)
+        return QuadraticParams(a, b, alpha, d, ctx)
 
     def pred(qp: QuadraticParams) -> bool:
         return (abs(qp.b / qp.a) <= max_ratio and abs(qp.alpha) <= max_ratio

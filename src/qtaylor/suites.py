@@ -258,12 +258,12 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("phi-z0", "basic-hypergeometric-def", 1e-15) as c:
         spec = hyper.PhiSeriesSpec((0.4 + 0.1j, 0.3), (0.5 - 0.2j,), 0.0)
-        c.see(abs(hyper.phi_eval(spec, None, ctx).value - 1.0))
+        c.see(abs(hyper.series_eval(spec, None, ctx).value - 1.0))
 
     with check("phi-terminating", "basic-hypergeometric-def", 1e-13, n=1) as c:
         spec = hyper.PhiSeriesSpec((1 / q, 0.4), (0.6,), 0.3 + 0.2j)
-        exact = hyper.phi_eval(spec, 1, ctx).value
-        c.rel(hyper.phi_eval(spec, 9, ctx).value, exact)
+        exact = hyper.series_eval(spec, 1, ctx).value
+        c.rel(hyper.series_eval(spec, 9, ctx).value, exact)
 
     with check("phi-vs-long-sum", "basic-hypergeometric-def", 1e-12,
                draws=cfg.draws) as c:
@@ -272,13 +272,14 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
             dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
             z = sample_complex(rng, 0.1, 0.5)
             spec = hyper.PhiSeriesSpec(nums, dens, z)
-            c.rel(hyper.phi_eval(spec, None, ctx).value, hyper.phi_eval(spec, 220, ctx).value)
+            c.rel(hyper.series_eval(spec, None, ctx).value,
+                  hyper.series_eval(spec, 220, ctx).value)
 
     k = 9
     with check("vwp-telescoping", "W-summand", 1e-14, k=k) as c:
         vspec = hyper.VWPSpec(0.55, (0.6 + 0.2j, 0.7, 0.4 - 0.3j), 0.3 + 0.1j)
-        s8 = hyper.vwp_eval(vspec, 8, ctx).value
-        s9 = hyper.vwp_eval(vspec, 9, ctx).value
+        s8 = hyper.series_eval(vspec, 8, ctx).value
+        s9 = hyper.series_eval(vspec, 9, ctx).value
         # the k=9 summand rebuilt from shifted factorial products
         a0 = vspec.a
         summand = ((1 - a0 * q ** (2 * k)) / (1 - a0)
@@ -296,9 +297,9 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
             blist = tuple(sample_complex(rng, 0.4, 0.9) for _ in range(2))
             z = sample_complex(rng, 0.1, 0.4)
             vs = hyper.VWPSpec(a, blist, z)
-            v1 = hyper.vwp_eval(vs, 24, ctx).value
+            v1 = hyper.series_eval(vs, 24, ctx).value
             for r in (root, -root):
-                c.rel(hyper.phi_eval(hyper.vwp_expanded_spec(vs, r, ctx), 24, ctx).value, v1)
+                c.rel(hyper.series_eval(hyper.vwp_expanded_spec(vs, r, ctx), 24, ctx).value, v1)
             c.see(hyper.well_poised_defect(vs, ctx))
 
     with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
@@ -338,10 +339,8 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
 
     z = _sample_operator_point(rng, ctx)
     with check("dq-basics", "Dq", 1e-13, z=z) as c:
-        const = wpoperator.SymmetricFunction(lambda _: 2.7 - 0.4j)
-        xfun = wpoperator.SymmetricFunction(lambda w: (w + 1 / w) / 2)
-        c.see(abs(wpoperator.apply_Dq(const, z, ctx)),
-              abs(wpoperator.apply_Dq(xfun, z, ctx) - 1.0))
+        c.see(abs(wpoperator.apply_Dq(lambda _: 2.7 - 0.4j, z, ctx)),
+              abs(wpoperator.apply_Dq(lambda w: (w + 1 / w) / 2, z, ctx) - 1.0))
 
     with check("dcq-c0-reduction", "Dcq", 1e-13, draws=cfg.draws) as c:
         for _ in range(cfg.draws):
@@ -396,8 +395,8 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
     # functional of any symmetric function are branch-free
     z = _sample_operator_point(rng, ctx)
     with check("branch-invariance", "Dq", 1e-10, z=z) as c:
-        g_odd = wpoperator.SymmetricFunction(
-            lambda w: ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2)
+        def g_odd(w):
+            return ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2
         c.terms(wpoperator.apply_Dq(g_odd, z, ctx),
                 wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q))
         pair = sample_basis_pair(rng)
@@ -451,9 +450,8 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
     g = taylor.phi_combination(pair, [0.3, -0.6j, 0.9, 0.2], ctx)
     al, be = sample_complex(rng, 0.5, 1.5), sample_complex(rng, 0.5, 1.5)
     with check("linearity", "taylor-coeff-finite", 1e-10) as c:
-        h = wpoperator.SymmetricFunction(lambda z: al * f(z) + be * g(z))
         th, tf, tg = (taylor.taylor_expand(fn, pair, 3, ctx).coefficients
-                      for fn in (h, f, g))
+                      for fn in (lambda z: al * f(z) + be * g(z), f, g))
         for k in range(4):
             c.terms(th[k], al * tf[k] + be * tg[k])
 
@@ -465,15 +463,15 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
 
     pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
     with check("flat-function", "flat-functions", 1e-8, a=pair.a, c=pair.c) as c:
-        flat = wpoperator.SymmetricFunction(
-            lambda z: qcore.qpoch_groups([kernel.sym_bases(z, pair.a)], ctx)[0])
+        def flat(z):
+            return qcore.qpoch_groups([kernel.sym_bases(z, pair.a)], ctx)[0]
         # depth where the rounding floor of near-grid cofactors stays harmless
         k_flat = 3
         while k_flat < 6 and abs(q) ** (-(k_flat + 1) * (k_flat + 2) / 2) < 1e6:
             k_flat += 1
         c.see(taylor.flatness_check(flat, pair, k_flat, ctx))
-        bfac = wpoperator.SymmetricFunction(lambda z: flat(z) * (1.3 + 0.5 * (z + 1 / z)))
-        c.see(taylor.flatness_check(bfac, pair, k_flat - 1, ctx))
+        c.see(taylor.flatness_check(lambda z: flat(z) * (1.3 + 0.5 * (z + 1 / z)), pair,
+                                    k_flat - 1, ctx))
         bumpy = taylor.flatness_check(taylor.phi_function(pair, 3, ctx), pair, 4, ctx)
         c.see(0.0 if bumpy > 1e-4 else math.inf)
         c.detail = f"negative control (phi_3) flatness={bumpy:.3e}"
@@ -544,7 +542,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                   else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
                                             hi=cfg.modulus_hi))
             z = sample_kernel_z(rng, kp)
-            depth = kernel.adaptive_series_depth(kp)
+            depth = kp.series_depth
             c.params["trunc"] = max(c.params["trunc"], depth)
             r = kernel.two_basis_residual(z, kp, depth)
             first = first or (z, kp, depth, r)
@@ -578,7 +576,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                   kernel.K_lowering_residual(z, kp))
 
     kp = sample_kernel_params(rng, ctx)
-    depth = kernel.adaptive_series_depth(kp)
+    depth = kp.series_depth
     with check("E-grid-zeros", "E-grid-zeros", 1e-7, grid_powers="0..10",
                depth=depth) as c:
         grid = np.array([z0 for m in range(11)
@@ -643,7 +641,7 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("structured-cancellation", "coefficient-cancellation", 1e-6,
                n="1,2") as c:
-        depth = c.params["k_trunc"] = kernel.adaptive_series_depth(kp)
+        depth = c.params["k_trunc"] = kp.series_depth
         tables = kernel.calP_tables(kp, depth)
         fs = kernel.fk_coefficients(kp, depth)
         gs = kernel.gk_coefficients(kp, depth)
@@ -799,45 +797,41 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     ctx, rng, out = cfg.context(), cfg.rng_for("quadratic"), []
     check = partial(Check, out, "quadratic")
 
-    points = [(sample_quadratic_params(rng), sample_z(rng)) for _ in range(cfg.draws)]
-    summed = {}  # the h and r terms of the first draw, reused by the tail checks
-    for name, anchor, spec, residual in (
-            ("watson-type-expansion", "quadratic-bailey", quadratic.h_spec,
+    points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
+    params = quadratic.QuadraticParams
+    for name, anchor, family, residual in (
+            ("watson-type-expansion", "quadratic-bailey", params.h_terms,
              quadratic.quadratic_residual),
-            ("companion-expansion", "quadratic-companion-bailey", quadratic.r_spec,
+            ("companion-expansion", "quadratic-companion-bailey", params.r_terms,
              quadratic.companion_residual)):
         with check(name, anchor, 1e-8, draws=cfg.draws) as c:
-            sums = [hyper.vwp_eval(spec(qp, ctx), None, ctx) for qp, _ in points]
-            summed[spec] = sums[0].terms
-            c.params["trunc"] = max(s.terms_used for s in sums) - 1
-            for (qp, z), s in zip(points, sums):
-                c.see(residual(z, qp, s.terms, ctx))
+            c.params["trunc"] = max(len(family(qp)) for qp, _ in points) - 1
+            for qp, z in points:
+                c.see(residual(z, qp))
 
     qp0 = points[0][0]
     with check("unit-leading-coefficients", "quadratic-coeff", 1e-15) as c:
-        c.see(abs(quadratic.quadratic_coefficient(qp0, 0, ctx) - 1),
-              abs(quadratic.companion_coefficient(qp0, 0, ctx) - 1))
+        c.see(abs(qp0.h_terms(0)[0] - 1), abs(qp0.r_terms(0)[0] - 1))
 
     with check("coefficient-decay", "quadratic-coeff", 0.10, k=30) as c:
-        for spec, ratio in ((quadratic.h_spec, qp0.b / qp0.a),
-                            (quadratic.r_spec, qp0.alpha)):
-            *_, u30, u31 = hyper.vwp_eval(spec(qp0, ctx), 31, ctx).terms
+        for family, ratio in ((qp0.h_terms, qp0.b / qp0.a), (qp0.r_terms, qp0.alpha)):
+            *_, u30, u31 = family(31)
             c.rel(abs(u31 / u30), abs(ratio))
 
     with check("taylor-identification", "quadratic-taylor-coeff", 1e-7, k_max=6) as c:
-        c.see(quadratic.quadratic_taylor_identification(qp0, 6, ctx),
-              quadratic.companion_taylor_identification(qp0, 6, ctx))
+        c.see(quadratic.quadratic_taylor_identification(qp0, 6),
+              quadratic.companion_taylor_identification(qp0, 6))
 
     z = sample_z(rng)
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
     with check("tail-decay", "quadratic-remainder-tail", 0.10,
                orders=f"{orders[0]}..{orders[-1]}") as c:
-        tails = quadratic.quadratic_tail_curve(z, qp0, orders, ctx, summed.get(quadratic.h_spec))
+        tails = quadratic.quadratic_tail_curve(z, qp0, orders)
         fit = c.params["fit"] = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
         c.rel(fit, abs(qp0.b / qp0.a))
 
     with check("companion-vwp-form", "quadratic-companion-bailey", 1e-10, z=z) as c:
-        c.see(quadratic.companion_series_vs_vwp(z, qp0, ctx, summed.get(quadratic.r_spec)))
+        c.see(quadratic.companion_series_vs_vwp(z, qp0))
 
     x = sample_complex(rng, 0.3, 0.9)
     with check("folding", "folding-identities", 1e-10, x=x) as c:
@@ -884,8 +878,7 @@ def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
     kp = sample_kernel_params(rng, ctx)
     z = sample_z(rng)
     # evaluated outside the block: an error must escape, not pass for the designed failure
-    res = kernel.two_basis_residual(z, kp, kernel.adaptive_series_depth(kp),
-                                    force_unit_Hb=True)
+    res = kernel.two_basis_residual(z, kp, kp.series_depth, force_unit_Hb=True)
     with Check(records, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
                1e-7, z=z, forced_unit_Hb=True) as c:
         c.see(res)
@@ -914,10 +907,10 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         res = kernel.remainder_gap_curve(z, kp, orders)
     elif target == "quadratic_tail":
         rng = cfg.rng_for("quadratic")
-        qp = sample_quadratic_params(rng)
+        qp = sample_quadratic_params(rng, ctx)
         z = sample_z(rng)
         orders = list(range(4, 16))
-        res = quadratic.quadratic_tail_curve(z, qp, orders, ctx)
+        res = quadratic.quadratic_tail_curve(z, qp, orders)
     elif target == "profile_scaling":
         rng = cfg.rng_for("profiles")
         kp = sample_profile_kernel_params(rng, ctx)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
 from .qcore import (QContext, factor_clearance, q_powers, qpoch_finite, qpoch_quotient,
                     scaled_residual)
-from .wpoperator import SymmetricFunction, cooper_rows
+from .wpoperator import cooper_rows
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,9 @@ def phi_basis(z: complex, pair: BasisPair, k: int, ctx: QContext) -> complex:
     return num / den
 
 
-def phi_function(pair: BasisPair, n: int, ctx: QContext) -> SymmetricFunction:
-    """Phi_n(.; a, c) wrapped as a SymmetricFunction."""
-    return SymmetricFunction(lambda z: phi_basis(z, pair, n, ctx),
-                             name=f"phi_{n}")
+def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable[[complex], complex]:
+    """Phi_n(.; a, c) as a function of z."""
+    return lambda z: phi_basis(z, pair, n, ctx)
 
 
 def basis_factors(z, pair: BasisPair, n: int, ctx: QContext):
@@ -101,11 +100,10 @@ def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
 
 
 def phi_combination(pair: BasisPair, coeffs: Sequence[complex],
-                    ctx: QContext) -> SymmetricFunction:
-    """Finite combination sum_k u_k Phi_k(.; a, c) as a SymmetricFunction."""
+                    ctx: QContext) -> Callable[[complex], complex]:
+    """Finite combination sum_k u_k Phi_k(.; a, c) as a function of z."""
     us = tuple(complex(u) for u in coeffs)
-    return SymmetricFunction(lambda z: basis_sum(z, pair, us, ctx),
-                             name="phi_combination")
+    return lambda z: basis_sum(z, pair, us, ctx)
 
 
 def _coeff_prefactor(pair: BasisPair, k: int, ctx: QContext) -> complex:

@@ -20,25 +20,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ExceptionalPoint, NearSingularPoint
 from .qcore import QContext
-
-
-@dataclass
-class SymmetricFunction:
-    """An evaluation contract z -> f(z) with declared symmetry f(z) = f(1/z).
-
-    Admissibility checks happen at the evaluation sites that need them.
-    """
-
-    fn: Callable[[complex], complex]
-    name: str = ""
-    symmetric: bool = True
-
-    def __call__(self, z: complex) -> complex:
-        return self.fn(z)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,16 @@ import time
 
 import numpy as np
 
-from qtaylor.kernel import (adaptive_series_depth,
-                            E_contour_coefficient, calP_tables,
-                            cancellation_identity_residual, fk_coefficient,
-                            gk_coefficient, involute, pole_cleared_E_terms,
+from qtaylor.kernel import (E_contour_coefficient, calP_tables,
+                            cancellation_identity_residual, fk_coefficients,
+                            gk_coefficients, involute, pole_cleared_E_terms,
                             remainder_gap_curve, structured_E_terms,
                             two_basis_residual)
 from qtaylor.profiles import (annular_factorization_residual, bridge_residual,
                               generating_Q_terms, leading_profile_residual,
                               profile_sums_and_closed_forms)
 from qtaylor.qcore import QContext, weierstrass_terms
-from qtaylor.quadratic import (companion_coefficient, companion_residual,
-                               quadratic_coefficient, quadratic_residual,
+from qtaylor.quadratic import (companion_residual, quadratic_residual,
                                quadratic_tail_curve,
                                companion_taylor_identification,
                                quadratic_taylor_identification)
@@ -158,7 +156,7 @@ def test_criterion_06_grid_zeros():
     rng = random.Random(106)
     ctx = QContext(0.4)
     kp = sample_kernel_params(rng, ctx)
-    depth = adaptive_series_depth(kp)
+    depth = kp.series_depth
     worst = 0.0
     for m in range(11):
         for z in (kp.b * ctx.q ** m, kp.c / (kp.d * kp.e) * ctx.q ** m):
@@ -184,8 +182,8 @@ def test_criterion_07_laurent_cancellation():
     ctx = QContext(0.4)
     kp = sample_kernel_params(rng, ctx)
     tables = calP_tables(kp, 50)
-    fs = [fk_coefficient(kp, k) for k in range(51)]
-    gs = [gk_coefficient(kp, k) for k in range(51)]
+    fs = fk_coefficients(kp, 50)
+    gs = gk_coefficients(kp, 50)
     worst = 0.0
     cross = 0.0
     for n, (coeff, scale, _) in enumerate(E_contour_coefficient(kp, range(1, 7)), 1):
@@ -255,23 +253,22 @@ def test_criterion_10_quadratic_suite():
     worst = worst_c = 0.0
     qp0 = None
     for _ in range(50):
-        qp = sample_quadratic_params(rng)
+        qp = sample_quadratic_params(rng, ctx)
         qp0 = qp0 or qp
         z = sample_z(rng)
-        worst = max(worst, quadratic_residual(z, qp, 60, ctx))
-        worst_c = max(worst_c, companion_residual(z, qp, 60, ctx))
+        worst = max(worst, quadratic_residual(z, qp, 60))
+        worst_c = max(worst_c, companion_residual(z, qp, 60))
     assert worst < 1e-8 and worst_c < 1e-8
-    ident = max(quadratic_taylor_identification(qp0, 6, ctx),
-                companion_taylor_identification(qp0, 6, ctx))
+    ident = max(quadratic_taylor_identification(qp0, 6),
+                companion_taylor_identification(qp0, 6))
     assert ident < 1e-7
     orders = [4, 6, 8, 10, 12]
-    tails = quadratic_tail_curve(sample_z(rng), qp0, orders, ctx)
+    tails = quadratic_tail_curve(sample_z(rng), qp0, orders)
     fit = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
     assert abs(fit - abs(qp0.b / qp0.a)) < 0.1 * abs(qp0.b / qp0.a)
-    hr = abs(quadratic_coefficient(qp0, 31, ctx)
-             / quadratic_coefficient(qp0, 30, ctx))
-    rr = abs(companion_coefficient(qp0, 31, ctx)
-             / companion_coefficient(qp0, 30, ctx))
+    *_, h30, h31 = qp0.h_terms(31)
+    *_, r30, r31 = qp0.r_terms(31)
+    hr, rr = abs(h31 / h30), abs(r31 / r30)
     assert abs(hr - abs(qp0.b / qp0.a)) < 0.1 * abs(qp0.b / qp0.a)
     assert abs(rr - abs(qp0.alpha)) < 0.1 * abs(qp0.alpha)
     report(10, "quadratic expansions",

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor
-from qtaylor.kernel import (KernelParams, adaptive_series_depth, calP_tables,
+from qtaylor.kernel import (KernelParams, calP_tables,
                             laurent_pair, pole_cleared_E_terms)
 from qtaylor.qcore import (QContext, geometric_depth, qpoch_infinite,
                            scaled_residual, theta, weierstrass_terms)
@@ -155,7 +155,8 @@ def grouped_cases(ctx):
     rng = random.Random(14)
     kp = sample_profile_kernel_params(rng, ctx)
     kp.Hb, kp.Kcde  # computed here once: the E terms and the profile sums read them
-    qp = sample_quadratic_params(rng)
+    qp = sample_quadratic_params(rng, ctx)
+    fresh_qp = lambda: quadratic.QuadraticParams(qp.a, qp.b, qp.alpha, qp.d, ctx)  # noqa: E731
     z, w, s = sample_z(rng), sample_z(rng, 0.9, 1.15), 0.01 + 0.02j
     x, y, u, v = (sample_complex(rng, 0.5, 1.5) for _ in range(4))
     al, be, lam = kp.c / kp.d, kp.b, kp.b
@@ -176,10 +177,10 @@ def grouped_cases(ctx):
         ("profile_kernel_P", lambda: profiles.profile_kernel_P(s, w, al, be, lam, ctx)),
         ("profile_sums_and_closed_forms", lambda: profiles.profile_sums_and_closed_forms(kp)),
         ("canonical_Z", lambda: profiles.canonical_Z(z, kp)),
-        ("quadratic_product", lambda: quadratic.quadratic_product(z, qp, ctx)),
-        ("quadratic_constant", lambda: quadratic.quadratic_constant(qp, ctx)),
-        ("companion_product", lambda: quadratic.companion_product(z, qp, ctx)),
-        ("companion_constant", lambda: quadratic.companion_constant(qp, ctx)),
+        ("quadratic_product", lambda: quadratic.quadratic_product(z, qp)),
+        ("Cab", lambda: fresh_qp().Cab),
+        ("companion_product", lambda: quadratic.companion_product(z, qp)),
+        ("Cad", lambda: fresh_qp().Cad),
         ("rogers_6w5_residual",
          lambda: hyper.rogers_6w5_residual(0.3, 0.8 + 0.1j, 0.75, 0.9 - 0.2j, ctx)),
         ("basis_limit_modulus", lambda: taylor.basis_limit_modulus(z, kp.phi_pair, ctx)),
@@ -233,7 +234,7 @@ class TestGroupedProducts:
         rng = random.Random(18)
         kp = sample_kernel_params(rng, ctx)
         b, c, d, e = kp.b, kp.c, kp.d, kp.e
-        qp = sample_quadratic_params(rng)
+        qp = sample_quadratic_params(rng, ctx)
         a2, b2, al2, d2 = qp.a, qp.b, qp.alpha, qp.d
         rq = ctx.sqrt_q
         z, w, lam = sample_z(rng), sample_z(rng, 0.9, 1.15), sample_complex(rng, 0.4, 0.8)
@@ -253,14 +254,14 @@ class TestGroupedProducts:
             (profiles.L_profile(w, c / d, b, lam, ctx), [t * q * d / c, c / (d * t)],
              [t * q / b, b / t], q),
             (profiles.canonical_Z(z, kp), sym(z, b, c / (d * e)), [], q),
-            (quadratic.quadratic_product(z, qp, ctx),
+            (quadratic.quadratic_product(z, qp),
              [a2 * z * q, a2 * q / z, b2 * b2 * z / a2, b2 * b2 / (a2 * z)], sym(z, b2), q * q),
-            (quadratic.quadratic_constant(qp, ctx),
+            (qp.Cab,
              [q, a2 * a2 * q, b2 * b2, b2 * b2 / (a2 * a2)], [a2 * b2, b2 / a2], q * q),
-            (quadratic.companion_product(z, qp, ctx),
+            (quadratic.companion_product(z, qp),
              [al2 * d2 * rq * z, al2 * d2 * rq / z, al2 * rq * q * z / d2,
               al2 * rq * q / (d2 * z)], sym(z, -al2 * rq), q * q),
-            (quadratic.companion_constant(qp, ctx), [al2 * d2, al2 * q / d2],
+            (qp.Cad, [al2 * d2, al2 * q / d2],
              [-al2, -al2 * q], q),
         ]
         for i, (value, num, den, q_num) in enumerate(cases):
@@ -274,7 +275,7 @@ class TestBatchedE:
     def test_array_of_nodes_against_scalar_calls(self, q):
         ctx = QContext(q)
         kp = sample_kernel_params(random.Random(12), ctx)
-        depth = adaptive_series_depth(kp)
+        depth = kp.series_depth
         nodes = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32) * 1.03
         got = pole_cleared_E_terms(nodes, kp, depth)
         n_prod = geometric_depth(abs(q), 2.0)

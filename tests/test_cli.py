@@ -213,6 +213,35 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("draws", 12.7), ("draws", True), ("seed", True), ("seed", 7.5),
+        ("draws", 1e400), ("modulus_range", [True, 0.9]), ("max_terms", 64.5)])
+    def test_non_integral_or_boolean_setting_is_config_error(self, tmp_path, capsys,
+                                                             field, value):
+        # int() would have run draws=12 and seed=1; 1e400 is read as Infinity
+        cfgfile = tmp_path / "params.json"
+        cfgfile.write_text(json.dumps({"suite": "qcore", field: value}))
+        assert cli.main(["--params", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field}") and "Traceback" not in err
+
+    def test_integral_float_setting_is_accepted(self, tmp_path):
+        cfgfile = tmp_path / "params.json"
+        cfgfile.write_text(json.dumps({"suite": "qcore", "draws": 6.0, "seed": 3}))
+        assert cli.main(["--params", str(cfgfile)]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", "qcore", "--seed", "3", "--draws", "4", "--report", "{missing}/r.jsonl"],
+        ["--suite", "qcore", "--seed", "3", "--draws", "4", "--report", "{dir}"],
+        ["--emit-csv", "two_basis_tail:{missing}/x.csv"],
+        ["--params", "{dir}"]])
+    def test_unusable_path_is_config_error(self, tmp_path, capsys, args):
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+        assert cli.main([a.format(**paths) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert "Traceback" not in captured.err + captured.out
+
     def test_nonpositive_tol_flag_is_config_error(self):
         assert cli.main(["--suite", "qcore", "--tol", "0"]) == 2
 

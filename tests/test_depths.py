@@ -62,7 +62,7 @@ def test_records_report_derived_depths():
 @pytest.mark.parametrize("q", [0.45, 0.7])
 def test_remainder_gap_check_needs_complementary_target(monkeypatch, q):
     # dropping K(c/de), hence the target B K(c/de) S_g, must fail the check
-    monkeypatch.setattr(kernel, "K_at_cde", lambda kp: 0.0)
+    monkeypatch.setattr(kernel.KernelParams, "Kcde", 0.0)
     [rec] = [r for r in run_kernel(SuiteConfig(q=q)) if r.check == "remainder-gap-ratio"]
     assert not rec.passed
 

@@ -9,8 +9,8 @@ import pytest
 from qtaylor.errors import (DivergenceSuspected, DomainError, TruncationFailure,
                             ZeroDenominator)
 from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
-                           jackson_8w7_residual, phi_eval, rogers_6w5_residual, term_ratio,
-                           vwp_eval, vwp_expanded_spec, well_poised_defect)
+                           jackson_8w7_residual, rogers_6w5_residual, series_eval, term_ratio,
+                           vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
 from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers
 from qtaylor.quadratic import h_spec, r_spec
@@ -25,7 +25,7 @@ class TestPhiSeries:
 
     def test_argument_zero(self, ctx):
         spec = PhiSeriesSpec((0.4 + 0.1j, 0.3), (0.5 - 0.2j,), 0.0)
-        assert phi_eval(spec, None, ctx).value == 1.0
+        assert series_eval(spec, None, ctx).value == 1.0
 
     def test_terminating_two_term_sum(self, ctx):
         q = ctx.q
@@ -33,15 +33,15 @@ class TestPhiSeries:
         a1 = 0.4
         b1 = 0.6
         spec = PhiSeriesSpec((1 / q, a1), (b1,), z)
-        got = phi_eval(spec, None, ctx).value
+        got = series_eval(spec, None, ctx).value
         # direct two-term sum: 1 + (1 - q^{-1})(1 - a1) / ((1 - q)(1 - b1)) z
         want = 1 + (1 - 1 / q) * (1 - a1) / ((1 - q) * (1 - b1)) * z
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_terminating_insensitive_to_extra_terms(self, ctx):
         spec = PhiSeriesSpec((1 / ctx.q ** 2, 0.4), (0.6,), 0.3 + 0.2j)
-        exact = phi_eval(spec, 2, ctx).value
-        longer = phi_eval(spec, 12, ctx).value
+        exact = series_eval(spec, 2, ctx).value
+        longer = series_eval(spec, 12, ctx).value
         assert abs(exact - longer) <= 1e-13 * abs(exact)
 
     def test_adaptive_matches_brute_force(self, ctx, rng):
@@ -49,29 +49,29 @@ class TestPhiSeries:
             nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
             dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
             spec = PhiSeriesSpec(nums, dens, sample_complex(rng, 0.1, 0.5))
-            adaptive = phi_eval(spec, None, ctx).value
-            brute = phi_eval(spec, 220, ctx).value
+            adaptive = series_eval(spec, None, ctx).value
+            brute = series_eval(spec, 220, ctx).value
             assert abs(adaptive - brute) / abs(brute) < 1e-12
 
     def test_zero_denominator_detected(self, ctx):
         spec = PhiSeriesSpec((0.4, 0.3), (1 / ctx.q ** 2,), 0.2)
         with pytest.raises(ZeroDenominator):
-            phi_eval(spec, None, ctx)
+            series_eval(spec, None, ctx)
 
     def test_divergence_guard(self, ctx):
         spec = PhiSeriesSpec((2.0, 3.0), (0.1,), 2.0)
         with pytest.raises(DivergenceSuspected):
-            phi_eval(spec, None, ctx)
+            series_eval(spec, None, ctx)
 
 
 class TestVWPSeries:
     def test_argument_zero(self, ctx):
         spec = VWPSpec(0.5, (0.6, 0.7), 0.0)
-        assert vwp_eval(spec, None, ctx).value == 1.0
+        assert series_eval(spec, None, ctx).value == 1.0
 
     def test_rejects_unit_leading_parameter(self, ctx):
         with pytest.raises(DomainError):
-            vwp_eval(VWPSpec(1.0, (0.5,), 0.2), None, ctx)
+            series_eval(VWPSpec(1.0, (0.5,), 0.2), None, ctx)
 
     def test_expanded_list_both_roots(self, ctx, rng):
         # for real a > 0 both explicit square roots reproduce the ratio form
@@ -80,9 +80,9 @@ class TestVWPSeries:
             root = math.sqrt(a)
             spec = VWPSpec(a, tuple(sample_complex(rng, 0.4, 0.9) for _ in range(2)),
                            sample_complex(rng, 0.1, 0.4))
-            v = vwp_eval(spec, 24, ctx).value
+            v = series_eval(spec, 24, ctx).value
             for r in (root, -root):
-                w = phi_eval(vwp_expanded_spec(spec, r, ctx), 24, ctx).value
+                w = series_eval(vwp_expanded_spec(spec, r, ctx), 24, ctx).value
                 assert abs(v - w) / abs(v) < 1e-12
 
     def test_well_poised_pairing(self, ctx):
@@ -91,8 +91,8 @@ class TestVWPSeries:
 
     def test_partial_sum_telescoping(self, ctx):
         spec = VWPSpec(0.55, (0.6 + 0.2j, 0.7, 0.4 - 0.3j), 0.3 + 0.1j)
-        s8 = vwp_eval(spec, 8, ctx).value
-        s9 = vwp_eval(spec, 9, ctx).value
+        s8 = series_eval(spec, 8, ctx).value
+        s9 = series_eval(spec, 9, ctx).value
         q = ctx.q
         k = 9
         from qtaylor.qcore import qpoch_finite, qpoch_multi
@@ -113,8 +113,8 @@ def family_specs(q):
     """The four coefficient families f, g, h, r at one sampled draw."""
     ctx = QContext(q)
     rng = random.Random(15)
-    kp, qp = sample_kernel_params(rng, ctx), sample_quadratic_params(rng)
-    return ctx, [f_spec(kp), g_spec(kp), h_spec(qp, ctx), r_spec(qp, ctx)]
+    kp, qp = sample_kernel_params(rng, ctx), sample_quadratic_params(rng, ctx)
+    return ctx, [f_spec(kp), g_spec(kp), h_spec(qp), r_spec(qp)]
 
 
 class TestAdaptiveStop:
@@ -126,7 +126,7 @@ class TestAdaptiveStop:
         # a cap no sum reaches sends every stop test through geometric_depth
         capped = replace(ctx, max_terms=10 ** 6)
         for spec in specs:
-            tb, ref = vwp_eval(spec, None, ctx), vwp_eval(spec, None, capped)
+            tb, ref = series_eval(spec, None, ctx), series_eval(spec, None, capped)
             assert (tb.terms_used, tb.value, tb.tail_abs) == (ref.terms_used, ref.value,
                                                               ref.tail_abs)
 
@@ -135,7 +135,7 @@ class TestAdaptiveStop:
         ctx, specs = family_specs(q)
         for spec in specs:
             with pytest.raises(TruncationFailure):
-                vwp_eval(spec, None, replace(ctx, max_terms=16))
+                series_eval(spec, None, replace(ctx, max_terms=16))
 
 
 class TestRogersSummation:
@@ -264,7 +264,7 @@ class TestBlockSum:
         ctx, specs = family_specs(q)
         for spec in specs:
             for trunc in (None, 7, 40):
-                new = vwp_eval(spec, trunc, ctx)
+                new = series_eval(spec, trunc, ctx)
                 old = _loop_sum(_loop_vwp_ratio(spec, ctx), trunc, ctx)
                 assert new.terms_used == old.terms_used
                 # the arithmetic is the loop's, rounded by NumPy: a few ulps of sum |t|
@@ -279,7 +279,7 @@ class TestBlockSum:
             nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
             dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
             spec = PhiSeriesSpec(nums, dens, sample_complex(rng, 0.1, 0.5))
-            new = phi_eval(spec, None, ctx)
+            new = series_eval(spec, None, ctx)
             old = _loop_sum(_loop_ratio(nums, dens, spec.argument, ctx), None, ctx)
             assert new.terms_used == old.terms_used
             assert abs(new.value - old.value) <= 8 * EPS * sum(map(abs, old.terms))
@@ -288,7 +288,7 @@ class TestBlockSum:
         spec = PhiSeriesSpec((0.4, 0.3), (1 / ctx.q ** 5,), 0.2)
         for trunc in (None, 6, 200):
             with pytest.raises(ZeroDenominator, match=r"hits q\^\(-5\)"):
-                phi_eval(spec, trunc, ctx)
+                series_eval(spec, trunc, ctx)
         # the block function reports the first pole of its block with its index;
         # the lead factor 1 - a q^(2k) comes before the denominators
         ratio = term_ratio((0.5,), (ctx.q ** -3,), 0.1, ctx, lead=ctx.q ** -6)
@@ -304,13 +304,13 @@ class TestBlockSum:
         ending = PhiSeriesSpec((1 / ctx.q, 0.3), (1 / ctx.q ** 9,), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert phi_eval(fast, None, ctx).terms_used == 3
-            assert phi_eval(ending, None, ctx).terms_used == 3
-            assert phi_eval(ending, 40, ctx).terms_used == 3
+            assert series_eval(fast, None, ctx).terms_used == 3
+            assert series_eval(ending, None, ctx).terms_used == 3
+            assert series_eval(ending, 40, ctx).terms_used == 3
             # nor does an overflow past the stop warn
             blow_up = _scalar_blocks(lambda k: 1e-9 if k < 3 else 1e300)
             assert _series_sum(blow_up, None, ctx).terms_used == 3
-        for summed in (lambda: phi_eval(fast, 10, ctx),
+        for summed in (lambda: series_eval(fast, 10, ctx),
                        lambda: _loop_sum(_loop_ratio((0.4, 0.3), (1 / ctx.q ** 6,), 1e-9, ctx),
                                          10, ctx)):
             with pytest.raises(ZeroDenominator, match=r"hits q\^\(-6\)"):
@@ -361,7 +361,7 @@ class TestBlockSum:
     def test_terminating_series_ends_at_its_zero_term(self, ctx):
         spec = PhiSeriesSpec((ctx.q ** -3, 0.4), (0.6,), 0.3)
         for trunc in (None, 4, 12, 200):
-            tb = phi_eval(spec, trunc, ctx)
+            tb = series_eval(spec, trunc, ctx)
             assert tb.terms_used == 5 and tb.terms[-1] == 0 and tb.terms[3] != 0
 
     @pytest.mark.parametrize("q", [0.2, 0.7, -0.6])
@@ -370,7 +370,7 @@ class TestBlockSum:
         capped = replace(ctx, max_terms=16)
         for spec in specs:
             with pytest.raises(TruncationFailure) as new:
-                vwp_eval(spec, None, capped)
+                series_eval(spec, None, capped)
             with pytest.raises(TruncationFailure) as old:
                 _loop_sum(_loop_vwp_ratio(spec, capped), None, capped)
             assert str(new.value) == str(old.value)
@@ -379,12 +379,12 @@ class TestBlockSum:
     def test_adaptive_and_fixed_terms_share_their_prefix(self, q):
         ctx, specs = family_specs(q)
         for spec in specs:
-            adaptive = vwp_eval(spec, None, ctx)
+            adaptive = series_eval(spec, None, ctx)
             n = adaptive.terms_used - 1
             for trunc in (1, 5, n - 1, n, n + 7, 3 * n):
-                fixed = vwp_eval(spec, trunc, ctx).terms
+                fixed = series_eval(spec, trunc, ctx).terms
                 common = min(len(fixed), n + 1)
                 assert fixed[:common] == adaptive.terms[:common]
             # continuing the adaptive sum gives the fixed-depth sum, bit for bit
             longer = _series_sum(spec.ratio(ctx), 3 * n, ctx, adaptive)
-            assert longer == vwp_eval(spec, 3 * n, ctx)
+            assert longer == series_eval(spec, 3 * n, ctx)

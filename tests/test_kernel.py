@@ -6,12 +6,10 @@ import pytest
 
 from qtaylor import hyper, kernel
 from qtaylor.errors import DomainError, ZeroDenominator
-from qtaylor.hyper import vwp_eval
-from qtaylor.kernel import (H_at_b, H_lowering_residual, K_at_cde,
-                            K_lowering_residual, KernelParams,
-                            adaptive_series_depth, bailey_crosscheck,
-                            f_spec, fk_coefficient, fk_coefficients,
-                            g_spec, gk_coefficient, gk_coefficients, involute, kernel_factors,
+from qtaylor.hyper import series_eval
+from qtaylor.kernel import (H_lowering_residual, K_lowering_residual, KernelParams,
+                            bailey_crosscheck, f_spec, fk_coefficients,
+                            g_spec, gk_coefficients, involute, kernel_factors,
                             kernel_H, kernel_K, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_residual, two_basis_terms,
@@ -54,9 +52,9 @@ class TestKernelFactors:
                                                       rel=1e-11)
 
     def test_zeroth_values_closed_forms(self, kp):
-        assert H_at_b(kp) == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
+        assert kp.Hb == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
         zc = kp.c / (kp.d * kp.e)
-        assert K_at_cde(kp) == pytest.approx(kernel_K(zc, kp), rel=1e-12)
+        assert kp.Kcde == pytest.approx(kernel_K(zc, kp), rel=1e-12)
 
 
 class TestQuadrupleCache:
@@ -65,18 +63,17 @@ class TestQuadrupleCache:
     def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
         # the families are summed adaptively, and the shallower one continued to the
         # common depth: 3 runs of _series_sum per instance when their depths differ
-        depths = {vwp_eval(spec, None, kp.ctx).terms_used for spec in (f_spec(kp), g_spec(kp))}
+        depths = {series_eval(spec, None, kp.ctx).terms_used for spec in (f_spec(kp), g_spec(kp))}
         sums = 1 + len(depths)
         products, series = [], []
         real_quotient, real_series_sum = kernel.qpoch_quotient, hyper._series_sum
         monkeypatch.setattr(kernel, "qpoch_quotient",
                             lambda *a: products.append(a) or real_quotient(*a))
-        for module in (hyper, kernel):
-            monkeypatch.setattr(module, "_series_sum",
-                                lambda *a: series.append(a) or real_series_sum(*a))
+        monkeypatch.setattr(hyper, "_series_sum",
+                            lambda *a: series.append(a) or real_series_sum(*a))
 
         def evaluate(quadruple):
-            values = (H_at_b(quadruple), K_at_cde(quadruple), adaptive_series_depth(quadruple),
+            values = (quadruple.Hb, quadruple.Kcde, quadruple.series_depth,
                       quadruple.family_terms(quadruple.series_depth))
             return values, (len(products), len(series))
         first, counts = evaluate(kp)
@@ -93,13 +90,16 @@ class TestQuadrupleCache:
         kp = sample_kernel_params(rng, ctx)
         specs = {"f": f_spec(kp), "g": g_spec(kp)}
         passes, extensions = [], []
-        real_eval, real_series_sum = kernel.vwp_eval, kernel._series_sum
-        monkeypatch.setattr(kernel, "vwp_eval",
+        real_eval, real_series_sum = kernel.series_eval, hyper._series_sum
+        monkeypatch.setattr(kernel, "series_eval",
                             lambda spec, *a: passes.append((spec,) + a) or real_eval(spec, *a))
-        monkeypatch.setattr(kernel, "_series_sum",
-                            lambda ratio, n, ctx, start: extensions.append((n, start))
-                            or real_series_sum(ratio, n, ctx, start))
-        depth = adaptive_series_depth(kp)
+
+        def series_sum(ratio, n, ctx, start=None):
+            if start is not None:
+                extensions.append((n, start))
+            return real_series_sum(ratio, n, ctx, start)
+        monkeypatch.setattr(hyper, "_series_sum", series_sum)
+        depth = kp.series_depth
         for n in (0, 3, depth // 2, depth):
             for z in (sample_z(rng), 1.1 - 0.2j):
                 two_basis_residual(z, kp, n)
@@ -111,25 +111,44 @@ class TestQuadrupleCache:
         assert len(extensions) <= 1
         for n, start in extensions:
             assert n == depth and start.terms_used <= depth
-            assert start.terms in [vwp_eval(spec, None, ctx).terms for spec in specs.values()]
+            assert start.terms in [series_eval(spec, None, ctx).terms for spec in specs.values()]
         # the cached terms are bit for bit a fresh fixed-depth sum
         monkeypatch.undo()
         for spec, cached in zip(specs.values(), kp.family_terms(depth)):
-            fresh = vwp_eval(spec, depth, ctx).terms
+            fresh = series_eval(spec, depth, ctx).terms
             assert len(cached) == depth + 1 and cached == fresh
 
-    def test_deeper_request_sums_afresh(self, kp):
-        depth = adaptive_series_depth(kp)
+    @pytest.mark.parametrize("q", [0.2, 0.45, 0.7, -0.6, 0.5j, 0.9])
+    def test_reads_equal_a_fresh_sum(self, q):
+        # below, at and past each family's adaptive depth and the common one
+        ctx = QContext(q)
+        rng = random.Random(19)
+        for _ in range(6):
+            kp = sample_kernel_params(rng, ctx)
+            specs = (f_spec(kp), g_spec(kp))
+            depth = kp.series_depth
+            own = [series_eval(spec, None, ctx).terms_used - 1 for spec in specs]
+            for n in sorted({0, 1, 6, 31, *own, depth, depth + 5, depth + 40}):
+                assert kp.family_terms(n) == tuple(series_eval(spec, n, ctx).terms
+                                                   for spec in specs), n
+
+    def test_deeper_request_continues_the_cached_sums(self, monkeypatch, kp):
+        depth = kp.series_depth
+        starts, real_series_sum = [], hyper._series_sum
+        monkeypatch.setattr(hyper, "_series_sum", lambda ratio, n, ctx, start=None:
+                            starts.append(start) or real_series_sum(ratio, n, ctx, start))
         fs, gs = kp.family_terms(depth + 5)
-        assert fs == vwp_eval(f_spec(kp), depth + 5, kp.ctx).terms
+        assert [s.terms_used for s in starts] == [depth + 1, depth + 1]
+        monkeypatch.undo()
+        assert fs == series_eval(f_spec(kp), depth + 5, kp.ctx).terms
         assert gs[:depth + 1] == kp.family_terms(depth)[1]
 
     def test_failed_value_is_not_cached(self, monkeypatch, kp):
         monkeypatch.setattr(kernel, "qpoch_quotient", _raise_zero)
         with pytest.raises(ZeroDivisionError):
-            H_at_b(kp)
+            kp.Hb
         monkeypatch.undo()
-        assert H_at_b(kp) == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
+        assert kp.Hb == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
 
 
 def _raise_zero(*args):
@@ -160,36 +179,34 @@ class TestInvolution:
 
 class TestCoefficientFamilies:
     def test_unit_leading_terms(self, kp):
-        assert fk_coefficient(kp, 0) == 1.0
-        assert gk_coefficient(kp, 0) == 1.0
+        assert fk_coefficients(kp, 0) == gk_coefficients(kp, 0) == [1.0]
 
     def test_geometric_ratio(self, kp, ctx4):
+        fs = fk_coefficients(kp, 41)
         for k in range(20, 41):
-            r = abs(fk_coefficient(kp, k + 1) / fk_coefficient(kp, k))
+            r = abs(fs[k + 1] / fs[k])
             assert abs(r - abs(ctx4.q)) < 0.1 * abs(ctx4.q)
 
     def test_g_is_involuted_f(self, kp):
-        ip = involute(kp)
-        for k in range(13):
-            g = gk_coefficient(kp, k)
-            assert g == pytest.approx(fk_coefficient(ip, k), rel=1e-12)
+        fs = fk_coefficients(involute(kp), 12)
+        for g, f in zip(gk_coefficients(kp, 12), fs):
+            assert g == pytest.approx(f, rel=1e-12)
 
     def test_high_base_denominators_are_not_poles(self):
         # (q;q)_40 = 1.5e-6 at q = 0.9: the product is small, no factor is
         kp = KernelParams(0.55 + 0.2j, 0.62 - 0.25j, 0.48 + 0.33j, 0.71 - 0.12j,
                           QContext(0.9))
-        fs = vwp_eval(f_spec(kp), 40, kp.ctx).terms
-        gs = vwp_eval(g_spec(kp), 40, kp.ctx).terms
-        assert fk_coefficient(kp, 40) == pytest.approx(fs[40], rel=1e-10)
-        assert gk_coefficient(kp, 40) == pytest.approx(gs[40], rel=1e-10)
+        fs = series_eval(f_spec(kp), 40, kp.ctx).terms
+        gs = series_eval(g_spec(kp), 40, kp.ctx).terms
+        assert fk_coefficients(kp, 40)[40] == pytest.approx(fs[40], rel=1e-10)
+        assert gk_coefficients(kp, 40)[40] == pytest.approx(gs[40], rel=1e-10)
 
     def test_vwp_terms_match_closed_form(self, kp):
-        fs = vwp_eval(f_spec(kp), 12, kp.ctx).terms
-        gs = vwp_eval(g_spec(kp), 12, kp.ctx).terms
+        fs = series_eval(f_spec(kp), 12, kp.ctx).terms
+        gs = series_eval(g_spec(kp), 12, kp.ctx).terms
         assert len(fs) == len(gs) == 13
-        for k in range(13):
-            assert fs[k] == pytest.approx(fk_coefficient(kp, k), rel=1e-12)
-            assert gs[k] == pytest.approx(gk_coefficient(kp, k), rel=1e-12)
+        assert fs == pytest.approx(fk_coefficients(kp, 12), rel=1e-12)
+        assert gs == pytest.approx(gk_coefficients(kp, 12), rel=1e-12)
 
     def test_taylor_crosscheck(self, ctx4, rng):
         kp = sample_kernel_params(rng, ctx4, lo=0.35, hi=0.85)
@@ -234,14 +251,12 @@ class TestFamilyTables:
                                 ("g_k", gk_coefficients(kp, 60))):
                 want = [closed_summand(*params[name], k, ctx, name) for k in range(61)]
                 assert table == want, name
-            assert [fk_coefficient(kp, k) for k in (0, 1, 17, 60)] == \
-                [fk_coefficients(kp, 60)[k] for k in (0, 1, 17, 60)]
 
     def test_short_tables(self, kp):
         assert fk_coefficients(kp, 0) == gk_coefficients(kp, 0) == [1.0 + 0.0j]
         assert len(fk_coefficients(kp, 1)) == 2
         with pytest.raises(DomainError):
-            fk_coefficient(kp, -1)
+            fk_coefficients(kp, -1)
 
     def test_near_pole_base_raises(self, kp):
         # KernelParams rejects such a quadruple up front; the table keeps its own guard
@@ -350,7 +365,7 @@ class TestPoleClearedResidual:
                     assert abs(value - want) <= 4 * len(coeffs) * 2.0 ** -52 * scale
 
     def test_grid_zeros(self, kp, ctx4):
-        depth = adaptive_series_depth(kp)
+        depth = kp.series_depth
         for m in range(11):
             for z in (kp.b * ctx4.q ** m, kp.c / (kp.d * kp.e) * ctx4.q ** m):
                 t1, t2, t3 = pole_cleared_E_terms(z, kp, depth)
@@ -358,7 +373,7 @@ class TestPoleClearedResidual:
                 assert abs(t1 - t2 - t3) < 1e-7 * scale
 
     def test_two_computation_paths(self, kp, rng):
-        depth = adaptive_series_depth(kp)
+        depth = kp.series_depth
         z = sample_z(rng)
         lhs = M_clearing(z, kp) * (lambda t: t[0] - t[1] - t[2])(
             two_basis_terms(z, kp, depth))
@@ -412,7 +427,7 @@ class TestPoleClearingPathsCheck:
         assert record.passed and record.residual < 1e-12
         # the same point with E truncated at depth 5 must fail clearly
         (z, kp), = seen
-        depth = adaptive_series_depth(kp)
+        depth = kp.series_depth
         m_val = original(z, kp)
         t = [m_val * x for x in two_basis_terms(z, kp, depth)]
         e5 = pole_cleared_E_terms(z, kp, 5)

@@ -8,7 +8,7 @@ from qtaylor.errors import QuadratureNonConvergence
 from qtaylor.kernel import (E_contour_coefficient, KernelParams,
                             calP_quadruple, calP_tables,
                             cancellation_identity_residual,
-                            fk_coefficient, gk_coefficient,
+                            fk_coefficients, gk_coefficients,
                             laurent_coefficient_detail, laurent_pair,
                             structured_E_terms)
 from qtaylor.qcore import qpoch_infinite
@@ -86,8 +86,7 @@ class TestStructuredCoefficients:
     def test_structured_matches_contour(self, kp, ctx4):
         n = 1
         t1, t2, t3 = structured_E_terms(kp, n, calP_tables(kp, 49),
-                                        [fk_coefficient(kp, k) for k in range(50)],
-                                        [gk_coefficient(kp, k) for k in range(50)])
+                                        fk_coefficients(kp, 49), gk_coefficients(kp, 49))
         structured = t1 - t2 - t3
         [(coeff, scale, _)] = E_contour_coefficient(kp, [n])
         assert abs(structured - coeff) < 1e-6 * scale

@@ -8,7 +8,7 @@ from qtaylor.errors import (ConvergenceRegionViolation, DomainError,
                             PoleProximity)
 from qtaylor.kernel import (KernelParams, involute, laurent_coefficient_detail,
                             pole_cleared_E_terms)
-from qtaylor.profiles import (AnnulusSpec, annular_factorization_residual,
+from qtaylor.profiles import (annular_factorization_residual,
                               bridge_residual, canonical_Z,
                               canonical_growth_profile, contiguous_moment,
                               exponential_profile_limit_residual,
@@ -58,22 +58,6 @@ class TestAnnularFactorisation:
     def test_zero_set_validation(self, ctx4):
         with pytest.raises(PoleProximity):
             annular_factorization_residual(0.6, 5, 1.0, ctx4)
-
-    def test_annulus_spec_validation(self, ctx4):
-        spec = AnnulusSpec(0.6, 0.9, 1.2, 4)
-        with pytest.raises(PoleProximity):
-            spec.validate_against([1.0], ctx4)
-        spec.validate_against([2.4], ctx4)
-        with pytest.raises(DomainError):
-            AnnulusSpec(0.6, 1.2, 0.9, 4)
-
-    def test_annulus_spec_geometry(self, ctx4):
-        spec = AnnulusSpec(0.6, 0.9, 1.2, 4)
-        ws = spec.w_grid(6)
-        assert len(ws) == 6
-        assert all(0.9 - 1e-12 <= abs(w) <= 1.2 + 1e-12 for w in ws)
-        z = spec.z_of(ws[0], ctx4)
-        assert abs(z) == pytest.approx(abs(0.6 * ctx4.q ** 4 * ws[0]))
 
 
 class TestLimitProfile:
@@ -266,7 +250,7 @@ class TestCoefficientHierarchy:
         # is differentiated in s on a contour inside its own analyticity
         # disc (the shifted kernels' s-poles march toward the origin, so a
         # single assembled contour does not exist)
-        from qtaylor.kernel import fk_coefficient, gk_coefficient
+        from qtaylor.kernel import fk_coefficients, gk_coefficients
         w = 1.05 + 0.22j
         t = lam * w
         q = ctx4.q
@@ -290,8 +274,8 @@ class TestCoefficientHierarchy:
             for i in range(j + 1))
         dev = abs(prod_quad - prod_closed) / max(abs(prod_closed), 1.0)
 
-        for alpha0, beta0, coeff_fn in ((c, b, fk_coefficient),
-                                        (c2, cde, gk_coefficient)):
+        for alpha0, beta0, coeffs in ((c, b, fk_coefficients(kp, K)),
+                                      (c2, cde, gk_coefficients(kp, K))):
             quad_sum = 0.0 + 0.0j
             closed_sum = 0.0 + 0.0j
             for k in range(K + 1):
@@ -304,8 +288,8 @@ class TestCoefficientHierarchy:
                     lambda s, al=al, be=be: profile_kernel_P(s, w, al, be, lam, ctx4),
                     rho)
                 term_closed = profile_kernel_coefficient(j, w, al, be, lam, ctx4)
-                quad_sum += coeff_fn(kp, k) * term_quad
-                closed_sum += coeff_fn(kp, k) * term_closed
+                quad_sum += coeffs[k] * term_quad
+                closed_sum += coeffs[k] * term_closed
             dev = max(dev, abs(quad_sum - closed_sum) / max(abs(closed_sum), 1.0))
         assert dev < 1e-6
 

@@ -1,35 +1,93 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qtaylor.errors import ConvergenceRegionViolation, PoleProximity
-from qtaylor.hyper import vwp_eval
-from qtaylor.qcore import qpoch_finite
-from qtaylor.quadratic import (QuadraticParams, companion_coefficient, companion_product,
+from qtaylor import hyper, quadratic
+from qtaylor.errors import ConvergenceRegionViolation, DomainError, PoleProximity
+from qtaylor.hyper import series_eval
+from qtaylor.qcore import QContext, qpoch_finite
+from qtaylor.quadratic import (QuadraticParams, companion_product,
                                companion_residual, companion_series_vs_vwp,
                                companion_taylor_identification,
                                folding_identity_check, h_spec,
-                               quadratic_coefficient, quadratic_residual,
-                               quadratic_tail_curve,
+                               quadratic_residual, quadratic_tail_curve,
                                quadratic_taylor_identification, r_spec)
 from qtaylor.sampling import sample_complex, sample_quadratic_params, sample_z
 from qtaylor.suites import SuiteConfig, run_quadratic
 
 
 @pytest.fixture
-def qp():
-    return QuadraticParams(0.78 + 0.2j, 0.37 - 0.12j, 0.45 + 0.21j, 0.66 - 0.3j)
+def qp(ctx):
+    return QuadraticParams(0.78 + 0.2j, 0.37 - 0.12j, 0.45 + 0.21j, 0.66 - 0.3j, ctx)
 
 
 class TestParameters:
-    def test_ratio_bound_enforced(self):
+    def test_ratio_bound_enforced(self, ctx):
         with pytest.raises(ConvergenceRegionViolation):
-            QuadraticParams(0.4, 0.5, 0.3, 0.6)
+            QuadraticParams(0.4, 0.5, 0.3, 0.6, ctx)
 
-    def test_companion_bound_enforced(self):
+    def test_companion_bound_enforced(self, ctx):
         with pytest.raises(ConvergenceRegionViolation):
-            QuadraticParams(0.8, 0.4, 1.1, 0.6)
+            QuadraticParams(0.8, 0.4, 1.1, 0.6, ctx)
+
+    @pytest.mark.parametrize("zero", range(4))
+    def test_zero_parameter_rejected(self, ctx, zero):
+        params = [0.8, 0.4, 0.3, 0.6]
+        params[zero] = 0.0
+        with pytest.raises(DomainError):
+            QuadraticParams(*params, ctx)
+
+
+class TestFamilyCache:
+    """C_{a,b}, the companion constant and the h, r sums are computed once per instance."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.45, 0.7, -0.6, 0.5j, 0.9])
+    def test_reads_equal_a_fresh_sum(self, q):
+        # below, at and past the adaptive depth: a slice, then a continuation
+        ctx = QContext(q)
+        rng = random.Random(19)
+        for _ in range(6):
+            qp = sample_quadratic_params(rng, ctx)
+            for spec, family, adaptive in ((h_spec(qp), qp.h_terms, qp.h_sum),
+                                           (r_spec(qp), qp.r_terms, qp.r_sum)):
+                depth = adaptive.terms_used - 1
+                assert family() == adaptive.terms == series_eval(spec, None, ctx).terms
+                for n in (0, 1, 6, 31, depth, depth + 5, depth + 40):
+                    assert family(n) == series_eval(spec, n, ctx).terms, n
+
+    def test_values_computed_once_per_instance(self, monkeypatch, qp, ctx):
+        products, runs = [], []
+        real_quotient, real_series_sum = quadratic.qpoch_quotient, hyper._series_sum
+        monkeypatch.setattr(quadratic, "qpoch_quotient",
+                            lambda *a: products.append(a) or real_quotient(*a))
+        monkeypatch.setattr(hyper, "_series_sum",
+                            lambda *a: runs.append(a) or real_series_sum(*a))
+
+        def evaluate(params):
+            values = (params.Cab, params.Cad, params.h_terms(), params.r_terms(),
+                      params.h_terms(6), params.r_terms(0))
+            return values, (len(products), len(runs))
+        first, counts = evaluate(qp)
+        assert counts == (2, 2)
+        assert evaluate(qp) == (first, (2, 2))
+        # no process-wide cache: an equal parameter set computes its own
+        twin = QuadraticParams(qp.a, qp.b, qp.alpha, qp.d, ctx)
+        assert twin == qp and evaluate(twin) == (first, (4, 4))
+
+    def test_suite_sums_each_family_once_per_draw(self, monkeypatch):
+        # summing h and r again for the coefficient checks (at depths 0, 31 and 6)
+        # took 31 runs
+        cfg = SuiteConfig(suites=("quadratic",), q=0.45)
+        runs, real_series_sum = [], hyper._series_sum
+        monkeypatch.setattr(hyper, "_series_sum",
+                            lambda *a: runs.append(a) or real_series_sum(*a))
+        records = run_quadratic(cfg)
+        assert all(r.passed for r in records)
+        # two adaptive family sums per draw, and the one 8W7 form of companion-vwp-form
+        assert len(runs) == 2 * cfg.draws + 1
+        assert all(trunc is None for _, trunc, *_ in runs)
 
 
 def _pochs(params, k, ctx):
@@ -41,7 +99,7 @@ class TestCoefficientSpecs:
 
     def test_h_closed_form(self, qp, ctx):
         a, b, q, rq = qp.a, qp.b, ctx.q, ctx.sqrt_q
-        hs = vwp_eval(h_spec(qp, ctx), 12, ctx).terms
+        hs = series_eval(h_spec(qp), 12, ctx).terms
         assert len(hs) == 13
         for k, h in enumerate(hs):
             closed = ((1 - a * b * q ** (2 * k - 1)) / (1 - a * b / q)
@@ -52,7 +110,7 @@ class TestCoefficientSpecs:
 
     def test_r_closed_form(self, qp, ctx):
         al, d, q = qp.alpha, qp.d, ctx.q
-        rs = vwp_eval(r_spec(qp, ctx), 12, ctx).terms
+        rs = series_eval(r_spec(qp), 12, ctx).terms
         assert len(rs) == 13
         for k, r in enumerate(rs):
             closed = ((1 + al * q ** (2 * k)) / (1 + al)
@@ -65,63 +123,63 @@ class TestCoefficientSpecs:
 class TestWatsonTypeExpansion:
     def test_seeded_draws(self, ctx, rng):
         for _ in range(20):
-            qp = sample_quadratic_params(rng)
+            qp = sample_quadratic_params(rng, ctx)
             z = sample_z(rng)
-            assert quadratic_residual(z, qp, 60, ctx) < 1e-8
+            assert quadratic_residual(z, qp, 60) < 1e-8
 
-    def test_unit_leading_coefficient(self, qp, ctx):
-        assert quadratic_coefficient(qp, 0, ctx) == 1.0
+    def test_unit_leading_coefficient(self, qp):
+        assert qp.h_terms(0) == (1.0,)
 
-    def test_coefficient_decay_rate(self, qp, ctx):
+    def test_coefficient_decay_rate(self, qp):
         target = abs(qp.b / qp.a)
+        hs = qp.h_terms(41)
         for k in (20, 30, 40):
-            r = abs(quadratic_coefficient(qp, k + 1, ctx)
-                    / quadratic_coefficient(qp, k, ctx))
+            r = abs(hs[k + 1] / hs[k])
             assert abs(r - target) < 0.1 * target
 
-    def test_taylor_identification(self, qp, ctx):
-        assert quadratic_taylor_identification(qp, 6, ctx) < 1e-7
+    def test_taylor_identification(self, qp):
+        assert quadratic_taylor_identification(qp, 6) < 1e-7
 
-    def test_tail_remainder_decay(self, qp, ctx, rng):
+    def test_tail_remainder_decay(self, qp, rng):
         z = sample_z(rng)
         orders = [4, 6, 8, 10, 12]
-        tails = quadratic_tail_curve(z, qp, orders, ctx)
+        tails = quadratic_tail_curve(z, qp, orders)
         fit = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
         assert abs(fit - abs(qp.b / qp.a)) < 0.1 * abs(qp.b / qp.a)
 
-    def test_pole_margin(self, ctx, qp):
+    def test_pole_margin(self, qp):
         with pytest.raises(PoleProximity):
-            quadratic_residual(1 / qp.b, qp, 40, ctx)
+            quadratic_residual(1 / qp.b, qp, 40)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_tail_curve_rejects_later_pole_circle(self, m, ctx, qp):
         with pytest.raises(PoleProximity):
-            quadratic_tail_curve(qp.b * ctx.q ** m, qp, [4, 6], ctx)
+            quadratic_tail_curve(qp.b * ctx.q ** m, qp, [4, 6])
 
 
 class TestCompanionExpansion:
     def test_seeded_draws(self, ctx, rng):
         for _ in range(20):
-            qp = sample_quadratic_params(rng)
+            qp = sample_quadratic_params(rng, ctx)
             z = sample_z(rng)
-            assert companion_residual(z, qp, 60, ctx) < 1e-8
+            assert companion_residual(z, qp, 60) < 1e-8
 
-    def test_unit_leading_coefficient(self, qp, ctx):
-        assert companion_coefficient(qp, 0, ctx) == 1.0
+    def test_unit_leading_coefficient(self, qp):
+        assert qp.r_terms(0) == (1.0,)
 
-    def test_coefficient_decay_rate(self, qp, ctx):
+    def test_coefficient_decay_rate(self, qp):
         target = abs(qp.alpha)
+        rs = qp.r_terms(36)
         for k in (20, 35):
-            r = abs(companion_coefficient(qp, k + 1, ctx)
-                    / companion_coefficient(qp, k, ctx))
+            r = abs(rs[k + 1] / rs[k])
             assert abs(r - target) < 0.1 * target
 
-    def test_taylor_identification(self, qp, ctx):
-        assert companion_taylor_identification(qp, 6, ctx) < 1e-7
+    def test_taylor_identification(self, qp):
+        assert companion_taylor_identification(qp, 6) < 1e-7
 
-    def test_vwp_specialisation(self, qp, ctx, rng):
+    def test_vwp_specialisation(self, qp, rng):
         z = sample_z(rng)
-        assert companion_series_vs_vwp(z, qp, ctx) < 1e-10
+        assert companion_series_vs_vwp(z, qp) < 1e-10
 
 
 class TestExpansionScale:
@@ -131,8 +189,8 @@ class TestExpansionScale:
         # q = 0.9, seed 2: |Q_companion(z)| = 3.7e-9 at draw 9, terms of order 1
         cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
         ctx, rng = cfg.context(), cfg.rng_for("quadratic")
-        points = [(sample_quadratic_params(rng), sample_z(rng)) for _ in range(cfg.draws)]
-        return ctx, points[9]
+        points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
+        return points[9]
 
     def test_companion_record_passes_at_high_base(self):
         cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
@@ -140,11 +198,10 @@ class TestExpansionScale:
         assert record.passed and record.residual < 1e-13
 
     def test_truncation_still_fails_at_the_same_point(self):
-        ctx, (qp, z) = self.near_zero_point()
-        assert abs(companion_product(z, qp, ctx)) < 1e-8
-        depth = vwp_eval(r_spec(qp, ctx), None, ctx).terms_used - 1
-        assert companion_residual(z, qp, depth, ctx) < 1e-13
-        assert companion_residual(z, qp, 3, ctx) > 1e-8
+        qp, z = self.near_zero_point()
+        assert abs(companion_product(z, qp)) < 1e-8
+        assert companion_residual(z, qp) < 1e-13
+        assert companion_residual(z, qp, 3) > 1e-8
 
 
 class TestFolding:

@@ -6,7 +6,7 @@ import pytest
 
 from qtaylor import taylor
 from qtaylor.errors import PoleProximity, ZeroDenominator
-from qtaylor.kernel import H_series_function
+from qtaylor.kernel import kernel_H
 from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
 from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_profile_kernel_params, sample_z)
@@ -15,7 +15,7 @@ from qtaylor.taylor import (BasisPair, TaylorExpansion, _coeff_prefactor,
                             basis_terms, flatness_check, phi_basis, phi_combination,
                             phi_function, taylor_coefficient, taylor_expand,
                             taylor_sum_and_remainder)
-from qtaylor.wpoperator import SymmetricFunction, cooper_eval, grid_functional_weights
+from qtaylor.wpoperator import cooper_eval, grid_functional_weights
 
 
 class TestBasis:
@@ -171,7 +171,9 @@ class TestCoefficientExtraction:
         f = phi_combination(pair, [1.0, 0.8 + 0.1j, 0.5], ctx)
         g = phi_combination(pair, [0.3, -0.6j, 0.9, 0.2], ctx)
         al, be = 1.3 - 0.2j, 0.7 + 0.4j
-        h = SymmetricFunction(lambda z: al * f(z) + be * g(z))
+
+        def h(z):
+            return al * f(z) + be * g(z)
         for k in range(4):
             lhs = taylor_coefficient(h, pair, k, ctx)
             rhs = (al * taylor_coefficient(f, pair, k, ctx)
@@ -252,8 +254,7 @@ class TestSharedGrid:
         pair = BasisPair(0.6 + 0.1j, 0.4)
         inner = phi_combination(BasisPair(0.5, 0.4), [1.0, 0.3j, 0.8], ctx)
         seen = []
-        f = SymmetricFunction(lambda z: seen.append(z) or inner(z))
-        taylor_expand(f, pair, n, ctx)
+        taylor_expand(lambda z: seen.append(z) or inner(z), pair, n, ctx)
         assert len(seen) == n + 1
 
     @pytest.mark.parametrize("n", [0, 3, 6, 20])
@@ -283,23 +284,23 @@ class TestSharedGrid:
     def test_kernel_H_to_order_20_matches_per_order_route(self, rng, flip):
         ctx = QContext(0.7).other_branch() if flip else QContext(0.7)
         kp = sample_profile_kernel_params(rng, ctx)
-        _assert_matches_per_order_route(H_series_function(kp), kp.phi_pair, 20, ctx)
+        _assert_matches_per_order_route(lambda z: kernel_H(z, kp), kp.phi_pair, 20, ctx)
 
 
 class TestFlatness:
     def test_grid_vanishing_product_is_flat(self, ctx, rng):
         pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
-        h = SymmetricFunction(
-            lambda z: qpoch_infinite(pair.a * z, ctx).value
-            * qpoch_infinite(pair.a / z, ctx).value)
+
+        def h(z):
+            return qpoch_infinite(pair.a * z, ctx).value * qpoch_infinite(pair.a / z, ctx).value
         assert flatness_check(h, pair, 5, ctx) < 1e-8
 
     def test_grid_vanishing_times_bounded_is_flat(self, ctx, rng):
         pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
-        h = SymmetricFunction(
-            lambda z: qpoch_infinite(pair.a * z, ctx).value
-            * qpoch_infinite(pair.a / z, ctx).value
-            * (1.3 + 0.5 * (z + 1 / z)))
+
+        def h(z):
+            return (qpoch_infinite(pair.a * z, ctx).value * qpoch_infinite(pair.a / z, ctx).value
+                    * (1.3 + 0.5 * (z + 1 / z)))
         assert flatness_check(h, pair, 4, ctx) < 1e-8
 
     def test_basis_element_is_not_flat(self, ctx, rng):

@@ -9,9 +9,14 @@ from qtaylor.qcore import QContext, qpoch_finite
 from qtaylor.sampling import sample_basis_pair, sample_complex, sample_with
 from qtaylor.taylor import (BasisPair, phi_basis, phi_combination, phi_function,
                             taylor_coefficient)
-from qtaylor.wpoperator import (OperatorChainSpec, SymmetricFunction, apply_Dcq,
+from qtaylor.wpoperator import (OperatorChainSpec, apply_Dcq,
                                 apply_Dq, apply_iterated, cooper_eval, cooper_rows,
                                 grid_functional_weights)
+
+
+def chebyshev_x(z):
+    """(z + 1/z) / 2: the first Askey-Wilson coordinate."""
+    return (z + 1 / z) / 2
 
 
 def operator_point(rng, ctx):
@@ -42,14 +47,12 @@ def delta_scalar(pair, k, ctx):
 
 class TestDividedDifference:
     def test_constant_annihilated(self, ctx):
-        f = SymmetricFunction(lambda z: 3.2 - 0.7j)
-        assert abs(apply_Dq(f, 1.3 + 0.4j, ctx)) < 1e-15
+        assert abs(apply_Dq(lambda z: 3.2 - 0.7j, 1.3 + 0.4j, ctx)) < 1e-15
 
     def test_first_chebyshev_coordinate(self, ctx, rng):
-        f = SymmetricFunction(lambda z: (z + 1 / z) / 2)
         for _ in range(5):
             z = operator_point(rng, ctx)
-            assert apply_Dq(f, z, ctx) == pytest.approx(1.0, abs=1e-13)
+            assert apply_Dq(chebyshev_x, z, ctx) == pytest.approx(1.0, abs=1e-13)
 
     def test_monomial_with_zero_parameter(self, ctx, rng):
         # lowering law at c = 0: the Askey-Wilson monomial drops one degree
@@ -59,12 +62,13 @@ class TestDividedDifference:
         assert apply_Dq(f, z, ctx) == pytest.approx(-2 * a, rel=1e-12)
 
     def test_near_singular_rejected(self, ctx):
-        f = SymmetricFunction(lambda z: (z + 1 / z) / 2)
         with pytest.raises(NearSingularPoint):
-            apply_Dq(f, 1.0 + 1e-9j, ctx)
+            apply_Dq(chebyshev_x, 1.0 + 1e-9j, ctx)
 
     def test_branch_invariance_odd_function(self, ctx, rng):
-        f = SymmetricFunction(lambda w: ((w + 1 / w) / 2) ** 3 - (w + 1 / w))
+
+        def f(w):
+            return ((w + 1 / w) / 2) ** 3 - (w + 1 / w)
         z = operator_point(rng, ctx)
         v1 = apply_Dq(f, z, ctx)
         v2 = apply_Dq(f, z, ctx, root=-ctx.sqrt_q)
@@ -79,8 +83,7 @@ class TestWellPoisedOperator:
                                                           rel=1e-13)
 
     def test_constant_annihilated(self, ctx):
-        f = SymmetricFunction(lambda z: 1.5 + 0.5j)
-        assert abs(apply_Dcq(f, 1.2 + 0.3j, 0.4, ctx)) < 1e-14
+        assert abs(apply_Dcq(lambda z: 1.5 + 0.5j, 1.2 + 0.3j, 0.4, ctx)) < 1e-14
 
     def test_lowering_first_basis_element(self, ctx, rng):
         pair = sample_basis_pair(rng)
@@ -154,10 +157,9 @@ class TestClosedFormOperator:
             assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_exceptional_point_rejected(self, ctx):
-        f = SymmetricFunction(lambda z: (z + 1 / z) / 2)
         z = 1 / ctx.sqrt_q  # z^2 = q^{-1}: a cardinal denominator vanishes
         with pytest.raises(ExceptionalPoint):
-            cooper_eval(f, z, 0.3, 2, ctx)
+            cooper_eval(chebyshev_x, z, 0.3, 2, ctx)
 
     def test_branch_invariance_of_functional(self, ctx, rng):
         pair = sample_basis_pair(rng)
@@ -266,10 +268,10 @@ class TestWeightRows:
         real = wpoperator.cooper_rows
         monkeypatch.setattr(wpoperator, "cooper_rows",
                             lambda c, points, ctx: calls.append(points) or real(c, points, ctx))
-        f = SymmetricFunction(lambda z: (z + 1 / z) / 2)
         z = 1.1 + 0.2j
-        assert cooper_eval(f, z, 0.3, 2, ctx) == sum(
-            u * f(ctx.sqrt_q ** (2 - 2 * r) * z) for r, u in enumerate(real(0.3, [(z, 2)], ctx)[0]))
+        assert cooper_eval(chebyshev_x, z, 0.3, 2, ctx) == sum(
+            u * chebyshev_x(ctx.sqrt_q ** (2 - 2 * r) * z)
+            for r, u in enumerate(real(0.3, [(z, 2)], ctx)[0]))
         assert grid_functional_weights(0.6, 0.3, 3, ctx) == real(
             0.3, [(0.6 * ctx.sqrt_q ** 3, 3)], ctx)[0][::-1]
         assert calls == [[(z, 2)], [(0.6 * ctx.sqrt_q ** 3, 3)]]
