@@ -15,6 +15,7 @@ truncation depth) and QTAYLOR_MAX_TERMS (a user depth cap, none by default).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -116,7 +117,8 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 
 def _emit_report(report, path: str | None) -> None:
     lines = [json.dumps(rec.to_dict(), sort_keys=True) for rec in report.records]
-    lines.append(json.dumps({"summary": report.summary()}, sort_keys=True))
+    summary = report.summary()
+    lines.append(json.dumps({"summary": summary}, sort_keys=True))
     text = "\n".join(lines) + "\n"
     if path:
         Path(path).write_text(text)
@@ -125,7 +127,6 @@ def _emit_report(report, path: str | None) -> None:
         print(f"[{status}] {rec.suite}/{rec.check} anchor={rec.anchor} "
               f"residual={rec.residual:.3e} tol={rec.tol:.1e}"
               + (f"  ({rec.detail})" if rec.detail else ""))
-    summary = report.summary()
     verdict = "PASS" if summary["passed"] else "FAIL"
     print(f"{verdict}: {len(report.records)} checks over "
           f"{len(summary['suites'])} suites")
@@ -139,6 +140,7 @@ def _emit_csv(cfg: SuiteConfig, spec: str) -> None:
     print(f"wrote {count} decay rows for {target} to {path}")
 
 
+@functools.cache  # built once per process, when first needed
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify",
@@ -173,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.emit_csv:
             _emit_csv(cfg, args.emit_csv)
             return 0
+        if args.report:  # an unwritable report path fails before any suite runs
+            Path(args.report).open("a").close()
         report = run_suites(cfg)
         _emit_report(report, args.report)
     except (ConfigError, OSError) as exc:  # OSError: a params or output path that fails

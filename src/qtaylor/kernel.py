@@ -24,8 +24,8 @@ from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
 from .hyper import SeriesSum, VWPSpec, series_eval, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
-from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups,
-                    qpoch_infinite, qpoch_quotient, qpoch_table, scaled_residual)  # noqa: F401
+from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups,  # noqa: F401
+                    qpoch_infinite, qpoch_quotients, qpoch_table, scaled_residual)
 from .taylor import (BasisPair, basis_factors, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import apply_Dcq
@@ -46,8 +46,9 @@ class KernelParams:
     (c/de) q^m from colliding.
 
     H(b), K(c/de) and the coefficient families do not depend on z: each is
-    computed once per instance, when first read (Hb, Kcde, series_depth,
-    family_terms), and an equal quadruple built separately computes its own.
+    computed once per instance, when first read (Hb and Kcde from one
+    qpoch_infinite call, series_depth, family_terms), and an equal quadruple
+    built separately computes its own.
     """
 
     b: complex
@@ -93,19 +94,17 @@ class KernelParams:
                          self.c ** 2 / (self.b * self.d * self.e))
 
     @cached_property
-    def Hb(self) -> complex:
+    def _zeroth(self) -> list[complex]:
         b, c, d, e = self.b, self.c, self.d, self.e
-        return qpoch_quotient([b * c / d, c / (b * d), b * c / e, c / (b * e)],
-                              [b * c, c / b, b * c / (d * e), c / (b * d * e)], self.ctx,
-                              "vanishing denominator in H(b)", ZeroDenominator)
+        return qpoch_quotients(
+            [([b * c / d, c / (b * d), b * c / e, c / (b * e)],
+              [b * c, c / b, b * c / (d * e), c / (b * d * e)], "vanishing denominator in H(b)"),
+             ([c * c / (d * d * e), e, c * c / (d * e * e), d],
+              [b * c / (d * e), b * d * e / c, c ** 3 / (b * d ** 2 * e ** 2), c / b],
+              "vanishing denominator in K(c/de)")], self.ctx, ZeroDenominator)
 
-    @cached_property
-    def Kcde(self) -> complex:
-        b, c, d, e = self.b, self.c, self.d, self.e
-        return qpoch_quotient([c * c / (d * d * e), e, c * c / (d * e * e), d],
-                              [b * c / (d * e), b * d * e / c,
-                               c ** 3 / (b * d ** 2 * e ** 2), c / b], self.ctx,
-                              "vanishing denominator in K(c/de)", ZeroDenominator)
+    Hb = property(lambda self: self._zeroth[0], doc="H(b)")
+    Kcde = property(lambda self: self._zeroth[1], doc="K(c/de)")
 
     @cached_property
     def _sums(self) -> tuple[SeriesSum, ...]:
@@ -146,51 +145,25 @@ class KernelFactors:
     K: complex
 
 
-def kernel_F(z: complex, kp: KernelParams) -> complex:
-    b, c, d, e = kp.b, kp.c, kp.d, kp.e
-    return qpoch_quotient(sym_bases(z, c / d, c / e), sym_bases(z, c, c * c / (b * d * e)),
-                          kp.ctx, "z on a pole of F")
+def kernel_quotient(name: str, z, kp: KernelParams, **shifted) -> tuple[list, list, str]:
+    """The (num, den, what) bases of the kernel product name (F, A, B, H or K) at z, for
+    qpoch_quotients; keyword overrides of b, c, d, e give the shifted kernels."""
+    b, c, d, e = (shifted.get(p, getattr(kp, p)) for p in "bcde")
+    cc = c * c / (b * d * e)
+    num, den = {"F": ((c / d, c / e), (c, cc)), "A": ((c / (d * e),), (cc,)),
+                "B": ((b,), (c,)), "H": ((c / d, c / e), (c, c / (d * e))),
+                "K": ((c / d, c / e), (b, cc))}[name]
+    return sym_bases(z, *num), sym_bases(z, *den), f"z on a pole of {name}"
 
 
-def kernel_A(z: complex, kp: KernelParams) -> complex:
-    b, c, d, e = kp.b, kp.c, kp.d, kp.e
-    return qpoch_quotient(sym_bases(z, c / (d * e)), sym_bases(z, c * c / (b * d * e)),
-                          kp.ctx, "z on a pole of A")
-
-
-def kernel_B(z: complex, kp: KernelParams) -> complex:
-    return qpoch_quotient(sym_bases(z, kp.b), sym_bases(z, kp.c), kp.ctx, "z on a pole of B")
-
-
-def kernel_H(z: complex, kp: KernelParams, *, c: complex | None = None,
-             d: complex | None = None, e: complex | None = None) -> complex:
-    """H(z; c, d, e); keyword overrides evaluate the shifted kernels."""
-    c = kp.c if c is None else c
-    d = kp.d if d is None else d
-    e = kp.e if e is None else e
-    return qpoch_quotient(sym_bases(z, c / d, c / e), sym_bases(z, c, c / (d * e)),
-                          kp.ctx, "z on a pole of H")
-
-
-def kernel_K(z: complex, kp: KernelParams, *, b: complex | None = None,
-             c: complex | None = None, d: complex | None = None,
-             e: complex | None = None) -> complex:
-    """K(z; b, c, d, e); keyword overrides evaluate the shifted kernels."""
-    b = kp.b if b is None else b
-    c = kp.c if c is None else c
-    d = kp.d if d is None else d
-    e = kp.e if e is None else e
-    return qpoch_quotient(sym_bases(z, c / d, c / e), sym_bases(z, b, c * c / (b * d * e)),
-                          kp.ctx, "z on a pole of K")
+def kernel_products(z, kp: KernelParams, names: str) -> list:
+    """The kernel products named by the letters of names at z, from one qpoch_infinite call."""
+    return qpoch_quotients([kernel_quotient(name, z, kp) for name in names], kp.ctx)
 
 
 def kernel_factors(z: complex, kp: KernelParams) -> KernelFactors:
     """All five kernel products at z, with F = A*H = B*K enforced."""
-    F = kernel_F(z, kp)
-    A = kernel_A(z, kp)
-    B = kernel_B(z, kp)
-    H = kernel_H(z, kp)
-    K = kernel_K(z, kp)
+    F, A, B, H, K = kernel_products(z, kp, "FABHK")
     tol = kp.ctx.eps_rel * abs(F)
     if abs(F - A * H) > 100 * tol or abs(F - B * K) > 100 * tol:
         raise PoleProximity(
@@ -258,17 +231,16 @@ def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
     involute(kp), which compares t_k(K) against K(c/de) g_k.
     """
     expected = [kp.Hb * f for f in fk_coefficients(kp, k_max)]
-    return coefficient_gap(lambda z: kernel_H(z, kp), kp.phi_pair, expected, kp.ctx)
+    return coefficient_gap(lambda z: kernel_products(z, kp, "H")[0], kp.phi_pair, expected,
+                           kp.ctx)
 
 
-def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
-                    force_unit_Hb: bool = False,
-                    force_unit_Kcde: bool = False) -> tuple[complex, complex, complex]:
-    """The three additive terms (F, A H(b) S_f, B K(c/de) S_g) of the identity."""
+def two_basis_terms(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = False,
+                    force_unit_Kcde: bool = False) -> tuple:
+    """The three additive terms (F, A H(b) S_f, B K(c/de) S_g) of the identity at z, a
+    point or an ndarray of points: F, A and B from one qpoch_infinite call."""
     ctx = kp.ctx
-    F = kernel_F(z, kp)
-    A = kernel_A(z, kp)
-    B = kernel_B(z, kp)
+    F, A, B = kernel_products(z, kp, "FAB")
     hb = 1.0 + 0.0j if force_unit_Hb else kp.Hb
     kc = 1.0 + 0.0j if force_unit_Kcde else kp.Kcde
     fs, gs = kp.family_terms(n_trunc)
@@ -277,10 +249,9 @@ def two_basis_terms(z: complex, kp: KernelParams, n_trunc: int, *,
     return F, A * hb * sf, B * kc * sg
 
 
-def two_basis_residual(z: complex, kp: KernelParams, n_trunc: int, *,
-                       force_unit_Hb: bool = False,
-                       force_unit_Kcde: bool = False) -> float:
-    """Scale-relative residual of F = A H(b) S_f + B K(c/de) S_g at n_trunc.
+def two_basis_residual(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = False,
+                       force_unit_Kcde: bool = False):
+    """Scale-relative residual of F = A H(b) S_f + B K(c/de) S_g at n_trunc, at each z.
 
     The scale is the largest of the three additive terms: near a zero of F
     the two series contributions dwarf the kernel value and cancel, so
@@ -297,14 +268,23 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
                         orders: Sequence[int]) -> list[float]:
     """Gap |A R_n H(z) - B K(c/de) S_g| / scale at each order, R_n via the operator pipeline."""
     ctx = kp.ctx
-    n_max = max(orders)
-    expansion = taylor_expand(lambda w: kernel_H(w, kp), kp.phi_pair, n_max, ctx)
-    A = kernel_A(z, kp)
-    B = kernel_B(z, kp)
-    hkz = kernel_H(z, kp)
+    sample, at_z = _sampler("H", kp, [kernel_quotient(name, z, kp) for name in "ABH"])
+    expansion = taylor_expand(sample, kp.phi_pair, max(orders), ctx)
+    A, B, hkz = at_z
     target = B * kp.Kcde * basis_sum(z, kp.psi_pair, kp.family_terms(kp.series_depth)[1], ctx)
     terms = basis_terms(z, expansion.pair, expansion.coefficients, ctx)
     return [scaled_residual(A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j)), target) for n in orders]
+
+
+def _sampler(name: str, kp: KernelParams, extra: list) -> tuple[Callable, list]:
+    """A sampler of the kernel product name that evaluates the quotients extra in the same
+    qpoch_infinite call, and the list their values land in."""
+    values = []
+
+    def sample(nodes):
+        first, *values[:] = qpoch_quotients([kernel_quotient(name, nodes, kp), *extra], kp.ctx)
+        return first
+    return sample, values
 
 
 def M_clearing(z: complex, kp: KernelParams) -> complex:
@@ -325,23 +305,28 @@ def _cleared_family_sum(z, pair: BasisPair, coeffs: Sequence[complex], tail,
     return sum(us.reshape(us.shape + (1,) * np.ndim(z)) * fins * tails, 0.0 + 0.0j)
 
 
-def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int) -> tuple:
+def E_groups(z, kp: KernelParams) -> list:
+    """The product groups of the terms of E(z): F's numerator, two outer products, two tails."""
+    if np.any(z == 0):
+        raise DomainError("E is defined on the punctured plane")
+    return [sym_bases(z, kp.c / kp.d, kp.c / kp.e), sym_bases(z, kp.psi_pair.a),
+            sym_bases(z, kp.b), sym_bases(z, kp.c), sym_bases(z, kp.psi_pair.c)]
+
+
+def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int, products=None) -> tuple:
     """The three additive terms of the pole-cleared residual E(z).
 
     E = t1 - t2 - t3 where t1 is the numerator product of F and t2, t3
     are the pole-cleared coefficient sums; each infinite product is
-    truncated with a certified tail, all in one qpoch_infinite call.  z may
-    be an ndarray of points (the terms are then arrays): the coefficients,
-    H(b) and K(c/de) are read from kp's caches.
+    truncated with a certified tail, all in one qpoch_infinite call (or
+    products, the values of E_groups in a caller's call).  z may be an
+    ndarray of points (the terms are then arrays): the coefficients, H(b)
+    and K(c/de) are read from kp's caches.
     """
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    if np.any(z == 0):
-        raise DomainError("E is defined on the punctured plane")
+    ctx = kp.ctx
     phi, psi = kp.phi_pair, kp.psi_pair
     fs, gs = kp.family_terms(n_trunc)
-    t1, outer_f, outer_g, tail_f, tail_g = qpoch_groups(
-        [sym_bases(z, c / d, c / e), sym_bases(z, psi.a), sym_bases(z, b),
-         sym_bases(z, phi.c), sym_bases(z, psi.c)], ctx)
+    t1, outer_f, outer_g, tail_f, tail_g = products or qpoch_groups(E_groups(z, kp), ctx)
     # first family: (cz/de, c/dez;q)_inf sum_k f_k (bz, b/z;q)_k (c z q^k, c q^k/z;q)_inf
     t2 = kp.Hb * outer_f * _cleared_family_sum(z, phi, fs, tail_f, ctx)
     # second family: (bz, b/z;q)_inf sum_k g_k (cz/de, c/dez;q)_k (c^2 z q^k/bde, ...)_inf
@@ -515,19 +500,24 @@ def cancellation_identity_residual(kp: KernelParams, n: int,
                                                *kp.family_terms(len(tables[0]) - 1)))
 
 
+def _lowering_residual(name: str, z: complex, kp: KernelParams, c_op: complex,
+                       pref: complex, **shifted) -> float:
+    """|D_{c_op,q} X(z) - pref X(z; shifted)| over the larger, X the kernel product name:
+    the operator's nodes and the shifted kernel come from one qpoch_infinite call."""
+    sample, at_z = _sampler(name, kp, [kernel_quotient(name, z, kp, **shifted)])
+    return scaled_residual(apply_Dcq(sample, z, c_op, kp.ctx), pref * at_z[0])
+
+
 def H_lowering_residual(z: complex, kp: KernelParams) -> float:
     """Residual of the lowering law for H under the well-poised operator.
 
     D_{c,q} H(z) = [2c(1-d)(1-e)(1-c^2/deq) / (de(1-q))] H(z; cq^{3/2}, dq, eq).
     The involuted law (the lowering of K) is this same check on involute(kp).
     """
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q, rq = ctx.q, ctx.sqrt_q
-    lhs = apply_Dcq(lambda w: kernel_H(w, kp), z, c, ctx)
+    c, d, e, q, rq = kp.c, kp.d, kp.e, kp.ctx.q, kp.ctx.sqrt_q
     pref = (2.0 * c * (1.0 - d) * (1.0 - e) * (1.0 - c * c / (d * e * q))
             / (d * e * (1.0 - q)))
-    rhs = pref * kernel_H(z, kp, c=c * rq ** 3, d=d * q, e=e * q)
-    return scaled_residual(lhs, rhs)
+    return _lowering_residual("H", z, kp, c, pref, c=c * rq ** 3, d=d * q, e=e * q)
 
 
 def K_lowering_residual(z: complex, kp: KernelParams) -> float:
@@ -536,14 +526,10 @@ def K_lowering_residual(z: complex, kp: KernelParams) -> float:
     D_{c^2/bde,q} K(z) = [2b(1-c/be)(1-c/bd)(1-c^2/deq) / (1-q)]
                          K(z; b q^{-1/2}, c q^{1/2}, d, e).
     """
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q, rq = ctx.q, ctx.sqrt_q
-    cprime = c * c / (b * d * e)
-    lhs = apply_Dcq(lambda w: kernel_K(w, kp), z, cprime, ctx)
+    b, c, d, e, q, rq = kp.b, kp.c, kp.d, kp.e, kp.ctx.q, kp.ctx.sqrt_q
     pref = (2.0 * b * (1.0 - c / (b * e)) * (1.0 - c / (b * d))
             * (1.0 - c * c / (d * e * q)) / (1.0 - q))
-    rhs = pref * kernel_K(z, kp, b=b / rq, c=c * rq, d=d, e=e)
-    return scaled_residual(lhs, rhs)
+    return _lowering_residual("K", z, kp, c * c / (b * d * e), pref, b=b / rq, c=c * rq)
 
 
 def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
@@ -561,7 +547,5 @@ def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
 
     w1 = w_series(f_spec(kp), kp.phi_pair)
     w2 = w_series(g_spec(kp), kp.psi_pair)
-    t1 = kernel_F(z, kp)
-    t2 = kernel_A(z, kp) * kp.Hb * w1
-    t3 = kernel_B(z, kp) * kp.Kcde * w2
-    return scaled_residual(t1, t2, t3)
+    F, A, B = kernel_products(z, kp, "FAB")
+    return scaled_residual(F, A * kp.Hb * w1, B * kp.Kcde * w2)

@@ -22,22 +22,14 @@ import numpy as np
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import VWPSpec, _series_sum, series_eval
-from .kernel import KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotient,
-                    scaled_residual, theta_bases)
+from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
+from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotients,
+                    require_clear, scaled_residual, theta_bases)
 
 
-def _require_clear(ctx: QContext, what: str, *bases: complex) -> None:
-    """Reject denominator product bases with a factor inside the pole margin.
-
-    Clearance is tested factor by factor, so quotients whose numerator and
-    denominator legitimately differ by many orders of magnitude are not
-    misdiagnosed as poles.  An ndarray base is judged by its worst node.
-    """
-    for base in bases:
-        for u in np.ravel(base):
-            if factor_clearance(u, ctx) <= ctx.pole_margin:
-                raise PoleProximity(f"{what}: denominator base {u} within pole margin")
+def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four profiles
+    b, c, d, e = kp.b, kp.c, kp.d, kp.e
+    return (c / d, b), (c / e, c / (d * e)), (c, b), (c * c / (b * d * e), c / (d * e))
 
 
 def annular_factorization_residual(lam: complex, N: int, w: complex,
@@ -69,10 +61,16 @@ def L_profile(w: complex, alpha: complex, beta: complex, lam: complex,
     Computed as the four-product quotient
     (lam w q/alpha, alpha/lam w;q)_inf / (lam w q/beta, beta/lam w;q)_inf.
     """
+    return qpoch_quotients([_L_quotient(w, alpha, beta, lam, ctx)], ctx)[0]
+
+
+def _L_quotient(w: complex, alpha: complex, beta: complex, lam: complex,
+                ctx: QContext) -> tuple:
+    """The (num, den, what) bases of L_{alpha,beta}(w), each denominator factor cleared."""
     t = lam * w
-    _require_clear(ctx, "L profile", t * ctx.q / beta, beta / t)
-    return qpoch_quotient([t * ctx.q / alpha, alpha / t], [t * ctx.q / beta, beta / t], ctx,
-                          "L profile: vanishing denominator")
+    require_clear(ctx, "L profile", t * ctx.q / beta, beta / t)
+    return ([t * ctx.q / alpha, alpha / t], [t * ctx.q / beta, beta / t],
+            "L profile: vanishing denominator")
 
 
 @dataclass(frozen=True)
@@ -125,23 +123,23 @@ def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
 def leading_profile_terms(w: complex, kp: KernelParams, lam: complex,
                           closed: ProfileClosedForms | None = None
                           ) -> tuple[complex, complex, complex]:
-    """The three additive terms of the leading annular profile identity."""
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    if closed is None:
-        closed = profile_sums_and_closed_forms(kp)
-    t1 = (L_profile(w, c / d, b, lam, ctx) * L_profile(w, c / e, c / (d * e), lam, ctx))
-    t2 = closed.Hb * closed.F_star_product * L_profile(w, c, b, lam, ctx)
-    t3 = (closed.Kcde * closed.G_star_product
-          * L_profile(w, c * c / (b * d * e), c / (d * e), lam, ctx))
-    return t1, t2, t3
+    """The three additive terms of the leading annular profile identity: the four
+    profiles from one qpoch_infinite call, the closed forms computed unless given."""
+    closed = closed or profile_sums_and_closed_forms(kp)
+    l1, l2, lf, lg = qpoch_quotients([_L_quotient(w, al, be, lam, kp.ctx)
+                                      for al, be in _profile_pairs(kp)], kp.ctx)
+    return (l1 * l2, closed.Hb * closed.F_star_product * lf,
+            closed.Kcde * closed.G_star_product * lg)
 
 
-def leading_profile_residual(w: complex, kp: KernelParams, lam: complex) -> float:
+def leading_profile_residual(w: complex, kp: KernelParams, lam: complex,
+                             closed: ProfileClosedForms | None = None) -> float:
     """Scale-relative residual of the leading profile cancellation."""
-    return scaled_residual(*leading_profile_terms(w, kp, lam))
+    return scaled_residual(*leading_profile_terms(w, kp, lam, closed))
 
 
-def leading_profile_theta_residual(t: complex, kp: KernelParams) -> float:
+def leading_profile_theta_residual(t: complex, kp: KernelParams,
+                                   closed: ProfileClosedForms | None = None) -> float:
     """Degree-two theta form of the leading cancellation, in t = 1/(lam w).
 
     theta(ct/d) theta(ct/e) = H(b)F_* theta(ct) theta(ct/de)
@@ -150,7 +148,7 @@ def leading_profile_theta_residual(t: complex, kp: KernelParams) -> float:
     theta-quotient evaluations of the scalar sums.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    closed = profile_sums_and_closed_forms(kp)
+    closed = closed or profile_sums_and_closed_forms(kp)
     lhs, theta_f, theta_g = qpoch_groups(
         [theta_bases(ctx, c * t / d, c * t / e), theta_bases(ctx, c * t, c * t / (d * e)),
          theta_bases(ctx, b * t, c * c * t / (b * d * e))], ctx)
@@ -178,15 +176,19 @@ def profile_kernel_P(s, w: complex, alpha: complex, beta: complex,
     kernel reproduces the exactly rescaled product quotient on layer N.
     An ndarray of s (contour nodes) gives the array of values.
     """
+    return math.prod(qpoch_quotients(_P_quotients(s, w, alpha, beta, lam, ctx), ctx))
+
+
+def _P_quotients(s, w: complex, alpha: complex, beta: complex, lam: complex,
+                 ctx: QContext) -> list[tuple]:
+    """The four one-factor quotients whose product is P_{alpha,beta}(s, w) (exactly 1 at
+    alpha = beta), s in the validated disc and each denominator factor cleared."""
     _validate_s_disc(s, w, alpha, beta, lam, ctx)
-    t = lam * w
-    q = ctx.q
-    _require_clear(ctx, "profile kernel", beta * t * s, t * q / beta,
-                   t * q * s / alpha, beta / t)
-    n1, d1, n2, d2, n3, d3, n4, d4 = qpoch_groups(
-        [[alpha * t * s], [beta * t * s], [t * q / alpha], [t * q / beta],
-         [t * q * s / beta], [t * q * s / alpha], [alpha / t], [beta / t]], ctx)
-    return (n1 / d1) * (n2 / d2) * (n3 / d3) * (n4 / d4)
+    t, q = lam * w, ctx.q
+    dens = [beta * t * s, t * q / beta, t * q * s / alpha, beta / t]
+    require_clear(ctx, "profile kernel", *dens)
+    return [([n], [d], "profile kernel: vanishing denominator")
+            for n, d in zip([alpha * t * s, t * q / alpha, t * q * s / beta, alpha / t], dens)]
 
 
 def profile_kernel_coefficient(j: int, w: complex, alpha: complex, beta: complex,
@@ -223,16 +225,17 @@ def _profile_ratio_step(alpha: np.ndarray, beta: np.ndarray, t: complex, s: comp
     return num / np.prod(facs, axis=0), pole if hit.any() else None
 
 
-def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
-                       ) -> tuple[complex, complex, complex]:
-    """The three additive terms of the scaled profile-generating residual."""
+def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
+                       products=None) -> tuple[complex, complex, complex]:
+    """The three additive terms of the scaled profile-generating residual; its profile
+    kernels from one qpoch_infinite call, or products, _generating_quotients' values."""
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     t = lam * w
-    t1 = (profile_kernel_P(s, w, c / d, b, lam, ctx)
-          * profile_kernel_P(s, w, c / e, c / (d * e), lam, ctx))
+    products = products or qpoch_quotients(_generating_quotients(s, w, kp, lam), ctx)
+    p1, p2, pf, pg = (math.prod(products[i:i + 4]) for i in range(0, 16, 4))
 
     def family_sum(alpha: complex, beta: complex, spec: VWPSpec) -> complex:
-        """sum_k u_k P_{alpha q^k, beta q^k}(s, w), summed by its term ratio."""
+        """sum_k u_k P_{alpha q^k, beta q^k}(s, w) / P_{alpha, beta}(s, w) by its term ratio."""
         coeff_ratio = spec.ratio(ctx)
 
         def ratio(k: int, x: np.ndarray):
@@ -241,12 +244,15 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex
             return r * step, min(filter(None, (pole, step_pole)), key=lambda p: p[0],
                                  default=None)
 
-        return (profile_kernel_P(s, w, alpha, beta, lam, ctx)
-                * _series_sum(ratio, None, ctx).value)
+        return _series_sum(ratio, None, ctx).value
 
-    t2 = kp.Hb * family_sum(c, b, f_spec(kp))
-    t3 = kp.Kcde * family_sum(c * c / (b * d * e), c / (d * e), g_spec(kp))
-    return t1, t2, t3
+    return (p1 * p2, kp.Hb * (pf * family_sum(c, b, f_spec(kp))),
+            kp.Kcde * (pg * family_sum(c * c / (b * d * e), c / (d * e), g_spec(kp))))
+
+
+def _generating_quotients(s, w: complex, kp: KernelParams, lam: complex) -> list:
+    return [quot for al, be in _profile_pairs(kp)
+            for quot in _P_quotients(s, w, al, be, lam, kp.ctx)]
 
 
 @dataclass(frozen=True)
@@ -277,28 +283,26 @@ def contiguous_moment(kp: KernelParams, m: int) -> ProfileMoments:
     return ProfileMoments(m, fm, gm, True)
 
 
-def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
-                              ) -> tuple[complex, complex, complex]:
+def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex,
+                              moments: dict | None = None) -> tuple[complex, complex, complex]:
     """The three additive terms of [s^j] of the generating residual.
 
     Assembled from the closed kernel coefficients and the moment window
     F_m, G_m with m = 2u - j, |m| <= j: the quasi-periodicity of the
-    profile quotients turns the k-sums into contiguous moments.
+    profile quotients turns the k-sums into contiguous moments (kept in moments).
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     t1 = sum(profile_kernel_coefficient(i, w, c / d, b, lam, ctx)
              * profile_kernel_coefficient(j - i, w, c / e, c / (d * e), lam, ctx)
              for i in range(j + 1))
 
-    moments = {}
+    moments = {} if moments is None else moments
     for u in range(j + 1):
         m = 2 * u - j
         if m not in moments:
-            mom = contiguous_moment(kp, m)
-            if not mom.convergent:
-                raise ConvergenceRegionViolation(
-                    f"moment m={m} outside its convergence region")
-            moments[m] = mom
+            moments[m] = contiguous_moment(kp, m)
+        if not moments[m].convergent:
+            raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
 
     def family_term(alpha0: complex, beta0: complex, pick) -> complex:
         total = sum((_kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
@@ -311,10 +315,10 @@ def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
     return t1, t2, t3
 
 
-def profile_coefficient_residual(j: int, w: complex, kp: KernelParams,
-                                 lam: complex) -> float:
+def profile_coefficient_residual(j: int, w: complex, kp: KernelParams, lam: complex,
+                                 moments: dict | None = None) -> float:
     """Scale-relative residual of the order-j profile coefficient identity."""
-    return scaled_residual(*profile_coefficient_terms(j, w, kp, lam))
+    return scaled_residual(*profile_coefficient_terms(j, w, kp, lam, moments))
 
 
 @dataclass(frozen=True)
@@ -332,6 +336,7 @@ def exponential_profile_limit_residual(k: int, w: complex, kp: KernelParams,
 
     The limits are the theta-quotient profiles L_{c,b}, L_{c^2/bde, c/de}
     and L_{c/d,b} L_{c/e,c/de}; convergence is geometric in N at fixed k.
+    The eight quotients come from one qpoch_infinite call.
     """
     if not 0 <= k <= N:
         raise DomainError("need 0 <= k <= N")
@@ -341,20 +346,19 @@ def exponential_profile_limit_residual(k: int, w: complex, kp: KernelParams,
     scale_pow = (b / c) ** (N - k)
     qk = q ** k
 
-    def sym_quot(alpha: complex, beta: complex) -> complex:
-        _require_clear(ctx, "profile quotient", beta * z, beta / z)
-        return qpoch_quotient(sym_bases(z, alpha), sym_bases(z, beta), ctx,
-                              "profile quotient: vanishing denominator")
+    def sym_quot(alpha: complex, beta: complex) -> tuple:
+        require_clear(ctx, "profile quotient", beta * z, beta / z)
+        return (sym_bases(z, alpha), sym_bases(z, beta),
+                "profile quotient: vanishing denominator")
 
-    rk = scale_pow * sym_quot(c * qk, b * qk)
-    r_lim = L_profile(w, c, b, lam, ctx)
-    sk = scale_pow * sym_quot(c * c * qk / (b * d * e), c * qk / (d * e))
-    s_lim = L_profile(w, c * c / (b * d * e), c / (d * e), lam, ctx)
-    q0 = ((b / c) ** N * sym_quot(c / d, b) * sym_quot(c / e, c / (d * e)))
-    q0_lim = (L_profile(w, c / d, b, lam, ctx)
-              * L_profile(w, c / e, c / (d * e), lam, ctx))
-    return ProfileLimitResiduals(scaled_residual(rk, r_lim), scaled_residual(sk, s_lim),
-                                 scaled_residual(q0, q0_lim))
+    pairs = _profile_pairs(kp)
+    rk, sk, qd, qe, ld, le, r_lim, s_lim = qpoch_quotients(
+        [sym_quot(c * qk, b * qk), sym_quot(c * c * qk / (b * d * e), c * qk / (d * e)),
+         *(sym_quot(al, be) for al, be in pairs[:2]),
+         *(_L_quotient(w, al, be, lam, ctx) for al, be in pairs)], ctx)
+    return ProfileLimitResiduals(scaled_residual(scale_pow * rk, r_lim),
+                                 scaled_residual(scale_pow * sk, s_lim),
+                                 scaled_residual((b / c) ** N * qd * qe, ld * le))
 
 
 @dataclass(frozen=True)
@@ -398,8 +402,12 @@ def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex) -> float
     """
     b, c, ctx = kp.b, kp.c, kp.ctx
     q = ctx.q
-    terms = generating_Q_terms(q ** N, w, kp, lam)
     z = lam * q ** N * w
-    e_terms = pole_cleared_E_terms(z, kp, kp.series_depth)
-    rhs = (b / c) ** N * reduce(operator.sub, e_terms) / canonical_Z(z, kp)
+    products = qpoch_quotients(
+        [*((group, [], "") for group in E_groups(z, kp)),
+         (sym_bases(z, b, c / (kp.d * kp.e)), [], ""),
+         *_generating_quotients(q ** N, w, kp, lam)], ctx)
+    terms = generating_Q_terms(q ** N, w, kp, lam, products[6:])
+    e_terms = pole_cleared_E_terms(z, kp, kp.series_depth, products[:5])
+    rhs = (b / c) ** N * reduce(operator.sub, e_terms) / products[5]
     return abs(reduce(operator.sub, terms) - rhs) / max(abs(t) for t in terms)

@@ -15,9 +15,9 @@ Conventions
   Series*, 2nd ed., 2004, sec. 1.3).  Series apply it to their observed
   term ratio.
 * One array kernel, :func:`qpoch_infinite`, evaluates every ``(a;q)_inf``;
-  a product quotient passes all its bases in one call (:func:`qpoch_groups`,
-  :func:`qpoch_quotient`), at the depth of the largest ``|a|`` and with a
-  certified bound on the omitted log-factors.
+  the quotients of an identity pass all their bases in one call
+  (:func:`qpoch_groups`, :func:`qpoch_quotients`), at the depth of the
+  largest ``|a|`` and with a certified bound on the omitted log-factors.
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
@@ -211,7 +211,7 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
         block[1:] = q
         np.multiply.accumulate(block, axis=0, out=block)
         last[lo:lo + width] = block[n]
-        value[lo:lo + width] = np.prod(np.subtract(1.0, block[:n], out=block[:n]), axis=0)
+        value[lo:lo + width] = np.multiply.reduce(np.subtract(1.0, block[:n], out=block[:n]))
     r = max(map(abs, last.tolist()), default=0.0)  # < TAIL_TARGET (1 - |q|)
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
     return TailBound(complex(value[0]) if x.ndim == 0 else value.reshape(x.shape),
@@ -221,33 +221,39 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
 def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
     """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call.
 
-    Bases are scalars or ndarrays that broadcast to one shape, each entering
-    the call once; the products have that shape.  An empty group gives 1.
+    Bases are scalars or ndarrays of one shape: the ndarrays enter as one
+    stacked block and each scalar once; a product has the shape of its bases.
+    An empty group gives 1.
     """
     bases = [a for group in groups for a in group]
-    if any(isinstance(a, np.ndarray) for a in bases):
-        bases = [np.asarray(a, dtype=complex) for a in bases]
-        values = qpoch_infinite(np.concatenate([a.ravel() for a in bases]), ctx).value
-        rows, lo = [], 0
-        for a in bases:
-            rows.append(values[lo:lo + a.size].reshape(a.shape))
-            lo += a.size
+    arrays = [a for a in bases if isinstance(a, np.ndarray)]
+    if arrays:
+        scalars = [a for a in bases if not isinstance(a, np.ndarray)]
+        values = qpoch_infinite(np.concatenate((np.ravel(arrays), scalars)), ctx).value
+        split = len(arrays) * arrays[0].size
+        stacked = iter(values[:split].reshape((len(arrays),) + arrays[0].shape))
+        single = iter(values[split:].tolist())
+        rows = iter([next(stacked) if isinstance(a, np.ndarray) else next(single) for a in bases])
     else:
-        rows = qpoch_infinite(bases, ctx).value.tolist()
-    rows = iter(rows)
+        rows = iter(qpoch_infinite(bases, ctx).value.tolist())
     return [math.prod(islice(rows, len(group))) for group in groups]
+
+
+def qpoch_quotients(quotients: Sequence[tuple], ctx: QContext,
+                    error: type[QTaylorError] = PoleProximity) -> list:
+    """prod (a;q)_inf over num / prod (b;q)_inf over den for each (num, den, what), all
+    from one qpoch_infinite call; raises error(what) when a denominator vanishes anywhere."""
+    values = qpoch_groups([group for num, den, _ in quotients for group in (num, den)], ctx)
+    for (_, _, what), bottom in zip(quotients, values[1::2]):
+        if np.any(bottom == 0) if isinstance(bottom, np.ndarray) else bottom == 0:
+            raise error(what)
+    return [top / bottom for top, bottom in zip(values[0::2], values[1::2])]
 
 
 def qpoch_quotient(num: Sequence, den: Sequence, ctx: QContext, what: str,
                    error: type[QTaylorError] = PoleProximity):
-    """prod (a;q)_inf over num / prod (b;q)_inf over den, from one qpoch_infinite call.
-
-    Raises error(what) when the denominator vanishes at any point.
-    """
-    top, bottom = qpoch_groups([num, den], ctx)
-    if np.any(bottom == 0):
-        raise error(what)
-    return top / bottom
+    """The one quotient prod (a;q)_inf over num / prod (b;q)_inf over den (qpoch_quotients)."""
+    return qpoch_quotients([(num, den, what)], ctx, error)[0]
 
 
 def qpoch_multi(params: Sequence[complex], n: int | None, ctx: QContext) -> TailBound:
@@ -316,6 +322,21 @@ def residual_and_scale(*terms):
 def scaled_residual(*terms):
     """The residual of :func:`residual_and_scale` alone."""
     return residual_and_scale(*terms)[0]
+
+
+def sample(f, nodes: list) -> list:
+    """f at the nodes, from one call of f on their ndarray (a constant f serves every node)."""
+    values = f(np.array(nodes))
+    return values.tolist() if isinstance(values, np.ndarray) else [values] * len(nodes)
+
+
+def require_clear(ctx: QContext, what: str, *bases) -> None:
+    """PoleProximity if a base (any node of an ndarray) has a factor within the pole margin:
+    factor by factor, so that no quotient of very unequal products passes for a pole."""
+    for base in bases:
+        for u in base.ravel().tolist() if isinstance(base, np.ndarray) else (base,):
+            if factor_clearance(u, ctx) <= ctx.pole_margin:
+                raise PoleProximity(f"{what}: denominator base {u} within pole margin")
 
 
 def factor_clearance(u: complex, ctx: QContext) -> float:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConvergenceRegionViolation, DomainError, PoleProximity
+from .errors import ConvergenceRegionViolation, DomainError
 from .hyper import SeriesSum, VWPSpec, series_eval, sum_through
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_infinite,
-                    qpoch_quotient, scaled_residual)
+from .qcore import (QContext, qpoch_finite, qpoch_groups, qpoch_infinite, qpoch_quotient,
+                    require_clear, scaled_residual)
 from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
 
 
@@ -95,13 +95,11 @@ class QuadraticParams:
             sum_through(r_spec(self), n, self.ctx, self.r_sum).terms[:n + 1]
 
 
-def quadratic_product(z: complex, qp: QuadraticParams) -> complex:
-    """The Watson-type product: base-q^2 numerator over (bz, b/z;q)_inf."""
+def quadratic_product(z, qp: QuadraticParams):
+    """The Watson-type product: base-q^2 numerator over (bz, b/z;q)_inf (z maybe an ndarray)."""
     a, b, ctx = qp.a, qp.b, qp.ctx
     q = ctx.q
-    if (factor_clearance(b * z, ctx) <= ctx.pole_margin
-            or factor_clearance(b / z, ctx) <= ctx.pole_margin):
-        raise PoleProximity("z within margin of the (b) pole set")
+    require_clear(ctx, "z near the (b) pole set", b * z, b / z)
     return qpoch_quotient([a * z * q, a * q / z, b * b * z / a, b * b / (a * z)],
                           [b * z, b * z * q, b / z, b * q / z], ctx.squared(),
                           "z within margin of the (b) pole set")
@@ -145,13 +143,11 @@ def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int]) -> 
     return [abs(qp.Cab * sum(terms[n + 1:])) / lhs for n in orders]
 
 
-def companion_product(z: complex, qp: QuadraticParams) -> complex:
-    """The companion product with base-q^2 numerator and half-integer shifts."""
+def companion_product(z, qp: QuadraticParams):
+    """The companion product, base-q^2 numerator and half-integer shifts (z maybe an ndarray)."""
     al, d, ctx = qp.alpha, qp.d, qp.ctx
     q, rq = ctx.q, ctx.sqrt_q
-    if (factor_clearance(-al * rq * z, ctx) <= ctx.pole_margin
-            or factor_clearance(-al * rq / z, ctx) <= ctx.pole_margin):
-        raise PoleProximity("z within margin of the companion pole set")
+    require_clear(ctx, "z near the companion pole set", -al * rq * z, -al * rq / z)
     return qpoch_quotient([al * d * rq * z, al * d * rq / z, al * rq * q * z / d,
                            al * rq * q / (d * z)],
                           [-al * rq * z, -al * rq * q * z, -al * rq / z, -al * rq * q / z],

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -91,7 +91,8 @@ class CheckRecord:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, as dataclasses.asdict gives them, without its deep copy."""
+        return {**vars(self), "params": dict(self.params)}
 
 
 @dataclass
@@ -511,7 +512,8 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             iip = kernel.involute(ip)
             c.see(abs(iip.b - kp.b), abs(iip.c - kp.c), abs(iip.d - kp.d),
                   abs(iip.e - kp.e))
-            c.rel(kernel.kernel_H(z, ip), kernel.kernel_K(z, kp))
+            c.rel(*qcore.qpoch_quotients([kernel.kernel_quotient("H", z, ip),
+                                          kernel.kernel_quotient("K", z, kp)], ctx))
             c.rel(taylor.phi_basis(z, ip.phi_pair, 5, ctx),
                   taylor.phi_basis(z, kp.psi_pair, 5, ctx))
 
@@ -544,9 +546,9 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             z = sample_kernel_z(rng, kp)
             depth = kp.series_depth
             c.params["trunc"] = max(c.params["trunc"], depth)
-            r = kernel.two_basis_residual(z, kp, depth)
-            first = first or (z, kp, depth, r)
-            c.see(r, kernel.two_basis_residual(1 / z, kp, depth))
+            r = kernel.two_basis_residual(np.array([z, 1 / z]), kp, depth)
+            first = first or (z, kp, depth, r[0])
+            c.see(*r)
 
     with check("negative-control-Hb", "two-basis-identity", 1e-6) as c:
         if first is None:
@@ -690,10 +692,10 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("leading-profile", "first-profile-identity", 1e-8, draws=cfg.draws) as c:
         for _ in range(cfg.draws):
             w = sample_z(rng, 0.8, 1.25)
-            c.see(profiles.leading_profile_residual(w, kp, lam))
-        t_anchor = max(profiles.leading_profile_theta_residual(1 / kp.b, kp),
-                       profiles.leading_profile_theta_residual(kp.d * kp.e / kp.c, kp))
-        c.see(profiles.leading_profile_theta_residual(0.9 + 0.3j, kp))
+            c.see(profiles.leading_profile_residual(w, kp, lam, cf))
+        t_anchor = max(profiles.leading_profile_theta_residual(1 / kp.b, kp, cf),
+                       profiles.leading_profile_theta_residual(kp.d * kp.e / kp.c, kp, cf))
+        c.see(profiles.leading_profile_theta_residual(0.9 + 0.3j, kp, cf))
         c.detail = f"interpolation anchors residual {t_anchor:.3e}"
 
     al, be = kp.c / kp.d, kp.b
@@ -727,9 +729,10 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
             w = sample_z(rng, 0.9, 1.15)
             c.see(profiles.bridge_residual(N, w, kp, lam))
 
+    moments = {}  # each F_m, G_m summed once for kp
     with check("contiguous-moments", "profile-moments", 1e-12) as c:
-        mom0 = profiles.contiguous_moment(kp, 0)
-        mom1 = profiles.contiguous_moment(kp, 1)
+        mom0 = moments[0] = profiles.contiguous_moment(kp, 0)
+        mom1 = moments[1] = profiles.contiguous_moment(kp, 1)
         c.rel(mom0.F_m, cf.F_star_series)
         boundary = profiles.contiguous_moment(kp, -12)
         flags_ok = mom0.convergent and mom1.convergent and not boundary.convergent
@@ -739,9 +742,9 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("coefficient-hierarchy", "first-correction-target", 1e-6, j="0,1") as c:
         for j in (0, 1):
             w = sample_z(rng, 0.9, 1.15)
-            c.see(profiles.profile_coefficient_residual(j, w, kp, lam))
-        j0 = profiles.profile_coefficient_residual(0, w, kp, lam)
-        lead = profiles.leading_profile_residual(w, kp, lam)
+            c.see(profiles.profile_coefficient_residual(j, w, kp, lam, moments))
+        j0 = profiles.profile_coefficient_residual(0, w, kp, lam, moments)
+        lead = profiles.leading_profile_residual(w, kp, lam, cf)
         c.detail = f"j=0 vs leading gap {abs(j0 - lead):.2e}"
 
     w = sample_z(rng, 0.9, 1.15)

@@ -1,10 +1,11 @@
 """Rational bases Phi_k, coefficient extraction, Taylor sums and flatness.
 
-An expansion to order n samples f once on the grid a q^i, i = 0..n, and
-reads each coefficient t_k as its prefactored weight row times those
-values; coefficient_rows builds the rows 0..n in one pass (the closed-form
-grid functional of wpoperator.cooper_rows).  The literal operator recursion
-stays available as an independent witness in the tests.
+An expansion to order n samples f once, on the ndarray of the grid nodes
+a q^i, i = 0..n (a sampled f checks every node), and reads each coefficient
+t_k as its prefactored weight row times those values; coefficient_rows
+builds the rows 0..n in one pass (the closed-form grid functional of
+wpoperator.cooper_rows).  The literal operator recursion stays available
+as an independent witness in the tests.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
-from .qcore import (QContext, factor_clearance, q_powers, qpoch_finite, qpoch_quotient,
-                    scaled_residual)
+from .qcore import (QContext, q_powers, qpoch_finite, qpoch_quotient, qpoch_table,
+                    require_clear, sample, scaled_residual)
 from .wpoperator import cooper_rows
 
 
@@ -38,31 +39,28 @@ class BasisPair:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "c", complex(self.c))
 
-    def check_admissible(self, z: complex, ctx: QContext) -> None:
-        """Reject z within the pole margin of the basis pole set."""
-        if z == 0:
+    def check_admissible(self, z, ctx: QContext) -> None:
+        """Reject z (any node of an ndarray) within the pole margin of the basis pole set."""
+        if np.any(z == 0):
             raise PoleProximity("z = 0 is never admissible")
-        if self.c == 0:
-            return
-        if (factor_clearance(self.c * z, ctx) <= ctx.pole_margin
-                or factor_clearance(self.c / z, ctx) <= ctx.pole_margin):
-            raise PoleProximity(f"z = {z} within margin of the (c = {self.c}) pole set")
+        if self.c != 0:
+            require_clear(ctx, "z near the basis pole set", self.c * z, self.c / z)
 
 
-def phi_basis(z: complex, pair: BasisPair, k: int, ctx: QContext) -> complex:
-    """Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k; Phi_0 = 1."""
+def phi_basis(z, pair: BasisPair, k: int, ctx: QContext):
+    """Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k, Phi_0 = 1; a scalar z as one node."""
     if k < 0:
         raise DomainError("basis index must be nonnegative")
-    if k == 0:
-        return 1.0 + 0.0j
-    pair.check_admissible(z, ctx)
-    a, c = pair.a, pair.c
-    num = qpoch_finite(a * z, k, ctx) * qpoch_finite(a / z, k, ctx)
-    den = qpoch_finite(c * z, k, ctx) * qpoch_finite(c / z, k, ctx)
-    return num / den
+    if k:
+        pair.check_admissible(z, ctx)
+    a, c, w = pair.a, pair.c, np.atleast_1d(z)
+    bases = np.array([a * w, a / w, c * w, c / w])
+    az, aw, cz, cw = qpoch_table(bases.ravel(), k, ctx)[k].reshape(bases.shape)
+    phi = az * aw / (cz * cw)
+    return phi if np.ndim(z) else complex(phi[0])
 
 
-def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable[[complex], complex]:
+def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable:
     """Phi_n(.; a, c) as a function of z."""
     return lambda z: phi_basis(z, pair, n, ctx)
 
@@ -84,13 +82,14 @@ def basis_factors(z, pair: BasisPair, n: int, ctx: QContext):
 
 def basis_terms(z, pair: BasisPair, coeffs: Sequence[complex], ctx: QContext):
     """The terms [u_k Phi_k(z; a, c)] of a basis series, k = 0..n, Phi_k being one
-    running product over the basis_factors ratios: a list for a scalar z, for an
-    ndarray of points an ndarray with k along the first axis."""
+    running product over the basis_factors ratios: for an ndarray of points an ndarray
+    with k along the first axis, for a scalar z the list, computed as at one node."""
     us = np.asarray(coeffs, dtype=complex)
-    num, den = basis_factors(z, pair, us.size - 1, ctx)
+    nodes = np.atleast_1d(z)
+    num, den = basis_factors(nodes, pair, us.size - 1, ctx)
     phi = np.multiply.accumulate(np.concatenate((np.ones((1,) + den.shape[1:]), num / den)))
-    terms = us.reshape(us.shape + (1,) * np.ndim(z)) * phi[:us.size]
-    return terms if np.ndim(z) else terms.tolist()
+    terms = us.reshape(us.shape + (1,) * nodes.ndim) * phi[:us.size]
+    return terms if np.ndim(z) else terms[:, 0].tolist()
 
 
 def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
@@ -99,38 +98,42 @@ def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
     return sum(basis_terms(z, pair, coeffs, ctx), 0.0 + 0.0j)
 
 
-def phi_combination(pair: BasisPair, coeffs: Sequence[complex],
-                    ctx: QContext) -> Callable[[complex], complex]:
+def phi_combination(pair: BasisPair, coeffs: Sequence[complex], ctx: QContext) -> Callable:
     """Finite combination sum_k u_k Phi_k(.; a, c) as a function of z."""
     us = tuple(complex(u) for u in coeffs)
     return lambda z: basis_sum(z, pair, us, ctx)
 
 
-def _coeff_prefactor(pair: BasisPair, k: int, ctx: QContext) -> complex:
+def _coeff_prefactors(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[complex]:
+    """The prefactor of t_k for each k in orders; (q;q)_k and (c/a;q)_k for every order
+    are the rows of one qpoch_table, the qpoch_finite loop bit for bit."""
     q, rq = ctx.q, ctx.sqrt_q
     a, c = pair.a, pair.c
-    d1 = qpoch_finite(q, k, ctx)
-    d2 = qpoch_finite(c / a, k, ctx)
-    d3 = qpoch_finite(a * c * q ** (k - 1), k, ctx) if k > 0 else 1.0 + 0.0j
-    for name, val in (("(q;q)_k", d1), ("(c/a;q)_k", d2), ("(acq^(k-1);q)_k", d3)):
-        if abs(val) <= ctx.pole_margin:
-            raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
-    sign = -1.0 if k % 2 else 1.0
-    return (sign * rq ** (-k * (k - 1) // 2) * (1.0 - q) ** k
-            / ((2.0 * a) ** k * d1 * d2 * d3))
+    table = qpoch_table([q, c / a], max(orders, default=0), ctx).tolist()
+    prefs = []
+    for k in orders:
+        d1, d2 = table[k]
+        d3 = qpoch_finite(a * c * q ** (k - 1), k, ctx) if k > 0 else 1.0 + 0.0j
+        for name, val in (("(q;q)_k", d1), ("(c/a;q)_k", d2), ("(acq^(k-1);q)_k", d3)):
+            if abs(val) <= ctx.pole_margin:
+                raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
+        sign = -1.0 if k % 2 else 1.0
+        prefs.append(sign * rq ** (-k * (k - 1) // 2) * (1.0 - q) ** k
+                     / ((2.0 * a) ** k * d1 * d2 * d3))
+    return prefs
 
 
 def coefficient_rows(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[list[complex]]:
     """Prefactored weights of t_k for each k in orders: t_k(f) = sum_i row_i f(a q^i),
     i = 0..k; the grid functional rows of all orders come from one cooper_rows call."""
-    prefs = [_coeff_prefactor(pair, k, ctx) for k in orders]
+    prefs = _coeff_prefactors(pair, orders, ctx)
     rows = cooper_rows(pair.c, [(pair.a * ctx.sqrt_q ** k, k) for k in orders], ctx)
     return [[pref * w for w in reversed(row)] for pref, row in zip(prefs, rows)]
 
 
 def _grid_sample(f, pair: BasisPair, n: int, ctx: QContext) -> list[complex]:
-    """f at the grid nodes a q^i, i = 0..n."""
-    return [f(pair.a * ctx.q ** i) for i in range(n + 1)]
+    """f at the grid nodes a q^i, i = 0..n, from one call of f on their ndarray."""
+    return sample(f, [pair.a * ctx.q ** i for i in range(n + 1)])
 
 
 def taylor_coefficient(f, pair: BasisPair, k: int, ctx: QContext) -> complex:
@@ -187,8 +190,8 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
     on the grid therefore scores at rounding level, while a genuinely
     visible function scores far above it.
     """
-    h_scale = max(abs(h(abs(pair.a) * cmath.exp(2j * math.pi * (j + 0.13) / 8)))
-                  for j in range(8))
+    circle = [abs(pair.a) * cmath.exp(2j * math.pi * (j + 0.13) / 8) for j in range(8)]
+    h_scale = max(map(abs, sample(h, circle)))
     if h_scale == 0.0:
         return 0.0
     values = _grid_sample(h, pair, k_max, ctx)

@@ -7,7 +7,8 @@ sum of grid evaluations ("cooper_eval").  The closed form and the literal
 recursion are two independent computation paths; their agreement is the
 check operator/closed-form-vs-recursion.  One builder, cooper_rows, gives
 the closed-form weights of any list of orders; coefficient extraction in
-taylor reads all rows of an expansion from one call.
+taylor reads all rows of an expansion from one call.  Every operator
+samples f once, on the ndarray of its nodes (qcore.sample).
 
 The square root of q is always the principal branch (ctx.sqrt_q); the
 operators are branch-independent on symmetric functions and the tests
@@ -23,7 +24,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainError, ExceptionalPoint, NearSingularPoint
-from .qcore import QContext
+from .qcore import QContext, sample
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ def apply_Dq(f, z: complex, ctx: QContext, *, root: complex | None = None) -> co
     """
     rq = ctx.sqrt_q if root is None else complex(root)
     w = _check_point(z, ctx)
-    return (f(rq * z) - f(z / rq)) / ((rq - 1.0 / rq) * w / 2.0)
+    upper, lower = sample(f, [rq * z, z / rq])
+    return (upper - lower) / ((rq - 1.0 / rq) * w / 2.0)
 
 
 def _dcq_prefactor(z: complex, c: complex, rq: complex) -> complex:
@@ -81,25 +83,24 @@ def apply_iterated(f, z: complex, chain: OperatorChainSpec, ctx: QContext) -> co
 
     Level j >= 1 applies the operator with parameter c q^{3(j-1)/2} to the
     level j-1 function.  Memoisation keys are (level, half-step index), so
-    the naive 2^k leaf count collapses to O(k^2) evaluations of f.
+    the naive 2^k leaf count collapses to O(k^2) nodes; f is sampled once, on
+    the ndarray of the k + 1 level-0 nodes.
     """
     rq = ctx.sqrt_q
     steps = chain.step_values(ctx)
-    memo: dict[tuple[int, int], complex] = {}
+    grid = range(-chain.depth, chain.depth + 1, 2)  # the half-steps of level 0
+    memo = {(0, m): v for m, v in zip(grid, sample(f, [z * rq ** m for m in grid]))}
 
     def level(j: int, m: int) -> complex:
         key = (j, m)
         if key in memo:
             return memo[key]
         point = z * rq ** m
-        if j == 0:
-            val = f(point)
-        else:
-            w = _check_point(point, ctx)
-            upper = level(j - 1, m + 1)
-            lower = level(j - 1, m - 1)
-            val = (_dcq_prefactor(point, steps[j - 1], rq)
-                   * (upper - lower) / ((rq - 1.0 / rq) * w / 2.0))
+        w = _check_point(point, ctx)
+        upper = level(j - 1, m + 1)
+        lower = level(j - 1, m - 1)
+        val = (_dcq_prefactor(point, steps[j - 1], rq)
+               * (upper - lower) / ((rq - 1.0 / rq) * w / 2.0))
         memo[key] = val
         return val
 
@@ -163,7 +164,8 @@ def cooper_eval(f, z: complex, c: complex, m: int, ctx: QContext) -> complex:
     """
     [weights] = cooper_rows(c, [(z, m)], ctx)
     rq = ctx.sqrt_q
-    return sum(u * f(rq ** (m - 2 * r) * z) for r, u in enumerate(weights))
+    values = sample(f, [rq ** (m - 2 * r) * z for r in range(m + 1)])
+    return sum(u * v for u, v in zip(weights, values))
 
 
 def grid_functional_weights(a: complex, c: complex, j: int, ctx: QContext) -> list[complex]:

@@ -18,16 +18,22 @@ import numpy as np
 import pytest
 
 from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor
+from qtaylor.errors import PoleProximity
 from qtaylor.kernel import (KernelParams, calP_tables,
                             laurent_pair, pole_cleared_E_terms)
 from qtaylor.qcore import (QContext, geometric_depth, qpoch_infinite,
                            scaled_residual, theta, weierstrass_terms)
 from qtaylor.sampling import (sample_complex, sample_kernel_params,
                               sample_profile_kernel_params, sample_quadratic_params, sample_z)
+from qtaylor.suites import SuiteConfig, run_suites
 
 EPS = np.finfo(float).eps  # 2^-52
 
 BASES = [0.45, 0.7, -0.6, 0.3 + 0.5j]
+# qpoch_infinite calls of verify --suite kernel / profiles at q = 0.45, seed 7, 12 draws;
+# one call per quotient made them 290 / 287
+PINNED_KERNEL_CALLS = 81
+PINNED_PROFILES_CALLS = 117
 
 
 def scalar_qpoch_infinite(a, q):
@@ -154,18 +160,21 @@ def grouped_cases(ctx):
     """(name, thunk) for each function that forms its products from one call."""
     rng = random.Random(14)
     kp = sample_profile_kernel_params(rng, ctx)
-    kp.Hb, kp.Kcde  # computed here once: the E terms and the profile sums read them
+    kp.Hb, kp.series_depth  # computed here once: the E terms and the profile sums read them
+    closed = profiles.profile_sums_and_closed_forms(kp)
     qp = sample_quadratic_params(rng, ctx)
     fresh_qp = lambda: quadratic.QuadraticParams(qp.a, qp.b, qp.alpha, qp.d, ctx)  # noqa: E731
     z, w, s = sample_z(rng), sample_z(rng, 0.9, 1.15), 0.01 + 0.02j
     x, y, u, v = (sample_complex(rng, 0.5, 1.5) for _ in range(4))
     al, be, lam = kp.c / kp.d, kp.b, kp.b
     return [
-        ("kernel_F", lambda: kernel.kernel_F(z, kp)),
-        ("kernel_A", lambda: kernel.kernel_A(z, kp)),
-        ("kernel_B", lambda: kernel.kernel_B(z, kp)),
-        ("kernel_H", lambda: kernel.kernel_H(z, kp)),
-        ("kernel_K", lambda: kernel.kernel_K(z, kp)),
+        ("kernel_products", lambda: kernel.kernel_products(z, kp, "FABHK")),
+        ("kernel_factors", lambda: kernel.kernel_factors(z, kp)),
+        ("two_basis_terms", lambda: kernel.two_basis_terms(np.array([z, 1 / z]), kp, 12)),
+        ("bailey_crosscheck", lambda: kernel.bailey_crosscheck(kp, z)),
+        ("H_lowering_residual", lambda: kernel.H_lowering_residual(z, kp)),
+        ("K_lowering_residual", lambda: kernel.K_lowering_residual(z, kp)),
+        ("remainder_gap_curve", lambda: kernel.remainder_gap_curve(z, kp, [4, 6])),
         ("Hb", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Hb),
         ("Kcde", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Kcde),
         ("M_clearing", lambda: kernel.M_clearing(z, kp)),
@@ -175,6 +184,11 @@ def grouped_cases(ctx):
         ("weierstrass_terms", lambda: qcore.weierstrass_terms(x, y, u, v, ctx)),
         ("L_profile", lambda: profiles.L_profile(w, al, be, lam, ctx)),
         ("profile_kernel_P", lambda: profiles.profile_kernel_P(s, w, al, be, lam, ctx)),
+        ("leading_profile_terms", lambda: profiles.leading_profile_terms(w, kp, lam, closed)),
+        ("generating_Q_terms", lambda: profiles.generating_Q_terms(s, w, kp, lam)),
+        ("bridge_residual", lambda: profiles.bridge_residual(5, w, kp, lam)),
+        ("exponential_profile_limit_residual",
+         lambda: profiles.exponential_profile_limit_residual(2, w, kp, lam, 6)),
         ("profile_sums_and_closed_forms", lambda: profiles.profile_sums_and_closed_forms(kp)),
         ("canonical_Z", lambda: profiles.canonical_Z(z, kp)),
         ("quadratic_product", lambda: quadratic.quadratic_product(z, qp)),
@@ -241,12 +255,13 @@ class TestGroupedProducts:
         t = lam * w
         cc = c * c / (b * d * e)
         # (value, numerator bases, denominator bases, numerator base q)
+        F, A, B, H, K = kernel.kernel_products(z, kp, "FABHK")
         cases = [
-            (kernel.kernel_F(z, kp), sym(z, c / d, c / e), sym(z, c, cc), q),
-            (kernel.kernel_A(z, kp), sym(z, c / (d * e)), sym(z, cc), q),
-            (kernel.kernel_B(z, kp), sym(z, b), sym(z, c), q),
-            (kernel.kernel_H(z, kp), sym(z, c / d, c / e), sym(z, c, c / (d * e)), q),
-            (kernel.kernel_K(z, kp), sym(z, c / d, c / e), sym(z, b, cc), q),
+            (F, sym(z, c / d, c / e), sym(z, c, cc), q),
+            (A, sym(z, c / (d * e)), sym(z, cc), q),
+            (B, sym(z, b), sym(z, c), q),
+            (H, sym(z, c / d, c / e), sym(z, c, c / (d * e)), q),
+            (K, sym(z, c / d, c / e), sym(z, b, cc), q),
             (kp.Hb, [b * c / d, c / (b * d), b * c / e, c / (b * e)],
              [b * c, c / b, b * c / (d * e), c / (b * d * e)], q),
             (kernel.M_clearing(z, kp), sym(z, c, cc), [], q),
@@ -343,3 +358,91 @@ class TestCalPTables:
                     ref, bound, length = reference_calP(outer, a, cc, n, k, ctx.q)
                     # summation in another order: gamma_L of the absolute sum
                     assert abs(column[k] - ref) <= 4 * length * EPS * bound
+
+
+def sampled_functions(ctx):
+    """(name, f, scale) for each function the suites sample on an ndarray of nodes; scale(z)
+    is the largest additive term of f(z), the size its rounding is relative to."""
+    rng = random.Random(22)
+    pair = taylor.BasisPair(sample_complex(rng, 0.4, 0.8), sample_complex(rng, 0.3, 0.7))
+    coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(7)]
+    kp = sample_kernel_params(rng, ctx)
+    qp = sample_quadratic_params(rng, ctx)
+
+    def largest_basis_term(z):
+        return max(map(abs, taylor.basis_terms(z, pair, coeffs, ctx)))
+    return [
+        ("phi_function", taylor.phi_function(pair, 5, ctx), None),
+        ("phi_combination", taylor.phi_combination(pair, coeffs, ctx), largest_basis_term),
+        ("kernel H", lambda z: kernel.kernel_products(z, kp, "H")[0], None),
+        ("kernel K", lambda z: kernel.kernel_products(z, kp, "K")[0], None),
+        ("quadratic_product", lambda z: quadratic.quadratic_product(z, qp), None),
+        ("companion_product", lambda z: quadratic.companion_product(z, qp), None),
+        ("flat", lambda z: qcore.qpoch_groups([kernel.sym_bases(z, pair.a)], ctx)[0], None),
+    ]
+
+
+class TestNodeSamples:
+    """Every sampled function takes an ndarray of nodes and checks each of them."""
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_ndarray_sample_matches_pointwise_values(self, q):
+        ctx = QContext(q)
+        rng = random.Random(23)
+        nodes = np.array([sample_z(rng) for _ in range(9)])
+        for name, f, scale in sampled_functions(ctx):
+            values = f(nodes)
+            assert values.shape == nodes.shape, name
+            for z, value in zip(nodes.tolist(), values.tolist()):
+                ref = f(z)
+                # the same elementwise operations on every node; the depth of a batch and a
+                # fused multiply change a few roundings per term
+                assert abs(value - ref) <= 64 * EPS * (scale(z) if scale else abs(ref)), name
+
+    def test_scalar_and_one_node_sample_take_one_route(self, ctx):
+        z = 1.1 - 0.35j
+        for name, f, _ in sampled_functions(ctx)[:2]:
+            assert f(np.array([z]))[0] == f(z), name
+
+    @pytest.mark.parametrize("q", [0.45, 0.7])
+    def test_any_node_within_the_margin_is_rejected(self, q):
+        ctx = QContext(q)
+        rng = random.Random(24)
+        pair = taylor.BasisPair(sample_complex(rng, 0.4, 0.8), 0.5 + 0.25j)
+        kp = KernelParams(0.55 + 0.2j, 0.5, 0.48 + 0.33j, 0.71 - 0.12j, ctx)
+        qp = quadratic.QuadraticParams(0.9 + 0.1j, 0.5, 0.4 - 0.2j, 0.7, ctx)
+        near = 1e-13  # inside the margin 1e-6 of a factor and 1e-12 of a factor pair
+        cases = [  # (f, a node on its pole set)
+            (taylor.phi_function(pair, 3, ctx), (1 + near) / pair.c),
+            (taylor.phi_combination(pair, [1.0, 0.5, 0.25], ctx), (1 + near) / pair.c),
+            (lambda z: kernel.kernel_products(z, kp, "H")[0], 2.0),  # c z = 1: an exact zero
+            (lambda z: quadratic.quadratic_product(z, qp), 2.0 * (1 + near)),
+            (lambda z: quadratic.companion_product(z, qp),
+             -(1 + near) / (qp.alpha * ctx.sqrt_q)),
+        ]
+        for i, (f, pole) in enumerate(cases):
+            nodes = np.array([sample_z(rng) for _ in range(5)])
+            f(nodes)  # clear nodes pass
+            for k in range(nodes.size):
+                bad = nodes.copy()
+                bad[k] = pole
+                with pytest.raises(PoleProximity):
+                    f(bad)
+                    pytest.fail(f"case {i}: node {k} on the pole set was accepted")
+
+
+class TestCallCounts:
+    """One product call per identity evaluation, pinned at q = 0.45 and a fixed seed."""
+
+    @pytest.mark.parametrize("suite, calls", [("kernel", PINNED_KERNEL_CALLS),
+                                              ("profiles", PINNED_PROFILES_CALLS)])
+    def test_product_calls_per_suite(self, monkeypatch, suite, calls):
+        counted = []
+        real = qcore.qpoch_infinite
+        for module in (qcore, hyper, kernel, profiles, quadratic, taylor):
+            if getattr(module, "qpoch_infinite", None) is real:
+                monkeypatch.setattr(module, "qpoch_infinite",
+                                    lambda a, c: counted.append(1) or real(a, c))
+        cfg = SuiteConfig(suites=(suite,), q=0.45, seed=7)
+        assert run_suites(cfg).all_passed
+        assert len(counted) == calls

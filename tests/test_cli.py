@@ -256,3 +256,23 @@ class TestCommandLine:
 
     def test_emit_csv_bad_target(self, tmp_path):
         assert cli.main(["--emit-csv", f"nope:{tmp_path / 'x.csv'}"]) == 2
+
+
+class TestInvocationOverhead:
+    def test_unwritable_report_path_fails_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "run_suites", lambda cfg: ran.append(cfg))
+        for report in (tmp_path / "missing" / "r.jsonl", tmp_path):
+            assert cli.main(["--suite", "qcore", "--report", str(report)]) == 2
+            assert capsys.readouterr().err.startswith("configuration error:")
+        assert ran == []
+
+    def test_to_dict_is_asdict(self):
+        from dataclasses import asdict
+        for record in run_suites(SuiteConfig(seed=3, draws=4)).records:
+            got, want = record.to_dict(), asdict(record)
+            assert got == want and list(got) == list(want)
+            assert got["params"] is not record.params
+
+    def test_parser_built_once_per_process(self):
+        assert cli.make_parser() is cli.make_parser()

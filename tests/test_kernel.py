@@ -10,7 +10,7 @@ from qtaylor.hyper import series_eval
 from qtaylor.kernel import (H_lowering_residual, K_lowering_residual, KernelParams,
                             bailey_crosscheck, f_spec, fk_coefficients,
                             g_spec, gk_coefficients, involute, kernel_factors,
-                            kernel_H, kernel_K, M_clearing,
+                            kernel_products, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_residual, two_basis_terms,
                             kernel_taylor_crosscheck)
@@ -52,22 +52,23 @@ class TestKernelFactors:
                                                       rel=1e-11)
 
     def test_zeroth_values_closed_forms(self, kp):
-        assert kp.Hb == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
+        assert kp.Hb == pytest.approx(kernel_products(kp.b, kp, "H")[0], rel=1e-12)
         zc = kp.c / (kp.d * kp.e)
-        assert kp.Kcde == pytest.approx(kernel_K(zc, kp), rel=1e-12)
+        assert kp.Kcde == pytest.approx(kernel_products(zc, kp, "K")[0], rel=1e-12)
 
 
 class TestQuadrupleCache:
     """H(b), K(c/de) and the family terms are computed once per KernelParams."""
 
     def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
-        # the families are summed adaptively, and the shallower one continued to the
-        # common depth: 3 runs of _series_sum per instance when their depths differ
+        # H(b) and K(c/de) come from one product call; the families are summed adaptively,
+        # and the shallower one continued to the common depth: 3 runs of _series_sum per
+        # instance when their depths differ
         depths = {series_eval(spec, None, kp.ctx).terms_used for spec in (f_spec(kp), g_spec(kp))}
         sums = 1 + len(depths)
         products, series = [], []
-        real_quotient, real_series_sum = kernel.qpoch_quotient, hyper._series_sum
-        monkeypatch.setattr(kernel, "qpoch_quotient",
+        real_quotient, real_series_sum = kernel.qpoch_quotients, hyper._series_sum
+        monkeypatch.setattr(kernel, "qpoch_quotients",
                             lambda *a: products.append(a) or real_quotient(*a))
         monkeypatch.setattr(hyper, "_series_sum",
                             lambda *a: series.append(a) or real_series_sum(*a))
@@ -77,12 +78,12 @@ class TestQuadrupleCache:
                       quadruple.family_terms(quadruple.series_depth))
             return values, (len(products), len(series))
         first, counts = evaluate(kp)
-        assert counts == (2, sums)
-        assert evaluate(kp) == (first, (2, sums))
+        assert counts == (1, sums)
+        assert evaluate(kp) == (first, (1, sums))
         # no process-wide cache: an equal quadruple and the involuted one recompute
         twin = KernelParams(kp.b, kp.c, kp.d, kp.e, kp.ctx)
-        assert twin == kp and evaluate(twin) == (first, (4, 2 * sums))
-        assert evaluate(involute(kp))[1] == (6, 3 * sums)
+        assert twin == kp and evaluate(twin) == (first, (2, 2 * sums))
+        assert evaluate(involute(kp))[1] == (3, 3 * sums)
 
     @pytest.mark.parametrize("q", [0.45, 0.7, -0.6])
     def test_each_family_summed_at_most_twice(self, monkeypatch, q, rng):
@@ -144,11 +145,11 @@ class TestQuadrupleCache:
         assert gs[:depth + 1] == kp.family_terms(depth)[1]
 
     def test_failed_value_is_not_cached(self, monkeypatch, kp):
-        monkeypatch.setattr(kernel, "qpoch_quotient", _raise_zero)
+        monkeypatch.setattr(kernel, "qpoch_quotients", _raise_zero)
         with pytest.raises(ZeroDivisionError):
             kp.Hb
         monkeypatch.undo()
-        assert kp.Hb == pytest.approx(kernel_H(kp.b, kp), rel=1e-12)
+        assert kp.Hb == pytest.approx(kernel_products(kp.b, kp, "H")[0], rel=1e-12)
 
 
 def _raise_zero(*args):
@@ -165,8 +166,10 @@ class TestInvolution:
     def test_exchanges_kernels(self, kp, rng):
         ip = involute(kp)
         z = sample_z(rng)
-        assert kernel_H(z, ip) == pytest.approx(kernel_K(z, kp), rel=1e-12)
-        assert kernel_K(z, ip) == pytest.approx(kernel_H(z, kp), rel=1e-12)
+        h, k = kernel_products(z, kp, "HK")
+        ih, ik = kernel_products(z, ip, "HK")
+        assert ih == pytest.approx(k, rel=1e-12)
+        assert ik == pytest.approx(h, rel=1e-12)
 
     def test_exchanges_bases(self, kp, ctx4, rng):
         ip = involute(kp)
@@ -314,14 +317,19 @@ class TestComplementaryRemainder:
         assert abs(fit - abs(ctx4.q)) < 0.25 * abs(ctx4.q)
 
     def test_one_H_sample_per_expansion(self, monkeypatch, rng):
-        # orders 12..20 at q = 0.7: 21 grid nodes plus H(z) itself, not 231 + 1
+        # orders 12..20 at q = 0.7: 21 grid nodes plus H(z) itself, each evaluated once
+        # (not 231 + 1), all of them in one product call
         ctx = QContext(0.7)
         kp = sample_profile_kernel_params(rng, ctx)
-        calls = []
-        real = kernel.kernel_H
-        monkeypatch.setattr(kernel, "kernel_H", lambda *a, **k: calls.append(a) or real(*a, **k))
+        kp.Kcde
+        nodes, calls = [], []
+        real, real_quotients = kernel.kernel_quotient, kernel.qpoch_quotients
+        monkeypatch.setattr(kernel, "kernel_quotient", lambda name, z, *a, **k:
+                            nodes.append(np.size(z) if name == "H" else 0) or real(name, z, *a, **k))
+        monkeypatch.setattr(kernel, "qpoch_quotients",
+                            lambda *a: calls.append(a) or real_quotients(*a))
         remainder_gap_curve(sample_z(rng), kp, list(range(12, 21)))
-        assert len(calls) == 22
+        assert sum(nodes) == 22 and len(calls) == 1
 
     def test_deep_order_gap_is_small(self):
         # numerically stable regime: |c| < |b q| keeps the pipeline clean
@@ -450,7 +458,7 @@ class TestLoweringLaws:
         from qtaylor.wpoperator import apply_Dcq
         kp = KernelParams(0.55 + 0.2j, 0.62 - 0.25j, 1.0, 0.71 - 0.12j, ctx4)
         z = sample_z(rng)
-        image = apply_Dcq(lambda w: kernel_H(w, kp), z, kp.c, ctx4)
+        image = apply_Dcq(lambda w: kernel_products(w, kp, "H")[0], z, kp.c, ctx4)
         assert abs(image) < 1e-10
 
 

@@ -6,11 +6,11 @@ import pytest
 
 from qtaylor import taylor
 from qtaylor.errors import PoleProximity, ZeroDenominator
-from qtaylor.kernel import kernel_H
+from qtaylor.kernel import kernel_products
 from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
 from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_profile_kernel_params, sample_z)
-from qtaylor.taylor import (BasisPair, TaylorExpansion, _coeff_prefactor,
+from qtaylor.taylor import (BasisPair, TaylorExpansion, _coeff_prefactors,
                             basis_limit_modulus, basis_sup_curve, basis_sup_estimate,
                             basis_terms, flatness_check, phi_basis, phi_combination,
                             phi_function, taylor_coefficient, taylor_expand,
@@ -239,7 +239,7 @@ def _assert_matches_per_order_route(f, pair, n, ctx):
     got = taylor_expand(f, pair, n, ctx).coefficients
     assert len(got) == n + 1
     for k in range(n + 1):
-        pref = _coeff_prefactor(pair, k, ctx)
+        [pref] = _coeff_prefactors(pair, [k], ctx)
         want = pref * cooper_eval(f, pair.a * ctx.sqrt_q ** k, pair.c, k, ctx)
         reach = sum(abs(pref * w * f(pair.a * ctx.q ** i))
                     for i, w in enumerate(grid_functional_weights(pair.a, pair.c, k, ctx)))
@@ -253,9 +253,10 @@ class TestSharedGrid:
     def test_expansion_evaluates_each_node_once(self, ctx, n):
         pair = BasisPair(0.6 + 0.1j, 0.4)
         inner = phi_combination(BasisPair(0.5, 0.4), [1.0, 0.3j, 0.8], ctx)
-        seen = []
-        taylor_expand(lambda z: seen.append(z) or inner(z), pair, n, ctx)
-        assert len(seen) == n + 1
+        seen, calls = [], []
+        taylor_expand(lambda z: calls.append(z) or seen.extend(np.ravel(z).tolist()) or inner(z),
+                      pair, n, ctx)
+        assert len(calls) == 1 and len(seen) == len(set(seen)) == n + 1
 
     @pytest.mark.parametrize("n", [0, 3, 6, 20])
     def test_one_row_build_per_expansion(self, monkeypatch, ctx, n):
@@ -284,7 +285,7 @@ class TestSharedGrid:
     def test_kernel_H_to_order_20_matches_per_order_route(self, rng, flip):
         ctx = QContext(0.7).other_branch() if flip else QContext(0.7)
         kp = sample_profile_kernel_params(rng, ctx)
-        _assert_matches_per_order_route(lambda z: kernel_H(z, kp), kp.phi_pair, 20, ctx)
+        _assert_matches_per_order_route(lambda z: kernel_products(z, kp, "H")[0], kp.phi_pair, 20, ctx)
 
 
 class TestFlatness:
@@ -334,3 +335,31 @@ class TestBasisBoundedness:
         pair = BasisPair(0.6, 0.5)
         with pytest.raises(PoleProximity):
             basis_sup_curve(pair, (1.9, 2.1), 10, ctx)  # crosses |z| = 1/c = 2
+
+
+def _loop_prefactor(pair, k, ctx):
+    """The per-order prefactor from three fresh qpoch_finite products: the oracle."""
+    q, rq, a, c = ctx.q, ctx.sqrt_q, pair.a, pair.c
+    d1, d2 = qpoch_finite(q, k, ctx), qpoch_finite(c / a, k, ctx)
+    d3 = qpoch_finite(a * c * q ** (k - 1), k, ctx) if k > 0 else 1.0 + 0.0j
+    sign = -1.0 if k % 2 else 1.0
+    return sign * rq ** (-k * (k - 1) // 2) * (1.0 - q) ** k / ((2.0 * a) ** k * d1 * d2 * d3)
+
+
+class TestPrefactors:
+    @pytest.mark.parametrize("q", [0.45, -0.3, 0.5j, 0.7])
+    def test_one_pass_is_the_per_order_loop_bit_for_bit(self, rng, q):
+        ctx = QContext(q)
+        for _ in range(4):
+            pair = sample_basis_pair(rng)
+            assert _coeff_prefactors(pair, range(21), ctx) == [
+                _loop_prefactor(pair, k, ctx) for k in range(21)]
+            assert _coeff_prefactors(pair, [7, 3], ctx) == [
+                _loop_prefactor(pair, k, ctx) for k in (7, 3)]
+
+    def test_degenerate_prefactor_is_rejected(self, ctx):
+        # c/a = q^-2: (c/a;q)_k vanishes from k = 3 on
+        pair = BasisPair(0.5, 0.5 / ctx.q ** 2)
+        assert len(_coeff_prefactors(pair, range(3), ctx)) == 3
+        with pytest.raises(ZeroDenominator, match=r"\(c/a;q\)_k"):
+            _coeff_prefactors(pair, range(4), ctx)
