@@ -14,25 +14,24 @@ from .errors import (ConfigError, ConvergenceRegionViolation, DivergenceSuspecte
                      TruncationFailure, ZeroDenominator)
 from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, rogers_6w5_residual,
                     series_eval)
-from .kernel import (KernelParams, bailey_crosscheck, cancellation_identity_residual,
-                     fk_coefficients, gk_coefficients, involute, kernel_factors,
-                     kernel_taylor_crosscheck, laurent_coefficient_detail,
-                     two_basis_residual)
-from .profiles import (ProfileMoments, annular_factorization_residual,
+from .kernel import (KernelParams, bailey_terms, fk_coefficients, gk_coefficients,
+                     involute, kernel_factors, kernel_taylor_crosscheck,
+                     laurent_coefficient_detail, structured_E_terms, two_basis_terms)
+from .profiles import (ProfileMoments, annular_factorization_terms,
                        canonical_growth_profile, contiguous_moment,
                        exponential_profile_limit_residual,
-                       L_profile, leading_profile_residual,
-                       profile_coefficient_residual, profile_kernel_P,
+                       L_profile, leading_profile_terms,
+                       profile_coefficient_terms, profile_kernel_P,
                        profile_kernel_coefficient, profile_sums_and_closed_forms)
 from .qcore import (QContext, TailBound, geometric_depth, qpoch_finite,
                     qpoch_infinite, qpoch_multi, residual_and_scale, scaled_residual, theta)
-from .quadratic import (QuadraticParams, companion_residual,
-                        folding_identity_check, quadratic_residual,
-                        quadratic_taylor_identification)
+from .quadratic import (QuadraticParams, companion_terms,
+                        folding_identity_check, quadratic_taylor_identification,
+                        quadratic_terms)
 from .suites import (SuiteConfig, VerificationReport, emit_decay_csv,
                      run_suites)
-from .taylor import (BasisPair, TaylorExpansion, basis_sup_estimate,
-                     flatness_check, phi_basis, taylor_coefficient,
+from .taylor import (BasisPair, TaylorExpansion, basis_sup_curve,
+                     flatness_check, phi_basis, taylor_expand,
                      taylor_sum_and_remainder)
 from .wpoperator import (OperatorChainSpec, apply_Dcq,
                          apply_Dq, apply_iterated, cooper_eval,

@@ -1,13 +1,14 @@
-"""The two-basis kernel: products, involution, coefficient families, residuals.
+"""The two-basis kernel: products, involution, coefficient families, identity terms.
 
 The kernel F(z) factors as F = A*H = B*K where H and K are the two
 normalised kernels.  H expands in the rational basis Phi_k(z; b, c) with
 coefficients H(b) f_k, K in the transformed basis Psi_k = Phi_k(z; c/de,
 c^2/bde) with coefficients K(c/de) g_k, and the two-basis identity states
-that F is the sum of the two prefactored series.  Everything here is
-evaluated numerically with scale-relative residuals; the pole-cleared
-residual E, its truncations, grid zeros and Laurent-coefficient
-cancellations provide the independent routes through the same identity.
+that F is the sum of the two prefactored series.  Each identity is
+returned as its additive terms, for the caller to judge against the
+largest; the pole-cleared residual E, its truncations, grid zeros and
+Laurent-coefficient cancellations provide the independent routes through
+the same identity.
 """
 
 from __future__ import annotations
@@ -238,7 +239,13 @@ def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
 def two_basis_terms(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = False,
                     force_unit_Kcde: bool = False) -> tuple:
     """The three additive terms (F, A H(b) S_f, B K(c/de) S_g) of the identity at z, a
-    point or an ndarray of points: F, A and B from one qpoch_infinite call."""
+    point or an ndarray of points: F, A and B from one qpoch_infinite call.
+
+    The identity is judged against its largest term, not |F|: near a zero of F the
+    two series contributions dwarf the kernel value and cancel.  The force_unit_*
+    switches are the negative controls: dropping either zeroth Taylor value must
+    destroy the identity.
+    """
     ctx = kp.ctx
     F, A, B = kernel_products(z, kp, "FAB")
     hb = 1.0 + 0.0j if force_unit_Hb else kp.Hb
@@ -247,21 +254,6 @@ def two_basis_terms(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = 
     sf = basis_sum(z, kp.phi_pair, fs, ctx)
     sg = basis_sum(z, kp.psi_pair, gs, ctx)
     return F, A * hb * sf, B * kc * sg
-
-
-def two_basis_residual(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = False,
-                       force_unit_Kcde: bool = False):
-    """Scale-relative residual of F = A H(b) S_f + B K(c/de) S_g at n_trunc, at each z.
-
-    The scale is the largest of the three additive terms: near a zero of F
-    the two series contributions dwarf the kernel value and cancel, so
-    relative-to-F scaling would only measure that cancellation's
-    conditioning.  The force_unit_* switches implement the negative
-    controls: dropping either zeroth Taylor value must destroy the
-    identity.
-    """
-    return scaled_residual(*two_basis_terms(z, kp, n_trunc, force_unit_Hb=force_unit_Hb,
-                                            force_unit_Kcde=force_unit_Kcde))
 
 
 def remainder_gap_curve(z: complex, kp: KernelParams,
@@ -472,6 +464,8 @@ def structured_E_terms(kp: KernelParams, n: int, tables: tuple[np.ndarray, np.nd
     P_n(c/d, c/d, c/e, c/e), H(b) sum_k f_k P1_{n,k} and
     K(c/de) sum_k g_k P2_{n,k}, with P1, P2 read from calP_tables and the
     coefficients f_k, g_k supplied by the caller (k below the table rows).
+    Structured sums only, independent of the contour oracle; E vanishes
+    identically, so the terms cancel at every order n.
     """
     c, d, e = kp.c, kp.d, kp.e
 
@@ -485,43 +479,28 @@ def structured_E_terms(kp: KernelParams, n: int, tables: tuple[np.ndarray, np.nd
             kp.Kcde * family(tables[1], gs))
 
 
-def cancellation_identity_residual(kp: KernelParams, n: int,
-                                   tables: tuple[np.ndarray, np.ndarray]) -> float:
-    """Residual of the Laurent-coefficient cancellation at order n >= 1.
-
-    |P_n(c/d, c/d, c/e, c/e) - H(b) sum_k f_k P1_{n,k} - K(c/de) sum_k g_k P2_{n,k}|
-    over the largest term magnitude, summed over k = 0..k_trunc with
-    tables = calP_tables(kp, k_trunc) and the very-well-poised summands
-    f_k, g_k; structured sums only, independent of the contour oracle.
-    """
-    if n < 1:
-        raise DomainError("the cancellation family starts at n = 1")
-    return scaled_residual(*structured_E_terms(kp, n, tables,
-                                               *kp.family_terms(len(tables[0]) - 1)))
-
-
-def _lowering_residual(name: str, z: complex, kp: KernelParams, c_op: complex,
-                       pref: complex, **shifted) -> float:
-    """|D_{c_op,q} X(z) - pref X(z; shifted)| over the larger, X the kernel product name:
-    the operator's nodes and the shifted kernel come from one qpoch_infinite call."""
+def _lowering_terms(name: str, z: complex, kp: KernelParams, c_op: complex,
+                   pref: complex, **shifted) -> tuple[complex, complex]:
+    """(D_{c_op,q} X(z), pref X(z; shifted)), X the kernel product name: the operator's
+    nodes and the shifted kernel come from one qpoch_infinite call."""
     sample, at_z = _sampler(name, kp, [kernel_quotient(name, z, kp, **shifted)])
-    return scaled_residual(apply_Dcq(sample, z, c_op, kp.ctx), pref * at_z[0])
+    return apply_Dcq(sample, z, c_op, kp.ctx), pref * at_z[0]
 
 
-def H_lowering_residual(z: complex, kp: KernelParams) -> float:
-    """Residual of the lowering law for H under the well-poised operator.
+def H_lowering_terms(z: complex, kp: KernelParams) -> tuple[complex, complex]:
+    """The two sides of the lowering law for H under the well-poised operator.
 
     D_{c,q} H(z) = [2c(1-d)(1-e)(1-c^2/deq) / (de(1-q))] H(z; cq^{3/2}, dq, eq).
-    The involuted law (the lowering of K) is this same check on involute(kp).
+    The involuted law (the lowering of K) is this same call on involute(kp).
     """
     c, d, e, q, rq = kp.c, kp.d, kp.e, kp.ctx.q, kp.ctx.sqrt_q
     pref = (2.0 * c * (1.0 - d) * (1.0 - e) * (1.0 - c * c / (d * e * q))
             / (d * e * (1.0 - q)))
-    return _lowering_residual("H", z, kp, c, pref, c=c * rq ** 3, d=d * q, e=e * q)
+    return _lowering_terms("H", z, kp, c, pref, c=c * rq ** 3, d=d * q, e=e * q)
 
 
-def K_lowering_residual(z: complex, kp: KernelParams) -> float:
-    """Residual of the lowering law for K, stated with unprimed parameters.
+def K_lowering_terms(z: complex, kp: KernelParams) -> tuple[complex, complex]:
+    """The two sides of the lowering law for K, stated with unprimed parameters.
 
     D_{c^2/bde,q} K(z) = [2b(1-c/be)(1-c/bd)(1-c^2/deq) / (1-q)]
                          K(z; b q^{-1/2}, c q^{1/2}, d, e).
@@ -529,15 +508,15 @@ def K_lowering_residual(z: complex, kp: KernelParams) -> float:
     b, c, d, e, q, rq = kp.b, kp.c, kp.d, kp.e, kp.ctx.q, kp.ctx.sqrt_q
     pref = (2.0 * b * (1.0 - c / (b * e)) * (1.0 - c / (b * d))
             * (1.0 - c * c / (d * e * q)) / (1.0 - q))
-    return _lowering_residual("K", z, kp, c * c / (b * d * e), pref, b=b / rq, c=c * rq)
+    return _lowering_terms("K", z, kp, c * c / (b * d * e), pref, b=b / rq, c=c * rq)
 
 
-def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
-    """Residual of the kernel identity with both series evaluated as 8W7 sums.
+def bailey_terms(kp: KernelParams, z: complex) -> tuple[complex, complex, complex]:
+    """The three additive terms of the kernel identity with both series as 8W7 sums.
 
     Each coefficient series becomes one very-well-poised series: its
     coefficient spec (f_spec, g_spec) with the basis pair (az, a/z) appended
-    to the parameter list.  Then F = A H(b) W1 + B K(c/de) W2 is tested.
+    to the parameter list.  The terms are (F, A H(b) W1, B K(c/de) W2).
     """
     ctx = kp.ctx
 
@@ -548,4 +527,4 @@ def bailey_crosscheck(kp: KernelParams, z: complex) -> float:
     w1 = w_series(f_spec(kp), kp.phi_pair)
     w2 = w_series(g_spec(kp), kp.psi_pair)
     F, A, B = kernel_products(z, kp, "FAB")
-    return scaled_residual(F, A * kp.Hb * w1, B * kp.Kcde * w2)
+    return F, A * kp.Hb * w1, B * kp.Kcde * w2

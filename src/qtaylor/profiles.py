@@ -32,9 +32,9 @@ def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four prof
     return (c / d, b), (c / e, c / (d * e)), (c, b), (c * c / (b * d * e), c / (d * e))
 
 
-def annular_factorization_residual(lam: complex, N: int, w: complex,
-                                   ctx: QContext) -> float:
-    """Residual of the exact reciprocal-product factorisation on the layer.
+def annular_factorization_terms(lam: complex, N: int, w: complex,
+                                ctx: QContext) -> tuple[complex, complex]:
+    """The two sides of the exact reciprocal-product factorisation on the layer.
 
     (lam/z;q)_inf = (-lam/z)^N q^{N(N-1)/2} (wq;q)_N (1/w;q)_inf at
     z = lam q^N w; an algebraic identity, so the scale-relative residual
@@ -51,7 +51,7 @@ def annular_factorization_residual(lam: complex, N: int, w: complex,
     lhs, inf_w = qpoch_groups([[lam / z], [1.0 / w]], ctx)
     rhs = ((-1) ** N * w ** -N * q ** -(N * (N + 1) // 2)
            * qpoch_finite(w * q, N, ctx) * inf_w)
-    return scaled_residual(lhs, rhs)
+    return lhs, rhs
 
 
 def L_profile(w: complex, alpha: complex, beta: complex, lam: complex,
@@ -132,15 +132,10 @@ def leading_profile_terms(w: complex, kp: KernelParams, lam: complex,
             closed.Kcde * closed.G_star_product * lg)
 
 
-def leading_profile_residual(w: complex, kp: KernelParams, lam: complex,
-                             closed: ProfileClosedForms | None = None) -> float:
-    """Scale-relative residual of the leading profile cancellation."""
-    return scaled_residual(*leading_profile_terms(w, kp, lam, closed))
-
-
-def leading_profile_theta_residual(t: complex, kp: KernelParams,
-                                   closed: ProfileClosedForms | None = None) -> float:
-    """Degree-two theta form of the leading cancellation, in t = 1/(lam w).
+def leading_profile_theta_terms(t: complex, kp: KernelParams,
+                                closed: ProfileClosedForms | None = None
+                                ) -> tuple[complex, complex, complex]:
+    """The three additive terms of the leading cancellation's theta form, t = 1/(lam w).
 
     theta(ct/d) theta(ct/e) = H(b)F_* theta(ct) theta(ct/de)
                               + K(c/de)G_* theta(bt) theta(c^2 t/bde).
@@ -152,8 +147,8 @@ def leading_profile_theta_residual(t: complex, kp: KernelParams,
     lhs, theta_f, theta_g = qpoch_groups(
         [theta_bases(ctx, c * t / d, c * t / e), theta_bases(ctx, c * t, c * t / (d * e)),
          theta_bases(ctx, b * t, c * c * t / (b * d * e))], ctx)
-    return scaled_residual(lhs, closed.Hb * closed.F_star_product * theta_f,
-                           closed.Kcde * closed.G_star_product * theta_g)
+    return (lhs, closed.Hb * closed.F_star_product * theta_f,
+            closed.Kcde * closed.G_star_product * theta_g)
 
 
 def _validate_s_disc(s, w: complex, alpha: complex, beta: complex,
@@ -313,12 +308,6 @@ def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex
     t3 = kp.Kcde * family_term(c * c / (b * d * e), c / (d * e),
                                     lambda mom: mom.G_m)
     return t1, t2, t3
-
-
-def profile_coefficient_residual(j: int, w: complex, kp: KernelParams, lam: complex,
-                                 moments: dict | None = None) -> float:
-    """Scale-relative residual of the order-j profile coefficient identity."""
-    return scaled_residual(*profile_coefficient_terms(j, w, kp, lam, moments))
 
 
 @dataclass(frozen=True)

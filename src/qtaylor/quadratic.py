@@ -117,14 +117,14 @@ def h_spec(qp: QuadraticParams) -> VWPSpec:
     return VWPSpec(a * b / q, (b / rq, -b / rq, a * q / b), -b / a)
 
 
-def quadratic_residual(z: complex, qp: QuadraticParams, n: int | None = None) -> float:
-    """Residual of Q(z) = sum_{k<=n} C_{a,b} h_k Phi_k(z; a, b) over its largest term.
+def quadratic_terms(z: complex, qp: QuadraticParams, n: int | None = None) -> tuple:
+    """The additive terms Q(z) and C_{a,b} h_k Phi_k(z; a, b), k = 0..n.
 
     n defaults to the adaptive depth of the h family.  |Q(z)| is no scale:
     it can be far below the terms that sum to it.
     """
     terms = basis_terms(z, qp.h_pair, qp.h_terms(n), qp.ctx)
-    return scaled_residual(quadratic_product(z, qp), *(qp.Cab * t for t in terms))
+    return (quadratic_product(z, qp), *(qp.Cab * t for t in terms))
 
 
 def quadratic_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
@@ -164,15 +164,15 @@ def r_spec(qp: QuadraticParams) -> VWPSpec:
     return VWPSpec(-al, (al, -d, -qp.ctx.q / d), al)
 
 
-def companion_residual(z: complex, qp: QuadraticParams, n: int | None = None) -> float:
-    """Residual of Q_companion(z) = sum_{k<=n} C r_k basis_k(z) over its largest term.
+def companion_terms(z: complex, qp: QuadraticParams, n: int | None = None) -> tuple:
+    """The additive terms Q_companion(z) and C r_k basis_k(z), k = 0..n.
 
     n defaults to the adaptive depth of the r family.  The basis pair is
     (q^{1/2}, -alpha q^{1/2}).  At q = 0.9, seed 2, |Q_companion(z)| = 3.7e-9
     against terms of order 1.
     """
     terms = basis_terms(z, qp.r_pair, qp.r_terms(n), qp.ctx)
-    return scaled_residual(companion_product(z, qp), *(qp.Cad * t for t in terms))
+    return (companion_product(z, qp), *(qp.Cad * t for t in terms))
 
 
 def companion_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
@@ -181,8 +181,8 @@ def companion_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
                            [qp.Cad * r for r in qp.r_terms(k_max)], qp.ctx)
 
 
-def companion_series_vs_vwp(z: complex, qp: QuadraticParams) -> float:
-    """Companion series against its very-well-poised specialisation.
+def companion_vwp_terms(z: complex, qp: QuadraticParams) -> tuple[complex, complex]:
+    """The companion series as its very-well-poised specialisation and as a basis sum.
 
     The coefficient series, summed through the adaptive depth of the r
     family, equals the 8W7 evaluation of r_spec with the basis pair
@@ -190,7 +190,7 @@ def companion_series_vs_vwp(z: complex, qp: QuadraticParams) -> float:
     spec, pair = r_spec(qp), qp.r_pair
     blist = (pair.a * z, pair.a / z) + spec.b_list
     series = series_eval(VWPSpec(spec.a, blist, spec.argument), None, qp.ctx).value
-    return scaled_residual(series, basis_sum(z, pair, qp.r_terms(), qp.ctx))
+    return series, basis_sum(z, pair, qp.r_terms(), qp.ctx)
 
 
 def folding_identity_check(x: complex, n: int, ctx: QContext) -> float:

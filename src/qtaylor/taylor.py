@@ -136,16 +136,6 @@ def _grid_sample(f, pair: BasisPair, n: int, ctx: QContext) -> list[complex]:
     return sample(f, [pair.a * ctx.q ** i for i in range(n + 1)])
 
 
-def taylor_coefficient(f, pair: BasisPair, k: int, ctx: QContext) -> complex:
-    """k-th well-poised Taylor coefficient of f relative to (a, c).
-
-    The prefactored k-fold operator at z = a q^{k/2}: its weight row
-    applied to f on the nodes a q^i, i <= k.
-    """
-    [row] = coefficient_rows(pair, [k], ctx)
-    return sum(w * v for w, v in zip(row, _grid_sample(f, pair, k, ctx)))
-
-
 def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
                     ctx: QContext) -> float:
     """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
@@ -200,21 +190,13 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
                 for row in rows), default=0.0)
 
 
-def basis_sup_estimate(pair: BasisPair, annulus: tuple[float, float], k_max: int,
-                       ctx: QContext) -> float:
-    """Empirical sup of |Phi_k| over sampled z in the annulus and k <= k_max.
-
-    Evidence for uniform boundedness: the per-k sups plateau because the
-    ratio of consecutive basis elements tends to 1.
-    """
-    return max(basis_sup_curve(pair, annulus, k_max, ctx))
-
-
 def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
                     ctx: QContext) -> list[float]:
     """Per-k sampled sups sup_z |Phi_k(z)| on the annulus (k = 0..k_max).
 
-    The sample is 48 angles on each of 3 geometrically spaced radii.
+    The sample is 48 angles on each of 3 geometrically spaced radii.  Evidence
+    for uniform boundedness: the sups plateau because the ratio of consecutive
+    basis elements tends to 1.
     """
     r_lo, r_hi = annulus
     if not 0.0 < r_lo <= r_hi:

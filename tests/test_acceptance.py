@@ -11,16 +11,14 @@ import time
 
 import numpy as np
 
-from qtaylor.kernel import (E_contour_coefficient, calP_tables,
-                            cancellation_identity_residual, fk_coefficients,
+from qtaylor.kernel import (E_contour_coefficient, calP_tables, fk_coefficients,
                             gk_coefficients, involute, pole_cleared_E_terms,
-                            remainder_gap_curve, structured_E_terms,
-                            two_basis_residual)
-from qtaylor.profiles import (annular_factorization_residual, bridge_residual,
-                              generating_Q_terms, leading_profile_residual,
+                            remainder_gap_curve, structured_E_terms, two_basis_terms)
+from qtaylor.profiles import (annular_factorization_terms, bridge_residual,
+                              generating_Q_terms, leading_profile_terms,
                               profile_sums_and_closed_forms)
-from qtaylor.qcore import QContext, weierstrass_terms
-from qtaylor.quadratic import (companion_residual, quadratic_residual,
+from qtaylor.qcore import QContext, scaled_residual, weierstrass_terms
+from qtaylor.quadratic import (companion_terms, quadratic_terms,
                                quadratic_tail_curve,
                                companion_taylor_identification,
                                quadratic_taylor_identification)
@@ -30,8 +28,7 @@ from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_profile_kernel_params,
                               sample_quadratic_params, sample_with, sample_z)
 from qtaylor.suites import SuiteConfig, run_suites
-from qtaylor.taylor import (BasisPair, phi_combination, phi_function,
-                            taylor_coefficient)
+from qtaylor.taylor import BasisPair, phi_combination, phi_function, taylor_expand
 from qtaylor.wpoperator import OperatorChainSpec, apply_iterated, cooper_eval
 
 
@@ -77,8 +74,7 @@ def test_criterion_02_delta_property():
         pair = sample_basis_pair(rng, lo=0.4, hi=0.85, min_split=0.1)
         for n in range(9):
             f = phi_function(pair, n, ctx)
-            for k in range(9):
-                t = taylor_coefficient(f, pair, k, ctx)
+            for k, t in enumerate(taylor_expand(f, pair, 8, ctx).coefficients):
                 worst = max(worst, abs(t - (1.0 if k == n else 0.0)))
     assert worst < 1e-8
     report(2, "delta property", f"max |t_k(basis_n) - delta| = {worst:.2e}")
@@ -96,8 +92,7 @@ def test_criterion_03_first_reexpansion():
             continue
         pair = BasisPair(a, c)
         f = phi_function(BasisPair(d, c), 1, ctx)
-        t0 = taylor_coefficient(f, pair, 0, ctx)
-        t1 = taylor_coefficient(f, pair, 1, ctx)
+        t0, t1 = taylor_expand(f, pair, 1, ctx).coefficients
         w0 = (1 - a * d) * (1 - d / a) / ((1 - a * c) * (1 - c / a))
         w1 = (d / a) * (1 - c / d) * (1 - c * d) / ((1 - c / a) * (1 - a * c))
         worst = max(worst, abs(t0 - w0) / abs(w0), abs(t1 - w1) / abs(w1))
@@ -138,10 +133,10 @@ def test_criterion_05_two_basis_identity():
         for i in range(50):
             kp = sample_kernel_params(rng, ctx)
             z = sample_kernel_z(rng, kp)
-            res = two_basis_residual(z, kp, 60)
+            res = scaled_residual(*two_basis_terms(z, kp, 60))
             worst = max(worst, res)
             if i < 3:
-                neg = two_basis_residual(z, kp, 60, force_unit_Hb=True)
+                neg = scaled_residual(*two_basis_terms(z, kp, 60, force_unit_Hb=True))
                 controls.append(neg / max(res, 1e-300))
     elapsed = time.perf_counter() - start
     assert worst < 1e-7
@@ -191,7 +186,8 @@ def test_criterion_07_laurent_cancellation():
         if n <= 2:
             t1, t2, t3 = structured_E_terms(kp, n, tables, fs, gs)
             cross = max(cross, abs(t1 - t2 - t3 - coeff) / scale)
-            assert cancellation_identity_residual(kp, n, tables) < 1e-6
+            assert scaled_residual(*structured_E_terms(kp, n, tables,
+                                                       *kp.family_terms(50))) < 1e-6
     assert worst < 1e-6
     assert cross < 1e-6
     report(7, "negative Laurent coefficients",
@@ -218,8 +214,9 @@ def test_criterion_09_profile_suite():
     rng = random.Random(109)
     ctx = QContext(0.4)
     lam0 = sample_complex(rng, 0.4, 0.8)
-    worst_fact = max(annular_factorization_residual(lam0, N, sample_z(rng, 0.9, 1.15), ctx)
-                     for N in (0, 5, 10, 15, 20))
+    worst_fact = max(
+        scaled_residual(*annular_factorization_terms(lam0, N, sample_z(rng, 0.9, 1.15), ctx))
+        for N in (0, 5, 10, 15, 20))
     assert worst_fact < 1e-10
     kp = sample_profile_kernel_params(rng, ctx)
     lam = kp.b
@@ -228,7 +225,7 @@ def test_criterion_09_profile_suite():
         abs(cf.F_star_series - cf.F_star_product) / abs(cf.F_star_product),
         abs(cf.G_star_series - cf.G_star_product) / abs(cf.G_star_product))
     assert worst_sums < 1e-9
-    worst_lead = max(leading_profile_residual(sample_z(rng, 0.8, 1.25), kp, lam)
+    worst_lead = max(scaled_residual(*leading_profile_terms(sample_z(rng, 0.8, 1.25), kp, lam))
                      for _ in range(20))
     assert worst_lead < 1e-8
     worst_q = 0.0
@@ -256,8 +253,8 @@ def test_criterion_10_quadratic_suite():
         qp = sample_quadratic_params(rng, ctx)
         qp0 = qp0 or qp
         z = sample_z(rng)
-        worst = max(worst, quadratic_residual(z, qp, 60))
-        worst_c = max(worst_c, companion_residual(z, qp, 60))
+        worst = max(worst, scaled_residual(*quadratic_terms(z, qp, 60)))
+        worst_c = max(worst_c, scaled_residual(*companion_terms(z, qp, 60)))
     assert worst < 1e-8 and worst_c < 1e-8
     ident = max(quadratic_taylor_identification(qp0, 6),
                 companion_taylor_identification(qp0, 6))

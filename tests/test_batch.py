@@ -171,9 +171,9 @@ def grouped_cases(ctx):
         ("kernel_products", lambda: kernel.kernel_products(z, kp, "FABHK")),
         ("kernel_factors", lambda: kernel.kernel_factors(z, kp)),
         ("two_basis_terms", lambda: kernel.two_basis_terms(np.array([z, 1 / z]), kp, 12)),
-        ("bailey_crosscheck", lambda: kernel.bailey_crosscheck(kp, z)),
-        ("H_lowering_residual", lambda: kernel.H_lowering_residual(z, kp)),
-        ("K_lowering_residual", lambda: kernel.K_lowering_residual(z, kp)),
+        ("bailey_terms", lambda: kernel.bailey_terms(kp, z)),
+        ("H_lowering_terms", lambda: kernel.H_lowering_terms(z, kp)),
+        ("K_lowering_terms", lambda: kernel.K_lowering_terms(z, kp)),
         ("remainder_gap_curve", lambda: kernel.remainder_gap_curve(z, kp, [4, 6])),
         ("Hb", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Hb),
         ("Kcde", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Kcde),

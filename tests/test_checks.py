@@ -60,22 +60,50 @@ def test_records_report_the_draws_that_ran():
     assert grid["grid_powers"] == "0..10" and grid["depth"] > 10
 
 
+# checks judged by additive terms or by a reference value since their library
+# functions return the terms: each record carries the real scale
+TERM_SCALED = [("operator", "iterated-lowering"), ("kernel", "g-equals-involuted-f"),
+               ("kernel", "two-basis-identity"), ("kernel", "lowering-laws"),
+               ("kernel", "vwp-rewriting"), ("laurent", "structured-cancellation"),
+               ("profiles", "annular-factorisation"), ("profiles", "leading-profile"),
+               ("profiles", "coefficient-hierarchy"), ("quadratic", "watson-type-expansion"),
+               ("quadratic", "companion-expansion"), ("quadratic", "companion-vwp-form")]
+
+# absolute residuals against exact targets of modulus 0 or 1, and residuals divided
+# by a scale of their own (see README, "Numerical conventions")
+UNIT_SCALED = sorted([
+    ("hyper", "phi-z0"), ("hyper", "vwp-telescoping"), ("hyper", "rogers-summation"),
+    ("hyper", "jackson-summation"), ("operator", "dq-basics"),
+    ("operator", "delta-property"), ("operator", "grid-functional-weights"),
+    ("taylor", "flat-function"), ("taylor", "basis-boundedness"),
+    ("kernel", "taylor-crosscheck"), ("kernel", "negative-control-Hb"),
+    ("kernel", "truncated-flatness"), ("laurent", "monomial"),
+    ("profiles", "bridge-identity"), ("profiles", "contiguous-moments"),
+    ("quadratic", "unit-leading-coefficients"), ("quadratic", "taylor-identification"),
+    ("quadratic", "folding")])
+
+
 def test_records_carry_the_scale_they_were_divided_by():
-    records = {r.check: r for r in run_suites(SuiteConfig(suites=("qcore",), draws=4)).records}
-    assert records["theta-symmetry"].scale != 1.0
-    assert records["multi-factorwise"].scale != 1.0
-    assert "terms" not in records["recurrence"].to_dict()
+    # a check that hands c.see a residual it scaled itself records scale 1.0 and fails here
+    report = run_suites(SuiteConfig(q=0.45))
+    records = {(r.suite, r.check): r for r in report.records}
+    assert len(records) == len(report.records) == 64
+    assert all(records[key].scale != 1.0 for key in TERM_SCALED)
+    assert sorted(key for key, r in records.items() if r.scale == 1.0) == UNIT_SCALED
+    assert records["qcore", "theta-symmetry"].scale != 1.0
+    assert records["qcore", "multi-factorwise"].scale != 1.0
+    assert "terms" not in records["qcore", "recurrence"].to_dict()
 
 
 def test_negative_control_error_escapes(monkeypatch):
     # an error in the sabotaged evaluation must not pass for its designed failure
-    real = kernel.two_basis_residual
+    real = kernel.two_basis_terms
 
     def broken(z, kp, n, force_unit_Hb=False):
         if force_unit_Hb:
             raise ZeroDenominator("forced")
         return real(z, kp, n)
-    monkeypatch.setattr(kernel, "two_basis_residual", broken)
+    monkeypatch.setattr(kernel, "two_basis_terms", broken)
     with pytest.raises(ZeroDenominator):
         run_suites(SuiteConfig(suites=("kernel",), draws=4, negative_controls=True))
 

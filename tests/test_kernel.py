@@ -7,14 +7,14 @@ import pytest
 from qtaylor import hyper, kernel
 from qtaylor.errors import DomainError, ZeroDenominator
 from qtaylor.hyper import series_eval
-from qtaylor.kernel import (H_lowering_residual, K_lowering_residual, KernelParams,
-                            bailey_crosscheck, f_spec, fk_coefficients,
+from qtaylor.kernel import (H_lowering_terms, K_lowering_terms, KernelParams,
+                            bailey_terms, f_spec, fk_coefficients,
                             g_spec, gk_coefficients, involute, kernel_factors,
                             kernel_products, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
-                            two_basis_residual, two_basis_terms,
-                            kernel_taylor_crosscheck)
-from qtaylor.qcore import QContext, factor_clearance, qpoch_groups, qpoch_multi
+                            two_basis_terms, kernel_taylor_crosscheck)
+from qtaylor.qcore import (QContext, factor_clearance, qpoch_groups, qpoch_multi,
+                           scaled_residual)
 from qtaylor.sampling import (sample_kernel_params,
                               sample_profile_kernel_params, sample_z)
 from qtaylor.suites import SuiteConfig, run_laurent, run_suites
@@ -103,7 +103,7 @@ class TestQuadrupleCache:
         depth = kp.series_depth
         for n in (0, 3, depth // 2, depth):
             for z in (sample_z(rng), 1.1 - 0.2j):
-                two_basis_residual(z, kp, n)
+                two_basis_terms(z, kp, n)
                 pole_cleared_E_terms(z, kp, n)
             pole_cleared_E_terms(np.array([sample_z(rng) for _ in range(4)]), kp, n)
         # one adaptive pass per family, and at most one extension, from where the
@@ -284,19 +284,19 @@ class TestTwoBasisIdentity:
         for _ in range(10):
             kp = sample_kernel_params(rng, ctx4)
             z = sample_z(rng)
-            assert two_basis_residual(z, kp, 60) < 1e-7
+            assert scaled_residual(*two_basis_terms(z, kp, 60)) < 1e-7
 
     def test_inversion_invariance(self, kp, rng):
         z = sample_z(rng)
-        r1 = two_basis_residual(z, kp, 60)
-        r2 = two_basis_residual(1 / z, kp, 60)
+        r1 = scaled_residual(*two_basis_terms(z, kp, 60))
+        r2 = scaled_residual(*two_basis_terms(1 / z, kp, 60))
         assert abs(r1 - r2) < 1e-9
 
     def test_normalisations_not_optional(self, kp, rng):
         z = sample_z(rng)
-        base = two_basis_residual(z, kp, 60)
-        assert two_basis_residual(z, kp, 60, force_unit_Hb=True) > 1e6 * base
-        assert two_basis_residual(z, kp, 60, force_unit_Kcde=True) > 1e6 * base
+        base = scaled_residual(*two_basis_terms(z, kp, 60))
+        assert scaled_residual(*two_basis_terms(z, kp, 60, force_unit_Hb=True)) > 1e6 * base
+        assert scaled_residual(*two_basis_terms(z, kp, 60, force_unit_Kcde=True)) > 1e6 * base
 
 
 class TestComplementaryRemainder:
@@ -446,13 +446,13 @@ class TestPoleClearingPathsCheck:
 class TestLoweringLaws:
     def test_H_lowering(self, kp, rng):
         for _ in range(4):
-            assert H_lowering_residual(sample_z(rng), kp) < 1e-8
+            assert scaled_residual(*H_lowering_terms(sample_z(rng), kp)) < 1e-8
 
     def test_K_lowering_via_involution(self, kp, rng):
-        assert H_lowering_residual(sample_z(rng), involute(kp)) < 1e-8
+        assert scaled_residual(*H_lowering_terms(sample_z(rng), involute(kp))) < 1e-8
 
     def test_K_lowering_closed_form(self, kp, rng):
-        assert K_lowering_residual(sample_z(rng), kp) < 1e-8
+        assert scaled_residual(*K_lowering_terms(sample_z(rng), kp)) < 1e-8
 
     def test_prefactor_vanishes_at_unit_d(self, ctx4, rng):
         from qtaylor.wpoperator import apply_Dcq
@@ -466,16 +466,16 @@ class TestVWPRewriting:
     def test_generic_draws(self, ctx4, rng):
         for _ in range(4):
             kp = sample_kernel_params(rng, ctx4)
-            assert bailey_crosscheck(kp, sample_z(rng)) < 1e-7
+            assert scaled_residual(*bailey_terms(kp, sample_z(rng))) < 1e-7
 
     def test_unit_circle(self, kp, rng):
         import cmath
         z = cmath.exp(2j * math.pi * rng.random())
-        assert bailey_crosscheck(kp, z) < 1e-7
+        assert scaled_residual(*bailey_terms(kp, z)) < 1e-7
 
     def test_degenerate_collapse(self, ctx4, rng):
         # e = c^2/(dq) collapses both series to their leading terms
         c = 0.62 - 0.25j
         d = 0.48 + 0.33j
         kp = KernelParams(0.55 + 0.2j, c, d, c * c / (d * ctx4.q), ctx4)
-        assert bailey_crosscheck(kp, 1.07 + 0.3j) < 1e-9
+        assert scaled_residual(*bailey_terms(kp, 1.07 + 0.3j)) < 1e-9

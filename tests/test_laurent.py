@@ -7,11 +7,10 @@ from qtaylor import kernel
 from qtaylor.errors import QuadratureNonConvergence
 from qtaylor.kernel import (E_contour_coefficient, KernelParams,
                             calP_quadruple, calP_tables,
-                            cancellation_identity_residual,
                             fk_coefficients, gk_coefficients,
                             laurent_coefficient_detail, laurent_pair,
                             structured_E_terms)
-from qtaylor.qcore import qpoch_infinite
+from qtaylor.qcore import qpoch_infinite, scaled_residual
 from qtaylor.sampling import sample_complex
 from qtaylor.suites import SuiteConfig, run_laurent
 
@@ -79,9 +78,11 @@ class TestStructuredCoefficients:
         assert 0 < spy.call_count <= 5
 
     def test_cancellation_identity(self, kp):
+        # E vanishes identically: its terms cancel at n = 0 as at n >= 1
         tables = calP_tables(kp, 50)
-        for n in (1, 2):
-            assert cancellation_identity_residual(kp, n, tables) < 1e-6
+        for n in (0, 1, 2):
+            terms = structured_E_terms(kp, n, tables, *kp.family_terms(50))
+            assert scaled_residual(*terms) < 1e-6
 
     def test_structured_matches_contour(self, kp, ctx4):
         n = 1

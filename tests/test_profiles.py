@@ -8,17 +8,17 @@ from qtaylor.errors import (ConvergenceRegionViolation, DomainError,
                             PoleProximity)
 from qtaylor.kernel import (KernelParams, involute, laurent_coefficient_detail,
                             pole_cleared_E_terms)
-from qtaylor.profiles import (annular_factorization_residual,
+from qtaylor.profiles import (annular_factorization_terms,
                               bridge_residual, canonical_Z,
                               canonical_growth_profile, contiguous_moment,
                               exponential_profile_limit_residual,
                               generating_Q_terms, L_profile,
-                              leading_profile_residual,
-                              leading_profile_theta_residual,
-                              profile_coefficient_residual,
+                              leading_profile_terms,
+                              leading_profile_theta_terms,
+                              profile_coefficient_terms,
                               profile_kernel_P, profile_kernel_coefficient,
                               profile_sums_and_closed_forms)
-from qtaylor.qcore import QContext, qpoch_infinite, theta
+from qtaylor.qcore import QContext, qpoch_infinite, scaled_residual, theta
 from qtaylor.sampling import (sample_complex, sample_profile_kernel_params,
                               sample_z)
 
@@ -42,22 +42,22 @@ def pinf(a, ctx):
 class TestAnnularFactorisation:
     def test_layer_zero_sides_coincide(self, ctx4):
         lam, w = 0.6 + 0.1j, 1.1 + 0.2j
-        assert annular_factorization_residual(lam, 0, w, ctx4) < 1e-15
+        assert scaled_residual(*annular_factorization_terms(lam, 0, w, ctx4)) < 1e-15
 
     @pytest.mark.parametrize("N", [5, 10, 20])
     def test_deep_layers(self, N, ctx4):
-        assert annular_factorization_residual(0.6 + 0.1j, N, 1.05 + 0.2j,
-                                              ctx4) < 1e-10
+        terms = annular_factorization_terms(0.6 + 0.1j, N, 1.05 + 0.2j, ctx4)
+        assert scaled_residual(*terms) < 1e-10
 
     @pytest.mark.parametrize("q", [0.1, 0.05])
     def test_deepest_layer_at_small_base(self, q):
         # (-lam/z)^20 alone overflows here: |lam/z| = 1/(q^20 |w|) ~ 1e20 at q = 0.1
-        assert annular_factorization_residual(0.6 + 0.1j, 20, 1.3 + 0.2j,
-                                              QContext(q)) < 1e-10
+        terms = annular_factorization_terms(0.6 + 0.1j, 20, 1.3 + 0.2j, QContext(q))
+        assert scaled_residual(*terms) < 1e-10
 
     def test_zero_set_validation(self, ctx4):
         with pytest.raises(PoleProximity):
-            annular_factorization_residual(0.6, 5, 1.0, ctx4)
+            annular_factorization_terms(0.6, 5, 1.0, ctx4)
 
 
 class TestLimitProfile:
@@ -113,15 +113,15 @@ class TestLeadingProfile:
     def test_cancellation_on_annulus(self, kp, lam, rng):
         for _ in range(50):
             w = sample_z(rng, 0.8, 1.25)
-            assert leading_profile_residual(w, kp, lam) < 1e-8
+            assert scaled_residual(*leading_profile_terms(w, kp, lam)) < 1e-8
 
     def test_degree_two_theta_form(self, kp, rng):
         t = sample_z(rng, 0.7, 1.3)
-        assert leading_profile_theta_residual(t, kp) < 1e-8
+        assert scaled_residual(*leading_profile_theta_terms(t, kp)) < 1e-8
 
     def test_interpolation_anchors(self, kp):
-        assert leading_profile_theta_residual(1 / kp.b, kp) < 1e-10
-        assert leading_profile_theta_residual(kp.d * kp.e / kp.c, kp) < 1e-10
+        assert scaled_residual(*leading_profile_theta_terms(1 / kp.b, kp)) < 1e-10
+        assert scaled_residual(*leading_profile_theta_terms(kp.d * kp.e / kp.c, kp)) < 1e-10
 
 
 class TestProfileKernel:
@@ -224,26 +224,26 @@ class TestContiguousMoments:
 class TestCoefficientHierarchy:
     def test_order_zero_equals_leading_profile(self, kp, lam, rng):
         w = sample_z(rng, 0.9, 1.15)
-        j0 = profile_coefficient_residual(0, w, kp, lam)
-        lead = leading_profile_residual(w, kp, lam)
+        j0 = scaled_residual(*profile_coefficient_terms(0, w, kp, lam))
+        lead = scaled_residual(*leading_profile_terms(w, kp, lam))
         assert abs(j0 - lead) < 1e-12
 
     def test_first_correction(self, kp, lam, rng):
         for _ in range(3):
             w = sample_z(rng, 0.9, 1.15)
-            assert profile_coefficient_residual(1, w, kp, lam) < 1e-6
+            assert scaled_residual(*profile_coefficient_terms(1, w, kp, lam)) < 1e-6
 
     def test_second_correction_in_region(self, ctx4, rng):
         kp = sample_profile_kernel_params(rng, ctx4, moment_order=2)
         w = sample_z(rng, 0.9, 1.15)
-        assert profile_coefficient_residual(2, w, kp, kp.b) < 1e-6
+        assert scaled_residual(*profile_coefficient_terms(2, w, kp, kp.b)) < 1e-6
 
     def test_moment_window_enforced(self, ctx4):
         # |b/c| > |q| so the m = -2 moment diverges: j = 2 must refuse
         kp = KernelParams(0.45 + 0.15j, 0.72 - 0.2j, 0.48 + 0.33j,
                           0.71 - 0.12j, ctx4)
         with pytest.raises(ConvergenceRegionViolation):
-            profile_coefficient_residual(2, 1.05 + 0.2j, kp, kp.b)
+            profile_coefficient_terms(2, 1.05 + 0.2j, kp, kp.b)
 
     def test_against_contour_in_s(self, kp, lam, ctx4):
         # termwise quadrature oracle: every generating-function constituent

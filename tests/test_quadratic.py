@@ -7,13 +7,12 @@ import pytest
 from qtaylor import hyper, quadratic
 from qtaylor.errors import ConvergenceRegionViolation, DomainError, PoleProximity
 from qtaylor.hyper import series_eval
-from qtaylor.qcore import QContext, qpoch_finite
+from qtaylor.qcore import QContext, qpoch_finite, scaled_residual
 from qtaylor.quadratic import (QuadraticParams, companion_product,
-                               companion_residual, companion_series_vs_vwp,
-                               companion_taylor_identification,
-                               folding_identity_check, h_spec,
-                               quadratic_residual, quadratic_tail_curve,
-                               quadratic_taylor_identification, r_spec)
+                               companion_taylor_identification, companion_terms,
+                               companion_vwp_terms, folding_identity_check, h_spec,
+                               quadratic_tail_curve, quadratic_taylor_identification,
+                               quadratic_terms, r_spec)
 from qtaylor.sampling import sample_complex, sample_quadratic_params, sample_z
 from qtaylor.suites import SuiteConfig, run_quadratic
 
@@ -125,7 +124,7 @@ class TestWatsonTypeExpansion:
         for _ in range(20):
             qp = sample_quadratic_params(rng, ctx)
             z = sample_z(rng)
-            assert quadratic_residual(z, qp, 60) < 1e-8
+            assert scaled_residual(*quadratic_terms(z, qp, 60)) < 1e-8
 
     def test_unit_leading_coefficient(self, qp):
         assert qp.h_terms(0) == (1.0,)
@@ -149,7 +148,7 @@ class TestWatsonTypeExpansion:
 
     def test_pole_margin(self, qp):
         with pytest.raises(PoleProximity):
-            quadratic_residual(1 / qp.b, qp, 40)
+            quadratic_terms(1 / qp.b, qp, 40)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_tail_curve_rejects_later_pole_circle(self, m, ctx, qp):
@@ -162,7 +161,7 @@ class TestCompanionExpansion:
         for _ in range(20):
             qp = sample_quadratic_params(rng, ctx)
             z = sample_z(rng)
-            assert companion_residual(z, qp, 60) < 1e-8
+            assert scaled_residual(*companion_terms(z, qp, 60)) < 1e-8
 
     def test_unit_leading_coefficient(self, qp):
         assert qp.r_terms(0) == (1.0,)
@@ -179,7 +178,7 @@ class TestCompanionExpansion:
 
     def test_vwp_specialisation(self, qp, rng):
         z = sample_z(rng)
-        assert companion_series_vs_vwp(z, qp) < 1e-10
+        assert scaled_residual(*companion_vwp_terms(z, qp)) < 1e-10
 
 
 class TestExpansionScale:
@@ -200,8 +199,8 @@ class TestExpansionScale:
     def test_truncation_still_fails_at_the_same_point(self):
         qp, z = self.near_zero_point()
         assert abs(companion_product(z, qp)) < 1e-8
-        assert companion_residual(z, qp) < 1e-13
-        assert companion_residual(z, qp, 3) > 1e-8
+        assert scaled_residual(*companion_terms(z, qp)) < 1e-13
+        assert scaled_residual(*companion_terms(z, qp, 3)) > 1e-8
 
 
 class TestFolding:

@@ -10,10 +10,11 @@ from qtaylor.kernel import kernel_products
 from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
 from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_profile_kernel_params, sample_z)
+from qtaylor.suites import SuiteConfig, parse_complex, run_taylor
 from qtaylor.taylor import (BasisPair, TaylorExpansion, _coeff_prefactors,
-                            basis_limit_modulus, basis_sup_curve, basis_sup_estimate,
+                            basis_limit_modulus, basis_sup_curve,
                             basis_terms, flatness_check, phi_basis, phi_combination,
-                            phi_function, taylor_coefficient, taylor_expand,
+                            phi_function, taylor_expand,
                             taylor_sum_and_remainder)
 from qtaylor.wpoperator import cooper_eval, grid_functional_weights
 
@@ -132,15 +133,14 @@ class TestCoefficientExtraction:
     def test_order_zero_evaluates_at_anchor(self, ctx, rng):
         pair = sample_basis_pair(rng)
         f = phi_combination(pair, [0.8, 0.5j, 1.1], ctx)
-        t0 = taylor_coefficient(f, pair, 0, ctx)
+        [t0] = taylor_expand(f, pair, 0, ctx).coefficients
         assert t0 == pytest.approx(f(pair.a), rel=1e-14)
 
     def test_delta_property(self, ctx, rng):
         pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
         for n in range(5):
             f = phi_function(pair, n, ctx)
-            for k in range(5):
-                t = taylor_coefficient(f, pair, k, ctx)
+            for k, t in enumerate(taylor_expand(f, pair, 4, ctx).coefficients):
                 assert abs(t - (1.0 if k == n else 0.0)) < 1e-10
 
     def test_first_reexpansion_closed_forms(self, ctx, rng):
@@ -149,8 +149,7 @@ class TestCoefficientExtraction:
         d = sample_complex(rng, 0.4, 0.85)
         pair = BasisPair(a, c)
         f = phi_function(BasisPair(d, c), 1, ctx)
-        t0 = taylor_coefficient(f, pair, 0, ctx)
-        t1 = taylor_coefficient(f, pair, 1, ctx)
+        t0, t1 = taylor_expand(f, pair, 1, ctx).coefficients
         w0 = (1 - a * d) * (1 - d / a) / ((1 - a * c) * (1 - c / a))
         w1 = (d / a) * (1 - c / d) * (1 - c * d) / ((1 - c / a) * (1 - a * c))
         assert t0 == pytest.approx(w0, rel=1e-9)
@@ -162,9 +161,8 @@ class TestCoefficientExtraction:
             n = rng.randrange(1, 9)
             coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)]
             f = phi_combination(pair, coeffs, ctx)
-            for k in range(n + 1):
-                t = taylor_coefficient(f, pair, k, ctx)
-                assert abs(t - coeffs[k]) < 1e-8 * abs(coeffs[k])
+            for t, want in zip(taylor_expand(f, pair, n, ctx).coefficients, coeffs):
+                assert abs(t - want) < 1e-8 * abs(want)
 
     def test_linearity(self, ctx, rng):
         pair = sample_basis_pair(rng)
@@ -174,17 +172,16 @@ class TestCoefficientExtraction:
 
         def h(z):
             return al * f(z) + be * g(z)
-        for k in range(4):
-            lhs = taylor_coefficient(h, pair, k, ctx)
-            rhs = (al * taylor_coefficient(f, pair, k, ctx)
-                   + be * taylor_coefficient(g, pair, k, ctx))
+        th, tf, tg = (taylor_expand(fn, pair, 3, ctx).coefficients for fn in (h, f, g))
+        for lhs, tfk, tgk in zip(th, tf, tg):
+            rhs = al * tfk + be * tgk
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-12)
 
     def test_degenerate_prefactor_rejected(self, ctx):
         pair = BasisPair(0.6, 0.6)  # c/a = 1 kills the prefactor denominator
-        f = phi_function(pair, 1, ctx)
         with pytest.raises(ZeroDenominator):
-            taylor_coefficient(f, pair, 1, ctx)
+            # an f regular on the grid: the expansion samples f before it builds the rows
+            taylor_expand(lambda z: (z + 1 / z) / 2, pair, 1, ctx)
 
 
 class TestSumsAndRemainders:
@@ -307,7 +304,7 @@ class TestFlatness:
     def test_basis_element_is_not_flat(self, ctx, rng):
         pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
         f = phi_function(pair, 3, ctx)
-        assert taylor_coefficient(f, pair, 3, ctx) == pytest.approx(1.0, rel=1e-9)
+        assert taylor_expand(f, pair, 3, ctx).coefficients[3] == pytest.approx(1.0, rel=1e-9)
         assert flatness_check(f, pair, 4, ctx) > 1e-4
 
 
@@ -320,10 +317,13 @@ class TestBasisBoundedness:
         plateau = max(sups[30:]) / max(sups[15:25])
         assert abs(plateau - 1.0) < 1e-4
 
-    def test_estimate_matches_curve(self, ctx):
-        pair = BasisPair(0.6, 0.45)
-        est = basis_sup_estimate(pair, (0.98, 1.02), 25, ctx)
-        assert est == max(basis_sup_curve(pair, (0.98, 1.02), 25, ctx))
+    def test_estimate_matches_curve(self):
+        # the sup the basis-boundedness record reports is the largest of its curve
+        cfg = SuiteConfig(draws=4)
+        [rec] = [r for r in run_taylor(cfg) if r.check == "basis-boundedness"]
+        pair = BasisPair(parse_complex(rec.params["a"]), rec.params["c"])
+        sups = basis_sup_curve(pair, (0.95, 1.05), 40, cfg.context())
+        assert rec.detail == f"sampled sup={max(sups):.4g}"
 
     def test_large_order_limit(self, ctx):
         pair = BasisPair(0.6 + 0.2j, 0.45)
