@@ -9,10 +9,11 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceSuspected, DomainError, ZeroDenominator
+from .errors import DivergenceSuspected, DomainError, TruncationFailure, ZeroDenominator
 from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, q_powers, qpoch_multi,
                     qpoch_quotient)
 
@@ -34,9 +35,13 @@ class PhiSeriesSpec:
         if len(self.denominator_params) != len(self.numerator_params) - 1:
             raise DomainError("need exactly one fewer denominator than numerator parameter")
 
+    def ratio_params(self, ctx: QContext) -> tuple:
+        """The term_ratio arguments: numerators a_i, denominators b_j, no lead."""
+        return self.numerator_params, self.denominator_params, self.argument, None
+
     def ratio(self, ctx: QContext):
-        """The term ratio: numerators a_i, denominators b_j."""
-        return term_ratio(self.numerator_params, self.denominator_params, self.argument, ctx)
+        """The term ratio of this series (term_ratio)."""
+        return term_ratio([self.ratio_params(ctx)], ctx)
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,16 @@ class VWPSpec:
         object.__setattr__(self, "b_list", tuple(complex(b) for b in self.b_list))
         object.__setattr__(self, "argument", complex(self.argument))
 
-    def ratio(self, ctx: QContext):
-        """The term ratio: numerators (a, b_j), denominators a q / b_j, lead a."""
+    def ratio_params(self, ctx: QContext) -> tuple:
+        """The term_ratio arguments: numerators (a, b_j), denominators a q / b_j, lead a."""
         a = self.a
         if abs(1.0 - a) <= ctx.pole_margin:
             raise DomainError("very-well-poised series requires a != 1")
-        return term_ratio((a,) + self.b_list, tuple(a * ctx.q / b for b in self.b_list),
-                          self.argument, ctx, lead=a)
+        return (a,) + self.b_list, tuple(a * ctx.q / b for b in self.b_list), self.argument, a
+
+    def ratio(self, ctx: QContext):
+        """The term ratio of this series (term_ratio)."""
+        return term_ratio([self.ratio_params(ctx)], ctx)
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,15 @@ class SeriesSum(TailBound):
     """A series partial sum with the terms t_0 = 1, ..., t_N it added (N + 1 = terms_used)."""
 
     terms: tuple[complex, ...]
+
+
+class SeriesSums(tuple):
+    """The SeriesSum of each column of a batch, in column order."""
+
+    @property
+    def terms_used(self) -> int:
+        """The terms of every column, as the benchmark's hyper.terms counter reads them."""
+        return sum(s.terms_used for s in self)
 
 
 def vwp_expanded_spec(spec: VWPSpec, root: complex, ctx: QContext) -> PhiSeriesSpec:
@@ -84,30 +101,32 @@ def vwp_expanded_spec(spec: VWPSpec, root: complex, ctx: QContext) -> PhiSeriesS
     return PhiSeriesSpec(nums, dens, spec.argument)
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True entry of a nonempty mask, or its length when there is none."""
-    i = int(mask.argmax())
-    return i if mask[i] else mask.size
+def _first(mask: np.ndarray):
+    """Index of the first True entry down the first axis of a nonempty mask (for each
+    column), or the mask's length where there is none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
 
 
-def _running_rate(abs_terms: np.ndarray, rate: float, q_rate: float):
-    """Per step of |t|: did it decrease, and the rate after it (the last decreasing
-    ratio, at least q_rate; `rate` before the first decrease)."""
+def _running_rate(abs_terms: np.ndarray, rate, q_rate: float):
+    """Per step of |t| down each column: did it decrease, and the rate after it (the
+    last decreasing ratio, at least q_rate; `rate`, one per column, before the first
+    decrease)."""
     dec = abs_terms[1:] < abs_terms[:-1]
-    last = np.maximum.accumulate(np.where(dec, np.arange(dec.size), -1))
-    step = np.maximum(abs_terms[1:] / abs_terms[:-1], q_rate)
-    return dec, np.where(last >= 0, step[last], rate)
+    last = np.maximum.accumulate(np.where(dec, np.arange(1, len(abs_terms))[:, None], 0), axis=0)
+    step = np.concatenate(([rate], np.maximum(abs_terms[1:] / abs_terms[:-1], q_rate)))
+    return dec, step[last, np.arange(dec.shape[1])]
 
 
-def _series_sum(ratio, trunc: int | None, ctx: QContext,
-                start: SeriesSum | None = None) -> SeriesSum:
+def _series_sum(ratio, trunc, ctx: QContext, start=None):
     """Shared partial sum of every series; returns the value with the terms it added.
 
     ratio(k, x) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
-    i = k, k+1, ..., and the block's first pole as (offset, error) or None.
-    A first block of 2 geometric_depth(|q|) ratios and doubling blocks after
-    it lie at fixed places; the terms and partial sums are
-    np.multiply/np.add.accumulate, which associate as a loop over k does.  Nothing past the stop index raises or warns.
+    i = k, k+1, ..., one column per series, and, when some column has a pole
+    in the block, the list of each column's first one as (offset, error) or
+    None.  A first block of 2 geometric_depth(|q|) ratios and doubling blocks
+    after it lie at fixed places; the terms and partial sums of every column are
+    np.multiply/np.add.accumulate down the block, which associate as a loop
+    over k does.  Nothing past a column's stop index raises or warns.
     Truncation: through index `trunc` when given, else after the first t_k
     with |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
     decreasing term ratio (at least |q|): geometric_depth(rate, lead) = 0,
@@ -116,93 +135,152 @@ def _series_sum(ratio, trunc: int | None, ctx: QContext,
     growing terms in a row past geometric_depth(|q|), where the q-power
     factors of the ratio have settled.  `start`, an earlier sum of the same
     series, is continued to `trunc`, bit for bit as one sum.
+
+    A list trunc holds one of these per column, and start is then None or a
+    list with one earlier sum (or None) per column: the columns are summed
+    together, each with its own stop, and the SeriesSums of all are
+    returned, column j bit for bit the sum of its series alone.  When
+    columns fail, the first of them raises its error once every column has
+    stopped.
     """
+    batch = isinstance(trunc, list)
+    truncs, starts = (trunc, start or [None] * len(trunc)) if batch else ([trunc], [start])
     q_rate = abs(ctx.q)
     settled = geometric_depth(q_rate)
-    terms = [1.0 + 0.0j] if start is None else list(start.terms)
-    k = len(terms) - 1
-    term, total, rate, grow = terms[-1], terms[0], q_rate, 0
+    # per column: the terms, the last index, term and partial sum, the running rate
+    # (where `start` stopped), the growing run and the error
+    terms = [[1.0 + 0.0j] if s is None else list(s.terms) for s in starts]
+    k, term = [len(t) - 1 for t in terms], [t[-1] for t in terms]
+    total = [t[0] if s is None else s.value for t, s in zip(terms, starts)]
+    rate = [float(_running_rate(np.abs(t)[:, None], [q_rate], q_rate)[1][-1, 0])
+            if len(t) > 1 else q_rate for t in terms]
+    grow, errors = [0] * len(terms), [None] * len(terms)
+    live = [t != 0 and (n is None or j < n) for t, n, j in zip(term, truncs, k)]
     lo, size = 0, 2 * settled  # the block holding k: no ratio depends on where a sum starts
-    while lo + size <= k:
+    while any(live) and lo + size <= min(j for j, on in zip(k, live) if on):
         lo, size = lo + size, 2 * size
-    x = q_powers(1.0, lo, ctx)[lo]
-    with np.errstate(all="ignore"):  # entries past the stop may overflow or divide by 0
-        if start is not None:  # the running sum and rate where `start` stopped
-            total = start.value
-            rate = float(_running_rate(np.abs(terms), rate, q_rate)[1][-1]) if k else rate
-        while term != 0 and (trunc is None or k < trunc):
+    x = q_powers(1.0, lo, ctx)[lo] if lo else 1.0 + 0.0j
+    with np.errstate(all="ignore"):  # entries past a stop may overflow or divide by 0
+        while any(live):
             xs = q_powers(x, size, ctx)
-            x = xs[size]
-            r, pole = ratio(lo, xs[:size])
-            skip = k - lo
-            n = size - skip if trunc is None else min(size - skip, trunc - k)
-            # padded by one factor: NumPy multiplies a lone pair by a vectorised loop that
-            # can round differently, so a block of one ratio would break bit-equality
-            t = np.multiply.accumulate(np.concatenate(([term], r[skip:skip + n], [1.0])))[:-1]
-            s = np.add.accumulate(np.concatenate(([total], t[1:])))[1:]
-            at = np.abs(t)
-            dec, rates = _running_rate(at, rate, q_rate)
-            t, at = t[1:], at[1:]
-            at_pole, diverge = (pole[0] - skip if pole else n), n
-            stop = min(at_pole, _first(t == 0), n - 1 if k + n == trunc else n)
-            if trunc is None:
-                if k + n > settled:  # growth counts from the ratio at x = q^settled on
-                    i = np.arange(n)
-                    run = i - np.maximum.accumulate(np.where(dec | (i < settled - k), i,
-                                                             -1 - grow))
-                    diverge, grow = _first(run >= 8), int(run[-1])
-                lead = at / np.abs(s)
-                target = TAIL_TARGET * (1.0 - rates)
-                stop = min(stop, diverge, _first(lead < target))
-                if ctx.max_terms is not None or not np.isfinite(lead[:stop]).all():
-                    # geometric_depth enforces the cap, or rejects the non-finite lead
-                    stop = next((j for j in range(stop) if s[j] != 0 and geometric_depth(
-                        float(rates[j]), float(lead[j]), ctx.max_terms) == 0), stop)
-            if stop == at_pole < n:
-                raise pole[1]
-            if stop == diverge < n:
-                raise DivergenceSuspected(f"8 consecutive growing terms at k={k + stop + 1}")
-            last = min(stop, n - 1)
-            terms.extend(t[:last + 1].tolist())
-            term, total, rate = complex(t[last]), complex(s[last]), float(rates[last])
-            k += last + 1
-            if stop < n:
-                break
+            block, m, x = lo, size, xs[size]
             lo, size = lo + size, 2 * size
-    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms))
+            cols = [c for c, on in enumerate(live) if on and k[c] < lo]  # continued here
+            if not cols:
+                continue
+            r, poles = ratio(block, xs[:m])
+            skip = [k[c] - block for c in cols]
+            n = [m - sk if truncs[c] is None else min(m - sk, truncs[c] - k[c])
+                 for c, sk in zip(cols, skip)]  # the new terms of each column
+            i = np.arange(m)[:, None]
+            if any(skip):
+                r = r[np.minimum(np.array(skip) + i, m - 1), np.array(cols)]
+            elif len(cols) < r.shape[1]:
+                r = r[:, cols]
+            # padded by one factor: NumPy multiplies a lone pair by a vectorised loop
+            # that can round differently, so a block of one ratio would break bit-equality
+            t = np.empty((m + 2, len(cols)), dtype=complex)
+            t[0], t[m + 1] = [term[c] for c in cols], 1.0
+            t[1:m + 1] = np.where(i < np.array(n), r, 1.0) if min(n) < m else r
+            t = np.multiply.accumulate(t, axis=0)[:-1]
+            s = np.empty((m + 1, len(cols)), dtype=complex)
+            s[0], s[1:] = [total[c] for c in cols], t[1:]
+            s = np.add.accumulate(s, axis=0)[1:]
+            at = np.abs(t)
+            dec, rates = _running_rate(at, [rate[c] for c in cols], q_rate)
+            t, at = t[1:], at[1:]
+            # the first zero term of each column, or small term, or 8th growing term
+            halt = t == 0
+            adaptive = [truncs[c] is None for c in cols]
+            if any(adaptive):
+                # growth counts from the ratio at x = q^settled on
+                run = i - np.maximum.accumulate(np.where(
+                    dec | (i < np.array([settled - k[c] for c in cols])), i,
+                    np.array([-1 - grow[c] for c in cols])), axis=0)
+                lead = at / np.abs(s)
+                ends = (lead < TAIL_TARGET * (1.0 - rates)) | (run >= 8)
+                halt |= ends if all(adaptive) else ends & np.array(adaptive)
+                odd = ctx.max_terms is not None or not np.isfinite(lead).all()
+            for j, (c, nc, first) in enumerate(zip(cols, n, halt.argmax(axis=0).tolist())):
+                first = first if halt.item(first, j) else m
+                stop, at_pole = min(first, nc - 1 if k[c] + nc == truncs[c] else nc), nc
+                if poles and poles[c]:
+                    at_pole = poles[c][0] - skip[j]
+                    stop = min(stop, at_pole)
+                if adaptive[j]:
+                    grow[c] = run.item(nc - 1, j)
+                    if odd and (ctx.max_terms is not None
+                                or not np.isfinite(lead[:stop, j]).all()):
+                        # geometric_depth enforces the cap, or rejects the non-finite lead
+                        try:
+                            stop = next((h for h in range(stop) if s.item(h, j) != 0 and
+                                         geometric_depth(rates.item(h, j), lead.item(h, j),
+                                                         ctx.max_terms) == 0), stop)
+                        except TruncationFailure as exc:
+                            errors[c] = exc
+                if errors[c] is None and stop == at_pole < nc:
+                    errors[c] = poles[c][1]
+                elif errors[c] is None and adaptive[j] and stop == first < nc \
+                        and run.item(first, j) >= 8:
+                    errors[c] = DivergenceSuspected(
+                        f"8 consecutive growing terms at k={k[c] + stop + 1}")
+                live[c] = errors[c] is None and stop >= nc
+                if errors[c] is None:
+                    last = min(stop, nc - 1)
+                    terms[c].extend(t[:last + 1, j].tolist())
+                    term[c], total[c] = t.item(last, j), s.item(last, j)
+                    rate[c], k[c] = rates.item(last, j), k[c] + last + 1
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise failed[0]
+    sums = [SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts))
+            for s, t, r, n, ts in zip(total, term, rate, k, terms)]
+    return SeriesSums(sums) if batch else sums[0]
 
 
-def term_ratio(nums: tuple[complex, ...], dens: tuple[complex, ...], z: complex,
-               ctx: QContext, lead: complex | None = None):
-    """The term ratios t_{k+1} / t_k of a series, as a block function ratio(k, x).
+def term_ratio(series: Sequence[tuple], ctx: QContext):
+    """The term ratios t_{k+1} / t_k of a batch of series, as a block function ratio(k, x).
 
-    At x = q^k, ..., q^(k+n-1): the ndarray of prod_i (1 - n_i q^k) z /
-    ((1 - q^{k+1}) prod_j (1 - d_j q^k)), times (1 - lead q^{2k+2}) /
-    (1 - lead q^{2k}) for a very-well-poised summand (no square root of a
-    appears), each product in the order listed; and the first denominator
-    factor (lead, then the d_j) within the pole margin as (offset,
-    ZeroDenominator), or None.
+    Each series is one column, given as (nums, dens, z, lead) with the same
+    numbers of parameters and a lead in all or none.  At x = q^k, ..., q^(k+n-1):
+    the (n, columns) ndarray of prod_i (1 - n_i q^k) z / ((1 - q^{k+1}) prod_j
+    (1 - d_j q^k)), times (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a
+    very-well-poised summand (no square root of a appears), each product in the
+    order listed; and, when a denominator factor (lead, then the d_j) of some
+    column is within the pole margin, the list over the columns of the first
+    such factor as (offset, ZeroDenominator) or None (else None).
     """
-    q, margin, m = ctx.q, ctx.pole_margin, len(nums)
-    params = np.array(tuple(nums) + (q,) + tuple(dens), dtype=complex)[:, None]
+    q, margin, m = ctx.q, ctx.pole_margin, len(series[0][0])
+    lead = series[0][3]
+    # contiguous: NumPy may round a product of strided operands differently
+    params = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
+                       for nums, dens, z, a in series], dtype=complex).T.copy()[:, None]
+    params, z, lead_x = params[:-2], params[-2], params[-1]
 
     def ratio(k: int, x: np.ndarray):
-        facs = 1.0 - params * x
+        x = x[:, None]
+        facs = np.multiply(params, x)
+        np.subtract(1.0, facs, out=facs)
         r = np.multiply.reduce(facs[:m]) / np.multiply.reduce(facs[m:])
         gaps = np.abs(facs[m + 1:])
         if lead is not None:
-            lx2 = lead * (x * x)
+            lx2 = lead_x * (x * x)
             lead_old = 1.0 - lx2
             r = (1.0 - lx2 * q * q) / lead_old * r
             gaps = np.concatenate((np.abs(lead_old)[None], gaps))
         if np.minimum.reduce(gaps, axis=None, initial=np.inf) > margin:
             return r * z, None
         near = gaps <= margin
-        i = _first(near.any(axis=0))
-        j = _first(near[:, i]) - (lead is not None)
-        return r * z, (i, ZeroDenominator(
-            f"leading very-well-poised factor vanished at k={k + i}" if j < 0 else
-            f"denominator parameter {dens[j]} hits q^(-{k + i}) within margin"))
+        first = _first(near.any(axis=0))
+        poles = [None] * len(first)
+        for col in np.flatnonzero(first < len(x)):
+            i = int(first[col])
+            j = int(_first(near[:, i, col])) - (lead is not None)
+            poles[col] = (i, ZeroDenominator(
+                f"leading very-well-poised factor vanished at k={k + i}" if j < 0 else
+                f"denominator parameter {complex(params[m + 1 + j, 0, col])} hits "
+                f"q^(-{k + i}) within margin"))
+        return r * z, poles
 
     return ratio
 
@@ -221,58 +299,87 @@ def series_eval(spec: PhiSeriesSpec | VWPSpec, trunc: int | None,
     return _series_sum(spec.ratio(ctx), trunc, ctx)
 
 
-def sum_through(spec: PhiSeriesSpec | VWPSpec, n: int, ctx: QContext,
-                start: SeriesSum) -> SeriesSum:
-    """`start`, an earlier sum of spec, when it holds t_n; else `start` continued to n.
+def series_sums(specs: Sequence, trunc, ctx: QContext, start=None) -> SeriesSums:
+    """series_eval of every spec (of one kind and arity) in one _series_sum run.
 
-    The first n + 1 terms are those of series_eval(spec, n, ctx), bit for bit.
+    trunc is one value for all or a list with one per spec, start None or
+    one earlier sum (or None) per spec to continue.  Sum j equals
+    series_eval(specs[j], trunc_j, ctx) bit for bit; when specs fail, the
+    first of them raises its error.
     """
-    return start if n < start.terms_used else _series_sum(spec.ratio(ctx), n, ctx, start)
+    truncs = trunc if isinstance(trunc, list) else [trunc] * len(specs)
+    return _series_sum(term_ratio([spec.ratio_params(ctx) for spec in specs], ctx), truncs,
+                       ctx, start)
 
 
-def rogers_6w5_residual(a: complex, b: complex, c: complex, d: complex,
-                        ctx: QContext) -> float:
+def sum_through(specs: Sequence, ns: Sequence[int], ctx: QContext,
+                starts: Sequence[SeriesSum]) -> list[SeriesSum]:
+    """For each spec its earlier sum when that holds t_n, else that sum continued to n, the
+    continued ones in one run.  The first n + 1 terms of each are those of
+    series_eval(spec, n, ctx), bit for bit."""
+    out = list(starts)
+    todo = [j for j, (n, s) in enumerate(zip(ns, starts)) if n >= s.terms_used]
+    if todo:
+        picked = [[seq[j] for j in todo] for seq in (specs, ns, starts)]
+        for j, s in zip(todo, series_sums(picked[0], picked[1], ctx, picked[2])):
+            out[j] = s
+    return out
+
+
+def _columns(*params) -> list[tuple]:
+    """The draws of a batch as tuples of Python numbers, one per draw (one for numbers)."""
+    return list(zip(*(np.ravel(p).tolist() for p in params)))
+
+
+def rogers_6w5_residual(a, b, c, d, ctx: QContext):
     """Scale-relative residual of the nonterminating 6W5 summation.
 
     LHS: the 6W5 series at argument aq/(bcd); RHS: the four-factor
     infinite-product quotient.  Requires |aq/(bcd)| < 1.  The scale is the
-    largest additive term entering the identity.
+    largest additive term entering the identity.  ndarrays of draws give the
+    ndarray of their residuals, from one series and one product call.
     """
     q = ctx.q
     arg = a * q / (b * c * d)
-    if abs(arg) >= 1.0:
-        raise DomainError(f"|aq/(bcd)| = {abs(arg):.3g} >= 1")
-    spec = VWPSpec(a, (b, c, d), arg)
-    tb = series_eval(spec, None, ctx)
+    if np.any(abs(arg) >= 1.0):
+        raise DomainError(f"|aq/(bcd)| = {np.max(abs(arg)):.3g} >= 1")
+    sums = series_sums([VWPSpec(a_, (b_, c_, d_), a_ * q / (b_ * c_ * d_))
+                        for a_, b_, c_, d_ in _columns(a, b, c, d)], None, ctx)
     rhs = qpoch_quotient([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                          [a * q / b, a * q / c, a * q / d, arg], ctx,
                          "vanishing denominator product in 6W5 evaluation", ZeroDenominator)
-    return abs(tb.value - rhs) / max(abs(tb.value), abs(rhs), *map(abs, tb.terms))
+    res = [abs(tb.value - r) / max(abs(tb.value), abs(r), *map(abs, tb.terms))
+           for tb, r in zip(sums, np.ravel(rhs).tolist())]
+    return np.array(res) if np.ndim(a) else res[0]
 
 
-def jackson_8w7_residual(a: complex, b: complex, c: complex, d: complex,
-                         n: int, ctx: QContext) -> float:
+def jackson_8w7_residual(a, b, c, d, n, ctx: QContext):
     """Scale-relative residual of the terminating 8W7 summation at depth n.
 
     The balancing parameter a^2 q^{n+1}/(bcd) and the terminating q^{-n}
     are substituted internally; the series is summed over its n+1 terms
-    and the residual is relative to the largest summand.
+    and the residual is relative to the largest summand.  ndarrays of draws
+    (each with its own n) give the ndarray of their residuals, the series
+    from one call.
     """
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise DomainError("termination depth must be nonnegative")
     q = ctx.q
-    e = a * a * q ** (n + 1) / (b * c * d)
-    f = q ** (-n)
-    spec = VWPSpec(a, (b, c, d, e, f), q)
-    lhs = series_eval(spec, n, ctx)
-    num = qpoch_multi([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
-                      n, ctx).value
-    den = qpoch_multi([a * q / b, a * q / c, a * q / d, a * q / (b * c * d)],
-                      n, ctx).value
-    if abs(den) == 0.0:
-        raise ZeroDenominator("vanishing denominator product in 8W7 evaluation")
-    rhs = num / den
-    return abs(lhs.value - rhs) / max(abs(lhs.value), abs(rhs), *map(abs, lhs.terms))
+    draws = _columns(a, b, c, d, n)
+    lhs = series_sums([VWPSpec(a_, (b_, c_, d_, a_ * a_ * q ** (n_ + 1) / (b_ * c_ * d_),
+                                    q ** (-n_)), q) for a_, b_, c_, d_, n_ in draws],
+                      [n_ for *_, n_ in draws], ctx)
+    res = []
+    for tb, (a_, b_, c_, d_, n_) in zip(lhs, draws):
+        num = qpoch_multi([a_ * q, a_ * q / (b_ * c_), a_ * q / (b_ * d_), a_ * q / (c_ * d_)],
+                          n_, ctx).value
+        den = qpoch_multi([a_ * q / b_, a_ * q / c_, a_ * q / d_, a_ * q / (b_ * c_ * d_)],
+                          n_, ctx).value
+        if abs(den) == 0.0:
+            raise ZeroDenominator("vanishing denominator product in 8W7 evaluation")
+        rhs = num / den
+        res.append(abs(tb.value - rhs) / max(abs(tb.value), abs(rhs), *map(abs, tb.terms)))
+    return np.array(res) if np.ndim(a) else res[0]
 
 
 def well_poised_defect(spec: VWPSpec, ctx: QContext) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      ZeroDenominator)
-from .hyper import SeriesSum, VWPSpec, series_eval, sum_through
+from .hyper import SeriesSum, VWPSpec, series_sums, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
 from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups,  # noqa: F401
                     qpoch_infinite, qpoch_quotients, qpoch_table, scaled_residual)
@@ -49,7 +49,10 @@ class KernelParams:
     H(b), K(c/de) and the coefficient families do not depend on z: each is
     computed once per instance, when first read (Hb and Kcde from one
     qpoch_infinite call, series_depth, family_terms), and an equal quadruple
-    built separately computes its own.
+    built separately computes its own.  KernelParams.batch(draws) holds
+    validated quadruples as one: b, c, d, e are the ndarrays of their values
+    (the last axis of every result is the draw), H(b) and K(c/de) of all come
+    from one qpoch_infinite call and their families from one series run.
     """
 
     b: complex
@@ -57,8 +60,11 @@ class KernelParams:
     d: complex
     e: complex
     ctx: QContext
+    draws: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.draws:  # each draw was validated when it was built
+            return
         for name in "bcde":
             val = complex(getattr(self, name))
             object.__setattr__(self, name, val)
@@ -70,6 +76,12 @@ class KernelParams:
                 raise ZeroDenominator(
                     f"kernel genericity violated: base {name} = {base} "
                     f"within margin of q^-j")
+
+    @classmethod
+    def batch(cls, draws: Sequence[KernelParams]) -> KernelParams:
+        """The draws (of one context) as one batch."""
+        return cls(*(np.array([getattr(kp, p) for kp in draws]) for p in "bcde"),
+                   draws[0].ctx, tuple(draws))
 
     def denominator_bases(self) -> list[tuple[str, complex]]:
         b, c, d, e = self.b, self.c, self.d, self.e
@@ -108,31 +120,48 @@ class KernelParams:
     Kcde = property(lambda self: self._zeroth[1], doc="K(c/de)")
 
     @cached_property
-    def _sums(self) -> tuple[SeriesSum, ...]:
-        """The f and g sums through series_depth N: each family is summed
-        adaptively, and the one that stopped earlier is continued to N."""
-        specs = (f_spec(self), g_spec(self))
-        sums = [series_eval(spec, None, self.ctx) for spec in specs]
-        n = max(s.terms_used for s in sums) - 1
-        return tuple(sum_through(spec, n, self.ctx, s) for spec, s in zip(specs, sums))
+    def _sums(self) -> tuple[list, list[SeriesSum]]:
+        """The specs and sums of f (one per draw) then g, through series_depth N of
+        each draw: the families are summed adaptively in one run, and the one that
+        stopped earlier is continued to N."""
+        draws = self.draws or (self,)
+        specs = [f_spec(kp) for kp in draws] + [g_spec(kp) for kp in draws]
+        sums = series_sums(specs, None, self.ctx)
+        half = len(draws)
+        depths = [max(f.terms_used, g.terms_used) - 1 for f, g in zip(sums[:half], sums[half:])]
+        sums = sum_through(specs, depths * 2, self.ctx, sums)
+        for i, kp in enumerate(self.draws):  # its columns are each draw's own sums, bit for bit
+            kp.__dict__.setdefault("_sums", (specs[i::half], sums[i::half]))
+        return specs, sums
 
     @property
-    def series_depth(self) -> int:
-        """The larger adaptive depth (last index kept) of the f and g families."""
-        return max(s.terms_used for s in self._sums) - 1
+    def series_depth(self):
+        """The larger adaptive depth (last index kept) of the f and g families; for a
+        batch, the ndarray of each draw's."""
+        sums = self._sums[1]
+        half = len(sums) // 2
+        depths = [max(f.terms_used, g.terms_used) - 1 for f, g in zip(sums[:half], sums[half:])]
+        return np.array(depths) if self.draws else depths[0]
 
-    def family_terms(self, n: int) -> tuple[tuple[complex, ...], ...]:
-        """(f_0..f_n, g_0..g_n): sliced from the cached sums, continued past series_depth."""
-        return tuple(sum_through(spec, n, self.ctx, s).terms[:n + 1]
-                     for spec, s in zip((f_spec(self), g_spec(self)), self._sums))
+    def family_terms(self, n) -> tuple:
+        """(f_0..f_n, g_0..g_n): sliced from the cached sums, continued past series_depth.
+        For a batch, n is one depth per draw and each family the list of the draws' terms."""
+        specs, sums = self._sums
+        ns = np.ravel(n).tolist() * 2
+        got = [s.terms[:m + 1] for s, m in zip(sum_through(specs, ns, self.ctx, sums), ns)]
+        half = len(got) // 2
+        return (got[:half], got[half:]) if self.draws else tuple(got)
 
 
 def involute(kp: KernelParams) -> KernelParams:
     """The parameter involution (b,c,d,e) -> (c/de, c^2/bde, c/be, c/bd).
 
     Applying it twice returns the original quadruple; it exchanges the two
-    bases, the two prefactors and the two normalised kernels.
+    bases, the two prefactors and the two normalised kernels.  A batch gives
+    the batch of its involuted draws.
     """
+    if kp.draws:
+        return KernelParams.batch([involute(draw) for draw in kp.draws])
     b, c, d, e = kp.b, kp.c, kp.d, kp.e
     return KernelParams(c / (d * e), c * c / (b * d * e), c / (b * e), c / (b * d), kp.ctx)
 
@@ -162,11 +191,12 @@ def kernel_products(z, kp: KernelParams, names: str) -> list:
     return qpoch_quotients([kernel_quotient(name, z, kp) for name in names], kp.ctx)
 
 
-def kernel_factors(z: complex, kp: KernelParams) -> KernelFactors:
-    """All five kernel products at z, with F = A*H = B*K enforced."""
+def kernel_factors(z, kp: KernelParams) -> KernelFactors:
+    """All five kernel products at z, with F = A*H = B*K enforced (at every point and
+    draw of an ndarray z and a batch)."""
     F, A, B, H, K = kernel_products(z, kp, "FABHK")
     tol = kp.ctx.eps_rel * abs(F)
-    if abs(F - A * H) > 100 * tol or abs(F - B * K) > 100 * tol:
+    if np.any(abs(F - A * H) > 100 * tol) or np.any(abs(F - B * K) > 100 * tol):
         raise PoleProximity(
             "kernel factorisation inconsistent at z (precision lost near a pole)")
     return KernelFactors(F, A, B, H, K)
@@ -511,20 +541,25 @@ def K_lowering_terms(z: complex, kp: KernelParams) -> tuple[complex, complex]:
     return _lowering_terms("K", z, kp, c * c / (b * d * e), pref, b=b / rq, c=c * rq)
 
 
-def bailey_terms(kp: KernelParams, z: complex) -> tuple[complex, complex, complex]:
+def bailey_terms(kp: KernelParams, z) -> tuple:
     """The three additive terms of the kernel identity with both series as 8W7 sums.
 
     Each coefficient series becomes one very-well-poised series: its
     coefficient spec (f_spec, g_spec) with the basis pair (az, a/z) appended
-    to the parameter list.  The terms are (F, A H(b) W1, B K(c/de) W2).
+    to the parameter list.  The terms are (F, A H(b) W1, B K(c/de) W2).  For a
+    batch, z holds points on its last axis, the draw: every W from one series
+    run, F, A and B from one qpoch_infinite call.
     """
-    ctx = kp.ctx
-
-    def w_series(spec: VWPSpec, pair: BasisPair) -> complex:
-        blist = spec.b_list + (pair.a * z, pair.a / z)
-        return series_eval(VWPSpec(spec.a, blist, spec.argument), None, ctx).value
-
-    w1 = w_series(f_spec(kp), kp.phi_pair)
-    w2 = w_series(g_spec(kp), kp.psi_pair)
+    draws = kp.draws or (kp,)
+    specs = []
+    for family, pair in ((f_spec, lambda d: d.phi_pair.a), (g_spec, lambda d: d.psi_pair.a)):
+        for row in np.reshape(z, (-1, len(draws))).tolist():
+            for d, w in zip(draws, row):
+                spec, a = family(d), pair(d)
+                specs.append(VWPSpec(spec.a, spec.b_list + (a * w, a / w), spec.argument))
+    values = [s.value for s in series_sums(specs, None, kp.ctx)]
+    half = len(values) // 2
+    w1, w2 = (np.reshape(v, np.shape(z)) if np.ndim(z) else v[0]
+              for v in (values[:half], values[half:]))
     F, A, B = kernel_products(z, kp, "FAB")
     return F, A * kp.Hb * w1, B * kp.Kcde * w2

@@ -234,10 +234,11 @@ def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
         coeff_ratio = spec.ratio(ctx)
 
         def ratio(k: int, x: np.ndarray):
-            (r, pole), (step, step_pole) = (coeff_ratio(k, x),
-                                            _profile_ratio_step(alpha * x, beta * x, t, s, ctx))
-            return r * step, min(filter(None, (pole, step_pole)), key=lambda p: p[0],
-                                 default=None)
+            (r, poles), (step, step_pole) = (coeff_ratio(k, x),
+                                             _profile_ratio_step(alpha * x, beta * x, t, s, ctx))
+            pole = min(filter(None, (poles and poles[0], step_pole)), key=lambda p: p[0],
+                       default=None)
+            return r * step[:, None], pole and [pole]
 
         return _series_sum(ratio, None, ctx).value
 

@@ -221,18 +221,19 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
 def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
     """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call.
 
-    Bases are scalars or ndarrays of one shape: the ndarrays enter as one
-    stacked block and each scalar once; a product has the shape of its bases.
+    Bases are scalars or ndarrays: the ndarrays enter flattened, one after
+    the other, and each scalar once; a product has the shape of its bases.
     An empty group gives 1.
     """
     bases = [a for group in groups for a in group]
     arrays = [a for a in bases if isinstance(a, np.ndarray)]
     if arrays:
         scalars = [a for a in bases if not isinstance(a, np.ndarray)]
-        values = qpoch_infinite(np.concatenate((np.ravel(arrays), scalars)), ctx).value
-        split = len(arrays) * arrays[0].size
-        stacked = iter(values[:split].reshape((len(arrays),) + arrays[0].shape))
-        single = iter(values[split:].tolist())
+        values = qpoch_infinite(np.concatenate([a.ravel() for a in arrays] + [scalars]), ctx).value
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        stacked = iter([values[lo:hi].reshape(a.shape)
+                        for a, lo, hi in zip(arrays, [0] + ends, ends)])
+        single = iter(values[ends[-1]:].tolist())
         rows = iter([next(stacked) if isinstance(a, np.ndarray) else next(single) for a in bases])
     else:
         rows = iter(qpoch_infinite(bases, ctx).value.tolist())
@@ -325,9 +326,12 @@ def scaled_residual(*terms):
 
 
 def sample(f, nodes: list) -> list:
-    """f at the nodes, from one call of f on their ndarray (a constant f serves every node)."""
+    """f at the nodes, from one call of f on their ndarray (a constant f serves every node);
+    nodes that are ndarrays of points give the ndarray of f at each."""
     values = f(np.array(nodes))
-    return values.tolist() if isinstance(values, np.ndarray) else [values] * len(nodes)
+    if not isinstance(values, np.ndarray):
+        return [values] * len(nodes)
+    return values.tolist() if values.ndim == 1 else list(values)
 
 
 def require_clear(ctx: QContext, what: str, *bases) -> None:

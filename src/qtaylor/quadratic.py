@@ -9,11 +9,14 @@ convergent tails, so the decay checks here need no complementary term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConvergenceRegionViolation, DomainError
-from .hyper import SeriesSum, VWPSpec, series_eval, sum_through
+from .hyper import VWPSpec, series_eval, series_sums, sum_through
 from .qcore import (QContext, qpoch_finite, qpoch_groups, qpoch_infinite, qpoch_quotient,
                     require_clear, scaled_residual)
 from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
@@ -30,6 +33,10 @@ class QuadraticParams:
     C_{a,b}, the companion constant and the adaptive h and r sums do not
     depend on z: each is computed once per instance, when first read (Cab,
     Cad, h_sum, r_sum), and h_terms(n), r_terms(n) read the sums.
+    QuadraticParams.batch(draws) holds validated parameter sets as one: a, b,
+    alpha, d are the ndarrays of their values (the last axis of every result
+    is the draw), each constant of all draws comes from one qpoch_infinite
+    call and each family from one series run.
     """
 
     a: complex
@@ -37,8 +44,11 @@ class QuadraticParams:
     alpha: complex
     d: complex
     ctx: QContext
+    draws: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.draws:  # each draw was validated when it was built
+            return
         for name in ("a", "b", "alpha", "d"):
             val = complex(getattr(self, name))
             object.__setattr__(self, name, val)
@@ -48,6 +58,12 @@ class QuadraticParams:
             raise ConvergenceRegionViolation("first family requires |b/a| < 1")
         if abs(self.alpha) >= 1.0:
             raise ConvergenceRegionViolation("companion family requires |alpha| < 1")
+
+    @classmethod
+    def batch(cls, draws: Sequence[QuadraticParams]) -> QuadraticParams:
+        """The draws (of one context) as one batch."""
+        return cls(*(np.array([getattr(qp, p) for qp in draws]) for p in ("a", "b", "alpha", "d")),
+                   draws[0].ctx, tuple(draws))
 
     @property
     def h_pair(self) -> BasisPair:
@@ -75,24 +91,35 @@ class QuadraticParams:
                               "vanishing denominator in the companion constant")
 
     @cached_property
-    def h_sum(self) -> SeriesSum:
-        """The h family summed adaptively."""
-        return series_eval(h_spec(self), None, self.ctx)
+    def h_sum(self):
+        """The h family summed adaptively (for a batch, the SeriesSums of the draws)."""
+        return self._family(h_spec, "h_sum")
 
     @cached_property
-    def r_sum(self) -> SeriesSum:
-        """The r family summed adaptively."""
-        return series_eval(r_spec(self), None, self.ctx)
+    def r_sum(self):
+        """The r family summed adaptively (for a batch, the SeriesSums of the draws)."""
+        return self._family(r_spec, "r_sum")
 
-    def h_terms(self, n: int | None = None) -> tuple[complex, ...]:
-        """h_0..h_n (h_0 = 1), through the adaptive depth for None."""
-        return self.h_sum.terms if n is None else \
-            sum_through(h_spec(self), n, self.ctx, self.h_sum).terms[:n + 1]
+    def _family(self, spec, name: str):
+        sums = series_sums([spec(qp) for qp in self.draws or (self,)], None, self.ctx)
+        for qp, s in zip(self.draws, sums):  # its columns are each draw's own sums, bit for bit
+            qp.__dict__.setdefault(name, s)
+        return sums if self.draws else sums[0]
 
-    def r_terms(self, n: int | None = None) -> tuple[complex, ...]:
-        """r_0..r_n (r_0 = 1), through the adaptive depth for None."""
-        return self.r_sum.terms if n is None else \
-            sum_through(r_spec(self), n, self.ctx, self.r_sum).terms[:n + 1]
+    def h_terms(self, n: int | None = None):
+        """h_0..h_n (h_0 = 1), through the adaptive depth for None (for a batch, the list
+        of each draw's adaptive terms)."""
+        return self._terms(h_spec, self.h_sum, n)
+
+    def r_terms(self, n: int | None = None):
+        """r_0..r_n (r_0 = 1), through the adaptive depth for None (for a batch, the list
+        of each draw's adaptive terms)."""
+        return self._terms(r_spec, self.r_sum, n)
+
+    def _terms(self, spec, sums, n):
+        if n is None:
+            return [s.terms for s in sums] if self.draws else sums.terms
+        return sum_through([spec(self)], [n], self.ctx, [sums])[0].terms[:n + 1]
 
 
 def quadratic_product(z, qp: QuadraticParams):

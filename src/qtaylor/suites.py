@@ -7,8 +7,8 @@ the tolerance and the verdict.  Records are deterministic functions of
 offsets, never from global state.
 
 Every check is a ``with check(name, anchor, tol, **params) as c:`` block
-(:class:`Check`) that keeps its worst residual.  ``scale`` is what that
-residual was divided by: the largest |t_i| of an identity t_0 = t_1 + ...
+(:class:`Check`) that keeps the first of its largest residuals.  ``scale``
+is what that residual was divided by: the largest |t_i| of an identity t_0 = t_1 + ...
 judged by ``c.terms`` (``qcore.residual_and_scale``), |ref| of a relative
 error judged by ``c.rel``, and 1.0 for a residual passed to ``c.see``
 as is.  A ``QTaylorError`` or ``ArithmeticError`` raised inside a block
@@ -160,25 +160,44 @@ class Check:
         self._records = records
         self.suite, self.check, self.anchor, self.tol = suite, check, anchor, tol
         self.params = params
-        self.residual, self.scale, self.detail = 0.0, 1.0, ""
+        self.residual, self.scale, self.detail = 0.0, None, ""  # no residual seen yet
 
     def see(self, *residuals, scale=1.0) -> None:
-        """Keep the largest residual and the scale it was divided by; a NaN sticks."""
+        """Keep the first largest residual and the scale it was divided by; a NaN sticks."""
         worst = float(np.max(residuals))
-        if not (worst < self.residual or math.isnan(self.residual)):
+        if (self.scale is None or worst > self.residual
+                or math.isnan(worst) > math.isnan(self.residual)):
             self.residual, self.scale = worst, float(scale)
 
+    def _see_worst(self, residual, scale) -> None:
+        """See the first largest entry of an array of residuals with its scale."""
+        if np.ndim(residual):
+            i = np.argmax(residual)
+            residual, scale = residual.flat[i], scale.flat[i]
+        self.see(residual, scale=scale)
+
     def rel(self, value, ref) -> None:
-        """Judge value against a reference value: |value - ref| / |ref|."""
-        self.see(abs(value - ref) / abs(ref), scale=abs(ref))
+        """Judge value against a reference value, |value - ref| / |ref|, at each entry."""
+        self._see_worst(abs(value - ref) / abs(ref), abs(ref))
 
     def terms(self, *terms) -> np.ndarray:
         """Judge t_0 = t_1 + ... by residual_and_scale at a point or an array of points;
         returns the residual at each point."""
-        res, scale = map(np.ravel, residual_and_scale(*terms))
-        i = np.argmax(res)
-        self.see(res[i], scale=scale[i])
-        return res
+        residual, scale = residual_and_scale(*terms)
+        self._see_worst(residual, scale)
+        return np.ravel(residual)
+
+    def each(self, judge, batch: tuple, draws) -> None:
+        """judge(*batch): every draw in one evaluation.  If that raises, judge(*draw) for
+        each draw in turn, so that an error is that of the first draw that fails on its
+        own, as in a loop over the draws."""
+        state = self.residual, self.scale, dict(self.params)
+        try:
+            judge(*batch)
+        except (QTaylorError, ArithmeticError):
+            self.residual, self.scale, self.params = state
+            for draw in draws:
+                judge(*draw)
 
     def __enter__(self) -> Check:
         self._slot = len(self._records)
@@ -195,7 +214,7 @@ class Check:
         self._records[self._slot] = CheckRecord(
             self.suite, self.check, self.anchor,
             {k: _clean(v) for k, v in self.params.items()}, self.residual,
-            self.scale, float(self.tol),
+            1.0 if self.scale is None else self.scale, float(self.tol),
             bool(math.isfinite(self.residual) and self.residual < self.tol),
             self.detail)
         return True
@@ -270,13 +289,17 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("phi-vs-long-sum", "basic-hypergeometric-def", 1e-12,
                draws=cfg.draws) as c:
+        specs = []
         for _ in range(cfg.draws):
             nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
             dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
             z = sample_complex(rng, 0.1, 0.5)
-            spec = hyper.PhiSeriesSpec(nums, dens, z)
-            c.rel(hyper.series_eval(spec, None, ctx).value,
-                  hyper.series_eval(spec, 220, ctx).value)
+            specs.append(hyper.PhiSeriesSpec(nums, dens, z))
+
+        def long_sum(*specs):
+            c.rel(*(np.array([tb.value for tb in hyper.series_sums(specs, trunc, ctx)])
+                    for trunc in (None, 220)))
+        c.each(long_sum, specs, [(spec,) for spec in specs])
 
     k = 9
     with check("vwp-telescoping", "W-summand", 1e-14, k=k) as c:
@@ -294,29 +317,36 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
         c.see(abs((s9 - s8) - summand) / max(abs(s9), abs(summand)))
 
     with check("vwp-expanded-roots", "W-notation", 1e-12, draws=6) as c:
+        specs = []
         for _ in range(6):
             a = rng.uniform(0.3, 0.8)  # real positive: explicit root exists
-            root = math.sqrt(a)
             blist = tuple(sample_complex(rng, 0.4, 0.9) for _ in range(2))
-            z = sample_complex(rng, 0.1, 0.4)
-            vs = hyper.VWPSpec(a, blist, z)
-            v1 = hyper.series_eval(vs, 24, ctx).value
-            for r in (root, -root):
-                c.rel(hyper.series_eval(hyper.vwp_expanded_spec(vs, r, ctx), 24, ctx).value, v1)
-            c.see(hyper.well_poised_defect(vs, ctx))
+            specs.append(hyper.VWPSpec(a, blist, sample_complex(rng, 0.1, 0.4)))
+
+        def expanded_roots(*specs):
+            v1 = hyper.series_sums(specs, 24, ctx)
+            roots = iter(hyper.series_sums(
+                [hyper.vwp_expanded_spec(vs, sign * math.sqrt(vs.a.real), ctx)
+                 for vs in specs for sign in (1, -1)], 24, ctx))
+            for vs, tb in zip(specs, v1):
+                for expanded in (next(roots), next(roots)):
+                    c.rel(expanded.value, tb.value)
+                c.see(hyper.well_poised_defect(vs, ctx))
+        c.each(expanded_roots, specs, [(vs,) for vs in specs])
 
     with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
-        for _ in range(cfg.draws):
-            c.see(hyper.rogers_6w5_residual(*_rogers_draw(rng, ctx), ctx))
+        draws = [_rogers_draw(rng, ctx) for _ in range(cfg.draws)]
+        c.each(lambda *p: c.see(hyper.rogers_6w5_residual(*p, ctx)),
+               tuple(map(np.array, zip(*draws))), draws)
         # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
         c.see(hyper.rogers_6w5_residual(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
 
     with check("jackson-summation", "jackson-8w7", 1e-10, draws=cfg.draws,
                n_max=12) as ch:
-        for _ in range(cfg.draws):
-            a, b, c, d = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
-            n = rng.randrange(0, 13)
-            ch.see(hyper.jackson_8w7_residual(a, b, c, d, n, ctx))
+        draws = [(*(sample_complex(rng, 0.3, 0.9) for _ in range(4)), rng.randrange(0, 13))
+                 for _ in range(cfg.draws)]
+        ch.each(lambda *p: ch.see(hyper.jackson_8w7_residual(*p, ctx)),
+                tuple(map(np.array, zip(*draws))), draws)
     return out
 
 
@@ -500,14 +530,16 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
 
     points = [(sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi),
                sample_z(rng)) for _ in range(n_half)]
+    batch = (kernel.KernelParams.batch([kp for kp, _ in points]), np.array([z for _, z in points]))
     with check("factorisation", "A-B", 1e-12, draws=n_half) as c:
-        for kp, z in points:
+        def factorisation(kp, z):
             kf = kernel.kernel_factors(z, kp)
-            c.rel(kf.A * kf.H, kf.F)
-            c.rel(kf.B * kf.K, kf.F)
+            # both factorisations of each draw together, as a loop over the draws sees them
+            c.rel(np.array([kf.A * kf.H, kf.B * kf.K]).T, np.array([kf.F, kf.F]).T)
+        c.each(factorisation, batch, points)
 
     with check("involution", "involution", 1e-12, draws=n_half) as c:
-        for kp, z in points:
+        def involution(kp, z):
             ip = kernel.involute(kp)
             iip = kernel.involute(ip)
             c.see(abs(iip.b - kp.b), abs(iip.c - kp.c), abs(iip.d - kp.d),
@@ -516,6 +548,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                                           kernel.kernel_quotient("K", z, kp)], ctx))
             c.rel(taylor.phi_basis(z, ip.phi_pair, 5, ctx),
                   taylor.phi_basis(z, kp.psi_pair, 5, ctx))
+        c.each(involution, batch, points)
 
     kp = sample_kernel_params(rng, ctx)
     with check("g-equals-involuted-f", "g-coeff", 1e-12, k_max=12) as c:
@@ -536,23 +569,31 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     quadruples = [kernel_params_from_config(entry, ctx)
                   for entry in cfg.explicit_kernel]
     n_draws = len(quadruples) or cfg.draws
-    first = None
+    judged = []
     with check("two-basis-identity", "two-basis-identity", 1e-7, draws=n_draws,
                trunc=0, explicit=bool(quadruples)) as c:
+        draws = []
         for i in range(n_draws):
             kp = (quadruples[i] if quadruples
                   else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
                                             hi=cfg.modulus_hi))
-            z = sample_kernel_z(rng, kp)
+            draws.append((kp, sample_kernel_z(rng, kp)))
+
+        def two_basis(kp, z):  # one draw, or the batch of all
             depth = kp.series_depth
-            c.params["trunc"] = max(c.params["trunc"], depth)
-            r = c.terms(*kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth))
-            first = first or (z, kp, depth, r[0])
+            c.params["trunc"] = max(c.params["trunc"], int(np.max(depth)))
+            # the points of each draw together, as a loop over the draws sees them
+            c.terms(*(t.T for t in kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth)))
+            judged.append(draws[0])  # the first draw is in the first evaluation that passes
+        zs = np.array([z for _, z in draws])
+        c.each(two_basis, (kernel.KernelParams.batch([kp for kp, _ in draws]), zs), draws)
 
     with check("negative-control-Hb", "two-basis-identity", 1e-6) as c:
-        if first is None:
+        if not judged:
             raise DomainError("two-basis-identity evaluated no draw to degrade")
-        z, kp, depth, r = first
+        kp, z = judged[0]
+        depth = kp.series_depth
+        r = scaled_residual(*kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth))[0]
         c.params["z"] = z
         ratio = (scaled_residual(*kernel.two_basis_terms(z, kp, depth, force_unit_Hb=True))
                  / max(r, 1e-300))
@@ -570,12 +611,16 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             c.rel(c.params[key], abs(q))
 
     with check("lowering-laws", "H-lowering", 1e-8, draws=n_half) as c:
-        for _ in range(n_half):
-            kp = sample_kernel_params(rng, ctx)
-            z = sample_z(rng)
-            c.terms(*kernel.H_lowering_terms(z, kp))
-            c.terms(*kernel.H_lowering_terms(z, kernel.involute(kp)))
-            c.terms(*kernel.K_lowering_terms(z, kp))
+        draws = [(sample_kernel_params(rng, ctx), sample_z(rng)) for _ in range(n_half)]
+
+        def lowering_laws(kp, z):
+            ip = kernel.involute(kp)
+            laws = (kernel.H_lowering_terms(z, kp), kernel.H_lowering_terms(z, ip),
+                    kernel.K_lowering_terms(z, kp))
+            # the three laws of each draw together, as a loop over the draws sees them
+            c.terms(*(np.array(sides).T for sides in zip(*laws)))
+        c.each(lowering_laws, (kernel.KernelParams.batch([kp for kp, _ in draws]),
+                               np.array([z for _, z in draws])), draws)
 
     kp = sample_kernel_params(rng, ctx)
     depth = kp.series_depth
@@ -604,10 +649,13 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
 
     n_third = max(cfg.draws // 3, 3)
     with check("vwp-rewriting", "deduce-bailey-8phi7", 1e-7, draws=n_third) as c:
+        draws = []
         for _ in range(n_third):
             kp = sample_kernel_params(rng, ctx)
-            c.terms(*kernel.bailey_terms(kp, sample_kernel_z(rng, kp)))
-            c.terms(*kernel.bailey_terms(kp, sample_on_circle(rng)))
+            draws.append((kp, np.array([sample_kernel_z(rng, kp), sample_on_circle(rng)])))
+        c.each(lambda kp, z: c.terms(*(t.T for t in kernel.bailey_terms(kp, z))),
+               (kernel.KernelParams.batch([kp for kp, _ in draws]),
+                np.array([z for _, z in draws]).T), draws)
     return out
 
 
@@ -802,15 +850,15 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
 
     points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
     params = quadratic.QuadraticParams
+    batch = (params.batch([qp for qp, _ in points]), np.array([z for _, z in points]))
     for name, anchor, family, terms in (
             ("watson-type-expansion", "quadratic-bailey", params.h_terms,
              quadratic.quadratic_terms),
             ("companion-expansion", "quadratic-companion-bailey", params.r_terms,
              quadratic.companion_terms)):
         with check(name, anchor, 1e-8, draws=cfg.draws) as c:
-            c.params["trunc"] = max(len(family(qp)) for qp, _ in points) - 1
-            for qp, z in points:
-                c.terms(*terms(z, qp))
+            c.params["trunc"] = max(map(len, family(batch[0]))) - 1
+            c.each(lambda qp, z: c.terms(*terms(z, qp)), batch, points)
 
     qp0 = points[0][0]
     with check("unit-leading-coefficients", "quadratic-coeff", 1e-15) as c:
@@ -898,11 +946,13 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
     """Rows (order, residual, scale, fitted_ratio) for a decay target."""
     ctx = cfg.context()
     rng = cfg.rng_for("kernel")
+    scales = None  # residuals of their own scale, but for the two-basis identity
     if target == "two_basis_tail":
         kp = sample_kernel_params(rng, ctx)
         z = sample_z(rng)
         orders = list(range(0, 29, 2))
-        res = [scaled_residual(*kernel.two_basis_terms(z, kp, n)) for n in orders]
+        res, scales = zip(*(residual_and_scale(*kernel.two_basis_terms(z, kp, n))
+                            for n in orders))
     elif target == "remainder_gap":
         kp = sample_profile_kernel_params(rng, ctx)
         z = sample_z(rng)
@@ -930,7 +980,7 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         fitted = math.exp(np.polyfit(tail_orders, np.log(tail_res), 1)[0])
     else:
         fitted = math.nan
-    return [(n, r, 1.0, fitted) for n, r in zip(orders, res)]
+    return list(zip(orders, res, scales or [1.0] * len(res), [fitted] * len(res)))
 
 
 def emit_decay_csv(cfg: SuiteConfig, target: str, path) -> int:
@@ -941,6 +991,6 @@ def emit_decay_csv(cfg: SuiteConfig, target: str, path) -> int:
     from pathlib import Path as _Path
     rows = decay_rows(cfg, target)
     lines = ["order,residual,scale,fitted_ratio"]
-    lines += [f"{n},{r!r},{s!r},{f!r}" for n, r, s, f in rows]
+    lines += [f"{n},{float(r)!r},{float(s)!r},{float(f)!r}" for n, r, s, f in rows]
     _Path(path).write_text("\n".join(lines) + "\n")
     return len(rows)

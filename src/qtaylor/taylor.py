@@ -36,14 +36,16 @@ class BasisPair:
     c: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "c", complex(self.c))
+        for name in "ac":  # a number, or an ndarray over the draws of a batch
+            value = getattr(self, name)
+            object.__setattr__(self, name, np.asarray(value, dtype=complex) if np.ndim(value)
+                               else complex(value))
 
     def check_admissible(self, z, ctx: QContext) -> None:
         """Reject z (any node of an ndarray) within the pole margin of the basis pole set."""
         if np.any(z == 0):
             raise PoleProximity("z = 0 is never admissible")
-        if self.c != 0:
+        if np.any(self.c != 0):
             require_clear(ctx, "z near the basis pole set", self.c * z, self.c / z)
 
 
@@ -65,30 +67,46 @@ def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable:
     return lambda z: phi_basis(z, pair, n, ctx)
 
 
-def basis_factors(z, pair: BasisPair, n: int, ctx: QContext):
+def basis_factors(z, pair: BasisPair, n, ctx: QContext):
     """(1 - a z q^k)(1 - a q^k/z) and (1 - c z q^k)(1 - c q^k/z), k = 0..n-1 on the
     first axis, z (maybe an ndarray of points) on the others; PoleProximity if a
-    denominator pair is within the pole margin at any point."""
-    a, c = pair.a, pair.c
-    x = q_powers(1.0, max(n, 0), ctx)[:n]
+    denominator pair is within the pole margin at any point.  For a batch (the last
+    axis of z and the pair over its draws), n holds each draw's count: past it the
+    factors are exactly 0 and 1, and no pole is sought there."""
+    a, c, each = pair.a, pair.c, np.ndim(n)
+    rows = max(int(np.max(n)) if each else n, 0)
+    x = q_powers(1.0, rows, ctx)[:rows]
     x = x.reshape(x.shape + (1,) * np.ndim(z))
-    den = (1.0 - c * z * x) * (1.0 - c * x / z)
+    num, den = (1.0 - a * z * x) * (1.0 - a * x / z), (1.0 - c * z * x) * (1.0 - c * x / z)
+    if each:
+        past = np.arange(rows).reshape(x.shape) >= n
+        num, den = np.where(past, 0.0, num), np.where(past, 1.0, den)
     near = np.abs(den) <= ctx.pole_margin ** 2
     if near.any():
         raise PoleProximity(f"z = {np.broadcast_to(z, near.shape)[near][0]} within margin "
                             f"of the (c = {c}) basis pole set")
-    return (1.0 - a * z * x) * (1.0 - a * x / z), den
+    return num, den
 
 
-def basis_terms(z, pair: BasisPair, coeffs: Sequence[complex], ctx: QContext):
+def basis_terms(z, pair: BasisPair, coeffs: Sequence, ctx: QContext):
     """The terms [u_k Phi_k(z; a, c)] of a basis series, k = 0..n, Phi_k being one
     running product over the basis_factors ratios: for an ndarray of points an ndarray
-    with k along the first axis, for a scalar z the list, computed as at one node."""
-    us = np.asarray(coeffs, dtype=complex)
+    with k along the first axis, for a scalar z the list, computed as at one node.
+    For a batch, coeffs holds one sequence per draw, padded with exact zeros to the
+    longest."""
     nodes = np.atleast_1d(z)
-    num, den = basis_factors(nodes, pair, us.size - 1, ctx)
+    if len(coeffs) and np.ndim(coeffs[0]):
+        sizes = np.array([len(u) for u in coeffs])
+        us = np.zeros((sizes.max(), len(coeffs)), dtype=complex)
+        for j, u in enumerate(coeffs):
+            us[:len(u), j] = u
+    else:
+        us = np.asarray(coeffs, dtype=complex)
+        sizes = us.shape[0]
+    num, den = basis_factors(nodes, pair, sizes - 1, ctx)
     phi = np.multiply.accumulate(np.concatenate((np.ones((1,) + den.shape[1:]), num / den)))
-    terms = us.reshape(us.shape + (1,) * nodes.ndim) * phi[:us.size]
+    us = us.reshape(us.shape[:1] + (1,) * (nodes.ndim - us.ndim + 1) + us.shape[1:])
+    terms = us * phi[:len(us)]
     return terms if np.ndim(z) else terms[:, 0].tolist()
 
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, ExceptionalPoint, NearSingularPoint
 from .qcore import QContext, sample
 
@@ -44,15 +46,15 @@ class OperatorChainSpec:
         return tuple(self.c * rq ** (3 * (j - 1)) for j in range(1, self.depth + 1))
 
 
-def _check_point(z: complex, ctx: QContext) -> complex:
+def _check_point(z, ctx: QContext):
     w = z - 1.0 / z
-    if abs(w) <= ctx.pole_margin * max(1.0, abs(z)):
+    if (abs(w) <= ctx.pole_margin * np.maximum(1.0, abs(z))).any():
         raise NearSingularPoint(f"z = {z} too close to a fixed point of z -> 1/z")
     return w
 
 
-def apply_Dq(f, z: complex, ctx: QContext, *, root: complex | None = None) -> complex:
-    """Askey-Wilson divided difference at z.
+def apply_Dq(f, z, ctx: QContext, *, root: complex | None = None):
+    """Askey-Wilson divided difference at z (or at each point of an ndarray z).
 
     [f(q^{1/2} z) - f(q^{-1/2} z)] / [(q^{1/2} - q^{-1/2}) (z - 1/z) / 2].
     `root` overrides the branch of q^{1/2} (branch-invariance testing only).

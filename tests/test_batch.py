@@ -18,22 +18,28 @@ import numpy as np
 import pytest
 
 from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor
-from qtaylor.errors import PoleProximity
+from qtaylor.errors import DivergenceSuspected, PoleProximity, TruncationFailure, ZeroDenominator
+from qtaylor.hyper import PhiSeriesSpec, VWPSpec, series_eval, series_sums, sum_through
 from qtaylor.kernel import (KernelParams, calP_tables,
                             laurent_pair, pole_cleared_E_terms)
 from qtaylor.qcore import (QContext, geometric_depth, qpoch_infinite,
                            scaled_residual, theta, weierstrass_terms)
-from qtaylor.sampling import (sample_complex, sample_kernel_params,
+from qtaylor.sampling import (sample_complex, sample_kernel_params, sample_kernel_z,
                               sample_profile_kernel_params, sample_quadratic_params, sample_z)
 from qtaylor.suites import SuiteConfig, run_suites
 
 EPS = np.finfo(float).eps  # 2^-52
 
 BASES = [0.45, 0.7, -0.6, 0.3 + 0.5j]
-# qpoch_infinite calls of verify --suite kernel / profiles at q = 0.45, seed 7, 12 draws;
-# one call per quotient made them 290 / 287
-PINNED_KERNEL_CALLS = 81
+# qpoch_infinite calls of verify --suite kernel / profiles / quadratic at q = 0.45, seed 7,
+# 12 draws; one call per quotient made kernel and profiles 290 / 287, one call per
+# identity evaluation of each draw made kernel and quadratic 81 / 55
+PINNED_KERNEL_CALLS = 26
 PINNED_PROFILES_CALLS = 117
+PINNED_QUADRATIC_CALLS = 13
+# hyper._series_sum runs of verify --suite hyper / kernel / quadratic at the same (q, seed);
+# a run per draw and family made them 72 / 58 / 25
+PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 8, "quadratic": 3}
 
 
 def scalar_qpoch_infinite(a, q):
@@ -431,18 +437,181 @@ class TestNodeSamples:
                     pytest.fail(f"case {i}: node {k} on the pole set was accepted")
 
 
-class TestCallCounts:
-    """One product call per identity evaluation, pinned at q = 0.45 and a fixed seed."""
+DRAW_BASES = [0.45, 0.7, -0.6, 0.5j]
 
-    @pytest.mark.parametrize("suite, calls", [("kernel", PINNED_KERNEL_CALLS),
-                                              ("profiles", PINNED_PROFILES_CALLS)])
-    def test_product_calls_per_suite(self, monkeypatch, suite, calls):
-        counted = []
-        real = qcore.qpoch_infinite
+
+def draw_specs(rng, count, q):
+    """Very-well-poised series shaped like the coefficient families, and 3phi2 series."""
+    vwp = [VWPSpec(sample_complex(rng, 0.3, 0.9), tuple(sample_complex(rng, 0.3, 0.9)
+                                                       for _ in range(3)), q)
+           for _ in range(count)]
+    phi = [PhiSeriesSpec(tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3)),
+                         tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2)),
+                         sample_complex(rng, 0.1, 0.5)) for _ in range(count)]
+    return vwp, phi
+
+
+def bits(tb):
+    """Every field of a SeriesSum, with the sign of zero and NaN kept apart."""
+    return repr((tb.value, tb.terms, tb.terms_used, tb.tail_abs))
+
+
+def first_failure(evaluate, items):
+    """The error of the first item that fails on its own, as a loop over the items raises it."""
+    for item in items:
+        try:
+            evaluate(item)
+        except Exception as exc:
+            return exc
+    return None
+
+
+class TestDrawAxis:
+    """A batch of series or parameter sets against the same draws evaluated one by one."""
+
+    @pytest.mark.parametrize("q", DRAW_BASES)
+    def test_columns_are_the_single_sums_bit_for_bit(self, q):
+        # adaptive columns, one fixed depth, and a depth per column (0: the lone first term)
+        ctx = QContext(q)
+        for specs in draw_specs(random.Random(31), 10, q):
+            truncs = [None, 0, 3, 17, None, 60, 220, 1, None, 40]
+            for trunc in (None, 12, truncs):
+                each = trunc if isinstance(trunc, list) else [trunc] * len(specs)
+                batch = series_sums(specs, trunc, ctx)
+                assert len(batch) == len(specs)
+                assert batch.terms_used == sum(tb.terms_used for tb in batch)
+                for spec, n, got in zip(specs, each, batch):
+                    assert bits(got) == bits(series_eval(spec, n, ctx))
+
+    @pytest.mark.parametrize("q", DRAW_BASES)
+    def test_continued_columns_are_the_fixed_depth_sums(self, q):
+        # columns already past their depth come back as they are; the others are continued
+        # from where each stopped, in one run, bit for bit as a fresh sum to that depth
+        ctx = QContext(q)
+        for specs in draw_specs(random.Random(32), 8, q):
+            adaptive = series_sums(specs, None, ctx)
+            ns = [[0, 5, tb.terms_used - 1, tb.terms_used + 3, 3 * tb.terms_used][j % 5]
+                  for j, tb in enumerate(adaptive)]
+            for spec, n, start, got in zip(specs, ns, adaptive,
+                                           sum_through(specs, ns, ctx, adaptive)):
+                fresh = series_eval(spec, n, ctx)
+                if n < start.terms_used:
+                    assert got is start and got.terms[:n + 1] == fresh.terms
+                else:
+                    assert bits(got) == bits(fresh)
+
+    @pytest.mark.parametrize("q", DRAW_BASES)
+    def test_first_failing_column_raises_as_the_loop(self, q):
+        # a pole (a q / b = q^-5), a growing series (argument 3) and a later, different
+        # failure among good columns: the batch raises what a loop over the specs raises
+        ctx = QContext(q)
+        rng = random.Random(33)
+        good, _ = draw_specs(rng, 6, q)
+        a = 0.55 + 0.2j
+        pole = VWPSpec(a, (0.5, a * q ** 6, 0.4j), q)
+        growing = VWPSpec(a, (0.5, 0.6, 0.4j), 3.0)
+        for bad, later in ((pole, growing), (growing, pole)):
+            for j in (0, 2, 5):
+                specs = good[:j] + [bad] + good[j:] + [later]
+                for trunc in (None, 300):
+                    want = first_failure(lambda spec: series_eval(spec, trunc, ctx), specs)
+                    assert isinstance(want, ZeroDenominator if bad is pole or trunc
+                                      else DivergenceSuspected)
+                    with pytest.raises(type(want)) as got:
+                        series_sums(specs, trunc, ctx)
+                    assert str(got.value) == str(want)
+        # the max_terms cap: each family needs more than 16 terms past |q| = 0.6
+        capped = QContext(q, max_terms=16)
+        specs = good[:3]
+        want = first_failure(lambda spec: series_eval(spec, None, capped), specs)
+        if want is not None:
+            with pytest.raises(TruncationFailure) as got:
+                series_sums(specs, None, capped)
+            assert str(got.value) == str(want)
+
+    @pytest.mark.parametrize("q", DRAW_BASES)
+    def test_kernel_batch_agrees_with_each_draw(self, q):
+        # the parameter arithmetic of a batch and of a batch of one is the same, so they
+        # differ only in the depth of the product call (that of the batch's largest base):
+        # within 4 u of the largest term; the coefficient families are equal bit for bit
+        ctx = QContext(q)
+        rng = random.Random(34)
+        draws = [sample_kernel_params(rng, ctx) for _ in range(6)]
+        zs = np.array([sample_kernel_z(rng, kp) for kp in draws])
+        batch = KernelParams.batch(draws)
+        depth = batch.series_depth
+        assert depth.tolist() == [kp.series_depth for kp in draws]
+        for j, kp in enumerate(draws):
+            assert tuple(family[j] for family in batch.family_terms(depth)) == \
+                kp.family_terms(kp.series_depth)
+        points = np.array([zs, 1 / zs])
+        for evaluate in (lambda kp, z: kernel.two_basis_terms(z, kp, kp.series_depth),
+                         lambda kp, z: kernel.bailey_terms(kp, z)):
+            got = evaluate(batch, points)
+            for j, kp in enumerate(draws):
+                one = KernelParams.batch([kp])
+                want = evaluate(one, points[:, j:j + 1])
+                scale = np.max(np.abs(want), axis=0)
+                for g, w in zip(got, want):
+                    assert np.all(np.abs(g[:, j:j + 1] - w) <= 4 * (EPS / 2) * scale)
+                for name in ("Hb", "Kcde"):
+                    w = getattr(one, name)[0]
+                    assert abs(getattr(batch, name)[j] - w) <= 4 * (EPS / 2) * abs(w)
+
+    @pytest.mark.parametrize("q", DRAW_BASES)
+    def test_quadratic_batch_agrees_with_each_draw(self, q):
+        ctx = QContext(q)
+        rng = random.Random(35)
+        draws = [sample_quadratic_params(rng, ctx) for _ in range(6)]
+        zs = np.array([sample_z(rng) for _ in draws])
+        batch = quadratic.QuadraticParams.batch(draws)
+        assert batch.h_terms() == [qp.h_terms() for qp in draws]
+        assert batch.r_terms() == [qp.r_terms() for qp in draws]
+        for evaluate in (quadratic.quadratic_terms, quadratic.companion_terms):
+            got = np.array(evaluate(zs, batch))  # terms past a draw's own depth are 0
+            for j, qp in enumerate(draws):
+                one = quadratic.QuadraticParams.batch([qp])
+                want = np.array(evaluate(zs[j:j + 1], one))[:, 0]
+                scale = np.max(np.abs(want))
+                assert np.all(got[len(want):, j] == 0)
+                assert np.all(np.abs(got[:len(want), j] - want) <= 4 * (EPS / 2) * scale)
+
+    def test_basis_pole_check_stops_at_each_draws_depth(self, ctx):
+        # the first draw's node is a pole of Phi_4 (c z q^3 = 1), one past its depth of 3;
+        # the second draw, of depth 4, reads that factor at an ordinary node
+        pair = taylor.BasisPair(np.array([0.5, 0.5]), np.array([0.6, 0.6]))
+        z = np.array([1 / (0.6 * ctx.q ** 3), 1.1])
+        coeffs = [[1.0, 0.5, 0.25, 0.125], [1.0, 0.5, 0.25, 0.125, 0.0625]]
+        terms = taylor.basis_terms(z, pair, coeffs, ctx)
+        assert terms.shape == (5, 2) and terms[4, 0] == 0 and np.isfinite(terms).all()
+        with pytest.raises(PoleProximity):
+            taylor.basis_terms(z, pair, [coeffs[1]] * 2, ctx)
+
+
+class TestCallCounts:
+    """One product call per identity evaluation of all draws, and one series run per family
+    of all draws, pinned at q = 0.45 and a fixed seed."""
+
+    @staticmethod
+    def _count(monkeypatch, suite):
+        calls, runs = [], []
+        real, real_series_sum = qcore.qpoch_infinite, hyper._series_sum
         for module in (qcore, hyper, kernel, profiles, quadratic, taylor):
             if getattr(module, "qpoch_infinite", None) is real:
                 monkeypatch.setattr(module, "qpoch_infinite",
-                                    lambda a, c: counted.append(1) or real(a, c))
+                                    lambda a, c: calls.append(1) or real(a, c))
+        monkeypatch.setattr(hyper, "_series_sum",
+                            lambda *a: runs.append(1) or real_series_sum(*a))
         cfg = SuiteConfig(suites=(suite,), q=0.45, seed=7)
         assert run_suites(cfg).all_passed
-        assert len(counted) == calls
+        return len(calls), len(runs)
+
+    @pytest.mark.parametrize("suite, calls", [("kernel", PINNED_KERNEL_CALLS),
+                                              ("profiles", PINNED_PROFILES_CALLS),
+                                              ("quadratic", PINNED_QUADRATIC_CALLS)])
+    def test_product_calls_per_suite(self, monkeypatch, suite, calls):
+        assert self._count(monkeypatch, suite)[0] == calls
+
+    @pytest.mark.parametrize("suite", sorted(PINNED_SERIES_RUNS))
+    def test_series_runs_per_suite(self, monkeypatch, suite):
+        assert self._count(monkeypatch, suite)[1] == PINNED_SERIES_RUNS[suite]

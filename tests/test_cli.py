@@ -246,13 +246,19 @@ class TestCommandLine:
         assert cli.main(["--suite", "qcore", "--tol", "0"]) == 2
 
     def test_emit_csv(self, tmp_path):
-        out = tmp_path / "gap.csv"
-        code = cli.main(["--emit-csv", f"remainder_gap:{out}", "--q", "0.4",
-                         "--seed", "5"])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "order,residual,scale,fitted_ratio"
-        assert len(lines) == 8
+        # every column of every target is a number: NumPy scalars once wrote np.float64(...)
+        for target, rows in (("remainder_gap", 7), ("two_basis_tail", 15),
+                             ("quadratic_tail", 12), ("profile_scaling", 10)):
+            out = tmp_path / f"{target}.csv"
+            code = cli.main(["--emit-csv", f"{target}:{out}", "--q", "0.4", "--seed", "5"])
+            assert code == 0
+            lines = out.read_text().strip().splitlines()
+            assert lines[0] == "order,residual,scale,fitted_ratio"
+            assert len(lines) == rows + 1
+            table = [[float(v) for v in line.split(",")] for line in lines[1:]]
+            assert all(len(row) == 4 for row in table)
+            # the two-basis rows carry the largest term they were divided by
+            assert all((row[2] != 1.0) == (target == "two_basis_tail") for row in table)
 
     def test_emit_csv_bad_target(self, tmp_path):
         assert cli.main(["--emit-csv", f"nope:{tmp_path / 'x.csv'}"]) == 2

@@ -249,8 +249,8 @@ def _loop_sum(ratio, trunc, ctx):
 
 
 def _scalar_blocks(ratio):
-    """A block function made of a scalar ratio(k), so both sums can run one rule."""
-    return lambda k, x: (np.array([ratio(k + i) for i in range(len(x))]), None)
+    """A block function (one column) made of a scalar ratio(k), so both sums can run one rule."""
+    return lambda k, x: (np.array([[ratio(k + i)] for i in range(len(x))]), None)
 
 
 ORACLE_BASES = [0.2, 0.45, 0.7, -0.6, 0.5j, 0.9]
@@ -291,9 +291,9 @@ class TestBlockSum:
                 series_eval(spec, trunc, ctx)
         # the block function reports the first pole of its block with its index;
         # the lead factor 1 - a q^(2k) comes before the denominators
-        ratio = term_ratio((0.5,), (ctx.q ** -3,), 0.1, ctx, lead=ctx.q ** -6)
+        ratio = term_ratio([((0.5,), (ctx.q ** -3,), 0.1, ctx.q ** -6)], ctx)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, (offset, error) = ratio(2, q_powers(ctx.q ** 2, 4, ctx)[:4])
+            _, [(offset, error)] = ratio(2, q_powers(ctx.q ** 2, 4, ctx)[:4])
         assert offset == 1 and "vanished at k=3" in str(error)
 
     def test_pole_after_the_stop_is_never_reached(self, ctx):

@@ -61,11 +61,11 @@ class TestQuadrupleCache:
     """H(b), K(c/de) and the family terms are computed once per KernelParams."""
 
     def test_zeroth_values_and_depth_computed_once_per_instance(self, monkeypatch, kp):
-        # H(b) and K(c/de) come from one product call; the families are summed adaptively,
-        # and the shallower one continued to the common depth: 3 runs of _series_sum per
-        # instance when their depths differ
+        # H(b) and K(c/de) come from one product call; both families are summed adaptively
+        # in one run, and the shallower one continued to the common depth: 2 runs of
+        # _series_sum per instance when their depths differ
         depths = {series_eval(spec, None, kp.ctx).terms_used for spec in (f_spec(kp), g_spec(kp))}
-        sums = 1 + len(depths)
+        sums = len(depths)
         products, series = [], []
         real_quotient, real_series_sum = kernel.qpoch_quotients, hyper._series_sum
         monkeypatch.setattr(kernel, "qpoch_quotients",
@@ -90,14 +90,10 @@ class TestQuadrupleCache:
         ctx = QContext(q)
         kp = sample_kernel_params(rng, ctx)
         specs = {"f": f_spec(kp), "g": g_spec(kp)}
-        passes, extensions = [], []
-        real_eval, real_series_sum = kernel.series_eval, hyper._series_sum
-        monkeypatch.setattr(kernel, "series_eval",
-                            lambda spec, *a: passes.append((spec,) + a) or real_eval(spec, *a))
+        runs, real_series_sum = [], hyper._series_sum
 
         def series_sum(ratio, n, ctx, start=None):
-            if start is not None:
-                extensions.append((n, start))
+            runs.append((n, start))
             return real_series_sum(ratio, n, ctx, start)
         monkeypatch.setattr(hyper, "_series_sum", series_sum)
         depth = kp.series_depth
@@ -106,12 +102,12 @@ class TestQuadrupleCache:
                 two_basis_terms(z, kp, n)
                 pole_cleared_E_terms(z, kp, n)
             pole_cleared_E_terms(np.array([sample_z(rng) for _ in range(4)]), kp, n)
-        # one adaptive pass per family, and at most one extension, from where the
-        # shallower family's pass stopped to the common depth
-        assert passes == [(spec, None, ctx) for spec in specs.values()]
-        assert len(extensions) <= 1
-        for n, start in extensions:
-            assert n == depth and start.terms_used <= depth
+        # one adaptive run for both families, and at most one extension, from where the
+        # shallower family's run stopped to the common depth
+        assert runs[0] == ([None, None], None)
+        assert len(runs) <= 2
+        for n, [start] in runs[1:]:
+            assert n == [depth] and start.terms_used <= depth
             assert start.terms in [series_eval(spec, None, ctx).terms for spec in specs.values()]
         # the cached terms are bit for bit a fresh fixed-depth sum
         monkeypatch.undo()
@@ -139,7 +135,7 @@ class TestQuadrupleCache:
         monkeypatch.setattr(hyper, "_series_sum", lambda ratio, n, ctx, start=None:
                             starts.append(start) or real_series_sum(ratio, n, ctx, start))
         fs, gs = kp.family_terms(depth + 5)
-        assert [s.terms_used for s in starts] == [depth + 1, depth + 1]
+        assert [[s.terms_used for s in start] for start in starts] == [[depth + 1, depth + 1]]
         monkeypatch.undo()
         assert fs == series_eval(f_spec(kp), depth + 5, kp.ctx).terms
         assert gs[:depth + 1] == kp.family_terms(depth)[1]
