@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
-from .hyper import VWPSpec, _series_sum, series_eval
+from .hyper import _first, _series_sum, series_sums, term_ratio
 from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotients,
                     require_clear, scaled_residual, theta_bases)
@@ -32,20 +32,20 @@ def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four prof
     return (c / d, b), (c / e, c / (d * e)), (c, b), (c * c / (b * d * e), c / (d * e))
 
 
-def annular_factorization_terms(lam: complex, N: int, w: complex,
-                                ctx: QContext) -> tuple[complex, complex]:
+def annular_factorization_terms(lam: complex, N, w, ctx: QContext) -> tuple:
     """The two sides of the exact reciprocal-product factorisation on the layer.
 
     (lam/z;q)_inf = (-lam/z)^N q^{N(N-1)/2} (wq;q)_N (1/w;q)_inf at
     z = lam q^N w; an algebraic identity, so the scale-relative residual
     is pure rounding.  The prefactor is formed as the one power product
     (-1)^N w^{-N} q^{-N(N+1)/2}: at q = 0.1 and N = 20 it is about 1e210,
-    where (-lam/z)^N alone would overflow.
+    where (-lam/z)^N alone would overflow.  N and w are scalars or ndarrays
+    of one shape: the sides at every point (N, w), from one qpoch_infinite call.
     """
-    if lam == 0 or w == 0:
+    if lam == 0 or np.any(w == 0):
         raise DomainError("anchor and w must be nonzero")
     q = ctx.q
-    if factor_clearance(1.0 / w, ctx) <= ctx.pole_margin:
+    if np.any(factor_clearance(1.0 / w, ctx) <= ctx.pole_margin):
         raise PoleProximity("w within margin of a zero of (1/w;q)_inf")
     z = lam * q ** N * w
     lhs, inf_w = qpoch_groups([[lam / z], [1.0 / w]], ctx)
@@ -87,13 +87,15 @@ class ProfileClosedForms:
     Kcde: complex
 
 
-def _scalar_profile_sum(spec: VWPSpec, weight: complex, ctx: QContext) -> complex:
-    """sum_k u_k weight^k over the summands u_k of spec, adaptively truncated.
+def _profile_sums(kp: KernelParams, weight: complex) -> list[complex]:
+    """sum_k u_k weight^k over the summands u_k of f_spec and of g_spec, adaptively
+    truncated, in one series run.
 
     weight^k is absorbed into the argument, so the terms are the summands of
     one very-well-poised series.
     """
-    return series_eval(replace(spec, argument=spec.argument * weight), None, ctx).value
+    return [tb.value for tb in series_sums([replace(spec, argument=spec.argument * weight)
+                                            for spec in (f_spec(kp), g_spec(kp))], None, kp.ctx)]
 
 
 def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
@@ -107,8 +109,7 @@ def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
     if abs(weight * q) >= 1.0:
         raise ConvergenceRegionViolation(
             f"|bq/c| = {abs(weight * q):.3g} >= 1: profile sums diverge")
-    f_series = _scalar_profile_sum(f_spec(kp), weight, ctx)
-    g_series = _scalar_profile_sum(g_spec(kp), weight, ctx)
+    f_series, g_series = _profile_sums(kp, weight)
     f_num, f_den, g_num, g_den, hf_num, hf_den, kg_num, kg_den = qpoch_groups(
         [[b * c, b * c / (d * e), b * e * q / c, b * d * q / c],
          [b * c / d, b * c / e, b * d * e * q / c, b * q / c],
@@ -120,11 +121,11 @@ def profile_sums_and_closed_forms(kp: KernelParams) -> ProfileClosedForms:
                               hf_num / hf_den, kg_num / kg_den, kp.Hb, kp.Kcde)
 
 
-def leading_profile_terms(w: complex, kp: KernelParams, lam: complex,
-                          closed: ProfileClosedForms | None = None
-                          ) -> tuple[complex, complex, complex]:
-    """The three additive terms of the leading annular profile identity: the four
-    profiles from one qpoch_infinite call, the closed forms computed unless given."""
+def leading_profile_terms(w, kp: KernelParams, lam: complex,
+                          closed: ProfileClosedForms | None = None) -> tuple:
+    """The three additive terms of the leading annular profile identity at w, a point or
+    an ndarray of points: the four profiles at every point from one qpoch_infinite call,
+    the closed forms computed unless given."""
     closed = closed or profile_sums_and_closed_forms(kp)
     l1, l2, lf, lg = qpoch_quotients([_L_quotient(w, al, be, lam, kp.ctx)
                                       for al, be in _profile_pairs(kp)], kp.ctx)
@@ -151,30 +152,42 @@ def leading_profile_theta_terms(t: complex, kp: KernelParams,
             closed.Kcde * closed.G_star_product * theta_g)
 
 
-def _validate_s_disc(s, w: complex, alpha: complex, beta: complex,
-                     lam: complex, ctx: QContext) -> None:
-    """Reject s (at its worst node, for an ndarray) outside the validated disc."""
-    t = lam * w
-    s_max = float(np.max(np.abs(s)))
-    worst = max(abs(s_max * alpha * t), abs(s_max * beta * t),
-                abs(s_max * t * ctx.q / alpha), abs(s_max * t * ctx.q / beta))
-    if worst >= 0.5:
+def _disc_args(s, w, alpha: complex, beta: complex, lam: complex, ctx: QContext) -> list:
+    """|s alpha t|, |s beta t|, |s t q/alpha| and |s t q/beta| (t = lam w) at each point
+    (s, w): the validated disc of P_{alpha, beta} keeps them below 1/2."""
+    s_abs, t = abs(s), lam * w
+    return [abs(s_abs * alpha * t), abs(s_abs * beta * t),
+            abs(s_abs * t * ctx.q / alpha), abs(s_abs * t * ctx.q / beta)]
+
+
+def _validate_s_disc(s, w, alpha: complex, beta: complex, lam: complex,
+                     ctx: QContext) -> None:
+    """Reject the first point (s, w), in order, outside the validated disc."""
+    worst = np.maximum.reduce(_disc_args(s, w, alpha, beta, lam, ctx))
+    if np.any(worst >= 0.5):
+        i = np.argmax(worst >= 0.5)
         raise ConvergenceRegionViolation(
-            f"|s| = {s_max:.3g} outside the validated disc (arg bound {worst:.3g})")
+            f"|s| = {np.broadcast_to(abs(s), worst.shape).flat[i]:.3g} outside the "
+            f"validated disc (arg bound {worst.flat[i]:.3g})")
 
 
-def profile_kernel_P(s, w: complex, alpha: complex, beta: complex,
-                     lam: complex, ctx: QContext):
+def in_generating_disc(kp: KernelParams, lam: complex, s, w) -> bool:
+    """Whether the point (s, w) is in the validated disc of every profile kernel of the
+    generating residual (that residual raises ConvergenceRegionViolation elsewhere)."""
+    return all(max(_disc_args(s, w, al, be, lam, kp.ctx)) < 0.5 for al, be in _profile_pairs(kp))
+
+
+def profile_kernel_P(s, w, alpha: complex, beta: complex, lam: complex, ctx: QContext):
     """The profile kernel: a four-quotient product, holomorphic in s near 0.
 
     P(0, w) is the limiting profile L_{alpha,beta}(w); at s = q^N the
     kernel reproduces the exactly rescaled product quotient on layer N.
-    An ndarray of s (contour nodes) gives the array of values.
+    ndarrays of s (contour nodes) or of s and w give the array of values.
     """
     return math.prod(qpoch_quotients(_P_quotients(s, w, alpha, beta, lam, ctx), ctx))
 
 
-def _P_quotients(s, w: complex, alpha: complex, beta: complex, lam: complex,
+def _P_quotients(s, w, alpha: complex, beta: complex, lam: complex,
                  ctx: QContext) -> list[tuple]:
     """The four one-factor quotients whose product is P_{alpha,beta}(s, w) (exactly 1 at
     alpha = beta), s in the validated disc and each denominator factor cleared."""
@@ -207,46 +220,56 @@ def _kernel_weight(u: int, j: int, alpha: complex, beta: complex, ctx: QContext)
             * beta ** u * (q / alpha) ** (j - u))
 
 
-def _profile_ratio_step(alpha: np.ndarray, beta: np.ndarray, t: complex, s: complex,
+def _profile_ratio_step(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, s: np.ndarray,
                         ctx: QContext):
-    """P_{alpha q, beta q}(s, w) / P_{alpha, beta}(s, w) (one-factor updates) at arrays
-    alpha, beta, and the first pole within the margin as (index, PoleProximity)."""
+    """P_{alpha q, beta q}(s, w) / P_{alpha, beta}(s, w) (one-factor updates) on (rows x
+    columns) ndarrays alpha, beta and a t = lam w, s per column; and, when a factor is
+    within the margin, each column's first pole as (row, PoleProximity) or None."""
     num = ((1.0 - beta * t * s) * (1.0 - t / alpha)
            * (1.0 - t * s / beta) * (1.0 - beta / t))
     facs = np.array([1.0 - alpha * t * s, 1.0 - t / beta,
                      1.0 - t * s / alpha, 1.0 - alpha / t])
     hit = (np.abs(facs) <= ctx.pole_margin).any(axis=0)
-    pole = (int(hit.argmax()), PoleProximity("profile kernel shift update within margin"))
-    return num / np.prod(facs, axis=0), pole if hit.any() else None
+    poles = hit.any() and [(i, PoleProximity("profile kernel shift update within margin"))
+                           if i < len(hit) else None for i in _first(hit).tolist()]
+    return num / np.prod(facs, axis=0), poles or None
 
 
-def generating_Q_terms(s: complex, w: complex, kp: KernelParams, lam: complex,
-                       products=None) -> tuple[complex, complex, complex]:
-    """The three additive terms of the scaled profile-generating residual; its profile
-    kernels from one qpoch_infinite call, or products, _generating_quotients' values."""
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    t = lam * w
-    products = products or qpoch_quotients(_generating_quotients(s, w, kp, lam), ctx)
+def generating_Q_terms(s, w, kp: KernelParams, lam: complex, products=None) -> tuple:
+    """The three additive terms of the scaled profile-generating residual at the points
+    (s, w), scalars or ndarrays of one shape: the profile kernels of every point from one
+    qpoch_infinite call (or products, _generating_quotients' values), and the two family
+    sums of every point from one series run."""
+    products = products or qpoch_quotients(_generating_quotients(s, w, kp, lam), kp.ctx)
     p1, p2, pf, pg = (math.prod(products[i:i + 4]) for i in range(0, 16, 4))
-
-    def family_sum(alpha: complex, beta: complex, spec: VWPSpec) -> complex:
-        """sum_k u_k P_{alpha q^k, beta q^k}(s, w) / P_{alpha, beta}(s, w) by its term ratio."""
-        coeff_ratio = spec.ratio(ctx)
-
-        def ratio(k: int, x: np.ndarray):
-            (r, poles), (step, step_pole) = (coeff_ratio(k, x),
-                                             _profile_ratio_step(alpha * x, beta * x, t, s, ctx))
-            pole = min(filter(None, (poles and poles[0], step_pole)), key=lambda p: p[0],
-                       default=None)
-            return r * step[:, None], pole and [pole]
-
-        return _series_sum(ratio, None, ctx).value
-
-    return (p1 * p2, kp.Hb * (pf * family_sum(c, b, f_spec(kp))),
-            kp.Kcde * (pg * family_sum(c * c / (b * d * e), c / (d * e), g_spec(kp))))
+    sf, sg = _family_sums(*np.broadcast_arrays(s, w), kp, lam)
+    return p1 * p2, kp.Hb * (pf * sf), kp.Kcde * (pg * sg)
 
 
-def _generating_quotients(s, w: complex, kp: KernelParams, lam: complex) -> list:
+def _family_sums(s: np.ndarray, w: np.ndarray, kp: KernelParams, lam: complex) -> np.ndarray:
+    """sum_k u_k P_{alpha q^k, beta q^k}(s, w) / P_{alpha, beta}(s, w) at every point, by its
+    term ratio, for the f family (alpha, beta = c, b) and then the g family (c^2/bde, c/de):
+    one _series_sum run, with a column per family and point, each with its own stop."""
+    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
+    n = s.size
+    coeff_ratio = term_ratio([f_spec(kp).ratio_params(ctx), g_spec(kp).ratio_params(ctx)], ctx)
+    alpha = np.repeat([c, c * c / (b * d * e)], n)
+    beta = np.repeat([b, c / (d * e)], n)
+    t, s_col = np.tile((lam * w).ravel(), 2), np.tile(s.ravel(), 2)
+
+    def ratio(k: int, x: np.ndarray):
+        (r, poles), (step, step_poles) = (coeff_ratio(k, x), _profile_ratio_step(
+            alpha * x[:, None], beta * x[:, None], t, s_col, ctx))
+        if poles or step_poles:  # each column's first pole, of its coefficients or its kernel
+            poles = [min(filter(None, (poles and poles[j // n], step_poles and step_poles[j])),
+                         key=lambda p: p[0], default=None) for j in range(2 * n)]
+        return np.repeat(r, n, axis=1) * step, poles
+
+    sums = _series_sum(ratio, [None] * (2 * n), ctx)
+    return np.array([tb.value for tb in sums]).reshape((2,) + s.shape)
+
+
+def _generating_quotients(s, w, kp: KernelParams, lam: complex) -> list:
     return [quot for al, be in _profile_pairs(kp)
             for quot in _P_quotients(s, w, al, be, lam, kp.ctx)]
 
@@ -273,10 +296,7 @@ def contiguous_moment(kp: KernelParams, m: int) -> ProfileMoments:
     if abs(b / c) * abs(q) ** (m + 1) >= 1.0:
         nan = complex(math.nan, math.nan)
         return ProfileMoments(m, nan, nan, False)
-    weight = (b / c) * q ** m
-    fm = _scalar_profile_sum(f_spec(kp), weight, ctx)
-    gm = _scalar_profile_sum(g_spec(kp), weight, ctx)
-    return ProfileMoments(m, fm, gm, True)
+    return ProfileMoments(m, *_profile_sums(kp, (b / c) * q ** m), True)
 
 
 def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex,
@@ -320,15 +340,16 @@ class ProfileLimitResiduals:
     q0_residual: float
 
 
-def exponential_profile_limit_residual(k: int, w: complex, kp: KernelParams,
-                                       lam: complex, N: int) -> ProfileLimitResiduals:
+def exponential_profile_limit_residual(k: int, w, kp: KernelParams, lam: complex,
+                                       N) -> ProfileLimitResiduals:
     """Distance of (b/c)^{N-k} R_k, (b/c)^{N-k} S_k and (b/c)^N Q_0 to their limits.
 
     The limits are the theta-quotient profiles L_{c,b}, L_{c^2/bde, c/de}
     and L_{c/d,b} L_{c/e,c/de}; convergence is geometric in N at fixed k.
-    The eight quotients come from one qpoch_infinite call.
+    w and N are scalars or ndarrays of one shape (each residual then an ndarray
+    over the points (w, N)); the eight quotients of all come from one qpoch_infinite call.
     """
-    if not 0 <= k <= N:
+    if not np.all((0 <= k) & (k <= N)):
         raise DomainError("need 0 <= k <= N")
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
@@ -365,12 +386,13 @@ def canonical_Z(z: complex, kp: KernelParams) -> complex:
     return qpoch_groups([sym_bases(z, kp.b, kp.c / (kp.d * kp.e))], kp.ctx)[0]
 
 
-def canonical_growth_profile(lam: complex, N: int, w: complex,
-                             kp: KernelParams) -> CanonicalGrowth:
+def canonical_growth_profile(lam: complex, N, w, kp: KernelParams) -> CanonicalGrowth:
     """Z on layer N split as C_{lam,N}(w) q^{-N(N+1)} (bc/(de lam^2 w^2))^N.
 
     The C factor is computed from its own product expression; the record
     therefore certifies the split rather than defining C as a quotient.
+    N and w are scalars or ndarrays of one shape: the split at every point
+    (N, w), its infinite products from one qpoch_infinite call.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
@@ -384,20 +406,22 @@ def canonical_growth_profile(lam: complex, N: int, w: complex,
     return CanonicalGrowth(zval, monomial, cfac)
 
 
-def bridge_residual(N: int, w: complex, kp: KernelParams, lam: complex) -> float:
+def bridge_residual(N, w, kp: KernelParams, lam: complex):
     """Gap between the generating residual at s = q^N and (b/c)^N E/Z on layer N.
 
     Exact identity; both sides are near zero, so the gap is reported
     relative to the largest additive term of the generating residual.
+    N and w are scalars or ndarrays of one shape: the gap at every point
+    (N, w), all products from one qpoch_infinite call.
     """
     b, c, ctx = kp.b, kp.c, kp.ctx
-    q = ctx.q
-    z = lam * q ** N * w
+    s = ctx.q ** N
+    z = lam * s * w
     products = qpoch_quotients(
         [*((group, [], "") for group in E_groups(z, kp)),
          (sym_bases(z, b, c / (kp.d * kp.e)), [], ""),
-         *_generating_quotients(q ** N, w, kp, lam)], ctx)
-    terms = generating_Q_terms(q ** N, w, kp, lam, products[6:])
+         *_generating_quotients(s, w, kp, lam)], ctx)
+    terms = generating_Q_terms(s, w, kp, lam, products[6:])
     e_terms = pole_cleared_E_terms(z, kp, kp.series_depth, products[:5])
     rhs = (b / c) ** N * reduce(operator.sub, e_terms) / products[5]
-    return abs(reduce(operator.sub, terms) - rhs) / max(abs(t) for t in terms)
+    return abs(reduce(operator.sub, terms) - rhs) / reduce(np.maximum, map(abs, terms))

@@ -187,17 +187,30 @@ class Check:
         self._see_worst(residual, scale)
         return np.ravel(residual)
 
-    def each(self, judge, batch: tuple, draws) -> None:
-        """judge(*batch): every draw in one evaluation.  If that raises, judge(*draw) for
-        each draw in turn, so that an error is that of the first draw that fails on its
-        own, as in a loop over the draws."""
+    def each(self, judge, draws, batch: tuple | None = None) -> None:
+        """judge(*batch), by default each entry of the draws stacked (by its class's batch, else
+        as an ndarray): every draw in one evaluation.  If that raises, judge(*draw) for each
+        draw in turn, so that an error is that of the first draw that fails on its own."""
         state = self.residual, self.scale, dict(self.params)
         try:
-            judge(*batch)
+            judge(*(batch or (type(x[0]).batch(x) if hasattr(x[0], "batch") else np.array(x)
+                              for x in zip(*draws))))
         except (QTaylorError, ArithmeticError):
             self.residual, self.scale, self.params = state
             for draw in draws:
                 judge(*draw)
+
+    def each_inside(self, judge, draws, inside) -> None:
+        """Judge the points of draws (each) up to the first that is not inside, where a loop
+        over them raised and drew no further; then judge that point alone, to raise its error."""
+        points = []
+        for point in draws:
+            if not inside(*point):
+                if points:
+                    self.each(judge, points)
+                return judge(*point)
+            points.append(point)
+        self.each(judge, points)
 
     def __enter__(self) -> Check:
         self._slot = len(self._records)
@@ -299,7 +312,7 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
         def long_sum(*specs):
             c.rel(*(np.array([tb.value for tb in hyper.series_sums(specs, trunc, ctx)])
                     for trunc in (None, 220)))
-        c.each(long_sum, specs, [(spec,) for spec in specs])
+        c.each(long_sum, [(spec,) for spec in specs], specs)
 
     k = 9
     with check("vwp-telescoping", "W-summand", 1e-14, k=k) as c:
@@ -332,12 +345,11 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
                 for expanded in (next(roots), next(roots)):
                     c.rel(expanded.value, tb.value)
                 c.see(hyper.well_poised_defect(vs, ctx))
-        c.each(expanded_roots, specs, [(vs,) for vs in specs])
+        c.each(expanded_roots, [(vs,) for vs in specs], specs)
 
     with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
         draws = [_rogers_draw(rng, ctx) for _ in range(cfg.draws)]
-        c.each(lambda *p: c.see(hyper.rogers_6w5_residual(*p, ctx)),
-               tuple(map(np.array, zip(*draws))), draws)
+        c.each(lambda *p: c.see(hyper.rogers_6w5_residual(*p, ctx)), draws)
         # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
         c.see(hyper.rogers_6w5_residual(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
 
@@ -345,8 +357,7 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
                n_max=12) as ch:
         draws = [(*(sample_complex(rng, 0.3, 0.9) for _ in range(4)), rng.randrange(0, 13))
                  for _ in range(cfg.draws)]
-        ch.each(lambda *p: ch.see(hyper.jackson_8w7_residual(*p, ctx)),
-                tuple(map(np.array, zip(*draws))), draws)
+        ch.each(lambda *p: ch.see(hyper.jackson_8w7_residual(*p, ctx)), draws)
     return out
 
 
@@ -530,13 +541,12 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
 
     points = [(sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi),
                sample_z(rng)) for _ in range(n_half)]
-    batch = (kernel.KernelParams.batch([kp for kp, _ in points]), np.array([z for _, z in points]))
     with check("factorisation", "A-B", 1e-12, draws=n_half) as c:
         def factorisation(kp, z):
             kf = kernel.kernel_factors(z, kp)
             # both factorisations of each draw together, as a loop over the draws sees them
             c.rel(np.array([kf.A * kf.H, kf.B * kf.K]).T, np.array([kf.F, kf.F]).T)
-        c.each(factorisation, batch, points)
+        c.each(factorisation, points)
 
     with check("involution", "involution", 1e-12, draws=n_half) as c:
         def involution(kp, z):
@@ -548,7 +558,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                                           kernel.kernel_quotient("K", z, kp)], ctx))
             c.rel(taylor.phi_basis(z, ip.phi_pair, 5, ctx),
                   taylor.phi_basis(z, kp.psi_pair, 5, ctx))
-        c.each(involution, batch, points)
+        c.each(involution, points)
 
     kp = sample_kernel_params(rng, ctx)
     with check("g-equals-involuted-f", "g-coeff", 1e-12, k_max=12) as c:
@@ -585,8 +595,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             # the points of each draw together, as a loop over the draws sees them
             c.terms(*(t.T for t in kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth)))
             judged.append(draws[0])  # the first draw is in the first evaluation that passes
-        zs = np.array([z for _, z in draws])
-        c.each(two_basis, (kernel.KernelParams.batch([kp for kp, _ in draws]), zs), draws)
+        c.each(two_basis, draws)
 
     with check("negative-control-Hb", "two-basis-identity", 1e-6) as c:
         if not judged:
@@ -619,8 +628,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                     kernel.K_lowering_terms(z, kp))
             # the three laws of each draw together, as a loop over the draws sees them
             c.terms(*(np.array(sides).T for sides in zip(*laws)))
-        c.each(lowering_laws, (kernel.KernelParams.batch([kp for kp, _ in draws]),
-                               np.array([z for _, z in draws])), draws)
+        c.each(lowering_laws, draws)
 
     kp = sample_kernel_params(rng, ctx)
     depth = kp.series_depth
@@ -653,9 +661,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
         for _ in range(n_third):
             kp = sample_kernel_params(rng, ctx)
             draws.append((kp, np.array([sample_kernel_z(rng, kp), sample_on_circle(rng)])))
-        c.each(lambda kp, z: c.terms(*(t.T for t in kernel.bailey_terms(kp, z))),
-               (kernel.KernelParams.batch([kp for kp, _ in draws]),
-                np.array([z for _, z in draws]).T), draws)
+        c.each(lambda kp, z: c.terms(*(t.T for t in kernel.bailey_terms(kp, z.T))), draws)
     return out
 
 
@@ -713,11 +719,9 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     q = ctx.q
 
     lam = sample_complex(rng, 0.4, 0.8)
-    with check("annular-factorisation", "q-annular-factorization", 1e-10,
-               N_max=20) as c:
-        for N in (0, 5, 10, 20):
-            w = sample_z(rng, 0.9, 1.15)
-            c.terms(*profiles.annular_factorization_terms(lam, N, w, ctx))
+    with check("annular-factorisation", "q-annular-factorization", 1e-10, N_max=20) as c:
+        c.each(lambda N, w: c.terms(*profiles.annular_factorization_terms(lam, N, w, ctx)),
+               [(N, sample_z(rng, 0.9, 1.15)) for N in (0, 5, 10, 20)])
 
     al, be = sample_complex(rng, 0.4, 0.9), sample_complex(rng, 0.4, 0.9)
     w = sample_z(rng, 0.9, 1.2)
@@ -738,9 +742,8 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
         c.rel(cfi.F_star_product, cf.G_star_product)
 
     with check("leading-profile", "first-profile-identity", 1e-8, draws=cfg.draws) as c:
-        for _ in range(cfg.draws):
-            w = sample_z(rng, 0.8, 1.25)
-            c.terms(*profiles.leading_profile_terms(w, kp, lam, cf))
+        c.each(lambda w: c.terms(*profiles.leading_profile_terms(w, kp, lam, cf)),
+               [(sample_z(rng, 0.8, 1.25),) for _ in range(cfg.draws)])
         t_anchor = max(scaled_residual(*profiles.leading_profile_theta_terms(t, kp, cf))
                        for t in (1 / kp.b, kp.d * kp.e / kp.c))
         c.terms(*profiles.leading_profile_theta_terms(0.9 + 0.3j, kp, cf))
@@ -751,11 +754,11 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("profile-kernel", "P-exact-scaling", 1e-12, w=w) as c:
         c.see(abs(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx)
                   - profiles.L_profile(w, al, be, lam, ctx)))
-        for N in (4, 7):
-            z = lam * q ** N * w
-            quot = (be / al) ** N * qcore.qpoch_quotient(
-                kernel.sym_bases(z, al), kernel.sym_bases(z, be), ctx, "z on a pole")
-            c.rel(profiles.profile_kernel_P(q ** N, w, al, be, lam, ctx), quot)
+        N = np.array([4, 7])
+        z = lam * q ** N * w
+        quot = (be / al) ** N * qcore.qpoch_quotient(
+            kernel.sym_bases(z, al), kernel.sym_bases(z, be), ctx, "z on a pole")
+        c.rel(profiles.profile_kernel_P(q ** N, w, al, be, lam, ctx), quot)
         c.see(abs(profiles.profile_kernel_P(q ** 4, w, al, al, lam, ctx) - 1.0))
 
     with check("kernel-coefficients", "P-coeff-general", 1e-8, j_max=4) as c:
@@ -766,16 +769,14 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(profiles.profile_kernel_coefficient(j, w, al, be, lam, ctx), coeff)
 
     with check("generating-residual", "global-Q-zero", 1e-7, s="0,q^8,q^6,q^4") as c:
-        for s in (0.0, q ** 8, q ** 6, q ** 4):
-            for _ in range(3):
-                w = sample_z(rng, 0.85, 1.2)
-                c.terms(*profiles.generating_Q_terms(s, w, kp, lam))
+        c.each_inside(lambda s, w: c.terms(*profiles.generating_Q_terms(s, w, kp, lam)),
+                      ((s, sample_z(rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 4)
+                       for _ in range(3)), partial(profiles.in_generating_disc, kp, lam))
 
-    with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6,
-               N="4..10") as c:
-        for N in range(4, 11):
-            w = sample_z(rng, 0.9, 1.15)
-            c.see(profiles.bridge_residual(N, w, kp, lam))
+    with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6, N="4..10") as c:
+        c.each_inside(lambda N, w: c.see(profiles.bridge_residual(N, w, kp, lam)),
+                      ((N, sample_z(rng, 0.9, 1.15)) for N in range(4, 11)),
+                      lambda N, w: profiles.in_generating_disc(kp, lam, q ** N, w))
 
     moments = {}  # each F_m, G_m summed once for kp
     with check("contiguous-moments", "profile-moments", 1e-12) as c:
@@ -858,7 +859,7 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
              quadratic.companion_terms)):
         with check(name, anchor, 1e-8, draws=cfg.draws) as c:
             c.params["trunc"] = max(map(len, family(batch[0]))) - 1
-            c.each(lambda qp, z: c.terms(*terms(z, qp)), batch, points)
+            c.each(lambda qp, z: c.terms(*terms(z, qp)), points, batch)
 
     qp0 = points[0][0]
     with check("unit-leading-coefficients", "quadratic-coeff", 1e-15) as c:
@@ -966,11 +967,10 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         res = quadratic.quadratic_tail_curve(z, qp, orders)
     elif target == "profile_scaling":
         rng = cfg.rng_for("profiles")
-        kp = sample_profile_kernel_params(rng, ctx)
-        w = sample_z(rng, 0.9, 1.15)
+        kp, w = sample_profile_kernel_params(rng, ctx), sample_z(rng, 0.9, 1.15)
         orders = list(range(4, 14))
-        res = [profiles.exponential_profile_limit_residual(2, w, kp, kp.b, N).r_residual
-               for N in orders]
+        limits = profiles.exponential_profile_limit_residual(2, w, kp, kp.b, np.array(orders))
+        res = limits.r_residual
     else:
         raise ConfigError(f"unknown decay target {target!r}; "
                           f"choose one of {DECAY_TARGETS}")

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor
-from qtaylor.errors import DivergenceSuspected, PoleProximity, TruncationFailure, ZeroDenominator
+from qtaylor.errors import (ConvergenceRegionViolation, DivergenceSuspected, DomainError,
+                            PoleProximity, TruncationFailure, ZeroDenominator)
 from qtaylor.hyper import PhiSeriesSpec, VWPSpec, series_eval, series_sums, sum_through
 from qtaylor.kernel import (KernelParams, calP_tables,
                             laurent_pair, pole_cleared_E_terms)
@@ -33,13 +34,13 @@ EPS = np.finfo(float).eps  # 2^-52
 BASES = [0.45, 0.7, -0.6, 0.3 + 0.5j]
 # qpoch_infinite calls of verify --suite kernel / profiles / quadratic at q = 0.45, seed 7,
 # 12 draws; one call per quotient made kernel and profiles 290 / 287, one call per
-# identity evaluation of each draw made kernel and quadratic 81 / 55
+# identity evaluation of each draw made kernel, profiles and quadratic 81 / 117 / 55
 PINNED_KERNEL_CALLS = 26
-PINNED_PROFILES_CALLS = 117
+PINNED_PROFILES_CALLS = 84
 PINNED_QUADRATIC_CALLS = 13
-# hyper._series_sum runs of verify --suite hyper / kernel / quadratic at the same (q, seed);
-# a run per draw and family made them 72 / 58 / 25
-PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 8, "quadratic": 3}
+# hyper._series_sum runs of verify --suite hyper / kernel / profiles / quadratic at the same
+# (q, seed); a run per draw and family made them 72 / 58 / 49 / 25
+PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 8, "profiles": 8, "quadratic": 3}
 
 
 def scalar_qpoch_infinite(a, q):
@@ -466,6 +467,36 @@ def first_failure(evaluate, items):
     return None
 
 
+def profile_points(rng, kp, lam, ctx, count):
+    """(s, w) and (N, w) points of the generating and bridge checks inside the validated disc."""
+    q = ctx.q
+    sw = [(s, sample_z(rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 5)
+          for _ in range(count)]
+    nw = [(N, sample_z(rng, 0.9, 1.15)) for N in range(4, 11) for _ in range(count)]
+    return ([p for p in sw if profiles.in_generating_disc(kp, lam, *p)],
+            [p for p in nw if profiles.in_generating_disc(kp, lam, q ** p[0], p[1])])
+
+
+def spy_work(monkeypatch):
+    """The largest product depth and series length of the calls made, as they run."""
+    seen = {"depth": 0, "terms": 0}
+    real_product, real_sum = qcore.qpoch_infinite, hyper._series_sum
+
+    def product(a, ctx):
+        tb = real_product(a, ctx)
+        seen["depth"] = max(seen["depth"], tb.terms_used // max(np.size(a), 1))
+        return tb
+
+    def series(*args):
+        sums = real_sum(*args)
+        seen["terms"] = max([seen["terms"]] + [tb.terms_used for tb in
+                                               (sums if isinstance(sums, tuple) else [])])
+        return sums
+    monkeypatch.setattr(qcore, "qpoch_infinite", product)
+    monkeypatch.setattr(profiles, "_series_sum", series)
+    return seen
+
+
 class TestDrawAxis:
     """A batch of series or parameter sets against the same draws evaluated one by one."""
 
@@ -587,6 +618,178 @@ class TestDrawAxis:
         with pytest.raises(PoleProximity):
             taylor.basis_terms(z, pair, [coeffs[1]] * 2, ctx)
 
+    @pytest.mark.parametrize("q", BASES)
+    def test_profile_batches_agree_with_each_point(self, monkeypatch, q):
+        # the routes differ in the depth of the product call (that of the batch's largest
+        # base) and in NumPy's rounding of the parameter arithmetic against Python's: a few
+        # u per product factor, series term and power step, each of a term no larger than
+        # the largest; 64 u of the largest term per factor, term and step bounds them all
+        ctx = QContext(q)
+        rng = random.Random(36)
+        kp = sample_profile_kernel_params(rng, ctx)
+        lam, q = kp.b, ctx.q
+        kp.series_depth  # the E families: summed once, outside the counts
+        sw, nw = profile_points(rng, kp, lam, ctx, 2)
+        ws = np.array([sample_z(rng, 0.9, 1.15) for _ in range(8)])
+        Ns = np.array([0, 3, 5, 8, 10, 12, 15, 20])
+        seen = spy_work(monkeypatch)
+
+        def agree(batch, single, points, steps=0):
+            """Each term of batch(*columns) against single(*point), per point."""
+            seen.update(depth=0, terms=0)
+            got = batch(*map(np.array, zip(*points)))
+            tol = 64 * (seen["depth"] + seen["terms"] + steps) * EPS
+            for j, point in enumerate(points):
+                want = single(*point)
+                scale = max(map(abs, want))
+                for g, w in zip(got, want):
+                    assert abs(np.ravel(g)[j] - w) <= tol * scale, (point, g, w)
+
+        def gen(s, w):
+            return profiles.generating_Q_terms(s, w, kp, lam)
+
+        def annular(N, w):
+            return profiles.annular_factorization_terms(lam, N, w, ctx)
+
+        def lead(w):
+            return profiles.leading_profile_terms(w, kp, lam)
+
+        def kernel_P(s, w):
+            return (profiles.profile_kernel_P(s, w, kp.c / kp.d, kp.b, lam, ctx),)
+
+        def growth(N, w):
+            cg = profiles.canonical_growth_profile(lam, N, w, kp)
+            return cg.Z_value, cg.extracted_monomial * cg.C_factor
+
+        agree(gen, gen, sw)
+        agree(kernel_P, kernel_P, sw)
+        agree(lead, lead, [(w,) for w in ws])
+        # w^-N q^-N(N+1)/2 and q^-N(N+1): powers of up to 210 steps, or exp(N^2 log q)
+        agree(annular, annular, list(zip(Ns, ws)), steps=210)
+        agree(growth, growth, list(zip(Ns[:6] + 4, ws[:6])), steps=272)
+
+        # residuals of their own scale: they move by the bound on their terms
+        seen.update(depth=0, terms=0)
+        got = profiles.exponential_profile_limit_residual(2, ws[:6], kp, lam, Ns[:6] + 4)
+        tol = 64 * (seen["depth"] + 16) * EPS
+        for j, (w, N) in enumerate(zip(ws[:6].tolist(), (Ns[:6] + 4).tolist())):
+            want = profiles.exponential_profile_limit_residual(2, w, kp, lam, N)
+            for name in ("r_residual", "s_residual", "q0_residual"):
+                assert abs(getattr(got, name)[j] - getattr(want, name)) <= 4 * tol
+
+        # the bridge gap reads the rounding of E, whose g-family sum cancels by up to 1e9 at
+        # q = 0.7 and rounds otherwise on the scalar route: each point is its batch of one,
+        # which shares the batch's arithmetic but for the depth of the product call
+        seen.update(depth=0, terms=0)
+        N, w = map(np.array, zip(*nw))
+        got = profiles.bridge_residual(N, w, kp, lam)
+        tol = 64 * (seen["depth"] + seen["terms"]) * EPS
+        for j in range(len(nw)):
+            assert abs(got[j] - profiles.bridge_residual(N[j:j + 1], w[j:j + 1], kp, lam)[0]) <= tol
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_profile_family_sum_columns_are_batches_of_one(self, q):
+        # every column of a family sum runs the arithmetic of its point alone, bit for bit
+        ctx = QContext(q)
+        rng = random.Random(37)
+        kp = sample_profile_kernel_params(rng, ctx)
+        sw, _ = profile_points(rng, kp, kp.b, ctx, 3)
+        s, w = map(np.array, zip(*sw))
+        got = profiles._family_sums(s, w, kp, kp.b)
+        assert got.shape == (2, len(sw))
+        for j in range(len(sw)):
+            one = profiles._family_sums(s[j:j + 1], w[j:j + 1], kp, kp.b)
+            assert repr(got[:, j].tolist()) == repr(one[:, 0].tolist())
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_finite_products_read_from_one_table(self, q):
+        ctx = QContext(q)
+        rng = random.Random(38)
+        a = np.array([sample_complex(rng, 0.05, 1.4) for _ in range(12)]).reshape(3, 4)
+        n = np.array([rng.randrange(0, 30) for _ in range(12)]).reshape(3, 4)
+        got = qcore.qpoch_finite(a, n, ctx)
+        assert got.shape == (3, 4)
+        for i in np.ndindex(a.shape):
+            assert got[i] == qcore.qpoch_finite(complex(a[i]), int(n[i]), ctx)
+        with pytest.raises(DomainError):
+            qcore.qpoch_finite(a, n - 20, ctx)
+
+
+def loop_require_clear(ctx, what, *bases):
+    """require_clear as a loop over every node, with a scalar factor_clearance each."""
+    for base in bases:
+        for u in base.ravel().tolist() if isinstance(base, np.ndarray) else (base,):
+            if qcore.factor_clearance(u, ctx) <= ctx.pole_margin:
+                raise PoleProximity(f"{what}: denominator base {u} within pole margin")
+
+
+def raised(f, *args):
+    """(type, message) of what f(*args) raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestClearanceScan:
+    """The clearance of every node of a batch in one scan, against the loop over the nodes."""
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_array_clearance_matches_each_node(self, q):
+        ctx = QContext(q)
+        u = mixed_bases(random.Random(39), 6) * 3.0
+        got = qcore.factor_clearance(u, ctx)
+        # NumPy's |.| may differ from Python's in the last bit, at each scanned factor
+        for ui, gi in zip(u.tolist(), got.tolist()):
+            want = qcore.factor_clearance(ui, ctx)
+            assert gi == want or abs(gi - want) <= 4 * EPS * max(want, 1.0)
+        nan = qcore.factor_clearance(np.array([0.5, math.inf, complex(math.nan, 0.0)]), ctx)
+        assert nan[0] == math.inf and np.isnan(nan[1:]).all()
+
+    @pytest.mark.parametrize("q", BASES)
+    @pytest.mark.parametrize("size", [9, 30])  # the loop alone, and one scan before it
+    def test_first_offending_node_mid_batch(self, q, size):
+        ctx = QContext(q)
+        rng = random.Random(40)
+        near = 1e-9  # within the margin 1e-6 of a factor
+        for trial in range(6):
+            nodes = [np.array([sample_complex(rng, 0.2, 2.5) for _ in range(size)])
+                     for _ in range(3)]
+            scalar = sample_complex(rng, 0.2, 0.8) if trial % 3 else 1 / ctx.q ** 2
+            k = rng.randrange(1, size - 1)
+            nodes[1][k] = (1 + near) / ctx.q ** rng.randrange(0, 3)  # mid-batch, mid-array
+            nodes[2][k] = 1 / ctx.q  # a later offending node
+            if trial % 2:
+                nodes[2][k - 1] = math.inf  # non-finite after the first offender
+            bases = (nodes[0], scalar, nodes[1], nodes[2])
+            want = raised(loop_require_clear, ctx, "probe", *bases)
+            assert want[0] is PoleProximity
+            assert raised(qcore.require_clear, ctx, "probe", *bases) == want
+        # a non-finite node ahead of every offender raises DomainError, as the loop does
+        nodes = np.full(3 * size, 0.3 + 0.1j)
+        nodes[size], nodes[2 * size] = complex(math.nan, 1.0), 1.0
+        want = raised(loop_require_clear, ctx, "probe", nodes, 0.5)
+        assert want[0] is DomainError
+        assert raised(qcore.require_clear, ctx, "probe", nodes, 0.5) == want
+        assert qcore.require_clear(ctx, "probe", np.array([0.3, 0.5j]), 0.2) is None
+
+    @pytest.mark.parametrize("q", [0.45, 0.7])
+    def test_disc_violation_names_the_first_point_outside(self, q):
+        # the points in order: the first outside the disc raises the error its own call
+        # raises, whatever follows it
+        ctx = QContext(q)
+        rng = random.Random(41)
+        kp = sample_profile_kernel_params(rng, ctx)
+        al, be, lam = kp.c / kp.d, kp.b, kp.b
+        s = np.array([0.0, ctx.q ** 8, 2.0, ctx.q ** 6, 5.0])
+        w = np.array([sample_z(rng, 0.9, 1.15) for _ in s])
+        want = raised(profiles.profile_kernel_P, complex(s[2]), complex(w[2]), al, be, lam, ctx)
+        assert want[0] is ConvergenceRegionViolation
+        assert raised(profiles.profile_kernel_P, s, w, al, be, lam, ctx) == want
+        assert [profiles.in_generating_disc(kp, lam, *p) for p in zip(s[:2], w[:2])] == [True] * 2
+        assert not profiles.in_generating_disc(kp, lam, s[2], w[2])
+
 
 class TestCallCounts:
     """One product call per identity evaluation of all draws, and one series run per family
@@ -600,8 +803,9 @@ class TestCallCounts:
             if getattr(module, "qpoch_infinite", None) is real:
                 monkeypatch.setattr(module, "qpoch_infinite",
                                     lambda a, c: calls.append(1) or real(a, c))
-        monkeypatch.setattr(hyper, "_series_sum",
-                            lambda *a: runs.append(1) or real_series_sum(*a))
+            if getattr(module, "_series_sum", None) is real_series_sum:
+                monkeypatch.setattr(module, "_series_sum",
+                                    lambda *a: runs.append(1) or real_series_sum(*a))
         cfg = SuiteConfig(suites=(suite,), q=0.45, seed=7)
         assert run_suites(cfg).all_passed
         return len(calls), len(runs)

@@ -1,6 +1,8 @@
 """The check runner: every suite check is a block that fails on its own."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +135,16 @@ def test_canonical_growth_failure_names_the_spread():
              if r.check == "canonical-growth"]
     assert not rec.passed and rec.params["spread"] >= 10.0
     assert rec.detail == "C-factor spread 11.3 >= 10 at radius 1.58"
+
+
+# every record of verify --suite profiles at these verify seeds and bases ("seed@q"), as the
+# per-point loops wrote them: generating-residual or bridge-identity leaves the validated
+# s-disc mid-loop at each, and every later check draws from where that loop stopped
+STREAM_RECORDS = json.loads(Path(__file__).with_name("profiles_stream.json").read_text())
+
+
+@pytest.mark.parametrize("run", sorted(STREAM_RECORDS))
+def test_profiles_records_keep_the_random_stream(run):
+    seed, q = run.split("@")
+    records = run_profiles(SuiteConfig(q=float(q), seed=int(seed)))
+    assert [[r.check, r.passed, r.params, r.detail] for r in records] == STREAM_RECORDS[run]
