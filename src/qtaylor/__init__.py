@@ -30,7 +30,7 @@ from .quadratic import (QuadraticParams, companion_terms,
                         quadratic_terms)
 from .suites import (SuiteConfig, VerificationReport, emit_decay_csv,
                      run_suites)
-from .taylor import (BasisPair, TaylorExpansion, basis_sup_curve,
+from .taylor import (BasisPair, basis_sup_curve,
                      flatness_check, phi_basis, taylor_expand,
                      taylor_sum_and_remainder)
 from .wpoperator import (OperatorChainSpec, apply_Dcq,

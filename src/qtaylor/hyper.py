@@ -39,10 +39,6 @@ class PhiSeriesSpec:
         """The term_ratio arguments: numerators a_i, denominators b_j, no lead."""
         return self.numerator_params, self.denominator_params, self.argument, None
 
-    def ratio(self, ctx: QContext):
-        """The term ratio of this series (term_ratio)."""
-        return term_ratio([self.ratio_params(ctx)], ctx)
-
 
 @dataclass(frozen=True)
 class VWPSpec:
@@ -67,10 +63,6 @@ class VWPSpec:
         if abs(1.0 - a) <= ctx.pole_margin:
             raise DomainError("very-well-poised series requires a != 1")
         return (a,) + self.b_list, tuple(a * ctx.q / b for b in self.b_list), self.argument, a
-
-    def ratio(self, ctx: QContext):
-        """The term ratio of this series (term_ratio)."""
-        return term_ratio([self.ratio_params(ctx)], ctx)
 
 
 @dataclass(frozen=True)
@@ -117,8 +109,9 @@ def _running_rate(abs_terms: np.ndarray, rate, q_rate: float):
     return dec, step[last, np.arange(dec.shape[1])]
 
 
-def _series_sum(ratio, trunc, ctx: QContext, start=None):
-    """Shared partial sum of every series; returns the value with the terms it added.
+def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) -> SeriesSums:
+    """Shared partial sum of every series: the SeriesSums of a list of columns, each
+    with the terms it added.
 
     ratio(k, x) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
     i = k, k+1, ..., one column per series, and, when some column has a pole
@@ -127,28 +120,24 @@ def _series_sum(ratio, trunc, ctx: QContext, start=None):
     after it lie at fixed places; the terms and partial sums of every column are
     np.multiply/np.add.accumulate down the block, which associate as a loop
     over k does.  Nothing past a column's stop index raises or warns.
-    Truncation: through index `trunc` when given, else after the first t_k
-    with |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
+    truncs holds one truncation per column, each column with its own stop:
+    through index n when given, else after the first t_k with
+    |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
     decreasing term ratio (at least |q|): geometric_depth(rate, lead) = 0,
     called only under ctx.max_terms or for a non-finite lead.  A vanishing
-    term ends the sum.  Adaptive mode raises DivergenceSuspected after 8
+    term ends the sum.  An adaptive column raises DivergenceSuspected after 8
     growing terms in a row past geometric_depth(|q|), where the q-power
-    factors of the ratio have settled.  `start`, an earlier sum of the same
-    series, is continued to `trunc`, bit for bit as one sum.
-
-    A list trunc holds one of these per column, and start is then None or a
-    list with one earlier sum (or None) per column: the columns are summed
-    together, each with its own stop, and the SeriesSums of all are
-    returned, column j bit for bit the sum of its series alone.  When
-    columns fail, the first of them raises its error once every column has
-    stopped.
+    factors of the ratio have settled.  starts, None or one earlier sum of
+    the same series (or None) per column, is continued to its truncation, bit
+    for bit as one sum.  Column j is bit for bit the sum of its series alone
+    (a batch of one).  When columns fail, the first of them raises its error
+    once every column has stopped.
     """
-    batch = isinstance(trunc, list)
-    truncs, starts = (trunc, start or [None] * len(trunc)) if batch else ([trunc], [start])
+    starts = starts or [None] * len(truncs)
     q_rate = abs(ctx.q)
     settled = geometric_depth(q_rate)
     # per column: the terms, the last index, term and partial sum, the running rate
-    # (where `start` stopped), the growing run and the error
+    # (where its start stopped), the growing run and the error
     terms = [[1.0 + 0.0j] if s is None else list(s.terms) for s in starts]
     k, term = [len(t) - 1 for t in terms], [t[-1] for t in terms]
     total = [t[0] if s is None else s.value for t, s in zip(terms, starts)]
@@ -233,9 +222,8 @@ def _series_sum(ratio, trunc, ctx: QContext, start=None):
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]
-    sums = [SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts))
-            for s, t, r, n, ts in zip(total, term, rate, k, terms)]
-    return SeriesSums(sums) if batch else sums[0]
+    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts))
+                      for s, t, r, n, ts in zip(total, term, rate, k, terms))
 
 
 def term_ratio(series: Sequence[tuple], ctx: QContext):
@@ -287,7 +275,8 @@ def term_ratio(series: Sequence[tuple], ctx: QContext):
 
 def series_eval(spec: PhiSeriesSpec | VWPSpec, trunc: int | None,
                 ctx: QContext) -> SeriesSum:
-    """Evaluate a series of either spec type through its term ratio.
+    """Evaluate a series of either spec type through its term ratio: column 0 of
+    series_sums([spec], trunc, ctx).
 
     Adaptive for trunc None, else through index trunc; `.terms` holds the
     summands t_0 = 1, ..., t_N that were added.  Terminating series (some
@@ -296,11 +285,11 @@ def series_eval(spec: PhiSeriesSpec | VWPSpec, trunc: int | None,
     within the pole margin, DivergenceSuspected after 8 consecutive growing
     terms past the settled depth.
     """
-    return _series_sum(spec.ratio(ctx), trunc, ctx)
+    return series_sums([spec], trunc, ctx)[0]
 
 
 def series_sums(specs: Sequence, trunc, ctx: QContext, start=None) -> SeriesSums:
-    """series_eval of every spec (of one kind and arity) in one _series_sum run.
+    """Every spec (of one kind and arity) summed in one _series_sum run.
 
     trunc is one value for all or a list with one per spec, start None or
     one earlier sum (or None) per spec to continue.  Sum j equals

@@ -120,10 +120,10 @@ class KernelParams:
     Kcde = property(lambda self: self._zeroth[1], doc="K(c/de)")
 
     @cached_property
-    def _sums(self) -> tuple[list, list[SeriesSum]]:
+    def _sums(self) -> tuple[list, list[SeriesSum], list[int]]:
         """The specs and sums of f (one per draw) then g, through series_depth N of
-        each draw: the families are summed adaptively in one run, and the one that
-        stopped earlier is continued to N."""
+        each draw, and each draw's N: the families are summed adaptively in one run,
+        and the one that stopped earlier is continued to N."""
         draws = self.draws or (self,)
         specs = [f_spec(kp) for kp in draws] + [g_spec(kp) for kp in draws]
         sums = series_sums(specs, None, self.ctx)
@@ -131,22 +131,20 @@ class KernelParams:
         depths = [max(f.terms_used, g.terms_used) - 1 for f, g in zip(sums[:half], sums[half:])]
         sums = sum_through(specs, depths * 2, self.ctx, sums)
         for i, kp in enumerate(self.draws):  # its columns are each draw's own sums, bit for bit
-            kp.__dict__.setdefault("_sums", (specs[i::half], sums[i::half]))
-        return specs, sums
+            kp.__dict__.setdefault("_sums", (specs[i::half], sums[i::half], depths[i:i + 1]))
+        return specs, sums, depths
 
     @property
     def series_depth(self):
         """The larger adaptive depth (last index kept) of the f and g families; for a
         batch, the ndarray of each draw's."""
-        sums = self._sums[1]
-        half = len(sums) // 2
-        depths = [max(f.terms_used, g.terms_used) - 1 for f, g in zip(sums[:half], sums[half:])]
+        depths = self._sums[2]
         return np.array(depths) if self.draws else depths[0]
 
     def family_terms(self, n) -> tuple:
         """(f_0..f_n, g_0..g_n): sliced from the cached sums, continued past series_depth.
         For a batch, n is one depth per draw and each family the list of the draws' terms."""
-        specs, sums = self._sums
+        specs, sums, _ = self._sums
         ns = np.ravel(n).tolist() * 2
         got = [s.terms[:m + 1] for s, m in zip(sum_through(specs, ns, self.ctx, sums), ns)]
         half = len(got) // 2
@@ -291,10 +289,10 @@ def remainder_gap_curve(z: complex, kp: KernelParams,
     """Gap |A R_n H(z) - B K(c/de) S_g| / scale at each order, R_n via the operator pipeline."""
     ctx = kp.ctx
     sample, at_z = _sampler("H", kp, [kernel_quotient(name, z, kp) for name in "ABH"])
-    expansion = taylor_expand(sample, kp.phi_pair, max(orders), ctx)
+    coeffs = taylor_expand(sample, kp.phi_pair, max(orders), ctx)
     A, B, hkz = at_z
     target = B * kp.Kcde * basis_sum(z, kp.psi_pair, kp.family_terms(kp.series_depth)[1], ctx)
-    terms = basis_terms(z, expansion.pair, expansion.coefficients, ctx)
+    terms = basis_terms(z, kp.phi_pair, coeffs, ctx)
     return [scaled_residual(A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j)), target) for n in orders]
 
 

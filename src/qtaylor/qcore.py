@@ -133,6 +133,12 @@ def fit_window(rate: float) -> list[int]:
     return list(range(start, start + 9))
 
 
+def fitted_rate(orders: Sequence[int], values) -> float:
+    """The rate r of a decay like r^n fitted to positive values at the orders: exp of
+    the least-squares slope of log(values)."""
+    return math.exp(np.polyfit(orders, np.log(values), 1)[0])
+
+
 @dataclass(frozen=True)
 class TailBound:
     """A truncated value together with a certificate for the omitted tail.

@@ -3,7 +3,8 @@
 Every suite draw flows through a `random.Random` seeded by the runner, so
 identical seeds reproduce identical parameter streams bit for bit.
 Samples violating a genericity predicate (pole margins, grid collisions,
-convergence regions) are rejected and redrawn.
+convergence regions) are rejected and redrawn, at most MAX_TRIES draws
+per sample.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 
 from .errors import ConfigError, QTaylorError
 from .kernel import KernelParams
-from .qcore import QContext
+from .qcore import QContext, factor_clearance
 from .quadratic import QuadraticParams
 from .taylor import BasisPair
 
@@ -26,8 +27,9 @@ def sample_complex(rng: random.Random, lo: float = 0.3, hi: float = 0.9) -> comp
     return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
 
 
-def sample_on_circle(rng: random.Random, radius: float = 1.0) -> complex:
-    return radius * cmath.exp(2j * math.pi * rng.random())
+def sample_on_circle(rng: random.Random) -> complex:
+    """A point of the unit circle, phase uniform."""
+    return cmath.exp(2j * math.pi * rng.random())
 
 
 def sample_z(rng: random.Random, lo: float = 0.8, hi: float = 1.25) -> complex:
@@ -35,53 +37,49 @@ def sample_z(rng: random.Random, lo: float = 0.8, hi: float = 1.25) -> complex:
     return sample_complex(rng, lo, hi)
 
 
-def sample_kernel_z(rng: random.Random, kp: KernelParams, *,
-                    lo: float = 0.8, hi: float = 1.25,
-                    clearance: float = 0.02, tries: int = MAX_TRIES) -> complex:
-    """Evaluation point keeping an honest distance from both basis pole sets.
+def sample_kernel_z(rng: random.Random, kp: KernelParams) -> complex:
+    """Evaluation point of the annulus 0.8 <= |z| <= 1.25 keeping an honest distance
+    from both basis pole sets.
 
     The identities hold arbitrarily close to the poles, but the additive
     terms then dwarf the kernel value and rounding noise drowns the
-    residual, so suite draws stay `clearance` away from every denominator
-    factor of F, A, B and the two bases.
+    residual, so suite draws stay a clearance of 0.02 away from every
+    denominator factor of F, A, B and the two bases.
     """
-    from .qcore import factor_clearance
     c2 = kp.c ** 2 / (kp.b * kp.d * kp.e)
 
     def clear(z: complex) -> bool:
         bases = (kp.c * z, kp.c / z, c2 * z, c2 / z, kp.b * z, kp.b / z)
-        return all(factor_clearance(u, kp.ctx) > clearance for u in bases)
+        return all(factor_clearance(u, kp.ctx) > 0.02 for u in bases)
 
-    return sample_with(rng, lambda r: sample_complex(r, lo, hi), clear, tries)
+    return sample_with(rng, lambda r: sample_complex(r, 0.8, 1.25), clear)
 
 
-def sample_with(rng: random.Random, build, predicate=None, tries: int = MAX_TRIES):
-    """Draw via `build(rng)` until construction and predicate succeed."""
-    for _ in range(tries):
+def sample_with(rng: random.Random, build, predicate=None):
+    """Draw via `build(rng)` until construction and predicate succeed, at most
+    MAX_TRIES times."""
+    for _ in range(MAX_TRIES):
         try:
             value = build(rng)
         except QTaylorError:
             continue
         if predicate is None or predicate(value):
             return value
-    raise ConfigError(f"no admissible sample within {tries} draws")
+    raise ConfigError(f"no admissible sample within {MAX_TRIES} draws")
 
 
 def sample_kernel_params(rng: random.Random, ctx: QContext, *,
-                         lo: float = 0.3, hi: float = 0.9,
-                         predicate=None, tries: int = MAX_TRIES) -> KernelParams:
+                         lo: float = 0.3, hi: float = 0.9) -> KernelParams:
     """A generic kernel quadruple; construction enforces the margin checks."""
     return sample_with(
         rng,
         lambda r: KernelParams(sample_complex(r, lo, hi), sample_complex(r, lo, hi),
                                sample_complex(r, lo, hi), sample_complex(r, lo, hi),
-                               ctx),
-        predicate, tries)
+                               ctx))
 
 
 def sample_profile_kernel_params(rng: random.Random, ctx: QContext, *,
-                                 moment_order: int = 1,
-                                 tries: int = MAX_TRIES) -> KernelParams:
+                                 moment_order: int = 1) -> KernelParams:
     """Kernel draw inside the profile convergence region.
 
     Keeps |b| < |c| so the scalar profile sums converge, with enough
@@ -99,11 +97,11 @@ def sample_profile_kernel_params(rng: random.Random, ctx: QContext, *,
         ratio = abs(kp.b / kp.c)
         return ratio * abs(ctx.q) < 0.82 and ratio < 0.95 * bound
 
-    return sample_with(rng, build, pred, tries)
+    return sample_with(rng, build, pred)
 
 
 def sample_basis_pair(rng: random.Random, *, lo: float = 0.3, hi: float = 0.9,
-                      min_split: float = 0.05, tries: int = MAX_TRIES) -> BasisPair:
+                      min_split: float = 0.05) -> BasisPair:
     """A Taylor pair (a, c) with the two parameters kept apart."""
 
     def build(r: random.Random) -> BasisPair:
@@ -115,22 +113,20 @@ def sample_basis_pair(rng: random.Random, *, lo: float = 0.3, hi: float = 0.9,
                 and abs(1 - pair.c / pair.a) > min_split
                 and abs(1 - pair.a * pair.c) > min_split)
 
-    return sample_with(rng, build, pred, tries)
+    return sample_with(rng, build, pred)
 
 
-def sample_quadratic_params(rng: random.Random, ctx: QContext, *, max_ratio: float = 0.6,
-                            tries: int = MAX_TRIES) -> QuadraticParams:
-    """Draw (a, b, alpha, d) with |b/a| and |alpha| inside the test region."""
+def sample_quadratic_params(rng: random.Random, ctx: QContext) -> QuadraticParams:
+    """Draw (a, b, alpha, d) with |b/a| and |alpha| at most 0.6."""
 
     def build(r: random.Random) -> QuadraticParams:
         a = sample_complex(r, 0.6, 0.9)
-        b = sample_complex(r, 0.25, max_ratio * abs(a))
-        alpha = sample_complex(r, 0.25, max_ratio)
+        b = sample_complex(r, 0.25, 0.6 * abs(a))
+        alpha = sample_complex(r, 0.25, 0.6)
         d = sample_complex(r, 0.4, 0.9)
         return QuadraticParams(a, b, alpha, d, ctx)
 
     def pred(qp: QuadraticParams) -> bool:
-        return (abs(qp.b / qp.a) <= max_ratio and abs(qp.alpha) <= max_ratio
-                and abs(qp.a - qp.b) > 0.05)
+        return abs(qp.b / qp.a) <= 0.6 and abs(qp.alpha) <= 0.6 and abs(qp.a - qp.b) > 0.05
 
-    return sample_with(rng, build, pred, tries)
+    return sample_with(rng, build, pred)

@@ -157,26 +157,16 @@ def _grid_sample(f, pair: BasisPair, n: int, ctx: QContext) -> list[complex]:
 def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
                     ctx: QContext) -> float:
     """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
-    coeffs = taylor_expand(f, pair, len(expected) - 1, ctx).coefficients
+    coeffs = taylor_expand(f, pair, len(expected) - 1, ctx)
     return max(map(scaled_residual, coeffs, expected), default=0.0)
 
 
-@dataclass(frozen=True)
-class TaylorExpansion:
-    """Coefficients t_0..t_n of a function relative to a basis pair."""
-
-    pair: BasisPair
-    coefficients: tuple[complex, ...]
-
-    def sum_at(self, z: complex, ctx: QContext) -> complex:
-        return basis_sum(z, self.pair, self.coefficients, ctx)
-
-
-def taylor_expand(f, pair: BasisPair, n: int, ctx: QContext) -> TaylorExpansion:
-    """Coefficients 0..n from one sample of f on the nodes a q^i, i = 0..n."""
+def taylor_expand(f, pair: BasisPair, n: int, ctx: QContext) -> tuple[complex, ...]:
+    """The coefficients t_0..t_n of f relative to the pair, from one sample of f on the
+    nodes a q^i, i = 0..n."""
     values = _grid_sample(f, pair, n, ctx)
     rows = coefficient_rows(pair, range(n + 1), ctx)
-    return TaylorExpansion(pair, tuple(sum(w * v for w, v in zip(row, values)) for row in rows))
+    return tuple(sum(w * v for w, v in zip(row, values)) for row in rows)
 
 
 def taylor_sum_and_remainder(f, pair: BasisPair, n: int, z: complex,
@@ -184,8 +174,7 @@ def taylor_sum_and_remainder(f, pair: BasisPair, n: int, z: complex,
     """(T_n f(z), f(z) - T_n f(z)); the pair sums to f(z) by construction."""
     if n < 0:
         raise DomainError("Taylor order must be nonnegative")
-    expansion = taylor_expand(f, pair, n, ctx)
-    t = expansion.sum_at(z, ctx)
+    t = basis_sum(z, pair, taylor_expand(f, pair, n, ctx), ctx)
     return t, f(z) - t
 
 

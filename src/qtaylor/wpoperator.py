@@ -70,14 +70,12 @@ def _dcq_prefactor(z: complex, c: complex, rq: complex) -> complex:
             * (1.0 - c / (z * rq)) * (1.0 - c * rq / z))
 
 
-def apply_Dcq(f, z: complex, c: complex, ctx: QContext, *,
-              root: complex | None = None) -> complex:
+def apply_Dcq(f, z: complex, c: complex, ctx: QContext) -> complex:
     """Well-poised operator: four linear prefactors times apply_Dq(f, z).
 
     Reduces to apply_Dq when c = 0.
     """
-    rq = ctx.sqrt_q if root is None else complex(root)
-    return _dcq_prefactor(z, c, rq) * apply_Dq(f, z, ctx, root=rq)
+    return _dcq_prefactor(z, c, ctx.sqrt_q) * apply_Dq(f, z, ctx)
 
 
 def apply_iterated(f, z: complex, chain: OperatorChainSpec, ctx: QContext) -> complex:

@@ -74,7 +74,7 @@ def test_criterion_02_delta_property():
         pair = sample_basis_pair(rng, lo=0.4, hi=0.85, min_split=0.1)
         for n in range(9):
             f = phi_function(pair, n, ctx)
-            for k, t in enumerate(taylor_expand(f, pair, 8, ctx).coefficients):
+            for k, t in enumerate(taylor_expand(f, pair, 8, ctx)):
                 worst = max(worst, abs(t - (1.0 if k == n else 0.0)))
     assert worst < 1e-8
     report(2, "delta property", f"max |t_k(basis_n) - delta| = {worst:.2e}")
@@ -92,7 +92,7 @@ def test_criterion_03_first_reexpansion():
             continue
         pair = BasisPair(a, c)
         f = phi_function(BasisPair(d, c), 1, ctx)
-        t0, t1 = taylor_expand(f, pair, 1, ctx).coefficients
+        t0, t1 = taylor_expand(f, pair, 1, ctx)
         w0 = (1 - a * d) * (1 - d / a) / ((1 - a * c) * (1 - c / a))
         w1 = (d / a) * (1 - c / d) * (1 - c * d) / ((1 - c / a) * (1 - a * c))
         worst = max(worst, abs(t0 - w0) / abs(w0), abs(t1 - w1) / abs(w1))

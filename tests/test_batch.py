@@ -34,9 +34,10 @@ EPS = np.finfo(float).eps  # 2^-52
 BASES = [0.45, 0.7, -0.6, 0.3 + 0.5j]
 # qpoch_infinite calls of verify --suite kernel / profiles / quadratic at q = 0.45, seed 7,
 # 12 draws; one call per quotient made kernel and profiles 290 / 287, one call per
-# identity evaluation of each draw made kernel, profiles and quadratic 81 / 117 / 55
+# identity evaluation of each draw made kernel, profiles and quadratic 81 / 117 / 55;
+# profiles was 84 while coefficient-hierarchy evaluated its j=0 and leading terms twice
 PINNED_KERNEL_CALLS = 26
-PINNED_PROFILES_CALLS = 84
+PINNED_PROFILES_CALLS = 79
 PINNED_QUADRATIC_CALLS = 13
 # hyper._series_sum runs of verify --suite hyper / kernel / profiles / quadratic at the same
 # (q, seed); a run per draw and family made them 72 / 58 / 49 / 25

@@ -139,7 +139,10 @@ def test_canonical_growth_failure_names_the_spread():
 
 # every record of verify --suite profiles at these verify seeds and bases ("seed@q"), as the
 # per-point loops wrote them: generating-residual or bridge-identity leaves the validated
-# s-disc mid-loop at each, and every later check draws from where that loop stopped
+# s-disc mid-loop at each, and every later check draws from where that loop stopped;
+# coefficient-hierarchy's detail, the gap of two rounding-level residuals, is gone: it read
+# "j=0 vs leading gap" 3.00e-15, 4.85e-10, 8.89e-09 (seed 2798990346 at -0.6, 0.65, 0.7),
+# 7.72e-14 (3493081097@0.7), 5.84e-16 and 3.20e-13 (951650520 at 0.65, 0.7)
 STREAM_RECORDS = json.loads(Path(__file__).with_name("profiles_stream.json").read_text())
 
 

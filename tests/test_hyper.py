@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qtaylor import suites
 from qtaylor.errors import (DivergenceSuspected, DomainError, TruncationFailure,
                             ZeroDenominator)
 from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
-                           jackson_8w7_residual, rogers_6w5_residual, series_eval, term_ratio,
-                           vwp_expanded_spec, well_poised_defect)
+                           jackson_8w7_residual, rogers_6w5_residual, series_eval, series_sums,
+                           term_ratio, vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
 from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers
 from qtaylor.quadratic import h_spec, r_spec
@@ -165,6 +166,31 @@ class TestRogersSummation:
         with pytest.raises(DomainError):
             rogers_6w5_residual(0.9, 0.3, 0.3, 0.3, ctx)
 
+    def test_suite_draws_through_sample_with(self, monkeypatch):
+        real, kept = suites.sample_with, []
+        monkeypatch.setattr(suites, "sample_with",
+                            lambda *a: kept.append(real(*a)) or kept[-1])
+        cfg = SuiteConfig(suites=("hyper",), q=0.7)
+        run_hyper(cfg)
+        assert len(kept) == cfg.draws
+        assert all(abs(a * cfg.q / (b * c * d)) <= 0.7 for a, b, c, d in kept)
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.5j])
+    def test_suite_draws_keep_the_loop_stream(self, q):
+        # the uncapped rejection loop the suite drew with before, written out
+        ctx = QContext(q)
+        for seed in (1, 2, 3):
+            new, old, tries = random.Random(seed), random.Random(seed), 0
+            for _ in range(12):
+                while True:
+                    tries += 1
+                    a = sample_complex(old, 0.2, 0.9)
+                    b, c, d = (sample_complex(old, 0.35, 0.95) for _ in range(3))
+                    if abs(a * ctx.q / (b * c * d)) <= 0.7:
+                        break
+                assert suites._rogers_draw(new, ctx) == (a, b, c, d)
+            assert tries > 12 and new.random() == old.random()
+
 
 class TestJacksonSummation:
     def test_depth_zero(self, ctx):
@@ -309,7 +335,7 @@ class TestBlockSum:
             assert series_eval(ending, 40, ctx).terms_used == 3
             # nor does an overflow past the stop warn
             blow_up = _scalar_blocks(lambda k: 1e-9 if k < 3 else 1e300)
-            assert _series_sum(blow_up, None, ctx).terms_used == 3
+            assert _series_sum(blow_up, [None], ctx)[0].terms_used == 3
         for summed in (lambda: series_eval(fast, 10, ctx),
                        lambda: _loop_sum(_loop_ratio((0.4, 0.3), (1 / ctx.q ** 6,), 1e-9, ctx),
                                          10, ctx)):
@@ -325,13 +351,13 @@ class TestBlockSum:
         def ratio(k):
             return 1.001 if k >= 140 else 0.999
 
-        for summed in (lambda: _series_sum(_scalar_blocks(ratio), None, ctx),
+        for summed in (lambda: _series_sum(_scalar_blocks(ratio), [None], ctx)[0],
                        lambda: _loop_sum(ratio, None, ctx)):
             with pytest.raises(DivergenceSuspected, match=r"at k=148$"):
                 summed()
         # seven growing terms are no divergence
-        seven = _series_sum(_scalar_blocks(lambda k: 0.999 if k < 140 else 1.001 if k < 147
-                                           else 0.5), None, ctx)
+        [seven] = _series_sum(_scalar_blocks(lambda k: 0.999 if k < 140 else 1.001 if k < 147
+                                             else 0.5), [None], ctx)
         assert seven.terms_used > 148
 
     @pytest.mark.parametrize("start, at", [(0, 32), (20, 32), (30, 38), (44, 52)])
@@ -342,7 +368,7 @@ class TestBlockSum:
         def ratio(k):
             return 1.001 if k >= start else 0.999
 
-        for summed in (lambda: _series_sum(_scalar_blocks(ratio), None, ctx),
+        for summed in (lambda: _series_sum(_scalar_blocks(ratio), [None], ctx)[0],
                        lambda: _loop_sum(ratio, None, ctx)):
             with pytest.raises(DivergenceSuspected, match=rf"at k={at}$"):
                 summed()
@@ -354,7 +380,7 @@ class TestBlockSum:
         settled = geometric_depth(abs(q))
         sizes = []
         blocks = _scalar_blocks(lambda k: abs(q) * (1.0 + 1.0 / (k + 1)))
-        summed = _series_sum(lambda k, x: sizes.append(len(x)) or blocks(k, x), None, ctx)
+        summed = _series_sum(lambda k, x: sizes.append(len(x)) or blocks(k, x), [None], ctx)[0]
         assert settled < summed.terms_used <= 2 * settled
         assert sizes == [2 * settled]
 
@@ -386,5 +412,5 @@ class TestBlockSum:
                 common = min(len(fixed), n + 1)
                 assert fixed[:common] == adaptive.terms[:common]
             # continuing the adaptive sum gives the fixed-depth sum, bit for bit
-            longer = _series_sum(spec.ratio(ctx), 3 * n, ctx, adaptive)
+            [longer] = series_sums([spec], [3 * n], ctx, [adaptive])
             assert longer == series_eval(spec, 3 * n, ctx)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
-from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, geometric_depth,
+from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, fitted_rate, geometric_depth,
                            qpoch_finite, qpoch_infinite, qpoch_multi, qpoch_table,
                            residual_and_scale, scaled_residual, theta,
                            weierstrass_terms)
@@ -156,6 +156,12 @@ class TestGeometricDepth:
         assert fit_window(0.45) == list(range(6, 15))  # 0.45^6 = 8.3e-3
         assert fit_window(0.05) == list(range(2, 11))
         assert fit_window(0.8) == list(range(12, 21))  # latest start
+
+    @pytest.mark.parametrize("rate", [0.05, 0.45, 0.7, 0.95])
+    def test_fitted_rate_of_a_geometric_sequence(self, rate):
+        orders = fit_window(rate)
+        assert fitted_rate(orders, [3.2 * rate ** n for n in orders]) == pytest.approx(rate,
+                                                                                    rel=1e-12)
 
 
 class TestQPochhammerMulti:

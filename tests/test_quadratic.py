@@ -86,7 +86,7 @@ class TestFamilyCache:
         assert all(r.passed for r in records)
         # one adaptive run per family for all draws (the first draw reads its column for
         # the coefficient checks), and the one 8W7 form of companion-vwp-form
-        assert [trunc for _, trunc, *_ in runs] == [[None] * cfg.draws] * 2 + [None]
+        assert [trunc for _, trunc, *_ in runs] == [[None] * cfg.draws] * 2 + [[None]]
 
 
 def _pochs(params, k, ctx):
