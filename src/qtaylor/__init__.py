@@ -33,8 +33,7 @@ from .suites import (SuiteConfig, VerificationReport, emit_decay_csv,
 from .taylor import (BasisPair, basis_sup_curve,
                      flatness_check, phi_basis, taylor_expand,
                      taylor_sum_and_remainder)
-from .wpoperator import (OperatorChainSpec, apply_Dcq,
-                         apply_Dq, apply_iterated, cooper_eval,
+from .wpoperator import (apply_Dcq, apply_Dq, apply_iterated, cooper_eval,
                          grid_functional_weights)
 
 __version__ = "0.1.0"

@@ -178,20 +178,38 @@ def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
     running product of qpoch_finite, bit for bit (two cumulative products down the rows)."""
     if n < 0:
         raise DomainError("qpoch_table requires n >= 0")
-    block = np.empty((n + 1, len(params)), dtype=complex)
-    block[0] = params
-    block[1:] = ctx.q
-    np.multiply.accumulate(block, axis=0, out=block)
+    block = q_powers(np.asarray(params, dtype=complex), n, ctx)
     block[1:] = 1.0 - block[:n]
     block[0] = 1.0
     return np.multiply.accumulate(block, axis=0, out=block)
 
 
-def q_powers(x0: complex, n: int, ctx: QContext) -> np.ndarray:
-    """x0 q^j for j = 0..n as one running product: the loop ``x *= q``, bit for bit."""
-    xs = np.full(n + 1, ctx.q)
+WIDE_BLOCK = 256  # columns from which a vector multiply per row beats a running product
+
+
+def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
+    """x0 q^j for j = 0..n down the first axis, x0 a number or a 1-D ndarray of bases: each
+    column is the loop ``x *= q``, bit for bit.  A running product steps each column alone;
+    from WIDE_BLOCK columns on, a real or imaginary q steps by one vector multiply per row
+    (at a q of two nonzero parts that fuses a multiply-add, so it does not)."""
+    q = ctx.q
+    xs = np.empty((n + 1,) + np.shape(x0), dtype=complex)
     xs[0] = x0
-    return np.multiply.accumulate(xs, out=xs)
+    if np.size(x0) < WIDE_BLOCK or q.real and q.imag:
+        xs[1:] = q
+        return np.multiply.accumulate(xs, axis=0, out=xs)
+    for row, below in zip(xs[:-1], xs[1:]):
+        np.multiply(row, q, out=below)
+    return xs
+
+
+def _abs_max(x: np.ndarray) -> float:
+    """max(map(abs, x.tolist()), default=0.0) in one vector pass: np.hypot is libm's hypot,
+    as Python's complex abs (NumPy's abs may differ in the last bit), and a NaN counts only
+    where it comes first, as in Python's max."""
+    sizes = np.hypot(x.real, x.imag)
+    return float(sizes[0] if sizes.size and math.isnan(sizes[0])
+                 else np.fmax.reduce(sizes, initial=0.0))
 
 
 def qpoch_infinite(a, ctx: QContext) -> TailBound:
@@ -202,29 +220,27 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
     largest, N = geometric_depth(|q|, max|a|): with r = max|a q^N|, the
     omitted log-factors of each sum to at most r / ((1 - |q|)(1 - r)) <
     TAIL_TARGET (to first order), the certificate returned as tail_abs.
-    One array kernel serves all bases: the block [a; q; ...; q] of N + 1
-    rows, multiplied cumulatively down the rows, holds a q^j, and the value
-    is the product of 1 - a q^j over its first N rows, in chunks of at most
-    2^14 entries.  A scalar gives the loop ``value *= 1 - x; x *= q`` bit
-    for bit.  terms_used counts the factors of every base.  Raises
-    TruncationFailure when the depth exceeds the user cap ctx.max_terms.
+    One array kernel serves all bases: the value is the product of 1 - a q^j
+    over j < N, taken in blocks of q_powers rows of at most 2^14 entries, each
+    block multiplied into the value row by row.  A scalar gives the loop
+    ``value *= 1 - x; x *= q`` bit for bit; every base of a batch multiplies
+    as NumPy's vector complex multiply does, wherever it stands in the batch.
+    terms_used counts the factors of every base.  Raises TruncationFailure
+    when the depth exceeds the user cap ctx.max_terms.
     """
     q = ctx.q
     x = np.asarray(a, dtype=complex)
     flat = x.ravel()
-    # Python's abs, as in the scalar loop (NumPy's may differ in the last bit)
-    n = geometric_depth(abs(q), max(map(abs, flat.tolist()), default=0.0), ctx.max_terms)
-    value = np.empty_like(flat)
-    last = np.empty_like(flat)
-    width = max(1, 2 ** 14 // (n + 1))
-    for lo in range(0, flat.size, width):
-        block = np.empty((n + 1, min(width, flat.size - lo)), dtype=complex)
-        block[0] = flat[lo:lo + width]
-        block[1:] = q
-        np.multiply.accumulate(block, axis=0, out=block)
-        last[lo:lo + width] = block[n]
-        value[lo:lo + width] = np.multiply.reduce(np.subtract(1.0, block[:n], out=block[:n]))
-    r = max(map(abs, last.tolist()), default=0.0)  # < TAIL_TARGET (1 - |q|)
+    n = geometric_depth(abs(q), _abs_max(flat), ctx.max_terms)
+    value, last = np.ones_like(flat), flat
+    rows = max(1, 2 ** 14 // max(flat.size, 1))  # q-power rows per block
+    for j in range(0, n, rows):
+        block = q_powers(last, min(rows, n - j), ctx)
+        last = block[-1].copy()
+        block[1:] = 1.0 - block[:-1]
+        block[0] = value
+        value = np.multiply.reduce(block)
+    r = _abs_max(last)  # < TAIL_TARGET (1 - |q|)
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
     return TailBound(complex(value[0]) if x.ndim == 0 else value.reshape(x.shape),
                      tail, n * flat.size)
@@ -337,13 +353,29 @@ def scaled_residual(*terms):
     return residual_and_scale(*terms)[0]
 
 
-def sample(f, nodes: list) -> list:
+def sample(f, nodes) -> list:
     """f at the nodes, from one call of f on their ndarray (a constant f serves every node);
-    nodes that are ndarrays of points give the ndarray of f at each."""
+    nodes that are ndarrays of points give the ndarray of f, a row each."""
     values = f(np.array(nodes))
     if not isinstance(values, np.ndarray):
         return [values] * len(nodes)
-    return values.tolist() if values.ndim == 1 else list(values)
+    return values.tolist() if values.ndim == 1 else values
+
+
+def draw_lists(*values) -> list[list]:
+    """Each value as the list of its draws (Python numbers); a number serves every draw."""
+    lists = [np.ravel(x).tolist() for x in values]
+    size = max(map(len, lists))
+    return [v * size if len(v) == 1 else v for v in lists]
+
+
+def sample_columns(f, columns: Sequence[list]) -> list[list]:
+    """f at each column of nodes (one list per draw), from one sample of f on the rows of a
+    node of every draw; a short column repeats its last node.  Each column's values."""
+    depth = max(map(len, columns))
+    values = sample(f, [[col[min(i, len(col) - 1)] for col in columns] for i in range(depth)])
+    table = values.T.tolist() if isinstance(values, np.ndarray) else [values] * len(columns)
+    return [vals[:len(col)] for vals, col in zip(table, columns)]
 
 
 def require_clear(ctx: QContext, what: str, *bases) -> None:
@@ -372,8 +404,7 @@ def factor_clearance(u, ctx: QContext):
     Once |u q^j| < 1 - pole_margin every remaining factor is safely away
     from zero, so the scan terminates after O(log |u|) steps.  An ndarray of
     u gives the minimum at each entry (NaN at a non-finite one): the entries
-    still in the scan are stepped together, in the block [u; q; ...; q]
-    multiplied cumulatively down the rows, which holds u q^j as ``x *= q`` does.
+    still in the scan are stepped together, in the q_powers block.
     """
     limit = 1.0 - ctx.pole_margin
     if isinstance(u, np.ndarray):
@@ -383,9 +414,7 @@ def factor_clearance(u, ctx: QContext):
         scan = finite & (size >= limit)
         if scan.any():
             steps = math.floor(math.log(limit / size[scan].max()) / math.log(abs(ctx.q))) + 2
-            block = np.empty((steps, np.count_nonzero(scan)), dtype=complex)
-            block[0], block[1:] = u[scan], ctx.q
-            np.multiply.accumulate(block, axis=0, out=block)
+            block = q_powers(u[scan], steps - 1, ctx)
             gaps = np.abs(np.subtract(1.0, block))
             gaps[np.abs(block) < limit] = math.inf
             best[scan] = np.minimum.reduce(gaps, axis=0)

@@ -173,7 +173,7 @@ class Check:
         """See the first largest entry of an array of residuals with its scale."""
         if np.ndim(residual):
             i = np.argmax(residual)
-            residual, scale = residual.flat[i], scale.flat[i]
+            residual, scale = residual.flat[i], np.broadcast_to(scale, residual.shape).flat[i]
         self.see(residual, scale=scale)
 
     def rel(self, value, ref) -> None:
@@ -241,19 +241,18 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
     q = ctx.q
 
     with check("recurrence", "qpoch-def", 1e-13, draws=32) as c:
-        for _ in range(32):
-            a = sample_complex(rng, 0.1, 1.4)
-            n = rng.randrange(0, 32)
-            c.terms(qcore.qpoch_finite(a, n + 1, ctx),
-                    qcore.qpoch_finite(a, n, ctx) * (1 - a * q ** n))
+        def recurrence(a, n):
+            top, below = qcore.qpoch_finite(np.array([a, a]), np.array([n + 1, n]), ctx)
+            c.terms(top, below * (1 - a * q ** n))
+        c.each(recurrence, [(sample_complex(rng, 0.1, 1.4), rng.randrange(0, 32))
+                            for _ in range(32)])
 
     with check("infinite-shift", "qpoch-infinite-split", 1e-12, draws=cfg.draws) as c:
-        for _ in range(cfg.draws):
-            a = sample_complex(rng, 0.2, 0.95)
-            k = rng.randrange(0, 9)
-            c.terms(qcore.qpoch_infinite(a, ctx).value,
-                    qcore.qpoch_finite(a, k, ctx)
-                    * qcore.qpoch_infinite(a * q ** k, ctx).value)
+        def infinite_shift(a, k):
+            whole, shifted = qcore.qpoch_infinite(np.array([a, a * q ** k]), ctx).value
+            c.terms(whole, qcore.qpoch_finite(a, k, ctx) * shifted)
+        c.each(infinite_shift, [(sample_complex(rng, 0.2, 0.95), rng.randrange(0, 9))
+                                for _ in range(cfg.draws)])
 
     a, b = sample_complex(rng), sample_complex(rng)
     with check("multi-factorwise", "qpoch-multi", 1e-12, a=a, b=b) as c:
@@ -368,12 +367,6 @@ def _sample_operator_point(rng, ctx):
     return sample_with(rng, lambda r: sample_z(r), ok)
 
 
-def _random_phi_function(rng, ctx, degree):
-    pair = sample_basis_pair(rng)
-    coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(degree + 1)]
-    return taylor.phi_combination(pair, coeffs, ctx)
-
-
 def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
     ctx, rng, out = cfg.context(), cfg.rng_for("operator"), []
     check = partial(Check, out, "operator")
@@ -386,51 +379,62 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
               abs(wpoperator.apply_Dq(lambda w: (w + 1 / w) / 2, z, ctx) - 1.0))
 
     with check("dcq-c0-reduction", "Dcq", 1e-13, draws=cfg.draws) as c:
-        for _ in range(cfg.draws):
-            f = _random_phi_function(rng, ctx, 3)
-            z = _sample_operator_point(rng, ctx)
-            c.terms(wpoperator.apply_Dcq(f, z, 0.0, ctx), wpoperator.apply_Dq(f, z, ctx))
+        # D_{0,q} of sum_k u_k Phi_k(.; a, 0) against its lowering law; the drawn c is not used
+        def reduction(pair, coeffs, z):
+            f = taylor.phi_combination(taylor.BasisPair(pair.a, 0.0), coeffs, ctx)
+            c.terms(wpoperator.apply_Dcq(f, z, 0.0, ctx),
+                    *taylor.lowered_terms(z, pair.a, coeffs, ctx))
+        c.each(reduction, [(sample_basis_pair(rng), [sample_complex(rng, 0.5, 1.5)
+                                                      for _ in range(4)],
+                            _sample_operator_point(rng, ctx)) for _ in range(cfg.draws)])
 
     pair = sample_basis_pair(rng)
     with check("phi1-lowering", "lowering-Phi", 1e-12, a=pair.a, c=pair.c) as c:
         f1 = taylor.phi_function(pair, 1, ctx)
         want = -2 * pair.a * (1 - pair.c / pair.a) * (1 - pair.a * pair.c)
-        for _ in range(4):
-            z = _sample_operator_point(rng, ctx)
-            c.rel(wpoperator.apply_Dcq(f1, z, pair.c, ctx), want)
+        c.each(lambda z: c.rel(wpoperator.apply_Dcq(f1, z, pair.c, ctx), want),
+               [(_sample_operator_point(rng, ctx),) for _ in range(4)])
 
     with check("iterated-lowering", "iterated-lowering", 1e-9, n_max=5) as ch:
-        for n in range(1, 6):
-            pair = sample_basis_pair(rng)
-            fn = taylor.phi_function(pair, n, ctx)
-            z = _sample_operator_point(rng, ctx)
-            for k in range(n + 1):
-                got = wpoperator.apply_iterated(fn, z, wpoperator.OperatorChainSpec(pair.c, k), ctx)
-                a, c = pair.a, pair.c
-                pref = ((-1) ** k * (2 * a) ** k * rq ** (k * (k - 1) // 2)
-                        * qcore.qpoch_finite(q, n, ctx) * qcore.qpoch_finite(c / a, k, ctx)
-                        * qcore.qpoch_finite(a * c * q ** (n - 1), k, ctx)
-                        / (qcore.qpoch_finite(q, n - k, ctx) * (1 - q) ** k))
-                shifted = taylor.BasisPair(a * rq ** k, c * rq ** (3 * k))
-                ch.rel(got, pref * taylor.phi_basis(z, shifted, n - k, ctx))
+        # D^(k) Phi_n(.; a, c) = pref Phi_{n-k}(.; a q^{k/2}, c q^{3k/2}) at each k <= n, the
+        # prefactor of each draw in scalar arithmetic
+        def iterated_lowering(pair, n, k, z):
+            got = wpoperator.apply_iterated(taylor.phi_function(pair, n, ctx), z, pair.c, k, ctx)
+            prefs, shifted = [], []
+            for a, c, nj, kj in zip(*qcore.draw_lists(pair.a, pair.c, n, k)):
+                prefs.append((-1) ** kj * (2 * a) ** kj * rq ** (kj * (kj - 1) // 2)
+                             * qcore.qpoch_finite(q, nj, ctx) * qcore.qpoch_finite(c / a, kj, ctx)
+                             * qcore.qpoch_finite(a * c * q ** (nj - 1), kj, ctx)
+                             / (qcore.qpoch_finite(q, nj - kj, ctx) * (1 - q) ** kj))
+                shifted.append(taylor.BasisPair(a * rq ** kj, c * rq ** (3 * kj)))
+            want = taylor.phi_basis(z, taylor.BasisPair.batch(shifted), n - k, ctx)
+            for g, p, w in zip(*qcore.draw_lists(got, prefs, want)):
+                ch.rel(g, p * w)
+        draws = [(sample_basis_pair(rng), n, _sample_operator_point(rng, ctx))
+                 for n in range(1, 6)]
+        ch.each(iterated_lowering, [(p, n, k, z) for p, n, z in draws for k in range(n + 1)])
 
     with check("closed-form-vs-recursion", "p0-cooper", 1e-8, draws=cfg.draws,
                m_max=6) as ch:
-        for _ in range(cfg.draws):
-            f = _random_phi_function(rng, ctx, 8)
-            z = _sample_operator_point(rng, ctx)
-            m = rng.randrange(0, 7)
-            c = sample_complex(rng)
-            ch.terms(wpoperator.cooper_eval(f, z, c, m, ctx),
-                     wpoperator.apply_iterated(f, z, wpoperator.OperatorChainSpec(c, m), ctx))
+        def closed_vs_recursion(pair, coeffs, z, m, c):
+            f = taylor.phi_combination(pair, coeffs, ctx)
+            for terms in zip(*qcore.draw_lists(wpoperator.cooper_eval(f, z, c, m, ctx),
+                                               wpoperator.apply_iterated(f, z, c, m, ctx))):
+                ch.terms(*terms)
+        ch.each(closed_vs_recursion, [(sample_basis_pair(rng),
+                                       [sample_complex(rng, 0.5, 1.5) for _ in range(9)],
+                                       _sample_operator_point(rng, ctx), rng.randrange(0, 7),
+                                       sample_complex(rng)) for _ in range(cfg.draws)])
 
     pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
     with check("delta-property", "delta-property", 1e-8, a=pair.a, c=pair.c,
                order=6) as c:
-        for n in range(7):
-            coeffs = taylor.taylor_expand(taylor.phi_function(pair, n, ctx), pair, 6, ctx)
-            for k, t in enumerate(coeffs):
-                c.see(abs(t - (1.0 if k == n else 0.0)))
+        # Phi_n for n = 0..6 as one batch of seven draws of the pair
+        pairs = taylor.BasisPair.batch([pair] * 7)
+        expansions = taylor.taylor_expand(taylor.phi_function(pairs, np.arange(7), ctx),
+                                          pairs, 6, ctx)
+        c.see(*(abs(t - (1.0 if k == n else 0.0))
+                for n, coeffs in enumerate(expansions) for k, t in enumerate(coeffs)))
 
     # negating the root reflects the evaluation point; the divided
     # difference of an odd symmetric function and the full coefficient
@@ -468,13 +472,18 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
     q = ctx.q
 
     with check("coefficient-recovery", "finite-coeff", 1e-8, n_max=8) as c:
-        for _ in range(max(cfg.draws // 2, 4)):
-            pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
-            n = rng.randrange(1, 9)
-            coeffs = [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)]
+        def recovery(pair, n, coeffs):
             f = taylor.phi_combination(pair, coeffs, ctx)
-            for t, want in zip(taylor.taylor_expand(f, pair, n, ctx), coeffs):
-                c.rel(t, want)
+            got = taylor.taylor_expand(f, pair, n, ctx)
+            for ts, us in zip(got, coeffs) if np.ndim(n) else [(got, coeffs)]:
+                for t, want in zip(ts, us):
+                    c.rel(t, want)
+        draws = []
+        for _ in range(max(cfg.draws // 2, 4)):
+            pair, n = sample_basis_pair(rng, lo=0.4, hi=0.85), rng.randrange(1, 9)
+            draws.append((pair, n, [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)]))
+        pairs, ns, coeffs = zip(*draws)  # ragged coefficient lists: batched by hand
+        c.each(recovery, draws, (taylor.BasisPair.batch(pairs), np.array(ns), coeffs))
 
     a, c, d = sample_complex(rng, 0.4, 0.85), sample_complex(rng, 0.35, 0.8), \
         sample_complex(rng, 0.4, 0.85)

@@ -5,7 +5,8 @@ a q^i, i = 0..n (a sampled f checks every node), and reads each coefficient
 t_k as its prefactored weight row times those values; coefficient_rows
 builds the rows 0..n in one pass (the closed-form grid functional of
 wpoperator.cooper_rows).  The literal operator recursion stays available
-as an independent witness in the tests.
+as an independent witness in the tests.  A batch of draws is a BasisPair of
+ndarrays, with the draws on the last axis of the points.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
-from .qcore import (QContext, q_powers, qpoch_finite, qpoch_quotient, qpoch_table,
-                    require_clear, sample, scaled_residual)
+from .qcore import (QContext, draw_lists, q_powers, qpoch_finite, qpoch_quotient, qpoch_table,
+                    require_clear, sample, sample_columns, scaled_residual)
 from .wpoperator import cooper_rows
 
 
@@ -41,6 +42,11 @@ class BasisPair:
             object.__setattr__(self, name, np.asarray(value, dtype=complex) if np.ndim(value)
                                else complex(value))
 
+    @classmethod
+    def batch(cls, pairs: Sequence[BasisPair]) -> BasisPair:
+        """The pairs as one pair of ndarrays over the draws."""
+        return cls(np.array([p.a for p in pairs]), np.array([p.c for p in pairs]))
+
     def check_admissible(self, z, ctx: QContext) -> None:
         """Reject z (any node of an ndarray) within the pole margin of the basis pole set."""
         if np.any(z == 0):
@@ -49,15 +55,17 @@ class BasisPair:
             require_clear(ctx, "z near the basis pole set", self.c * z, self.c / z)
 
 
-def phi_basis(z, pair: BasisPair, k: int, ctx: QContext):
-    """Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k, Phi_0 = 1; a scalar z as one node."""
-    if k < 0:
-        raise DomainError("basis index must be nonnegative")
-    if k:
-        pair.check_admissible(z, ctx)
+def phi_basis(z, pair: BasisPair, k, ctx: QContext):
+    """Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k, Phi_0 = 1; a scalar z as one node.
+    k may hold an order per draw (the pole set is checked where k > 0)."""
     a, c, w = pair.a, pair.c, np.atleast_1d(z)
+    ks = np.zeros(w.shape, dtype=int) + k  # the order at each node
+    if (ks < 0).any():
+        raise DomainError("basis index must be nonnegative")
+    live = ks > 0  # the pole set depends on c alone
+    BasisPair(0.0, np.full(w.shape, c)[live]).check_admissible(w[live], ctx)
     bases = np.array([a * w, a / w, c * w, c / w])
-    az, aw, cz, cw = qpoch_table(bases.ravel(), k, ctx)[k].reshape(bases.shape)
+    az, aw, cz, cw = qpoch_finite(bases, np.array([ks] * 4), ctx)
     phi = az * aw / (cz * cw)
     return phi if np.ndim(z) else complex(phi[0])
 
@@ -83,8 +91,8 @@ def basis_factors(z, pair: BasisPair, n, ctx: QContext):
         num, den = np.where(past, 0.0, num), np.where(past, 1.0, den)
     near = np.abs(den) <= ctx.pole_margin ** 2
     if near.any():
-        raise PoleProximity(f"z = {np.broadcast_to(z, near.shape)[near][0]} within margin "
-                            f"of the (c = {c}) basis pole set")
+        z, c = (np.broadcast_to(x, near.shape)[near][0] for x in (z, c))
+        raise PoleProximity(f"z = {z} within margin of the (c = {c}) basis pole set")
     return num, den
 
 
@@ -116,10 +124,20 @@ def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
     return sum(basis_terms(z, pair, coeffs, ctx), 0.0 + 0.0j)
 
 
-def phi_combination(pair: BasisPair, coeffs: Sequence[complex], ctx: QContext) -> Callable:
-    """Finite combination sum_k u_k Phi_k(.; a, c) as a function of z."""
-    us = tuple(complex(u) for u in coeffs)
+def phi_combination(pair: BasisPair, coeffs: Sequence, ctx: QContext) -> Callable:
+    """Finite combination sum_k u_k Phi_k(.; a, c) as a function of z; for a batch, coeffs
+    holds one sequence per draw (basis_terms)."""
+    us = ([tuple(map(complex, u)) for u in coeffs] if len(coeffs) and np.ndim(coeffs[0])
+          else tuple(map(complex, coeffs)))
     return lambda z: basis_sum(z, pair, us, ctx)
+
+
+def lowered_terms(z, a, coeffs: Sequence, ctx: QContext):
+    """The terms u_k lambda_k Phi_{k-1}(z; a q^{1/2}, 0), k = 1..n, of the lowering law D_q
+    sum_k u_k Phi_k(.; a, 0) with lambda_k = -2a (1 - q^k) / (1 - q); batches as basis_terms."""
+    q, us = ctx.q, np.asarray(coeffs, dtype=complex)
+    lam = -2.0 * np.multiply.outer(a, 1.0 - q ** np.arange(1, us.shape[-1])) / (1.0 - q)
+    return basis_terms(z, BasisPair(a * ctx.sqrt_q, 0.0), us[..., 1:] * lam, ctx)
 
 
 def _coeff_prefactors(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[complex]:
@@ -149,11 +167,6 @@ def coefficient_rows(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> l
     return [[pref * w for w in reversed(row)] for pref, row in zip(prefs, rows)]
 
 
-def _grid_sample(f, pair: BasisPair, n: int, ctx: QContext) -> list[complex]:
-    """f at the grid nodes a q^i, i = 0..n, from one call of f on their ndarray."""
-    return sample(f, [pair.a * ctx.q ** i for i in range(n + 1)])
-
-
 def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
                     ctx: QContext) -> float:
     """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
@@ -161,12 +174,17 @@ def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
     return max(map(scaled_residual, coeffs, expected), default=0.0)
 
 
-def taylor_expand(f, pair: BasisPair, n: int, ctx: QContext) -> tuple[complex, ...]:
+def taylor_expand(f, pair: BasisPair, n, ctx: QContext):
     """The coefficients t_0..t_n of f relative to the pair, from one sample of f on the
-    nodes a q^i, i = 0..n."""
-    values = _grid_sample(f, pair, n, ctx)
-    rows = coefficient_rows(pair, range(n + 1), ctx)
-    return tuple(sum(w * v for w, v in zip(row, values)) for row in rows)
+    nodes a q^i, i = 0..n.  A batch (n an order per draw, or one) gives each draw's
+    coefficients, from one sample on the nodes of every draw and the rows of each."""
+    draws = list(zip(*draw_lists(pair.a, pair.c, n)))
+    values = sample_columns(f, [[a * ctx.q ** i for i in range(m + 1)] for a, _, m in draws])
+    rows = {d: coefficient_rows(BasisPair(*d[:2]), range(d[2] + 1), ctx)
+            for d in dict.fromkeys(draws)}  # once per distinct draw
+    coeffs = [tuple(sum(w * v for w, v in zip(row, vals)) for row in rows[d])
+              for d, vals in zip(draws, values)]
+    return coeffs if np.ndim(pair.a) else coeffs[0]
 
 
 def taylor_sum_and_remainder(f, pair: BasisPair, n: int, z: complex,
@@ -191,7 +209,7 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
     h_scale = max(map(abs, sample(h, circle)))
     if h_scale == 0.0:
         return 0.0
-    values = _grid_sample(h, pair, k_max, ctx)
+    values = sample(h, [pair.a * ctx.q ** i for i in range(k_max + 1)])
     rows = coefficient_rows(pair, range(k_max + 1), ctx)
     return max((abs(sum(w * v for w, v in zip(row, values))) / (sum(map(abs, row)) * h_scale)
                 for row in rows), default=0.0)

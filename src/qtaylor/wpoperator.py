@@ -8,7 +8,10 @@ recursion are two independent computation paths; their agreement is the
 check operator/closed-form-vs-recursion.  One builder, cooper_rows, gives
 the closed-form weights of any list of orders; coefficient extraction in
 taylor reads all rows of an expansion from one call.  Every operator
-samples f once, on the ndarray of its nodes (qcore.sample).
+samples f once, on the ndarray of its nodes (qcore.sample), and takes an
+ndarray z with a c (and an order) per draw, f taking the draws on the last
+axis; the closed form and the recursion keep each draw's weights and
+recursion in scalar Python, so each value is its scalar call's, bit for bit.
 
 The square root of q is always the principal branch (ctx.sqrt_q); the
 operators are branch-independent on symmetric functions and the tests
@@ -19,36 +22,24 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ExceptionalPoint, NearSingularPoint
-from .qcore import QContext, sample
-
-
-@dataclass(frozen=True)
-class OperatorChainSpec:
-    """Iteration plan: depth k with per-step parameters c q^{3(j-1)/2}, j = 1..k."""
-
-    c: complex
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise DomainError("iteration depth must be nonnegative")
-        object.__setattr__(self, "c", complex(self.c))
-
-    def step_values(self, ctx: QContext) -> tuple[complex, ...]:
-        rq = ctx.sqrt_q
-        return tuple(self.c * rq ** (3 * (j - 1)) for j in range(1, self.depth + 1))
+from .qcore import QContext, draw_lists, sample, sample_columns
 
 
 def _check_point(z, ctx: QContext):
+    """z - 1/z once no point is within the pole margin of a fixed point of z -> 1/z (a
+    number in Python arithmetic: the recursion checks one node at a time)."""
     w = z - 1.0 / z
-    if (abs(w) <= ctx.pole_margin * np.maximum(1.0, abs(z))).any():
+    if isinstance(z, np.ndarray):
+        near = abs(w) <= ctx.pole_margin * np.maximum(1.0, abs(z))
+        if near.any():
+            raise NearSingularPoint(f"z = {z[near][0]} too close to a fixed point of z -> 1/z")
+    elif abs(w) <= ctx.pole_margin * max(1.0, abs(z)):
         raise NearSingularPoint(f"z = {z} too close to a fixed point of z -> 1/z")
     return w
 
@@ -70,26 +61,37 @@ def _dcq_prefactor(z: complex, c: complex, rq: complex) -> complex:
             * (1.0 - c / (z * rq)) * (1.0 - c * rq / z))
 
 
-def apply_Dcq(f, z: complex, c: complex, ctx: QContext) -> complex:
+def apply_Dcq(f, z, c, ctx: QContext):
     """Well-poised operator: four linear prefactors times apply_Dq(f, z).
 
-    Reduces to apply_Dq when c = 0.
+    Reduces to apply_Dq when c = 0.  An ndarray z may carry a c per point.
     """
     return _dcq_prefactor(z, c, ctx.sqrt_q) * apply_Dq(f, z, ctx)
 
 
-def apply_iterated(f, z: complex, chain: OperatorChainSpec, ctx: QContext) -> complex:
+def apply_iterated(f, z, c, k, ctx: QContext):
     """k-fold operator by literal recursion, memoised on the q^{1/2}-grid.
 
     Level j >= 1 applies the operator with parameter c q^{3(j-1)/2} to the
     level j-1 function.  Memoisation keys are (level, half-step index), so
     the naive 2^k leaf count collapses to O(k^2) nodes; f is sampled once, on
-    the ndarray of the k + 1 level-0 nodes.
+    the ndarray of the k + 1 level-0 nodes of every draw.
     """
     rq = ctx.sqrt_q
-    steps = chain.step_values(ctx)
-    grid = range(-chain.depth, chain.depth + 1, 2)  # the half-steps of level 0
-    memo = {(0, m): v for m, v in zip(grid, sample(f, [z * rq ** m for m in grid]))}
+    draws = draw_lists(z, np.asarray(c, dtype=complex), k)
+    if min(draws[2]) < 0:
+        raise DomainError("iteration depth must be nonnegative")
+    grids = [range(-depth, depth + 1, 2) for depth in draws[2]]  # the half-steps of level 0
+    level0 = sample_columns(f, [[w * rq ** m for m in grid] for w, grid in zip(draws[0], grids)])
+    values = [_recursion(w, [step * rq ** (3 * j) for j in range(depth)],
+                         dict(zip(((0, m) for m in grid), vals)), ctx)
+              for w, step, depth, grid, vals in zip(*draws, grids, level0)]
+    return np.array(values) if np.ndim(z) else values[0]
+
+
+def _recursion(z: complex, steps: list, memo: dict, ctx: QContext) -> complex:
+    """Level len(steps) at z, memo holding the level-0 values."""
+    rq = ctx.sqrt_q
 
     def level(j: int, m: int) -> complex:
         key = (j, m)
@@ -104,7 +106,7 @@ def apply_iterated(f, z: complex, chain: OperatorChainSpec, ctx: QContext) -> co
         memo[key] = val
         return val
 
-    return level(chain.depth, 0)
+    return level(len(steps), 0)
 
 
 def cooper_rows(c: complex, points: Sequence[tuple[complex, int]],
@@ -155,17 +157,21 @@ def cooper_rows(c: complex, points: Sequence[tuple[complex, int]],
     return rows
 
 
-def cooper_eval(f, z: complex, c: complex, m: int, ctx: QContext) -> complex:
+def cooper_eval(f, z, c, m, ctx: QContext):
     """Closed-form k-fold operator: finite weighted sum over the symmetric grid.
 
     Rejects z whose cardinal denominators (q^{m-2r+1} z^2;q)_r or
     (q^{2r-m+1} z^{-2};q)_{m-r} come within the pole margin of zero
     (ExceptionalPoint); such z are meant to be resampled by the caller.
+    Each draw has its own row; f is sampled once on every draw's nodes.
     """
-    [weights] = cooper_rows(c, [(z, m)], ctx)
     rq = ctx.sqrt_q
-    values = sample(f, [rq ** (m - 2 * r) * z for r in range(m + 1)])
-    return sum(u * v for u, v in zip(weights, values))
+    draws = draw_lists(z, c, m)
+    rows = [cooper_rows(cc, [(w, k)], ctx)[0] for w, cc, k in zip(*draws)]
+    values = sample_columns(f, [[rq ** (k - 2 * r) * w for r in range(k + 1)]
+                                for w, k in zip(draws[0], draws[2])])
+    out = [sum(u * v for u, v in zip(row, vals)) for row, vals in zip(rows, values)]
+    return np.array(out) if np.ndim(z) else out[0]
 
 
 def grid_functional_weights(a: complex, c: complex, j: int, ctx: QContext) -> list[complex]:

@@ -29,7 +29,7 @@ from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_quadratic_params, sample_with, sample_z)
 from qtaylor.suites import SuiteConfig, run_suites
 from qtaylor.taylor import BasisPair, phi_combination, phi_function, taylor_expand
-from qtaylor.wpoperator import OperatorChainSpec, apply_iterated, cooper_eval
+from qtaylor.wpoperator import apply_iterated, cooper_eval
 
 
 def report(n, name, detail):
@@ -57,7 +57,7 @@ def test_criterion_01_closed_form_operator_agreement():
             m = rng.randrange(0, 7)
             c = sample_complex(rng)
             v1 = cooper_eval(f, z, c, m, ctx)
-            v2 = apply_iterated(f, z, OperatorChainSpec(c, m), ctx)
+            v2 = apply_iterated(f, z, c, m, ctx)
             worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2)))
     elapsed = time.perf_counter() - start
     assert worst < 1e-8

@@ -17,16 +17,18 @@ import random
 import numpy as np
 import pytest
 
-from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor
+from qtaylor import hyper, kernel, profiles, qcore, quadratic, taylor, wpoperator
 from qtaylor.errors import (ConvergenceRegionViolation, DivergenceSuspected, DomainError,
-                            PoleProximity, TruncationFailure, ZeroDenominator)
+                            ExceptionalPoint, NearSingularPoint, PoleProximity,
+                            TruncationFailure, ZeroDenominator)
 from qtaylor.hyper import PhiSeriesSpec, VWPSpec, series_eval, series_sums, sum_through
 from qtaylor.kernel import (KernelParams, calP_tables,
                             laurent_pair, pole_cleared_E_terms)
 from qtaylor.qcore import (QContext, geometric_depth, qpoch_infinite,
                            scaled_residual, theta, weierstrass_terms)
-from qtaylor.sampling import (sample_complex, sample_kernel_params, sample_kernel_z,
-                              sample_profile_kernel_params, sample_quadratic_params, sample_z)
+from qtaylor.sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
+                              sample_kernel_z, sample_profile_kernel_params,
+                              sample_quadratic_params, sample_with, sample_z)
 from qtaylor.suites import SuiteConfig, run_suites
 
 EPS = np.finfo(float).eps  # 2^-52
@@ -42,6 +44,10 @@ PINNED_QUADRATIC_CALLS = 13
 # hyper._series_sum runs of verify --suite hyper / kernel / profiles / quadratic at the same
 # (q, seed); a run per draw and family made them 72 / 58 / 49 / 25
 PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 8, "profiles": 8, "quadratic": 3}
+# (qcore.qpoch_infinite, qcore.sample, taylor.basis_terms) calls of verify --suite qcore /
+# operator / taylor at the same (q, seed); a call per draw made them (33, 0, 0) / (0, 85, 50) /
+# (5, 17, 15)
+PINNED_DRAW_AXIS_CALLS = {"qcore": (10, 0, 0), "operator": (0, 12, 6), "taylor": (5, 12, 10)}
 
 
 def scalar_qpoch_infinite(a, q):
@@ -106,6 +112,50 @@ class TestBatchedProducts:
         tb = qpoch_infinite(np.array([], dtype=complex), ctx)
         assert tb.value.shape == (0,) and tb.terms_used == 0 and tb.tail_abs == 0.0
 
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.3, 0.5j, 0.3 + 0.5j])
+    @pytest.mark.parametrize("width", [1, 2, 255, 256, 800, 4800])
+    def test_wide_blocks_keep_the_running_product(self, q, width):
+        # from qcore.WIDE_BLOCK columns on, a real or imaginary q steps the q-power rows by
+        # one vector multiply per row (also in qpoch_infinite's row blocks): every column is
+        # still the loop x *= q, and every product the running product down the rows, bit
+        # for bit (a q of two nonzero parts keeps that product)
+        ctx = QContext(q)
+        a = mixed_bases(random.Random(width), width // 8 + 1)[:width]
+        n = geometric_depth(abs(q), max(map(abs, a.tolist())))
+        block = np.empty((n + 1, width), dtype=complex)
+        block[0], block[1:] = a, ctx.q
+        np.multiply.accumulate(block, axis=0, out=block)
+        product = np.multiply.reduce(1.0 - block[:n]) if n else np.ones(width, dtype=complex)
+        tb = qpoch_infinite(a, ctx)
+        assert same_bits(tb.value, product)
+        # the depth and the certificate take Python's abs of every base, also in one vector pass
+        r = max(map(abs, block[n].tolist()))
+        assert tb.terms_used == n * width and tb.tail_abs == r / ((1 - abs(q)) * (1 - r))
+        assert same_bits(qcore.q_powers(a, n, ctx), block)
+        assert same_bits(qcore.factor_clearance(a * 2.5, ctx), running_clearance(a * 2.5, ctx))
+        table = qcore.qpoch_table(a, 12, ctx)
+        for j in range(0, width, max(1, width // 20)):
+            x = complex(a[j])
+            for row in block[:, j].tolist():
+                assert repr(row) == repr(x)
+                x *= ctx.q
+            assert repr(table[:, j].tolist()) == repr(
+                [qcore.qpoch_finite(complex(a[j]), k, ctx) for k in range(13)])
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.5j, 0.3 + 0.5j])
+    def test_a_base_rounds_alike_wherever_it_stands(self, q):
+        # in a batch of two bases or more every base multiplies as NumPy's vector loop does,
+        # so at one depth (set by the largest base, first here) each batch holds the values
+        # of the longest one, bit for bit: no base of a batch, the last included, takes the
+        # scalar loop's rounding.  Every size from 2 to 399 is tried, so that a layout with a
+        # lone last column at any chunk width up to 398 fails
+        ctx = QContext(q)
+        a = mixed_bases(random.Random(8), 50)
+        a = a[np.argsort(-np.abs(a), kind="stable")]
+        whole = qpoch_infinite(a, ctx).value
+        for size in range(2, len(a)):
+            assert same_bits(qpoch_infinite(a[:size], ctx).value, whole[:size]), size
+
 
 class TestBatchedTheta:
     @pytest.mark.parametrize("q", BASES)
@@ -141,6 +191,41 @@ class TestBatchedTheta:
         from qtaylor.errors import DomainError
         with pytest.raises(DomainError):
             theta(np.array([0.5, 0.0, 1.2]), ctx)
+
+
+def same_bits(x, y):
+    """Whether two ndarrays hold the same binary64 words (the sign of zero included)."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_a_nan_base_counts_where_python_max_would():
+    # Python's max keeps a NaN only when it comes first: the depth of a wide batch ignores a
+    # later NaN base (whose value is NaN) and fails on a first one, as the per-base scan did
+    ctx = QContext(0.45)
+    a = mixed_bases(random.Random(42), 40)[:300]
+    later = qpoch_infinite(np.r_[a, complex(math.nan, 0.0)], ctx)
+    assert later.terms_used == qpoch_infinite(a, ctx).terms_used // 300 * 301
+    assert np.isnan(later.value[-1])
+    with pytest.raises(TruncationFailure):
+        qpoch_infinite(np.r_[complex(math.nan, 0.0), a], ctx)
+
+
+def running_clearance(u, ctx):
+    """factor_clearance of an ndarray with the q-power rows as one running product."""
+    limit = 1.0 - ctx.pole_margin
+    size = np.abs(u)
+    best = np.full(u.shape, math.inf)
+    scan = size >= limit
+    if scan.any():
+        steps = math.floor(math.log(limit / size[scan].max()) / math.log(abs(ctx.q))) + 2
+        block = np.empty((steps, np.count_nonzero(scan)), dtype=complex)
+        block[0], block[1:] = u[scan], ctx.q
+        np.multiply.accumulate(block, axis=0, out=block)
+        gaps = np.abs(np.subtract(1.0, block))
+        gaps[np.abs(block) < limit] = math.inf
+        best[scan] = np.minimum.reduce(gaps, axis=0)
+    return best
 
 
 def loop_product(bases, q):
@@ -498,6 +583,43 @@ def spy_work(monkeypatch):
     return seen
 
 
+OPERATOR_BASES = [0.45, 0.7, -0.3, 0.5j, 0.6 + 0.5j]  # the last: q and its root of two parts
+
+
+def operator_draws(ctx, count, seed):
+    """count draws (pair, coefficients, z, order, c): a Phi combination of 1 to 8 terms, an
+    operator point clear of z = 1/z and of the |z| = q^(-1/2) circle, an order and a c."""
+    rng = random.Random(seed)
+
+    def point(r):
+        return sample_complex(r, 0.85, 1.3)
+    return [(sample_basis_pair(rng), [sample_complex(rng, 0.5, 1.5)
+                                      for _ in range(rng.randrange(1, 9))],
+             sample_with(rng, point, lambda z: abs(z - 1 / z) > 0.25
+                         and abs(abs(z) - 1 / math.sqrt(abs(ctx.q))) > 0.05),
+             rng.randrange(0, 7), sample_complex(rng)) for _ in range(count)]
+
+
+class OperatorBatch:
+    """The draws as one batch (pair, f, z, m, c) and, for draw j, its batch of one."""
+
+    def __init__(self, draws, ctx):
+        self.draws, self.ctx = draws, ctx
+        pairs, coeffs, z, m, c = zip(*draws)
+        self.pair, self.coeffs = taylor.BasisPair.batch(pairs), list(coeffs)
+        self.z, self.m, self.c = np.array(z), np.array(m), np.array(c)
+        self.f = taylor.phi_combination(self.pair, self.coeffs, ctx)
+
+    def one(self, j):
+        pair, coeffs, *_ = self.draws[j]
+        f = taylor.phi_combination(pair, coeffs, self.ctx)
+        return f, pair, self.z[j:j + 1], self.m[j:j + 1], self.c[j:j + 1]
+
+    def scalar(self, j):
+        pair, coeffs, z, m, c = self.draws[j]
+        return taylor.phi_combination(pair, coeffs, self.ctx), pair, z, m, c
+
+
 class TestDrawAxis:
     """A batch of series or parameter sets against the same draws evaluated one by one."""
 
@@ -618,6 +740,72 @@ class TestDrawAxis:
         assert terms.shape == (5, 2) and terms[4, 0] == 0 and np.isfinite(terms).all()
         with pytest.raises(PoleProximity):
             taylor.basis_terms(z, pair, [coeffs[1]] * 2, ctx)
+
+    @pytest.mark.parametrize("q", OPERATOR_BASES)
+    def test_operator_columns_are_the_single_calls_bit_for_bit(self, q):
+        # the closed form, the recursion, the expansion and the basis keep each draw's scalar
+        # arithmetic (f sampled once for all draws): each column is the draw's scalar call;
+        # D_q and D_{c,q} evaluate every point in NumPy: each column is the draw's batch of one.
+        # f's sample rounds in NumPy's complex loops at every base (a, c and z are complex),
+        # so the columns equal the single calls only where those loops round each entry of
+        # the batch as in the single call, as NumPy 2.4's AVX-512 loops do for these draws on
+        # x86-64 (the build this test was written on): a last-bit change in f's terms moves
+        # the closed form and the recursion by up to 3,400 u relative, so no tolerance of a
+        # few u would stand in
+        ctx = QContext(q)
+        b = OperatorBatch(operator_draws(ctx, 10, 51), ctx)
+        cooper = wpoperator.cooper_eval(b.f, b.z, b.c, b.m, ctx).tolist()
+        iterated = wpoperator.apply_iterated(b.f, b.z, b.c, b.m, ctx).tolist()
+        expansions = taylor.taylor_expand(b.f, b.pair, b.m, ctx)
+        phis = taylor.phi_basis(b.z, b.pair, b.m, ctx).tolist()
+        dq = wpoperator.apply_Dq(b.f, b.z, ctx)
+        dcq = wpoperator.apply_Dcq(b.f, b.z, b.c, ctx)
+        for j in range(len(b.draws)):
+            f, pair, z, m, c = b.scalar(j)
+            assert repr(cooper[j]) == repr(wpoperator.cooper_eval(f, z, c, m, ctx))
+            assert repr(iterated[j]) == repr(wpoperator.apply_iterated(f, z, c, m, ctx))
+            assert repr(expansions[j]) == repr(taylor.taylor_expand(f, pair, m, ctx))
+            assert repr(phis[j]) == repr(taylor.phi_basis(z, pair, m, ctx))
+            f, pair, z, m, c = b.one(j)
+            assert same_bits(dq[j:j + 1], wpoperator.apply_Dq(f, z, ctx))
+            assert same_bits(dcq[j:j + 1], wpoperator.apply_Dcq(f, z, c, ctx))
+
+    @pytest.mark.parametrize("q", OPERATOR_BASES)
+    def test_a_failing_draw_raises_its_own_error(self, q):
+        # draw i alone is bad: the batch raises the error (type and message) of draw i's own
+        # call, as the loop over the draws met it
+        ctx = QContext(q)
+        near = 1.0 + 1e-9j  # within the pole margin of the fixed point z = 1
+        for i in (0, 4, 9):
+            draws = operator_draws(ctx, 10, 52)
+            pair, coeffs, z, m, c = draws[i]
+            grid_pole = taylor.BasisPair(pair.a, 1 / (pair.a * ctx.q))  # c z = 1 at z = a q
+            cases = [  # (bad draw i, error, batch call, draw i's call)
+                ((pair, coeffs, 1 / ctx.sqrt_q, 2, c), ExceptionalPoint,  # 1 - q z^2 = 0
+                 lambda b: wpoperator.cooper_eval(b.f, b.z, b.c, b.m, ctx),
+                 lambda f, p, z, m, c: wpoperator.cooper_eval(f, z, c, m, ctx), "scalar"),
+                ((pair, coeffs, near, 3, c), NearSingularPoint,
+                 lambda b: wpoperator.apply_iterated(b.f, b.z, b.c, b.m, ctx),
+                 lambda f, p, z, m, c: wpoperator.apply_iterated(f, z, c, m, ctx),
+                 "scalar"),
+                ((pair, coeffs, near, 3, c), NearSingularPoint,
+                 lambda b: wpoperator.apply_Dcq(b.f, b.z, b.c, ctx),
+                 lambda f, p, z, m, c: wpoperator.apply_Dcq(f, z, c, ctx), "one"),
+                ((grid_pole, [0.5, 1.0, 0.25], z, 2, c), PoleProximity,
+                 lambda b: taylor.taylor_expand(b.f, b.pair, 2, ctx),
+                 lambda f, p, z, m, c: taylor.taylor_expand(f, p, 2, ctx), "scalar"),
+                ((pair, coeffs, 1 / pair.c, 2, c), PoleProximity,
+                 lambda b: taylor.phi_basis(b.z, b.pair, b.m, ctx),
+                 lambda f, p, z, m, c: taylor.phi_basis(z, p, m, ctx), "one"),
+            ]
+            for bad, error, batch_call, own_call, own in cases:
+                b = OperatorBatch(draws[:i] + [bad] + draws[i + 1:], ctx)
+                want = raised(own_call, *getattr(b, own)(i))
+                assert want is not None and want[0] is error
+                assert raised(batch_call, b) == want
+        # a basis of order 0 has no pole: a draw of order 0 on the pole set passes
+        b = OperatorBatch(draws[:3] + [(pair, coeffs, 1 / pair.c, 0, c)], ctx)
+        assert taylor.phi_basis(b.z, b.pair, b.m, ctx)[3] == 1.0
 
     @pytest.mark.parametrize("q", BASES)
     def test_profile_batches_agree_with_each_point(self, monkeypatch, q):
@@ -798,18 +986,19 @@ class TestCallCounts:
 
     @staticmethod
     def _count(monkeypatch, suite):
-        calls, runs = [], []
-        real, real_series_sum = qcore.qpoch_infinite, hyper._series_sum
-        for module in (qcore, hyper, kernel, profiles, quadratic, taylor):
-            if getattr(module, "qpoch_infinite", None) is real:
-                monkeypatch.setattr(module, "qpoch_infinite",
-                                    lambda a, c: calls.append(1) or real(a, c))
-            if getattr(module, "_series_sum", None) is real_series_sum:
-                monkeypatch.setattr(module, "_series_sum",
-                                    lambda *a: runs.append(1) or real_series_sum(*a))
+        """(qpoch_infinite calls, _series_sum runs, sample calls, basis_terms calls)."""
+        counts = {}
+        for name, owner in (("qpoch_infinite", qcore), ("_series_sum", hyper),
+                            ("sample", qcore), ("basis_terms", taylor)):
+            real = getattr(owner, name)
+            counts[name] = []
+            for module in (qcore, hyper, kernel, profiles, quadratic, taylor, wpoperator):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, lambda *a, real=real, seen=counts[name]:
+                                        seen.append(1) or real(*a))
         cfg = SuiteConfig(suites=(suite,), q=0.45, seed=7)
         assert run_suites(cfg).all_passed
-        return len(calls), len(runs)
+        return tuple(len(seen) for seen in counts.values())
 
     @pytest.mark.parametrize("suite, calls", [("kernel", PINNED_KERNEL_CALLS),
                                               ("profiles", PINNED_PROFILES_CALLS),
@@ -820,3 +1009,9 @@ class TestCallCounts:
     @pytest.mark.parametrize("suite", sorted(PINNED_SERIES_RUNS))
     def test_series_runs_per_suite(self, monkeypatch, suite):
         assert self._count(monkeypatch, suite)[1] == PINNED_SERIES_RUNS[suite]
+
+    @pytest.mark.parametrize("suite", sorted(PINNED_DRAW_AXIS_CALLS))
+    def test_samples_per_suite(self, monkeypatch, suite):
+        # one product call, one sample of f and one basis series per evaluation of all draws
+        calls, _, samples, basis_series = self._count(monkeypatch, suite)
+        assert (calls, samples, basis_series) == PINNED_DRAW_AXIS_CALLS[suite]

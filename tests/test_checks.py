@@ -8,10 +8,12 @@ import pytest
 
 import numpy as np
 
-from qtaylor import hyper, kernel, wpoperator
+from qtaylor import hyper, kernel, taylor, wpoperator
 from qtaylor.errors import DomainError, ZeroDenominator
-from qtaylor.suites import (SuiteConfig, run_operator, run_profiles,
-                            run_suites)
+from qtaylor.suites import (SuiteConfig, parse_complex, run_operator, run_profiles,
+                            run_qcore, run_suites, run_taylor)
+
+EPS = np.finfo(float).eps
 
 
 def _raise(exc):
@@ -53,6 +55,17 @@ def test_profiles_error_keeps_the_other_records(q):
     failed = [r for r in records if not r.passed]
     assert failed and all(r.detail.startswith("ConvergenceRegionViolation: ")
                           for r in failed)
+
+
+@pytest.mark.parametrize("q", [0.45, 0.7])
+def test_dcq_c0_reduction_fails_on_a_perturbed_closed_form(monkeypatch, q):
+    # the check compares D_{0,q} of the drawn combination with its lowering law, an
+    # independent closed form: a relative error of 1e-11 in that form must fail it
+    real = taylor.lowered_terms
+    monkeypatch.setattr(taylor, "lowered_terms",
+                        lambda *args: [t * (1 + 1e-11) for t in real(*args)])
+    [rec] = [r for r in run_operator(SuiteConfig(q=q)) if r.check == "dcq-c0-reduction"]
+    assert not rec.passed and rec.residual > 1e-12
 
 
 def test_batched_check_reports_the_first_failing_draw(monkeypatch):
@@ -151,3 +164,37 @@ def test_profiles_records_keep_the_random_stream(run):
     seed, q = run.split("@")
     records = run_profiles(SuiteConfig(q=float(q), seed=int(seed)))
     assert [[r.check, r.passed, r.params, r.detail] for r in records] == STREAM_RECORDS[run]
+
+
+# every qcore, operator and taylor record (suite, check, verdict, residual, params, detail) at
+# these verify seeds (the default and those of full-high-q bench seeds 1-2) and bases
+# ("seed@q"; at 0.6+0.5i, q and its root have two nonzero parts), as the per-draw loops wrote
+# them.  Each check now draws all its draws first and
+# evaluates them as one batch: the random stream is the loop's, and iterated-lowering and
+# closed-form-vs-recursion keep every bit (their rows and recursions stay scalar Python).
+# Three residuals moved by rounding where Python arithmetic became NumPy's (one product call
+# at the batch's largest depth for infinite-shift): by at most 2.2e-16 (recurrence), 1.6e-15
+# (infinite-shift) and 1.2e-14 (phi1-lowering) over the sweep and the bench runs, against
+# tolerances of 1e-13, 1e-12 and 1e-12.  dcq-c0-reduction judges another identity now: the
+# old one read 0.0 by construction.  The exact residuals are the bits of NumPy 2.4 on an
+# x86-64 AVX-512 machine: f's sample rounds in NumPy's complex loops at every base (the
+# draws are complex), and a last-bit change in its terms moves closed-form-vs-recursion's
+# residual by up to 2,500 u, so a build whose complex multiply rounds otherwise (no fused
+# multiply-add, say) reads other residual bits here, while verdicts, params and details hold.
+DRAW_AXIS_RECORDS = json.loads(Path(__file__).with_name("draw_axis_stream.json").read_text())
+ROUNDING_MOVES = {"recurrence", "infinite-shift", "phi1-lowering"}
+
+
+@pytest.mark.parametrize("run", sorted(DRAW_AXIS_RECORDS))
+def test_draw_axis_records_keep_the_random_stream(run):
+    seed, q = run.split("@")
+    cfg = SuiteConfig(q=parse_complex(q), seed=int(seed))
+    records = [r for suite in (run_qcore, run_operator, run_taylor) for r in suite(cfg)]
+    for r, (suite, check, passed, residual, params, detail) in zip(
+            records, DRAW_AXIS_RECORDS[run], strict=True):
+        assert [r.suite, r.check, r.passed, r.params, r.detail] == \
+            [suite, check, passed, params, detail]
+        if check in ROUNDING_MOVES:
+            assert abs(r.residual - residual) <= 64 * EPS, check
+        elif check != "dcq-c0-reduction":
+            assert r.residual == residual, check

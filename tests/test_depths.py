@@ -8,12 +8,16 @@ pins the records that fail at the bases where the engine is judged.
 """
 
 import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 from qtaylor import kernel
 from qtaylor.errors import QTaylorError
-from qtaylor.suites import SuiteConfig, run_kernel, run_suites
+from qtaylor.suites import (SuiteConfig, parse_complex, run_kernel, run_operator, run_qcore,
+                            run_suites, run_taylor)
 
 DEFAULT_SEED = SuiteConfig().seed
 
@@ -126,3 +130,37 @@ def test_acceptance_sweep_fails_exactly_the_known_records():
             failures += [(q, seed, r.suite, r.check) for r in report.records if not r.passed]
     assert records == 1792
     assert sorted(failures, key=str) == KNOWN_FAILURES
+
+
+# the checks that draw all their draws before they evaluate them as one batch
+BATCHED_DRAW_CHECKS = {"recurrence", "infinite-shift", "dcq-c0-reduction", "phi1-lowering",
+                       "iterated-lowering", "closed-form-vs-recursion", "delta-property",
+                       "coefficient-recovery"}
+
+
+def bench_configs(workload: str) -> list[tuple[complex, int]]:
+    """(q, seed) of every verify run of the benchmark's workload at bench seeds 1-10, as
+    bench/run.py derives them."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", Path(__file__).resolve().parents[1] / "bench" / "run.py")
+    bench = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(bench)
+    return sorted({(parse_complex(inv.q), inv.seed) for bench_seed in range(1, 11)
+                   for inv in bench.invocations(workload, bench_seed)}, key=str)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("runs", [f"sweep@{q}" for q in SWEEP_BASES]
+                         + ["full-high-q", "full-moderate", "structured-moderate"])
+def test_batched_draw_checks_raise_nowhere_in_the_sweep_or_the_bench(runs):
+    # a loop stopped drawing at a draw that raised, a batch draws them all: the random
+    # stream after such a check is the loop's only while no draw raises, in the sweep
+    # and in every run of the benchmark's workloads at bench seeds 1-10
+    configs = ([(complex(runs[6:]), seed) for seed in SWEEP_SEEDS] if runs.startswith("sweep@")
+               else bench_configs(runs))
+    for q, seed in configs:
+        cfg = SuiteConfig(q=q, seed=seed)
+        records = [r for suite in (run_qcore, run_operator, run_taylor) for r in suite(cfg)]
+        assert not [(q, seed, r.check, r.detail) for r in records
+                    if r.check in BATCHED_DRAW_CHECKS
+                    and r.detail.split(":")[0] in CAUGHT_ERRORS]

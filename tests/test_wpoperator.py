@@ -9,8 +9,7 @@ from qtaylor.qcore import QContext, qpoch_finite
 from qtaylor.sampling import sample_basis_pair, sample_complex, sample_with
 from qtaylor.taylor import (BasisPair, phi_basis, phi_combination, phi_function,
                             taylor_expand)
-from qtaylor.wpoperator import (OperatorChainSpec, apply_Dcq,
-                                apply_Dq, apply_iterated, cooper_eval, cooper_rows,
+from qtaylor.wpoperator import (apply_Dcq, apply_Dq, apply_iterated, cooper_eval, cooper_rows,
                                 grid_functional_weights)
 
 
@@ -98,25 +97,28 @@ class TestIteratedOperator:
     def test_depth_zero_identity(self, ctx, rng):
         f = phi_combination(sample_basis_pair(rng), [0.7, 0.4j], ctx)
         z = operator_point(rng, ctx)
-        assert apply_iterated(f, z, OperatorChainSpec(0.3, 0), ctx) == f(z)
+        assert apply_iterated(f, z, 0.3, 0, ctx) == f(z)
 
     def test_depth_one_matches_single_step(self, ctx, rng):
         pair = sample_basis_pair(rng)
         f = phi_combination(pair, [0.7, 0.4j, 1.2], ctx)
         z = operator_point(rng, ctx)
         c = sample_complex(rng)
-        got = apply_iterated(f, z, OperatorChainSpec(c, 1), ctx)
+        got = apply_iterated(f, z, c, 1, ctx)
         assert got == pytest.approx(apply_Dcq(f, z, c, ctx), rel=1e-13)
 
-    def test_negative_depth_rejected(self):
+    def test_negative_depth_rejected(self, ctx):
         with pytest.raises(DomainError):
-            OperatorChainSpec(0.3, -1)
+            apply_iterated(chebyshev_x, 1.2 + 0.3j, 0.3, -1, ctx)
 
-    def test_step_values_shift(self, ctx):
-        chain = OperatorChainSpec(0.5, 3)
-        steps = chain.step_values(ctx)
-        rq = ctx.sqrt_q
-        assert steps == (0.5, 0.5 * rq ** 3, 0.5 * rq ** 6)
+    def test_step_values_shift(self, ctx, rng):
+        # level j applies the operator of parameter c q^{3(j-1)/2} to level j - 1
+        f = phi_combination(sample_basis_pair(rng), [0.7, 0.4j, 1.2, 0.3], ctx)
+        z, c, rq = operator_point(rng, ctx), 0.5, ctx.sqrt_q
+        level1 = lambda w: apply_Dcq(f, w, c, ctx)  # noqa: E731
+        level2 = lambda w: apply_Dcq(level1, w, c * rq ** 3, ctx)  # noqa: E731
+        want = apply_Dcq(level2, z, c * rq ** 6, ctx)
+        assert apply_iterated(f, z, c, 3, ctx) == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_lowering_closed_form(self, n, ctx, rng):
@@ -124,7 +126,7 @@ class TestIteratedOperator:
         f = phi_function(pair, n, ctx)
         z = operator_point(rng, ctx)
         for k in range(n + 1):
-            got = apply_iterated(f, z, OperatorChainSpec(pair.c, k), ctx)
+            got = apply_iterated(f, z, pair.c, k, ctx)
             want = iterated_closed_form(pair, n, k, z, ctx)
             assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12)
 
@@ -144,7 +146,7 @@ class TestClosedFormOperator:
             z = operator_point(rng, ctx)
             c = sample_complex(rng)
             v1 = cooper_eval(f, z, c, m, ctx)
-            v2 = apply_iterated(f, z, OperatorChainSpec(c, m), ctx)
+            v2 = apply_iterated(f, z, c, m, ctx)
             assert abs(v1 - v2) <= 1e-10 * max(abs(v1), abs(v2))
 
     def test_delta_scalar_on_grid(self, ctx, rng):
