@@ -15,6 +15,7 @@ truncation depth) and QTAYLOR_MAX_TERMS (a user depth cap, none by default).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -115,13 +116,15 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
     return cfg
 
 
-def _emit_report(report, path: str | None) -> None:
+def _emit_report(report, out) -> None:
+    """Print the verdicts; write the report to out, an open file (emptied first), if any."""
     lines = [json.dumps(rec.to_dict(), sort_keys=True) for rec in report.records]
     summary = report.summary()
     lines.append(json.dumps({"summary": summary}, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
+    if out is not None:
+        if out.tell():  # opened for appending at its end: an earlier report
+            out.truncate(0)
+        out.write("\n".join(lines) + "\n")
     for rec in report.records:
         status = "pass" if rec.passed else "FAIL"
         print(f"[{status}] {rec.suite}/{rec.check} anchor={rec.anchor} "
@@ -175,10 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.emit_csv:
             _emit_csv(cfg, args.emit_csv)
             return 0
-        if args.report:  # an unwritable report path fails before any suite runs
-            Path(args.report).open("a").close()
-        report = run_suites(cfg)
-        _emit_report(report, args.report)
+        # the report is opened once, so an unwritable path fails before any suite runs
+        with open(args.report, "a") if args.report else contextlib.nullcontext() as out:
+            report = run_suites(cfg)
+            _emit_report(report, out)
     except (ConfigError, OSError) as exc:  # OSError: a params or output path that fails
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

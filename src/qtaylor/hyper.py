@@ -8,6 +8,7 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,13 +114,14 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
     """Shared partial sum of every series: the SeriesSums of a list of columns, each
     with the terms it added.
 
-    ratio(k, x) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
-    i = k, k+1, ..., one column per series, and, when some column has a pole
-    in the block, the list of each column's first one as (offset, error) or
-    None.  A first block of 2 geometric_depth(|q|) ratios and doubling blocks
-    after it lie at fixed places; the terms and partial sums of every column are
-    np.multiply/np.add.accumulate down the block, which associate as a loop
-    over k does.  Nothing past a column's stop index raises or warns.
+    ratio(k, x[, cols]) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
+    i = k, k+1, ..., one column per series (of cols only, when given), and, when some
+    column has a pole in the block, the list of each column's first one as (offset,
+    error) or None.  A first block of 2 geometric_depth(|q|) q-powers and doubling
+    blocks after it lie at fixed places; a block reads the ratios of its columns up to
+    the last one any of them adds (at least 2: a lone one rounds apart).  The terms and
+    partial sums of every column are np.multiply/np.add.accumulate down the block, which
+    associate as a loop over k does.  Nothing past a column's stop index raises or warns.
     truncs holds one truncation per column, each column with its own stop:
     through index n when given, else after the first t_k with
     |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
@@ -131,7 +133,7 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
     the same series (or None) per column, is continued to its truncation, bit
     for bit as one sum.  Column j is bit for bit the sum of its series alone
     (a batch of one).  When columns fail, the first of them raises its error
-    once every column has stopped.
+    once every column has stopped.  The first halt of every column is one array step.
     """
     starts = starts or [None] * len(truncs)
     q_rate = abs(ctx.q)
@@ -144,33 +146,34 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
     rate = [float(_running_rate(np.abs(t)[:, None], [q_rate], q_rate)[1][-1, 0])
             if len(t) > 1 else q_rate for t in terms]
     grow, errors = [0] * len(terms), [None] * len(terms)
-    live = [t != 0 and (n is None or j < n) for t, n, j in zip(term, truncs, k)]
+    live = [c for c, t in enumerate(term) if t != 0 and (truncs[c] is None or k[c] < truncs[c])]
     lo, size = 0, 2 * settled  # the block holding k: no ratio depends on where a sum starts
-    while any(live) and lo + size <= min(j for j, on in zip(k, live) if on):
+    while live and lo + size <= min(k[c] for c in live):
         lo, size = lo + size, 2 * size
     x = q_powers(1.0, lo, ctx)[lo] if lo else 1.0 + 0.0j
     with np.errstate(all="ignore"):  # entries past a stop may overflow or divide by 0
-        while any(live):
+        while live:
             xs = q_powers(x, size, ctx)
-            block, m, x = lo, size, xs[size]
+            block, x = lo, xs[size]
             lo, size = lo + size, 2 * size
-            cols = [c for c, on in enumerate(live) if on and k[c] < lo]  # continued here
+            cols = [c for c in live if k[c] < lo]  # continued here
             if not cols:
                 continue
-            r, poles = ratio(block, xs[:m])
             skip = [k[c] - block for c in cols]
-            n = [m - sk if truncs[c] is None else min(m - sk, truncs[c] - k[c])
-                 for c, sk in zip(cols, skip)]  # the new terms of each column
+            n = [lo - k[c] if truncs[c] is None else min(lo - k[c], truncs[c] - k[c])
+                 for c in cols]  # the new terms of each column
+            rows = max(max(map(operator.add, skip, n)), 2)  # the ratios read
+            narrow = [np.array(cols)] if len(cols) < len(terms) else []  # the columns summing
+            r, poles = ratio(block, xs[:rows], *narrow)
+            m = max(n)
             i = np.arange(m)[:, None]
             if any(skip):
-                r = r[np.minimum(np.array(skip) + i, m - 1), np.array(cols)]
-            elif len(cols) < r.shape[1]:
-                r = r[:, cols]
+                r = r[np.minimum(np.array(skip) + i, rows - 1), np.arange(len(cols))]
             # padded by one factor: NumPy multiplies a lone pair by a vectorised loop
             # that can round differently, so a block of one ratio would break bit-equality
             t = np.empty((m + 2, len(cols)), dtype=complex)
             t[0], t[m + 1] = [term[c] for c in cols], 1.0
-            t[1:m + 1] = np.where(i < np.array(n), r, 1.0) if min(n) < m else r
+            t[1:m + 1] = np.where(i < np.array(n), r[:m], 1.0) if min(n) < m else r[:m]
             t = np.multiply.accumulate(t, axis=0)[:-1]
             s = np.empty((m + 1, len(cols)), dtype=complex)
             s[0], s[1:] = [total[c] for c in cols], t[1:]
@@ -190,14 +193,13 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
                 ends = (lead < TAIL_TARGET * (1.0 - rates)) | (run >= 8)
                 halt |= ends if all(adaptive) else ends & np.array(adaptive)
                 odd = ctx.max_terms is not None or not np.isfinite(lead).all()
-            for j, (c, nc, first) in enumerate(zip(cols, n, halt.argmax(axis=0).tolist())):
-                first = first if halt.item(first, j) else m
+            stops, ended = [], set()
+            for j, (c, nc, first) in enumerate(zip(cols, n, _first(halt).tolist())):
                 stop, at_pole = min(first, nc - 1 if k[c] + nc == truncs[c] else nc), nc
-                if poles and poles[c]:
-                    at_pole = poles[c][0] - skip[j]
+                if poles and poles[j]:
+                    at_pole = poles[j][0] - skip[j]
                     stop = min(stop, at_pole)
                 if adaptive[j]:
-                    grow[c] = run.item(nc - 1, j)
                     if odd and (ctx.max_terms is not None
                                 or not np.isfinite(lead[:stop, j]).all()):
                         # geometric_depth enforces the cap, or rejects the non-finite lead
@@ -208,17 +210,24 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
                         except TruncationFailure as exc:
                             errors[c] = exc
                 if errors[c] is None and stop == at_pole < nc:
-                    errors[c] = poles[c][1]
+                    errors[c] = poles[j][1]
                 elif errors[c] is None and adaptive[j] and stop == first < nc \
                         and run.item(first, j) >= 8:
                     errors[c] = DivergenceSuspected(
                         f"8 consecutive growing terms at k={k[c] + stop + 1}")
-                live[c] = errors[c] is None and stop >= nc
+                if errors[c] is not None or stop < nc:
+                    ended.add(c)
+                elif adaptive[j]:
+                    grow[c] = run.item(nc - 1, j)
+                stops.append(min(stop, nc - 1))
+            # each column's terms from one list of the block, its sum and rate from one gather
+            last = np.array(stops), np.arange(len(cols))
+            news = zip(t[:max(stops) + 1].T.tolist(), s[last].tolist(), rates[last].tolist())
+            for c, stop, (added, sc, rc) in zip(cols, stops, news):
                 if errors[c] is None:
-                    last = min(stop, nc - 1)
-                    terms[c].extend(t[:last + 1, j].tolist())
-                    term[c], total[c] = t.item(last, j), s.item(last, j)
-                    rate[c], k[c] = rates.item(last, j), k[c] + last + 1
+                    terms[c].extend(added[:stop + 1])
+                    term[c], total[c], rate[c], k[c] = added[stop], sc, rc, k[c] + stop + 1
+            live = [c for c in live if c not in ended]
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]
@@ -227,25 +236,29 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
 
 
 def term_ratio(series: Sequence[tuple], ctx: QContext):
-    """The term ratios t_{k+1} / t_k of a batch of series, as a block function ratio(k, x).
+    """The term ratios t_{k+1} / t_k of a batch of series, as a block function
+    ratio(k, x[, cols]).
 
     Each series is one column, given as (nums, dens, z, lead) with the same
     numbers of parameters and a lead in all or none.  At x = q^k, ..., q^(k+n-1):
-    the (n, columns) ndarray of prod_i (1 - n_i q^k) z / ((1 - q^{k+1}) prod_j
-    (1 - d_j q^k)), times (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a
-    very-well-poised summand (no square root of a appears), each product in the
-    order listed; and, when a denominator factor (lead, then the d_j) of some
-    column is within the pole margin, the list over the columns of the first
-    such factor as (offset, ZeroDenominator) or None (else None).
+    the (n, columns) ndarray, over the columns cols (an index array; all when it
+    is omitted, the parameters of the others left out as a contiguous copy), of
+    prod_i (1 - n_i q^k) z / ((1 - q^{k+1}) prod_j (1 - d_j q^k)), times
+    (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a very-well-poised summand (no
+    square root of a appears), each product in the order listed; and, when a
+    denominator factor (lead, then the d_j) of one of those columns is within the
+    pole margin, the list over them of the first such factor as (offset,
+    ZeroDenominator) or None (else None).
     """
     q, margin, m = ctx.q, ctx.pole_margin, len(series[0][0])
     lead = series[0][3]
     # contiguous: NumPy may round a product of strided operands differently
-    params = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
-                       for nums, dens, z, a in series], dtype=complex).T.copy()[:, None]
-    params, z, lead_x = params[:-2], params[-2], params[-1]
+    every = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
+                      for nums, dens, z, a in series], dtype=complex).T.copy()[:, None]
 
-    def ratio(k: int, x: np.ndarray):
+    def ratio(k: int, x: np.ndarray, cols: np.ndarray | None = None):
+        picked = every if cols is None else every.take(cols, axis=2)
+        params, z, lead_x = picked[:-2], picked[-2], picked[-1]
         x = x[:, None]
         facs = np.multiply(params, x)
         np.subtract(1.0, facs, out=facs)

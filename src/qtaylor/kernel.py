@@ -72,7 +72,8 @@ class KernelParams:
                 raise DomainError(f"kernel parameter {name} must be nonzero")
         margin = self.ctx.pole_margin
         for name, base in self.denominator_bases():
-            if factor_clearance(base, self.ctx) <= margin:
+            # a base inside |u| < 1 - margin is clear (factor_clearance's first test)
+            if not abs(base) < 1.0 - margin and factor_clearance(base, self.ctx) <= margin:
                 raise ZeroDenominator(
                     f"kernel genericity violated: base {name} = {base} "
                     f"within margin of q^-j")

@@ -257,13 +257,16 @@ def _family_sums(s: np.ndarray, w: np.ndarray, kp: KernelParams, lam: complex) -
     beta = np.repeat([b, c / (d * e)], n)
     t, s_col = np.tile((lam * w).ravel(), 2), np.tile(s.ravel(), 2)
 
-    def ratio(k: int, x: np.ndarray):
-        (r, poles), (step, step_poles) = (coeff_ratio(k, x), _profile_ratio_step(
-            alpha * x[:, None], beta * x[:, None], t, s_col, ctx))
+    def ratio(k: int, x: np.ndarray, cols: np.ndarray | None = None):
+        # the columns still summing (all when cols is None) and the families they sum
+        pick, family = (slice(None), []) if cols is None else (cols, [np.unique(cols // n)])
+        (r, poles), (step, step_poles) = (coeff_ratio(k, x, *family), _profile_ratio_step(
+            alpha[pick] * x[:, None], beta[pick] * x[:, None], t[pick], s_col[pick], ctx))
+        at = np.searchsorted(family[0], cols // n) if family else np.repeat([0, 1], n)
         if poles or step_poles:  # each column's first pole, of its coefficients or its kernel
-            poles = [min(filter(None, (poles and poles[j // n], step_poles and step_poles[j])),
-                         key=lambda p: p[0], default=None) for j in range(2 * n)]
-        return np.repeat(r, n, axis=1) * step, poles
+            poles = [min(filter(None, (poles and poles[f], step_poles and step_poles[j])),
+                         key=lambda p: p[0], default=None) for j, f in enumerate(at.tolist())]
+        return r.take(at, axis=1) * step, poles
 
     sums = _series_sum(ratio, [None] * (2 * n), ctx)
     return np.array([tb.value for tb in sums]).reshape((2,) + s.shape)

@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -157,13 +157,15 @@ class TailBound:
 def qpoch_finite(a, n, ctx: QContext):
     """Finite q-shifted factorial (a;q)_n, exact product; (a;q)_0 = 1.  ndarrays of a and
     n (of one shape) give (a;q)_n at each entry, read from one qpoch_table."""
-    batch = isinstance(a, np.ndarray) or isinstance(n, np.ndarray)
-    if (np.min(n, initial=0) if batch else n) < 0:
+    each = isinstance(n, np.ndarray)
+    if (n.min(initial=0) if each else n) < 0:
         raise DomainError("qpoch_finite requires n >= 0")
-    if batch:
+    if each:
         a, n = np.broadcast_arrays(a, n)
         table = qpoch_table(a.ravel(), int(n.max(initial=0)), ctx)
         return table[n.ravel(), np.arange(n.size)].reshape(n.shape)
+    if isinstance(a, np.ndarray):
+        return qpoch_table(a.ravel(), n, ctx)[n].reshape(a.shape)
     q = ctx.q
     value = 1.0 + 0.0j
     x = complex(a)
@@ -185,6 +187,7 @@ def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
 
 
 WIDE_BLOCK = 256  # columns from which a vector multiply per row beats a running product
+SMALL_BATCH = 20  # bases below which Python's max(map(abs, ...)) beats a vector pass
 
 
 def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
@@ -192,10 +195,10 @@ def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
     column is the loop ``x *= q``, bit for bit.  A running product steps each column alone;
     from WIDE_BLOCK columns on, a real or imaginary q steps by one vector multiply per row
     (at a q of two nonzero parts that fuses a multiply-add, so it does not)."""
-    q = ctx.q
-    xs = np.empty((n + 1,) + np.shape(x0), dtype=complex)
+    q, shape = ctx.q, x0.shape if isinstance(x0, np.ndarray) else ()
+    xs = np.empty((n + 1,) + shape, dtype=complex)
     xs[0] = x0
-    if np.size(x0) < WIDE_BLOCK or q.real and q.imag:
+    if not shape or x0.size < WIDE_BLOCK or q.real and q.imag:
         xs[1:] = q
         return np.multiply.accumulate(xs, axis=0, out=xs)
     for row, below in zip(xs[:-1], xs[1:]):
@@ -204,12 +207,13 @@ def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
 
 
 def _abs_max(x: np.ndarray) -> float:
-    """max(map(abs, x.tolist()), default=0.0) in one vector pass: np.hypot is libm's hypot,
-    as Python's complex abs (NumPy's abs may differ in the last bit), and a NaN counts only
-    where it comes first, as in Python's max."""
+    """max(map(abs, x.tolist()), default=0.0), and so below SMALL_BATCH bases; from there in
+    one vector pass: np.hypot is libm's hypot, as Python's complex abs (NumPy's abs may
+    differ in the last bit), and a NaN counts only where it comes first, as in Python's max."""
+    if x.size < SMALL_BATCH:
+        return max(map(abs, x.tolist()), default=0.0)
     sizes = np.hypot(x.real, x.imag)
-    return float(sizes[0] if sizes.size and math.isnan(sizes[0])
-                 else np.fmax.reduce(sizes, initial=0.0))
+    return float(sizes[0] if math.isnan(sizes[0]) else np.fmax.reduce(sizes))
 
 
 def qpoch_infinite(a, ctx: QContext) -> TailBound:
@@ -221,8 +225,9 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
     omitted log-factors of each sum to at most r / ((1 - |q|)(1 - r)) <
     TAIL_TARGET (to first order), the certificate returned as tail_abs.
     One array kernel serves all bases: the value is the product of 1 - a q^j
-    over j < N, taken in blocks of q_powers rows of at most 2^14 entries, each
-    block multiplied into the value row by row.  A scalar gives the loop
+    over j < N, taken in blocks of q_powers rows of at most 2^14 entries, the
+    first block's factors multiplied down the rows and each later block's
+    multiplied into the value row by row.  A scalar gives the loop
     ``value *= 1 - x; x *= q`` bit for bit; every base of a batch multiplies
     as NumPy's vector complex multiply does, wherever it stands in the batch.
     terms_used counts the factors of every base.  Raises TruncationFailure
@@ -232,14 +237,14 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
     x = np.asarray(a, dtype=complex)
     flat = x.ravel()
     n = geometric_depth(abs(q), _abs_max(flat), ctx.max_terms)
-    value, last = np.ones_like(flat), flat
+    value, last = None, flat
     rows = max(1, 2 ** 14 // max(flat.size, 1))  # q-power rows per block
     for j in range(0, n, rows):
         block = q_powers(last, min(rows, n - j), ctx)
-        last = block[-1].copy()
-        block[1:] = 1.0 - block[:-1]
-        block[0] = value
-        value = np.multiply.reduce(block)
+        last, factors = block[-1], np.subtract(1.0, block[:-1])
+        # 1 * (1 - x) is 1 - x: the first block needs no value row
+        value = np.multiply.reduce(factors if value is None else np.vstack((value, factors)))
+    value = np.ones_like(flat) if value is None else value
     r = _abs_max(last)  # < TAIL_TARGET (1 - |q|)
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
     return TailBound(complex(value[0]) if x.ndim == 0 else value.reshape(x.shape),
@@ -258,7 +263,7 @@ def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
     if arrays:
         scalars = [a for a in bases if not isinstance(a, np.ndarray)]
         values = qpoch_infinite(np.concatenate([a.ravel() for a in arrays] + [scalars]), ctx).value
-        ends = np.cumsum([a.size for a in arrays]).tolist()
+        ends = list(accumulate(a.size for a in arrays))
         stacked = iter([values[lo:hi].reshape(a.shape)
                         for a, lo, hi in zip(arrays, [0] + ends, ends)])
         single = iter(values[ends[-1]:].tolist())
@@ -381,9 +386,10 @@ def sample_columns(f, columns: Sequence[list]) -> list[list]:
 def require_clear(ctx: QContext, what: str, *bases) -> None:
     """PoleProximity if a base (any node of an ndarray) has a factor within the pole margin:
     factor by factor, so that no quotient of very unequal products passes for a pole.  The
-    nodes are checked in order.  From 40 ndarray nodes on, where one block scan is faster
-    than the loop, factor_clearance scans all of them together first, and the loop starts
-    at the first offending node (NaN: a non-finite node, a DomainError)."""
+    nodes are checked in order, each scanned only when |u| >= 1 - pole_margin.  From 40
+    ndarray nodes on, where one block scan is faster than the loop, factor_clearance scans
+    all of them together first, and the loop starts at the first offending node (NaN: a
+    non-finite node, a DomainError)."""
     first = 0
     if sum(base.size for base in bases if isinstance(base, np.ndarray)) >= 40:
         nodes = np.concatenate([np.ravel(base) for base in bases])
@@ -394,7 +400,7 @@ def require_clear(ctx: QContext, what: str, *bases) -> None:
     nodes = [u for base in bases
              for u in (base.ravel().tolist() if isinstance(base, np.ndarray) else (base,))]
     for u in nodes[first:]:
-        if not factor_clearance(u, ctx) > ctx.pole_margin:
+        if not abs(u) < 1.0 - ctx.pole_margin and not factor_clearance(u, ctx) > ctx.pole_margin:
             raise PoleProximity(f"{what}: denominator base {u} within pole margin")
 
 

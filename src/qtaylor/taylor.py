@@ -59,13 +59,15 @@ def phi_basis(z, pair: BasisPair, k, ctx: QContext):
     """Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k, Phi_0 = 1; a scalar z as one node.
     k may hold an order per draw (the pole set is checked where k > 0)."""
     a, c, w = pair.a, pair.c, np.atleast_1d(z)
-    ks = np.zeros(w.shape, dtype=int) + k  # the order at each node
-    if (ks < 0).any():
+    if np.min(k) < 0:
         raise DomainError("basis index must be nonnegative")
-    live = ks > 0  # the pole set depends on c alone
-    BasisPair(0.0, np.full(w.shape, c)[live]).check_admissible(w[live], ctx)
+    if isinstance(k, np.ndarray):  # the pole set depends on c alone: check where k > 0
+        live = np.broadcast_to(k, w.shape) > 0
+        BasisPair(0.0, np.broadcast_to(c, w.shape)[live]).check_admissible(w[live], ctx)
+    elif k > 0:
+        pair.check_admissible(w, ctx)
     bases = np.array([a * w, a / w, c * w, c / w])
-    az, aw, cz, cw = qpoch_finite(bases, np.array([ks] * 4), ctx)
+    az, aw, cz, cw = qpoch_finite(bases, k, ctx)
     phi = az * aw / (cz * cw)
     return phi if np.ndim(z) else complex(phi[0])
 
@@ -140,18 +142,29 @@ def lowered_terms(z, a, coeffs: Sequence, ctx: QContext):
     return basis_terms(z, BasisPair(a * ctx.sqrt_q, 0.0), us[..., 1:] * lam, ctx)
 
 
+def _pole_factor(u: complex, n: int, ctx: QContext) -> int:
+    """The first j < n with |1 - u q^j| within the pole margin, else n (a factor of (u;q)_n;
+    none is when |u| < 1 - pole_margin, as for factor_clearance)."""
+    scan = range(n if abs(u) >= 1.0 - ctx.pole_margin else 0)
+    return next((j for j in scan if abs(1.0 - u * ctx.q ** j) <= ctx.pole_margin), n)
+
+
 def _coeff_prefactors(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[complex]:
     """The prefactor of t_k for each k in orders; (q;q)_k and (c/a;q)_k for every order
-    are the rows of one qpoch_table, the qpoch_finite loop bit for bit."""
+    are the rows of one qpoch_table, the qpoch_finite loop bit for bit.  The denominators
+    are guarded factor by factor, as KernelParams guards its bases: (q;q)_8 ~ 7.8e-7 at
+    q = 0.95 is small but far from any pole."""
     q, rq = ctx.q, ctx.sqrt_q
     a, c = pair.a, pair.c
     table = qpoch_table([q, c / a], max(orders, default=0), ctx).tolist()
+    poles = (_pole_factor(q, len(table) - 1, ctx), _pole_factor(c / a, len(table) - 1, ctx))
     prefs = []
     for k in orders:
         d1, d2 = table[k]
         d3 = qpoch_finite(a * c * q ** (k - 1), k, ctx) if k > 0 else 1.0 + 0.0j
-        for name, val in (("(q;q)_k", d1), ("(c/a;q)_k", d2), ("(acq^(k-1);q)_k", d3)):
-            if abs(val) <= ctx.pole_margin:
+        for name, j in zip(("(q;q)_k", "(c/a;q)_k", "(acq^(k-1);q)_k"),
+                           poles + (_pole_factor(a * c * q ** (k - 1), k, ctx),)):
+            if j < k:
                 raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
         sign = -1.0 if k % 2 else 1.0
         prefs.append(sign * rq ** (-k * (k - 1) // 2) * (1.0 - q) ** k

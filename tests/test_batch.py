@@ -963,6 +963,18 @@ class TestClearanceScan:
         assert raised(qcore.require_clear, ctx, "probe", nodes, 0.5) == want
         assert qcore.require_clear(ctx, "probe", np.array([0.3, 0.5j]), 0.2) is None
 
+    def test_guards_scan_no_base_inside_the_margin_disc(self, ctx):
+        # |u| < 1 - pole_margin is factor_clearance's first test (clearance inf), so the
+        # guards skip such a base; a non-finite base is still scanned and raises DomainError
+        inside = [0.5, (1 - 2 * ctx.pole_margin) * 1j, -0.999]
+        assert [qcore.factor_clearance(u, ctx) for u in inside] == [math.inf] * 3
+        assert qcore.require_clear(ctx, "probe", *inside) is None
+        for bad in (complex(math.nan, 0.0), complex(0.2, math.inf)):
+            with pytest.raises(DomainError):
+                qcore.require_clear(ctx, "probe", 0.5, bad)
+            with pytest.raises(DomainError):
+                KernelParams(0.5, bad, 0.6, 0.7, ctx)
+
     @pytest.mark.parametrize("q", [0.45, 0.7])
     def test_disc_violation_names_the_first_point_outside(self, q):
         # the points in order: the first outside the disc raises the error its own call

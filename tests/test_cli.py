@@ -273,6 +273,18 @@ class TestInvocationOverhead:
             assert capsys.readouterr().err.startswith("configuration error:")
         assert ran == []
 
+    def test_a_longer_existing_report_is_fully_replaced(self, tmp_path):
+        # the report is opened once, for appending; an earlier, longer report is emptied
+        # first, so the file holds the same bytes as a report written to a fresh path
+        argv = ["--suite", "qcore", "--seed", "3", "--draws", "4", "--report"]
+        fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+        assert cli.main(argv + [str(fresh)]) == 0
+        reused.write_text("x" * (3 * len(fresh.read_bytes())) + "\n")
+        assert cli.main(argv + [str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert cli.main(argv + [str(reused)]) == 0  # and an equal one
+        assert reused.read_bytes() == fresh.read_bytes()
+
     def test_to_dict_is_asdict(self):
         from dataclasses import asdict
         for record in run_suites(SuiteConfig(seed=3, draws=4)).records:
