@@ -22,7 +22,7 @@ from .profiles import (ProfileMoments, annular_factorization_terms,
                        exponential_profile_limit_residual,
                        L_profile, leading_profile_terms,
                        profile_coefficient_terms, profile_kernel_P,
-                       profile_kernel_coefficient, profile_sums_and_closed_forms)
+                       profile_kernel_coefficients, profile_sums_and_closed_forms)
 from .qcore import (QContext, TailBound, geometric_depth, qpoch_finite,
                     qpoch_infinite, qpoch_multi, residual_and_scale, scaled_residual, theta)
 from .quadratic import (QuadraticParams, companion_terms,

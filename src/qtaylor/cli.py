@@ -118,11 +118,12 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 
 def _emit_report(report, out) -> None:
     """Print the verdicts; write the report to out, an open file (emptied first), if any."""
-    lines = [json.dumps(rec.to_dict(), sort_keys=True) for rec in report.records]
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
+    lines = [encode(rec.to_dict()) for rec in report.records]
     summary = report.summary()
-    lines.append(json.dumps({"summary": summary}, sort_keys=True))
+    lines.append(encode({"summary": summary}))
     if out is not None:
-        if out.tell():  # opened for appending at its end: an earlier report
+        if out.seekable() and out.tell():  # opened for appending at its end: an earlier report
             out.truncate(0)
         out.write("\n".join(lines) + "\n")
     for rec in report.records:

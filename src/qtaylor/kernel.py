@@ -178,10 +178,10 @@ def kernel_quotient(name: str, z, kp: KernelParams, **shifted) -> tuple[list, li
     """The (num, den, what) bases of the kernel product name (F, A, B, H or K) at z, for
     qpoch_quotients; keyword overrides of b, c, d, e give the shifted kernels."""
     b, c, d, e = (shifted.get(p, getattr(kp, p)) for p in "bcde")
-    cc = c * c / (b * d * e)
-    num, den = {"F": ((c / d, c / e), (c, cc)), "A": ((c / (d * e),), (cc,)),
-                "B": ((b,), (c,)), "H": ((c / d, c / e), (c, c / (d * e))),
-                "K": ((c / d, c / e), (b, cc))}[name]
+    num, den = {"F": lambda: ((c / d, c / e), (c, c * c / (b * d * e))),
+                "A": lambda: ((c / (d * e),), (c * c / (b * d * e),)),
+                "B": lambda: ((b,), (c,)), "H": lambda: ((c / d, c / e), (c, c / (d * e))),
+                "K": lambda: ((c / d, c / e), (b, c * c / (b * d * e)))}[name]()
     return sym_bases(z, *num), sym_bases(z, *den), f"z on a pole of {name}"
 
 

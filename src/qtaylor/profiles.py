@@ -23,8 +23,9 @@ import numpy as np
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import _first, _series_sum, series_sums, term_ratio
 from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotients,
-                    require_clear, scaled_residual, theta_bases)
+from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_groups_each,
+                    qpoch_quotients, qpoch_quotients_each, require_clear, scaled_residual,
+                    theta_bases)
 
 
 def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four profiles
@@ -199,17 +200,24 @@ def _P_quotients(s, w, alpha: complex, beta: complex, lam: complex,
             for n, d in zip([alpha * t * s, t * q / alpha, t * q * s / beta, alpha / t], dens)]
 
 
-def profile_kernel_coefficient(j: int, w: complex, alpha: complex, beta: complex,
-                               lam: complex, ctx: QContext) -> complex:
-    """Closed-form j-th Taylor coefficient of the profile kernel in s.
+def profile_kernel_coefficients(orders, w: complex, alpha: complex, beta: complex,
+                                lam: complex, ctx: QContext) -> list[complex]:
+    """Closed-form j-th Taylor coefficient of the profile kernel in s, for each j in orders.
 
     L_{alpha,beta}(w) (lam w)^j sum_{u=0}^j
     (a/b;q)_u (a/b;q)_{j-u} / ((q;q)_u (q;q)_{j-u}) beta^u (q/alpha)^{j-u}.
     """
-    if j < 0:
+    if min(orders, default=0) < 0:
         raise DomainError("coefficient index must be nonnegative")
-    total = sum((_kernel_weight(u, j, alpha, beta, ctx) for u in range(j + 1)), 0.0 + 0.0j)
-    return L_profile(w, alpha, beta, lam, ctx) * (lam * w) ** j * total
+    return _kernel_coefficients(L_profile(w, alpha, beta, lam, ctx), orders, w, alpha, beta,
+                                lam, ctx)
+
+
+def _kernel_coefficients(profile: complex, orders, w: complex, alpha: complex, beta: complex,
+                         lam: complex, ctx: QContext) -> list[complex]:
+    """The coefficients of profile_kernel_coefficients, given the profile L_{alpha,beta}(w)."""
+    return [profile * (lam * w) ** j * sum((_kernel_weight(u, j, alpha, beta, ctx)
+                                            for u in range(j + 1)), 0.0 + 0.0j) for j in orders]
 
 
 def _kernel_weight(u: int, j: int, alpha: complex, beta: complex, ctx: QContext) -> complex:
@@ -302,36 +310,44 @@ def contiguous_moment(kp: KernelParams, m: int) -> ProfileMoments:
     return ProfileMoments(m, *_profile_sums(kp, (b / c) * q ** m), True)
 
 
-def profile_coefficient_terms(j: int, w: complex, kp: KernelParams, lam: complex,
-                              moments: dict | None = None) -> tuple[complex, complex, complex]:
-    """The three additive terms of [s^j] of the generating residual.
+def profile_coefficient_terms(points, kp: KernelParams, lam: complex,
+                              moments: dict | None = None) -> list[tuple]:
+    """The three additive terms of [s^j] of the generating residual at each point (j, w).
 
     Assembled from the closed kernel coefficients and the moment window
     F_m, G_m with m = 2u - j, |m| <= j: the quasi-periodicity of the
     profile quotients turns the k-sums into contiguous moments (kept in moments).
     """
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    t1 = sum(profile_kernel_coefficient(i, w, c / d, b, lam, ctx)
-             * profile_kernel_coefficient(j - i, w, c / e, c / (d * e), lam, ctx)
-             for i in range(j + 1))
-
+    ctx, pairs = kp.ctx, _profile_pairs(kp)
     moments = {} if moments is None else moments
-    for u in range(j + 1):
-        m = 2 * u - j
-        if m not in moments:
-            moments[m] = contiguous_moment(kp, m)
-        if not moments[m].convergent:
-            raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
+    drawn = []
 
-    def family_term(alpha0: complex, beta0: complex, pick) -> complex:
-        total = sum((_kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
-                     for u in range(j + 1)), 0.0 + 0.0j)
-        return L_profile(w, alpha0, beta0, lam, ctx) * (lam * w) ** j * total
+    def calls():  # in the order of a loop over the points, which raises the same first error
+        for j, w in points:
+            drawn.append((j, w))
+            yield from ([_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[:2])
+            for m in range(-j, j + 1, 2):
+                if m not in moments:
+                    moments[m] = contiguous_moment(kp, m)
+                if not moments[m].convergent:
+                    raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
+            yield from ([_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[2:])
 
-    t2 = kp.Hb * family_term(c, b, lambda mom: mom.F_m)
-    t3 = kp.Kcde * family_term(c * c / (b * d * e), c / (d * e),
-                                    lambda mom: mom.G_m)
-    return t1, t2, t3
+    values = iter(qpoch_quotients_each(calls(), ctx))  # each distinct profile once
+    out = []
+    for j, w in drawn:
+        f1, f2 = (_kernel_coefficients(next(values)[0], range(j + 1), w, al, be, lam, ctx)
+                  for al, be in pairs[:2])
+
+        def family_term(alpha0: complex, beta0: complex, pick) -> complex:
+            total = sum((_kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
+                         for u in range(j + 1)), 0.0 + 0.0j)
+            return next(values)[0] * (lam * w) ** j * total
+
+        out.append((sum(map(operator.mul, f1, reversed(f2))),
+                    kp.Hb * family_term(*pairs[2], lambda mom: mom.F_m),
+                    kp.Kcde * family_term(*pairs[3], lambda mom: mom.G_m)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -343,36 +359,37 @@ class ProfileLimitResiduals:
     q0_residual: float
 
 
-def exponential_profile_limit_residual(k: int, w, kp: KernelParams, lam: complex,
-                                       N) -> ProfileLimitResiduals:
-    """Distance of (b/c)^{N-k} R_k, (b/c)^{N-k} S_k and (b/c)^N Q_0 to their limits.
+def exponential_profile_limit_residual(k: int, points, lam: complex
+                                       ) -> list[ProfileLimitResiduals]:
+    """Distance of (b/c)^{N-k} R_k, (b/c)^{N-k} S_k and (b/c)^N Q_0 to their limits at each
+    point (w, kp, N) of a sequence (kernels of one context).
 
     The limits are the theta-quotient profiles L_{c,b}, L_{c^2/bde, c/de}
     and L_{c/d,b} L_{c/e,c/de}; convergence is geometric in N at fixed k.
-    w and N are scalars or ndarrays of one shape (each residual then an ndarray
-    over the points (w, N)); the eight quotients of all come from one qpoch_infinite call.
+    The eight quotients of every point come from qpoch_quotients_each.
     """
-    if not np.all((0 <= k) & (k <= N)):
-        raise DomainError("need 0 <= k <= N")
-    b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-    q = ctx.q
-    z = lam * q ** N * w
-    scale_pow = (b / c) ** (N - k)
-    qk = q ** k
+    drawn = []
 
-    def sym_quot(alpha: complex, beta: complex) -> tuple:
-        require_clear(ctx, "profile quotient", beta * z, beta / z)
-        return (sym_bases(z, alpha), sym_bases(z, beta),
-                "profile quotient: vanishing denominator")
+    def calls():  # in the order of a loop over the points, which raises the same first error
+        for w, kp, N in points:
+            if not 0 <= k <= N:
+                raise DomainError("need 0 <= k <= N")
+            b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
+            z, qk, pairs = lam * ctx.q ** N * w, ctx.q ** k, _profile_pairs(kp)
+            drawn.append(((b / c) ** (N - k), (b / c) ** N))
+            quotients = []
+            for al, be in [(c * qk, b * qk), (c * c * qk / (b * d * e), c * qk / (d * e)),
+                           *pairs[:2]]:
+                require_clear(ctx, "profile quotient", be * z, be / z)
+                quotients.append((sym_bases(z, al), sym_bases(z, be),
+                                  "profile quotient: vanishing denominator"))
+            yield quotients + [_L_quotient(w, al, be, lam, ctx) for al, be in pairs]
 
-    pairs = _profile_pairs(kp)
-    rk, sk, qd, qe, ld, le, r_lim, s_lim = qpoch_quotients(
-        [sym_quot(c * qk, b * qk), sym_quot(c * c * qk / (b * d * e), c * qk / (d * e)),
-         *(sym_quot(al, be) for al, be in pairs[:2]),
-         *(_L_quotient(w, al, be, lam, ctx) for al, be in pairs)], ctx)
-    return ProfileLimitResiduals(scaled_residual(scale_pow * rk, r_lim),
-                                 scaled_residual(scale_pow * sk, s_lim),
-                                 scaled_residual((b / c) ** N * qd * qe, ld * le))
+    return [ProfileLimitResiduals(scaled_residual(scale_pow * rk, r_lim),
+                                  scaled_residual(scale_pow * sk, s_lim),
+                                  scaled_residual(layer_pow * qd * qe, ld * le))
+            for (scale_pow, layer_pow), (rk, sk, qd, qe, ld, le, r_lim, s_lim)
+            in zip(drawn, qpoch_quotients_each(calls(), points[0][1].ctx))]
 
 
 @dataclass(frozen=True)
@@ -384,29 +401,28 @@ class CanonicalGrowth:
     C_factor: complex
 
 
-def canonical_Z(z: complex, kp: KernelParams) -> complex:
-    """Z(z) = (bz, b/z, cz/de, c/dez;q)_inf, the two-grid canonical product."""
-    return qpoch_groups([sym_bases(z, kp.b, kp.c / (kp.d * kp.e))], kp.ctx)[0]
-
-
-def canonical_growth_profile(lam: complex, N, w, kp: KernelParams) -> CanonicalGrowth:
-    """Z on layer N split as C_{lam,N}(w) q^{-N(N+1)} (bc/(de lam^2 w^2))^N.
+def canonical_growth_profile(lam: complex, points, kp: KernelParams) -> list[CanonicalGrowth]:
+    """The two-grid canonical product Z(z) = (bz, b/z, cz/de, c/dez;q)_inf on layer N split
+    as C_{lam,N}(w) q^{-N(N+1)} (bc/(de lam^2 w^2))^N, at each point (N, w).
 
     The C factor is computed from its own product expression; the record
     therefore certifies the split rather than defining C as a quotient.
-    N and w are scalars or ndarrays of one shape: the split at every point
-    (N, w), its infinite products from one qpoch_infinite call.
+    The infinite products of every point come from qpoch_groups_each.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
-    z = lam * q ** N * w
-    monomial = q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N
     cde = c / (d * e)
-    zval, cinf = qpoch_groups([sym_bases(z, b, cde),
-                               [b * z, cde * z, b / (lam * w), cde / (lam * w)]], ctx)
-    cfac = (cinf * qpoch_finite(lam * w * q / b, N, ctx)
-            * qpoch_finite(lam * w * q / cde, N, ctx))
-    return CanonicalGrowth(zval, monomial, cfac)
+    drawn = []
+
+    def calls():  # in the order of a loop over the points, which raises the same first error
+        for N, w in points:
+            z = lam * q ** N * w
+            drawn.append((N, w, q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N))
+            yield [sym_bases(z, b, cde), [b * z, cde * z, b / (lam * w), cde / (lam * w)]]
+
+    return [CanonicalGrowth(zval, monomial, cinf * qpoch_finite(lam * w * q / b, N, ctx)
+                            * qpoch_finite(lam * w * q / cde, N, ctx))
+            for (N, w, monomial), (zval, cinf) in zip(drawn, qpoch_groups_each(calls(), ctx))]
 
 
 def bridge_residual(N, w, kp: KernelParams, lam: complex):

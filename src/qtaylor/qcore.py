@@ -17,7 +17,8 @@ Conventions
 * One array kernel, :func:`qpoch_infinite`, evaluates every ``(a;q)_inf``;
   the quotients of an identity pass all their bases in one call
   (:func:`qpoch_groups`, :func:`qpoch_quotients`), at the depth of the
-  largest ``|a|`` and with a certified bound on the omitted log-factors.
+  largest ``|a|`` and with a certified bound on the omitted log-factors;
+  independent identities of one depth share a call (:func:`qpoch_groups_each`).
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
@@ -31,8 +32,8 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate, islice
-from typing import Sequence
+from itertools import accumulate, islice, tee
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -251,37 +252,73 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
                      tail, n * flat.size)
 
 
-def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
-    """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call.
+def qpoch_groups_each(calls: Iterable[Sequence[Sequence]], ctx: QContext) -> list[list]:
+    """The product of (a;q)_inf over each group of bases of each call (a list of groups): bases
+    are scalars or ndarrays, the ndarrays of a call flattened first, then each scalar; a
+    product has the shape of its bases, and an empty group gives 1.  A call's depth is
+    geometric_depth(|q|, max|a|) over its own bases, taken as the call is drawn (so a loop over
+    the calls raises the same first error), and the calls of one depth share a qpoch_infinite
+    call, bit for bit: every base of a batch multiplies alike.  A call of one base keeps its
+    own, as the scalar loop rounds apart from the vector one."""
+    drawn, batches, alone = [], {}, isinstance(calls, list) and len(calls) == 1
+    for i, groups in enumerate(calls):
+        bases = [a for group in groups for a in group]
+        arrays = [a for a in bases if isinstance(a, np.ndarray)]
+        flat = np.concatenate([a.ravel() for a in arrays] + [np.array(
+            [a for a in bases if not isinstance(a, np.ndarray)], dtype=complex)]
+                              ) if arrays else np.array(bases, dtype=complex)
+        # (a lone call's depth is qpoch_infinite's own, with the same error)
+        n = 0 if alone else geometric_depth(abs(ctx.q), _abs_max(flat), ctx.max_terms)
+        batches.setdefault(n if flat.size > 1 else -1 - i, []).append(i)
+        drawn.append((groups, bases, arrays, flat))
+    products = [None] * len(drawn)
+    for members in batches.values():
+        batch = qpoch_infinite(drawn[members[0]][3] if len(members) == 1 else
+                               np.concatenate([drawn[i][3] for i in members]), ctx).value
+        for i, end in zip(members, accumulate(drawn[i][3].size for i in members)):
+            groups, bases, arrays, flat = drawn[i]
+            values = batch[end - flat.size:end]
+            if arrays:  # the ndarrays' values first, then the scalars'
+                ends = list(accumulate((a.size for a in arrays), initial=0))
+                stacked = iter([values[lo:hi].reshape(a.shape)
+                                for a, lo, hi in zip(arrays, ends, ends[1:])])
+                single = iter(values[ends[-1]:].tolist())
+                rows = iter([next(stacked) if isinstance(a, np.ndarray) else next(single)
+                             for a in bases])
+            else:
+                rows = iter(values.tolist())
+            products[i] = [math.prod(islice(rows, len(group))) for group in groups]
+    return products
 
-    Bases are scalars or ndarrays: the ndarrays enter flattened, one after
-    the other, and each scalar once; a product has the shape of its bases.
-    An empty group gives 1.
-    """
-    bases = [a for group in groups for a in group]
-    arrays = [a for a in bases if isinstance(a, np.ndarray)]
-    if arrays:
-        scalars = [a for a in bases if not isinstance(a, np.ndarray)]
-        values = qpoch_infinite(np.concatenate([a.ravel() for a in arrays] + [scalars]), ctx).value
-        ends = list(accumulate(a.size for a in arrays))
-        stacked = iter([values[lo:hi].reshape(a.shape)
-                        for a, lo, hi in zip(arrays, [0] + ends, ends)])
-        single = iter(values[ends[-1]:].tolist())
-        rows = iter([next(stacked) if isinstance(a, np.ndarray) else next(single) for a in bases])
-    else:
-        rows = iter(qpoch_infinite(bases, ctx).value.tolist())
-    return [math.prod(islice(rows, len(group))) for group in groups]
+
+def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
+    """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call: the
+    one-call case of qpoch_groups_each."""
+    return qpoch_groups_each([groups], ctx)[0]
+
+
+def qpoch_quotients_each(calls: Iterable[Sequence[tuple]], ctx: QContext,
+                         error: type[QTaylorError] = PoleProximity) -> list[list]:
+    """The qpoch_quotients of each call, from qpoch_groups_each; raises error(what) at the first
+    call, in order, with a denominator that vanishes anywhere."""
+    lazy = not isinstance(calls, list)  # a list is drawn at once, and may be a lone call
+    calls, drawn = tee(calls) if lazy else (calls, calls)
+    groups = ([group for num, den, _ in quotients for group in (num, den)] for quotients in calls)
+    values = qpoch_groups_each(groups if lazy else list(groups), ctx)
+    out = []
+    for quotients, products in zip(drawn, values):
+        for (_, _, what), bottom in zip(quotients, products[1::2]):
+            if (bottom == 0).any() if isinstance(bottom, np.ndarray) else bottom == 0:
+                raise error(what)
+        out.append([top / bottom for top, bottom in zip(products[0::2], products[1::2])])
+    return out
 
 
 def qpoch_quotients(quotients: Sequence[tuple], ctx: QContext,
                     error: type[QTaylorError] = PoleProximity) -> list:
     """prod (a;q)_inf over num / prod (b;q)_inf over den for each (num, den, what), all
     from one qpoch_infinite call; raises error(what) when a denominator vanishes anywhere."""
-    values = qpoch_groups([group for num, den, _ in quotients for group in (num, den)], ctx)
-    for (_, _, what), bottom in zip(quotients, values[1::2]):
-        if np.any(bottom == 0) if isinstance(bottom, np.ndarray) else bottom == 0:
-            raise error(what)
-    return [top / bottom for top, bottom in zip(values[0::2], values[1::2])]
+    return qpoch_quotients_each([quotients], ctx, error)[0]
 
 
 def qpoch_quotient(num: Sequence, den: Sequence, ctx: QContext, what: str,
@@ -344,12 +381,15 @@ def residual_and_scale(*terms):
     """(|t_0 - t_1 - ...| / scale, scale) with scale = max |t_i|; 0.0 if every t_i is 0.
 
     The terms are subtracted in order, so the residual is bit-equal to the inline
-    ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.  Arrays give both at every point.
+    ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.  Arrays give both at every point;
+    numbers are judged in Python, the scale NaN if any |t_i| is, as np.maximum gives it.
     """
-    scale = reduce(np.maximum, map(abs, terms))
+    sizes = list(map(abs, terms))
     diff = abs(reduce(operator.sub, terms))
-    if np.ndim(scale):
+    if any(isinstance(size, np.ndarray) for size in sizes):
+        scale = reduce(np.maximum, sizes)
         return np.divide(diff, scale, out=np.zeros_like(scale), where=scale > 0), scale
+    scale = math.nan if any(size != size for size in sizes) else max(sizes)
     return (diff / scale if scale else 0.0), scale
 
 

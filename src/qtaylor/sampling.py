@@ -23,8 +23,9 @@ MAX_TRIES = 500
 
 
 def sample_complex(rng: random.Random, lo: float = 0.3, hi: float = 0.9) -> complex:
-    """Modulus uniform in [lo, hi], phase uniform on the circle."""
-    return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
+    """Modulus uniform in [lo, hi], phase uniform on the circle (the modulus drawn as
+    rng.uniform draws it, inline)."""
+    return (lo + (hi - lo) * rng.random()) * cmath.exp(2j * math.pi * rng.random())
 
 
 def sample_on_circle(rng: random.Random) -> complex:

@@ -163,29 +163,31 @@ class Check:
         self.residual, self.scale, self.detail = 0.0, None, ""  # no residual seen yet
 
     def see(self, *residuals, scale=1.0) -> None:
-        """Keep the first largest residual and the scale it was divided by; a NaN sticks."""
-        worst = float(np.max(residuals))
+        """Keep the first largest residual and the scale it was divided by; a NaN sticks.  Numbers
+        are judged in Python as np.max judges them: a NaN wins, else the last of the largest."""
+        worst = (float(np.max(residuals)) if any(isinstance(r, np.ndarray) for r in residuals)
+                 else math.nan if any(r != r for r in residuals) else float(max(reversed(residuals))))
         if (self.scale is None or worst > self.residual
                 or math.isnan(worst) > math.isnan(self.residual)):
             self.residual, self.scale = worst, float(scale)
 
     def _see_worst(self, residual, scale) -> None:
         """See the first largest entry of an array of residuals with its scale."""
-        if np.ndim(residual):
-            i = np.argmax(residual)
-            residual, scale = residual.flat[i], np.broadcast_to(scale, residual.shape).flat[i]
+        if isinstance(residual, np.ndarray):
+            i = residual.argmax()
+            if isinstance(scale, np.ndarray):  # of the residuals' shape, or broadcast to it
+                scale = (scale if scale.shape == residual.shape
+                         else np.broadcast_to(scale, residual.shape)).flat[i]
+            residual = residual.flat[i]
         self.see(residual, scale=scale)
 
     def rel(self, value, ref) -> None:
         """Judge value against a reference value, |value - ref| / |ref|, at each entry."""
         self._see_worst(abs(value - ref) / abs(ref), abs(ref))
 
-    def terms(self, *terms) -> np.ndarray:
-        """Judge t_0 = t_1 + ... by residual_and_scale at a point or an array of points;
-        returns the residual at each point."""
-        residual, scale = residual_and_scale(*terms)
-        self._see_worst(residual, scale)
-        return np.ravel(residual)
+    def terms(self, *terms) -> None:
+        """Judge t_0 = t_1 + ... by residual_and_scale at a point or an array of points."""
+        self._see_worst(*residual_and_scale(*terms))
 
     def each(self, judge, draws, batch: tuple | None = None) -> None:
         """judge(*batch), by default each entry of the draws stacked (by its class's batch, else
@@ -773,8 +775,9 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
         contour = kernel.laurent_coefficient_detail(
             lambda s: (profiles.profile_kernel_P(s, w, al, be, lam, ctx),),
             [-j for j in range(5)], min(0.3, 0.4 / abs(lam * w)), ctx)
-        for j, (coeff, _, _) in enumerate(contour):
-            c.terms(profiles.profile_kernel_coefficient(j, w, al, be, lam, ctx), coeff)
+        closed = profiles.profile_kernel_coefficients(range(len(contour)), w, al, be, lam, ctx)
+        for mine, (coeff, _, _) in zip(closed, contour):
+            c.terms(mine, coeff)
 
     with check("generating-residual", "global-Q-zero", 1e-7, s="0,q^8,q^6,q^4") as c:
         c.each_inside(lambda s, w: c.terms(*profiles.generating_Q_terms(s, w, kp, lam)),
@@ -797,17 +800,16 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
         c.detail = "m=-12 correctly flagged nonconvergent"
 
     with check("coefficient-hierarchy", "first-correction-target", 1e-6, j="0,1") as c:
-        for j in (0, 1):
-            w = sample_z(rng, 0.9, 1.15)
-            c.terms(*profiles.profile_coefficient_terms(j, w, kp, lam, moments))
+        for terms in profiles.profile_coefficient_terms(
+                ((j, sample_z(rng, 0.9, 1.15)) for j in (0, 1)), kp, lam, moments):
+            c.terms(*terms)
 
     w = sample_z(rng, 0.9, 1.15)
     with check("exponential-profile-limits", "R-profile-limit", 0.25, k=2) as c:
-        errs = [profiles.exponential_profile_limit_residual(2, w, kp, lam, N).r_residual
-                for N in (6, 8, 10, 12)]
-        trend = c.params["trend"] = qcore.fitted_rate([6, 8, 10, 12], errs)
-        res9 = profiles.exponential_profile_limit_residual(2, w, kp, lam, 9)
-        res9i = profiles.exponential_profile_limit_residual(2, w, kernel.involute(kp), lam, 9)
+        *limits, res9, res9i = profiles.exponential_profile_limit_residual(
+            2, [(w, kp, N) for N in (6, 8, 10, 12, 9)] + [(w, kernel.involute(kp), 9)], lam)
+        trend = c.params["trend"] = qcore.fitted_rate([6, 8, 10, 12],
+                                                      [r.r_residual for r in limits])
         c.rel(trend, abs(q))
         c.rel(res9i.r_residual, res9.s_residual)
 
@@ -818,13 +820,13 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("canonical-growth", "canonical-product-annular-growth", 1e-10,
                N="4..12", radius=radius) as c:
         spread = 1.0
-        for t in range(4):
-            w = radius * cmath.exp(2j * math.pi * (t + 0.13) / 4)
-            mags = []
-            for N in range(4, 13):
-                cg = profiles.canonical_growth_profile(lam, N, w, kp)
-                mags.append(abs(cg.C_factor))
+        ws = [radius * cmath.exp(2j * math.pi * (t + 0.13) / 4) for t in range(4)]
+        layers = profiles.canonical_growth_profile(lam, [(N, w) for w in ws
+                                                         for N in range(4, 13)], kp)
+        for t in range(0, 36, 9):  # nine layers N = 4..12 at each w
+            for cg in layers[t:t + 9]:
                 c.rel(cg.extracted_monomial * cg.C_factor, cg.Z_value)
+            mags = [abs(cg.C_factor) for cg in layers[t:t + 9]]
             spread = max(spread, max(mags) / min(mags))
         c.params["spread"] = spread
         c.see(0.0 if spread < 10.0 else math.inf)
@@ -974,8 +976,8 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         rng = cfg.rng_for("profiles")
         kp, w = sample_profile_kernel_params(rng, ctx), sample_z(rng, 0.9, 1.15)
         orders = list(range(4, 14))
-        limits = profiles.exponential_profile_limit_residual(2, w, kp, kp.b, np.array(orders))
-        res = limits.r_residual
+        res = [limits.r_residual for limits in profiles.exponential_profile_limit_residual(
+            2, [(w, kp, N) for N in orders], kp.b)]
     else:
         raise ConfigError(f"unknown decay target {target!r}; "
                           f"choose one of {DECAY_TARGETS}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,8 +40,8 @@ class BasisPair:
     def __post_init__(self) -> None:
         for name in "ac":  # a number, or an ndarray over the draws of a batch
             value = getattr(self, name)
-            object.__setattr__(self, name, np.asarray(value, dtype=complex) if np.ndim(value)
-                               else complex(value))
+            object.__setattr__(self, name, np.asarray(value, dtype=complex)
+                               if isinstance(value, np.ndarray) else complex(value))
 
     @classmethod
     def batch(cls, pairs: Sequence[BasisPair]) -> BasisPair:
@@ -83,10 +84,10 @@ def basis_factors(z, pair: BasisPair, n, ctx: QContext):
     denominator pair is within the pole margin at any point.  For a batch (the last
     axis of z and the pair over its draws), n holds each draw's count: past it the
     factors are exactly 0 and 1, and no pole is sought there."""
-    a, c, each = pair.a, pair.c, np.ndim(n)
-    rows = max(int(np.max(n)) if each else n, 0)
+    a, c, each = pair.a, pair.c, isinstance(n, np.ndarray)
+    rows = max(int(n.max()) if each else n, 0)
     x = q_powers(1.0, rows, ctx)[:rows]
-    x = x.reshape(x.shape + (1,) * np.ndim(z))
+    x = x.reshape(x.shape + (1,) * (z.ndim if isinstance(z, np.ndarray) else 0))
     num, den = (1.0 - a * z * x) * (1.0 - a * x / z), (1.0 - c * z * x) * (1.0 - c * x / z)
     if each:
         past = np.arange(rows).reshape(x.shape) >= n
@@ -105,7 +106,7 @@ def basis_terms(z, pair: BasisPair, coeffs: Sequence, ctx: QContext):
     For a batch, coeffs holds one sequence per draw, padded with exact zeros to the
     longest."""
     nodes = np.atleast_1d(z)
-    if len(coeffs) and np.ndim(coeffs[0]):
+    if len(coeffs) and not np.isscalar(coeffs[0]):
         sizes = np.array([len(u) for u in coeffs])
         us = np.zeros((sizes.max(), len(coeffs)), dtype=complex)
         for j, u in enumerate(coeffs):
@@ -117,7 +118,7 @@ def basis_terms(z, pair: BasisPair, coeffs: Sequence, ctx: QContext):
     phi = np.multiply.accumulate(np.concatenate((np.ones((1,) + den.shape[1:]), num / den)))
     us = us.reshape(us.shape[:1] + (1,) * (nodes.ndim - us.ndim + 1) + us.shape[1:])
     terms = us * phi[:len(us)]
-    return terms if np.ndim(z) else terms[:, 0].tolist()
+    return terms if isinstance(z, np.ndarray) else terms[:, 0].tolist()
 
 
 def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
@@ -129,7 +130,7 @@ def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
 def phi_combination(pair: BasisPair, coeffs: Sequence, ctx: QContext) -> Callable:
     """Finite combination sum_k u_k Phi_k(.; a, c) as a function of z; for a batch, coeffs
     holds one sequence per draw (basis_terms)."""
-    us = ([tuple(map(complex, u)) for u in coeffs] if len(coeffs) and np.ndim(coeffs[0])
+    us = ([tuple(map(complex, u)) for u in coeffs] if len(coeffs) and not np.isscalar(coeffs[0])
           else tuple(map(complex, coeffs)))
     return lambda z: basis_sum(z, pair, us, ctx)
 
@@ -150,25 +151,24 @@ def _pole_factor(u: complex, n: int, ctx: QContext) -> int:
 
 
 def _coeff_prefactors(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[complex]:
-    """The prefactor of t_k for each k in orders; (q;q)_k and (c/a;q)_k for every order
-    are the rows of one qpoch_table, the qpoch_finite loop bit for bit.  The denominators
-    are guarded factor by factor, as KernelParams guards its bases: (q;q)_8 ~ 7.8e-7 at
-    q = 0.95 is small but far from any pole."""
+    """The prefactor of t_k for each k in orders; (q;q)_k, (c/a;q)_k and (acq^(k-1);q)_k for
+    every order are read from the columns of one qpoch_table, the qpoch_finite loop bit for
+    bit.  The denominators are guarded factor by factor, as KernelParams guards its bases:
+    (q;q)_8 ~ 7.8e-7 at q = 0.95 is small but far from any pole."""
     q, rq = ctx.q, ctx.sqrt_q
     a, c = pair.a, pair.c
-    table = qpoch_table([q, c / a], max(orders, default=0), ctx).tolist()
+    shifted = [a * c * q ** (k - 1) for k in orders]
+    table = qpoch_table([q, c / a, *shifted], max(orders, default=0), ctx).tolist()
     poles = (_pole_factor(q, len(table) - 1, ctx), _pole_factor(c / a, len(table) - 1, ctx))
     prefs = []
-    for k in orders:
-        d1, d2 = table[k]
-        d3 = qpoch_finite(a * c * q ** (k - 1), k, ctx) if k > 0 else 1.0 + 0.0j
+    for column, (k, u) in enumerate(zip(orders, shifted), 2):
         for name, j in zip(("(q;q)_k", "(c/a;q)_k", "(acq^(k-1);q)_k"),
-                           poles + (_pole_factor(a * c * q ** (k - 1), k, ctx),)):
+                           poles + (_pole_factor(u, k, ctx),)):
             if j < k:
                 raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
         sign = -1.0 if k % 2 else 1.0
         prefs.append(sign * rq ** (-k * (k - 1) // 2) * (1.0 - q) ** k
-                     / ((2.0 * a) ** k * d1 * d2 * d3))
+                     / ((2.0 * a) ** k * table[k][0] * table[k][1] * table[k][column]))
     return prefs
 
 
@@ -195,9 +195,9 @@ def taylor_expand(f, pair: BasisPair, n, ctx: QContext):
     values = sample_columns(f, [[a * ctx.q ** i for i in range(m + 1)] for a, _, m in draws])
     rows = {d: coefficient_rows(BasisPair(*d[:2]), range(d[2] + 1), ctx)
             for d in dict.fromkeys(draws)}  # once per distinct draw
-    coeffs = [tuple(sum(w * v for w, v in zip(row, vals)) for row in rows[d])
+    coeffs = [tuple(sum(map(operator.mul, row, vals)) for row in rows[d])
               for d, vals in zip(draws, values)]
-    return coeffs if np.ndim(pair.a) else coeffs[0]
+    return coeffs if isinstance(pair.a, np.ndarray) else coeffs[0]
 
 
 def taylor_sum_and_remainder(f, pair: BasisPair, n: int, z: complex,

@@ -37,9 +37,11 @@ BASES = [0.45, 0.7, -0.6, 0.3 + 0.5j]
 # qpoch_infinite calls of verify --suite kernel / profiles / quadratic at q = 0.45, seed 7,
 # 12 draws; one call per quotient made kernel and profiles 290 / 287, one call per
 # identity evaluation of each draw made kernel, profiles and quadratic 81 / 117 / 55;
-# profiles was 84 while coefficient-hierarchy evaluated its j=0 and leading terms twice
+# profiles was 84 while coefficient-hierarchy evaluated its j=0 and leading terms twice, and
+# 79 while canonical-growth, exponential-profile-limits, coefficient-hierarchy and
+# kernel-coefficients made a call per point or profile rather than one per distinct depth
 PINNED_KERNEL_CALLS = 26
-PINNED_PROFILES_CALLS = 79
+PINNED_PROFILES_CALLS = 41
 PINNED_QUADRATIC_CALLS = 13
 # hyper._series_sum runs of verify --suite hyper / kernel / profiles / quadratic at the same
 # (q, seed); a run per draw and family made them 72 / 58 / 49 / 25
@@ -281,9 +283,9 @@ def grouped_cases(ctx):
         ("generating_Q_terms", lambda: profiles.generating_Q_terms(s, w, kp, lam)),
         ("bridge_residual", lambda: profiles.bridge_residual(5, w, kp, lam)),
         ("exponential_profile_limit_residual",
-         lambda: profiles.exponential_profile_limit_residual(2, w, kp, lam, 6)),
+         lambda: profiles.exponential_profile_limit_residual(2, [(w, kp, 6)], lam)),
         ("profile_sums_and_closed_forms", lambda: profiles.profile_sums_and_closed_forms(kp)),
-        ("canonical_Z", lambda: profiles.canonical_Z(z, kp)),
+        ("canonical_growth_profile", lambda: profiles.canonical_growth_profile(lam, [(5, w)], kp)),
         ("quadratic_product", lambda: quadratic.quadratic_product(z, qp)),
         ("Cab", lambda: fresh_qp().Cab),
         ("companion_product", lambda: quadratic.companion_product(z, qp)),
@@ -361,7 +363,8 @@ class TestGroupedProducts:
             (qcore.theta(z, ctx), [z, q / z], [], q),
             (profiles.L_profile(w, c / d, b, lam, ctx), [t * q * d / c, c / (d * t)],
              [t * q / b, b / t], q),
-            (profiles.canonical_Z(z, kp), sym(z, b, c / (d * e)), [], q),
+            (profiles.canonical_growth_profile(lam, [(0, z / lam)], kp)[0].Z_value,
+             sym(lam * (z / lam), b, c / (d * e)), [], q),
             (quadratic.quadratic_product(z, qp),
              [a2 * z * q, a2 * q / z, b2 * b2 * z / a2, b2 * b2 / (a2 * z)], sym(z, b2), q * q),
             (qp.Cab,
@@ -846,25 +849,21 @@ class TestDrawAxis:
         def kernel_P(s, w):
             return (profiles.profile_kernel_P(s, w, kp.c / kp.d, kp.b, lam, ctx),)
 
-        def growth(N, w):
-            cg = profiles.canonical_growth_profile(lam, N, w, kp)
-            return cg.Z_value, cg.extracted_monomial * cg.C_factor
-
         agree(gen, gen, sw)
         agree(kernel_P, kernel_P, sw)
         agree(lead, lead, [(w,) for w in ws])
         # w^-N q^-N(N+1)/2 and q^-N(N+1): powers of up to 210 steps, or exp(N^2 log q)
         agree(annular, annular, list(zip(Ns, ws)), steps=210)
-        agree(growth, growth, list(zip(Ns[:6] + 4, ws[:6])), steps=272)
 
-        # residuals of their own scale: they move by the bound on their terms
-        seen.update(depth=0, terms=0)
-        got = profiles.exponential_profile_limit_residual(2, ws[:6], kp, lam, Ns[:6] + 4)
-        tol = 64 * (seen["depth"] + 16) * EPS
-        for j, (w, N) in enumerate(zip(ws[:6].tolist(), (Ns[:6] + 4).tolist())):
-            want = profiles.exponential_profile_limit_residual(2, w, kp, lam, N)
-            for name in ("r_residual", "s_residual", "q0_residual"):
-                assert abs(getattr(got, name)[j] - getattr(want, name)) <= 4 * tol
+        # the points of a sequence share a product call per depth, bit for bit
+        layers = list(zip((Ns[:6] + 4).tolist(), ws[:6].tolist()))
+        got = profiles.canonical_growth_profile(lam, layers, kp)
+        assert repr(got) == repr([profiles.canonical_growth_profile(lam, [p], kp)[0]
+                                  for p in layers])
+        points = [(w, kp, N) for N, w in layers] + [(ws[0], kernel.involute(kp), 9)]
+        got = profiles.exponential_profile_limit_residual(2, points, lam)
+        assert repr(got) == repr([profiles.exponential_profile_limit_residual(2, [p], lam)[0]
+                                  for p in points])
 
         # the bridge gap reads the rounding of E, whose g-family sum cancels by up to 1e9 at
         # q = 0.7 and rounds otherwise on the scalar route: each point is its batch of one,

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 
 import pytest
 
@@ -284,6 +286,20 @@ class TestInvocationOverhead:
         assert reused.read_bytes() == fresh.read_bytes()
         assert cli.main(argv + [str(reused)]) == 0  # and an equal one
         assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_report_to_a_pipe_is_written_whole(self, tmp_path):
+        # a FIFO cannot seek: the report is written as is, and the run exits 0
+        fifo, argv = tmp_path / "report.fifo", ["--suite", "qcore", "--seed", "3", "--draws", "4"]
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert cli.main(argv + ["--report", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=60)
+        assert cli.main(argv + ["--report", str(tmp_path / "file.jsonl")]) == 0
+        assert got == [(tmp_path / "file.jsonl").read_bytes()]
 
     def test_to_dict_is_asdict(self):
         from dataclasses import asdict

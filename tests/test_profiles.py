@@ -9,14 +9,14 @@ from qtaylor.errors import (ConvergenceRegionViolation, DomainError,
 from qtaylor.kernel import (KernelParams, involute, laurent_coefficient_detail,
                             pole_cleared_E_terms)
 from qtaylor.profiles import (annular_factorization_terms,
-                              bridge_residual, canonical_Z,
+                              bridge_residual,
                               canonical_growth_profile, contiguous_moment,
                               exponential_profile_limit_residual,
                               generating_Q_terms, L_profile,
                               leading_profile_terms,
                               leading_profile_theta_terms,
                               profile_coefficient_terms,
-                              profile_kernel_P, profile_kernel_coefficient,
+                              profile_kernel_P, profile_kernel_coefficients,
                               profile_sums_and_closed_forms)
 from qtaylor.qcore import QContext, qpoch_infinite, scaled_residual, theta
 from qtaylor.sampling import (sample_complex, sample_profile_kernel_params,
@@ -154,7 +154,7 @@ class TestProfileKernelCoefficients:
     def test_order_zero(self, ctx4, lam):
         al, be = 0.6 + 0.1j, 0.8 - 0.2j
         w = 1.1 + 0.25j
-        assert profile_kernel_coefficient(0, w, al, be, lam, ctx4) == \
+        assert profile_kernel_coefficients([0], w, al, be, lam, ctx4)[0] == \
             pytest.approx(L_profile(w, al, be, lam, ctx4), rel=1e-14)
 
     def test_order_one_nu_form(self, ctx4, lam):
@@ -163,14 +163,14 @@ class TestProfileKernelCoefficients:
         q = ctx4.q
         nu = be - al + q * (1 / al - 1 / be)
         want = (L_profile(w, al, be, lam, ctx4) * lam * w / (1 - q) * nu)
-        got = profile_kernel_coefficient(1, w, al, be, lam, ctx4)
+        got = profile_kernel_coefficients([1], w, al, be, lam, ctx4)[0]
         assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
     def test_against_contour_in_s(self, j, ctx4, lam):
         al, be = 0.6 + 0.1j, 0.8 - 0.2j
         w = 1.1 + 0.25j
-        closed = profile_kernel_coefficient(j, w, al, be, lam, ctx4)
+        closed = profile_kernel_coefficients([j], w, al, be, lam, ctx4)[0]
         [(contour, _, _)] = laurent_coefficient_detail(
             lambda s: (profile_kernel_P(s, w, al, be, lam, ctx4),), [-j], 0.3, ctx4)
         assert abs(closed - contour) <= 1e-8 * max(abs(closed), abs(contour))
@@ -224,26 +224,26 @@ class TestContiguousMoments:
 class TestCoefficientHierarchy:
     def test_order_zero_equals_leading_profile(self, kp, lam, rng):
         w = sample_z(rng, 0.9, 1.15)
-        j0 = scaled_residual(*profile_coefficient_terms(0, w, kp, lam))
+        j0 = scaled_residual(*profile_coefficient_terms([(0, w)], kp, lam)[0])
         lead = scaled_residual(*leading_profile_terms(w, kp, lam))
         assert abs(j0 - lead) < 1e-12
 
     def test_first_correction(self, kp, lam, rng):
         for _ in range(3):
             w = sample_z(rng, 0.9, 1.15)
-            assert scaled_residual(*profile_coefficient_terms(1, w, kp, lam)) < 1e-6
+            assert scaled_residual(*profile_coefficient_terms([(1, w)], kp, lam)[0]) < 1e-6
 
     def test_second_correction_in_region(self, ctx4, rng):
         kp = sample_profile_kernel_params(rng, ctx4, moment_order=2)
         w = sample_z(rng, 0.9, 1.15)
-        assert scaled_residual(*profile_coefficient_terms(2, w, kp, kp.b)) < 1e-6
+        assert scaled_residual(*profile_coefficient_terms([(2, w)], kp, kp.b)[0]) < 1e-6
 
     def test_moment_window_enforced(self, ctx4):
         # |b/c| > |q| so the m = -2 moment diverges: j = 2 must refuse
         kp = KernelParams(0.45 + 0.15j, 0.72 - 0.2j, 0.48 + 0.33j,
                           0.71 - 0.12j, ctx4)
         with pytest.raises(ConvergenceRegionViolation):
-            profile_coefficient_terms(2, 1.05 + 0.2j, kp, kp.b)
+            profile_coefficient_terms([(2, 1.05 + 0.2j)], kp, kp.b)
 
     def test_against_contour_in_s(self, kp, lam, ctx4):
         # termwise quadrature oracle: every generating-function constituent
@@ -269,8 +269,8 @@ class TestCoefficientHierarchy:
             lambda s: (profile_kernel_P(s, w, c / d, b, lam, ctx4)
                        * profile_kernel_P(s, w, c / e, cde, lam, ctx4)), 0.05)
         prod_closed = sum(
-            profile_kernel_coefficient(i, w, c / d, b, lam, ctx4)
-            * profile_kernel_coefficient(j - i, w, c / e, cde, lam, ctx4)
+            profile_kernel_coefficients([i], w, c / d, b, lam, ctx4)[0]
+            * profile_kernel_coefficients([j - i], w, c / e, cde, lam, ctx4)[0]
             for i in range(j + 1))
         dev = abs(prod_quad - prod_closed) / max(abs(prod_closed), 1.0)
 
@@ -287,7 +287,7 @@ class TestCoefficientHierarchy:
                 term_quad = quad_coeff(
                     lambda s, al=al, be=be: profile_kernel_P(s, w, al, be, lam, ctx4),
                     rho)
-                term_closed = profile_kernel_coefficient(j, w, al, be, lam, ctx4)
+                term_closed = profile_kernel_coefficients([j], w, al, be, lam, ctx4)[0]
                 quad_sum += coeffs[k] * term_quad
                 closed_sum += coeffs[k] * term_closed
             dev = max(dev, abs(quad_sum - closed_sum) / max(abs(closed_sum), 1.0))
@@ -297,45 +297,45 @@ class TestCoefficientHierarchy:
 class TestExponentialProfiles:
     def test_decay_trend(self, kp, lam):
         w = 1.08 + 0.2j
-        errs = [exponential_profile_limit_residual(2, w, kp, lam, N).r_residual
+        errs = [exponential_profile_limit_residual(2, [(w, kp, N)], lam)[0].r_residual
                 for N in (6, 8, 10, 12)]
         ratio = math.exp(np.polyfit([6, 8, 10, 12], np.log(errs), 1)[0])
         assert abs(ratio - abs(kp.ctx.q)) < 0.25 * abs(kp.ctx.q)
 
     def test_boundary_order_compares_directly(self, kp, lam):
-        res = exponential_profile_limit_residual(5, 1.08 + 0.2j, kp, lam, 5)
+        res = exponential_profile_limit_residual(5, [(1.08 + 0.2j, kp, 5)], lam)[0]
         assert math.isfinite(res.r_residual)
 
     def test_involution_swaps_families(self, kp, lam):
         w = 1.08 + 0.2j
-        res = exponential_profile_limit_residual(2, w, kp, lam, 9)
-        resi = exponential_profile_limit_residual(2, w, involute(kp), lam, 9)
+        res = exponential_profile_limit_residual(2, [(w, kp, 9)], lam)[0]
+        resi = exponential_profile_limit_residual(2, [(w, involute(kp), 9)], lam)[0]
         assert res.s_residual == pytest.approx(resi.r_residual, rel=1e-9)
         assert res.r_residual == pytest.approx(resi.s_residual, rel=1e-9)
 
     def test_order_beyond_layer_rejected(self, kp, lam):
         with pytest.raises(DomainError):
-            exponential_profile_limit_residual(6, 1.1, kp, lam, 5)
+            exponential_profile_limit_residual(6, [(1.1, kp, 5)], lam)
 
 
 class TestCanonicalGrowth:
     def test_layer_zero(self, kp, lam):
         w = 1.18 + 0.25j
-        cg = canonical_growth_profile(lam, 0, w, kp)
+        cg = canonical_growth_profile(lam, [(0, w)], kp)[0]
         assert cg.extracted_monomial == 1.0
         assert cg.Z_value == pytest.approx(cg.C_factor, rel=1e-12)
 
     def test_split_reassembles(self, kp, lam):
         for N in (4, 8, 12):
             w = 1.18 + 0.25j
-            cg = canonical_growth_profile(lam, N, w, kp)
+            cg = canonical_growth_profile(lam, [(N, w)], kp)[0]
             assert cg.Z_value == pytest.approx(
                 cg.extracted_monomial * cg.C_factor, rel=1e-10)
 
     def test_bounded_factor_plateaus_in_depth(self, kp, lam):
         for phase in (0.13, 0.41, 0.77):
             w = 1.3 * cmath.exp(2j * math.pi * phase)
-            mags = [abs(canonical_growth_profile(lam, N, w, kp).C_factor)
+            mags = [abs(canonical_growth_profile(lam, [(N, w)], kp)[0].C_factor)
                     for N in range(4, 13)]
             assert max(mags) / min(mags) < 10.0
 
@@ -344,5 +344,5 @@ class TestCanonicalGrowth:
         z = lam * ctx4.q ** 5 * (1.18 + 0.25j)
         t1, t2, t3 = pole_cleared_E_terms(z, kp, 60)
         e = t1 - t2 - t3
-        quotient = e / canonical_Z(z, kp)
-        assert canonical_Z(z, kp) * quotient == pytest.approx(e, rel=1e-12)
+        Z = canonical_growth_profile(lam, [(5, 1.18 + 0.25j)], kp)[0].Z_value
+        assert Z * (e / Z) == pytest.approx(e, rel=1e-12)
