@@ -71,6 +71,7 @@ class SeriesSum(TailBound):
     """A series partial sum with the terms t_0 = 1, ..., t_N it added (N + 1 = terms_used)."""
 
     terms: tuple[complex, ...]
+    rate: float  # the running rate after t_N, where a continued sum starts
 
 
 class SeriesSums(tuple):
@@ -143,8 +144,7 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
     terms = [[1.0 + 0.0j] if s is None else list(s.terms) for s in starts]
     k, term = [len(t) - 1 for t in terms], [t[-1] for t in terms]
     total = [t[0] if s is None else s.value for t, s in zip(terms, starts)]
-    rate = [float(_running_rate(np.abs(t)[:, None], [q_rate], q_rate)[1][-1, 0])
-            if len(t) > 1 else q_rate for t in terms]
+    rate = [q_rate if s is None else s.rate for s in starts]
     grow, errors = [0] * len(terms), [None] * len(terms)
     live = [c for c, t in enumerate(term) if t != 0 and (truncs[c] is None or k[c] < truncs[c])]
     lo, size = 0, 2 * settled  # the block holding k: no ratio depends on where a sum starts
@@ -231,7 +231,7 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]
-    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts))
+    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts), r)
                       for s, t, r, n, ts in zip(total, term, rate, k, terms))
 
 

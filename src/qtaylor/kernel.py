@@ -22,11 +22,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
-                     ZeroDenominator)
+                     TruncationFailure, ZeroDenominator)
 from .hyper import SeriesSum, VWPSpec, series_sums, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
-from .qcore import (QContext, factor_clearance, geometric_depth, qpoch_groups,  # noqa: F401
-                    qpoch_infinite, qpoch_quotients, qpoch_table, scaled_residual)
+from .qcore import (TAIL_TARGET, QContext, factor_clearance, qpoch_groups,  # noqa: F401
+                    q_powers, qpoch_infinite, qpoch_quotients, qpoch_table, scaled_residual)
 from .taylor import (BasisPair, basis_factors, basis_sum, basis_terms, coefficient_gap,
                      taylor_expand)
 from .wpoperator import apply_Dcq
@@ -409,25 +409,47 @@ def E_contour_coefficient(kp: KernelParams,
                                       ns, 1.0, kp.ctx)
 
 
-def _euler_coeffs(u: complex, ctx: QContext) -> np.ndarray:
-    """Series coefficients of (u t;q)_inf in powers of t (Euler expansion).
+def _closed_rows(u: complex, k_trunc: int, ctx: QContext, finite: bool = False) -> np.ndarray:
+    """Rows k = 0..k_trunc of the coefficients v_i in t of (u q^k t;q)_inf (Euler:
+    e_i(u) q^(ik), e_i(u) = (-u)^i q^(i(i-1)/2) / (q;q)_i the running product of its
+    ratios) or with finite of (ut;q)_k (q-binomial: e_i(u) (q;q)_k / (q;q)_(k-i)).  A row
+    ends at the first i >= 1 where geometric_depth(|v_i / v_(i-1)|, |v_i| / max |v_0..v_i|,
+    max_terms) is 0; the columns double from 32 until every row ends."""
+    k, m, ends = np.arange(k_trunc + 1)[:, None], 16, np.zeros((1, 1), dtype=bool)
+    while not ends.any(axis=1).all():  # double the columns until every row ends
+        m, i = 2 * m, np.arange(2 * m)
+        qs = q_powers(1.0 + 0.0j, max(m, k_trunc + 1), ctx)
+        steps = np.concatenate(([1.0], -u * qs[:m - 1] / (1.0 - qs[1:m])))
+        if finite:
+            poch = qpoch_table([ctx.q], k_trunc, ctx)[:, 0]
+            weights = np.where(i <= k, poch[k] / poch[np.maximum(k - i, 0)], 0.0)
+            rates = np.abs(steps) * np.abs(1.0 - qs[np.maximum(k - i + 1, 0)])
+        else:
+            weights = np.multiply.accumulate(np.where(i > 0, qs[k], 1.0), axis=1)
+            rates = np.abs(steps) * np.abs(qs[k])
+        values = np.multiply.accumulate(steps) * weights
+        size = np.abs(values)
+        if not np.isfinite(size).all():
+            raise TruncationFailure("no geometric tail bound: a coefficient overflowed")
+        lead = size / np.maximum.accumulate(size, axis=1)
+        target = TAIL_TARGET * (1.0 - rates)
+        ends = (rates < 1.0) & (lead < target)
+    stop, cap = ends.argmax(axis=1)[:, None], ctx.max_terms
+    shrinking = (0 < i) & (i < stop) & (rates < 1.0)  # each i the cap is checked at
+    if cap is not None and np.any(shrinking & (lead * np.minimum(rates, 1.0) ** cap >= target)):
+        raise TruncationFailure(f"a coefficient tail needs more than max_terms={cap} terms")
+    return np.where(i <= stop, values, 0.0)[:, :int(stop.max()) + 1]
 
-    The ratios e_i / e_(i-1) = -u q^(i-1) / (1 - q^i) shrink like |q|^i, so
-    the list stops at the first e_i whose geometric tail at the current
-    ratio is negligible against the largest coefficient.
-    """
-    q = ctx.q
-    coeffs = [1.0 + 0.0j]
-    peak = 1.0
-    qi = 1.0 + 0.0j  # q^(i-1)
-    while True:
-        ratio = -u * qi / (1.0 - qi * q)
-        coeffs.append(coeffs[-1] * ratio)
-        peak = max(peak, abs(coeffs[-1]))
-        qi *= q
-        if abs(ratio) < 1.0 and geometric_depth(abs(ratio), abs(coeffs[-1]) / peak,
-                                                ctx.max_terms) == 0:
-            return np.asarray(coeffs, dtype=complex)
+
+def _convolve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of x convolved with the same row of y (a single row of x broadcasts): per
+    column of y, one multiply-add of x over the rows where that column is nonzero."""
+    nonzero = y != 0
+    lo, hi = nonzero.argmax(axis=0).tolist(), (len(y) - nonzero[::-1].argmax(axis=0)).tolist()
+    out = np.zeros((len(y), x.shape[1] + y.shape[1] - 1), dtype=complex)
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        out[a:b, j:j + x.shape[1]] += (x if len(x) == 1 else x[a:b]) * y[a:b, j, None]
+    return out
 
 
 def calP_quadruple(alpha: complex, beta: complex, gamma: complex, delta: complex,
@@ -437,9 +459,8 @@ def calP_quadruple(alpha: complex, beta: complex, gamma: complex, delta: complex
     The four Euler expansions are convolved; the quadratic q-powers make
     every slice absolutely convergent, so a relative cutoff suffices.
     """
-    pos = np.convolve(_euler_coeffs(alpha, ctx), _euler_coeffs(gamma, ctx))
-    neg = np.convolve(_euler_coeffs(beta, ctx), _euler_coeffs(delta, ctx))
-    return complex(laurent_pair(pos, neg, n))
+    ea, eb, eg, ed = (_closed_rows(u, 0, ctx)[0] for u in (alpha, beta, gamma, delta))
+    return complex(laurent_pair(np.convolve(ea, eg), np.convolve(eb, ed), n))
 
 
 def calP_tables(kp: KernelParams, k_trunc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,31 +471,15 @@ def calP_tables(kp: KernelParams, k_trunc: int) -> tuple[np.ndarray, np.ndarray]
     (bz;q)_inf (cz/de;q)_k (c^2 zq^k/bde;q)_inf.  The 1/z side of each
     product carries the same bases, so laurent_pair(table, table, n)[k] is
     P1_{n,k} = [z^{-n}] (cz/de, c/dez;q)_inf (bz, b/z;q)_k (czq^k, cq^k/z;q)_inf,
-    resp. P2_{n,k}, for every n.
+    resp. P2_{n,k}, for every n.  The factors' rows are in closed form and cut where
+    their tails are negligible (_closed_rows), so a table is as wide as three rows, not
+    k_trunc: two convolutions batched over the rows (_convolve_rows).
     """
-    return (_calP_table(kp.psi_pair.a, kp.phi_pair, k_trunc, kp.ctx),
-            _calP_table(kp.phi_pair.a, kp.psi_pair, k_trunc, kp.ctx))
-
-
-def _calP_table(outer: complex, pair: BasisPair, k_trunc: int,
-                ctx: QContext) -> np.ndarray:
-    """Rows (outer z;q)_inf (az;q)_k (czq^k;q)_inf for k = 0..k_trunc, zero-padded.
-
-    The Euler factor of `outer` is expanded once and (az;q)_k grows by one
-    factor per row.
-    """
-    q = ctx.q
-    euler = _euler_coeffs(outer, ctx)
-    finite = np.ones(1, dtype=complex)
-    x = complex(pair.a)
-    rows = []
-    for k in range(k_trunc + 1):
-        rows.append(np.convolve(np.convolve(euler, _euler_coeffs(pair.c * q ** k, ctx)),
-                                finite))
-        finite = np.append(finite, 0.0) - x * np.append(0.0, finite)
-        x *= q
-    width = max(map(len, rows))
-    return np.array([np.pad(row, (0, width - len(row))) for row in rows])
+    def table(outer: complex, pair: BasisPair) -> np.ndarray:
+        inner = _convolve_rows(_closed_rows(outer, 0, kp.ctx),
+                               _closed_rows(pair.c, k_trunc, kp.ctx))
+        return _convolve_rows(_closed_rows(pair.a, k_trunc, kp.ctx, finite=True), inner)
+    return table(kp.psi_pair.a, kp.phi_pair), table(kp.phi_pair.a, kp.psi_pair)
 
 
 def laurent_pair(pos: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
@@ -486,26 +491,19 @@ def laurent_pair(pos: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
 
 
 def structured_E_terms(kp: KernelParams, n: int, tables: tuple[np.ndarray, np.ndarray],
-                       fs: Iterable[complex], gs: Iterable[complex]
-                       ) -> tuple[complex, complex, complex]:
-    """[z^{-n}] of the three additive terms of E by the structured sums.
+                       routes: Iterable[tuple[Sequence, Sequence]]) -> list[tuple]:
+    """[z^{-n}] of the three additive terms of E by the structured sums, for each route.
 
-    P_n(c/d, c/d, c/e, c/e), H(b) sum_k f_k P1_{n,k} and
-    K(c/de) sum_k g_k P2_{n,k}, with P1, P2 read from calP_tables and the
-    coefficients f_k, g_k supplied by the caller (k below the table rows).
-    Structured sums only, independent of the contour oracle; E vanishes
+    P_n(c/d, c/d, c/e, c/e), H(b) sum_k f_k P1_{n,k} and K(c/de) sum_k g_k P2_{n,k}: P_n
+    and P1, P2 (from calP_tables) once, f_k, g_k from each route (fs, gs), k below the
+    table rows.  Structured sums only, independent of the contour oracle; E vanishes
     identically, so the terms cancel at every order n.
     """
     c, d, e = kp.c, kp.d, kp.e
-
-    def family(table: np.ndarray, coeffs: Iterable[complex]) -> complex:
-        u = np.array(list(coeffs), dtype=complex)
-        rows = table[:len(u)]
-        return complex(u @ laurent_pair(rows, rows, n))
-
-    return (calP_quadruple(c / d, c / d, c / e, c / e, n, kp.ctx),
-            kp.Hb * family(tables[0], fs),
-            kp.Kcde * family(tables[1], gs))
+    quadruple = calP_quadruple(c / d, c / d, c / e, c / e, n, kp.ctx)
+    p1, p2 = (laurent_pair(table, table, n) for table in tables)
+    return [(quadruple, kp.Hb * complex(np.array(fs, dtype=complex) @ p1[:len(fs)]),
+             kp.Kcde * complex(np.array(gs, dtype=complex) @ p2[:len(gs)])) for fs, gs in routes]
 
 
 def _lowering_terms(name: str, z: complex, kp: KernelParams, c_op: complex,

@@ -709,11 +709,11 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
                n="1,2") as c:
         depth = c.params["k_trunc"] = kp.series_depth
         tables = kernel.calP_tables(kp, depth)
-        fs = kernel.fk_coefficients(kp, depth)
-        gs = kernel.gk_coefficients(kp, depth)
+        routes = [(kernel.fk_coefficients(kp, depth), kernel.gk_coefficients(kp, depth)),
+                  kp.family_terms(depth)]
         for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
-            t1, t2, t3 = kernel.structured_E_terms(kp, n, tables, fs, gs)
-            c.terms(*kernel.structured_E_terms(kp, n, tables, *kp.family_terms(depth)))
+            (t1, t2, t3), series = kernel.structured_E_terms(kp, n, tables, routes)
+            c.terms(*series)
             c.see(abs(t1 - t2 - t3 - coeff) / scale, scale=scale)
         not_small = abs(kernel.laurent_pair(tables[0][0], tables[0][0], 1))
         c.see(0.0 if not_small > 1e-3 else math.inf)

@@ -271,7 +271,7 @@ def _loop_sum(ratio, trunc, ctx):
             if (lead < TAIL_TARGET * (1.0 - rate) if ctx.max_terms is None and lead < math.inf
                     else geometric_depth(rate, lead, ctx.max_terms) == 0):
                 break
-    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms))
+    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms), rate)
 
 
 def _scalar_blocks(ratio):

@@ -162,7 +162,7 @@ def ref_series_sum(ratio, truncs, ctx, starts=None):
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]
-    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts))
+    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts), r)
                       for s, t, r, n, ts in zip(total, term, rate, k, terms))
 
 
@@ -343,8 +343,8 @@ def run_batch(series_sum, term_ratio, specs, truncs, starts, ctx):
 
 
 def sum_words(sums):
-    return [(words(s.value), words(s.tail_abs), s.terms_used, words(list(s.terms)))
-            for s in sums]
+    return [(words(s.value), words(s.tail_abs), s.terms_used, words(list(s.terms)),
+             words(s.rate)) for s in sums]
 
 
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qtaylor import kernel
-from qtaylor.errors import QuadratureNonConvergence
+from qtaylor.errors import QuadratureNonConvergence, TruncationFailure
 from qtaylor.kernel import (E_contour_coefficient, KernelParams,
                             calP_quadruple, calP_tables,
                             fk_coefficients, gk_coefficients,
                             laurent_coefficient_detail, laurent_pair,
                             structured_E_terms)
-from qtaylor.qcore import qpoch_infinite, scaled_residual
+from qtaylor.qcore import QContext, geometric_depth, qpoch_infinite, scaled_residual
 from qtaylor.sampling import sample_complex
 from qtaylor.suites import SuiteConfig, run_laurent
 
@@ -81,13 +81,13 @@ class TestStructuredCoefficients:
         # E vanishes identically: its terms cancel at n = 0 as at n >= 1
         tables = calP_tables(kp, 50)
         for n in (0, 1, 2):
-            terms = structured_E_terms(kp, n, tables, *kp.family_terms(50))
+            [terms] = structured_E_terms(kp, n, tables, [kp.family_terms(50)])
             assert scaled_residual(*terms) < 1e-6
 
     def test_structured_matches_contour(self, kp, ctx4):
         n = 1
-        t1, t2, t3 = structured_E_terms(kp, n, calP_tables(kp, 49),
-                                        fk_coefficients(kp, 49), gk_coefficients(kp, 49))
+        [(t1, t2, t3)] = structured_E_terms(kp, n, calP_tables(kp, 49),
+                                            [(fk_coefficients(kp, 49), gk_coefficients(kp, 49))])
         structured = t1 - t2 - t3
         [(coeff, scale, _)] = E_contour_coefficient(kp, [n])
         assert abs(structured - coeff) < 1e-6 * scale
@@ -104,6 +104,75 @@ class TestStructuredCoefficients:
         assert coeff == pytest.approx(1.0, abs=1e-12)
         assert scale == pytest.approx(1.0)
         assert nodes >= 128
+
+
+def loop_euler(u, ctx):
+    """The coefficients of (u t;q)_inf by the loop the row builder replaced: one ratio
+    -u q^(i-1) / (1 - q^i) and one geometric_depth call (under ctx.max_terms) per step."""
+    q = ctx.q
+    coeffs, peak, qi = [1.0 + 0.0j], 1.0, 1.0 + 0.0j
+    while True:
+        ratio = -u * qi / (1.0 - qi * q)
+        coeffs.append(coeffs[-1] * ratio)
+        peak = max(peak, abs(coeffs[-1]))
+        qi *= q
+        if abs(ratio) < 1.0 and geometric_depth(abs(ratio), abs(coeffs[-1]) / peak,
+                                                ctx.max_terms) == 0:
+            return np.asarray(coeffs)
+
+
+def row_length(row):
+    return int(np.flatnonzero(row)[-1]) + 1
+
+
+class TestClosedFormRows:
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.5j, 0.3 + 0.5j, 0.9])
+    @pytest.mark.parametrize("u", [0.35 + 0.2j, 3.29, -1.7 + 0.4j])
+    def test_euler_rows_keep_the_loop_stop(self, q, u):
+        ctx = QContext(q)
+        rows = kernel._closed_rows(u, 60, ctx)
+        assert len(rows) == 61
+        for k, row in enumerate(rows):
+            want = loop_euler(u * ctx.q ** k, ctx)
+            assert row_length(row) == len(want)
+            assert np.abs(row[:len(want)] - want).max() <= 1e-13 * np.abs(want).max()
+
+    # the least max_terms under which the loop expands rows k = 0..5 without a TruncationFailure
+    @pytest.mark.parametrize("q, u, least", [(0.9, 0.9, 740), (0.45, 0.35, 86),
+                                             (-0.6, -1.7 + 0.4j, 2345), (0.3 + 0.5j, 2.0, 1543)])
+    def test_euler_rows_keep_the_loop_cap(self, q, u, least):
+        for cap, fails in ((least - 1, True), (least, False)):
+            ctx = QContext(q, max_terms=cap)
+            try:
+                want = [loop_euler(u * ctx.q ** k, ctx) for k in range(6)]
+            except TruncationFailure:
+                assert fails
+                with pytest.raises(TruncationFailure):
+                    kernel._closed_rows(u, 5, ctx)
+            else:
+                assert not fails
+                rows = kernel._closed_rows(u, 5, ctx)
+                assert list(map(row_length, rows)) == list(map(len, want))
+
+    def test_capped_tables_raise(self):
+        kp = KernelParams(0.55 + 0.2j, 0.62 - 0.25j, 0.48 + 0.33j, 0.71 - 0.12j,
+                          QContext(0.9, max_terms=16))
+        with pytest.raises(TruncationFailure):
+            calP_tables(kp, 10)
+
+    @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.3 + 0.5j])
+    def test_qbinomial_rows_are_the_products(self, q):
+        ctx = QContext(q)
+        a = 0.8 - 0.6j
+        rows = kernel._closed_rows(a, 40, ctx, finite=True)
+        poly = np.ones(1, dtype=complex)
+        for k, row in enumerate(rows):
+            # a row drops only the terms its geometric tail puts below 2^-55 of its peak
+            assert row_length(row) <= k + 1
+            width = max(row.size, poly.size)
+            gap = np.pad(row, (0, width - row.size)) - np.pad(poly, (0, width - poly.size))
+            assert np.abs(gap).max() <= 1e-14 * np.abs(poly).max()
+            poly = np.append(poly, 0.0) - a * ctx.q ** k * np.append(0.0, poly)
 
 
 def test_structured_cancellation_at_high_base():
