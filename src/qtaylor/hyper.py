@@ -8,7 +8,6 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +70,6 @@ class SeriesSum(TailBound):
     """A series partial sum with the terms t_0 = 1, ..., t_N it added (N + 1 = terms_used)."""
 
     terms: tuple[complex, ...]
-    rate: float  # the running rate after t_N, where a continued sum starts
 
 
 class SeriesSums(tuple):
@@ -111,18 +109,19 @@ def _running_rate(abs_terms: np.ndarray, rate, q_rate: float):
     return dec, step[last, np.arange(dec.shape[1])]
 
 
-def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) -> SeriesSums:
+def _series_sum(ratio, truncs: list, ctx: QContext) -> SeriesSums:
     """Shared partial sum of every series: the SeriesSums of a list of columns, each
-    with the terms it added.
+    with the terms it added from t_0 = 1 at k = 0.
 
-    ratio(k, x[, cols]) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
-    i = k, k+1, ..., one column per series (of cols only, when given), and, when some
-    column has a pole in the block, the list of each column's first one as (offset,
-    error) or None.  A first block of 2 geometric_depth(|q|) q-powers and doubling
-    blocks after it lie at fixed places; a block reads the ratios of its columns up to
-    the last one any of them adds (at least 2: a lone one rounds apart).  The terms and
-    partial sums of every column are np.multiply/np.add.accumulate down the block, which
-    associate as a loop over k does.  Nothing past a column's stop index raises or warns.
+    ratio(k, x) (term_ratio) gives the multipliers t_i -> t_(i+1) at x = q^i,
+    i = k, k+1, ..., one column per series, and, when some column has a pole in the
+    block, the list of each column's first one as (offset, error) or None.  A first
+    block of 2 geometric_depth(|q|) q-powers and doubling blocks after it lie at fixed
+    places, and every column still summing is at the start of the block; a block reads
+    the ratios of all columns up to the last one any of them adds (at least 2: a lone
+    one rounds apart) and keeps the columns still summing.  The terms and partial sums
+    of every column are np.multiply/np.add.accumulate down the block, which associate
+    as a loop over k does.  Nothing past a column's stop index raises or warns.
     truncs holds one truncation per column, each column with its own stop:
     through index n when given, else after the first t_k with
     |t_k| / |partial sum| < TAIL_TARGET (1 - rate), rate being the last
@@ -130,74 +129,58 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
     called only under ctx.max_terms or for a non-finite lead.  A vanishing
     term ends the sum.  An adaptive column raises DivergenceSuspected after 8
     growing terms in a row past geometric_depth(|q|), where the q-power
-    factors of the ratio have settled.  starts, None or one earlier sum of
-    the same series (or None) per column, is continued to its truncation, bit
-    for bit as one sum.  Column j is bit for bit the sum of its series alone
-    (a batch of one).  When columns fail, the first of them raises its error
-    once every column has stopped.  The first halt of every column is one array step.
+    factors of the ratio have settled.  Column j is bit for bit the sum of its
+    series alone (a batch of one).  When columns fail, the first of them raises
+    its error once every column has stopped.  The first halt of every column is
+    one array step.
     """
-    starts = starts or [None] * len(truncs)
     q_rate = abs(ctx.q)
     settled = geometric_depth(q_rate)
-    # per column: the terms, the last index, term and partial sum, the running rate
-    # (where its start stopped), the growing run and the error
-    terms = [[1.0 + 0.0j] if s is None else list(s.terms) for s in starts]
-    k, term = [len(t) - 1 for t in terms], [t[-1] for t in terms]
-    total = [t[0] if s is None else s.value for t, s in zip(terms, starts)]
-    rate = [q_rate if s is None else s.rate for s in starts]
-    grow, errors = [0] * len(terms), [None] * len(terms)
-    live = [c for c, t in enumerate(term) if t != 0 and (truncs[c] is None or k[c] < truncs[c])]
-    lo, size = 0, 2 * settled  # the block holding k: no ratio depends on where a sum starts
-    while live and lo + size <= min(k[c] for c in live):
-        lo, size = lo + size, 2 * size
-    x = q_powers(1.0, lo, ctx)[lo] if lo else 1.0 + 0.0j
+    # per column: the terms, the last term and partial sum, the running rate, the
+    # growing run and the error
+    width = len(truncs)
+    terms = [[1.0 + 0.0j] for _ in truncs]
+    term, total, rate = [1.0 + 0.0j] * width, [1.0 + 0.0j] * width, [q_rate] * width
+    grow, errors = [0] * width, [None] * width
+    live = [c for c, n in enumerate(truncs) if n is None or n > 0]
+    lo, size, x = 0, 2 * settled, 1.0 + 0.0j  # the block's first index and its length
     with np.errstate(all="ignore"):  # entries past a stop may overflow or divide by 0
         while live:
             xs = q_powers(x, size, ctx)
-            block, x = lo, xs[size]
-            lo, size = lo + size, 2 * size
-            cols = [c for c in live if k[c] < lo]  # continued here
-            if not cols:
-                continue
-            skip = [k[c] - block for c in cols]
-            n = [lo - k[c] if truncs[c] is None else min(lo - k[c], truncs[c] - k[c])
-                 for c in cols]  # the new terms of each column
-            rows = max(max(map(operator.add, skip, n)), 2)  # the ratios read
-            narrow = [np.array(cols)] if len(cols) < len(terms) else []  # the columns summing
-            r, poles = ratio(block, xs[:rows], *narrow)
+            n = [size if truncs[c] is None else min(size, truncs[c] - lo)
+                 for c in live]  # the new terms of each column
             m = max(n)
+            r, poles = ratio(lo, xs[:max(m, 2)])
+            r = r[:m, live] if len(live) < width else r[:m]
             i = np.arange(m)[:, None]
-            if any(skip):
-                r = r[np.minimum(np.array(skip) + i, rows - 1), np.arange(len(cols))]
             # padded by one factor: NumPy multiplies a lone pair by a vectorised loop
             # that can round differently, so a block of one ratio would break bit-equality
-            t = np.empty((m + 2, len(cols)), dtype=complex)
-            t[0], t[m + 1] = [term[c] for c in cols], 1.0
-            t[1:m + 1] = np.where(i < np.array(n), r[:m], 1.0) if min(n) < m else r[:m]
+            t = np.empty((m + 2, len(live)), dtype=complex)
+            t[0], t[m + 1] = [term[c] for c in live], 1.0
+            t[1:m + 1] = np.where(i < np.array(n), r, 1.0) if min(n) < m else r
             t = np.multiply.accumulate(t, axis=0)[:-1]
-            s = np.empty((m + 1, len(cols)), dtype=complex)
-            s[0], s[1:] = [total[c] for c in cols], t[1:]
+            s = np.empty((m + 1, len(live)), dtype=complex)
+            s[0], s[1:] = [total[c] for c in live], t[1:]
             s = np.add.accumulate(s, axis=0)[1:]
             at = np.abs(t)
-            dec, rates = _running_rate(at, [rate[c] for c in cols], q_rate)
+            dec, rates = _running_rate(at, [rate[c] for c in live], q_rate)
             t, at = t[1:], at[1:]
             # the first zero term of each column, or small term, or 8th growing term
             halt = t == 0
-            adaptive = [truncs[c] is None for c in cols]
+            adaptive = [truncs[c] is None for c in live]
             if any(adaptive):
                 # growth counts from the ratio at x = q^settled on
                 run = i - np.maximum.accumulate(np.where(
-                    dec | (i < np.array([settled - k[c] for c in cols])), i,
-                    np.array([-1 - grow[c] for c in cols])), axis=0)
+                    dec | (i < settled - lo), i, np.array([-1 - grow[c] for c in live])), axis=0)
                 lead = at / np.abs(s)
                 ends = (lead < TAIL_TARGET * (1.0 - rates)) | (run >= 8)
                 halt |= ends if all(adaptive) else ends & np.array(adaptive)
                 odd = ctx.max_terms is not None or not np.isfinite(lead).all()
             stops, ended = [], set()
-            for j, (c, nc, first) in enumerate(zip(cols, n, _first(halt).tolist())):
-                stop, at_pole = min(first, nc - 1 if k[c] + nc == truncs[c] else nc), nc
-                if poles and poles[j]:
-                    at_pole = poles[j][0] - skip[j]
+            for j, (c, nc, first) in enumerate(zip(live, n, _first(halt).tolist())):
+                stop, at_pole = min(first, nc - 1 if lo + nc == truncs[c] else nc), nc
+                if poles and poles[c]:
+                    at_pole = poles[c][0]
                     stop = min(stop, at_pole)
                 if adaptive[j]:
                     if odd and (ctx.max_terms is not None
@@ -210,55 +193,53 @@ def _series_sum(ratio, truncs: list, ctx: QContext, starts: list | None = None) 
                         except TruncationFailure as exc:
                             errors[c] = exc
                 if errors[c] is None and stop == at_pole < nc:
-                    errors[c] = poles[j][1]
+                    errors[c] = poles[c][1]
                 elif errors[c] is None and adaptive[j] and stop == first < nc \
                         and run.item(first, j) >= 8:
                     errors[c] = DivergenceSuspected(
-                        f"8 consecutive growing terms at k={k[c] + stop + 1}")
+                        f"8 consecutive growing terms at k={lo + stop + 1}")
                 if errors[c] is not None or stop < nc:
                     ended.add(c)
                 elif adaptive[j]:
                     grow[c] = run.item(nc - 1, j)
                 stops.append(min(stop, nc - 1))
             # each column's terms from one list of the block, its sum and rate from one gather
-            last = np.array(stops), np.arange(len(cols))
+            last = np.array(stops), np.arange(len(live))
             news = zip(t[:max(stops) + 1].T.tolist(), s[last].tolist(), rates[last].tolist())
-            for c, stop, (added, sc, rc) in zip(cols, stops, news):
+            for c, stop, (added, sc, rc) in zip(live, stops, news):
                 if errors[c] is None:
                     terms[c].extend(added[:stop + 1])
-                    term[c], total[c], rate[c], k[c] = added[stop], sc, rc, k[c] + stop + 1
+                    term[c], total[c], rate[c] = added[stop], sc, rc
             live = [c for c in live if c not in ended]
+            lo, size, x = lo + size, 2 * size, xs[size]
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]
-    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts), r)
-                      for s, t, r, n, ts in zip(total, term, rate, k, terms))
+    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), len(ts), tuple(ts))
+                      for s, t, r, ts in zip(total, term, rate, terms))
 
 
 def term_ratio(series: Sequence[tuple], ctx: QContext):
     """The term ratios t_{k+1} / t_k of a batch of series, as a block function
-    ratio(k, x[, cols]).
+    ratio(k, x).
 
     Each series is one column, given as (nums, dens, z, lead) with the same
     numbers of parameters and a lead in all or none.  At x = q^k, ..., q^(k+n-1):
-    the (n, columns) ndarray, over the columns cols (an index array; all when it
-    is omitted, the parameters of the others left out as a contiguous copy), of
-    prod_i (1 - n_i q^k) z / ((1 - q^{k+1}) prod_j (1 - d_j q^k)), times
-    (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a very-well-poised summand (no
-    square root of a appears), each product in the order listed; and, when a
-    denominator factor (lead, then the d_j) of one of those columns is within the
-    pole margin, the list over them of the first such factor as (offset,
-    ZeroDenominator) or None (else None).
+    the (n, columns) ndarray of prod_i (1 - n_i q^k) z / ((1 - q^{k+1})
+    prod_j (1 - d_j q^k)), times (1 - lead q^{2k+2}) / (1 - lead q^{2k}) for a
+    very-well-poised summand (no square root of a appears), each product in the
+    order listed; and, when a denominator factor (lead, then the d_j) of some
+    column is within the pole margin, the list over the columns of the first such
+    factor as (offset, ZeroDenominator) or None (else None).
     """
     q, margin, m = ctx.q, ctx.pole_margin, len(series[0][0])
     lead = series[0][3]
     # contiguous: NumPy may round a product of strided operands differently
-    every = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
-                      for nums, dens, z, a in series], dtype=complex).T.copy()[:, None]
+    params = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
+                       for nums, dens, z, a in series], dtype=complex).T.copy()[:, None]
+    params, z, lead_x = params[:-2], params[-2], params[-1]
 
-    def ratio(k: int, x: np.ndarray, cols: np.ndarray | None = None):
-        picked = every if cols is None else every.take(cols, axis=2)
-        params, z, lead_x = picked[:-2], picked[-2], picked[-1]
+    def ratio(k: int, x: np.ndarray):
         x = x[:, None]
         facs = np.multiply(params, x)
         np.subtract(1.0, facs, out=facs)
@@ -301,29 +282,26 @@ def series_eval(spec: PhiSeriesSpec | VWPSpec, trunc: int | None,
     return series_sums([spec], trunc, ctx)[0]
 
 
-def series_sums(specs: Sequence, trunc, ctx: QContext, start=None) -> SeriesSums:
+def series_sums(specs: Sequence, trunc, ctx: QContext) -> SeriesSums:
     """Every spec (of one kind and arity) summed in one _series_sum run.
 
-    trunc is one value for all or a list with one per spec, start None or
-    one earlier sum (or None) per spec to continue.  Sum j equals
+    trunc is one value for all or a list with one per spec.  Sum j equals
     series_eval(specs[j], trunc_j, ctx) bit for bit; when specs fail, the
     first of them raises its error.
     """
     truncs = trunc if isinstance(trunc, list) else [trunc] * len(specs)
-    return _series_sum(term_ratio([spec.ratio_params(ctx) for spec in specs], ctx), truncs,
-                       ctx, start)
+    return _series_sum(term_ratio([spec.ratio_params(ctx) for spec in specs], ctx), truncs, ctx)
 
 
 def sum_through(specs: Sequence, ns: Sequence[int], ctx: QContext,
-                starts: Sequence[SeriesSum]) -> list[SeriesSum]:
-    """For each spec its earlier sum when that holds t_n, else that sum continued to n, the
-    continued ones in one run.  The first n + 1 terms of each are those of
-    series_eval(spec, n, ctx), bit for bit."""
-    out = list(starts)
-    todo = [j for j, (n, s) in enumerate(zip(ns, starts)) if n >= s.terms_used]
+                sums: Sequence[SeriesSum]) -> list[SeriesSum]:
+    """For each spec its earlier sum when that holds t_n, else series_eval(spec, n, ctx),
+    those that need more terms summed afresh to their depth n in one run.  The first
+    n + 1 terms of each are those of series_eval(spec, n, ctx), bit for bit."""
+    out = list(sums)
+    todo = [j for j, (n, s) in enumerate(zip(ns, sums)) if n >= s.terms_used]
     if todo:
-        picked = [[seq[j] for j in todo] for seq in (specs, ns, starts)]
-        for j, s in zip(todo, series_sums(picked[0], picked[1], ctx, picked[2])):
+        for j, s in zip(todo, series_sums([specs[j] for j in todo], [ns[j] for j in todo], ctx)):
             out[j] = s
     return out
 

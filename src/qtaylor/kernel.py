@@ -124,7 +124,7 @@ class KernelParams:
     def _sums(self) -> tuple[list, list[SeriesSum], list[int]]:
         """The specs and sums of f (one per draw) then g, through series_depth N of
         each draw, and each draw's N: the families are summed adaptively in one run,
-        and the one that stopped earlier is continued to N."""
+        and the one that stopped earlier is summed afresh to depth N in a second run."""
         draws = self.draws or (self,)
         specs = [f_spec(kp) for kp in draws] + [g_spec(kp) for kp in draws]
         sums = series_sums(specs, None, self.ctx)
@@ -143,8 +143,9 @@ class KernelParams:
         return np.array(depths) if self.draws else depths[0]
 
     def family_terms(self, n) -> tuple:
-        """(f_0..f_n, g_0..g_n): sliced from the cached sums, continued past series_depth.
-        For a batch, n is one depth per draw and each family the list of the draws' terms."""
+        """(f_0..f_n, g_0..g_n): sliced from the cached sums, summed afresh to n past
+        series_depth.  For a batch, n is one depth per draw and each family the list of the
+        draws' terms."""
         specs, sums, _ = self._sums
         ns = np.ravel(n).tolist() * 2
         got = [s.terms[:m + 1] for s, m in zip(sum_through(specs, ns, self.ctx, sums), ns)]

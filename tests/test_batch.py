@@ -642,8 +642,8 @@ class TestDrawAxis:
 
     @pytest.mark.parametrize("q", DRAW_BASES)
     def test_continued_columns_are_the_fixed_depth_sums(self, q):
-        # columns already past their depth come back as they are; the others are continued
-        # from where each stopped, in one run, bit for bit as a fresh sum to that depth
+        # columns already past their depth come back as they are; the others are summed
+        # to their depth in one fixed-depth run, bit for bit as a fresh sum to that depth
         ctx = QContext(q)
         for specs in draw_specs(random.Random(32), 8, q):
             adaptive = series_sums(specs, None, ctx)

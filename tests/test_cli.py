@@ -1,7 +1,10 @@
+import importlib
 import json
 import math
 import os
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -310,3 +313,40 @@ class TestInvocationOverhead:
 
     def test_parser_built_once_per_process(self):
         assert cli.make_parser() is cli.make_parser()
+
+
+def _count_calls(monkeypatch, functions):
+    """Count the calls of qtaylor functions, given as (module, name), at every qtaylor
+    module that binds them."""
+    counts = Counter()
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and (n == "qtaylor" or n.startswith("qtaylor."))]
+    for module_name, name in functions:
+        original = getattr(importlib.import_module(f"qtaylor.{module_name}"), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestRepeatedInvocations:
+    def test_a_second_invocation_does_the_same_work(self, tmp_path, monkeypatch, capsys):
+        # one process may run many invocations (the benchmark does): nothing computed in
+        # one may be kept for the next, so both make the same calls and write one report
+        counts = _count_calls(monkeypatch, [("qcore", "qpoch_infinite"),
+                                            ("hyper", "_series_sum"),
+                                            ("taylor", "coefficient_rows")])
+        runs = []
+        for i in range(2):
+            report = tmp_path / f"run{i}.jsonl"
+            code = cli.main(["--suite", "all", "--q", "0.65", "--seed", "7",
+                             "--report", str(report)])
+            runs.append((code, dict(counts), report.read_bytes(), capsys.readouterr().out))
+            counts.clear()
+        assert set(runs[0][1]) == {"qpoch_infinite", "_series_sum", "coefficient_rows"}
+        assert runs[1] == runs[0]

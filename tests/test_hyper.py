@@ -10,7 +10,7 @@ from qtaylor import suites
 from qtaylor.errors import (DivergenceSuspected, DomainError, TruncationFailure,
                             ZeroDenominator)
 from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
-                           jackson_8w7_residual, rogers_6w5_residual, series_eval, series_sums,
+                           jackson_8w7_residual, rogers_6w5_residual, series_eval, sum_through,
                            term_ratio, vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
 from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers
@@ -271,7 +271,7 @@ def _loop_sum(ratio, trunc, ctx):
             if (lead < TAIL_TARGET * (1.0 - rate) if ctx.max_terms is None and lead < math.inf
                     else geometric_depth(rate, lead, ctx.max_terms) == 0):
                 break
-    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms), rate)
+    return SeriesSum(total, abs(term) * rate / (1.0 - rate), k + 1, tuple(terms))
 
 
 def _scalar_blocks(ratio):
@@ -411,6 +411,6 @@ class TestBlockSum:
                 fixed = series_eval(spec, trunc, ctx).terms
                 common = min(len(fixed), n + 1)
                 assert fixed[:common] == adaptive.terms[:common]
-            # continuing the adaptive sum gives the fixed-depth sum, bit for bit
-            [longer] = series_sums([spec], [3 * n], ctx, [adaptive])
+            # a read past the adaptive sum is the fixed-depth sum, bit for bit
+            [longer] = sum_through([spec], [3 * n], ctx, [adaptive])
             assert longer == series_eval(spec, 3 * n, ctx)

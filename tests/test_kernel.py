@@ -90,11 +90,12 @@ class TestQuadrupleCache:
         ctx = QContext(q)
         kp = sample_kernel_params(rng, ctx)
         specs = {"f": f_spec(kp), "g": g_spec(kp)}
+        own = [series_eval(spec, None, ctx).terms_used - 1 for spec in specs.values()]
         runs, real_series_sum = [], hyper._series_sum
 
-        def series_sum(ratio, n, ctx, start=None):
-            runs.append((n, start))
-            return real_series_sum(ratio, n, ctx, start)
+        def series_sum(ratio, n, ctx):
+            runs.append(n)
+            return real_series_sum(ratio, n, ctx)
         monkeypatch.setattr(hyper, "_series_sum", series_sum)
         depth = kp.series_depth
         for n in (0, 3, depth // 2, depth):
@@ -102,13 +103,9 @@ class TestQuadrupleCache:
                 two_basis_terms(z, kp, n)
                 pole_cleared_E_terms(z, kp, n)
             pole_cleared_E_terms(np.array([sample_z(rng) for _ in range(4)]), kp, n)
-        # one adaptive run for both families, and at most one extension, from where the
-        # shallower family's run stopped to the common depth
-        assert runs[0] == ([None, None], None)
-        assert len(runs) <= 2
-        for n, [start] in runs[1:]:
-            assert n == [depth] and start.terms_used <= depth
-            assert start.terms in [series_eval(spec, None, ctx).terms for spec in specs.values()]
+        # one adaptive run for both families, and one fixed-depth run of the shallower
+        # family to the common depth when the two adaptive depths differ
+        assert runs == [[None, None]] + ([[depth]] if min(own) < depth else [])
         # the cached terms are bit for bit a fresh fixed-depth sum
         monkeypatch.undo()
         for spec, cached in zip(specs.values(), kp.family_terms(depth)):
@@ -131,11 +128,12 @@ class TestQuadrupleCache:
 
     def test_deeper_request_continues_the_cached_sums(self, monkeypatch, kp):
         depth = kp.series_depth
-        starts, real_series_sum = [], hyper._series_sum
-        monkeypatch.setattr(hyper, "_series_sum", lambda ratio, n, ctx, start=None:
-                            starts.append(start) or real_series_sum(ratio, n, ctx, start))
+        runs, real_series_sum = [], hyper._series_sum
+        monkeypatch.setattr(hyper, "_series_sum", lambda ratio, n, ctx:
+                            runs.append(n) or real_series_sum(ratio, n, ctx))
         fs, gs = kp.family_terms(depth + 5)
-        assert [[s.terms_used for s in start] for start in starts] == [[depth + 1, depth + 1]]
+        # both families past the cached depth: one fixed-depth run of both
+        assert runs == [[depth + 5, depth + 5]]
         monkeypatch.undo()
         assert fs == series_eval(f_spec(kp), depth + 5, kp.ctx).terms
         assert gs[:depth + 1] == kp.family_terms(depth)[1]

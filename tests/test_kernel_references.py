@@ -8,7 +8,7 @@ may decide depths, stops and guards in Python and evaluate only what a column re
 every value must keep its bits: the tests require equal binary64 words, equal stops and
 depths, and the same first error, over generated inputs that cross every size cut
 (``SMALL_BATCH``, ``WIDE_BLOCK`` and the product blocks of 2^14 entries) and hold NaN and
-inf bases, poles, growing series, a depth cap and continued sums.
+inf bases, poles, growing series and a depth cap.
 """
 
 import cmath
@@ -79,21 +79,15 @@ def ref_running_rate(abs_terms, rate, q_rate):
     return dec, step[last, np.arange(dec.shape[1])]
 
 
-def ref_series_sum(ratio, truncs, ctx, starts=None):
-    starts = starts or [None] * len(truncs)
+def ref_series_sum(ratio, truncs, ctx):
     q_rate = abs(ctx.q)
     settled = geometric_depth(q_rate)
-    terms = [[1.0 + 0.0j] if s is None else list(s.terms) for s in starts]
-    k, term = [len(t) - 1 for t in terms], [t[-1] for t in terms]
-    total = [t[0] if s is None else s.value for t, s in zip(terms, starts)]
-    rate = [float(ref_running_rate(np.abs(t)[:, None], [q_rate], q_rate)[1][-1, 0])
-            if len(t) > 1 else q_rate for t in terms]
+    terms = [[1.0 + 0.0j] for _ in truncs]
+    k, term = [0] * len(terms), [1.0 + 0.0j] * len(terms)
+    total, rate = [1.0 + 0.0j] * len(terms), [q_rate] * len(terms)
     grow, errors = [0] * len(terms), [None] * len(terms)
-    live = [t != 0 and (n is None or j < n) for t, n, j in zip(term, truncs, k)]
-    lo, size = 0, 2 * settled
-    while any(live) and lo + size <= min(j for j, on in zip(k, live) if on):
-        lo, size = lo + size, 2 * size
-    x = ref_q_powers(1.0, lo, ctx)[lo] if lo else 1.0 + 0.0j
+    live = [n is None or n > 0 for n in truncs]
+    lo, size, x = 0, 2 * settled, 1.0 + 0.0j
     with np.errstate(all="ignore"):
         while any(live):
             xs = ref_q_powers(x, size, ctx)
@@ -103,13 +97,9 @@ def ref_series_sum(ratio, truncs, ctx, starts=None):
             if not cols:
                 continue
             r, poles = ratio(block, xs[:m])
-            skip = [k[c] - block for c in cols]
-            n = [m - sk if truncs[c] is None else min(m - sk, truncs[c] - k[c])
-                 for c, sk in zip(cols, skip)]
+            n = [m if truncs[c] is None else min(m, truncs[c] - k[c]) for c in cols]
             i = np.arange(m)[:, None]
-            if any(skip):
-                r = r[np.minimum(np.array(skip) + i, m - 1), np.array(cols)]
-            elif len(cols) < r.shape[1]:
+            if len(cols) < r.shape[1]:
                 r = r[:, cols]
             t = np.empty((m + 2, len(cols)), dtype=complex)
             t[0], t[m + 1] = [term[c] for c in cols], 1.0
@@ -135,7 +125,7 @@ def ref_series_sum(ratio, truncs, ctx, starts=None):
                 first = first if halt.item(first, j) else m
                 stop, at_pole = min(first, nc - 1 if k[c] + nc == truncs[c] else nc), nc
                 if poles and poles[c]:
-                    at_pole = poles[c][0] - skip[j]
+                    at_pole = poles[c][0]
                     stop = min(stop, at_pole)
                 if adaptive[j]:
                     grow[c] = run.item(nc - 1, j)
@@ -162,7 +152,7 @@ def ref_series_sum(ratio, truncs, ctx, starts=None):
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]
-    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts), r)
+    return SeriesSums(SeriesSum(s, abs(t) * r / (1.0 - r), n + 1, tuple(ts))
                       for s, t, r, n, ts in zip(total, term, rate, k, terms))
 
 
@@ -281,9 +271,8 @@ def test_generated_sizes_cross_every_size_cut():
 
 @st.composite
 def series_batch(draw):
-    """(specs, truncs, starts, ctx): a batch of 1-24 series of one kind, with poles,
-    growing columns, adaptive and fixed depths, and maybe continued from shorter sums.
-    The numbers of each column come from a seeded generator (a small example is one seed)."""
+    """(specs, truncs, ctx): a batch of 1-24 series of one kind, with poles, growing
+    columns, and adaptive and fixed depths.  The numbers of each column come from a seeded generator (a small example is one seed)."""
     q = draw(st.sampled_from(BASES))
     ctx = QContext(q, max_terms=draw(st.sampled_from([None, None, None, 24, 60])))
     width, vwp, arity = draw(st.integers(1, 24)), draw(st.booleans()), draw(st.integers(1, 3))
@@ -314,37 +303,21 @@ def series_batch(draw):
             nums[0] = q ** -j if kind == "zero" else 1e250 if kind == "huge" else nums[0]
             specs.append(PhiSeriesSpec(nums, dens, z))
     truncs = [rng.choice([None, None, 0, 1, 3, 17, 40, 90, 250]) for _ in specs]
-    starts = None
-    if draw(st.booleans()):  # continue shorter fixed sums (some past the first block)
-        starts = [rng.choice([None, 0, 2, 9, 30, 130, 300]) for _ in specs]
-    return specs, truncs, starts, ctx
+    return specs, truncs, ctx
 
 
-def run_batch(series_sum, term_ratio, specs, truncs, starts, ctx):
-    """A batch summed by one driver; starts are that driver's sums to the given depths."""
+def run_batch(series_sum, term_ratio, specs, truncs, ctx):
+    """A batch summed by one driver."""
     try:
         params = [spec.ratio_params(ctx) for spec in specs]
     except QTaylorError as exc:
         return type(exc), str(exc)
-    if starts is not None:
-        picked = [j for j, n in enumerate(starts) if n is not None]
-        if picked:
-            early = outcome(series_sum, term_ratio([params[j] for j in picked], ctx),
-                            [starts[j] for j in picked], ctx)
-            if isinstance(early, tuple):
-                return early
-            begun = dict(zip(picked, early))
-            starts = [begun.get(j) for j in range(len(specs))]
-            truncs = [n if n is None or s is None else max(n, s.terms_used)
-                      for n, s in zip(truncs, starts)]
-        else:
-            starts = None
-    return outcome(series_sum, term_ratio(params, ctx), truncs, ctx, starts)
+    return outcome(series_sum, term_ratio(params, ctx), truncs, ctx)
 
 
 def sum_words(sums):
-    return [(words(s.value), words(s.tail_abs), s.terms_used, words(list(s.terms)),
-             words(s.rate)) for s in sums]
+    return [(words(s.value), words(s.tail_abs), s.terms_used, words(list(s.terms)))
+            for s in sums]
 
 
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
@@ -371,10 +344,10 @@ def test_series_batches_reach_every_stop():
         ([PhiSeriesSpec((1e250, 0.8), (0.1,), 0.5)], [None], ctx, TruncationFailure),
     ]
     for specs, truncs, c, error in cases:
-        got = run_batch(hyper._series_sum, hyper.term_ratio, specs, truncs, None, c)
+        got = run_batch(hyper._series_sum, hyper.term_ratio, specs, truncs, c)
         assert got[0] is error
-        assert got == run_batch(ref_series_sum, ref_term_ratio, specs, truncs, None, c)
+        assert got == run_batch(ref_series_sum, ref_term_ratio, specs, truncs, c)
     # at q = 0.5 the numerator q^-4 = 16 makes t_5 exactly 0: the sum ends there
     done = run_batch(hyper._series_sum, hyper.term_ratio,
-                     [PhiSeriesSpec((16.0, 0.8), (0.3,), 0.5)] * 2, [None, 2], None, QContext(0.5))
+                     [PhiSeriesSpec((16.0, 0.8), (0.3,), 0.5)] * 2, [None, 2], QContext(0.5))
     assert [s.terms_used for s in done] == [6, 3] and done[0].terms[-1] == 0
