@@ -9,6 +9,7 @@ pins the records that fail at the bases where the engine is judged.
 
 import functools
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import pytest
 
 from qtaylor import kernel
 from qtaylor.errors import QTaylorError
-from qtaylor.suites import (SuiteConfig, parse_complex, run_kernel, run_operator, run_qcore,
-                            run_suites, run_taylor)
+from qtaylor.suites import (SuiteConfig, format_complex, parse_complex, run_kernel,
+                            run_operator, run_qcore, run_suites, run_taylor)
 
 DEFAULT_SEED = SuiteConfig().seed
 
@@ -133,6 +134,29 @@ def test_acceptance_sweep_fails_exactly_the_known_records():
             failures += [(q, seed, r.suite, r.check) for r in report.records if not r.passed]
     assert records == 1792
     assert sorted(failures, key=str) == KNOWN_FAILURES
+
+
+HIGH_BASES = (0.05, 0.1, 0.8, 0.9, 0.95, -0.8, 0.6 + 0.5j)
+# the failing records ("suite/check", in record order) of every run ("seed@q") of the
+# high-base matrix that fails any: 171 of its 1,792 records
+HIGH_BASE_FAILURES = json.loads(Path(__file__).with_name("high_base_failures.json").read_text())
+
+
+@pytest.mark.slow
+def test_high_base_matrix_fails_exactly_the_pinned_records():
+    # verify --suite all at the bases outside the sweep x 4 seeds; a verdict change
+    # anywhere in the matrix fails this test and names the run
+    records, failures = 0, {}
+    for q in HIGH_BASES:
+        for seed in SWEEP_SEEDS:
+            report = run_suites(SuiteConfig(q=complex(q), seed=seed))
+            records += len(report.records)
+            failed = [f"{r.suite}/{r.check}" for r in report.records if not r.passed]
+            if failed:
+                failures[f"{seed}@{format_complex(q)}"] = failed
+    assert records == 1792
+    assert sum(map(len, HIGH_BASE_FAILURES.values())) == 171
+    assert failures == HIGH_BASE_FAILURES
 
 
 # the checks that draw all their draws before they evaluate them as one batch
