@@ -12,12 +12,12 @@ from .errors import (ConfigError, ConvergenceRegionViolation, DivergenceSuspecte
                      DomainError, ExceptionalPoint, NearSingularPoint,
                      PoleProximity, QTaylorError, QuadratureNonConvergence,
                      TruncationFailure, ZeroDenominator)
-from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_residual, rogers_6w5_residual,
+from .hyper import (PhiSeriesSpec, VWPSpec, jackson_8w7_terms, rogers_6w5_terms,
                     series_eval)
 from .kernel import (KernelParams, bailey_terms, fk_coefficients, gk_coefficients,
-                     involute, kernel_factors, kernel_taylor_crosscheck,
+                     involute, kernel_factors, kernel_taylor_terms,
                      laurent_coefficient_detail, structured_E_terms, two_basis_terms)
-from .profiles import (ProfileMoments, annular_factorization_terms,
+from .profiles import (ProfileMoments, annular_factorization_terms, bridge_terms,
                        canonical_growth_profile, contiguous_moment,
                        exponential_profile_limit_residual,
                        L_profile, leading_profile_terms,
@@ -25,9 +25,8 @@ from .profiles import (ProfileMoments, annular_factorization_terms,
                        profile_kernel_coefficients, profile_sums_and_closed_forms)
 from .qcore import (QContext, TailBound, geometric_depth, qpoch_finite,
                     qpoch_infinite, qpoch_multi, residual_and_scale, scaled_residual, theta)
-from .quadratic import (QuadraticParams, companion_terms,
-                        folding_identity_check, quadratic_taylor_identification,
-                        quadratic_terms)
+from .quadratic import (QuadraticParams, companion_taylor_terms, companion_terms,
+                        folding_terms, quadratic_taylor_terms, quadratic_terms)
 from .suites import (SuiteConfig, VerificationReport, emit_decay_csv,
                      run_suites)
 from .taylor import (BasisPair, basis_sup_curve,

@@ -311,14 +311,20 @@ def _columns(*params) -> list[tuple]:
     return list(zip(*(np.ravel(p).tolist() for p in params)))
 
 
-def rogers_6w5_residual(a, b, c, d, ctx: QContext):
-    """Scale-relative residual of the nonterminating 6W5 summation.
+def _summation_terms(rhs, sums: Sequence[SeriesSum], batch: bool):
+    """(rhs, t_0, ..., t_N) of a summation: a tuple for one draw, for a batch an ndarray of a
+    row per term and a column per draw, the shorter columns padded with exact zeros."""
+    if not batch:
+        return (rhs, *sums[0].terms)
+    depth = max(len(s.terms) for s in sums)
+    return np.array([rhs, *zip(*(s.terms + (0.0,) * (depth - len(s.terms)) for s in sums))])
 
-    LHS: the 6W5 series at argument aq/(bcd); RHS: the four-factor
-    infinite-product quotient.  Requires |aq/(bcd)| < 1.  The scale is the
-    largest additive term entering the identity.  ndarrays of draws give the
-    ndarray of their residuals, from one series and one product call.
-    """
+
+def rogers_6w5_terms(a, b, c, d, ctx: QContext):
+    """The additive terms (rhs, t_0, ..., t_N) of the nonterminating 6W5 summation: the
+    four-factor infinite-product quotient and the 6W5 series at argument aq/(bcd), which
+    requires |aq/(bcd)| < 1.  ndarrays of draws give the table of _summation_terms, from
+    one series and one product call."""
     q = ctx.q
     arg = a * q / (b * c * d)
     if np.any(abs(arg) >= 1.0):
@@ -328,20 +334,14 @@ def rogers_6w5_residual(a, b, c, d, ctx: QContext):
     rhs = qpoch_quotient([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                          [a * q / b, a * q / c, a * q / d, arg], ctx,
                          "vanishing denominator product in 6W5 evaluation", ZeroDenominator)
-    res = [abs(tb.value - r) / max(abs(tb.value), abs(r), *map(abs, tb.terms))
-           for tb, r in zip(sums, np.ravel(rhs).tolist())]
-    return np.array(res) if np.ndim(a) else res[0]
+    return _summation_terms(rhs, sums, np.ndim(a) > 0)
 
 
-def jackson_8w7_residual(a, b, c, d, n, ctx: QContext):
-    """Scale-relative residual of the terminating 8W7 summation at depth n.
-
-    The balancing parameter a^2 q^{n+1}/(bcd) and the terminating q^{-n}
-    are substituted internally; the series is summed over its n+1 terms
-    and the residual is relative to the largest summand.  ndarrays of draws
-    (each with its own n) give the ndarray of their residuals, the series
-    from one call.
-    """
+def jackson_8w7_terms(a, b, c, d, n, ctx: QContext):
+    """The additive terms (rhs, t_0, ..., t_n) of the terminating 8W7 summation at depth n:
+    a quotient of finite products and the n+1 terms of the series, the balancing parameter
+    a^2 q^{n+1}/(bcd) and the terminating q^{-n} substituted internally.  ndarrays of draws
+    (each with its own n) give the table of _summation_terms, the series from one call."""
     if np.any(np.asarray(n) < 0):
         raise DomainError("termination depth must be nonnegative")
     q = ctx.q
@@ -349,17 +349,16 @@ def jackson_8w7_residual(a, b, c, d, n, ctx: QContext):
     lhs = series_sums([VWPSpec(a_, (b_, c_, d_, a_ * a_ * q ** (n_ + 1) / (b_ * c_ * d_),
                                     q ** (-n_)), q) for a_, b_, c_, d_, n_ in draws],
                       [n_ for *_, n_ in draws], ctx)
-    res = []
-    for tb, (a_, b_, c_, d_, n_) in zip(lhs, draws):
+    rhs = []
+    for a_, b_, c_, d_, n_ in draws:
         num = qpoch_multi([a_ * q, a_ * q / (b_ * c_), a_ * q / (b_ * d_), a_ * q / (c_ * d_)],
                           n_, ctx).value
         den = qpoch_multi([a_ * q / b_, a_ * q / c_, a_ * q / d_, a_ * q / (b_ * c_ * d_)],
                           n_, ctx).value
         if abs(den) == 0.0:
             raise ZeroDenominator("vanishing denominator product in 8W7 evaluation")
-        rhs = num / den
-        res.append(abs(tb.value - rhs) / max(abs(tb.value), abs(rhs), *map(abs, tb.terms)))
-    return np.array(res) if np.ndim(a) else res[0]
+        rhs.append(num / den)
+    return _summation_terms(rhs if np.ndim(a) else rhs[0], lhs, np.ndim(a) > 0)
 
 
 def well_poised_defect(spec: VWPSpec, ctx: QContext) -> float:

@@ -26,9 +26,9 @@ from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
 from .hyper import SeriesSum, VWPSpec, series_sums, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
 from .qcore import (TAIL_TARGET, QContext, factor_clearance, qpoch_groups,  # noqa: F401
-                    q_powers, qpoch_infinite, qpoch_quotients, qpoch_table, scaled_residual)
-from .taylor import (BasisPair, basis_factors, basis_sum, basis_terms, coefficient_gap,
-                     taylor_expand)
+                    q_powers, qpoch_infinite, qpoch_quotients, qpoch_table,
+                    residual_and_scale)
+from .taylor import BasisPair, basis_factors, basis_sum, basis_terms, taylor_expand
 from .wpoperator import apply_Dcq
 
 
@@ -254,16 +254,12 @@ def g_spec(kp: KernelParams) -> VWPSpec:
                    (c / (b * d), c / (b * e), c * c / (d * e * q)), q)
 
 
-def kernel_taylor_crosscheck(kp: KernelParams, k_max: int) -> float:
-    """Max relative gap between operator-pipeline t_k(H) and H(b) f_k, k <= k_max.
-
-    Connects the divided-difference pipeline to the closed-form
-    coefficients; the involuted statement is the same call on
-    involute(kp), which compares t_k(K) against K(c/de) g_k.
-    """
-    expected = [kp.Hb * f for f in fk_coefficients(kp, k_max)]
-    return coefficient_gap(lambda z: kernel_products(z, kp, "H")[0], kp.phi_pair, expected,
-                           kp.ctx)
+def kernel_taylor_terms(kp: KernelParams, k_max: int) -> list[tuple[complex, complex]]:
+    """The pairs (t_k(H), H(b) f_k), k <= k_max, of the operator pipeline and the closed
+    form; the same call on involute(kp) pairs t_k(K) with K(c/de) g_k."""
+    closed = [kp.Hb * f for f in fk_coefficients(kp, k_max)]
+    return list(zip(taylor_expand(lambda z: kernel_products(z, kp, "H")[0], kp.phi_pair,
+                                  k_max, kp.ctx), closed))
 
 
 def two_basis_terms(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = False,
@@ -287,15 +283,17 @@ def two_basis_terms(z, kp: KernelParams, n_trunc: int, *, force_unit_Hb: bool = 
 
 
 def remainder_gap_curve(z: complex, kp: KernelParams,
-                        orders: Sequence[int]) -> list[float]:
-    """Gap |A R_n H(z) - B K(c/de) S_g| / scale at each order, R_n via the operator pipeline."""
+                        orders: Sequence[int]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The gaps |A R_n H(z) - B K(c/de) S_g| / scale at the orders, R_n via the operator
+    pipeline, and their scales, the larger side (residual_and_scale)."""
     ctx = kp.ctx
     sample, at_z = _sampler("H", kp, [kernel_quotient(name, z, kp) for name in "ABH"])
     coeffs = taylor_expand(sample, kp.phi_pair, max(orders), ctx)
     A, B, hkz = at_z
     target = B * kp.Kcde * basis_sum(z, kp.psi_pair, kp.family_terms(kp.series_depth)[1], ctx)
     terms = basis_terms(z, kp.phi_pair, coeffs, ctx)
-    return [scaled_residual(A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j)), target) for n in orders]
+    return tuple(zip(*(residual_and_scale(A * (hkz - sum(terms[:n + 1], 0.0 + 0.0j)), target)
+                       for n in orders)))
 
 
 def _sampler(name: str, kp: KernelParams, extra: list) -> tuple[Callable, list]:

@@ -24,8 +24,8 @@ from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import _first, _series_sum, series_sums, term_ratio
 from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_groups_each,
-                    qpoch_quotients, qpoch_quotients_each, require_clear, scaled_residual,
-                    theta_bases)
+                    qpoch_quotients, qpoch_quotients_each, require_clear, residual_and_scale,
+                    scaled_residual, theta_bases)
 
 
 def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four profiles
@@ -350,9 +350,10 @@ def profile_coefficient_terms(points, kp: KernelParams, lam: complex,
 
 @dataclass(frozen=True)
 class ProfileLimitResiduals:
-    """Scale-relative distances of the normalised quotients to their limits."""
+    """Scale-relative distances of the normalised quotients to their limits (and one scale)."""
 
     r_residual: float
+    r_scale: float
     s_residual: float
     q0_residual: float
 
@@ -383,7 +384,7 @@ def exponential_profile_limit_residual(k: int, points, lam: complex
                                   "profile quotient: vanishing denominator"))
             yield quotients + [_L_quotient(w, al, be, lam, ctx) for al, be in pairs]
 
-    return [ProfileLimitResiduals(scaled_residual(scale_pow * rk, r_lim),
+    return [ProfileLimitResiduals(*residual_and_scale(scale_pow * rk, r_lim),
                                   scaled_residual(scale_pow * sk, s_lim),
                                   scaled_residual(layer_pow * qd * qe, ld * le))
             for (scale_pow, layer_pow), (rk, sk, qd, qe, ld, le, r_lim, s_lim)
@@ -423,13 +424,13 @@ def canonical_growth_profile(lam: complex, points, kp: KernelParams) -> list[Can
             for (N, w, monomial), (zval, cinf) in zip(drawn, qpoch_groups_each(calls(), ctx))]
 
 
-def bridge_residual(N, w, kp: KernelParams, lam: complex):
-    """Gap between the generating residual at s = q^N and (b/c)^N E/Z on layer N.
+def bridge_terms(N, w, kp: KernelParams, lam: complex) -> tuple:
+    """The additive terms (t1, t2, t3, (b/c)^N E/Z) of the bridge between the generating
+    residual t1 - t2 - t3 at s = q^N and (b/c)^N E/Z on layer N.
 
-    Exact identity; both sides are near zero, so the gap is reported
-    relative to the largest additive term of the generating residual.
-    N and w are scalars or ndarrays of one shape: the gap at every point
-    (N, w), all products from one qpoch_infinite call.
+    Exact identity; both sides are near zero, so it is judged against the
+    largest of the terms.  N and w are scalars or ndarrays of one shape: the
+    terms at every point (N, w), all products from one qpoch_infinite call.
     """
     b, c, ctx = kp.b, kp.c, kp.ctx
     s = ctx.q ** N
@@ -440,5 +441,4 @@ def bridge_residual(N, w, kp: KernelParams, lam: complex):
          *_generating_quotients(s, w, kp, lam)], ctx)
     terms = generating_Q_terms(s, w, kp, lam, products[6:])
     e_terms = pole_cleared_E_terms(z, kp, kp.series_depth, products[:5])
-    rhs = (b / c) ** N * reduce(operator.sub, e_terms) / products[5]
-    return abs(reduce(operator.sub, terms) - rhs) / reduce(np.maximum, map(abs, terms))
+    return (*terms, (b / c) ** N * reduce(operator.sub, e_terms) / products[5])

@@ -30,6 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, islice, tee
@@ -47,7 +49,7 @@ class QContext:
     Parameters
     ----------
     q:
-        The base, required to satisfy 0 < |q| < 1.
+        The base, required to satisfy 0 < |q| < 1 with |q|^2 a normal double.
     eps_rel:
         Relative agreement tolerance used by consistency checks and as the
         stabilisation threshold of adaptive quadrature.  It does not set
@@ -70,6 +72,8 @@ class QContext:
         object.__setattr__(self, "q", complex(self.q))
         if not 0.0 < abs(self.q) < 1.0:
             raise DomainError(f"base must satisfy 0 < |q| < 1, got q={self.q}")
+        if abs(self.q) ** 2 < sys.float_info.min:  # base-q^2 products would see q = 0
+            raise DomainError(f"base must satisfy |q|^2 >= 2.2e-308, got |q| = {abs(self.q):.4g}")
         if not 0.0 < self.eps_rel < math.inf:
             raise DomainError("eps_rel must be positive and finite")
         if self.max_terms is not None and self.max_terms < 16:
@@ -85,8 +89,11 @@ class QContext:
         return self.root_sign * cmath.sqrt(self.q)
 
     def squared(self) -> "QContext":
-        """Context with base q^2 (used by base-q^2 product evaluations)."""
-        return replace(self, q=self.q * self.q)
+        """Context with base q^2 (used by base-q^2 product evaluations), a normal double
+        (__post_init__); no context is squared twice, so the square of q^2 goes unchecked."""
+        squared = copy(self)
+        object.__setattr__(squared, "q", self.q * self.q)
+        return squared
 
     def other_branch(self) -> "QContext":
         """The same context with the opposite square-root branch."""
@@ -381,15 +388,17 @@ def residual_and_scale(*terms):
     """(|t_0 - t_1 - ...| / scale, scale) with scale = max |t_i|; 0.0 if every t_i is 0.
 
     The terms are subtracted in order, so the residual is bit-equal to the inline
-    ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``.  Arrays give both at every point;
-    numbers are judged in Python, the scale NaN if any |t_i| is, as np.maximum gives it.
+    ``abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))``: arrays give both at every point,
+    broadcast to one stack and reduced down it in one call each; numbers are judged in
+    Python, the scale NaN if any |t_i| is, as np.maximum gives it.
     """
-    sizes = list(map(abs, terms))
-    diff = abs(reduce(operator.sub, terms))
-    if any(isinstance(size, np.ndarray) for size in sizes):
-        scale = reduce(np.maximum, sizes)
+    if any(isinstance(t, np.ndarray) and t.ndim for t in terms):
+        stack = np.array(np.broadcast_arrays(*terms))
+        diff, scale = abs(np.subtract.reduce(stack)), np.maximum.reduce(abs(stack))
         return np.divide(diff, scale, out=np.zeros_like(scale), where=scale > 0), scale
+    sizes = list(map(abs, terms))
     scale = math.nan if any(size != size for size in sizes) else max(sizes)
+    diff = abs(reduce(operator.sub, terms))
     return (diff / scale if scale else 0.0), scale
 
 

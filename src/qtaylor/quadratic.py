@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConvergenceRegionViolation, DomainError
 from .hyper import VWPSpec, series_eval, series_sums, sum_through
 from .qcore import (QContext, qpoch_finite, qpoch_groups, qpoch_infinite, qpoch_quotient,
-                    require_clear, scaled_residual)
-from .taylor import BasisPair, basis_sum, basis_terms, coefficient_gap
+                    require_clear)
+from .taylor import BasisPair, basis_sum, basis_terms, taylor_expand
 
 
 @dataclass(frozen=True)
@@ -154,20 +154,20 @@ def quadratic_terms(z: complex, qp: QuadraticParams, n: int | None = None) -> tu
     return (quadratic_product(z, qp), *(qp.Cab * t for t in terms))
 
 
-def quadratic_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
-    """Max relative gap between pipeline t_k(Q) for the pair (a, b) and C h_k."""
-    return coefficient_gap(lambda z: quadratic_product(z, qp), qp.h_pair,
-                           [qp.Cab * h for h in qp.h_terms(k_max)], qp.ctx)
+def quadratic_taylor_terms(qp: QuadraticParams, k_max: int) -> list[tuple[complex, complex]]:
+    """The pairs (t_k(Q), C h_k), k <= k_max: the pipeline coefficient of Q for the pair
+    (a, b) and its closed form."""
+    closed = [qp.Cab * h for h in qp.h_terms(k_max)]
+    return list(zip(taylor_expand(lambda z: quadratic_product(z, qp), qp.h_pair, k_max,
+                                  qp.ctx), closed))
 
 
-def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int]) -> list[float]:
-    """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails).
-
-    The tails run through the adaptive depth of the h family.
-    """
+def quadratic_tail_curve(z: complex, qp: QuadraticParams, orders: list[int]) -> tuple:
+    """|closed-form tail R_n(z)| / |Q(z)| for each n (remainders are tails), and the scales
+    |Q(z)|.  The tails run through the adaptive depth of the h family."""
     lhs = abs(quadratic_product(z, qp))
     terms = basis_terms(z, qp.h_pair, qp.h_terms(), qp.ctx)
-    return [abs(qp.Cab * sum(terms[n + 1:])) / lhs for n in orders]
+    return [abs(qp.Cab * sum(terms[n + 1:])) / lhs for n in orders], [lhs] * len(orders)
 
 
 def companion_product(z, qp: QuadraticParams):
@@ -202,10 +202,12 @@ def companion_terms(z: complex, qp: QuadraticParams, n: int | None = None) -> tu
     return (companion_product(z, qp), *(qp.Cad * t for t in terms))
 
 
-def companion_taylor_identification(qp: QuadraticParams, k_max: int) -> float:
-    """Max relative gap between pipeline t_k of the companion and C r_k."""
-    return coefficient_gap(lambda z: companion_product(z, qp), qp.r_pair,
-                           [qp.Cad * r for r in qp.r_terms(k_max)], qp.ctx)
+def companion_taylor_terms(qp: QuadraticParams, k_max: int) -> list[tuple[complex, complex]]:
+    """The pairs (t_k, C r_k), k <= k_max: the pipeline coefficient of the companion
+    product and its closed form."""
+    closed = [qp.Cad * r for r in qp.r_terms(k_max)]
+    return list(zip(taylor_expand(lambda z: companion_product(z, qp), qp.r_pair, k_max,
+                                  qp.ctx), closed))
 
 
 def companion_vwp_terms(z: complex, qp: QuadraticParams) -> tuple[complex, complex]:
@@ -220,17 +222,13 @@ def companion_vwp_terms(z: complex, qp: QuadraticParams) -> tuple[complex, compl
     return series, basis_sum(z, pair, qp.r_terms(), qp.ctx)
 
 
-def folding_identity_check(x: complex, n: int, ctx: QContext) -> float:
-    """Residuals of (x,-x;q)_n = (x^2;q^2)_n, finite and infinite forms.
+def folding_terms(x: complex, n: int, ctx: QContext) -> tuple[tuple, tuple]:
+    """The two sides of (x,-x;q)_n = (x^2;q^2)_n and of its infinite form, a pair each.
 
-    Returns the larger of the two scale-relative residuals; both are exact
-    rearrangements, so the result is pure rounding.
+    Both are exact rearrangements, so their residuals are pure rounding.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
     ctx2 = ctx.squared()
-    res_fin = scaled_residual(qpoch_finite(x, n, ctx) * qpoch_finite(-x, n, ctx),
-                              qpoch_finite(x * x, n, ctx2))
-    res_inf = scaled_residual(qpoch_groups([[x, -x]], ctx)[0],
-                              qpoch_infinite(x * x, ctx2).value)
-    return max(res_fin, res_inf)
+    return ((qpoch_finite(x, n, ctx) * qpoch_finite(-x, n, ctx), qpoch_finite(x * x, n, ctx2)),
+            (qpoch_groups([[x, -x]], ctx)[0], qpoch_infinite(x * x, ctx2).value))

@@ -327,7 +327,7 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
                    / (qcore.qpoch_finite(q, k, ctx)
                       * qcore.qpoch_multi([a0 * q / b for b in vspec.b_list], k, ctx).value)
                    * vspec.argument ** k)
-        c.see(abs((s9 - s8) - summand) / max(abs(s9), abs(summand)))
+        c.terms(s9, s8, summand)
 
     with check("vwp-expanded-roots", "W-notation", 1e-12, draws=6) as c:
         specs = []
@@ -349,15 +349,15 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
         draws = [_rogers_draw(rng, ctx) for _ in range(cfg.draws)]
-        c.each(lambda *p: c.see(hyper.rogers_6w5_residual(*p, ctx)), draws)
+        c.each(lambda *p: c.terms(*hyper.rogers_6w5_terms(*p, ctx)), draws)
         # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
-        c.see(hyper.rogers_6w5_residual(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
+        c.terms(*hyper.rogers_6w5_terms(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
 
     with check("jackson-summation", "jackson-8w7", 1e-10, draws=cfg.draws,
                n_max=12) as ch:
         draws = [(*(sample_complex(rng, 0.3, 0.9) for _ in range(4)), rng.randrange(0, 13))
                  for _ in range(cfg.draws)]
-        ch.each(lambda *p: ch.see(hyper.jackson_8w7_residual(*p, ctx)), draws)
+        ch.each(lambda *p: ch.terms(*hyper.jackson_8w7_terms(*p, ctx)), draws)
     return out
 
 
@@ -461,8 +461,8 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
         phi1 = taylor.phi_function(pair, 1, ctx)
         scalar = w[0] * phi1(a) + w[1] * phi1(a * q)
         want = -2 * a * (1 - c / a) * (1 - a * c)  # order-1 lowering value
-        # the weights annihilate constants
-        ch.see(abs(w[0] + w[1]) / max(abs(w[0]), abs(w[1])), abs(scalar - want) / abs(want))
+        ch.terms(w[0], -w[1])  # the weights annihilate constants
+        ch.rel(scalar, want)
     return out
 
 
@@ -583,8 +583,9 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
 
     kp = sample_kernel_params(rng, ctx, lo=0.35, hi=0.85)
     with check("taylor-crosscheck", "f-coeff-taylor", 1e-7, k_max=6) as c:
-        c.see(kernel.kernel_taylor_crosscheck(kp, 6),
-              kernel.kernel_taylor_crosscheck(kernel.involute(kp), 6))
+        for terms in (*kernel.kernel_taylor_terms(kp, 6),
+                      *kernel.kernel_taylor_terms(kernel.involute(kp), 6)):
+            c.terms(*terms)
 
     quadruples = [kernel_params_from_config(entry, ctx)
                   for entry in cfg.explicit_kernel]
@@ -625,7 +626,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("remainder-gap-ratio", "R-H-limit", 0.30,
                orders=f"{orders[0]}..{orders[-1]}") as c:
         for key, kq in (("fit", kp), ("fit_involuted", kernel.involute(kp))):
-            gaps = kernel.remainder_gap_curve(z, kq, orders)
+            gaps, _ = kernel.remainder_gap_curve(z, kq, orders)
             c.params[key] = qcore.fitted_rate(orders, gaps)
             c.rel(c.params[key], abs(q))
 
@@ -661,8 +662,10 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     N = 5
     with check("truncated-flatness", "finite-grid-zeros", 1e-7, N=N) as c:
         grid = kp.b * q ** np.array([*range(N + 1), N + 3])
-        *flat, beyond = scaled_residual(*kernel.pole_cleared_E_terms(grid, kp, N))
-        c.see(*flat, 0.0 if beyond > 1e-5 else math.inf)
+        terms = kernel.pole_cleared_E_terms(grid, kp, N)
+        c.terms(*(t[:-1] for t in terms))
+        beyond = scaled_residual(*(t[-1] for t in terms))
+        c.see(0.0 if beyond > 1e-5 else math.inf)
         c.detail = f"beyond-depth residual {beyond:.3e} (not flat)"
 
     n_third = max(cfg.draws // 3, 3)
@@ -785,7 +788,7 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
                        for _ in range(3)), partial(profiles.in_generating_disc, kp, lam))
 
     with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6, N="4..10") as c:
-        c.each_inside(lambda N, w: c.see(profiles.bridge_residual(N, w, kp, lam)),
+        c.each_inside(lambda N, w: c.terms(*profiles.bridge_terms(N, w, kp, lam)),
                       ((N, sample_z(rng, 0.9, 1.15)) for N in range(4, 11)),
                       lambda N, w: profiles.in_generating_disc(kp, lam, q ** N, w))
 
@@ -878,14 +881,15 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
             c.rel(abs(u31 / u30), abs(ratio))
 
     with check("taylor-identification", "quadratic-taylor-coeff", 1e-7, k_max=6) as c:
-        c.see(quadratic.quadratic_taylor_identification(qp0, 6),
-              quadratic.companion_taylor_identification(qp0, 6))
+        for terms in (*quadratic.quadratic_taylor_terms(qp0, 6),
+                      *quadratic.companion_taylor_terms(qp0, 6)):
+            c.terms(*terms)
 
     z = sample_z(rng)
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
     with check("tail-decay", "quadratic-remainder-tail", 0.10,
                orders=f"{orders[0]}..{orders[-1]}") as c:
-        tails = quadratic.quadratic_tail_curve(z, qp0, orders)
+        tails, _ = quadratic.quadratic_tail_curve(z, qp0, orders)
         fit = c.params["fit"] = qcore.fitted_rate(orders, tails)
         c.rel(fit, abs(qp0.b / qp0.a))
 
@@ -894,8 +898,8 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
 
     x = sample_complex(rng, 0.3, 0.9)
     with check("folding", "folding-identities", 1e-10, x=x) as c:
-        c.see(quadratic.folding_identity_check(x, 5, ctx),
-              quadratic.folding_identity_check(0.9, 0, ctx))
+        for terms in (*quadratic.folding_terms(x, 5, ctx), *quadratic.folding_terms(0.9, 0, ctx)):
+            c.terms(*terms)
     return out
 
 
@@ -954,7 +958,6 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
     """Rows (order, residual, scale, fitted_ratio) for a decay target."""
     ctx = cfg.context()
     rng = cfg.rng_for("kernel")
-    scales = None  # residuals of their own scale, but for the two-basis identity
     if target == "two_basis_tail":
         kp = sample_kernel_params(rng, ctx)
         z = sample_z(rng)
@@ -965,26 +968,26 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         kp = sample_profile_kernel_params(rng, ctx)
         z = sample_z(rng)
         orders = list(range(4, 11))
-        res = kernel.remainder_gap_curve(z, kp, orders)
+        res, scales = kernel.remainder_gap_curve(z, kp, orders)
     elif target == "quadratic_tail":
         rng = cfg.rng_for("quadratic")
         qp = sample_quadratic_params(rng, ctx)
         z = sample_z(rng)
         orders = list(range(4, 16))
-        res = quadratic.quadratic_tail_curve(z, qp, orders)
+        res, scales = quadratic.quadratic_tail_curve(z, qp, orders)
     elif target == "profile_scaling":
         rng = cfg.rng_for("profiles")
         kp, w = sample_profile_kernel_params(rng, ctx), sample_z(rng, 0.9, 1.15)
         orders = list(range(4, 14))
-        res = [limits.r_residual for limits in profiles.exponential_profile_limit_residual(
-            2, [(w, kp, N) for N in orders], kp.b)]
+        limits = profiles.exponential_profile_limit_residual(2, [(w, kp, N) for N in orders], kp.b)
+        res, scales = [r.r_residual for r in limits], [r.r_scale for r in limits]
     else:
         raise ConfigError(f"unknown decay target {target!r}; "
                           f"choose one of {DECAY_TARGETS}")
     tail_orders = [n for n, r in zip(orders, res) if r > 0][2:]
     tail_res = [r for r in res if r > 0][2:]
     fitted = qcore.fitted_rate(tail_orders, tail_res) if len(tail_res) >= 2 else math.nan
-    return list(zip(orders, res, scales or [1.0] * len(res), [fitted] * len(res)))
+    return list(zip(orders, res, scales, [fitted] * len(res)))
 
 
 def emit_decay_csv(cfg: SuiteConfig, target: str, path) -> int:

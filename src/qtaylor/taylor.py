@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
 from .qcore import (QContext, draw_lists, q_powers, qpoch_finite, qpoch_quotient, qpoch_table,
-                    require_clear, sample, sample_columns, scaled_residual)
+                    require_clear, sample, sample_columns)
 from .wpoperator import cooper_rows
 
 
@@ -178,13 +178,6 @@ def coefficient_rows(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> l
     prefs = _coeff_prefactors(pair, orders, ctx)
     rows = cooper_rows(pair.c, [(pair.a * ctx.sqrt_q ** k, k) for k in orders], ctx)
     return [[pref * w for w in reversed(row)] for pref, row in zip(prefs, rows)]
-
-
-def coefficient_gap(f, pair: BasisPair, expected: Sequence[complex],
-                    ctx: QContext) -> float:
-    """Max over k of |t_k(f) - expected_k|, relative to the larger of the two."""
-    coeffs = taylor_expand(f, pair, len(expected) - 1, ctx)
-    return max(map(scaled_residual, coeffs, expected), default=0.0)
 
 
 def taylor_expand(f, pair: BasisPair, n, ctx: QContext):

@@ -14,15 +14,15 @@ import numpy as np
 from qtaylor.kernel import (E_contour_coefficient, calP_tables, fk_coefficients,
                             gk_coefficients, involute, pole_cleared_E_terms,
                             remainder_gap_curve, structured_E_terms, two_basis_terms)
-from qtaylor.profiles import (annular_factorization_terms, bridge_residual,
+from qtaylor.profiles import (annular_factorization_terms, bridge_terms,
                               generating_Q_terms, leading_profile_terms,
                               profile_sums_and_closed_forms)
 from qtaylor.qcore import QContext, scaled_residual, weierstrass_terms
 from qtaylor.quadratic import (companion_terms, quadratic_terms,
                                quadratic_tail_curve,
-                               companion_taylor_identification,
-                               quadratic_taylor_identification)
-from qtaylor.hyper import jackson_8w7_residual, rogers_6w5_residual
+                               companion_taylor_terms,
+                               quadratic_taylor_terms)
+from qtaylor.hyper import jackson_8w7_terms, rogers_6w5_terms
 from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_kernel_params, sample_kernel_z,
                               sample_profile_kernel_params,
@@ -110,13 +110,13 @@ def test_criterion_04_reference_summations():
         b, c, d = (sample_complex(rng, 0.35, 0.95) for _ in range(3))
         if abs(a * ctx.q / (b * c * d)) > 0.7:
             continue
-        worst_r = max(worst_r, rogers_6w5_residual(a, b, c, d, ctx))
+        worst_r = max(worst_r, scaled_residual(*rogers_6w5_terms(a, b, c, d, ctx)))
         draws += 1
     worst_j = 0.0
     for _ in range(50):
         a, b, c, d = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
         n = rng.randrange(0, 13)
-        worst_j = max(worst_j, jackson_8w7_residual(a, b, c, d, n, ctx))
+        worst_j = max(worst_j, scaled_residual(*jackson_8w7_terms(a, b, c, d, n, ctx)))
     assert worst_r < 1e-9
     assert worst_j < 1e-10
     report(4, "reference summations",
@@ -198,10 +198,10 @@ def test_criterion_08_complementary_remainder_limit():
     kp = sample_profile_kernel_params(rng, ctx)
     z = sample_z(rng)
     orders = list(range(4, 11))
-    fit = math.exp(np.polyfit(orders, np.log(remainder_gap_curve(z, kp, orders)),
+    fit = math.exp(np.polyfit(orders, np.log(remainder_gap_curve(z, kp, orders)[0]),
                               1)[0])
     fit_inv = math.exp(np.polyfit(
-        orders, np.log(remainder_gap_curve(z, involute(kp), orders)), 1)[0])
+        orders, np.log(remainder_gap_curve(z, involute(kp), orders)[0]), 1)[0])
     assert abs(fit - abs(ctx.q)) < 0.25 * abs(ctx.q)
     assert abs(fit_inv - abs(ctx.q)) < 0.25 * abs(ctx.q)
     report(8, "complementary remainder limit",
@@ -233,7 +233,7 @@ def test_criterion_09_profile_suite():
             worst_q = max(worst_q, abs(t1 - t2 - t3) / max(abs(t1), abs(t2),
                                                            abs(t3)))
     assert worst_q < 1e-7
-    worst_bridge = max(bridge_residual(N, sample_z(rng, 0.9, 1.15), kp, lam)
+    worst_bridge = max(scaled_residual(*bridge_terms(N, sample_z(rng, 0.9, 1.15), kp, lam))
                        for N in range(4, 11))
     assert worst_bridge < 1e-6
     report(9, "profile suite",
@@ -254,11 +254,11 @@ def test_criterion_10_quadratic_suite():
         worst = max(worst, scaled_residual(*quadratic_terms(z, qp, 60)))
         worst_c = max(worst_c, scaled_residual(*companion_terms(z, qp, 60)))
     assert worst < 1e-8 and worst_c < 1e-8
-    ident = max(quadratic_taylor_identification(qp0, 6),
-                companion_taylor_identification(qp0, 6))
+    ident = max(scaled_residual(*pair) for pair in (*quadratic_taylor_terms(qp0, 6),
+                                                     *companion_taylor_terms(qp0, 6)))
     assert ident < 1e-7
     orders = [4, 6, 8, 10, 12]
-    tails = quadratic_tail_curve(sample_z(rng), qp0, orders)
+    tails, _ = quadratic_tail_curve(sample_z(rng), qp0, orders)
     fit = math.exp(np.polyfit(orders, np.log(tails), 1)[0])
     assert abs(fit - abs(qp0.b / qp0.a)) < 0.1 * abs(qp0.b / qp0.a)
     *_, h30, h31 = qp0.h_terms(31)

@@ -281,7 +281,7 @@ def grouped_cases(ctx):
         ("profile_kernel_P", lambda: profiles.profile_kernel_P(s, w, al, be, lam, ctx)),
         ("leading_profile_terms", lambda: profiles.leading_profile_terms(w, kp, lam, closed)),
         ("generating_Q_terms", lambda: profiles.generating_Q_terms(s, w, kp, lam)),
-        ("bridge_residual", lambda: profiles.bridge_residual(5, w, kp, lam)),
+        ("bridge_terms", lambda: profiles.bridge_terms(5, w, kp, lam)),
         ("exponential_profile_limit_residual",
          lambda: profiles.exponential_profile_limit_residual(2, [(w, kp, 6)], lam)),
         ("profile_sums_and_closed_forms", lambda: profiles.profile_sums_and_closed_forms(kp)),
@@ -290,8 +290,8 @@ def grouped_cases(ctx):
         ("Cab", lambda: fresh_qp().Cab),
         ("companion_product", lambda: quadratic.companion_product(z, qp)),
         ("Cad", lambda: fresh_qp().Cad),
-        ("rogers_6w5_residual",
-         lambda: hyper.rogers_6w5_residual(0.3, 0.8 + 0.1j, 0.75, 0.9 - 0.2j, ctx)),
+        ("rogers_6w5_terms",
+         lambda: hyper.rogers_6w5_terms(0.3, 0.8 + 0.1j, 0.75, 0.9 - 0.2j, ctx)),
         ("basis_limit_modulus", lambda: taylor.basis_limit_modulus(z, kp.phi_pair, ctx)),
     ]
 
@@ -870,10 +870,11 @@ class TestDrawAxis:
         # which shares the batch's arithmetic but for the depth of the product call
         seen.update(depth=0, terms=0)
         N, w = map(np.array, zip(*nw))
-        got = profiles.bridge_residual(N, w, kp, lam)
+        got = scaled_residual(*profiles.bridge_terms(N, w, kp, lam))
         tol = 64 * (seen["depth"] + seen["terms"]) * EPS
         for j in range(len(nw)):
-            assert abs(got[j] - profiles.bridge_residual(N[j:j + 1], w[j:j + 1], kp, lam)[0]) <= tol
+            one = scaled_residual(*profiles.bridge_terms(N[j:j + 1], w[j:j + 1], kp, lam))[0]
+            assert abs(got[j] - one) <= tol
 
     @pytest.mark.parametrize("q", BASES)
     def test_profile_family_sum_columns_are_batches_of_one(self, q):

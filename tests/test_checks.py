@@ -1,5 +1,6 @@
 """The check runner: every suite check is a block that fails on its own."""
 
+import importlib
 import json
 import math
 from pathlib import Path
@@ -26,7 +27,7 @@ def _raise(exc):
 def test_error_fails_only_its_check(monkeypatch, exc):
     cfg = SuiteConfig(suites=("kernel",), draws=4)
     before = [r.to_dict() for r in run_suites(cfg).records]
-    monkeypatch.setattr(kernel, "kernel_taylor_crosscheck", _raise(exc))
+    monkeypatch.setattr(kernel, "kernel_taylor_terms", _raise(exc))
     after = [r.to_dict() for r in run_suites(cfg).records]
     assert [r["check"] for r in after] == [r["check"] for r in before]
     for old, new in zip(before, after):
@@ -71,7 +72,7 @@ def test_dcq_c0_reduction_fails_on_a_perturbed_closed_form(monkeypatch, q):
 def test_batched_check_reports_the_first_failing_draw(monkeypatch):
     # the batch of all draws fails; judged one by one, the first draw that fails on its
     # own names the error, and no later draw is evaluated
-    real, singles = hyper.jackson_8w7_residual, []
+    real, singles = hyper.jackson_8w7_terms, []
 
     def flaky(a, b, c, d, n, ctx):
         if np.ndim(a):
@@ -80,7 +81,7 @@ def test_batched_check_reports_the_first_failing_draw(monkeypatch):
         if len(singles) in (3, 5):
             raise DomainError(f"draw {len(singles)}")
         return real(a, b, c, d, n, ctx)
-    monkeypatch.setattr(hyper, "jackson_8w7_residual", flaky)
+    monkeypatch.setattr(hyper, "jackson_8w7_terms", flaky)
     [rec] = [r for r in run_suites(SuiteConfig(suites=("hyper",))).records
              if r.check == "jackson-summation"]
     assert not rec.passed and rec.detail == "DomainError: draw 3" and len(singles) == 3
@@ -97,24 +98,25 @@ def test_records_report_the_draws_that_ran():
 
 # checks judged by additive terms or by a reference value since their library
 # functions return the terms: each record carries the real scale
-TERM_SCALED = [("operator", "iterated-lowering"), ("kernel", "g-equals-involuted-f"),
-               ("kernel", "two-basis-identity"), ("kernel", "lowering-laws"),
+TERM_SCALED = [("hyper", "vwp-telescoping"), ("hyper", "rogers-summation"),
+               ("hyper", "jackson-summation"), ("operator", "iterated-lowering"),
+               ("operator", "grid-functional-weights"), ("kernel", "g-equals-involuted-f"),
+               ("kernel", "taylor-crosscheck"), ("kernel", "two-basis-identity"),
+               ("kernel", "lowering-laws"), ("kernel", "truncated-flatness"),
                ("kernel", "vwp-rewriting"), ("laurent", "structured-cancellation"),
                ("profiles", "annular-factorisation"), ("profiles", "leading-profile"),
-               ("profiles", "coefficient-hierarchy"), ("quadratic", "watson-type-expansion"),
-               ("quadratic", "companion-expansion"), ("quadratic", "companion-vwp-form")]
+               ("profiles", "bridge-identity"), ("profiles", "coefficient-hierarchy"),
+               ("quadratic", "watson-type-expansion"), ("quadratic", "companion-expansion"),
+               ("quadratic", "taylor-identification"), ("quadratic", "companion-vwp-form"),
+               ("quadratic", "folding")]
 
-# absolute residuals against exact targets of modulus 0 or 1, and residuals divided
-# by a scale of their own (see README, "Numerical conventions")
+# absolute residuals against exact targets of modulus 0 or 1, the reach of a flatness
+# measure, ratios compared with 1, and a control ratio (see README, "Numerical conventions")
 UNIT_SCALED = sorted([
-    ("hyper", "phi-z0"), ("hyper", "vwp-telescoping"), ("hyper", "rogers-summation"),
-    ("hyper", "jackson-summation"), ("operator", "dq-basics"),
-    ("operator", "delta-property"), ("operator", "grid-functional-weights"),
+    ("hyper", "phi-z0"), ("operator", "dq-basics"), ("operator", "delta-property"),
     ("taylor", "flat-function"), ("taylor", "basis-boundedness"),
-    ("kernel", "taylor-crosscheck"), ("kernel", "negative-control-Hb"),
-    ("kernel", "truncated-flatness"), ("laurent", "monomial"),
-    ("profiles", "bridge-identity"), ("quadratic", "unit-leading-coefficients"), ("quadratic", "taylor-identification"),
-    ("quadratic", "folding")])
+    ("kernel", "negative-control-Hb"), ("laurent", "monomial"),
+    ("quadratic", "unit-leading-coefficients")])
 
 
 def test_records_carry_the_scale_they_were_divided_by():
@@ -127,6 +129,92 @@ def test_records_carry_the_scale_they_were_divided_by():
     assert records["qcore", "theta-symmetry"].scale != 1.0
     assert records["qcore", "multi-factorwise"].scale != 1.0
     assert "terms" not in records["qcore", "recurrence"].to_dict()
+
+
+def _rhs_times(factor):
+    def defect(real):
+        def patched(*args):
+            terms = real(*args)
+            if isinstance(terms, np.ndarray):  # a batch: row 0 holds each draw's rhs
+                return np.vstack([terms[:1] * factor, terms[1:]])
+            return (terms[0] * factor, *terms[1:])
+        return patched
+    return defect
+
+
+def _last_summand_dropped(real):
+    def patched(a, b, c, d, n, ctx):
+        terms = real(a, b, c, d, n, ctx)
+        if isinstance(terms, np.ndarray):  # a batch: t_n of each draw is in row n + 1
+            terms = terms.copy()
+            terms[np.asarray(n) + 1, np.arange(terms.shape[1])] = 0.0
+            return terms
+        return terms[:-1]
+    return patched
+
+
+def _ninth_partial_sum_short(real):  # S_9 summed without its last term
+    return lambda spec, trunc, ctx: real(spec, 8 if trunc == 9 else trunc, ctx)
+
+
+def _second_weight_times(factor):
+    return lambda real: lambda *args: [w * (factor if i == 1 else 1) for i, w in
+                                       enumerate(real(*args))]
+
+
+def _third_closed_form_times(factor):
+    return lambda real: lambda *args: [(t, closed * factor if k == 3 else closed)
+                                       for k, (t, closed) in enumerate(real(*args))]
+
+
+def _one_order_short(real):  # E truncated one order short of the nodes it must vanish at
+    return lambda z, kp, n, products=None: real(z, kp, n - 1, products)
+
+
+def _e_over_z_dropped(real):
+    return lambda *args: (*real(*args)[:3], 0.0)
+
+
+def _last_factor_dropped(real):  # (x;q)_n without its last factor
+    def patched(x, n, ctx):
+        (lhs, rhs), infinite = real(x, n, ctx)
+        return ((lhs / (1 - x * ctx.q ** (n - 1)) if n else lhs), rhs), infinite
+    return patched
+
+
+# a defect of each identity's own kind, patched into the function its terms come from
+NEGATIVE_CONTROLS = [
+    ("hyper/rogers-summation", "hyper.rogers_6w5_terms", _rhs_times(1 + 1e-6)),
+    ("hyper/jackson-summation", "hyper.jackson_8w7_terms", _last_summand_dropped),
+    ("hyper/vwp-telescoping", "hyper.series_eval", _ninth_partial_sum_short),
+    ("operator/grid-functional-weights", "wpoperator.grid_functional_weights",
+     _second_weight_times(1 + 1e-6)),
+    ("kernel/taylor-crosscheck", "kernel.kernel_taylor_terms", _third_closed_form_times(1 + 1e-5)),
+    ("kernel/truncated-flatness", "kernel.pole_cleared_E_terms", _one_order_short),
+    pytest.param("profiles/bridge-identity", "profiles.bridge_terms", _e_over_z_dropped,
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "E and the generating residual both vanish identically, so the E/Z "
+                     "side is rounding next to the largest term and no defect of it shows"))),
+    ("quadratic/taylor-identification", "quadratic.quadratic_taylor_terms",
+     _third_closed_form_times(1 + 1e-5)),
+    ("quadratic/folding", "quadratic.folding_terms", _last_factor_dropped),
+]
+
+
+@pytest.mark.parametrize("record, target, defect", NEGATIVE_CONTROLS)
+def test_negative_control_fails_under_the_term_scale(monkeypatch, record, target, defect):
+    # each check judged against its largest additive term must still see a defect of
+    # its own identity: the record passes clean and fails, on its residual, with the
+    # defect patched in
+    suite, check = record.split("/")
+    cfg = SuiteConfig(suites=(suite,))
+    [clean] = [r for r in run_suites(cfg).records if r.check == check]
+    module, name = target.split(".")
+    real = getattr(importlib.import_module(f"qtaylor.{module}"), name)
+    monkeypatch.setattr(f"qtaylor.{target}", defect(real))
+    [rec] = [r for r in run_suites(cfg).records if r.check == check]
+    assert clean.passed and clean.scale != 1.0
+    assert not rec.passed and math.isfinite(rec.residual)
 
 
 def test_negative_control_error_escapes(monkeypatch):

@@ -191,6 +191,18 @@ class TestCommandLine:
     def test_bad_q_is_config_error(self):
         assert cli.main(["--q", "1.5"]) == 2
 
+    @pytest.mark.parametrize("q", ["1e-170", "1e-160", "1e-160i"])
+    def test_base_whose_square_underflows_is_config_error(self, q, capsys):
+        # q^2 below the smallest normal double: base-q^2 products would see q = 0
+        assert cli.main(["--suite", "quadratic", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: base must satisfy |q|^2")
+        assert len(err.splitlines()) == 1
+
+    def test_tiny_base_with_a_normal_square_runs(self, capsys):
+        assert cli.main(["--suite", "qcore", "--q", "1e-150"]) == 0
+        assert capsys.readouterr().out.endswith("PASS: 6 checks over 1 suites\n")
+
     def test_env_override_max_terms(self, monkeypatch):
         # a 16-factor cap cannot reach the tail target: checks must fail
         monkeypatch.setenv("QTAYLOR_MAX_TERMS", "16")
@@ -262,8 +274,8 @@ class TestCommandLine:
             assert len(lines) == rows + 1
             table = [[float(v) for v in line.split(",")] for line in lines[1:]]
             assert all(len(row) == 4 for row in table)
-            # the two-basis rows carry the largest term they were divided by
-            assert all((row[2] != 1.0) == (target == "two_basis_tail") for row in table)
+            # every row carries the scale its residual was divided by
+            assert all(row[2] != 1.0 for row in table)
 
     def test_emit_csv_bad_target(self, tmp_path):
         assert cli.main(["--emit-csv", f"nope:{tmp_path / 'x.csv'}"]) == 2

@@ -10,10 +10,10 @@ from qtaylor import suites
 from qtaylor.errors import (DivergenceSuspected, DomainError, TruncationFailure,
                             ZeroDenominator)
 from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
-                           jackson_8w7_residual, rogers_6w5_residual, series_eval, sum_through,
+                           jackson_8w7_terms, rogers_6w5_terms, series_eval, sum_through,
                            term_ratio, vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
-from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers
+from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers, scaled_residual
 from qtaylor.quadratic import h_spec, r_spec
 from qtaylor.sampling import sample_complex, sample_kernel_params, sample_quadratic_params
 from qtaylor.suites import SuiteConfig, run_hyper
@@ -148,12 +148,12 @@ class TestRogersSummation:
             b, c, d = (sample_complex(rng, 0.35, 0.95) for _ in range(3))
             if abs(a * ctx.q / (b * c * d)) > 0.7:
                 continue
-            worst = max(worst, rogers_6w5_residual(a, b, c, d, ctx))
+            worst = max(worst, scaled_residual(*rogers_6w5_terms(a, b, c, d, ctx)))
             draws += 1
         assert worst < 1e-9
 
     def test_small_c_limit_region(self, ctx):
-        assert rogers_6w5_residual(0.04, 0.8, 0.05 + 0.01j, 0.8, ctx) < 1e-8
+        assert scaled_residual(*rogers_6w5_terms(0.04, 0.8, 0.05 + 0.01j, 0.8, ctx)) < 1e-8
 
     @pytest.mark.parametrize("q", [0.45, 0.9, -0.8, 0.6 + 0.5j])
     def test_suite_probe_scales_with_q(self, q):
@@ -164,7 +164,7 @@ class TestRogersSummation:
 
     def test_convergence_region_enforced(self, ctx):
         with pytest.raises(DomainError):
-            rogers_6w5_residual(0.9, 0.3, 0.3, 0.3, ctx)
+            rogers_6w5_terms(0.9, 0.3, 0.3, 0.3, ctx)
 
     def test_suite_draws_through_sample_with(self, monkeypatch):
         real, kept = suites.sample_with, []
@@ -194,18 +194,18 @@ class TestRogersSummation:
 
 class TestJacksonSummation:
     def test_depth_zero(self, ctx):
-        assert jackson_8w7_residual(0.5, 0.6, 0.7, 0.8, 0, ctx) == 0.0
+        assert scaled_residual(*jackson_8w7_terms(0.5, 0.6, 0.7, 0.8, 0, ctx)) == 0.0
 
     def test_depth_one(self, ctx, rng):
         a, b, c, d = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
-        assert jackson_8w7_residual(a, b, c, d, 1, ctx) < 1e-12
+        assert scaled_residual(*jackson_8w7_terms(a, b, c, d, 1, ctx)) < 1e-12
 
     def test_seeded_draws_depth_twelve(self, ctx, rng):
         worst = 0.0
         for _ in range(50):
             a, b, c, d = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
             n = rng.randrange(0, 13)
-            worst = max(worst, jackson_8w7_residual(a, b, c, d, n, ctx))
+            worst = max(worst, scaled_residual(*jackson_8w7_terms(a, b, c, d, n, ctx)))
         assert worst < 1e-10
 
 

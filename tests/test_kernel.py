@@ -12,7 +12,7 @@ from qtaylor.kernel import (H_lowering_terms, K_lowering_terms, KernelParams,
                             g_spec, gk_coefficients, involute, kernel_factors,
                             kernel_products, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
-                            two_basis_terms, kernel_taylor_crosscheck)
+                            two_basis_terms, kernel_taylor_terms)
 from qtaylor.qcore import (QContext, factor_clearance, qpoch_groups, qpoch_multi,
                            scaled_residual)
 from qtaylor.sampling import (sample_kernel_params,
@@ -207,8 +207,8 @@ class TestCoefficientFamilies:
 
     def test_taylor_crosscheck(self, ctx4, rng):
         kp = sample_kernel_params(rng, ctx4, lo=0.35, hi=0.85)
-        assert kernel_taylor_crosscheck(kp, 6) < 1e-7
-        assert kernel_taylor_crosscheck(involute(kp), 6) < 1e-7
+        for pair in (*kernel_taylor_terms(kp, 6), *kernel_taylor_terms(involute(kp), 6)):
+            assert scaled_residual(*pair) < 1e-7
 
 
 def closed_summand(x, nums, bases, k, ctx, name):
@@ -298,7 +298,7 @@ class TestComplementaryRemainder:
         kp = sample_profile_kernel_params(rng, ctx4)
         z = sample_z(rng)
         orders = list(range(4, 11))
-        gaps = remainder_gap_curve(z, kp, orders)
+        gaps, _ = remainder_gap_curve(z, kp, orders)
         fit = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
         assert abs(fit - abs(ctx4.q)) < 0.25 * abs(ctx4.q)
 
@@ -306,7 +306,7 @@ class TestComplementaryRemainder:
         kp = sample_profile_kernel_params(rng, ctx4)
         z = sample_z(rng)
         orders = list(range(4, 11))
-        gaps = remainder_gap_curve(z, involute(kp), orders)
+        gaps, _ = remainder_gap_curve(z, involute(kp), orders)
         fit = math.exp(np.polyfit(orders, np.log(gaps), 1)[0])
         assert abs(fit - abs(ctx4.q)) < 0.25 * abs(ctx4.q)
 
@@ -329,7 +329,7 @@ class TestComplementaryRemainder:
         # numerically stable regime: |c| < |b q| keeps the pipeline clean
         ctx = QContext(0.45)
         kp = KernelParams(0.85, 0.25 + 0.05j, 0.6 + 0.2j, 0.55 - 0.3j, ctx)
-        [gap] = remainder_gap_curve(1.1 + 0.3j, kp, [30])
+        [gap], _ = remainder_gap_curve(1.1 + 0.3j, kp, [30])
         assert gap < 1e-6
 
 

@@ -246,7 +246,8 @@ def ref_limit_point(k, w, kp, lam, N):
          *(sym_quot(al, be) for al, be in pairs[:2]),
          *(profiles._L_quotient(w, al, be, lam, ctx) for al, be in pairs)], ctx)
     return profiles.ProfileLimitResiduals(
-        qcore.scaled_residual(scale_pow * rk, r_lim), qcore.scaled_residual(scale_pow * sk, s_lim),
+        *qcore.residual_and_scale(scale_pow * rk, r_lim),
+        qcore.scaled_residual(scale_pow * sk, s_lim),
         qcore.scaled_residual((b / c) ** N * qd * qe, ld * le))
 
 

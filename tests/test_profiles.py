@@ -9,7 +9,7 @@ from qtaylor.errors import (ConvergenceRegionViolation, DomainError,
 from qtaylor.kernel import (KernelParams, involute, laurent_coefficient_detail,
                             pole_cleared_E_terms)
 from qtaylor.profiles import (annular_factorization_terms,
-                              bridge_residual,
+                              bridge_terms,
                               canonical_growth_profile, contiguous_moment,
                               exponential_profile_limit_residual,
                               generating_Q_terms, L_profile,
@@ -196,7 +196,7 @@ class TestGeneratingResidual:
     @pytest.mark.parametrize("N", [4, 7, 10])
     def test_bridge_to_pole_cleared_residual(self, N, kp, lam, rng):
         w = sample_z(rng, 0.9, 1.15)
-        assert bridge_residual(N, w, kp, lam) < 1e-6
+        assert scaled_residual(*bridge_terms(N, w, kp, lam)) < 1e-6
 
 
 class TestContiguousMoments:
