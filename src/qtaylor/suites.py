@@ -27,7 +27,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -115,8 +115,11 @@ class SuiteConfig:
             return QContext(self.q, max_terms=self.max_terms)
         return QContext(self.q, self.eps_rel, self.max_terms)
 
-    def rng_for(self, suite: str) -> random.Random:
-        return random.Random(self.seed + _SUITE_OFFSET[suite])
+    def streams(self, suite: str):
+        """The random stream of each name of a suite, a check or a draw that several of its
+        checks share: here the suite's one stream, drawn in the order of the program."""
+        rng = random.Random(self.seed + _SUITE_OFFSET[suite])
+        return lambda name: rng
 
 
 @dataclass
@@ -155,12 +158,17 @@ class Check:
     records keep the order in which their checks opened.
     """
 
-    def __init__(self, records: list, suite: str, check: str, anchor: str,
+    def __init__(self, records: list, streams, suite: str, check: str, anchor: str,
                  tol: float, **params):
-        self._records = records
+        self._records, self._streams = records, streams
         self.suite, self.check, self.anchor, self.tol = suite, check, anchor, tol
         self.params = params
         self.residual, self.scale, self.detail = 0.0, None, ""  # no residual seen yet
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The check's own random stream, built when the check first draws."""
+        return self._streams(self.check)
 
     def see(self, *residuals, scale=1.0) -> None:
         """Keep the first largest residual and the scale it was divided by; a NaN sticks.  Numbers
@@ -238,31 +246,32 @@ class Check:
 # ---------------------------------------------------------------- qcore
 
 def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("qcore"), []
-    check = partial(Check, out, "qcore")
+    ctx, streams, out = cfg.context(), cfg.streams("qcore"), []
+    check = partial(Check, out, streams, "qcore")
     q = ctx.q
 
     with check("recurrence", "qpoch-def", 1e-13, draws=32) as c:
         def recurrence(a, n):
             top, below = qcore.qpoch_finite(np.array([a, a]), np.array([n + 1, n]), ctx)
             c.terms(top, below * (1 - a * q ** n))
-        c.each(recurrence, [(sample_complex(rng, 0.1, 1.4), rng.randrange(0, 32))
+        c.each(recurrence, [(sample_complex(c.rng, 0.1, 1.4), c.rng.randrange(0, 32))
                             for _ in range(32)])
 
     with check("infinite-shift", "qpoch-infinite-split", 1e-12, draws=cfg.draws) as c:
         def infinite_shift(a, k):
             whole, shifted = qcore.qpoch_infinite(np.array([a, a * q ** k]), ctx).value
             c.terms(whole, qcore.qpoch_finite(a, k, ctx) * shifted)
-        c.each(infinite_shift, [(sample_complex(rng, 0.2, 0.95), rng.randrange(0, 9))
+        c.each(infinite_shift, [(sample_complex(c.rng, 0.2, 0.95), c.rng.randrange(0, 9))
                                 for _ in range(cfg.draws)])
 
-    a, b = sample_complex(rng), sample_complex(rng)
-    with check("multi-factorwise", "qpoch-multi", 1e-12, a=a, b=b) as c:
+    with check("multi-factorwise", "qpoch-multi", 1e-12) as c:
+        a, b = sample_complex(c.rng), sample_complex(c.rng)
+        c.params.update(a=a, b=b)
         c.rel(qcore.qpoch_multi([a, b], None, ctx).value,
               qcore.qpoch_infinite(a, ctx).value * qcore.qpoch_infinite(b, ctx).value)
 
-    u = np.array([sample_complex(rng, 0.3, 1.6) for _ in range(200)])
     with check("theta-symmetry", "theta-def", 1e-12, draws=200) as c:
+        u = np.array([sample_complex(c.rng, 0.3, 1.6) for _ in range(200)])
         c.terms(qcore.theta(u, ctx), qcore.theta(q / u, ctx))
 
     with check("theta-grid-zero", "theta-def", 1e-12) as c:
@@ -270,9 +279,9 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
         scale = abs(qcore.theta(-1.0, ctx))
         c.see(zero_dev / scale, scale=scale)
 
-    x, y, u, v = np.array([[sample_complex(rng, 0.5, 1.5) for _ in range(4)]
-                           for _ in range(200)]).T
     with check("weierstrass-addition", "weierstrass-addition", 1e-12, draws=200) as c:
+        x, y, u, v = np.array([[sample_complex(c.rng, 0.5, 1.5) for _ in range(4)]
+                               for _ in range(200)]).T
         c.terms(*qcore.weierstrass_terms(x, y, u, v, ctx))
     return out
 
@@ -287,8 +296,8 @@ def _rogers_draw(rng, ctx):
 
 
 def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("hyper"), []
-    check = partial(Check, out, "hyper")
+    ctx, streams, out = cfg.context(), cfg.streams("hyper"), []
+    check = partial(Check, out, streams, "hyper")
     q = ctx.q
 
     with check("phi-z0", "basic-hypergeometric-def", 1e-15) as c:
@@ -304,9 +313,9 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
                draws=cfg.draws) as c:
         specs = []
         for _ in range(cfg.draws):
-            nums = tuple(sample_complex(rng, 0.2, 0.9) for _ in range(3))
-            dens = tuple(sample_complex(rng, 0.3, 0.9) for _ in range(2))
-            z = sample_complex(rng, 0.1, 0.5)
+            nums = tuple(sample_complex(c.rng, 0.2, 0.9) for _ in range(3))
+            dens = tuple(sample_complex(c.rng, 0.3, 0.9) for _ in range(2))
+            z = sample_complex(c.rng, 0.1, 0.5)
             specs.append(hyper.PhiSeriesSpec(nums, dens, z))
 
         def long_sum(*specs):
@@ -332,9 +341,9 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("vwp-expanded-roots", "W-notation", 1e-12, draws=6) as c:
         specs = []
         for _ in range(6):
-            a = rng.uniform(0.3, 0.8)  # real positive: explicit root exists
-            blist = tuple(sample_complex(rng, 0.4, 0.9) for _ in range(2))
-            specs.append(hyper.VWPSpec(a, blist, sample_complex(rng, 0.1, 0.4)))
+            a = c.rng.uniform(0.3, 0.8)  # real positive: explicit root exists
+            blist = tuple(sample_complex(c.rng, 0.4, 0.9) for _ in range(2))
+            specs.append(hyper.VWPSpec(a, blist, sample_complex(c.rng, 0.1, 0.4)))
 
         def expanded_roots(*specs):
             v1 = hyper.series_sums(specs, 24, ctx)
@@ -348,14 +357,14 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
         c.each(expanded_roots, [(vs,) for vs in specs], specs)
 
     with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
-        draws = [_rogers_draw(rng, ctx) for _ in range(cfg.draws)]
+        draws = [_rogers_draw(c.rng, ctx) for _ in range(cfg.draws)]
         c.each(lambda *p: c.terms(*hyper.rogers_6w5_terms(*p, ctx)), draws)
         # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
         c.terms(*hyper.rogers_6w5_terms(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
 
     with check("jackson-summation", "jackson-8w7", 1e-10, draws=cfg.draws,
                n_max=12) as ch:
-        draws = [(*(sample_complex(rng, 0.3, 0.9) for _ in range(4)), rng.randrange(0, 13))
+        draws = [(*(sample_complex(ch.rng, 0.3, 0.9) for _ in range(4)), ch.rng.randrange(0, 13))
                  for _ in range(cfg.draws)]
         ch.each(lambda *p: ch.terms(*hyper.jackson_8w7_terms(*p, ctx)), draws)
     return out
@@ -370,13 +379,13 @@ def _sample_operator_point(rng, ctx):
 
 
 def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("operator"), []
-    check = partial(Check, out, "operator")
+    ctx, streams, out = cfg.context(), cfg.streams("operator"), []
+    check = partial(Check, out, streams, "operator")
     q = ctx.q
     rq = ctx.sqrt_q
 
-    z = _sample_operator_point(rng, ctx)
-    with check("dq-basics", "Dq", 1e-13, z=z) as c:
+    with check("dq-basics", "Dq", 1e-13) as c:
+        z = c.params["z"] = _sample_operator_point(c.rng, ctx)
         c.see(abs(wpoperator.apply_Dq(lambda _: 2.7 - 0.4j, z, ctx)),
               abs(wpoperator.apply_Dq(lambda w: (w + 1 / w) / 2, z, ctx) - 1.0))
 
@@ -386,16 +395,17 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             f = taylor.phi_combination(taylor.BasisPair(pair.a, 0.0), coeffs, ctx)
             c.terms(wpoperator.apply_Dcq(f, z, 0.0, ctx),
                     *taylor.lowered_terms(z, pair.a, coeffs, ctx))
-        c.each(reduction, [(sample_basis_pair(rng), [sample_complex(rng, 0.5, 1.5)
-                                                      for _ in range(4)],
-                            _sample_operator_point(rng, ctx)) for _ in range(cfg.draws)])
+        c.each(reduction, [(sample_basis_pair(c.rng), [sample_complex(c.rng, 0.5, 1.5)
+                                                        for _ in range(4)],
+                            _sample_operator_point(c.rng, ctx)) for _ in range(cfg.draws)])
 
-    pair = sample_basis_pair(rng)
-    with check("phi1-lowering", "lowering-Phi", 1e-12, a=pair.a, c=pair.c) as c:
+    with check("phi1-lowering", "lowering-Phi", 1e-12) as c:
+        pair = sample_basis_pair(c.rng)
+        c.params.update(a=pair.a, c=pair.c)
         f1 = taylor.phi_function(pair, 1, ctx)
         want = -2 * pair.a * (1 - pair.c / pair.a) * (1 - pair.a * pair.c)
         c.each(lambda z: c.rel(wpoperator.apply_Dcq(f1, z, pair.c, ctx), want),
-               [(_sample_operator_point(rng, ctx),) for _ in range(4)])
+               [(_sample_operator_point(c.rng, ctx),) for _ in range(4)])
 
     with check("iterated-lowering", "iterated-lowering", 1e-9, n_max=5) as ch:
         # D^(k) Phi_n(.; a, c) = pref Phi_{n-k}(.; a q^{k/2}, c q^{3k/2}) at each k <= n, the
@@ -412,7 +422,7 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             want = taylor.phi_basis(z, taylor.BasisPair.batch(shifted), n - k, ctx)
             for g, p, w in zip(*qcore.draw_lists(got, prefs, want)):
                 ch.rel(g, p * w)
-        draws = [(sample_basis_pair(rng), n, _sample_operator_point(rng, ctx))
+        draws = [(sample_basis_pair(ch.rng), n, _sample_operator_point(ch.rng, ctx))
                  for n in range(1, 6)]
         ch.each(iterated_lowering, [(p, n, k, z) for p, n, z in draws for k in range(n + 1)])
 
@@ -423,14 +433,14 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             for terms in zip(*qcore.draw_lists(wpoperator.cooper_eval(f, z, c, m, ctx),
                                                wpoperator.apply_iterated(f, z, c, m, ctx))):
                 ch.terms(*terms)
-        ch.each(closed_vs_recursion, [(sample_basis_pair(rng),
-                                       [sample_complex(rng, 0.5, 1.5) for _ in range(9)],
-                                       _sample_operator_point(rng, ctx), rng.randrange(0, 7),
-                                       sample_complex(rng)) for _ in range(cfg.draws)])
+        ch.each(closed_vs_recursion, [(sample_basis_pair(ch.rng),
+                                       [sample_complex(ch.rng, 0.5, 1.5) for _ in range(9)],
+                                       _sample_operator_point(ch.rng, ctx), ch.rng.randrange(0, 7),
+                                       sample_complex(ch.rng)) for _ in range(cfg.draws)])
 
-    pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
-    with check("delta-property", "delta-property", 1e-8, a=pair.a, c=pair.c,
-               order=6) as c:
+    with check("delta-property", "delta-property", 1e-8) as c:
+        pair = sample_basis_pair(c.rng, lo=0.4, hi=0.85)
+        c.params.update(a=pair.a, c=pair.c, order=6)
         # Phi_n for n = 0..6 as one batch of seven draws of the pair
         pairs = taylor.BasisPair.batch([pair] * 7)
         expansions = taylor.taylor_expand(taylor.phi_function(pairs, np.arange(7), ctx),
@@ -441,21 +451,22 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
     # negating the root reflects the evaluation point; the divided
     # difference of an odd symmetric function and the full coefficient
     # functional of any symmetric function are branch-free
-    z = _sample_operator_point(rng, ctx)
-    with check("branch-invariance", "Dq", 1e-10, z=z) as c:
+    with check("branch-invariance", "Dq", 1e-10) as c:
+        z = c.params["z"] = _sample_operator_point(c.rng, ctx)
+
         def g_odd(w):
             return ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2
         c.terms(wpoperator.apply_Dq(g_odd, z, ctx),
                 wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q))
-        pair = sample_basis_pair(rng)
+        pair = sample_basis_pair(c.rng)
         f = taylor.phi_combination(pair, [0.7, 1.1 - 0.3j, 0.8j, 0.5], ctx)
         t, t_flipped = (taylor.taylor_expand(f, pair, 3, branch)
                         for branch in (ctx, ctx.other_branch()))
         for k in range(4):
             c.terms(t[k], t_flipped[k])
 
-    pair = sample_basis_pair(rng)
     with check("grid-functional-weights", "finite-grid-functional", 1e-10, j=1) as ch:
+        pair = sample_basis_pair(ch.rng)
         a, c = pair.a, pair.c
         w = wpoperator.grid_functional_weights(a, c, 1, ctx)
         phi1 = taylor.phi_function(pair, 1, ctx)
@@ -469,8 +480,8 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------- taylor
 
 def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("taylor"), []
-    check = partial(Check, out, "taylor")
+    ctx, streams, out = cfg.context(), cfg.streams("taylor"), []
+    check = partial(Check, out, streams, "taylor")
     q = ctx.q
 
     with check("coefficient-recovery", "finite-coeff", 1e-8, n_max=8) as c:
@@ -482,14 +493,15 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
                     c.rel(t, want)
         draws = []
         for _ in range(max(cfg.draws // 2, 4)):
-            pair, n = sample_basis_pair(rng, lo=0.4, hi=0.85), rng.randrange(1, 9)
-            draws.append((pair, n, [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)]))
+            pair, n = sample_basis_pair(c.rng, lo=0.4, hi=0.85), c.rng.randrange(1, 9)
+            draws.append((pair, n, [sample_complex(c.rng, 0.5, 1.5) for _ in range(n + 1)]))
         pairs, ns, coeffs = zip(*draws)  # ragged coefficient lists: batched by hand
         c.each(recovery, draws, (taylor.BasisPair.batch(pairs), np.array(ns), coeffs))
 
-    a, c, d = sample_complex(rng, 0.4, 0.85), sample_complex(rng, 0.35, 0.8), \
-        sample_complex(rng, 0.4, 0.85)
-    with check("first-reexpansion", "first-reexpansion", 1e-9, a=a, c=c, d=d) as ch:
+    with check("first-reexpansion", "first-reexpansion", 1e-9) as ch:
+        a, c, d = (sample_complex(ch.rng, lo, hi) for lo, hi in ((0.4, 0.85), (0.35, 0.8),
+                                                                 (0.4, 0.85)))
+        ch.params.update(a=a, c=c, d=d)
         pair = taylor.BasisPair(a, c)
         f = taylor.phi_function(taylor.BasisPair(d, c), 1, ctx)
         t0, t1 = taylor.taylor_expand(f, pair, 1, ctx)
@@ -498,24 +510,26 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         ch.rel(t0, w0)
         ch.rel(t1, w1)
 
-    pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
+    pair = sample_basis_pair(streams("pair"), lo=0.4, hi=0.85)
     f = taylor.phi_combination(pair, [1.0, 0.8 + 0.1j, 0.5], ctx)
     g = taylor.phi_combination(pair, [0.3, -0.6j, 0.9, 0.2], ctx)
-    al, be = sample_complex(rng, 0.5, 1.5), sample_complex(rng, 0.5, 1.5)
     with check("linearity", "taylor-coeff-finite", 1e-10) as c:
+        al, be = sample_complex(c.rng, 0.5, 1.5), sample_complex(c.rng, 0.5, 1.5)
         th, tf, tg = (taylor.taylor_expand(fn, pair, 3, ctx)
                       for fn in (lambda z: al * f(z) + be * g(z), f, g))
         for k in range(4):
             c.terms(th[k], al * tf[k] + be * tg[k])
 
-    z = sample_z(rng)
-    with check("remainder-consistency", "T-and-R", 1e-15, z=z) as c:
+    with check("remainder-consistency", "T-and-R", 1e-15) as c:
+        z = c.params["z"] = sample_z(c.rng)
         t_sum, remainder = taylor.taylor_sum_and_remainder(f, pair, 2, z, ctx)
         c.rel(t_sum + remainder, f(z))
         c.detail = "T_n + R_n reproduces f(z) to rounding"
 
-    pair = sample_basis_pair(rng, lo=0.4, hi=0.8)
-    with check("flat-function", "flat-functions", 1e-8, a=pair.a, c=pair.c) as c:
+    with check("flat-function", "flat-functions", 1e-8) as c:
+        pair = sample_basis_pair(c.rng, lo=0.4, hi=0.8)
+        c.params.update(a=pair.a, c=pair.c)
+
         def flat(z):
             return qcore.qpoch_groups([kernel.sym_bases(z, pair.a)], ctx)[0]
         # depth where the rounding floor of near-grid cofactors stays harmless
@@ -529,8 +543,9 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         c.see(0.0 if bumpy > 1e-4 else math.inf)
         c.detail = f"negative control (phi_3) flatness={bumpy:.3e}"
 
-    pair = taylor.BasisPair(sample_complex(rng, 0.4, 0.8), 0.5)
-    with check("basis-boundedness", "basis-bounded", 1e-4, a=pair.a, c=pair.c) as c:
+    with check("basis-boundedness", "basis-bounded", 1e-4) as c:
+        pair = taylor.BasisPair(sample_complex(c.rng, 0.4, 0.8), 0.5)
+        c.params.update(a=pair.a, c=pair.c)
         sups = taylor.basis_sup_curve(pair, (0.95, 1.05), 40, ctx)
         plateau = max(sups[30:]) / max(sups[15:25])
         z0 = 1.02 + 0.0j
@@ -544,11 +559,12 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------- kernel
 
 def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("kernel"), []
-    check = partial(Check, out, "kernel")
+    ctx, streams, out = cfg.context(), cfg.streams("kernel"), []
+    check = partial(Check, out, streams, "kernel")
     q = ctx.q
     n_half = max(cfg.draws // 2, 4)
 
+    rng = streams("points")
     points = [(sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi),
                sample_z(rng)) for _ in range(n_half)]
     with check("factorisation", "A-B", 1e-12, draws=n_half) as c:
@@ -570,7 +586,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                   taylor.phi_basis(z, kp.psi_pair, 5, ctx))
         c.each(involution, points)
 
-    kp = sample_kernel_params(rng, ctx)
+    kp = sample_kernel_params(streams("coefficient-kp"), ctx)
     with check("g-equals-involuted-f", "g-coeff", 1e-12, k_max=12) as c:
         for g, fi in zip(kernel.gk_coefficients(kp, 12),
                          kernel.fk_coefficients(kernel.involute(kp), 12)):
@@ -581,8 +597,8 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
         for k in range(20, 40):
             c.rel(abs(fs[k + 1] / fs[k]), abs(q))
 
-    kp = sample_kernel_params(rng, ctx, lo=0.35, hi=0.85)
     with check("taylor-crosscheck", "f-coeff-taylor", 1e-7, k_max=6) as c:
+        kp = sample_kernel_params(c.rng, ctx, lo=0.35, hi=0.85)
         for terms in (*kernel.kernel_taylor_terms(kp, 6),
                       *kernel.kernel_taylor_terms(kernel.involute(kp), 6)):
             c.terms(*terms)
@@ -593,7 +609,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     judged = []
     with check("two-basis-identity", "two-basis-identity", 1e-7, draws=n_draws,
                trunc=0, explicit=bool(quadruples)) as c:
-        draws = []
+        draws, rng = [], streams("two-basis")
         for i in range(n_draws):
             kp = (quadruples[i] if quadruples
                   else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
@@ -620,18 +636,17 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
         c.see(1.0 / ratio)
         c.detail = f"degradation {ratio:.3e}x"
 
-    kp = sample_profile_kernel_params(rng, ctx)
-    z = sample_z(rng)
     orders = qcore.fit_window(abs(q))
     with check("remainder-gap-ratio", "R-H-limit", 0.30,
                orders=f"{orders[0]}..{orders[-1]}") as c:
+        kp, z = _gap_draw(c.rng, ctx)
         for key, kq in (("fit", kp), ("fit_involuted", kernel.involute(kp))):
             gaps, _ = kernel.remainder_gap_curve(z, kq, orders)
             c.params[key] = qcore.fitted_rate(orders, gaps)
             c.rel(c.params[key], abs(q))
 
     with check("lowering-laws", "H-lowering", 1e-8, draws=n_half) as c:
-        draws = [(sample_kernel_params(rng, ctx), sample_z(rng)) for _ in range(n_half)]
+        draws = [(sample_kernel_params(c.rng, ctx), sample_z(c.rng)) for _ in range(n_half)]
 
         def lowering_laws(kp, z):
             ip = kernel.involute(kp)
@@ -641,7 +656,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(*(np.array(sides).T for sides in zip(*laws)))
         c.each(lowering_laws, draws)
 
-    kp = sample_kernel_params(rng, ctx)
+    kp = sample_kernel_params(streams("E-kp"), ctx)
     depth = kp.series_depth
     with check("E-grid-zeros", "E-grid-zeros", 1e-7, grid_powers="0..10",
                depth=depth) as c:
@@ -649,8 +664,8 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                          for z0 in (kp.b * q ** m, kp.c / (kp.d * kp.e) * q ** m)])
         c.terms(*kernel.pole_cleared_E_terms(grid, kp, depth))
 
-    z = sample_z(rng)
-    with check("pole-clearing-paths", "M-pole-clear", 1e-8, z=z) as c:
+    with check("pole-clearing-paths", "M-pole-clear", 1e-8) as c:
+        z = c.params["z"] = sample_z(c.rng)
         m_val = kernel.M_clearing(z, kp)
         t1, t2, t3 = kernel.two_basis_terms(z, kp, depth)
         e_terms = kernel.pole_cleared_E_terms(z, kp, depth)
@@ -672,17 +687,22 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("vwp-rewriting", "deduce-bailey-8phi7", 1e-7, draws=n_third) as c:
         draws = []
         for _ in range(n_third):
-            kp = sample_kernel_params(rng, ctx)
-            draws.append((kp, np.array([sample_kernel_z(rng, kp), sample_on_circle(rng)])))
+            kp = sample_kernel_params(c.rng, ctx)
+            draws.append((kp, np.array([sample_kernel_z(c.rng, kp), sample_on_circle(c.rng)])))
         c.each(lambda kp, z: c.terms(*(t.T for t in kernel.bailey_terms(kp, z.T))), draws)
     return out
+
+
+def _gap_draw(rng, ctx):
+    """The kernel and point of remainder-gap-ratio, and of its decay curve."""
+    return sample_profile_kernel_params(rng, ctx), sample_z(rng)
 
 
 # ---------------------------------------------------------------- laurent
 
 def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("laurent"), []
-    check = partial(Check, out, "laurent")
+    ctx, streams, out = cfg.context(), cfg.streams("laurent"), []
+    check = partial(Check, out, streams, "laurent")
 
     with check("monomial", "laurent-criterion", 1e-12) as c:
         (v1, _, _), (v2, _, _) = kernel.laurent_coefficient_detail(
@@ -691,8 +711,8 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("quadruple-vs-contour", "calP-quadruple", 1e-8, draws=3) as c:
         for _ in range(3):
-            al, be, ga, de = (sample_complex(rng, 0.3, 0.9) for _ in range(4))
-            n = rng.randrange(0, 4)
+            al, be, ga, de = (sample_complex(c.rng, 0.3, 0.9) for _ in range(4))
+            n = c.rng.randrange(0, 4)
             qd = kernel.calP_quadruple(al, be, ga, de, n, ctx)
 
             def g(z, al=al, be=be, ga=ga, de=de):
@@ -701,7 +721,7 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
             [(ct, _, _)] = kernel.laurent_coefficient_detail(g, [n], 1.0, ctx)
             c.terms(qd, ct)
 
-    kp = sample_kernel_params(rng, ctx)
+    kp = sample_kernel_params(streams("kp"), ctx)
     e_coeffs = kernel.E_contour_coefficient(kp, range(1, 7))
     with check("E-negative-coefficients", "coefficient-cancellation", 1e-6,
                n="1..6") as c:
@@ -727,23 +747,23 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------- profiles
 
 def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("profiles"), []
-    check = partial(Check, out, "profiles")
+    ctx, streams, out = cfg.context(), cfg.streams("profiles"), []
+    check = partial(Check, out, streams, "profiles")
     q = ctx.q
 
-    lam = sample_complex(rng, 0.4, 0.8)
+    lam = sample_complex(streams("lam"), 0.4, 0.8)
     with check("annular-factorisation", "q-annular-factorization", 1e-10, N_max=20) as c:
         c.each(lambda N, w: c.terms(*profiles.annular_factorization_terms(lam, N, w, ctx)),
-               [(N, sample_z(rng, 0.9, 1.15)) for N in (0, 5, 10, 20)])
+               [(N, sample_z(c.rng, 0.9, 1.15)) for N in (0, 5, 10, 20)])
 
-    al, be = sample_complex(rng, 0.4, 0.9), sample_complex(rng, 0.4, 0.9)
-    w = sample_z(rng, 0.9, 1.2)
-    with check("profile-quotient", "L-alpha-beta", 1e-12, w=w) as c:
+    with check("profile-quotient", "L-alpha-beta", 1e-12) as c:
+        al, be = sample_complex(c.rng, 0.4, 0.9), sample_complex(c.rng, 0.4, 0.9)
+        w = c.params["w"] = sample_z(c.rng, 0.9, 1.2)
         c.rel(profiles.L_profile(w, al, be, lam, ctx),
               qcore.theta(al / (lam * w), ctx) / qcore.theta(be / (lam * w), ctx))
         c.see(abs(profiles.L_profile(w, al, al, lam, ctx) - 1.0))
 
-    kp = sample_profile_kernel_params(rng, ctx)
+    kp = sample_profile_kernel_params(streams("kp"), ctx)
     lam = kp.b
     cf = profiles.profile_sums_and_closed_forms(kp)
     with check("scalar-profile-sums", "Fstar-eval", 1e-9, b=kp.b, c=kp.c) as c:
@@ -756,14 +776,14 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("leading-profile", "first-profile-identity", 1e-8, draws=cfg.draws) as c:
         c.each(lambda w: c.terms(*profiles.leading_profile_terms(w, kp, lam, cf)),
-               [(sample_z(rng, 0.8, 1.25),) for _ in range(cfg.draws)])
+               [(sample_z(c.rng, 0.8, 1.25),) for _ in range(cfg.draws)])
         t_anchor = max(scaled_residual(*profiles.leading_profile_theta_terms(t, kp, cf))
                        for t in (1 / kp.b, kp.d * kp.e / kp.c))
         c.terms(*profiles.leading_profile_theta_terms(0.9 + 0.3j, kp, cf))
         c.detail = f"interpolation anchors residual {t_anchor:.3e}"
 
     al, be = kp.c / kp.d, kp.b
-    w = sample_z(rng, 0.9, 1.15)
+    w = sample_z(streams("w"), 0.9, 1.15)
     with check("profile-kernel", "P-exact-scaling", 1e-12, w=w) as c:
         c.see(abs(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx)
                   - profiles.L_profile(w, al, be, lam, ctx)))
@@ -784,12 +804,12 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("generating-residual", "global-Q-zero", 1e-7, s="0,q^8,q^6,q^4") as c:
         c.each_inside(lambda s, w: c.terms(*profiles.generating_Q_terms(s, w, kp, lam)),
-                      ((s, sample_z(rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 4)
+                      ((s, sample_z(c.rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 4)
                        for _ in range(3)), partial(profiles.in_generating_disc, kp, lam))
 
     with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6, N="4..10") as c:
         c.each_inside(lambda N, w: c.terms(*profiles.bridge_terms(N, w, kp, lam)),
-                      ((N, sample_z(rng, 0.9, 1.15)) for N in range(4, 11)),
+                      ((N, sample_z(c.rng, 0.9, 1.15)) for N in range(4, 11)),
                       lambda N, w: profiles.in_generating_disc(kp, lam, q ** N, w))
 
     moments = {}  # each F_m, G_m summed once for kp
@@ -804,11 +824,11 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("coefficient-hierarchy", "first-correction-target", 1e-6, j="0,1") as c:
         for terms in profiles.profile_coefficient_terms(
-                ((j, sample_z(rng, 0.9, 1.15)) for j in (0, 1)), kp, lam, moments):
+                ((j, sample_z(c.rng, 0.9, 1.15)) for j in (0, 1)), kp, lam, moments):
             c.terms(*terms)
 
-    w = sample_z(rng, 0.9, 1.15)
     with check("exponential-profile-limits", "R-profile-limit", 0.25, k=2) as c:
+        w = sample_z(c.rng, 0.9, 1.15)
         *limits, res9, res9i = profiles.exponential_profile_limit_residual(
             2, [(w, kp, N) for N in (6, 8, 10, 12, 9)] + [(w, kernel.involute(kp), 9)], lam)
         trend = c.params["trend"] = qcore.fitted_rate([6, 8, 10, 12],
@@ -856,9 +876,10 @@ def _clear_w_radius(kp) -> float:
 # ---------------------------------------------------------------- quadratic
 
 def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, rng, out = cfg.context(), cfg.rng_for("quadratic"), []
-    check = partial(Check, out, "quadratic")
+    ctx, streams, out = cfg.context(), cfg.streams("quadratic"), []
+    check = partial(Check, out, streams, "quadratic")
 
+    rng = streams("points")
     points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
     params = quadratic.QuadraticParams
     batch = (params.batch([qp for qp, _ in points]), np.array([z for _, z in points]))
@@ -885,7 +906,7 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
                       *quadratic.companion_taylor_terms(qp0, 6)):
             c.terms(*terms)
 
-    z = sample_z(rng)
+    z = sample_z(streams("z"))
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
     with check("tail-decay", "quadratic-remainder-tail", 0.10,
                orders=f"{orders[0]}..{orders[-1]}") as c:
@@ -896,8 +917,8 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("companion-vwp-form", "quadratic-companion-bailey", 1e-10, z=z) as c:
         c.terms(*quadratic.companion_vwp_terms(z, qp0))
 
-    x = sample_complex(rng, 0.3, 0.9)
-    with check("folding", "folding-identities", 1e-10, x=x) as c:
+    with check("folding", "folding-identities", 1e-10) as c:
+        x = c.params["x"] = sample_complex(c.rng, 0.3, 0.9)
         for terms in (*quadratic.folding_terms(x, 5, ctx), *quadratic.folding_terms(0.9, 0, ctx)):
             c.terms(*terms)
     return out
@@ -937,12 +958,12 @@ def run_suites(cfg: SuiteConfig) -> VerificationReport:
 
 def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
     """Negative-control path: H(b) forced to 1 must be reported as a failure."""
-    ctx, rng = cfg.context(), cfg.rng_for("kernel")
+    ctx, rng = cfg.context(), cfg.streams("kernel")("two-basis")
     kp = sample_kernel_params(rng, ctx)
     z = sample_z(rng)
     # evaluated outside the block: an error must escape, not pass for the designed failure
     terms = kernel.two_basis_terms(z, kp, kp.series_depth, force_unit_Hb=True)
-    with Check(records, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
+    with Check(records, None, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
                1e-7, z=z, forced_unit_Hb=True) as c:
         c.terms(*terms)
         c.detail = "expected failure: zeroth Taylor value dropped"
@@ -957,27 +978,26 @@ DECAY_TARGETS = ("two_basis_tail", "remainder_gap", "quadratic_tail",
 def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, float]]:
     """Rows (order, residual, scale, fitted_ratio) for a decay target."""
     ctx = cfg.context()
-    rng = cfg.rng_for("kernel")
     if target == "two_basis_tail":
+        rng = cfg.streams("kernel")("two-basis")
         kp = sample_kernel_params(rng, ctx)
         z = sample_z(rng)
         orders = list(range(0, 29, 2))
         res, scales = zip(*(residual_and_scale(*kernel.two_basis_terms(z, kp, n))
                             for n in orders))
     elif target == "remainder_gap":
-        kp = sample_profile_kernel_params(rng, ctx)
-        z = sample_z(rng)
+        kp, z = _gap_draw(cfg.streams("kernel")("remainder-gap-ratio"), ctx)
         orders = list(range(4, 11))
         res, scales = kernel.remainder_gap_curve(z, kp, orders)
     elif target == "quadratic_tail":
-        rng = cfg.rng_for("quadratic")
-        qp = sample_quadratic_params(rng, ctx)
-        z = sample_z(rng)
+        streams = cfg.streams("quadratic")
+        qp, z = sample_quadratic_params(streams("points"), ctx), sample_z(streams("z"))
         orders = list(range(4, 16))
         res, scales = quadratic.quadratic_tail_curve(z, qp, orders)
     elif target == "profile_scaling":
-        rng = cfg.rng_for("profiles")
-        kp, w = sample_profile_kernel_params(rng, ctx), sample_z(rng, 0.9, 1.15)
+        streams = cfg.streams("profiles")
+        kp = sample_profile_kernel_params(streams("kp"), ctx)
+        w = sample_z(streams("exponential-profile-limits"), 0.9, 1.15)
         orders = list(range(4, 14))
         limits = profiles.exponential_profile_limit_residual(2, [(w, kp, N) for N in orders], kp.b)
         res, scales = [r.r_residual for r in limits], [r.r_scale for r in limits]

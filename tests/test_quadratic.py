@@ -187,7 +187,7 @@ class TestExpansionScale:
     def near_zero_point(self):
         # q = 0.9, seed 2: |Q_companion(z)| = 3.7e-9 at draw 9, terms of order 1
         cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
-        ctx, rng = cfg.context(), cfg.rng_for("quadratic")
+        ctx, rng = cfg.context(), cfg.streams("quadratic")("points")
         points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
         return points[9]
 
