@@ -172,12 +172,6 @@ def _validate_s_disc(s, w, alpha: complex, beta: complex, lam: complex,
             f"validated disc (arg bound {worst.flat[i]:.3g})")
 
 
-def in_generating_disc(kp: KernelParams, lam: complex, s, w) -> bool:
-    """Whether the point (s, w) is in the validated disc of every profile kernel of the
-    generating residual (that residual raises ConvergenceRegionViolation elsewhere)."""
-    return all(max(_disc_args(s, w, al, be, lam, kp.ctx)) < 0.5 for al, be in _profile_pairs(kp))
-
-
 def profile_kernel_P(s, w, alpha: complex, beta: complex, lam: complex, ctx: QContext):
     """The profile kernel: a four-quotient product, holomorphic in s near 0.
 
@@ -308,7 +302,7 @@ def contiguous_moment(kp: KernelParams, m: int) -> ProfileMoments:
     return ProfileMoments(m, *_profile_sums(kp, (b / c) * q ** m), True)
 
 
-def profile_coefficient_terms(points, kp: KernelParams, lam: complex,
+def profile_coefficient_terms(points: list, kp: KernelParams, lam: complex,
                               moments: dict | None = None) -> list[tuple]:
     """The three additive terms of [s^j] of the generating residual at each point (j, w).
 
@@ -318,22 +312,19 @@ def profile_coefficient_terms(points, kp: KernelParams, lam: complex,
     """
     ctx, pairs = kp.ctx, _profile_pairs(kp)
     moments = {} if moments is None else moments
-    drawn = []
+    calls = []
+    for j, w in points:
+        calls += [[_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[:2]]
+        for m in range(-j, j + 1, 2):
+            if m not in moments:
+                moments[m] = contiguous_moment(kp, m)
+            if not moments[m].convergent:
+                raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
+        calls += [[_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[2:]]
 
-    def calls():  # in the order of a loop over the points, which raises the same first error
-        for j, w in points:
-            drawn.append((j, w))
-            yield from ([_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[:2])
-            for m in range(-j, j + 1, 2):
-                if m not in moments:
-                    moments[m] = contiguous_moment(kp, m)
-                if not moments[m].convergent:
-                    raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
-            yield from ([_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[2:])
-
-    values = iter(qpoch_quotients_each(calls(), ctx))  # each distinct profile once
+    values = iter(qpoch_quotients_each(calls, ctx))  # each distinct profile once
     out = []
-    for j, w in drawn:
+    for j, w in points:
         f1, f2 = (_kernel_coefficients(next(values)[0], range(j + 1), w, al, be, lam, ctx)
                   for al, be in pairs[:2])
 
@@ -355,40 +346,36 @@ class ProfileLimitResiduals:
     r_residual: float
     r_scale: float
     s_residual: float
-    q0_residual: float
 
 
-def exponential_profile_limit_residual(k: int, points, lam: complex
+def exponential_profile_limit_residual(k: int, points: list, lam: complex
                                        ) -> list[ProfileLimitResiduals]:
-    """Distance of (b/c)^{N-k} R_k, (b/c)^{N-k} S_k and (b/c)^N Q_0 to their limits at each
-    point (w, kp, N) of a sequence (kernels of one context).
+    """Distance of (b/c)^{N-k} R_k and (b/c)^{N-k} S_k to their limits at each point
+    (w, kp, N) (kernels of one context).
 
-    The limits are the theta-quotient profiles L_{c,b}, L_{c^2/bde, c/de}
-    and L_{c/d,b} L_{c/e,c/de}; convergence is geometric in N at fixed k.
-    The eight quotients of every point come from qpoch_quotients_each.
+    The limits are the theta-quotient profiles L_{c,b} and L_{c^2/bde, c/de};
+    convergence is geometric in N at fixed k.  The four quotients of every
+    point come from qpoch_quotients_each.
     """
-    drawn = []
-
-    def calls():  # in the order of a loop over the points, which raises the same first error
-        for w, kp, N in points:
-            if not 0 <= k <= N:
-                raise DomainError("need 0 <= k <= N")
-            b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
-            z, qk, pairs = lam * ctx.q ** N * w, ctx.q ** k, _profile_pairs(kp)
-            drawn.append(((b / c) ** (N - k), (b / c) ** N))
-            quotients = []
-            for al, be in [(c * qk, b * qk), (c * c * qk / (b * d * e), c * qk / (d * e)),
-                           *pairs[:2]]:
-                require_clear(ctx, "profile quotient", be * z, be / z)
-                quotients.append((sym_bases(z, al), sym_bases(z, be),
-                                  "profile quotient: vanishing denominator"))
-            yield quotients + [_L_quotient(w, al, be, lam, ctx) for al, be in pairs]
+    calls = []
+    for w, kp, N in points:
+        if not 0 <= k <= N:
+            raise DomainError("need 0 <= k <= N")
+        b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
+        z, qk = lam * ctx.q ** N * w, ctx.q ** k
+        quotients = []
+        for al, be in [(c * qk, b * qk), (c * c * qk / (b * d * e), c * qk / (d * e))]:
+            require_clear(ctx, "profile quotient", be * z, be / z)
+            quotients.append((sym_bases(z, al), sym_bases(z, be),
+                              "profile quotient: vanishing denominator"))
+        calls.append(quotients + [_L_quotient(w, al, be, lam, ctx)
+                                  for al, be in _profile_pairs(kp)[2:]])
 
     return [ProfileLimitResiduals(*residual_and_scale(scale_pow * rk, r_lim),
-                                  scaled_residual(scale_pow * sk, s_lim),
-                                  scaled_residual(layer_pow * qd * qe, ld * le))
-            for (scale_pow, layer_pow), (rk, sk, qd, qe, ld, le, r_lim, s_lim)
-            in zip(drawn, qpoch_quotients_each(calls(), points[0][1].ctx))]
+                                  scaled_residual(scale_pow * sk, s_lim))
+            for scale_pow, (rk, sk, r_lim, s_lim)
+            in zip([(kp.b / kp.c) ** (N - k) for _, kp, N in points],
+                   qpoch_quotients_each(calls, points[0][1].ctx))]
 
 
 @dataclass(frozen=True)
@@ -400,7 +387,7 @@ class CanonicalGrowth:
     C_factor: complex
 
 
-def canonical_growth_profile(lam: complex, points, kp: KernelParams) -> list[CanonicalGrowth]:
+def canonical_growth_profile(lam: complex, points: list, kp: KernelParams) -> list[CanonicalGrowth]:
     """The two-grid canonical product Z(z) = (bz, b/z, cz/de, c/dez;q)_inf on layer N split
     as C_{lam,N}(w) q^{-N(N+1)} (bc/(de lam^2 w^2))^N, at each point (N, w).
 
@@ -411,17 +398,14 @@ def canonical_growth_profile(lam: complex, points, kp: KernelParams) -> list[Can
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
     cde = c / (d * e)
-    drawn = []
-
-    def calls():  # in the order of a loop over the points, which raises the same first error
-        for N, w in points:
-            z = lam * q ** N * w
-            drawn.append((N, w, q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N))
-            yield [sym_bases(z, b, cde), [b * z, cde * z, b / (lam * w), cde / (lam * w)]]
-
-    return [CanonicalGrowth(zval, monomial, cinf * qpoch_finite(lam * w * q / b, N, ctx)
+    calls = []
+    for N, w in points:
+        z = lam * q ** N * w
+        calls.append([sym_bases(z, b, cde), [b * z, cde * z, b / (lam * w), cde / (lam * w)]])
+    return [CanonicalGrowth(zval, q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N,
+                            cinf * qpoch_finite(lam * w * q / b, N, ctx)
                             * qpoch_finite(lam * w * q / cde, N, ctx))
-            for (N, w, monomial), (zval, cinf) in zip(drawn, qpoch_groups_each(calls(), ctx))]
+            for (N, w), (zval, cinf) in zip(points, qpoch_groups_each(calls, ctx))]
 
 
 def bridge_terms(N, w, kp: KernelParams, lam: complex) -> tuple:

@@ -34,8 +34,8 @@ import sys
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate, islice, tee
-from typing import Iterable, Sequence
+from itertools import accumulate, islice
+from typing import Sequence
 
 import numpy as np
 
@@ -259,15 +259,15 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
                      tail, n * flat.size)
 
 
-def qpoch_groups_each(calls: Iterable[Sequence[Sequence]], ctx: QContext) -> list[list]:
+def qpoch_groups_each(calls: Sequence[Sequence[Sequence]], ctx: QContext) -> list[list]:
     """The product of (a;q)_inf over each group of bases of each call (a list of groups): bases
     are scalars or ndarrays, the ndarrays of a call flattened first, then each scalar; a
     product has the shape of its bases, and an empty group gives 1.  A call's depth is
-    geometric_depth(|q|, max|a|) over its own bases, taken as the call is drawn (so a loop over
-    the calls raises the same first error), and the calls of one depth share a qpoch_infinite
-    call, bit for bit: every base of a batch multiplies alike.  A call of one base keeps its
-    own, as the scalar loop rounds apart from the vector one."""
-    drawn, batches, alone = [], {}, isinstance(calls, list) and len(calls) == 1
+    geometric_depth(|q|, max|a|) over its own bases, taken in the order of the calls (so the
+    first error is the first call's that has one), and the calls of one depth share a
+    qpoch_infinite call, bit for bit: every base of a batch multiplies alike.  A call of one
+    base keeps its own, as the scalar loop rounds apart from the vector one."""
+    drawn, batches, alone = [], {}, len(calls) == 1
     for i, groups in enumerate(calls):
         bases = [a for group in groups for a in group]
         arrays = [a for a in bases if isinstance(a, np.ndarray)]
@@ -304,16 +304,14 @@ def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
     return qpoch_groups_each([groups], ctx)[0]
 
 
-def qpoch_quotients_each(calls: Iterable[Sequence[tuple]], ctx: QContext,
+def qpoch_quotients_each(calls: Sequence[Sequence[tuple]], ctx: QContext,
                          error: type[QTaylorError] = PoleProximity) -> list[list]:
     """The qpoch_quotients of each call, from qpoch_groups_each; raises error(what) at the first
     call, in order, with a denominator that vanishes anywhere."""
-    lazy = not isinstance(calls, list)  # a list is drawn at once, and may be a lone call
-    calls, drawn = tee(calls) if lazy else (calls, calls)
-    groups = ([group for num, den, _ in quotients for group in (num, den)] for quotients in calls)
-    values = qpoch_groups_each(groups if lazy else list(groups), ctx)
+    values = qpoch_groups_each([[group for num, den, _ in quotients for group in (num, den)]
+                                for quotients in calls], ctx)
     out = []
-    for quotients, products in zip(drawn, values):
+    for quotients, products in zip(calls, values):
         for (_, _, what), bottom in zip(quotients, products[1::2]):
             if (bottom == 0).any() if isinstance(bottom, np.ndarray) else bottom == 0:
                 raise error(what)

@@ -3,8 +3,11 @@
 Each check evaluates one identity family at seeded draws and emits a
 CheckRecord carrying the draw parameters, the worst residual, its scale,
 the tolerance and the verdict.  Records are deterministic functions of
-(config, seed): suite RNGs are derived from the master seed by fixed
-offsets, never from global state.
+(config, seed): each check draws from a stream of its own, ``c.rng``,
+seeded by the string "seed:suite:check", and a draw that several checks
+read comes from a named stream of its own, "seed:suite:name".  No stream
+depends on global state, on PYTHONHASHSEED (a string seed is hashed by
+SHA-512) or on what any other check drew.
 
 Every check is a ``with check(name, anchor, tol, **params) as c:`` block
 (:class:`Check`) that keeps the first of its largest residuals.  ``scale``
@@ -32,7 +35,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import hyper, kernel, profiles, qcore, quadratic, taylor, wpoperator
-from .errors import ConfigError, DomainError, QTaylorError
+from .errors import ConfigError, QTaylorError
 from .qcore import QContext, residual_and_scale, scaled_residual
 from .sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
                        sample_kernel_z, sample_on_circle,
@@ -41,7 +44,6 @@ from .sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
 
 SUITE_NAMES = ("qcore", "hyper", "operator", "taylor", "kernel", "laurent",
                "profiles", "quadratic")
-_SUITE_OFFSET = {name: 1000 + 17 * i for i, name in enumerate(SUITE_NAMES)}
 
 
 def format_complex(z: complex) -> str:
@@ -117,9 +119,8 @@ class SuiteConfig:
 
     def streams(self, suite: str):
         """The random stream of each name of a suite, a check or a draw that several of its
-        checks share: here the suite's one stream, drawn in the order of the program."""
-        rng = random.Random(self.seed + _SUITE_OFFSET[suite])
-        return lambda name: rng
+        checks read: a fresh random.Random seeded by "seed:suite:name"."""
+        return lambda name: random.Random(f"{self.seed}:{suite}:{name}")
 
 
 @dataclass
@@ -209,18 +210,6 @@ class Check:
             self.residual, self.scale, self.params = state
             for draw in draws:
                 judge(*draw)
-
-    def each_inside(self, judge, draws, inside) -> None:
-        """Judge the points of draws (each) up to the first that is not inside, where a loop
-        over them raised and drew no further; then judge that point alone, to raise its error."""
-        points = []
-        for point in draws:
-            if not inside(*point):
-                if points:
-                    self.each(judge, points)
-                return judge(*point)
-            points.append(point)
-        self.each(judge, points)
 
     def __enter__(self) -> Check:
         self._slot = len(self._records)
@@ -452,10 +441,9 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
     # difference of an odd symmetric function and the full coefficient
     # functional of any symmetric function are branch-free
     with check("branch-invariance", "Dq", 1e-10) as c:
-        z = c.params["z"] = _sample_operator_point(c.rng, ctx)
-
         def g_odd(w):
             return ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2
+        z = c.params["z"] = _sample_operator_point(c.rng, ctx)
         c.terms(wpoperator.apply_Dq(g_odd, z, ctx),
                 wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q))
         pair = sample_basis_pair(c.rng)
@@ -499,8 +487,7 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         c.each(recovery, draws, (taylor.BasisPair.batch(pairs), np.array(ns), coeffs))
 
     with check("first-reexpansion", "first-reexpansion", 1e-9) as ch:
-        a, c, d = (sample_complex(ch.rng, lo, hi) for lo, hi in ((0.4, 0.85), (0.35, 0.8),
-                                                                 (0.4, 0.85)))
+        a, c, d = (sample_complex(ch.rng, *r) for r in ((0.4, 0.85), (0.35, 0.8), (0.4, 0.85)))
         ch.params.update(a=a, c=c, d=d)
         pair = taylor.BasisPair(a, c)
         f = taylor.phi_function(taylor.BasisPair(d, c), 1, ctx)
@@ -527,11 +514,10 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         c.detail = "T_n + R_n reproduces f(z) to rounding"
 
     with check("flat-function", "flat-functions", 1e-8) as c:
-        pair = sample_basis_pair(c.rng, lo=0.4, hi=0.8)
-        c.params.update(a=pair.a, c=pair.c)
-
         def flat(z):
             return qcore.qpoch_groups([kernel.sym_bases(z, pair.a)], ctx)[0]
+        pair = sample_basis_pair(c.rng, lo=0.4, hi=0.8)
+        c.params.update(a=pair.a, c=pair.c)
         # depth where the rounding floor of near-grid cofactors stays harmless
         k_flat = 3
         while k_flat < 6 and abs(q) ** (-(k_flat + 1) * (k_flat + 2) / 2) < 1e6:
@@ -603,31 +589,19 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                       *kernel.kernel_taylor_terms(kernel.involute(kp), 6)):
             c.terms(*terms)
 
-    quadruples = [kernel_params_from_config(entry, ctx)
-                  for entry in cfg.explicit_kernel]
-    n_draws = len(quadruples) or cfg.draws
-    judged = []
+    n_draws = len(cfg.explicit_kernel) or cfg.draws
+    two_basis_draws = _two_basis_draws(cfg, ctx, n_draws)
     with check("two-basis-identity", "two-basis-identity", 1e-7, draws=n_draws,
-               trunc=0, explicit=bool(quadruples)) as c:
-        draws, rng = [], streams("two-basis")
-        for i in range(n_draws):
-            kp = (quadruples[i] if quadruples
-                  else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo,
-                                            hi=cfg.modulus_hi))
-            draws.append((kp, sample_kernel_z(rng, kp)))
-
+               trunc=0, explicit=bool(cfg.explicit_kernel)) as c:
         def two_basis(kp, z):  # one draw, or the batch of all
             depth = kp.series_depth
             c.params["trunc"] = max(c.params["trunc"], int(np.max(depth)))
             # the points of each draw together, as a loop over the draws sees them
             c.terms(*(t.T for t in kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth)))
-            judged.append(draws[0])  # the first draw is in the first evaluation that passes
-        c.each(two_basis, draws)
+        c.each(two_basis, two_basis_draws)
 
     with check("negative-control-Hb", "two-basis-identity", 1e-6) as c:
-        if not judged:
-            raise DomainError("two-basis-identity evaluated no draw to degrade")
-        kp, z = judged[0]
+        kp, z = two_basis_draws[0]
         depth = kp.series_depth
         r = scaled_residual(*kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth))[0]
         c.params["z"] = z
@@ -639,7 +613,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     orders = qcore.fit_window(abs(q))
     with check("remainder-gap-ratio", "R-H-limit", 0.30,
                orders=f"{orders[0]}..{orders[-1]}") as c:
-        kp, z = _gap_draw(c.rng, ctx)
+        kp, z = sample_profile_kernel_params(c.rng, ctx), sample_z(c.rng)
         for key, kq in (("fit", kp), ("fit_involuted", kernel.involute(kp))):
             gaps, _ = kernel.remainder_gap_curve(z, kq, orders)
             c.params[key] = qcore.fitted_rate(orders, gaps)
@@ -693,9 +667,16 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     return out
 
 
-def _gap_draw(rng, ctx):
-    """The kernel and point of remainder-gap-ratio, and of its decay curve."""
-    return sample_profile_kernel_params(rng, ctx), sample_z(rng)
+def _two_basis_draws(cfg: SuiteConfig, ctx: QContext, count: int) -> list:
+    """The first count draws (kp, z) of two-basis-identity from its named stream: the
+    configured kernel quadruples, else drawn ones, each with a point clear of its poles."""
+    rng, quadruples = cfg.streams("kernel")("two-basis"), cfg.explicit_kernel
+    draws = []
+    for i in range(count):
+        kp = (kernel_params_from_config(quadruples[i], ctx) if quadruples
+              else sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi))
+        draws.append((kp, sample_kernel_z(rng, kp)))
+    return draws
 
 
 # ---------------------------------------------------------------- laurent
@@ -785,8 +766,8 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     al, be = kp.c / kp.d, kp.b
     w = sample_z(streams("w"), 0.9, 1.15)
     with check("profile-kernel", "P-exact-scaling", 1e-12, w=w) as c:
-        c.see(abs(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx)
-                  - profiles.L_profile(w, al, be, lam, ctx)))
+        c.terms(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx),
+                profiles.L_profile(w, al, be, lam, ctx))
         N = np.array([4, 7])
         z = lam * q ** N * w
         quot = (be / al) ** N * qcore.qpoch_quotient(
@@ -803,14 +784,13 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(mine, coeff)
 
     with check("generating-residual", "global-Q-zero", 1e-7, s="0,q^8,q^6,q^4") as c:
-        c.each_inside(lambda s, w: c.terms(*profiles.generating_Q_terms(s, w, kp, lam)),
-                      ((s, sample_z(c.rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 4)
-                       for _ in range(3)), partial(profiles.in_generating_disc, kp, lam))
+        c.each(lambda s, w: c.terms(*profiles.generating_Q_terms(s, w, kp, lam)),
+               [(s, sample_z(c.rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 4)
+                for _ in range(3)])
 
     with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6, N="4..10") as c:
-        c.each_inside(lambda N, w: c.terms(*profiles.bridge_terms(N, w, kp, lam)),
-                      ((N, sample_z(c.rng, 0.9, 1.15)) for N in range(4, 11)),
-                      lambda N, w: profiles.in_generating_disc(kp, lam, q ** N, w))
+        c.each(lambda N, w: c.terms(*profiles.bridge_terms(N, w, kp, lam)),
+               [(N, sample_z(c.rng, 0.9, 1.15)) for N in range(4, 11)])
 
     moments = {}  # each F_m, G_m summed once for kp
     with check("contiguous-moments", "profile-moments", 1e-12) as c:
@@ -824,7 +804,7 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("coefficient-hierarchy", "first-correction-target", 1e-6, j="0,1") as c:
         for terms in profiles.profile_coefficient_terms(
-                ((j, sample_z(c.rng, 0.9, 1.15)) for j in (0, 1)), kp, lam, moments):
+                [(j, sample_z(c.rng, 0.9, 1.15)) for j in (0, 1)], kp, lam, moments):
             c.terms(*terms)
 
     with check("exponential-profile-limits", "R-profile-limit", 0.25, k=2) as c:
@@ -957,10 +937,9 @@ def run_suites(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
-    """Negative-control path: H(b) forced to 1 must be reported as a failure."""
-    ctx, rng = cfg.context(), cfg.streams("kernel")("two-basis")
-    kp = sample_kernel_params(rng, ctx)
-    z = sample_z(rng)
+    """Negative-control path: H(b) forced to 1 at the first two-basis draw must be reported
+    as a failure."""
+    [(kp, z)] = _two_basis_draws(cfg, cfg.context(), 1)
     # evaluated outside the block: an error must escape, not pass for the designed failure
     terms = kernel.two_basis_terms(z, kp, kp.series_depth, force_unit_Hb=True)
     with Check(records, None, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
@@ -979,14 +958,13 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
     """Rows (order, residual, scale, fitted_ratio) for a decay target."""
     ctx = cfg.context()
     if target == "two_basis_tail":
-        rng = cfg.streams("kernel")("two-basis")
-        kp = sample_kernel_params(rng, ctx)
-        z = sample_z(rng)
+        [(kp, z)] = _two_basis_draws(cfg, ctx, 1)
         orders = list(range(0, 29, 2))
         res, scales = zip(*(residual_and_scale(*kernel.two_basis_terms(z, kp, n))
                             for n in orders))
     elif target == "remainder_gap":
-        kp, z = _gap_draw(cfg.streams("kernel")("remainder-gap-ratio"), ctx)
+        rng = cfg.streams("kernel")("remainder-gap-ratio")
+        kp, z = sample_profile_kernel_params(rng, ctx), sample_z(rng)
         orders = list(range(4, 11))
         res, scales = kernel.remainder_gap_curve(z, kp, orders)
     elif target == "quadratic_tail":
@@ -995,9 +973,8 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         orders = list(range(4, 16))
         res, scales = quadratic.quadratic_tail_curve(z, qp, orders)
     elif target == "profile_scaling":
-        streams = cfg.streams("profiles")
-        kp = sample_profile_kernel_params(streams("kp"), ctx)
-        w = sample_z(streams("exponential-profile-limits"), 0.9, 1.15)
+        kp = sample_profile_kernel_params(cfg.streams("profiles")("kp"), ctx)
+        w = sample_z(cfg.streams("profiles")("exponential-profile-limits"), 0.9, 1.15)
         orders = list(range(4, 14))
         limits = profiles.exponential_profile_limit_residual(2, [(w, kp, N) for N in orders], kp.b)
         res, scales = [r.r_residual for r in limits], [r.r_scale for r in limits]

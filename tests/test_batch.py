@@ -44,8 +44,10 @@ PINNED_KERNEL_CALLS = 26
 PINNED_PROFILES_CALLS = 41
 PINNED_QUADRATIC_CALLS = 13
 # hyper._series_sum runs of verify --suite hyper / kernel / profiles / quadratic at the same
-# (q, seed); a run per draw and family made them 72 / 58 / 49 / 25
-PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 8, "profiles": 8, "quadratic": 3}
+# (q, seed); a run per draw and family made them 72 / 58 / 49 / 25; kernel and profiles
+# made 8 and 8 on the suite-wide stream, where the draws of kernel's E-kp and of profiles'
+# kp each reached their depth without a second term run
+PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 9, "profiles": 9, "quadratic": 3}
 # (qcore.qpoch_infinite, qcore.sample, taylor.basis_terms) calls of verify --suite qcore /
 # operator / taylor at the same (q, seed); a call per draw made them (33, 0, 0) / (0, 85, 50) /
 # (5, 17, 15)
@@ -556,14 +558,24 @@ def first_failure(evaluate, items):
     return None
 
 
+def inside_disc(kp, lam, s, w) -> bool:
+    """Whether the generating residual's profile kernels take the point (s, w): outside
+    their validated s-disc they raise ConvergenceRegionViolation."""
+    try:
+        profiles._generating_quotients(s, w, kp, lam)
+    except ConvergenceRegionViolation:
+        return False
+    return True
+
+
 def profile_points(rng, kp, lam, ctx, count):
     """(s, w) and (N, w) points of the generating and bridge checks inside the validated disc."""
     q = ctx.q
     sw = [(s, sample_z(rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 5)
           for _ in range(count)]
     nw = [(N, sample_z(rng, 0.9, 1.15)) for N in range(4, 11) for _ in range(count)]
-    return ([p for p in sw if profiles.in_generating_disc(kp, lam, *p)],
-            [p for p in nw if profiles.in_generating_disc(kp, lam, q ** p[0], p[1])])
+    return ([p for p in sw if inside_disc(kp, lam, *p)],
+            [p for p in nw if inside_disc(kp, lam, q ** p[0], p[1])])
 
 
 def spy_work(monkeypatch):
@@ -988,8 +1000,8 @@ class TestClearanceScan:
         want = raised(profiles.profile_kernel_P, complex(s[2]), complex(w[2]), al, be, lam, ctx)
         assert want[0] is ConvergenceRegionViolation
         assert raised(profiles.profile_kernel_P, s, w, al, be, lam, ctx) == want
-        assert [profiles.in_generating_disc(kp, lam, *p) for p in zip(s[:2], w[:2])] == [True] * 2
-        assert not profiles.in_generating_disc(kp, lam, s[2], w[2])
+        assert [inside_disc(kp, lam, *p) for p in zip(s[:2], w[:2])] == [True] * 2
+        assert not inside_disc(kp, lam, s[2], w[2])
 
 
 class TestCallCounts:

