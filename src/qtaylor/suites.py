@@ -1,27 +1,26 @@
 """Check catalog for the verification suites.
 
 Each check evaluates one identity family at seeded draws and emits a
-CheckRecord carrying the draw parameters, the worst residual, its scale,
-the tolerance and the verdict.  Records are deterministic functions of
-(config, seed): each check draws from a stream of its own, ``c.rng``,
-seeded by the string "seed:suite:check", and a draw that several checks
-read comes from a named stream of its own, "seed:suite:name".  No stream
-depends on global state, on PYTHONHASHSEED (a string seed is hashed by
-SHA-512) or on what any other check drew.
+CheckRecord carrying the draw parameters, the worst residual, its scale, the
+tolerance and the verdict.  Each check draws from a stream of its own,
+``c.rng``, seeded by the string "seed:suite:check", and a draw that several
+checks read from a named stream "seed:suite:name".  No stream depends on global
+state, on PYTHONHASHSEED (a string seed is hashed by SHA-512) or on what
+another check drew.
 
 Every check is a ``with check(name, anchor, tol, **params) as c:`` block
-(:class:`Check`) that keeps the first of its largest residuals.  ``scale``
-is what that residual was divided by: the largest |t_i| of an identity t_0 = t_1 + ...
-judged by ``c.terms`` (``qcore.residual_and_scale``), |ref| of a relative
-error judged by ``c.rel``, and 1.0 for a residual passed to ``c.see``
-as is.  A ``QTaylorError`` or ``ArithmeticError`` raised inside a block
-fails that check alone, with residual inf and ``"<Type>: message"`` in
-``detail``.  Draws and values that several checks share are made before
-the first of them opens; an error there, such as a sampler that runs out
-of tries, aborts the suite as one ``suite-abort`` record.
+(:class:`Check`) that keeps the first of its largest residuals.  ``scale`` is
+what that residual was divided by: the largest |t_i| of an identity
+t_0 = t_1 + ... judged by ``c.terms`` (``qcore.residual_and_scale``), |ref| of
+a relative error judged by ``c.rel``, and 1.0 for a residual passed to ``c.see``
+as is.  A ``QTaylorError`` or ``ArithmeticError`` raised inside a block fails
+that check alone, with residual inf and ``"<Type>: message"`` in ``detail``.
+Draws and values that several checks share are made before the first of them
+opens; an error there, such as a sampler that runs out of tries, aborts the
+suite as one ``suite-abort`` record.
 
-Anchor strings are stable identity labels used for traceability in
-reports; check ids are unique within a suite.
+Anchor strings are stable identity labels used for traceability in reports;
+check ids are unique within a suite.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -117,10 +117,10 @@ class SuiteConfig:
             return QContext(self.q, max_terms=self.max_terms)
         return QContext(self.q, self.eps_rel, self.max_terms)
 
-    def streams(self, suite: str):
-        """The random stream of each name of a suite, a check or a draw that several of its
+    def stream(self, suite: str, name: str) -> random.Random:
+        """The random stream of a name of a suite, a check or a draw that several of its
         checks read: a fresh random.Random seeded by "seed:suite:name"."""
-        return lambda name: random.Random(f"{self.seed}:{suite}:{name}")
+        return random.Random(f"{self.seed}:{suite}:{name}")
 
 
 @dataclass
@@ -159,9 +159,9 @@ class Check:
     records keep the order in which their checks opened.
     """
 
-    def __init__(self, records: list, streams, suite: str, check: str, anchor: str,
+    def __init__(self, records: list, cfg: SuiteConfig, suite: str, check: str, anchor: str,
                  tol: float, **params):
-        self._records, self._streams = records, streams
+        self._records, self._cfg = records, cfg
         self.suite, self.check, self.anchor, self.tol = suite, check, anchor, tol
         self.params = params
         self.residual, self.scale, self.detail = 0.0, None, ""  # no residual seen yet
@@ -169,7 +169,7 @@ class Check:
     @cached_property
     def rng(self) -> random.Random:
         """The check's own random stream, built when the check first draws."""
-        return self._streams(self.check)
+        return self._cfg.stream(self.suite, self.check)
 
     def see(self, *residuals, scale=1.0) -> None:
         """Keep the first largest residual and the scale it was divided by; a NaN sticks.  Numbers
@@ -235,8 +235,8 @@ class Check:
 # ---------------------------------------------------------------- qcore
 
 def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("qcore"), []
-    check = partial(Check, out, streams, "qcore")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "qcore")
     q = ctx.q
 
     with check("recurrence", "qpoch-def", 1e-13, draws=32) as c:
@@ -285,8 +285,8 @@ def _rogers_draw(rng, ctx):
 
 
 def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("hyper"), []
-    check = partial(Check, out, streams, "hyper")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "hyper")
     q = ctx.q
 
     with check("phi-z0", "basic-hypergeometric-def", 1e-15) as c:
@@ -368,8 +368,8 @@ def _sample_operator_point(rng, ctx):
 
 
 def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("operator"), []
-    check = partial(Check, out, streams, "operator")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "operator")
     q = ctx.q
     rq = ctx.sqrt_q
 
@@ -468,8 +468,8 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------- taylor
 
 def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("taylor"), []
-    check = partial(Check, out, streams, "taylor")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "taylor")
     q = ctx.q
 
     with check("coefficient-recovery", "finite-coeff", 1e-8, n_max=8) as c:
@@ -497,7 +497,7 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         ch.rel(t0, w0)
         ch.rel(t1, w1)
 
-    pair = sample_basis_pair(streams("pair"), lo=0.4, hi=0.85)
+    pair = sample_basis_pair(cfg.stream("taylor", "pair"), lo=0.4, hi=0.85)
     f = taylor.phi_combination(pair, [1.0, 0.8 + 0.1j, 0.5], ctx)
     g = taylor.phi_combination(pair, [0.3, -0.6j, 0.9, 0.2], ctx)
     with check("linearity", "taylor-coeff-finite", 1e-10) as c:
@@ -545,12 +545,12 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------- kernel
 
 def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("kernel"), []
-    check = partial(Check, out, streams, "kernel")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "kernel")
     q = ctx.q
     n_half = max(cfg.draws // 2, 4)
 
-    rng = streams("points")
+    rng = cfg.stream("kernel", "points")
     points = [(sample_kernel_params(rng, ctx, lo=cfg.modulus_lo, hi=cfg.modulus_hi),
                sample_z(rng)) for _ in range(n_half)]
     with check("factorisation", "A-B", 1e-12, draws=n_half) as c:
@@ -572,7 +572,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                   taylor.phi_basis(z, kp.psi_pair, 5, ctx))
         c.each(involution, points)
 
-    kp = sample_kernel_params(streams("coefficient-kp"), ctx)
+    kp = sample_kernel_params(cfg.stream("kernel", "coefficient-kp"), ctx)
     with check("g-equals-involuted-f", "g-coeff", 1e-12, k_max=12) as c:
         for g, fi in zip(kernel.gk_coefficients(kp, 12),
                          kernel.fk_coefficients(kernel.involute(kp), 12)):
@@ -613,7 +613,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     orders = qcore.fit_window(abs(q))
     with check("remainder-gap-ratio", "R-H-limit", 0.30,
                orders=f"{orders[0]}..{orders[-1]}") as c:
-        kp, z = sample_profile_kernel_params(c.rng, ctx), sample_z(c.rng)
+        kp, z = _remainder_gap_draw(cfg, ctx)
         for key, kq in (("fit", kp), ("fit_involuted", kernel.involute(kp))):
             gaps, _ = kernel.remainder_gap_curve(z, kq, orders)
             c.params[key] = qcore.fitted_rate(orders, gaps)
@@ -630,7 +630,7 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(*(np.array(sides).T for sides in zip(*laws)))
         c.each(lowering_laws, draws)
 
-    kp = sample_kernel_params(streams("E-kp"), ctx)
+    kp = sample_kernel_params(cfg.stream("kernel", "E-kp"), ctx)
     depth = kp.series_depth
     with check("E-grid-zeros", "E-grid-zeros", 1e-7, grid_powers="0..10",
                depth=depth) as c:
@@ -667,10 +667,16 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     return out
 
 
+def _remainder_gap_draw(cfg: SuiteConfig, ctx: QContext) -> tuple:
+    """The draw (kp, z) of remainder-gap-ratio, from its stream."""
+    rng = cfg.stream("kernel", "remainder-gap-ratio")
+    return sample_profile_kernel_params(rng, ctx), sample_z(rng)
+
+
 def _two_basis_draws(cfg: SuiteConfig, ctx: QContext, count: int) -> list:
     """The first count draws (kp, z) of two-basis-identity from its named stream: the
     configured kernel quadruples, else drawn ones, each with a point clear of its poles."""
-    rng, quadruples = cfg.streams("kernel")("two-basis"), cfg.explicit_kernel
+    rng, quadruples = cfg.stream("kernel", "two-basis"), cfg.explicit_kernel
     draws = []
     for i in range(count):
         kp = (kernel_params_from_config(quadruples[i], ctx) if quadruples
@@ -682,8 +688,8 @@ def _two_basis_draws(cfg: SuiteConfig, ctx: QContext, count: int) -> list:
 # ---------------------------------------------------------------- laurent
 
 def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("laurent"), []
-    check = partial(Check, out, streams, "laurent")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "laurent")
 
     with check("monomial", "laurent-criterion", 1e-12) as c:
         (v1, _, _), (v2, _, _) = kernel.laurent_coefficient_detail(
@@ -702,7 +708,7 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
             [(ct, _, _)] = kernel.laurent_coefficient_detail(g, [n], 1.0, ctx)
             c.terms(qd, ct)
 
-    kp = sample_kernel_params(streams("kp"), ctx)
+    kp = sample_kernel_params(cfg.stream("laurent", "kp"), ctx)
     e_coeffs = kernel.E_contour_coefficient(kp, range(1, 7))
     with check("E-negative-coefficients", "coefficient-cancellation", 1e-6,
                n="1..6") as c:
@@ -728,11 +734,11 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------- profiles
 
 def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("profiles"), []
-    check = partial(Check, out, streams, "profiles")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "profiles")
     q = ctx.q
 
-    lam = sample_complex(streams("lam"), 0.4, 0.8)
+    lam = sample_complex(cfg.stream("profiles", "lam"), 0.4, 0.8)
     with check("annular-factorisation", "q-annular-factorization", 1e-10, N_max=20) as c:
         c.each(lambda N, w: c.terms(*profiles.annular_factorization_terms(lam, N, w, ctx)),
                [(N, sample_z(c.rng, 0.9, 1.15)) for N in (0, 5, 10, 20)])
@@ -744,7 +750,7 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
               qcore.theta(al / (lam * w), ctx) / qcore.theta(be / (lam * w), ctx))
         c.see(abs(profiles.L_profile(w, al, al, lam, ctx) - 1.0))
 
-    kp = sample_profile_kernel_params(streams("kp"), ctx)
+    kp, limits_w = _profile_draws(cfg, ctx)
     lam = kp.b
     cf = profiles.profile_sums_and_closed_forms(kp)
     with check("scalar-profile-sums", "Fstar-eval", 1e-9, b=kp.b, c=kp.c) as c:
@@ -764,7 +770,7 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
         c.detail = f"interpolation anchors residual {t_anchor:.3e}"
 
     al, be = kp.c / kp.d, kp.b
-    w = sample_z(streams("w"), 0.9, 1.15)
+    w = sample_z(cfg.stream("profiles", "w"), 0.9, 1.15)
     with check("profile-kernel", "P-exact-scaling", 1e-12, w=w) as c:
         c.terms(profiles.profile_kernel_P(0.0, w, al, be, lam, ctx),
                 profiles.L_profile(w, al, be, lam, ctx))
@@ -808,9 +814,9 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(*terms)
 
     with check("exponential-profile-limits", "R-profile-limit", 0.25, k=2) as c:
-        w = sample_z(c.rng, 0.9, 1.15)
         *limits, res9, res9i = profiles.exponential_profile_limit_residual(
-            2, [(w, kp, N) for N in (6, 8, 10, 12, 9)] + [(w, kernel.involute(kp), 9)], lam)
+            2, [(limits_w, kp, N) for N in (6, 8, 10, 12, 9)]
+            + [(limits_w, kernel.involute(kp), 9)], lam)
         trend = c.params["trend"] = qcore.fitted_rate([6, 8, 10, 12],
                                                       [r.r_residual for r in limits])
         c.rel(trend, abs(q))
@@ -838,6 +844,12 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
     return out
 
 
+def _profile_draws(cfg: SuiteConfig, ctx: QContext) -> tuple:
+    """(kp, w): the named draw kp and the w of exponential-profile-limits."""
+    return (sample_profile_kernel_params(cfg.stream("profiles", "kp"), ctx),
+            sample_z(cfg.stream("profiles", "exponential-profile-limits"), 0.9, 1.15))
+
+
 def _clear_w_radius(kp) -> float:
     """A w-radius maximally clear of the canonical split's zero circles."""
     aq = abs(kp.ctx.q)
@@ -856,11 +868,10 @@ def _clear_w_radius(kp) -> float:
 # ---------------------------------------------------------------- quadratic
 
 def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, streams, out = cfg.context(), cfg.streams("quadratic"), []
-    check = partial(Check, out, streams, "quadratic")
+    ctx, out = cfg.context(), []
+    check = partial(Check, out, cfg, "quadratic")
 
-    rng = streams("points")
-    points = [(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(cfg.draws)]
+    points, z = _quadratic_draws(cfg, ctx, cfg.draws)
     params = quadratic.QuadraticParams
     batch = (params.batch([qp for qp, _ in points]), np.array([z for _, z in points]))
     for name, anchor, family, terms in (
@@ -886,7 +897,6 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
                       *quadratic.companion_taylor_terms(qp0, 6)):
             c.terms(*terms)
 
-    z = sample_z(streams("z"))
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
     with check("tail-decay", "quadratic-remainder-tail", 0.10,
                orders=f"{orders[0]}..{orders[-1]}") as c:
@@ -904,16 +914,16 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     return out
 
 
-_RUNNERS = {
-    "qcore": run_qcore,
-    "hyper": run_hyper,
-    "operator": run_operator,
-    "taylor": run_taylor,
-    "kernel": run_kernel,
-    "laurent": run_laurent,
-    "profiles": run_profiles,
-    "quadratic": run_quadratic,
-}
+def _quadratic_draws(cfg: SuiteConfig, ctx: QContext, count: int) -> tuple:
+    """The first count (qp, z) of the named draw points, whose first qp is qp0, and the named z."""
+    rng = cfg.stream("quadratic", "points")
+    return ([(sample_quadratic_params(rng, ctx), sample_z(rng)) for _ in range(count)],
+            sample_z(cfg.stream("quadratic", "z")))
+
+
+_RUNNERS = {"qcore": run_qcore, "hyper": run_hyper, "operator": run_operator,
+            "taylor": run_taylor, "kernel": run_kernel, "laurent": run_laurent,
+            "profiles": run_profiles, "quadratic": run_quadratic}
 
 
 def run_suites(cfg: SuiteConfig) -> VerificationReport:
@@ -937,12 +947,11 @@ def run_suites(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
-    """Negative-control path: H(b) forced to 1 at the first two-basis draw must be reported
-    as a failure."""
+    """Negative control: H(b) forced to 1 at the first two-basis draw must be reported failing."""
     [(kp, z)] = _two_basis_draws(cfg, cfg.context(), 1)
     # evaluated outside the block: an error must escape, not pass for the designed failure
     terms = kernel.two_basis_terms(z, kp, kp.series_depth, force_unit_Hb=True)
-    with Check(records, None, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
+    with Check(records, cfg, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
                1e-7, z=z, forced_unit_Hb=True) as c:
         c.terms(*terms)
         c.detail = "expected failure: zeroth Taylor value dropped"
@@ -963,18 +972,15 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
         res, scales = zip(*(residual_and_scale(*kernel.two_basis_terms(z, kp, n))
                             for n in orders))
     elif target == "remainder_gap":
-        rng = cfg.streams("kernel")("remainder-gap-ratio")
-        kp, z = sample_profile_kernel_params(rng, ctx), sample_z(rng)
+        kp, z = _remainder_gap_draw(cfg, ctx)
         orders = list(range(4, 11))
         res, scales = kernel.remainder_gap_curve(z, kp, orders)
     elif target == "quadratic_tail":
-        streams = cfg.streams("quadratic")
-        qp, z = sample_quadratic_params(streams("points"), ctx), sample_z(streams("z"))
+        [(qp, _)], z = _quadratic_draws(cfg, ctx, 1)
         orders = list(range(4, 16))
         res, scales = quadratic.quadratic_tail_curve(z, qp, orders)
     elif target == "profile_scaling":
-        kp = sample_profile_kernel_params(cfg.streams("profiles")("kp"), ctx)
-        w = sample_z(cfg.streams("profiles")("exponential-profile-limits"), 0.9, 1.15)
+        kp, w = _profile_draws(cfg, ctx)
         orders = list(range(4, 14))
         limits = profiles.exponential_profile_limit_residual(2, [(w, kp, N) for N in orders], kp.b)
         res, scales = [r.r_residual for r in limits], [r.r_scale for r in limits]
@@ -988,13 +994,9 @@ def decay_rows(cfg: SuiteConfig, target: str) -> list[tuple[int, float, float, f
 
 
 def emit_decay_csv(cfg: SuiteConfig, target: str, path) -> int:
-    """Write a decay curve (order, residual, scale, fitted_ratio) as CSV.
-
-    Returns the number of data rows written.
-    """
-    from pathlib import Path as _Path
+    """Write a decay curve (order, residual, scale, fitted_ratio) as CSV; return its row count."""
     rows = decay_rows(cfg, target)
     lines = ["order,residual,scale,fitted_ratio"]
     lines += [f"{n},{float(r)!r},{float(s)!r},{float(f)!r}" for n, r, s, f in rows]
-    _Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     return len(rows)

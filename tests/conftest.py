@@ -82,17 +82,13 @@ def replay(monkeypatch):
     def run(fixture) -> dict:
         cfg = SuiteConfig(suites=(fixture["suite"],), q=parse_complex(fixture["q"]),
                           seed=fixture["seed"])
-        ctx, made, real_streams = cfg.context(), [], SuiteConfig.streams
+        ctx, made, real_stream = cfg.context(), [], SuiteConfig.stream
 
-        def streams(self, suite):
-            real = real_streams(self, suite)
-
-            def stream(name):
-                if name not in fixture["draws"]:
-                    return real(name)
-                made.append((name, Replay(real(name), fixture["draws"][name])))
-                return made[-1][1]
-            return stream
+        def stream(self, suite, name):
+            if name not in fixture["draws"]:
+                return real_stream(self, suite, name)
+            made.append((name, Replay(real_stream(self, suite, name), fixture["draws"][name])))
+            return made[-1][1]
 
         def replaying(sampler, real):
             def draw(rng, *args, **kwargs):
@@ -104,7 +100,7 @@ def replay(monkeypatch):
             return draw
 
         with monkeypatch.context() as patch:
-            patch.setattr(SuiteConfig, "streams", streams)
+            patch.setattr(SuiteConfig, "stream", stream)
             for sampler in SAMPLERS:
                 patch.setattr(suites, sampler, replaying(sampler, getattr(suites, sampler)))
             records = {r.check: r for r in run_suites(cfg).records}

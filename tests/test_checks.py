@@ -53,7 +53,8 @@ def test_profiles_error_keeps_the_other_records(replay, q):
     # generating-residual leaves the validated s-disc at its recorded draw
     records = replay(replay_fixture("profiles", "generating-residual", q, 2561212077))
     assert len(records) == 12 and "suite-abort" not in records
-    assert records["generating-residual"].detail.startswith("ConvergenceRegionViolation: ")
+    failed = [r for r in records.values() if not r.passed]
+    assert failed and all(r.detail.startswith("ConvergenceRegionViolation: ") for r in failed)
 
 
 @pytest.mark.parametrize("q", [0.45, 0.7])
@@ -122,15 +123,6 @@ TERM_SCALED = [("hyper", "vwp-telescoping"), ("hyper", "rogers-summation"),
                ("quadratic", "taylor-identification"), ("quadratic", "companion-vwp-form"),
                ("quadratic", "folding")]
 
-# the two summations whose first term is the literal 1: their largest term is that 1 at a
-# draw where no other term exceeds it, so they may record a scale of 1.0 too
-UNIT_FIRST_TERM = {("hyper", "rogers-summation"), ("hyper", "jackson-summation")}
-
-
-def term_scaled(key, scale) -> bool:
-    return scale >= 1.0 if key in UNIT_FIRST_TERM else scale != 1.0
-
-
 # absolute residuals against exact targets of modulus 0 or 1, the reach of a flatness
 # measure, ratios compared with 1, and a control ratio (see README, "Numerical conventions")
 UNIT_SCALED = sorted([
@@ -139,15 +131,21 @@ UNIT_SCALED = sorted([
     ("kernel", "negative-control-Hb"), ("laurent", "monomial"),
     ("quadratic", "unit-leading-coefficients")])
 
+# the two summations whose t_0 is the literal 1: at a draw where no other term exceeds it,
+# their largest term is that 1 and a record scaled right reads 1.0, so each is read at the
+# recorded draws of q = 0.45 and the default seed, where its largest term is another
+SCALE_FIXTURES = {("hyper", check): replay_fixture("hyper", check, "0.45", SuiteConfig().seed)
+                  for check in ("rogers-summation", "jackson-summation")}
 
-def test_records_carry_the_scale_they_were_divided_by():
+
+def test_records_carry_the_scale_they_were_divided_by(replay):
     # a check that hands c.see a residual it scaled itself records scale 1.0 and fails here
     report = run_suites(SuiteConfig(q=0.45))
     records = {(r.suite, r.check): r for r in report.records}
     assert len(records) == len(report.records) == 64
-    assert all(term_scaled(key, records[key].scale) for key in TERM_SCALED)
-    assert sorted(key for key, r in records.items()
-                  if r.scale == 1.0 and key not in UNIT_FIRST_TERM) == UNIT_SCALED
+    records.update({key: replay(fixture)[key[1]] for key, fixture in SCALE_FIXTURES.items()})
+    assert all(records[key].scale != 1.0 for key in TERM_SCALED)
+    assert sorted(key for key, r in records.items() if r.scale == 1.0) == UNIT_SCALED
     assert records["qcore", "theta-symmetry"].scale != 1.0
     assert records["qcore", "multi-factorwise"].scale != 1.0
     assert "terms" not in records["qcore", "recurrence"].to_dict()
@@ -177,6 +175,10 @@ def _last_summand_dropped(real):
 
 def _ninth_partial_sum_short(real):  # S_9 summed without its last term
     return lambda spec, trunc, ctx: real(spec, 8 if trunc == 9 else trunc, ctx)
+
+
+def _times(factor):
+    return lambda real: lambda *args: real(*args) * factor
 
 
 def _second_weight_times(factor):
@@ -220,22 +222,29 @@ NEGATIVE_CONTROLS = [
     ("quadratic/taylor-identification", "quadratic.quadratic_taylor_terms",
      _third_closed_form_times(1 + 1e-5)),
     ("quadratic/folding", "quadratic.folding_terms", _last_factor_dropped),
+    ("profiles/profile-kernel", "profiles.L_profile", _times(1 + 1e-6)),
 ]
 
 
 @pytest.mark.parametrize("record, target, defect", NEGATIVE_CONTROLS)
-def test_negative_control_fails_under_the_term_scale(monkeypatch, record, target, defect):
+def test_negative_control_fails_under_the_term_scale(monkeypatch, replay, record, target,
+                                                     defect):
     # each check judged against its largest additive term must still see a defect of
     # its own identity: the record passes clean and fails, on its residual, with the
     # defect patched in
     suite, check = record.split("/")
-    cfg = SuiteConfig(suites=(suite,))
-    [clean] = [r for r in run_suites(cfg).records if r.check == check]
+
+    def run():
+        if (suite, check) in SCALE_FIXTURES:
+            return replay(SCALE_FIXTURES[suite, check])[check]
+        [rec] = [r for r in run_suites(SuiteConfig(suites=(suite,))).records if r.check == check]
+        return rec
+    clean = run()
     module, name = target.split(".")
     real = getattr(importlib.import_module(f"qtaylor.{module}"), name)
     monkeypatch.setattr(f"qtaylor.{target}", defect(real))
-    [rec] = [r for r in run_suites(cfg).records if r.check == check]
-    assert clean.passed and term_scaled((suite, check), clean.scale)
+    rec = run()
+    assert clean.passed and clean.scale != 1.0
     assert not rec.passed and math.isfinite(rec.residual)
 
 

@@ -178,7 +178,7 @@ class RefCheck:
 @given(st.lists(st.tuples(st.lists(numbers(), min_size=1, max_size=5), numbers()),
                 min_size=1, max_size=6))
 def test_see_judges_numbers_as_numpy_did(sights):
-    got, want = Check([], None, "suite", "check", "anchor", 1.0), RefCheck()
+    got, want = Check([], SuiteConfig(), "suite", "check", "anchor", 1.0), RefCheck()
     for residuals, scale in sights:
         got.see(*residuals, scale=scale)
         want.see(*residuals, scale=scale)
