@@ -23,9 +23,8 @@ import numpy as np
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import _first, _series_sum, series_sums, term_ratio
 from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_groups_each,
-                    qpoch_quotients, qpoch_quotients_each, require_clear, residual_and_scale,
-                    scaled_residual, theta_bases)
+from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotients,
+                    require_clear, residual_and_scale, scaled_residual, theta_bases)
 
 
 def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four profiles
@@ -322,7 +321,7 @@ def profile_coefficient_terms(points: list, kp: KernelParams, lam: complex,
                 raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
         calls += [[_L_quotient(w, al, be, lam, ctx)] for al, be in pairs[2:]]
 
-    values = iter(qpoch_quotients_each(calls, ctx))  # each distinct profile once
+    values = iter([qpoch_quotients(call, ctx) for call in calls])  # each distinct profile once
     out = []
     for j, w in points:
         f1, f2 = (_kernel_coefficients(next(values)[0], range(j + 1), w, al, be, lam, ctx)
@@ -355,7 +354,7 @@ def exponential_profile_limit_residual(k: int, points: list, lam: complex
 
     The limits are the theta-quotient profiles L_{c,b} and L_{c^2/bde, c/de};
     convergence is geometric in N at fixed k.  The four quotients of every
-    point come from qpoch_quotients_each.
+    point come from one qpoch_quotients call, once every point's guards have passed.
     """
     calls = []
     for w, kp, N in points:
@@ -375,7 +374,7 @@ def exponential_profile_limit_residual(k: int, points: list, lam: complex
                                   scaled_residual(scale_pow * sk, s_lim))
             for scale_pow, (rk, sk, r_lim, s_lim)
             in zip([(kp.b / kp.c) ** (N - k) for _, kp, N in points],
-                   qpoch_quotients_each(calls, points[0][1].ctx))]
+                   [qpoch_quotients(call, points[0][1].ctx) for call in calls])]
 
 
 @dataclass(frozen=True)
@@ -393,7 +392,7 @@ def canonical_growth_profile(lam: complex, points: list, kp: KernelParams) -> li
 
     The C factor is computed from its own product expression; the record
     therefore certifies the split rather than defining C as a quotient.
-    The infinite products of every point come from qpoch_groups_each.
+    The infinite products of each point come from one qpoch_groups call.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
@@ -405,7 +404,7 @@ def canonical_growth_profile(lam: complex, points: list, kp: KernelParams) -> li
     return [CanonicalGrowth(zval, q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N,
                             cinf * qpoch_finite(lam * w * q / b, N, ctx)
                             * qpoch_finite(lam * w * q / cde, N, ctx))
-            for (N, w), (zval, cinf) in zip(points, qpoch_groups_each(calls, ctx))]
+            for (N, w), (zval, cinf) in zip(points, [qpoch_groups(call, ctx) for call in calls])]
 
 
 def bridge_terms(N, w, kp: KernelParams, lam: complex) -> tuple:

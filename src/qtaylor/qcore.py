@@ -17,8 +17,7 @@ Conventions
 * One array kernel, :func:`qpoch_infinite`, evaluates every ``(a;q)_inf``;
   the quotients of an identity pass all their bases in one call
   (:func:`qpoch_groups`, :func:`qpoch_quotients`), at the depth of the
-  largest ``|a|`` and with a certified bound on the omitted log-factors;
-  independent identities of one depth share a call (:func:`qpoch_groups_each`).
+  largest ``|a|`` and with a certified bound on the omitted log-factors.
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
@@ -195,7 +194,6 @@ def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
 
 
 WIDE_BLOCK = 256  # columns from which a vector multiply per row beats a running product
-SMALL_BATCH = 20  # bases below which Python's max(map(abs, ...)) beats a vector pass
 
 
 def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
@@ -215,13 +213,12 @@ def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
 
 
 def _abs_max(x: np.ndarray) -> float:
-    """max(map(abs, x.tolist()), default=0.0), and so below SMALL_BATCH bases; from there in
-    one vector pass: np.hypot is libm's hypot, as Python's complex abs (NumPy's abs may
-    differ in the last bit), and a NaN counts only where it comes first, as in Python's max."""
-    if x.size < SMALL_BATCH:
-        return max(map(abs, x.tolist()), default=0.0)
+    """max(map(abs, x.tolist()), default=0.0) in one vector pass: np.hypot is libm's hypot, as
+    Python's complex abs (NumPy's abs may differ in the last bit), and a NaN counts only where
+    it comes first, as in Python's max."""
     sizes = np.hypot(x.real, x.imag)
-    return float(sizes[0] if math.isnan(sizes[0]) else np.fmax.reduce(sizes))
+    return float(sizes[0] if sizes.size and math.isnan(sizes[0])
+                 else np.fmax.reduce(sizes, initial=0.0))
 
 
 def qpoch_infinite(a, ctx: QContext) -> TailBound:
@@ -259,71 +256,37 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
                      tail, n * flat.size)
 
 
-def qpoch_groups_each(calls: Sequence[Sequence[Sequence]], ctx: QContext) -> list[list]:
-    """The product of (a;q)_inf over each group of bases of each call (a list of groups): bases
-    are scalars or ndarrays, the ndarrays of a call flattened first, then each scalar; a
-    product has the shape of its bases, and an empty group gives 1.  A call's depth is
-    geometric_depth(|q|, max|a|) over its own bases, taken in the order of the calls (so the
-    first error is the first call's that has one), and the calls of one depth share a
-    qpoch_infinite call, bit for bit: every base of a batch multiplies alike.  A call of one
-    base keeps its own, as the scalar loop rounds apart from the vector one."""
-    drawn, batches, alone = [], {}, len(calls) == 1
-    for i, groups in enumerate(calls):
-        bases = [a for group in groups for a in group]
-        arrays = [a for a in bases if isinstance(a, np.ndarray)]
-        flat = np.concatenate([a.ravel() for a in arrays] + [np.array(
-            [a for a in bases if not isinstance(a, np.ndarray)], dtype=complex)]
-                              ) if arrays else np.array(bases, dtype=complex)
-        # (a lone call's depth is qpoch_infinite's own, with the same error)
-        n = 0 if alone else geometric_depth(abs(ctx.q), _abs_max(flat), ctx.max_terms)
-        batches.setdefault(n if flat.size > 1 else -1 - i, []).append(i)
-        drawn.append((groups, bases, arrays, flat))
-    products = [None] * len(drawn)
-    for members in batches.values():
-        batch = qpoch_infinite(drawn[members[0]][3] if len(members) == 1 else
-                               np.concatenate([drawn[i][3] for i in members]), ctx).value
-        for i, end in zip(members, accumulate(drawn[i][3].size for i in members)):
-            groups, bases, arrays, flat = drawn[i]
-            values = batch[end - flat.size:end]
-            if arrays:  # the ndarrays' values first, then the scalars'
-                ends = list(accumulate((a.size for a in arrays), initial=0))
-                stacked = iter([values[lo:hi].reshape(a.shape)
-                                for a, lo, hi in zip(arrays, ends, ends[1:])])
-                single = iter(values[ends[-1]:].tolist())
-                rows = iter([next(stacked) if isinstance(a, np.ndarray) else next(single)
-                             for a in bases])
-            else:
-                rows = iter(values.tolist())
-            products[i] = [math.prod(islice(rows, len(group))) for group in groups]
-    return products
-
-
 def qpoch_groups(groups: Sequence[Sequence], ctx: QContext) -> list:
-    """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call: the
-    one-call case of qpoch_groups_each."""
-    return qpoch_groups_each([groups], ctx)[0]
-
-
-def qpoch_quotients_each(calls: Sequence[Sequence[tuple]], ctx: QContext,
-                         error: type[QTaylorError] = PoleProximity) -> list[list]:
-    """The qpoch_quotients of each call, from qpoch_groups_each; raises error(what) at the first
-    call, in order, with a denominator that vanishes anywhere."""
-    values = qpoch_groups_each([[group for num, den, _ in quotients for group in (num, den)]
-                                for quotients in calls], ctx)
-    out = []
-    for quotients, products in zip(calls, values):
-        for (_, _, what), bottom in zip(quotients, products[1::2]):
-            if (bottom == 0).any() if isinstance(bottom, np.ndarray) else bottom == 0:
-                raise error(what)
-        out.append([top / bottom for top, bottom in zip(products[0::2], products[1::2])])
-    return out
+    """The product of (a;q)_inf over each group of bases, from one qpoch_infinite call: bases
+    are scalars or ndarrays, the ndarrays flattened first, then each scalar; a product has
+    the shape of its bases, and an empty group gives 1."""
+    bases = [a for group in groups for a in group]
+    arrays = [a for a in bases if isinstance(a, np.ndarray)]
+    flat = np.concatenate([a.ravel() for a in arrays] + [np.array(
+        [a for a in bases if not isinstance(a, np.ndarray)], dtype=complex)]
+                          ) if arrays else np.array(bases, dtype=complex)
+    values = qpoch_infinite(flat, ctx).value
+    if arrays:  # the ndarrays' values first, then the scalars'
+        ends = list(accumulate((a.size for a in arrays), initial=0))
+        stacked = iter([values[lo:hi].reshape(a.shape)
+                        for a, lo, hi in zip(arrays, ends, ends[1:])])
+        single = iter(values[ends[-1]:].tolist())
+        rows = iter([next(stacked) if isinstance(a, np.ndarray) else next(single)
+                     for a in bases])
+    else:
+        rows = iter(values.tolist())
+    return [math.prod(islice(rows, len(group))) for group in groups]
 
 
 def qpoch_quotients(quotients: Sequence[tuple], ctx: QContext,
                     error: type[QTaylorError] = PoleProximity) -> list:
     """prod (a;q)_inf over num / prod (b;q)_inf over den for each (num, den, what), all
     from one qpoch_infinite call; raises error(what) when a denominator vanishes anywhere."""
-    return qpoch_quotients_each([quotients], ctx, error)[0]
+    products = qpoch_groups([group for num, den, _ in quotients for group in (num, den)], ctx)
+    for (_, _, what), bottom in zip(quotients, products[1::2]):
+        if (bottom == 0).any() if isinstance(bottom, np.ndarray) else bottom == 0:
+            raise error(what)
+    return [top / bottom for top, bottom in zip(products[0::2], products[1::2])]
 
 
 def qpoch_quotient(num: Sequence, den: Sequence, ctx: QContext, what: str,
@@ -433,22 +396,13 @@ def sample_columns(f, columns: Sequence[list]) -> list[list]:
 def require_clear(ctx: QContext, what: str, *bases) -> None:
     """PoleProximity if a base (any node of an ndarray) has a factor within the pole margin:
     factor by factor, so that no quotient of very unequal products passes for a pole.  The
-    nodes are checked in order, each scanned only when |u| >= 1 - pole_margin.  From 40
-    ndarray nodes on, where one block scan is faster than the loop, factor_clearance scans
-    all of them together first, and the loop starts at the first offending node (NaN: a
-    non-finite node, a DomainError)."""
-    first = 0
-    if sum(base.size for base in bases if isinstance(base, np.ndarray)) >= 40:
-        nodes = np.concatenate([np.ravel(base) for base in bases])
-        clear = factor_clearance(nodes, ctx) > ctx.pole_margin
-        if clear.all():
-            return
-        first = int(clear.argmin())
-    nodes = [u for base in bases
-             for u in (base.ravel().tolist() if isinstance(base, np.ndarray) else (base,))]
-    for u in nodes[first:]:
-        if not abs(u) < 1.0 - ctx.pole_margin and not factor_clearance(u, ctx) > ctx.pole_margin:
-            raise PoleProximity(f"{what}: denominator base {u} within pole margin")
+    nodes are checked in order, each scanned only when |u| >= 1 - pole_margin (a non-finite
+    node raises DomainError)."""
+    limit = 1.0 - ctx.pole_margin
+    for base in bases:
+        for u in base.ravel().tolist() if isinstance(base, np.ndarray) else (base,):
+            if not abs(u) < limit and not factor_clearance(u, ctx) > ctx.pole_margin:
+                raise PoleProximity(f"{what}: denominator base {u} within pole margin")
 
 
 def factor_clearance(u, ctx: QContext):

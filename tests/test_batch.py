@@ -38,10 +38,11 @@ BASES = [0.45, 0.7, -0.6, 0.3 + 0.5j]
 # 12 draws; one call per quotient made kernel and profiles 290 / 287, one call per
 # identity evaluation of each draw made kernel, profiles and quadratic 81 / 117 / 55;
 # profiles was 84 while coefficient-hierarchy evaluated its j=0 and leading terms twice, and
-# 79 while canonical-growth, exponential-profile-limits, coefficient-hierarchy and
-# kernel-coefficients made a call per point or profile rather than one per distinct depth
+# 79 while kernel-coefficients made a call per order, and 41 while canonical-growth,
+# exponential-profile-limits and coefficient-hierarchy shared one call per distinct depth
+# rather than making one per point (that measured no faster end to end)
 PINNED_KERNEL_CALLS = 26
-PINNED_PROFILES_CALLS = 41
+PINNED_PROFILES_CALLS = 73
 PINNED_QUADRATIC_CALLS = 13
 # hyper._series_sum runs of verify --suite hyper / kernel / profiles / quadratic at the same
 # (q, seed); a run per draw and family made them 72 / 58 / 49 / 25; kernel and profiles
@@ -949,7 +950,7 @@ class TestClearanceScan:
         assert nan[0] == math.inf and np.isnan(nan[1:]).all()
 
     @pytest.mark.parametrize("q", BASES)
-    @pytest.mark.parametrize("size", [9, 30])  # the loop alone, and one scan before it
+    @pytest.mark.parametrize("size", [9, 30])  # 28 and 91 nodes
     def test_first_offending_node_mid_batch(self, q, size):
         ctx = QContext(q)
         rng = random.Random(40)

@@ -7,8 +7,8 @@ every block of the driver evaluates the ratios of every column.  The kernels in 
 may decide depths, stops and guards in Python and evaluate only what a column reads, but
 every value must keep its bits: the tests require equal binary64 words, equal stops and
 depths, and the same first error, over generated inputs that cross every size cut
-(``SMALL_BATCH``, ``WIDE_BLOCK`` and the product blocks of 2^14 entries) and hold NaN and
-inf bases, poles, growing series and a depth cap.
+(``WIDE_BLOCK`` and the product blocks of 2^14 entries) and hold NaN and inf bases, poles,
+growing series and a depth cap.
 """
 
 import cmath
@@ -263,9 +263,9 @@ def test_wide_and_multi_block_products_are_the_array_form(a, q):
 
 
 def test_generated_sizes_cross_every_size_cut():
-    # 0-64 bases straddle SMALL_BATCH and 255-257 WIDE_BLOCK; from 400 bases a product at
-    # |q| >= 0.45 with a base of modulus 0.3 or more takes more than one block of 2^14 entries
-    assert 0 < qcore.SMALL_BATCH < 64 and qcore.WIDE_BLOCK == 256
+    # 255-257 bases straddle WIDE_BLOCK; from 400 bases a product at |q| >= 0.45 with a
+    # base of modulus 0.3 or more takes more than one block of 2^14 entries
+    assert qcore.WIDE_BLOCK == 256
     assert 400 * geometric_depth(0.45, 0.3) > 2 ** 14
 
 

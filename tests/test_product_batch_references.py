@@ -1,15 +1,13 @@
-"""Batched products and scalar judgements against the forms they replace.
+"""Grouped products and scalar judgements against reference forms.
 
-``qcore.qpoch_groups_each`` evaluates many independent ``qpoch_groups`` calls with one
-``qpoch_infinite`` call per distinct depth.  Each product must keep the bits of its call
-made alone, the product kernel must run the same number of factors, and a list of calls
-must raise the error that a loop of ``qpoch_groups`` raises first.  The generated calls
-share a few lead moduli, so that batches cross ``WIDE_BLOCK`` and the product blocks of
-2^14 entries; they hold one-base calls, empty groups, ndarray bases and NaN and inf bases,
-under a depth cap or none.  ``Check.see`` and ``qcore.residual_and_scale`` judge Python
-numbers without NumPy; their references are the NumPy forms they replaced.  A slow test
-runs the profiles suite with its batched helpers and with reference copies of the per-point
-loops they replaced.
+``qcore.qpoch_groups`` evaluates all bases of its groups in one ``qpoch_infinite`` call and
+splits the values back into the groups; each product must keep the bits of its bases' values
+in that call, and the call must raise the kernel's error.  The generated groups cross
+``WIDE_BLOCK`` and the product blocks of 2^14 entries; they hold one-base groups, empty
+groups, ndarray bases and NaN and inf bases, under a depth cap or none.  ``Check.see`` and
+``qcore.residual_and_scale`` judge Python numbers without NumPy; their references are the
+NumPy forms they replaced.  A slow test runs the profiles suite with its list helpers and
+with reference copies that evaluate one point at a time.
 """
 
 import cmath
@@ -18,12 +16,13 @@ import math
 import operator
 import random
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from qtaylor import profiles, qcore
-from qtaylor.errors import ConvergenceRegionViolation, DomainError, PoleProximity, QTaylorError
+from qtaylor.errors import ConvergenceRegionViolation, DomainError, QTaylorError
 from qtaylor.kernel import sym_bases
 from qtaylor.qcore import QContext, geometric_depth
 from qtaylor.suites import Check, SuiteConfig, run_suites
@@ -50,35 +49,12 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def counted(f, *args):
-    """(outcome of f(*args), the factors qpoch_infinite ran meanwhile)."""
-    real, factors = qcore.qpoch_infinite, [0]
-
-    def product(a, ctx):
-        tb = real(a, ctx)
-        factors[0] += tb.terms_used
-        return tb
-    qcore.qpoch_infinite = product
-    try:
-        return outcome(f, *args), factors[0]
-    finally:
-        qcore.qpoch_infinite = real
-
-
-def loop_of_groups(calls, ctx):
-    """qpoch_groups of each call in turn, or the first error."""
-    out = []
-    for groups in calls:
-        out.append(qcore.qpoch_groups(groups, ctx))
-    return out
-
-
 @st.composite
-def group_calls(draw):
-    """(calls, ctx): 1-300 calls of 1-3 groups of bases whose moduli stay below one of a few
-    leads (so that many calls share a depth), with one-base calls, empty groups, an ndarray
-    base now and then, NaN and inf bases, and maybe a depth cap.  The numbers come from a
-    seeded generator (a small example is one seed)."""
+def group_lists(draw):
+    """(groups, ctx): the 1-3 groups of bases of each of 1-300 calls, whose moduli stay below
+    one of a few leads, with one-base calls, empty groups, an ndarray base now and then, NaN
+    and inf bases, and maybe a depth cap.  The numbers come from a seeded generator (a small
+    example is one seed)."""
     ctx = QContext(draw(st.sampled_from(QS)), max_terms=draw(st.sampled_from([None, None, 40])))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     leads = [rng.uniform(0.05, 3.0) for _ in range(draw(st.integers(1, 4)))]
@@ -88,7 +64,7 @@ def group_calls(draw):
         value = rng.uniform(0.0, lead) * cmath.exp(2j * math.pi * rng.random())
         return rng.choice(SPECIAL) if rng.random() < special else value
 
-    calls = []
+    groups = []
     for _ in range(draw(st.sampled_from([1, 2, 7, 40, 120, 300]))):
         lead = rng.choice(leads)
         bases = [lead * cmath.exp(2j * math.pi * rng.random())]
@@ -98,57 +74,42 @@ def group_calls(draw):
             bases.insert(rng.randrange(len(bases) + 1),
                          np.array([base(lead) for _ in range(6)]).reshape(rng.choice([(6,), (2, 3)])))
         cuts = sorted(rng.randrange(len(bases) + 1) for _ in range(rng.randrange(3)))
-        calls.append([bases[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(bases)])])
-    return calls, ctx
+        groups += [bases[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(bases)])]
+    return groups, ctx
 
 
-def same_products(got, want) -> bool:
-    return (len(got) == len(want)
-            and all(len(g) == len(w) and all(words(x) == words(y) and np.shape(x) == np.shape(y)
-                                             for x, y in zip(g, w)) for g, w in zip(got, want)))
+def ref_groups(groups, ctx):
+    """qpoch_groups with each base's values looked up by its place in the one product call
+    (the ndarrays' nodes first, then the scalars)."""
+    bases = [a for group in groups for a in group]
+    order = sorted(range(len(bases)), key=lambda i: not isinstance(bases[i], np.ndarray))
+    flat = np.array([u for i in order for u in np.ravel(bases[i])], dtype=complex)
+    values = qcore.qpoch_infinite(flat, ctx).value
+    starts = dict(zip(order, accumulate(np.size(bases[i]) for i in order)))
+    own = [values[starts[i] - a.size:starts[i]].reshape(a.shape) if isinstance(a, np.ndarray)
+           else complex(values[starts[i] - 1]) for i, a in enumerate(bases)]
+    ends = list(accumulate(map(len, groups), initial=0))
+    return [math.prod(own[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(group_calls())
-def test_groups_each_is_a_loop_of_groups(batch):
-    calls, ctx = batch
-    want, want_factors = counted(loop_of_groups, calls, ctx)
-    got, got_factors = counted(qcore.qpoch_groups_each, calls, ctx)
+@given(group_lists())
+def test_groups_split_one_product_call(generated):
+    groups, ctx = generated
+    got, want = outcome(qcore.qpoch_groups, groups, ctx), outcome(ref_groups, groups, ctx)
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert same_products(got, want)
-        assert got_factors == want_factors
+        assert len(got) == len(want)
+        assert all(words(x) == words(y) and np.shape(x) == np.shape(y)
+                   for x, y in zip(got, want))
 
 
 def test_generated_batches_cross_every_size_cut():
-    # 300 calls of one lead hold about 900 bases: past WIDE_BLOCK, and at a depth of 48 or
-    # more (any lead from 0.05 at |q| >= 0.45) past one block of 2^14 entries
+    # 300 calls hold about 900 bases: past WIDE_BLOCK, and at a depth of 48 or more (any
+    # lead from 0.05 at |q| >= 0.45) past one block of 2^14 entries
     assert qcore.WIDE_BLOCK == 256 and 300 * 3 > qcore.WIDE_BLOCK
     assert 900 * geometric_depth(0.45, 0.05) > 2 ** 14 > 256 * geometric_depth(0.45, 0.05)
-
-
-def test_a_list_of_calls_raises_the_first_error():
-    ctx = QContext(0.45)
-    for bad in ((1, 3), (3,), (0, 4), ()):  # the calls with a base that has no depth
-        calls = [[[complex(math.nan, 0.0) if i in bad else 0.5 + 0.1j * i, 0.2 + 0.1j]]
-                 for i in range(5)]
-        want = outcome(loop_of_groups, calls, ctx)
-        assert isinstance(want, tuple) == bool(bad)
-        assert outcome(qcore.qpoch_groups_each, calls, ctx) == want
-    # a quotient's vanishing denominator: the first call, in order, that has one
-    quotients = [[([0.5], [], "a")], [([0.3], [1.0, 0.1], "b")], [([0.2], [1.0], "c")]]
-    assert outcome(qcore.qpoch_quotients_each, quotients, ctx) == (PoleProximity, "b")
-
-
-def test_one_call_per_depth_and_one_base_calls_alone(monkeypatch):
-    ctx = QContext(0.45)
-    seen = []
-    real = qcore.qpoch_infinite
-    monkeypatch.setattr(qcore, "qpoch_infinite", lambda a, c: seen.append(a.size) or real(a, c))
-    calls = [[[0.5, 0.1]], [[0.5j]], [[0.2, 0.5 + 0.0j]], [[2.5, 0.1], [1.0]], [[0.4j]]]
-    qcore.qpoch_groups_each(calls, ctx)
-    assert sorted(seen) == [1, 1, 3, 4]  # two calls of lead 0.5, one of 2.5, two alone
 
 
 # ---------------------------------------------------------------- scalar judgements
@@ -274,7 +235,7 @@ def ref_coefficient_point(j, w, kp, lam, moments):
 
 
 def per_point_loops(monkeypatch):
-    """Give the profiles module the per-point loops its batched helpers replaced."""
+    """Give the profiles module reference copies of its list helpers, a point at a time."""
     monkeypatch.setattr(profiles, "canonical_growth_profile", lambda lam, points, kp: [
         ref_growth_point(lam, N, w, kp) for N, w in points])
     monkeypatch.setattr(profiles, "exponential_profile_limit_residual", lambda k, points, lam: [
