@@ -354,6 +354,20 @@ def pole_cleared_E_terms(z, kp: KernelParams, n_trunc: int, products=None) -> tu
     return t1, t2, t3
 
 
+def trapezoid_coefficients(values: np.ndarray, ns: Iterable[int],
+                           radius: float) -> list[complex]:
+    """The m-point trapezoid rule's [z^{-n}] from the values d_k at z_k = r w^k.
+
+    With w = exp(2 pi i / m), [z^{-n}] = r^n (1/m) sum_k d_k w^((n mod m) k)
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  Only the requested
+    coefficients are summed, each directly from one table of the m-th roots of
+    unity.
+    """
+    m, k = len(values), np.arange(len(values))
+    roots = np.exp(2j * np.pi * k / m)
+    return [radius ** n * complex((values * roots[(n % m) * k % m]).sum()) / m for n in ns]
+
+
 def laurent_coefficient_detail(G: Callable[[np.ndarray], Sequence],
                                ns: Iterable[int], radius: float,
                                ctx: QContext) -> list[tuple[complex, float, int]]:
@@ -361,9 +375,8 @@ def laurent_coefficient_detail(G: Callable[[np.ndarray], Sequence],
 
     G receives an ndarray of nodes and returns the additive terms
     (t_0, t_1, ...), each an array over those nodes.  One sample of G on m
-    equispaced nodes serves every n: [z^{-n}] = r^n ifft(values)[n mod m],
-    values being t_0 - t_1 - ... at the nodes (the trapezoid rule, see
-    Trefethen & Weideman, SIAM Rev. 56, 2014).
+    equispaced nodes serves every n: trapezoid_coefficients of the values
+    t_0 - t_1 - ... at the nodes.
     The sample starts at 64 nodes and doubles, keeping the earlier nodes
     and calling G once on the batch of half-offset nodes (so at most five
     calls), until every coefficient changes by at most eps_rel * scale;
@@ -381,10 +394,9 @@ def laurent_coefficient_detail(G: Callable[[np.ndarray], Sequence],
     prev = None
     while True:
         m = len(terms)
-        values = np.fft.ifft(reduce(operator.sub, terms.T))
+        coefficients = trapezoid_coefficients(reduce(operator.sub, terms.T), ns, radius)
         peak = float(np.abs(terms).max())
-        out = [(complex(radius ** n * values[n % m]), radius ** n * peak, m)
-               for n in ns]
+        out = [(c, radius ** n * peak, m) for c, n in zip(coefficients, ns)]
         if prev is not None and all(abs(c - p) <= ctx.eps_rel * scale
                                     for (c, scale, _), (p, _, _) in zip(out, prev)):
             return out
@@ -501,8 +513,9 @@ def structured_E_terms(kp: KernelParams, n: int, tables: tuple[np.ndarray, np.nd
     c, d, e = kp.c, kp.d, kp.e
     quadruple = calP_quadruple(c / d, c / d, c / e, c / e, n, kp.ctx)
     p1, p2 = (laurent_pair(table, table, n) for table in tables)
-    return [(quadruple, kp.Hb * complex(np.array(fs, dtype=complex) @ p1[:len(fs)]),
-             kp.Kcde * complex(np.array(gs, dtype=complex) @ p2[:len(gs)])) for fs, gs in routes]
+    return [(quadruple, kp.Hb * complex((np.array(fs, dtype=complex) * p1[:len(fs)]).sum()),
+             kp.Kcde * complex((np.array(gs, dtype=complex) * p2[:len(gs)]).sum()))
+            for fs, gs in routes]
 
 
 def _lowering_terms(name: str, z: complex, kp: KernelParams, c_op: complex,

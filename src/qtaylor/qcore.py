@@ -142,8 +142,24 @@ def fit_window(rate: float) -> list[int]:
 
 def fitted_rate(orders: Sequence[int], values) -> float:
     """The rate r of a decay like r^n fitted to positive values at the orders: exp of
-    the least-squares slope of log(values)."""
-    return math.exp(np.polyfit(orders, np.log(values), 1)[0])
+    the least-squares slope of log(values), in closed form over centred sums.
+
+    Raises DomainError, naming the order and the value, at the first value that is
+    not positive and finite (its logarithm has no place on the line), and when
+    fewer than two distinct orders leave the slope undetermined.
+    """
+    xs, ys = [], []
+    for n, v in zip(orders, values, strict=True):
+        v = float(v)
+        if not (math.isfinite(v) and v > 0):
+            raise DomainError(f"decay value {v!r} at order {n} is not positive and finite")
+        xs.append(float(n))
+        ys.append(math.log(v))
+    if len(set(xs)) < 2:
+        raise DomainError(f"a decay rate needs two distinct orders, got {list(orders)}")
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return math.exp(sum(d * (y - y_mean) for d, y in zip(dx, ys)) / sum(d * d for d in dx))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,29 @@ def test_error_fails_only_its_check(monkeypatch, exc):
             assert new == old
 
 
+def test_a_zero_decay_value_fails_only_its_fit(monkeypatch):
+    cfg = SuiteConfig(suites=("kernel",), draws=4)
+    before = [r.to_dict() for r in run_suites(cfg).records]
+    real, calls = kernel.remainder_gap_curve, []
+
+    def one_zero_gap(z, kp, orders):
+        gaps, scales = real(z, kp, orders)
+        calls.append(orders)
+        return (gaps[:3] + (0.0,) + gaps[4:] if len(calls) == 1 else gaps), scales
+
+    monkeypatch.setattr(kernel, "remainder_gap_curve", one_zero_gap)
+    after = [r.to_dict() for r in run_suites(cfg).records]
+    assert [r["check"] for r in after] == [r["check"] for r in before]
+    failed = [new for new in after if not new["passed"]]
+    assert [r["check"] for r in failed] == ["remainder-gap-ratio"]
+    [rec] = failed
+    assert rec["residual"] == math.inf
+    assert rec["detail"] == (f"DomainError: decay value 0.0 at order {calls[0][3]} "
+                             "is not positive and finite")
+    assert [r for r in after if r is not rec] == [
+        r for r in before if r["check"] != "remainder-gap-ratio"]
+
+
 def test_operator_error_fails_closed_form_check(monkeypatch):
     # a raising draw must fail the check, not be skipped
     monkeypatch.setattr(wpoperator, "cooper_eval", _raise(DomainError("forced")))

@@ -177,6 +177,27 @@ class TestCommandLine:
                            capture_output=True, check=False, timeout=120)
             reports.append(report.read_bytes())
         assert reports[0] == reports[1] and reports[0].count(b"\n") == 65
+
+    @pytest.mark.parametrize("q", ["0.45", "0.7"])
+    def test_verdicts_need_no_lapack_fit_and_no_fft(self, q, tmp_path, capsys):
+        # their first call maps library state into the process (peak memory): a fresh
+        # process runs every suite with the least-squares routines refusing to run, and
+        # never imports numpy.fft; NumPy imports numpy.linalg itself, so only its calls count
+        script = ("import sys; import numpy as np; from qtaylor import cli\n"
+                  "def refuse(*args, **kwargs): raise AssertionError('refused')\n"
+                  "np.polyfit = np.linalg.lstsq = refuse\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print('numpy.fft' in sys.modules, code)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        patched, plain = tmp_path / "patched.jsonl", tmp_path / "plain.jsonl"
+        run = subprocess.run([sys.executable, "-c", script, "--suite", "all", "--q", q,
+                              "--report", str(patched)], env=env, capture_output=True,
+                             text=True, check=False, timeout=120)
+        code = cli.main(["--suite", "all", "--q", q, "--report", str(plain)])
+        capsys.readouterr()
+        assert run.stderr == "" and run.stdout.splitlines()[-1] == f"False {code}"
+        assert patched.read_bytes() == plain.read_bytes()
+
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         code = cli.main(["--suite", "qcore", "--seed", "3", "--draws", "6",

@@ -9,7 +9,7 @@ from qtaylor.kernel import (E_contour_coefficient, KernelParams,
                             calP_quadruple, calP_tables,
                             fk_coefficients, gk_coefficients,
                             laurent_coefficient_detail, laurent_pair,
-                            structured_E_terms)
+                            structured_E_terms, trapezoid_coefficients)
 from qtaylor.qcore import QContext, geometric_depth, qpoch_infinite, scaled_residual
 from qtaylor.sampling import sample_complex
 from qtaylor.suites import SuiteConfig, run_laurent
@@ -42,6 +42,35 @@ class TestContourCoefficient:
         for (n, expected), (value, scale, nodes) in zip(want.items(), got):
             assert abs(value - expected) <= 1e-12 * max(1.0, scale)
             assert nodes >= 128
+
+    @pytest.mark.parametrize("m", [64, 128, 1024])
+    @pytest.mark.parametrize("radius", [0.8, 1.0, 1.25])
+    def test_direct_sums_match_the_inverse_fft(self, m, radius):
+        gen = np.random.default_rng(m)
+        t = gen.normal(size=(2, m)) + 1j * gen.normal(size=(2, m))
+        ns = [-m - 1, -5, 0, 2, m + 3]
+        got = trapezoid_coefficients(t[0] - t[1], ns, radius)
+        want = np.fft.ifft(t[0] - t[1])
+        peak = np.abs(t).max()
+        for n, value in zip(ns, got):
+            assert abs(value - radius ** n * want[n % m]) <= 1e-14 * radius ** n * peak
+
+    @pytest.mark.parametrize("n", [-2, 0, 1, 3])
+    def test_stop_rule_is_kept_with_fft_sums(self, kp, n):
+        # the node doubling and its stop, run once on the inverse FFT as reference
+        def fft_coefficients(values, ns, radius):
+            transform = np.fft.ifft(values)
+            return [complex(radius ** k * transform[k % len(values)]) for k in ns]
+
+        def g(z):
+            return kernel.pole_cleared_E_terms(z, kp, kp.series_depth)
+
+        got = laurent_coefficient_detail(g, [n, n + 1], 1.1, kp.ctx)
+        with mock.patch.object(kernel, "trapezoid_coefficients", fft_coefficients):
+            want = laurent_coefficient_detail(g, [n, n + 1], 1.1, kp.ctx)
+        for (value, scale, nodes), (ref, ref_scale, ref_nodes) in zip(got, want):
+            assert (scale, nodes) == (ref_scale, ref_nodes)
+            assert abs(value - ref) <= 1e-14 * scale
 
     def test_nonconvergence_detected(self, ctx):
         # a branch cut on the contour defeats trapezoid convergence

@@ -163,6 +163,30 @@ class TestGeometricDepth:
         assert fitted_rate(orders, [3.2 * rate ** n for n in orders]) == pytest.approx(rate,
                                                                                     rel=1e-12)
 
+    def test_fitted_rate_is_the_least_squares_line(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.integers(0, 20),
+                          st.lists(st.floats(1e-30, 1e30), min_size=2, max_size=12))
+        def agrees(start, values):
+            orders = list(range(start, start + len(values)))
+            want = math.exp(np.polyfit(orders, np.log(values), 1)[0])
+            assert fitted_rate(orders, values) == pytest.approx(want, rel=1e-12)
+
+        agrees()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_fitted_rate_names_a_value_off_the_log_line(self, bad):
+        with pytest.raises(DomainError, match=rf"decay value {bad!r} at order 2 "):
+            fitted_rate([1, 2, 3], np.array([1.0, bad, 0.5]))
+
+    @pytest.mark.parametrize("orders", [[], [4], [4, 4, 4]])
+    def test_fitted_rate_needs_two_distinct_orders(self, orders):
+        with pytest.raises(DomainError, match="two distinct orders"):
+            fitted_rate(orders, [0.5] * len(orders))
+
 
 class TestQPochhammerMulti:
     def test_empty_list(self, ctx):
