@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceSuspected, DomainError, TruncationFailure, ZeroDenominator
-from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, q_powers, qpoch_multi,
+from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, qpoch_multi,
                     qpoch_quotient)
 
 
@@ -143,14 +143,13 @@ def _series_sum(ratio, truncs: list, ctx: QContext) -> SeriesSums:
     term, total, rate = [1.0 + 0.0j] * width, [1.0 + 0.0j] * width, [q_rate] * width
     grow, errors = [0] * width, [None] * width
     live = [c for c, n in enumerate(truncs) if n is None or n > 0]
-    lo, size, x = 0, 2 * settled, 1.0 + 0.0j  # the block's first index and its length
+    lo, size = 0, 2 * settled  # the block's first index and its length
     with np.errstate(all="ignore"):  # entries past a stop may overflow or divide by 0
         while live:
-            xs = q_powers(x, size, ctx)
             n = [size if truncs[c] is None else min(size, truncs[c] - lo)
                  for c in live]  # the new terms of each column
             m = max(n)
-            r, poles = ratio(lo, xs[:max(m, 2)])
+            r, poles = ratio(lo, ctx.powers(lo + size)[lo:lo + max(m, 2)])
             r = r[:m, live] if len(live) < width else r[:m]
             i = np.arange(m)[:, None]
             # padded by one factor: NumPy multiplies a lone pair by a vectorised loop
@@ -211,7 +210,7 @@ def _series_sum(ratio, truncs: list, ctx: QContext) -> SeriesSums:
                     terms[c].extend(added[:stop + 1])
                     term[c], total[c], rate[c] = added[stop], sc, rc
             live = [c for c in live if c not in ended]
-            lo, size, x = lo + size, 2 * size, xs[size]
+            lo, size = lo + size, 2 * size
     failed = [e for e in errors if e is not None]
     if failed:
         raise failed[0]

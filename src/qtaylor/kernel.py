@@ -26,8 +26,7 @@ from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
 from .hyper import SeriesSum, VWPSpec, series_sums, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
 from .qcore import (TAIL_TARGET, QContext, factor_clearance, qpoch_groups,  # noqa: F401
-                    q_powers, qpoch_infinite, qpoch_quotients, qpoch_table,
-                    residual_and_scale)
+                    qpoch_infinite, qpoch_quotients, qpoch_table, residual_and_scale)
 from .taylor import BasisPair, basis_factors, basis_sum, basis_terms, taylor_expand
 from .wpoperator import apply_Dcq
 
@@ -429,7 +428,7 @@ def _closed_rows(u: complex, k_trunc: int, ctx: QContext, finite: bool = False) 
     k, m, ends = np.arange(k_trunc + 1)[:, None], 16, np.zeros((1, 1), dtype=bool)
     while not ends.any(axis=1).all():  # double the columns until every row ends
         m, i = 2 * m, np.arange(2 * m)
-        qs = q_powers(1.0 + 0.0j, max(m, k_trunc + 1), ctx)
+        qs = ctx.powers(max(m, k_trunc + 1))
         steps = np.concatenate(([1.0], -u * qs[:m - 1] / (1.0 - qs[1:m])))
         if finite:
             poch = qpoch_table([ctx.q], k_trunc, ctx)[:, 0]

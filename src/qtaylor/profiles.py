@@ -24,7 +24,7 @@ from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import _first, _series_sum, series_sums, term_ratio
 from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
 from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotients,
-                    require_clear, residual_and_scale, scaled_residual, theta_bases)
+                    qpoch_table, require_clear, residual_and_scale, scaled_residual, theta_bases)
 
 
 def _profile_pairs(kp: KernelParams) -> tuple:  # (alpha, beta) of the four profiles
@@ -209,16 +209,16 @@ def profile_kernel_coefficients(orders, w: complex, alpha: complex, beta: comple
 def _kernel_coefficients(profile: complex, orders, w: complex, alpha: complex, beta: complex,
                          lam: complex, ctx: QContext) -> list[complex]:
     """The coefficients of profile_kernel_coefficients, given the profile L_{alpha,beta}(w)."""
-    return [profile * (lam * w) ** j * sum((_kernel_weight(u, j, alpha, beta, ctx)
-                                            for u in range(j + 1)), 0.0 + 0.0j) for j in orders]
+    return [profile * (lam * w) ** j * sum(_kernel_weights(j, alpha, beta, ctx), 0.0 + 0.0j)
+            for j in orders]
 
 
-def _kernel_weight(u: int, j: int, alpha: complex, beta: complex, ctx: QContext) -> complex:
-    """(a/b;q)_u (a/b;q)_{j-u} / ((q;q)_u (q;q)_{j-u}) beta^u (q/alpha)^{j-u}."""
-    q, rho = ctx.q, alpha / beta
-    return (qpoch_finite(rho, u, ctx) * qpoch_finite(rho, j - u, ctx)
-            / (qpoch_finite(q, u, ctx) * qpoch_finite(q, j - u, ctx))
-            * beta ** u * (q / alpha) ** (j - u))
+def _kernel_weights(j: int, alpha: complex, beta: complex, ctx: QContext) -> list[complex]:
+    """(a/b;q)_u (a/b;q)_{j-u} / ((q;q)_u (q;q)_{j-u}) beta^u (q/alpha)^{j-u} for u = 0..j,
+    every product read from one qpoch_table."""
+    table = qpoch_table([alpha / beta, ctx.q], j, ctx).tolist()
+    return [table[u][0] * table[j - u][0] / (table[u][1] * table[j - u][1])
+            * beta ** u * (ctx.q / alpha) ** (j - u) for u in range(j + 1)]
 
 
 def _profile_ratio_step(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, s: np.ndarray,
@@ -328,8 +328,8 @@ def profile_coefficient_terms(points: list, kp: KernelParams, lam: complex,
                   for al, be in pairs[:2])
 
         def family_term(alpha0: complex, beta0: complex, pick) -> complex:
-            total = sum((_kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
-                         for u in range(j + 1)), 0.0 + 0.0j)
+            total = sum((weight * pick(moments[2 * u - j]) for u, weight
+                         in enumerate(_kernel_weights(j, alpha0, beta0, ctx))), 0.0 + 0.0j)
             return next(values)[0] * (lam * w) ** j * total
 
         out.append((sum(map(operator.mul, f1, reversed(f2))),

@@ -14,10 +14,13 @@ Conventions
   of the binary64 unit roundoff (Gasper & Rahman, *Basic Hypergeometric
   Series*, 2nd ed., 2004, sec. 1.3).  Series apply it to their observed
   term ratio.
+* Every ``x q^j`` of a product is one vector multiply by ``q^j`` from the
+  context's table of running powers (:meth:`QContext.powers`, :func:`q_powers`).
 * One array kernel, :func:`qpoch_infinite`, evaluates every ``(a;q)_inf``;
   the quotients of an identity pass all their bases in one call
   (:func:`qpoch_groups`, :func:`qpoch_quotients`), at the depth of the
   largest ``|a|`` and with a certified bound on the omitted log-factors.
+  A base rounds alike wherever it stands in a batch.
 * ``theta(u) = (u;q)_inf (q/u;q)_inf`` (multiplicative theta).
 * Residuals of identities are always reported relative to the largest
   additive term of the identity ("scale"), never to the near-zero result:
@@ -31,7 +34,7 @@ import math
 import operator
 import sys
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import accumulate, islice
 from typing import Sequence
@@ -66,6 +69,7 @@ class QContext:
     max_terms: int | None = None
     pole_margin: float = 1e-6
     root_sign: int = 1
+    _powers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", complex(self.q))
@@ -89,10 +93,24 @@ class QContext:
 
     def squared(self) -> "QContext":
         """Context with base q^2 (used by base-q^2 product evaluations), a normal double
-        (__post_init__); no context is squared twice, so the square of q^2 goes unchecked."""
+        (__post_init__), and no power table; no context is squared twice, so the square of
+        q^2 goes unchecked."""
         squared = copy(self)
         object.__setattr__(squared, "q", self.q * self.q)
+        object.__setattr__(squared, "_powers", None)
         return squared
+
+    def powers(self, n: int) -> np.ndarray:
+        """q^j for j = 0..n (read-only), sliced from the context's one table: the running
+        product of q from 1, rebuilt at twice its length (at least n + 1) when too short."""
+        table = self._powers
+        if table is None or len(table) <= n:
+            table = np.empty(max(2 * (0 if table is None else len(table)), n + 1), dtype=complex)
+            table[0], table[1:] = 1.0, self.q
+            np.multiply.accumulate(table, out=table)
+            table.flags.writeable = False
+            object.__setattr__(self, "_powers", table)
+        return table[:n + 1]
 
     def other_branch(self) -> "QContext":
         """The same context with the opposite square-root branch."""
@@ -178,8 +196,9 @@ class TailBound:
 
 
 def qpoch_finite(a, n, ctx: QContext):
-    """Finite q-shifted factorial (a;q)_n, exact product; (a;q)_0 = 1.  ndarrays of a and
-    n (of one shape) give (a;q)_n at each entry, read from one qpoch_table."""
+    """Finite q-shifted factorial (a;q)_n, exact product; (a;q)_0 = 1: row n of qpoch_table
+    (for a number, its factors multiplied down in Python, which rounds alike).  ndarrays of
+    a and n (of one shape) give (a;q)_n at each entry, read from one qpoch_table."""
     each = isinstance(n, np.ndarray)
     if (n.min(initial=0) if each else n) < 0:
         raise DomainError("qpoch_finite requires n >= 0")
@@ -189,18 +208,13 @@ def qpoch_finite(a, n, ctx: QContext):
         return table[n.ravel(), np.arange(n.size)].reshape(n.shape)
     if isinstance(a, np.ndarray):
         return qpoch_table(a.ravel(), n, ctx)[n].reshape(a.shape)
-    q = ctx.q
-    value = 1.0 + 0.0j
-    x = complex(a)
-    for _ in range(n):
-        value *= 1.0 - x
-        x *= q
-    return value
+    return math.prod(np.subtract(1.0, q_powers(a, n, ctx)[:n]).tolist(), start=1.0 + 0.0j)
 
 
 def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
-    """(a;q)_j for j = 0..n down the rows, one column per base: each column is the
-    running product of qpoch_finite, bit for bit (two cumulative products down the rows)."""
+    """(a;q)_j for j = 0..n down the rows, one column per base: the factors 1 - a q^j
+    from q_powers, multiplied cumulatively down the rows (a column rounds alike in a
+    batch of any width)."""
     if n < 0:
         raise DomainError("qpoch_table requires n >= 0")
     block = q_powers(np.asarray(params, dtype=complex), n, ctx)
@@ -209,32 +223,18 @@ def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
     return np.multiply.accumulate(block, axis=0, out=block)
 
 
-WIDE_BLOCK = 256  # columns from which a vector multiply per row beats a running product
-
-
 def q_powers(x0, n: int, ctx: QContext) -> np.ndarray:
-    """x0 q^j for j = 0..n down the first axis, x0 a number or a 1-D ndarray of bases: each
-    column is the loop ``x *= q``, bit for bit.  A running product steps each column alone;
-    from WIDE_BLOCK columns on, a real or imaginary q steps by one vector multiply per row
-    (at a q of two nonzero parts that fuses a multiply-add, so it does not)."""
-    q, shape = ctx.q, x0.shape if isinstance(x0, np.ndarray) else ()
-    xs = np.empty((n + 1,) + shape, dtype=complex)
-    xs[0] = x0
-    if not shape or x0.size < WIDE_BLOCK or q.real and q.imag:
-        xs[1:] = q
-        return np.multiply.accumulate(xs, axis=0, out=xs)
-    for row, below in zip(xs[:-1], xs[1:]):
-        np.multiply(row, q, out=below)
-    return xs
+    """x0 q^j for j = 0..n down the first axis, x0 a number or an ndarray of bases: one
+    vector multiply of the context's q^j (ctx.powers) by x0, the power first, so a
+    base rounds alike wherever it stands in a batch (Higham, Lemma 3.1: the table's
+    q^j carries the same O(j u) error as a running product x *= q)."""
+    return np.multiply.outer(ctx.powers(n), x0)
 
 
 def _abs_max(x: np.ndarray) -> float:
-    """max(map(abs, x.tolist()), default=0.0) in one vector pass: np.hypot is libm's hypot, as
-    Python's complex abs (NumPy's abs may differ in the last bit), and a NaN counts only where
-    it comes first, as in Python's max."""
-    sizes = np.hypot(x.real, x.imag)
-    return float(sizes[0] if sizes.size and math.isnan(sizes[0])
-                 else np.fmax.reduce(sizes, initial=0.0))
+    """max |x| in one vector pass, NaN if any entry is NaN: np.hypot is libm's hypot, as
+    Python's complex abs (NumPy's abs may differ in the last bit)."""
+    return float(np.maximum.reduce(np.hypot(x.real, x.imag), initial=0.0))
 
 
 def qpoch_infinite(a, ctx: QContext) -> TailBound:
@@ -242,33 +242,35 @@ def qpoch_infinite(a, ctx: QContext) -> TailBound:
 
     a is a scalar, a sequence or an ndarray of bases, and the value has its
     shape (a complex for a scalar).  Every base runs at the depth of the
-    largest, N = geometric_depth(|q|, max|a|): with r = max|a q^N|, the
+    largest, N = geometric_depth(|q|, max|a|): with r = max|a| |q^N|, the
     omitted log-factors of each sum to at most r / ((1 - |q|)(1 - r)) <
     TAIL_TARGET (to first order), the certificate returned as tail_abs.
     One array kernel serves all bases: the value is the product of 1 - a q^j
-    over j < N, taken in blocks of q_powers rows of at most 2^14 entries, the
-    first block's factors multiplied down the rows and each later block's
-    multiplied into the value row by row.  A scalar gives the loop
-    ``value *= 1 - x; x *= q`` bit for bit; every base of a batch multiplies
-    as NumPy's vector complex multiply does, wherever it stands in the batch.
+    over j < N, in blocks of at most 2^14 entries written into one buffer, the
+    value row first and the factors 1 - q^j a (ctx.powers) below it, reduced
+    down the rows into the value row.  Every base multiplies as NumPy's vector
+    loop does, wherever it stands in the batch; a lone base is reduced beside a
+    copy of itself, because a one-column reduce takes NumPy's scalar loop.
     terms_used counts the factors of every base.  Raises TruncationFailure
-    when the depth exceeds the user cap ctx.max_terms.
+    when a base is not finite or the depth exceeds the user cap ctx.max_terms.
     """
-    q = ctx.q
     x = np.asarray(a, dtype=complex)
     flat = x.ravel()
-    n = geometric_depth(abs(q), _abs_max(flat), ctx.max_terms)
-    value, last = None, flat
-    rows = max(1, 2 ** 14 // max(flat.size, 1))  # q-power rows per block
+    n = geometric_depth(abs(ctx.q), lead := _abs_max(flat), ctx.max_terms)
+    powers = ctx.powers(n)
+    bases = flat.repeat(2) if flat.size == 1 else flat
+    rows = max(1, min(n, 2 ** 14 // max(bases.size, 1)))  # factor rows per block
+    buffer = np.empty((rows + 1, bases.size), dtype=complex)
+    value = np.ones(bases.size, dtype=complex)
     for j in range(0, n, rows):
-        block = q_powers(last, min(rows, n - j), ctx)
-        last, factors = block[-1], np.subtract(1.0, block[:-1])
-        # 1 * (1 - x) is 1 - x: the first block needs no value row
-        value = np.multiply.reduce(factors if value is None else np.vstack((value, factors)))
-    value = np.ones_like(flat) if value is None else value
-    r = _abs_max(last)  # < TAIL_TARGET (1 - |q|)
-    tail = r / ((1.0 - abs(q)) * (1.0 - r))
-    return TailBound(complex(value[0]) if x.ndim == 0 else value.reshape(x.shape),
+        factors = buffer[1:min(rows, n - j) + 1]
+        np.multiply.outer(powers[j:j + len(factors)], bases, out=factors)
+        np.subtract(1.0, factors, out=factors)
+        buffer[0] = value
+        np.multiply.reduce(buffer[:len(factors) + 1], axis=0, out=value)
+    r = lead * abs(complex(powers[n]))  # < TAIL_TARGET (1 - |q|)
+    tail = r / ((1.0 - abs(ctx.q)) * (1.0 - r))
+    return TailBound(complex(value[0]) if x.ndim == 0 else value[:flat.size].reshape(x.shape),
                      tail, n * flat.size)
 
 
@@ -322,9 +324,7 @@ def qpoch_multi(params: Sequence[complex], n: int | None, ctx: QContext) -> Tail
         tb = qpoch_infinite(params, ctx)
         value = math.prod(tb.value.tolist(), start=1.0 + 0.0j)
         return TailBound(value, tb.tail_abs * len(params), tb.terms_used)
-    value = 1.0 + 0.0j
-    for a in params:
-        value *= qpoch_finite(a, n, ctx)
+    value = math.prod(qpoch_table(params, n, ctx)[n].tolist(), start=1.0 + 0.0j)
     return TailBound(value, 0.0, n * len(params))
 
 
@@ -427,7 +427,7 @@ def factor_clearance(u, ctx: QContext):
     Once |u q^j| < 1 - pole_margin every remaining factor is safely away
     from zero, so the scan terminates after O(log |u|) steps.  An ndarray of
     u gives the minimum at each entry (NaN at a non-finite one): the entries
-    still in the scan are stepped together, in the q_powers block.
+    still in the scan read their factors from one q_powers block.
     """
     limit = 1.0 - ctx.pole_margin
     if isinstance(u, np.ndarray):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleProximity, ZeroDenominator
-from .qcore import (QContext, draw_lists, q_powers, qpoch_finite, qpoch_quotient, qpoch_table,
+from .qcore import (QContext, draw_lists, qpoch_finite, qpoch_quotient, qpoch_table,
                     require_clear, sample, sample_columns)
 from .wpoperator import cooper_rows
 
@@ -86,7 +86,7 @@ def basis_factors(z, pair: BasisPair, n, ctx: QContext):
     factors are exactly 0 and 1, and no pole is sought there."""
     a, c, each = pair.a, pair.c, isinstance(n, np.ndarray)
     rows = max(int(n.max()) if each else n, 0)
-    x = q_powers(1.0, rows, ctx)[:rows]
+    x = ctx.powers(rows)[:rows]
     x = x.reshape(x.shape + (1,) * (z.ndim if isinstance(z, np.ndarray) else 0))
     num, den = (1.0 - a * z * x) * (1.0 - a * x / z), (1.0 - c * z * x) * (1.0 - c * x / z)
     if each:
@@ -152,7 +152,7 @@ def _pole_factor(u: complex, n: int, ctx: QContext) -> int:
 
 def _coeff_prefactors(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[complex]:
     """The prefactor of t_k for each k in orders; (q;q)_k, (c/a;q)_k and (acq^(k-1);q)_k for
-    every order are read from the columns of one qpoch_table, the qpoch_finite loop bit for
+    every order are read from the columns of one qpoch_table, qpoch_finite bit for
     bit.  The denominators are guarded factor by factor, as KernelParams guards its bases:
     (q;q)_8 ~ 7.8e-7 at q = 0.95 is small but far from any pole."""
     q, rq = ctx.q, ctx.sqrt_q

@@ -55,14 +55,23 @@ PINNED_SERIES_RUNS = {"hyper": 12, "kernel": 9, "profiles": 9, "quadratic": 3}
 PINNED_DRAW_AXIS_CALLS = {"qcore": (10, 0, 0), "operator": (0, 12, 6), "taylor": (5, 12, 10)}
 
 
+def running_powers(q, n):
+    """q^0..q^n as the running product x *= q from 1."""
+    powers = np.empty(n + 1, dtype=complex)
+    powers[0], powers[1:] = 1.0, q
+    return np.multiply.accumulate(powers, out=powers)
+
+
 def scalar_qpoch_infinite(a, q):
-    """The scalar loop: (a;q)_inf at depth geometric_depth(|q|, |a|), with |a||q|^N."""
+    """The scalar loop over the running powers: (a;q)_inf at depth geometric_depth(|q|, |a|),
+    each factor 1 - q^j a and each product in NumPy's vector arithmetic (one-entry arrays,
+    a new one per step: NumPy takes a lone in-place product for a reduction), with |a||q^N|."""
     n = geometric_depth(abs(q), abs(a))
-    value, x = 1.0 + 0.0j, complex(a)
-    for _ in range(n):
-        value *= 1.0 - x
-        x *= q
-    return value, abs(x), n
+    powers = running_powers(q, n)
+    value, x = np.ones(1, dtype=complex), np.array([a], dtype=complex)
+    for power in powers[:n]:
+        value = value * (1.0 - power * x)
+    return complex(value[0]), abs(a) * abs(complex(powers[n])), n
 
 
 def mixed_bases(rng, count):
@@ -104,6 +113,8 @@ class TestBatchedProducts:
 
     @pytest.mark.parametrize("q", BASES)
     def test_scalar_path_is_the_scalar_loop(self, q):
+        # a scalar base is a batch of one: its value, depth and certificate are the loop
+        # over the running powers q^j in NumPy's vector arithmetic, bit for bit
         ctx = QContext(q)
         rng = random.Random(9)
         for a in [0.0, *(sample_complex(rng, 0.05, 1.4) for _ in range(20))]:
@@ -120,45 +131,46 @@ class TestBatchedProducts:
     @pytest.mark.parametrize("q", [0.45, 0.7, -0.3, 0.5j, 0.3 + 0.5j])
     @pytest.mark.parametrize("width", [1, 2, 255, 256, 800, 4800])
     def test_wide_blocks_keep_the_running_product(self, q, width):
-        # from qcore.WIDE_BLOCK columns on, a real or imaginary q steps the q-power rows by
-        # one vector multiply per row (also in qpoch_infinite's row blocks): every column is
-        # still the loop x *= q, and every product the running product down the rows, bit
-        # for bit (a q of two nonzero parts keeps that product)
+        # every q^j is read from the context's one table, the loop x *= q from 1; every row
+        # x q^j is one vector multiply by it (also in qpoch_infinite's blocks of 2^14
+        # entries, several at 4,800 bases), and every product the product down the rows, one
+        # vector multiply per row, bit for bit at every width, one base included
         ctx = QContext(q)
         a = mixed_bases(random.Random(width), width // 8 + 1)[:width]
         n = geometric_depth(abs(q), max(map(abs, a.tolist())))
-        block = np.empty((n + 1, width), dtype=complex)
-        block[0], block[1:] = a, ctx.q
-        np.multiply.accumulate(block, axis=0, out=block)
-        product = np.multiply.reduce(1.0 - block[:n]) if n else np.ones(width, dtype=complex)
+        powers = running_powers(ctx.q, n)
+        x = 1.0 + 0.0j
+        for power in ctx.powers(n).tolist():
+            assert repr(power) == repr(x)
+            x *= ctx.q
+        block = np.array([power * a for power in powers])
+        product = np.ones(width, dtype=complex)
+        for row in block[:n]:
+            product = product * (1.0 - row)
         tb = qpoch_infinite(a, ctx)
         assert same_bits(tb.value, product)
         # the depth and the certificate take Python's abs of every base, also in one vector pass
-        r = max(map(abs, block[n].tolist()))
+        r = max(map(abs, a.tolist())) * abs(complex(powers[n]))
         assert tb.terms_used == n * width and tb.tail_abs == r / ((1 - abs(q)) * (1 - r))
         assert same_bits(qcore.q_powers(a, n, ctx), block)
         assert same_bits(qcore.factor_clearance(a * 2.5, ctx), running_clearance(a * 2.5, ctx))
         table = qcore.qpoch_table(a, 12, ctx)
         for j in range(0, width, max(1, width // 20)):
-            x = complex(a[j])
-            for row in block[:, j].tolist():
-                assert repr(row) == repr(x)
-                x *= ctx.q
             assert repr(table[:, j].tolist()) == repr(
                 [qcore.qpoch_finite(complex(a[j]), k, ctx) for k in range(13)])
 
     @pytest.mark.parametrize("q", [0.45, 0.7, -0.6, 0.5j, 0.3 + 0.5j])
     def test_a_base_rounds_alike_wherever_it_stands(self, q):
-        # in a batch of two bases or more every base multiplies as NumPy's vector loop does,
-        # so at one depth (set by the largest base, first here) each batch holds the values
-        # of the longest one, bit for bit: no base of a batch, the last included, takes the
-        # scalar loop's rounding.  Every size from 2 to 399 is tried, so that a layout with a
-        # lone last column at any chunk width up to 398 fails
+        # every base multiplies as NumPy's vector loop does, a lone base too, so at one depth
+        # (set by the largest base, first here) each batch holds the values of the longest
+        # one, bit for bit: no base of a batch, the last included, takes NumPy's scalar
+        # rounding.  Every size from 1 to 399 is tried, so that a layout with a lone last
+        # column at any chunk width up to 398 fails
         ctx = QContext(q)
         a = mixed_bases(random.Random(8), 50)
         a = a[np.argsort(-np.abs(a), kind="stable")]
         whole = qpoch_infinite(a, ctx).value
-        for size in range(2, len(a)):
+        for size in range(1, len(a)):
             assert same_bits(qpoch_infinite(a[:size], ctx).value, whole[:size]), size
 
 
@@ -204,29 +216,26 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-def test_a_nan_base_counts_where_python_max_would():
-    # Python's max keeps a NaN only when it comes first: the depth of a wide batch ignores a
-    # later NaN base (whose value is NaN) and fails on a first one, as the per-base scan did
+def test_a_nan_base_anywhere_fails_the_depth():
+    # a base that is not finite has no geometric tail bound wherever it stands in a batch,
+    # so no NaN value goes out under a finite certificate
     ctx = QContext(0.45)
     a = mixed_bases(random.Random(42), 40)[:300]
-    later = qpoch_infinite(np.r_[a, complex(math.nan, 0.0)], ctx)
-    assert later.terms_used == qpoch_infinite(a, ctx).terms_used // 300 * 301
-    assert np.isnan(later.value[-1])
-    with pytest.raises(TruncationFailure):
-        qpoch_infinite(np.r_[complex(math.nan, 0.0), a], ctx)
+    for bad in (complex(math.nan, 0.0), complex(0.3, math.nan), complex(math.inf, 0.0)):
+        for at in (0, 150, 300):
+            with pytest.raises(TruncationFailure):
+                qpoch_infinite(np.insert(a, at, bad), ctx)
 
 
 def running_clearance(u, ctx):
-    """factor_clearance of an ndarray with the q-power rows as one running product."""
+    """factor_clearance of an ndarray with the rows u q^j from the running powers of q."""
     limit = 1.0 - ctx.pole_margin
     size = np.abs(u)
     best = np.full(u.shape, math.inf)
     scan = size >= limit
     if scan.any():
         steps = math.floor(math.log(limit / size[scan].max()) / math.log(abs(ctx.q))) + 2
-        block = np.empty((steps, np.count_nonzero(scan)), dtype=complex)
-        block[0], block[1:] = u[scan], ctx.q
-        np.multiply.accumulate(block, axis=0, out=block)
+        block = np.array([power * u[scan] for power in running_powers(ctx.q, steps - 1)])
         gaps = np.abs(np.subtract(1.0, block))
         gaps[np.abs(block) < limit] = math.inf
         best[scan] = np.minimum.reduce(gaps, axis=0)

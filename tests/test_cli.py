@@ -178,6 +178,36 @@ class TestCommandLine:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1] and reports[0].count(b"\n") == 65
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("q", ["0.65", "0.7", "-0.6"])
+    def test_verdicts_hold_on_an_older_simd_dispatch(self, q, tmp_path, capsys):
+        # NumPy picks its SIMD loops at import, and NPY_DISABLE_CPU_FEATURES turns the
+        # AVX2/FMA3 and AVX-512 ones off in the child process alone, which then rounds its
+        # complex products as an x86-64-v2 machine does: residual bits may move, but every
+        # verdict of the run must be that of this process's dispatch
+        from numpy._core._multiarray_umath import __cpu_features__
+        if not __cpu_features__.get("X86_V3"):
+            pytest.skip("this process dispatches no AVX2 loops to turn off")
+        script = ("import sys; from numpy._core._multiarray_umath import __cpu_features__\n"
+                  "from qtaylor import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(__cpu_features__['X86_V3'], code)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+               "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+        older, default = tmp_path / "older.jsonl", tmp_path / "default.jsonl"
+        run = subprocess.run([sys.executable, "-c", script, "--suite", "all", "--q", q,
+                              "--report", str(older)], env=env, capture_output=True,
+                             text=True, check=False, timeout=300)
+        code = cli.main(["--suite", "all", "--q", q, "--report", str(default)])
+        capsys.readouterr()
+        assert run.stdout.splitlines()[-1] == f"False {code}"
+
+        def verdicts(report):  # every record's, then the summary's
+            *records, summary = map(json.loads, report.read_text().splitlines())
+            return ([(r["suite"], r["check"], r["passed"]) for r in records]
+                    + [summary["summary"]["passed"]])
+        assert len(verdicts(default)) == 65 and verdicts(older) == verdicts(default)
+
     @pytest.mark.parametrize("q", ["0.45", "0.7"])
     def test_verdicts_need_no_lapack_fit_and_no_fft(self, q, tmp_path, capsys):
         # their first call maps library state into the process (peak memory): a fresh

@@ -2,13 +2,14 @@
 
 The references below are array forms of ``qcore._abs_max``, ``qcore.q_powers``,
 ``qcore.qpoch_infinite``, ``hyper.term_ratio`` and ``hyper._series_sum`` (with its helpers):
-every decision there is an array operation, every product starts from a row of ones and
-every block of the driver evaluates the ratios of every column.  The kernels in ``src/``
-may decide depths, stops and guards in Python and evaluate only what a column reads, but
-every value must keep its bits: the tests require equal binary64 words, equal stops and
-depths, and the same first error, over generated inputs that cross every size cut
-(``WIDE_BLOCK`` and the product blocks of 2^14 entries) and hold NaN and inf bases, poles,
-growing series and a depth cap.
+every decision there is an array operation, every power of q is read from one running
+product q^j, every product starts from a row of ones and takes one vector multiply per
+row, at any width, and every block of the driver evaluates the ratios of every column.
+The kernels in ``src/`` may decide depths, stops and guards in Python and evaluate only
+what a column reads, but every value must keep its bits: the tests require equal binary64
+words, equal stops and depths, and the same first error, over generated inputs that cross
+every size cut (a lone base and the product blocks of 2^14 entries) and hold NaN and inf
+bases, poles, growing series and a depth cap.
 """
 
 import cmath
@@ -31,22 +32,25 @@ given, settings = hypothesis.given, hypothesis.settings
 BASES = [0.45, 0.5j, 0.3 + 0.5j]  # real, imaginary, and a q of two nonzero parts
 
 
+def ref_powers(q, n):
+    """q^0..q^n as the running product x *= q from 1."""
+    xs = np.empty(n + 1, dtype=complex)
+    xs[0], xs[1:] = 1.0, q
+    return np.multiply.accumulate(xs)
+
+
 def ref_q_powers(x0, n, ctx):
-    q = ctx.q
-    xs = np.empty((n + 1,) + np.shape(x0), dtype=complex)
-    xs[0] = x0
-    if np.size(x0) < qcore.WIDE_BLOCK or q.real and q.imag:
-        xs[1:] = q
-        return np.multiply.accumulate(xs, axis=0, out=xs)
-    for row, below in zip(xs[:-1], xs[1:]):
-        np.multiply(row, q, out=below)
-    return xs
+    """The rows q^j x0, j = 0..n, one vector multiply per row, the power first."""
+    flat, powers = np.atleast_1d(np.asarray(x0, dtype=complex)).ravel(), ref_powers(ctx.q, n)
+    xs = np.empty((n + 1, flat.size), dtype=complex)
+    for row, power in zip(xs, powers):
+        np.multiply(power, flat, out=row)
+    return xs.reshape((n + 1,) + np.shape(x0))
 
 
 def ref_abs_max(x):
-    sizes = np.hypot(x.real, x.imag)
-    return float(sizes[0] if sizes.size and math.isnan(sizes[0])
-                 else np.fmax.reduce(sizes, initial=0.0))
+    sizes = [abs(v) for v in x.tolist()]
+    return next((s for s in sizes if math.isnan(s)), max(sizes, default=0.0))
 
 
 def ref_qpoch_infinite(a, ctx):
@@ -54,15 +58,11 @@ def ref_qpoch_infinite(a, ctx):
     x = np.asarray(a, dtype=complex)
     flat = x.ravel()
     n = geometric_depth(abs(q), ref_abs_max(flat), ctx.max_terms)
-    value, last = np.ones_like(flat), flat
-    rows = max(1, 2 ** 14 // max(flat.size, 1))
-    for j in range(0, n, rows):
-        block = ref_q_powers(last, min(rows, n - j), ctx)
-        last = block[-1].copy()
-        block[1:] = 1.0 - block[:-1]
-        block[0] = value
-        value = np.multiply.reduce(block)
-    r = ref_abs_max(last)
+    xs = ref_q_powers(flat, n, ctx)
+    value = np.ones_like(flat)
+    for row in xs[:n]:
+        value = value * np.subtract(1.0, row)  # a new array: NumPy reduces a lone x *= y
+    r = ref_abs_max(flat) * abs(complex(ref_powers(q, n)[n]))
     tail = r / ((1.0 - abs(q)) * (1.0 - r))
     return TailBound(complex(value[0]) if x.ndim == 0 else value.reshape(x.shape),
                      tail, n * flat.size)
@@ -87,11 +87,11 @@ def ref_series_sum(ratio, truncs, ctx):
     total, rate = [1.0 + 0.0j] * len(terms), [q_rate] * len(terms)
     grow, errors = [0] * len(terms), [None] * len(terms)
     live = [n is None or n > 0 for n in truncs]
-    lo, size, x = 0, 2 * settled, 1.0 + 0.0j
+    lo, size = 0, 2 * settled
     with np.errstate(all="ignore"):
         while any(live):
-            xs = ref_q_powers(x, size, ctx)
-            block, m, x = lo, size, xs[size]
+            xs = ref_powers(ctx.q, lo + size)[lo:]
+            block, m = lo, size
             lo, size = lo + size, 2 * size
             cols = [c for c, on in enumerate(live) if on and k[c] < lo]
             if not cols:
@@ -251,8 +251,8 @@ def test_small_products_are_the_array_form(a, q, cap):
 @settings(derandomize=True, max_examples=12, deadline=None, database=None)
 @given(bases(st.sampled_from([255, 256, 257, 400, 700, 1100])), st.sampled_from(BASES))
 def test_wide_and_multi_block_products_are_the_array_form(a, q):
-    # from 256 bases q_powers may step rows by a vector multiply, and past 2^14 entries
-    # (here from about 340 bases at depth ~48) the product runs in several blocks
+    # past 2^14 entries (here from about 340 bases at depth ~48) the product runs in
+    # several blocks
     ctx = QContext(q)
     got, want = outcome(qcore.qpoch_infinite, a, ctx), outcome(ref_qpoch_infinite, a, ctx)
     if isinstance(want, tuple):
@@ -263,9 +263,8 @@ def test_wide_and_multi_block_products_are_the_array_form(a, q):
 
 
 def test_generated_sizes_cross_every_size_cut():
-    # 255-257 bases straddle WIDE_BLOCK; from 400 bases a product at |q| >= 0.45 with a
-    # base of modulus 0.3 or more takes more than one block of 2^14 entries
-    assert qcore.WIDE_BLOCK == 256
+    # from 400 bases a product at |q| >= 0.45 with a base of modulus 0.3 or more takes
+    # more than one block of 2^14 entries
     assert 400 * geometric_depth(0.45, 0.3) > 2 ** 14
 
 

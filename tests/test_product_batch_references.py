@@ -3,7 +3,7 @@
 ``qcore.qpoch_groups`` evaluates all bases of its groups in one ``qpoch_infinite`` call and
 splits the values back into the groups; each product must keep the bits of its bases' values
 in that call, and the call must raise the kernel's error.  The generated groups cross
-``WIDE_BLOCK`` and the product blocks of 2^14 entries; they hold one-base groups, empty
+the product blocks of 2^14 entries; they hold one-base groups, empty
 groups, ndarray bases and NaN and inf bases, under a depth cap or none.  ``Check.see`` and
 ``qcore.residual_and_scale`` judge Python numbers without NumPy; their references are the
 NumPy forms they replaced.  A slow test runs the profiles suite with its list helpers and
@@ -106,10 +106,9 @@ def test_groups_split_one_product_call(generated):
 
 
 def test_generated_batches_cross_every_size_cut():
-    # 300 calls hold about 900 bases: past WIDE_BLOCK, and at a depth of 48 or more (any
-    # lead from 0.05 at |q| >= 0.45) past one block of 2^14 entries
-    assert qcore.WIDE_BLOCK == 256 and 300 * 3 > qcore.WIDE_BLOCK
-    assert 900 * geometric_depth(0.45, 0.05) > 2 ** 14 > 256 * geometric_depth(0.45, 0.05)
+    # 300 calls hold about 900 bases: at a depth of 48 or more (any lead from 0.05 at
+    # |q| >= 0.45) past one block of 2^14 entries
+    assert 900 * geometric_depth(0.45, 0.05) > 2 ** 14
 
 
 # ---------------------------------------------------------------- scalar judgements
@@ -205,10 +204,19 @@ def ref_limit_point(k, w, kp, lam, N):
         qcore.scaled_residual(scale_pow * sk, s_lim))
 
 
+def ref_kernel_weight(u, j, alpha, beta, ctx):
+    """(a/b;q)_u (a/b;q)_{j-u} / ((q;q)_u (q;q)_{j-u}) beta^u (q/alpha)^{j-u}, from four
+    finite products."""
+    q, rho = ctx.q, alpha / beta
+    return (qcore.qpoch_finite(rho, u, ctx) * qcore.qpoch_finite(rho, j - u, ctx)
+            / (qcore.qpoch_finite(q, u, ctx) * qcore.qpoch_finite(q, j - u, ctx))
+            * beta ** u * (q / alpha) ** (j - u))
+
+
 def ref_kernel_coefficient(j, w, alpha, beta, lam, ctx):
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
-    total = sum((profiles._kernel_weight(u, j, alpha, beta, ctx) for u in range(j + 1)),
+    total = sum((ref_kernel_weight(u, j, alpha, beta, ctx) for u in range(j + 1)),
                 0.0 + 0.0j)
     return profiles.L_profile(w, alpha, beta, lam, ctx) * (lam * w) ** j * total
 
@@ -226,7 +234,7 @@ def ref_coefficient_point(j, w, kp, lam, moments):
             raise ConvergenceRegionViolation(f"moment m={m} outside its convergence region")
 
     def family_term(alpha0, beta0, pick):
-        total = sum((profiles._kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
+        total = sum((ref_kernel_weight(u, j, alpha0, beta0, ctx) * pick(moments[2 * u - j])
                      for u in range(j + 1)), 0.0 + 0.0j)
         return profiles.L_profile(w, alpha0, beta0, lam, ctx) * (lam * w) ** j * total
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
-from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, fitted_rate, geometric_depth,
-                           qpoch_finite, qpoch_infinite, qpoch_multi, qpoch_table,
-                           residual_and_scale, scaled_residual, theta,
+from qtaylor.qcore import (TAIL_TARGET, QContext, factor_clearance, fit_window, fitted_rate,
+                           geometric_depth, qpoch_finite, qpoch_infinite, qpoch_multi,
+                           qpoch_table, residual_and_scale, scaled_residual, theta,
                            weierstrass_terms)
 from qtaylor.sampling import sample_complex
 
@@ -39,6 +39,38 @@ class TestContext:
     def test_sqrt_branch(self, ctx):
         assert ctx.sqrt_q == pytest.approx(math.sqrt(0.45))
         assert ctx.other_branch().sqrt_q == pytest.approx(-math.sqrt(0.45))
+
+    @pytest.mark.parametrize("q", [0.7, -0.6, 0.3 + 0.5j])
+    def test_power_table_is_the_running_product(self, q):
+        # one table per context, the loop x *= q from 1, read-only, and rebuilt longer
+        # with the same leading entries
+        ctx = QContext(q)
+        short = ctx.powers(10)
+        x, loop = 1.0 + 0.0j, []
+        for _ in range(1001):
+            loop.append(x)
+            x *= ctx.q
+        assert ctx.powers(1000).tolist() == loop and short.tolist() == loop[:11]
+        assert not short.flags.writeable and len(ctx.powers(3)) == 4
+        assert repr(ctx) == repr(QContext(q)) and ctx == QContext(q)
+        assert ctx.other_branch()._powers is None
+
+    @pytest.mark.parametrize("q", [0.7, -0.6, 0.3 + 0.5j])
+    def test_squared_context_reads_its_own_table(self, q):
+        # squared() copies a context whose table of q is built; its products must be
+        # those of a fresh context of base q^2, bit for bit
+        ctx = QContext(q)
+        ctx.powers(400)
+        squared, fresh = ctx.squared(), QContext(ctx.q * ctx.q)
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.05, 1.4, 40) * np.exp(2j * np.pi * rng.random(40))
+
+        def products(c):
+            return [qpoch_infinite(a, c).value, qpoch_infinite(complex(a[0]), c).value,
+                    qpoch_table(a, 30, c), qpoch_finite(complex(a[1]), 17, c),
+                    factor_clearance(a * 3.0, c), c.powers(400)]
+        assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                   for x, y in zip(products(squared), products(fresh)))
 
 
 class TestQPochhammer:
