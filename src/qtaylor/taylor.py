@@ -1,11 +1,15 @@
 """Rational bases Phi_k, coefficient extraction, Taylor sums and flatness.
 
-An expansion to order n samples f once, on the ndarray of the grid nodes
-a q^i, i = 0..n (a sampled f checks every node), and reads each coefficient
-t_k as its prefactored weight row times those values; coefficient_rows
-builds the rows 0..n in one pass (the closed-form grid functional of
-wpoperator.cooper_rows).  The literal operator recursion stays available
-as an independent witness in the tests.  A batch of draws is a BasisPair of
+An expansion to order n samples f once, on the ndarray of the grid nodes a q^i, i = 0..n
+(a sampled f checks every node), and reads each t_k as one multiply-and-sum of its weight
+row with those values.  At z = a q^(k/2) the Cooper weights of the k-fold operator times
+the prefactor of t_k (Ismail & Stanton, J. Approx. Theory 123 (2003)) collapse into
+
+    R[k, i] = q^(k-i) (c/a)^i (aq/c;q)_i (c/(aq);q)_(k-i) (1 - acq^(2k-1)) (acq^i;q)_(k-1)
+              / [(q;q)_i (q;q)_(k-i) (a^2q^i;q)_(k+1) / (1 - a^2q^(2i))],
+
+which coefficient_rows reads from one qpoch_table; the tests hold it against
+wpoperator.cooper_rows and the literal recursion.  A batch of draws is a BasisPair of
 ndarrays, with the draws on the last axis of the points.
 """
 
@@ -13,16 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PoleProximity, ZeroDenominator
+from .errors import DomainError, ExceptionalPoint, PoleProximity, ZeroDenominator
 from .qcore import (QContext, draw_lists, qpoch_finite, qpoch_quotient, qpoch_table,
                     require_clear, sample, sample_columns)
-from .wpoperator import cooper_rows
 
 
 @dataclass(frozen=True)
@@ -48,29 +50,30 @@ class BasisPair:
         """The pairs as one pair of ndarrays over the draws."""
         return cls(np.array([p.a for p in pairs]), np.array([p.c for p in pairs]))
 
-    def check_admissible(self, z, ctx: QContext) -> None:
-        """Reject z (any node of an ndarray) within the pole margin of the basis pole set."""
-        if np.any(z == 0):
-            raise PoleProximity("z = 0 is never admissible")
-        if np.any(self.c != 0):
-            require_clear(ctx, "z near the basis pole set", self.c * z, self.c / z)
-
 
 def phi_basis(z, pair: BasisPair, k, ctx: QContext):
     """Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k, Phi_0 = 1; a scalar z as one node.
     k may hold an order per draw (the pole set is checked where k > 0)."""
     a, c, w = pair.a, pair.c, np.atleast_1d(z)
-    if np.min(k) < 0:
+    each = isinstance(k, np.ndarray)
+    if (k.min() if each else k) < 0:
         raise DomainError("basis index must be nonnegative")
-    if isinstance(k, np.ndarray):  # the pole set depends on c alone: check where k > 0
+    if each:  # the pole set depends on c alone: check where k > 0
         live = np.broadcast_to(k, w.shape) > 0
-        BasisPair(0.0, np.broadcast_to(c, w.shape)[live]).check_admissible(w[live], ctx)
+        _require_admissible(w[live], np.broadcast_to(c, w.shape)[live], ctx)
     elif k > 0:
-        pair.check_admissible(w, ctx)
-    bases = np.array([a * w, a / w, c * w, c / w])
-    az, aw, cz, cw = qpoch_finite(bases, k, ctx)
+        _require_admissible(w, c, ctx)
+    az, aw, cz, cw = qpoch_finite(np.array([a * w, a / w, c * w, c / w]), k, ctx)
     phi = az * aw / (cz * cw)
     return phi if np.ndim(z) else complex(phi[0])
+
+
+def _require_admissible(w: np.ndarray, c, ctx: QContext) -> None:
+    """PoleProximity at a node of w near the basis pole set of c (one c, or one per node)."""
+    if not w.all():
+        raise PoleProximity("z = 0 is never admissible")
+    if (c != 0).any() if isinstance(c, np.ndarray) else c != 0:
+        require_clear(ctx, "z near the basis pole set", c * w, c / w)
 
 
 def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable:
@@ -121,8 +124,7 @@ def basis_terms(z, pair: BasisPair, coeffs: Sequence, ctx: QContext):
     return terms if isinstance(z, np.ndarray) else terms[:, 0].tolist()
 
 
-def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex],
-              ctx: QContext) -> complex:
+def basis_sum(z: complex, pair: BasisPair, coeffs: Sequence[complex], ctx: QContext) -> complex:
     """sum_k u_k Phi_k(z; a, c) over the given coefficients."""
     return sum(basis_terms(z, pair, coeffs, ctx), 0.0 + 0.0j)
 
@@ -143,41 +145,45 @@ def lowered_terms(z, a, coeffs: Sequence, ctx: QContext):
     return basis_terms(z, BasisPair(a * ctx.sqrt_q, 0.0), us[..., 1:] * lam, ctx)
 
 
-def _pole_factor(u: complex, n: int, ctx: QContext) -> int:
-    """The first j < n with |1 - u q^j| within the pole margin, else n (a factor of (u;q)_n;
-    none is when |u| < 1 - pole_margin, as for factor_clearance)."""
-    scan = range(n if abs(u) >= 1.0 - ctx.pole_margin else 0)
-    return next((j for j in scan if abs(1.0 - u * ctx.q ** j) <= ctx.pole_margin), n)
+def coefficient_rows(pair: BasisPair, n: int, ctx: QContext) -> np.ndarray:
+    """The prefactored weights of t_0..t_n as one lower-triangular ndarray R (the module
+    docstring): t_k(f) = sum_i R[k, i] f(a q^i), R[0, 0] = 1.  R[k, i] is the weight of
+    wpoperator.cooper_rows at z = a q^(k/2), node a q^i, times the prefactor (-1)^k
+    q^(-k(k-1)/4) (1-q)^k / ((2a)^k (q;q)_k (c/a;q)_k (acq^(k-1);q)_k): up to signs and
+    powers of q, its factors 1 - cz q^(e/2) make (acq^i;q)_(k-1) (acq^(k-1);q)_(k+1), its
+    1 - (c/z) q^(e/2), reversed (Gasper & Rahman, App. I), (c/a)^i (aq/c;q)_i
+    (c/(aq);q)_(k-i) (c/a;q)_k, its cardinal factors (a^2q^i;q)_(k+1) / (1 - a^2q^(2i)),
+    and the prefactor's products cancel.  One qpoch_table gives every factor, the cancelled
+    one left out; (c/a)^i (aq/c;q)_i is the running product of c/a - q^j, regular at c = 0.
 
-
-def _coeff_prefactors(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[complex]:
-    """The prefactor of t_k for each k in orders; (q;q)_k, (c/a;q)_k and (acq^(k-1);q)_k for
-    every order are read from the columns of one qpoch_table, qpoch_finite bit for
-    bit.  The denominators are guarded factor by factor, as KernelParams guards its bases:
-    (q;q)_8 ~ 7.8e-7 at q = 0.95 is small but far from any pole."""
-    q, rq = ctx.q, ctx.sqrt_q
-    a, c = pair.a, pair.c
-    shifted = [a * c * q ** (k - 1) for k in orders]
-    table = qpoch_table([q, c / a, *shifted], max(orders, default=0), ctx).tolist()
-    poles = (_pole_factor(q, len(table) - 1, ctx), _pole_factor(c / a, len(table) - 1, ctx))
-    prefs = []
-    for column, (k, u) in enumerate(zip(orders, shifted), 2):
-        for name, j in zip(("(q;q)_k", "(c/a;q)_k", "(acq^(k-1);q)_k"),
-                           poles + (_pole_factor(u, k, ctx),)):
-            if j < k:
-                raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
-        sign = -1.0 if k % 2 else 1.0
-        prefs.append(sign * rq ** (-k * (k - 1) // 2) * (1.0 - q) ** k
-                     / ((2.0 * a) ** k * table[k][0] * table[k][1] * table[k][column]))
-    return prefs
-
-
-def coefficient_rows(pair: BasisPair, orders: Sequence[int], ctx: QContext) -> list[list[complex]]:
-    """Prefactored weights of t_k for each k in orders: t_k(f) = sum_i row_i f(a q^i),
-    i = 0..k; the grid functional rows of all orders come from one cooper_rows call."""
-    prefs = _coeff_prefactors(pair, orders, ctx)
-    rows = cooper_rows(pair.c, [(pair.a * ctx.sqrt_q ** k, k) for k in orders], ctx)
-    return [[pref * w for w in reversed(row)] for pref, row in zip(prefs, rows)]
+    ZeroDenominator: a factor of (q;q)_k, (c/a;q)_k or (acq^(k-1);q)_k within the pole
+    margin at some k <= n (named for the lowest such k).  ExceptionalPoint: a cardinal
+    factor 1 - a^2 q^t, t = 1..2n-1, within the margin, tested as cooper_rows tests it.
+    """
+    a, c, margin = pair.a, pair.c, ctx.pole_margin
+    x, ac, a2, q = c / a, a * c, a * a, ctx.powers(2 * n + 1)
+    near = np.abs(1.0 - np.concatenate((q[1:n + 1], x * q[:n], ac * q[:max(2 * n - 1, 0)])))
+    if (hit := np.flatnonzero(near <= margin)).size:  # the order each factor enters at
+        first = np.argmin(np.where(hit < 2 * n, hit % max(n, 1) + 1, (hit - 2 * n) // 2 + 1))
+        name = ("(q;q)_k", "(c/a;q)_k", "(acq^(k-1);q)_k")[min(hit[first] // n, 2)]
+        raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
+    cardinal = a2 * q[1:2 * n]
+    near = np.abs(1.0 - cardinal) <= margin * np.maximum(1.0, np.abs(cardinal))
+    if (hit := np.flatnonzero(near)).size:
+        raise ExceptionalPoint(
+            f"cardinal denominator factor 1-({cardinal[hit[0]]}) within margin")
+    table = qpoch_table(np.concatenate(((q[1], x / q[1]), ac * q[:n + 1], a2 * q[:n + 1],
+                                        a2 * q[1:2 * n + 2:2])), n, ctx)
+    qq, down = table[:, 0], table[:, 1]
+    rising, lower, upper = (table[:, 2 + j * (n + 1):2 + (j + 1) * (n + 1)] for j in range(3))
+    left = (np.multiply.accumulate(np.concatenate(((1.0,), x - q[1:n + 1])))
+            / (qq * lower.diagonal()))
+    right = q[:n + 1] * down / qq
+    k, i = (index[1:] for index in np.nonzero(np.tri(n + 1, dtype=bool)))
+    rows = np.eye(n + 1, dtype=complex)  # R[0, 0] = 1; every other diagonal entry is set
+    rows[k, i] = (left[i] * right[k - i] * (1.0 - ac * q[2 * k - 1]) * rising[k - 1, i]
+                  / upper[k - i, i])
+    return rows
 
 
 def taylor_expand(f, pair: BasisPair, n, ctx: QContext):
@@ -186,10 +192,9 @@ def taylor_expand(f, pair: BasisPair, n, ctx: QContext):
     coefficients, from one sample on the nodes of every draw and the rows of each."""
     draws = list(zip(*draw_lists(pair.a, pair.c, n)))
     values = sample_columns(f, [[a * ctx.q ** i for i in range(m + 1)] for a, _, m in draws])
-    rows = {d: coefficient_rows(BasisPair(*d[:2]), range(d[2] + 1), ctx)
+    rows = {d: coefficient_rows(BasisPair(*d[:2]), d[2], ctx)
             for d in dict.fromkeys(draws)}  # once per distinct draw
-    coeffs = [tuple(sum(map(operator.mul, row, vals)) for row in rows[d])
-              for d, vals in zip(draws, values)]
+    coeffs = [tuple((rows[d] * vals).sum(axis=1).tolist()) for d, vals in zip(draws, values)]
     return coeffs if isinstance(pair.a, np.ndarray) else coeffs[0]
 
 
@@ -216,9 +221,9 @@ def flatness_check(h, pair: BasisPair, k_max: int, ctx: QContext) -> float:
     if h_scale == 0.0:
         return 0.0
     values = sample(h, [pair.a * ctx.q ** i for i in range(k_max + 1)])
-    rows = coefficient_rows(pair, range(k_max + 1), ctx)
-    return max((abs(sum(w * v for w, v in zip(row, values))) / (sum(map(abs, row)) * h_scale)
-                for row in rows), default=0.0)
+    rows = coefficient_rows(pair, k_max, ctx)
+    reach = np.abs(rows).sum(axis=1) * h_scale
+    return float(np.max(np.abs((rows * values).sum(axis=1)) / reach))
 
 
 def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
@@ -248,12 +253,6 @@ def basis_limit_modulus(z: complex, pair: BasisPair, ctx: QContext) -> float:
 
 
 def _pole_circles(pair: BasisPair, ctx: QContext) -> list[float]:
-    mods = []
-    if pair.c != 0:
-        ac, aq = abs(pair.c), abs(ctx.q)
-        m = 0
-        while ac * aq ** m > 1e-12 and m < 64:
-            mods.append(ac * aq ** m)
-            mods.append(1.0 / (ac * aq ** m))
-            m += 1
-    return mods
+    """|c q^m| and 1/|c q^m| for each m < 64 with |c q^m| > 1e-12 (none when c = 0)."""
+    mods = [abs(pair.c) * abs(ctx.q) ** m for m in range(64)]
+    return [r for mod in mods if mod > 1e-12 for r in (mod, 1.0 / mod)]

@@ -5,11 +5,12 @@ D_{c,q}, the iterated operator with the per-step shift c -> c q^{3(j-1)/2},
 and the closed-form expression of the k-fold operator as a finite weighted
 sum of grid evaluations ("cooper_eval").  The closed form and the literal
 recursion are two independent computation paths; their agreement is the
-check operator/closed-form-vs-recursion.  One builder, cooper_rows, gives
-the closed-form weights of any list of orders; coefficient extraction in
-taylor reads all rows of an expansion from one call.  Every operator
-samples f once, on the ndarray of its nodes (qcore.sample), and takes an
-ndarray z with a c (and an order) per draw, f taking the draws on the last
+check operator/closed-form-vs-recursion.  One builder, cooper_rows, gives the
+weights of any list of orders (cooper_eval, grid_functional_weights).  Taken at
+z = a q^(k/2) and times the prefactor of t_k, they are the ratio of q-shifted factorials
+that taylor.coefficient_rows reads (derived in its docstring); the tests compare the two.
+Every operator samples f once, on the ndarray of its nodes (qcore.sample), and takes
+an ndarray z with a c (and an order) per draw, f taking the draws on the last
 axis; the closed form and the recursion keep each draw's weights and
 recursion in scalar Python, so each value is its scalar call's, bit for bit.
 

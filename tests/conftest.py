@@ -12,6 +12,16 @@ from qtaylor.quadratic import QuadraticParams
 from qtaylor.suites import SuiteConfig, parse_complex, run_suites
 from qtaylor.taylor import BasisPair
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # every property test draws the same examples in every run, and none replays an
+    # example stored in the checkout; a test's own settings keep its example count
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
+
 
 @pytest.fixture
 def ctx():

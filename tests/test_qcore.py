@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,13 +200,19 @@ class TestGeometricDepth:
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
-        @hypothesis.settings(max_examples=200, deadline=None)
+        # judged against the exact slope of the same float logarithms: np.polyfit's
+        # lstsq misses it by 1e-12 relative at the pinned example, fitted_rate by none
+        @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
         @hypothesis.given(st.integers(0, 20),
                           st.lists(st.floats(1e-30, 1e30), min_size=2, max_size=12))
+        @hypothesis.example(19, [2.22e-16, 8.37e23])
         def agrees(start, values):
             orders = list(range(start, start + len(values)))
-            want = math.exp(np.polyfit(orders, np.log(values), 1)[0])
-            assert fitted_rate(orders, values) == pytest.approx(want, rel=1e-12)
+            xs, ys = list(map(Fraction, orders)), [Fraction(math.log(v)) for v in values]
+            x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+            slope = (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+                     / sum((x - x_mean) ** 2 for x in xs))
+            assert fitted_rate(orders, values) == pytest.approx(math.exp(slope), rel=1e-12)
 
         agrees()
 

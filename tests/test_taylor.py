@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from qtaylor import taylor
-from qtaylor.errors import PoleProximity, ZeroDenominator
+from qtaylor.errors import ExceptionalPoint, PoleProximity, ZeroDenominator
 from qtaylor.kernel import kernel_products
 from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
 from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_profile_kernel_params, sample_z)
 from qtaylor.suites import SuiteConfig, parse_complex, run_taylor
-from qtaylor.taylor import (BasisPair, _coeff_prefactors,
-                            basis_limit_modulus, basis_sum, basis_sup_curve,
-                            basis_terms, flatness_check, phi_basis, phi_combination,
-                            phi_function, taylor_expand,
+from qtaylor.taylor import (BasisPair, basis_limit_modulus, basis_sum, basis_sup_curve,
+                            basis_terms, coefficient_rows, flatness_check, phi_basis,
+                            phi_combination, phi_function, taylor_expand,
                             taylor_sum_and_remainder)
 from qtaylor.wpoperator import cooper_eval, grid_functional_weights
 
@@ -226,16 +225,17 @@ class TestSumsAndRemainders:
 
 
 def _assert_matches_per_order_route(f, pair, n, ctx):
-    """taylor_expand against prefactor x cooper_eval at a q^{k/2}, order by order.
+    """taylor_expand (the closed-form rows) against prefactor x cooper_eval at a q^{k/2}
+    (the Cooper slices of wpoperator), order by order.
 
     Each order is allowed 1e-12 of the functional's reach
-    sum_i |pref w_i f(a q^i)|: the two routes sum the same terms in another
-    order, at nodes rounded differently.
+    sum_i |pref w_i f(a q^i)|: the two routes form the weights from other
+    factors and sum them in another order, at nodes rounded differently.
     """
     got = taylor_expand(f, pair, n, ctx)
     assert len(got) == n + 1
     for k in range(n + 1):
-        [pref] = _coeff_prefactors(pair, [k], ctx)
+        pref = _loop_prefactor(pair, k, ctx)
         want = pref * cooper_eval(f, pair.a * ctx.sqrt_q ** k, pair.c, k, ctx)
         reach = sum(abs(pref * w * f(pair.a * ctx.q ** i))
                     for i, w in enumerate(grid_functional_weights(pair.a, pair.c, k, ctx)))
@@ -259,20 +259,20 @@ class TestSharedGrid:
         pair = BasisPair(0.6 + 0.1j, 0.4)
         f = phi_combination(BasisPair(0.5, 0.4), [1.0, 0.3j, 0.8], ctx)
         builds = []
-        real = taylor.cooper_rows
-        monkeypatch.setattr(taylor, "cooper_rows",
-                            lambda c, points, ctx: builds.append(points) or real(c, points, ctx))
+        real = taylor.coefficient_rows
+        monkeypatch.setattr(taylor, "coefficient_rows",
+                            lambda pair, n, ctx: builds.append(n) or real(pair, n, ctx))
         taylor_expand(f, pair, n, ctx)
         flatness_check(f, pair, n, ctx)
-        assert [[m for _, m in points] for points in builds] == [list(range(n + 1))] * 2
+        assert builds == [n, n]
 
-    @pytest.mark.parametrize("q", [0.45, -0.3, 0.5j, 0.7])
+    @pytest.mark.parametrize("q", [0.45, -0.3, 0.5j, 0.7, 0.95])
     @pytest.mark.parametrize("flip", [False, True])
     def test_matches_per_order_route(self, rng, q, flip):
         ctx = QContext(q).other_branch() if flip else QContext(q)
         for _ in range(3):
             pair = sample_basis_pair(rng, lo=0.4, hi=0.85)
-            n = rng.randrange(1, 9)
+            n = rng.randrange(1, 21)
             f = phi_combination(pair, [sample_complex(rng, 0.5, 1.5) for _ in range(n + 1)],
                                 ctx)
             _assert_matches_per_order_route(f, pair, n, ctx)
@@ -348,17 +348,30 @@ def _loop_prefactor(pair, k, ctx):
 class TestPrefactors:
     @pytest.mark.parametrize("q", [0.45, -0.3, 0.5j, 0.7])
     def test_one_pass_is_the_per_order_loop_bit_for_bit(self, rng, q):
+        # the row of order k does not depend on how many orders one build holds
         ctx = QContext(q)
         for _ in range(4):
             pair = sample_basis_pair(rng)
-            assert _coeff_prefactors(pair, range(21), ctx) == [
-                _loop_prefactor(pair, k, ctx) for k in range(21)]
-            assert _coeff_prefactors(pair, [7, 3], ctx) == [
-                _loop_prefactor(pair, k, ctx) for k in (7, 3)]
+            rows = coefficient_rows(pair, 20, ctx)
+            assert rows.shape == (21, 21) and not np.triu(rows, 1).any()
+            for k in range(21):
+                assert rows[k, :k + 1].tolist() == coefficient_rows(pair, k, ctx)[k].tolist()
 
     def test_degenerate_prefactor_is_rejected(self, ctx):
         # c/a = q^-2: (c/a;q)_k vanishes from k = 3 on
         pair = BasisPair(0.5, 0.5 / ctx.q ** 2)
-        assert len(_coeff_prefactors(pair, range(3), ctx)) == 3
+        assert coefficient_rows(pair, 2, ctx).shape == (3, 3)
         with pytest.raises(ZeroDenominator, match=r"\(c/a;q\)_k"):
-            _coeff_prefactors(pair, range(4), ctx)
+            coefficient_rows(pair, 3, ctx)
+
+    def test_each_guard_enters_at_its_order(self, ctx):
+        # ac = q^-2: the factor 1 - ac q^2 of (acq^(k-1);q)_k enters at k = 2
+        pair = BasisPair(0.5, 2.0 / ctx.q ** 2)
+        assert coefficient_rows(pair, 1, ctx).shape == (2, 2)
+        with pytest.raises(ZeroDenominator, match=r"\(acq\^\(k-1\);q\)_k"):
+            coefficient_rows(pair, 2, ctx)
+        # a^2 q = 1: the cardinal factor 1 - a^2 q of every order k >= 1
+        pair = BasisPair(1.0 / ctx.sqrt_q, 0.3)
+        assert coefficient_rows(pair, 0, ctx).tolist() == [[1.0]]
+        with pytest.raises(ExceptionalPoint, match="cardinal denominator factor"):
+            coefficient_rows(pair, 1, ctx)
