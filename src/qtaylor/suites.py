@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import pickle
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -932,18 +934,66 @@ def run_suites(cfg: SuiteConfig) -> VerificationReport:
         "q": format_complex(cfg.q), "seed": cfg.seed, "draws": cfg.draws,
         "suites": list(cfg.suites), "negative_controls": cfg.negative_controls,
     })
-    for name in cfg.suites:
-        if name not in _RUNNERS:
-            raise ConfigError(f"unknown suite {name!r}")
-        try:
-            records = _RUNNERS[name](cfg)
-        except QTaylorError as exc:  # outside every check, or a ConfigError
-            records = [CheckRecord(name, "suite-abort", "runner", {}, math.inf,
-                                   0.0, 0.0, False, f"{type(exc).__name__}: {exc}")]
-        if cfg.negative_controls and name == "kernel":
-            _sabotaged_kernel_check(cfg, records)
+    if unknown := [name for name in cfg.suites if name not in _RUNNERS]:
+        raise ConfigError(f"unknown suite {unknown[0]!r}")
+    for records in _fan_out(cfg, cfg.suites):
         report.records.extend(records)
     return report
+
+
+def _suite_records(cfg: SuiteConfig, name: str) -> list[CheckRecord]:
+    """The records of one suite, its kernel negative control included."""
+    try:
+        records = _RUNNERS[name](cfg)
+    except QTaylorError as exc:  # outside every check, or a ConfigError
+        records = [CheckRecord(name, "suite-abort", "runner", {}, math.inf,
+                               0.0, 0.0, False, f"{type(exc).__name__}: {exc}")]
+    if cfg.negative_controls and name == "kernel":
+        _sabotaged_kernel_check(cfg, records)
+    return records
+
+
+# A worker's suites, half a run: 21.0 ms against 20.5 at q = 0.7, 16.9 against 17.5 at 0.45.
+_WORKER_SUITES = ("profiles", "laurent", "quadratic", "taylor")
+
+
+def _fan_out(cfg: SuiteConfig, names: tuple[str, ...]) -> list[list[CheckRecord]]:
+    """The records of each named suite, as the serial loop makes them.  With two usable CPUs
+    and two suites or more on each side, a forked worker runs those of _WORKER_SUITES."""
+    forked = [i for i, name in enumerate(names) if name in _WORKER_SUITES]
+    if (len(forked) < 2 or len(names) - len(forked) < 2 or not hasattr(os, "fork")
+            or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2):
+        return [_suite_records(cfg, name) for name in names]
+    read_fd, write_fd = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(read_fd)
+            try:
+                result = [_suite_records(cfg, names[i]) for i in forked]
+            except BaseException as exc:  # raised again in the parent, if it survives pickling
+                try:
+                    result = pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    result = RuntimeError(f"{type(exc).__name__}: {exc}")
+            with os.fdopen(write_fd, "wb") as pipe:  # its one output: the worker prints nothing
+                pickle.dump(result, pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            out = {i: _suite_records(cfg, name) for i, name in enumerate(names) if i not in forked}
+            payload = pipe.read()
+    finally:  # also when this half raises, or a signal becomes SystemExit
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"the worker running suites {[names[i] for i in forked]} died "
+                           f"without its records (wait status {status})")
+    if isinstance(result := pickle.loads(payload), BaseException):
+        raise result
+    out.update(zip(forked, result))
+    return [out[i] for i in range(len(names))]
 
 
 def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:

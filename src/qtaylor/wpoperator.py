@@ -6,7 +6,7 @@ and the closed-form expression of the k-fold operator as a finite weighted
 sum of grid evaluations ("cooper_eval").  The closed form and the literal
 recursion are two independent computation paths; their agreement is the
 check operator/closed-form-vs-recursion.  One builder, cooper_rows, gives the
-weights of any list of orders (cooper_eval, grid_functional_weights).  Taken at
+weights of one order at one point (cooper_eval, grid_functional_weights).  Taken at
 z = a q^(k/2) and times the prefactor of t_k, they are the ratio of q-shifted factorials
 that taylor.coefficient_rows reads (derived in its docstring); the tests compare the two.
 Every operator samples f once, on the ndarray of its nodes (qcore.sample), and takes
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -110,12 +109,11 @@ def _recursion(z: complex, steps: list, memo: dict, ctx: QContext) -> complex:
     return level(len(steps), 0)
 
 
-def cooper_rows(c: complex, points: Sequence[tuple[complex, int]],
-                ctx: QContext) -> list[list[complex]]:
-    """Weights u_0..u_m with D^{(m)} f(z) = sum_r u_r f(q^{m/2-r} z), for each (z, m).
+def cooper_rows(c: complex, z: complex, m: int, ctx: QContext) -> list[complex]:
+    """Weights u_0..u_m with D^{(m)} f(z) = sum_r u_r f(q^{m/2-r} z).
 
-    Each cardinal factor of an order is formed once; a weight is a product
-    over slices of the factor lists, never a division by a numerator factor.
+    Each cardinal factor is formed once; a weight is a product over slices
+    of the factor lists, never a division by a numerator factor.
     The denominators of u_r are 1 - q^s z^2, s = m-2r+1..m-r, and, with
     z^{2(r-m)} folded in so that deep grid points do not overflow,
     z^2 - q^s, s = 2r-m+1..r; its numerator takes 1 - c z q^{e/2} from
@@ -124,38 +122,30 @@ def cooper_rows(c: complex, points: Sequence[tuple[complex, int]],
     q-binomials come from one (q;q)_j table.  ExceptionalPoint: a cardinal
     denominator factor within the pole margin of zero.
     """
+    if m <= 0:
+        if m < 0:
+            raise DomainError("operator order must be nonnegative")
+        return [1.0 + 0.0j]
     q, rq, margin = ctx.q, ctx.sqrt_q, ctx.pole_margin
-    top = max((m for _, m in points), default=0)
-    qs = [q ** s for s in range(1 - top, top + 1)]
-    halves = [rq ** e for e in range(-top, 3 * top - 1)]
-    qq = list(accumulate([1.0 - x for x in qs[top:]], operator.mul, initial=1.0 + 0.0j))
-    rows = []
-    for z, m in points:
-        if m <= 0:
-            if m < 0:
-                raise DomainError("operator order must be nonnegative")
-            rows.append([1.0 + 0.0j])
-            continue
-        z2, qm = z * z, qs[top - m:top + m - 1]
-        d1 = [1.0 - x * z2 for x in qm]
-        d2 = [z2 - x for x in qm]
-        # z^2 - q^s = -q^s (1 - q^-s z^2): the factors 1 - q^s z^2 guard both kinds.
-        # |q^s| peaks at qm[0] = q^(1-m): below that bound no factor is within its margin
-        if min(map(abs, d1)) <= margin * max(1.0, abs(qm[0] * z2)):
-            for x in qm:
-                if abs(1.0 - x * z2) <= margin * max(1.0, abs(x * z2)):
-                    raise ExceptionalPoint(
-                        f"cardinal denominator factor 1-({x * z2}) within margin")
-        cz, cw, hm = c * z, c / z, halves[top - m:top + 3 * m - 1:2]
-        n1 = [1.0 - cz * h for h in hm]
-        n2 = [1.0 - cw * h for h in hm]
-        pref = ((-2.0 * z) ** m * rq ** (m * (3 - m) // 2) / (1.0 - q) ** m
-                * math.prod(n1[m - 1:]) * math.prod(n2[m - 1:]))
-        rows.append([pref * q ** (r * (m - r)) * (qq[m] / (qq[r] * qq[m - r]))
-                     * (math.prod(n1[m - r:2 * m - r - 1]) * math.prod(n2[r:r + m - 1])
-                        / (math.prod(d1[2 * m - 2 * r:2 * m - r]) * math.prod(d2[2 * r:r + m])))
-                     for r in range(m + 1)])
-    return rows
+    z2, qm = z * z, [q ** s for s in range(1 - m, m)]
+    qq = list(accumulate([1.0 - q ** s for s in range(1, m + 1)], operator.mul, initial=1.0 + 0.0j))
+    d1 = [1.0 - x * z2 for x in qm]
+    d2 = [z2 - x for x in qm]
+    # z^2 - q^s = -q^s (1 - q^-s z^2): the factors 1 - q^s z^2 guard both kinds.
+    # |q^s| peaks at qm[0] = q^(1-m): below that bound no factor is within its margin
+    if min(map(abs, d1)) <= margin * max(1.0, abs(qm[0] * z2)):
+        for x in qm:
+            if abs(1.0 - x * z2) <= margin * max(1.0, abs(x * z2)):
+                raise ExceptionalPoint(f"cardinal denominator factor 1-({x * z2}) within margin")
+    cz, cw, hm = c * z, c / z, [rq ** e for e in range(-m, 3 * m - 1, 2)]
+    n1 = [1.0 - cz * h for h in hm]
+    n2 = [1.0 - cw * h for h in hm]
+    pref = ((-2.0 * z) ** m * rq ** (m * (3 - m) // 2) / (1.0 - q) ** m
+            * math.prod(n1[m - 1:]) * math.prod(n2[m - 1:]))
+    return [pref * q ** (r * (m - r)) * (qq[m] / (qq[r] * qq[m - r]))
+            * (math.prod(n1[m - r:2 * m - r - 1]) * math.prod(n2[r:r + m - 1])
+               / (math.prod(d1[2 * m - 2 * r:2 * m - r]) * math.prod(d2[2 * r:r + m])))
+            for r in range(m + 1)]
 
 
 def cooper_eval(f, z, c, m, ctx: QContext):
@@ -168,7 +158,7 @@ def cooper_eval(f, z, c, m, ctx: QContext):
     """
     rq = ctx.sqrt_q
     draws = draw_lists(z, c, m)
-    rows = [cooper_rows(cc, [(w, k)], ctx)[0] for w, cc, k in zip(*draws)]
+    rows = [cooper_rows(cc, w, k, ctx) for w, cc, k in zip(*draws)]
     values = sample_columns(f, [[rq ** (k - 2 * r) * w for r in range(k + 1)]
                                 for w, k in zip(draws[0], draws[2])])
     out = [sum(u * v for u, v in zip(row, vals)) for row, vals in zip(rows, values)]
@@ -182,4 +172,4 @@ def grid_functional_weights(a: complex, c: complex, j: int, ctx: QContext) -> li
     the node a q^i (the cooper_rows row reversed).  For j = 0 the single
     weight is 1.
     """
-    return cooper_rows(c, [(a * ctx.sqrt_q ** j, j)], ctx)[0][::-1]
+    return cooper_rows(c, a * ctx.sqrt_q ** j, j, ctx)[::-1]

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from collections import deque
 from pathlib import Path
@@ -36,6 +37,14 @@ def ctx4():
 @pytest.fixture
 def rng():
     return random.Random(20240901)
+
+
+@pytest.fixture
+def serial_suites(monkeypatch):
+    """Run every suite of an invocation in this process, as on one usable CPU: a forked
+    worker's calls are not seen here, so a test that observes calls across several suites
+    would see only this process's share of them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 # Draws that checks of verify consumed at a (q, seed) where their verdict shows a known

@@ -212,8 +212,11 @@ class TestCommandLine:
     def test_verdicts_need_no_lapack_fit_and_no_fft(self, q, tmp_path, capsys):
         # their first call maps library state into the process (peak memory): a fresh
         # process runs every suite with the least-squares routines refusing to run, and
-        # never imports numpy.fft; NumPy imports numpy.linalg itself, so only its calls count
-        script = ("import sys; import numpy as np; from qtaylor import cli\n"
+        # never imports numpy.fft; NumPy imports numpy.linalg itself, so only its calls count.
+        # On one usable CPU it runs every suite itself, so no import hides in a worker
+        script = ("import os, sys; import numpy as np; from qtaylor import cli\n"
+                  "if hasattr(os, 'sched_setaffinity'):\n"
+                  "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                   "def refuse(*args, **kwargs): raise AssertionError('refused')\n"
                   "np.polyfit = np.linalg.lstsq = refuse\n"
                   "code = cli.main(sys.argv[1:])\n"
@@ -435,7 +438,8 @@ def _count_calls(monkeypatch, functions):
 
 
 class TestRepeatedInvocations:
-    def test_a_second_invocation_does_the_same_work(self, tmp_path, monkeypatch, capsys):
+    def test_a_second_invocation_does_the_same_work(self, tmp_path, monkeypatch, capsys,
+                                                    serial_suites):
         # one process may run many invocations (the benchmark does): nothing computed in
         # one may be kept for the next, so both make the same calls and write one report
         counts = _count_calls(monkeypatch, [("qcore", "qpoch_infinite"),

@@ -257,9 +257,9 @@ class TestWeightRows:
             # the Taylor grid of an expansion to order 20, and a generic point
             points = [(pair.a * ctx.sqrt_q ** m, m) for m in range(21)]
             points += [(z, m) for m in range(9)]
-            rows = cooper_rows(pair.c, points, ctx)
-            assert [len(row) for row in rows] == [m + 1 for _, m in points]
-            for (w, m), row in zip(points, rows):
+            for w, m in points:
+                row = cooper_rows(pair.c, w, m, ctx)
+                assert len(row) == m + 1
                 want = product_form_weights(w, pair.c, m, ctx) if m else [1.0]
                 reach = sum(map(abs, want))
                 assert max(abs(a - b) for a, b in zip(row, want)) <= self.TOL * reach, (w, m)
@@ -268,15 +268,15 @@ class TestWeightRows:
         calls = []
         real = wpoperator.cooper_rows
         monkeypatch.setattr(wpoperator, "cooper_rows",
-                            lambda c, points, ctx: calls.append(points) or real(c, points, ctx))
+                            lambda c, z, m, ctx: calls.append((z, m)) or real(c, z, m, ctx))
         z = 1.1 + 0.2j
         assert cooper_eval(chebyshev_x, z, 0.3, 2, ctx) == sum(
             u * chebyshev_x(ctx.sqrt_q ** (2 - 2 * r) * z)
-            for r, u in enumerate(real(0.3, [(z, 2)], ctx)[0]))
+            for r, u in enumerate(real(0.3, z, 2, ctx)))
         assert grid_functional_weights(0.6, 0.3, 3, ctx) == real(
-            0.3, [(0.6 * ctx.sqrt_q ** 3, 3)], ctx)[0][::-1]
-        assert calls == [[(z, 2)], [(0.6 * ctx.sqrt_q ** 3, 3)]]
+            0.3, 0.6 * ctx.sqrt_q ** 3, 3, ctx)[::-1]
+        assert calls == [(z, 2), (0.6 * ctx.sqrt_q ** 3, 3)]
 
     def test_negative_order_rejected(self, ctx):
         with pytest.raises(DomainError):
-            cooper_rows(0.3, [(1.1, 2), (1.1, -1)], ctx)
+            cooper_rows(0.3, 1.1, -1, ctx)
