@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceSuspected, DomainError, TruncationFailure, ZeroDenominator
-from .qcore import (TAIL_TARGET, QContext, TailBound, geometric_depth, qpoch_multi,
-                    qpoch_quotient)
+from .qcore import (POLE_MARGIN, TAIL_TARGET, QContext, TailBound, geometric_depth,
+                    qpoch_multi, qpoch_quotient)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class VWPSpec:
     def ratio_params(self, ctx: QContext) -> tuple:
         """The term_ratio arguments: numerators (a, b_j), denominators a q / b_j, lead a."""
         a = self.a
-        if abs(1.0 - a) <= ctx.pole_margin:
+        if abs(1.0 - a) <= POLE_MARGIN:
             raise DomainError("very-well-poised series requires a != 1")
         return (a,) + self.b_list, tuple(a * ctx.q / b for b in self.b_list), self.argument, a
 
@@ -231,7 +231,7 @@ def term_ratio(series: Sequence[tuple], ctx: QContext):
     column is within the pole margin, the list over the columns of the first such
     factor as (offset, ZeroDenominator) or None (else None).
     """
-    q, margin, m = ctx.q, ctx.pole_margin, len(series[0][0])
+    q, m = ctx.q, len(series[0][0])
     lead = series[0][3]
     # contiguous: NumPy may round a product of strided operands differently
     params = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
@@ -249,9 +249,9 @@ def term_ratio(series: Sequence[tuple], ctx: QContext):
             lead_old = 1.0 - lx2
             r = (1.0 - lx2 * q * q) / lead_old * r
             gaps = np.concatenate((np.abs(lead_old)[None], gaps))
-        if np.minimum.reduce(gaps, axis=None, initial=np.inf) > margin:
+        if np.minimum.reduce(gaps, axis=None, initial=np.inf) > POLE_MARGIN:
             return r * z, None
-        near = gaps <= margin
+        near = gaps <= POLE_MARGIN
         first = _first(near.any(axis=0))
         poles = [None] * len(first)
         for col in np.flatnonzero(first < len(x)):

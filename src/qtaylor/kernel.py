@@ -25,8 +25,8 @@ from .errors import (DomainError, PoleProximity, QuadratureNonConvergence,
                      TruncationFailure, ZeroDenominator)
 from .hyper import SeriesSum, VWPSpec, series_sums, sum_through
 # qpoch_infinite stays bound here: bench/test_bench.py checks this import site
-from .qcore import (TAIL_TARGET, QContext, factor_clearance, qpoch_groups,  # noqa: F401
-                    qpoch_infinite, qpoch_quotients, qpoch_table, residual_and_scale)
+from .qcore import (TAIL_TARGET, QContext, qpoch_groups, qpoch_infinite,  # noqa: F401
+                    qpoch_quotients, qpoch_table, require_clear, residual_and_scale)
 from .taylor import BasisPair, basis_factors, basis_sum, basis_terms, taylor_expand
 from .wpoperator import apply_Dcq
 
@@ -41,8 +41,8 @@ class KernelParams:
     """The parameter quadruple (b, c, d, e) with its evaluation context.
 
     Construction enforces the genericity the closed formulas assume: every
-    parameter-level denominator base stays clear of the set {q^-j} by the
-    context pole margin, which also keeps the two Taylor grids b q^m and
+    parameter-level denominator base stays clear of the set {q^-j} by
+    POLE_MARGIN, which also keeps the two Taylor grids b q^m and
     (c/de) q^m from colliding.
 
     H(b), K(c/de) and the coefficient families do not depend on z: each is
@@ -69,13 +69,8 @@ class KernelParams:
             object.__setattr__(self, name, val)
             if val == 0:
                 raise DomainError(f"kernel parameter {name} must be nonzero")
-        margin = self.ctx.pole_margin
-        for name, base in self.denominator_bases():
-            # a base inside |u| < 1 - margin is clear (factor_clearance's first test)
-            if not abs(base) < 1.0 - margin and factor_clearance(base, self.ctx) <= margin:
-                raise ZeroDenominator(
-                    f"kernel genericity violated: base {name} = {base} "
-                    f"within margin of q^-j")
+        require_clear(self.ctx, "kernel genericity violated", *self.denominator_bases(),
+                      error=ZeroDenominator)
 
     @classmethod
     def batch(cls, draws: Sequence[KernelParams]) -> KernelParams:
@@ -83,19 +78,15 @@ class KernelParams:
         return cls(*(np.array([getattr(kp, p) for kp in draws]) for p in "bcde"),
                    draws[0].ctx, tuple(draws))
 
-    def denominator_bases(self) -> list[tuple[str, complex]]:
+    def denominator_bases(self) -> list[complex]:
+        """bc, c/b, bc/de, c/bde, bde/c, c^3/bd^2e^2, bc/d, bc/e, bdeq/c, bc/q, c^2/de^2,
+        c^2/d^2e, cq/bde and c^3/bd^2e^2q."""
         b, c, d, e = self.b, self.c, self.d, self.e
         q = self.ctx.q
-        return [
-            ("bc", b * c), ("c/b", c / b), ("bc/de", b * c / (d * e)),
-            ("c/bde", c / (b * d * e)), ("bde/c", b * d * e / c),
-            ("c3/bd2e2", c ** 3 / (b * d ** 2 * e ** 2)),
-            ("bc/d", b * c / d), ("bc/e", b * c / e),
-            ("bdeq/c", b * d * e * q / c), ("bc/q", b * c / q),
-            ("c2/de2", c ** 2 / (d * e ** 2)), ("c2/d2e", c ** 2 / (d ** 2 * e)),
-            ("cq/bde", c * q / (b * d * e)),
-            ("c3/bd2e2q", c ** 3 / (b * d ** 2 * e ** 2 * q)),
-        ]
+        return [b * c, c / b, b * c / (d * e), c / (b * d * e), b * d * e / c,
+                c ** 3 / (b * d ** 2 * e ** 2), b * c / d, b * c / e, b * d * e * q / c,
+                b * c / q, c ** 2 / (d * e ** 2), c ** 2 / (d ** 2 * e), c * q / (b * d * e),
+                c ** 3 / (b * d ** 2 * e ** 2 * q)]
 
     @property
     def phi_pair(self) -> BasisPair:
@@ -208,8 +199,7 @@ def _closed_family(x: complex, nums: list, bases: tuple, n: int, ctx: QContext,
     parameters and the rest in Python scalar arithmetic, as qpoch_multi does."""
     q = ctx.q
     # guard each factor: the product (q;q)_40 alone is 1.5e-6 at q = 0.9
-    if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
-        raise ZeroDenominator(f"vanishing denominator in {name}")
+    require_clear(ctx, f"vanishing denominator in {name}", *bases, error=ZeroDenominator)
     top = 1 + len(nums)
     table = qpoch_table([x, *nums, q, *bases], n, ctx).tolist()
     return [1.0 + 0.0j] + [(1.0 - x * q ** (2 * k)) / (1.0 - x)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConvergenceRegionViolation, DomainError, PoleProximity)
 from .hyper import _first, _series_sum, series_sums, term_ratio
 from .kernel import E_groups, KernelParams, f_spec, g_spec, pole_cleared_E_terms, sym_bases
-from .qcore import (QContext, factor_clearance, qpoch_finite, qpoch_groups, qpoch_quotients,
+from .qcore import (POLE_MARGIN, QContext, qpoch_finite, qpoch_groups, qpoch_quotients,
                     qpoch_table, require_clear, residual_and_scale, scaled_residual, theta_bases)
 
 
@@ -45,8 +45,7 @@ def annular_factorization_terms(lam: complex, N, w, ctx: QContext) -> tuple:
     if lam == 0 or np.any(w == 0):
         raise DomainError("anchor and w must be nonzero")
     q = ctx.q
-    if np.any(factor_clearance(1.0 / w, ctx) <= ctx.pole_margin):
-        raise PoleProximity("w within margin of a zero of (1/w;q)_inf")
+    require_clear(ctx, "w within margin of a zero of (1/w;q)_inf", 1.0 / w)
     z = lam * q ** N * w
     lhs, inf_w = qpoch_groups([[lam / z], [1.0 / w]], ctx)
     rhs = ((-1) ** N * w ** -N * q ** -(N * (N + 1) // 2)
@@ -230,7 +229,7 @@ def _profile_ratio_step(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray, s: n
            * (1.0 - t * s / beta) * (1.0 - beta / t))
     facs = np.array([1.0 - alpha * t * s, 1.0 - t / beta,
                      1.0 - t * s / alpha, 1.0 - alpha / t])
-    hit = (np.abs(facs) <= ctx.pole_margin).any(axis=0)
+    hit = (np.abs(facs) <= POLE_MARGIN).any(axis=0)
     poles = hit.any() and [(i, PoleProximity("profile kernel shift update within margin"))
                            if i < len(hit) else None for i in _first(hit).tolist()]
     return num / np.prod(facs, axis=0), poles or None

@@ -2,8 +2,8 @@
 
 All evaluations are plain binary64 complex arithmetic threaded through a
 :class:`QContext`, which fixes the base q, the agreement tolerance, an
-optional user cap on product and series depths, and the pole margin used
-by every admissibility check.
+optional user cap on product and series depths; one constant,
+:data:`POLE_MARGIN`, is the margin of every admissibility check.
 
 Conventions
 -----------
@@ -59,15 +59,11 @@ class QContext:
     max_terms:
         Optional user cap (None: no cap).  A depth derived by
         :func:`geometric_depth` beyond it raises TruncationFailure.
-    pole_margin:
-        Minimum admissible distance of any denominator factor from zero
-        (the "delta" of the admissibility checks).
     """
 
     q: complex
     eps_rel: float = 1e-10
     max_terms: int | None = None
-    pole_margin: float = 1e-6
     root_sign: int = 1
     _powers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -81,8 +77,6 @@ class QContext:
             raise DomainError("eps_rel must be positive and finite")
         if self.max_terms is not None and self.max_terms < 16:
             raise DomainError("max_terms must be at least 16")
-        if self.pole_margin <= 0.0:
-            raise DomainError("pole_margin must be positive")
         if self.root_sign not in (1, -1):
             raise DomainError("root_sign selects a branch: +1 or -1")
 
@@ -118,6 +112,8 @@ class QContext:
 
 
 TAIL_TARGET = 2.0 ** -55
+# the least admissible |1 - u q^j| of a denominator factor (the "delta" of every pole guard)
+POLE_MARGIN = 1e-6
 
 
 def geometric_depth(rate: float, lead: float = 1.0, cap: int | None = None) -> int:
@@ -409,42 +405,29 @@ def sample_columns(f, columns: Sequence[list]) -> list[list]:
     return [vals[:len(col)] for vals, col in zip(table, columns)]
 
 
-def require_clear(ctx: QContext, what: str, *bases) -> None:
-    """PoleProximity if a base (any node of an ndarray) has a factor within the pole margin:
-    factor by factor, so that no quotient of very unequal products passes for a pole.  The
-    nodes are checked in order, each scanned only when |u| >= 1 - pole_margin (a non-finite
-    node raises DomainError)."""
-    limit = 1.0 - ctx.pole_margin
-    for base in bases:
-        for u in base.ravel().tolist() if isinstance(base, np.ndarray) else (base,):
-            if not abs(u) < limit and not factor_clearance(u, ctx) > ctx.pole_margin:
-                raise PoleProximity(f"{what}: denominator base {u} within pole margin")
+def require_clear(ctx: QContext, what: str, *bases,
+                  error: type[QTaylorError] = PoleProximity) -> None:
+    """error (PoleProximity by default) if a base (any node of an ndarray) has a factor
+    1 - u q^j, j >= 0, within POLE_MARGIN of zero: factor by factor, so that no quotient
+    of very unequal products passes for a pole.  The nodes are checked in order, each
+    scanned only when |u| >= 1 - POLE_MARGIN (a non-finite node raises DomainError)."""
+    limit = 1.0 - POLE_MARGIN
+    for u in bases:
+        if isinstance(u, np.ndarray):
+            require_clear(ctx, what, *u.ravel().tolist(), error=error)
+        elif not abs(u) < limit and not factor_clearance(u, ctx) > POLE_MARGIN:
+            raise error(f"{what}: denominator base {u} within pole margin")
 
 
-def factor_clearance(u, ctx: QContext):
+def factor_clearance(u: complex, ctx: QContext) -> float:
     """Minimum of |1 - u q^j| over j >= 0, scanned while a factor can be small.
 
-    Once |u q^j| < 1 - pole_margin every remaining factor is safely away
-    from zero, so the scan terminates after O(log |u|) steps.  An ndarray of
-    u gives the minimum at each entry (NaN at a non-finite one): the entries
-    still in the scan read their factors from one q_powers block.
+    Once |u q^j| < 1 - POLE_MARGIN every remaining factor is safely away
+    from zero, so the scan terminates after O(log |u|) steps.
     """
-    limit = 1.0 - ctx.pole_margin
-    if isinstance(u, np.ndarray):
-        size = np.abs(u)
-        finite = np.isfinite(size)
-        best = np.where(finite, math.inf, math.nan)
-        scan = finite & (size >= limit)
-        if scan.any():
-            steps = math.floor(math.log(limit / size[scan].max()) / math.log(abs(ctx.q))) + 2
-            block = q_powers(u[scan], steps - 1, ctx)
-            gaps = np.abs(np.subtract(1.0, block))
-            gaps[np.abs(block) < limit] = math.inf
-            best[scan] = np.minimum.reduce(gaps, axis=0)
-        return best
     if not cmath.isfinite(u):
         raise DomainError(f"factor clearance of a non-finite base {u}")
-    q = ctx.q
+    limit, q = 1.0 - POLE_MARGIN, ctx.q
     best = math.inf
     x = complex(u)
     while abs(x) >= limit:

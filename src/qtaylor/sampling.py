@@ -48,11 +48,10 @@ def sample_kernel_z(rng: random.Random, kp: KernelParams) -> complex:
     denominator factor of F, A, B and the two bases.
     """
     c2 = kp.c ** 2 / (kp.b * kp.d * kp.e)
-    limit = 1.0 - kp.ctx.pole_margin  # a base inside |u| < limit is clear: no scan
 
     def clear(z: complex) -> bool:
         bases = (kp.c * z, kp.c / z, c2 * z, c2 / z, kp.b * z, kp.b / z)
-        return all(abs(u) < limit or factor_clearance(u, kp.ctx) > 0.02 for u in bases)
+        return all(factor_clearance(u, kp.ctx) > 0.02 for u in bases)
 
     return sample_with(rng, lambda r: sample_complex(r, 0.8, 1.25), clear)
 

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ExceptionalPoint, PoleProximity, ZeroDenominator
-from .qcore import (QContext, draw_lists, qpoch_finite, qpoch_quotient, qpoch_table,
-                    require_clear, sample, sample_columns)
+from .qcore import (POLE_MARGIN, QContext, draw_lists, qpoch_finite, qpoch_quotient,
+                    qpoch_table, require_clear, sample, sample_columns)
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class BasisPair:
     """A Taylor pair (a, c): grid parameter a, well-poised parameter c.
 
     The basis Phi_k(z; a, c) = (az, a/z;q)_k / (cz, c/z;q)_k has poles on
-    {c q^m, q^m / c : m >= 0}; evaluation points must clear that set by the
-    context pole margin.
+    {c q^m, q^m / c : m >= 0}; evaluation points must clear that set by
+    POLE_MARGIN.
     """
 
     a: complex
@@ -72,8 +72,7 @@ def _require_admissible(w: np.ndarray, c, ctx: QContext) -> None:
     """PoleProximity at a node of w near the basis pole set of c (one c, or one per node)."""
     if not w.all():
         raise PoleProximity("z = 0 is never admissible")
-    if (c != 0).any() if isinstance(c, np.ndarray) else c != 0:
-        require_clear(ctx, "z near the basis pole set", c * w, c / w)
+    require_clear(ctx, "z near the basis pole set", c * w, c / w)
 
 
 def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable:
@@ -84,18 +83,19 @@ def phi_function(pair: BasisPair, n: int, ctx: QContext) -> Callable:
 def basis_factors(z, pair: BasisPair, n, ctx: QContext):
     """(1 - a z q^k)(1 - a q^k/z) and (1 - c z q^k)(1 - c q^k/z), k = 0..n-1 on the
     first axis, z (maybe an ndarray of points) on the others; PoleProximity if a
-    denominator pair is within the pole margin at any point.  For a batch (the last
+    denominator factor is within POLE_MARGIN at any point.  For a batch (the last
     axis of z and the pair over its draws), n holds each draw's count: past it the
     factors are exactly 0 and 1, and no pole is sought there."""
     a, c, each = pair.a, pair.c, isinstance(n, np.ndarray)
     rows = max(int(n.max()) if each else n, 0)
     x = ctx.powers(rows)[:rows]
     x = x.reshape(x.shape + (1,) * (z.ndim if isinstance(z, np.ndarray) else 0))
-    num, den = (1.0 - a * z * x) * (1.0 - a * x / z), (1.0 - c * z * x) * (1.0 - c * x / z)
+    cz, cw = 1.0 - c * z * x, 1.0 - c * x / z
+    num, den = (1.0 - a * z * x) * (1.0 - a * x / z), cz * cw
+    near = np.minimum(np.abs(cz), np.abs(cw)) <= POLE_MARGIN
     if each:
         past = np.arange(rows).reshape(x.shape) >= n
-        num, den = np.where(past, 0.0, num), np.where(past, 1.0, den)
-    near = np.abs(den) <= ctx.pole_margin ** 2
+        num, den, near = np.where(past, 0.0, num), np.where(past, 1.0, den), near & ~past
     if near.any():
         z, c = (np.broadcast_to(x, near.shape)[near][0] for x in (z, c))
         raise PoleProximity(f"z = {z} within margin of the (c = {c}) basis pole set")
@@ -160,15 +160,15 @@ def coefficient_rows(pair: BasisPair, n: int, ctx: QContext) -> np.ndarray:
     margin at some k <= n (named for the lowest such k).  ExceptionalPoint: a cardinal
     factor 1 - a^2 q^t, t = 1..2n-1, within the margin, tested as cooper_rows tests it.
     """
-    a, c, margin = pair.a, pair.c, ctx.pole_margin
+    a, c = pair.a, pair.c
     x, ac, a2, q = c / a, a * c, a * a, ctx.powers(2 * n + 1)
     near = np.abs(1.0 - np.concatenate((q[1:n + 1], x * q[:n], ac * q[:max(2 * n - 1, 0)])))
-    if (hit := np.flatnonzero(near <= margin)).size:  # the order each factor enters at
+    if (hit := np.flatnonzero(near <= POLE_MARGIN)).size:  # the order each factor enters at
         first = np.argmin(np.where(hit < 2 * n, hit % max(n, 1) + 1, (hit - 2 * n) // 2 + 1))
         name = ("(q;q)_k", "(c/a;q)_k", "(acq^(k-1);q)_k")[min(hit[first] // n, 2)]
         raise ZeroDenominator(f"degenerate coefficient prefactor: {name} ~ 0")
     cardinal = a2 * q[1:2 * n]
-    near = np.abs(1.0 - cardinal) <= margin * np.maximum(1.0, np.abs(cardinal))
+    near = np.abs(1.0 - cardinal) <= POLE_MARGIN * np.maximum(1.0, np.abs(cardinal))
     if (hit := np.flatnonzero(near)).size:
         raise ExceptionalPoint(
             f"cardinal denominator factor 1-({cardinal[hit[0]]}) within margin")
@@ -238,7 +238,7 @@ def basis_sup_curve(pair: BasisPair, annulus: tuple[float, float], k_max: int,
     if not 0.0 < r_lo <= r_hi:
         raise DomainError("annulus radii must satisfy 0 < r_lo <= r_hi")
     for mod in _pole_circles(pair, ctx):
-        if r_lo - ctx.pole_margin <= mod <= r_hi + ctx.pole_margin:
+        if r_lo - POLE_MARGIN <= mod <= r_hi + POLE_MARGIN:
             raise PoleProximity(f"annulus [{r_lo}, {r_hi}] touches pole circle |z| = {mod:.4g}")
     radii = [r_lo * (r_hi / r_lo) ** (i / 2) for i in range(3)]
     zs = np.array([r * cmath.exp(2j * math.pi * (j + 0.21) / 48)

@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, ExceptionalPoint, NearSingularPoint
-from .qcore import QContext, draw_lists, sample, sample_columns
+from .qcore import POLE_MARGIN, QContext, draw_lists, sample, sample_columns
 
 
 def _check_point(z, ctx: QContext):
@@ -36,10 +36,10 @@ def _check_point(z, ctx: QContext):
     number in Python arithmetic: the recursion checks one node at a time)."""
     w = z - 1.0 / z
     if isinstance(z, np.ndarray):
-        near = abs(w) <= ctx.pole_margin * np.maximum(1.0, abs(z))
+        near = abs(w) <= POLE_MARGIN * np.maximum(1.0, abs(z))
         if near.any():
             raise NearSingularPoint(f"z = {z[near][0]} too close to a fixed point of z -> 1/z")
-    elif abs(w) <= ctx.pole_margin * max(1.0, abs(z)):
+    elif abs(w) <= POLE_MARGIN * max(1.0, abs(z)):
         raise NearSingularPoint(f"z = {z} too close to a fixed point of z -> 1/z")
     return w
 
@@ -126,16 +126,16 @@ def cooper_rows(c: complex, z: complex, m: int, ctx: QContext) -> list[complex]:
         if m < 0:
             raise DomainError("operator order must be nonnegative")
         return [1.0 + 0.0j]
-    q, rq, margin = ctx.q, ctx.sqrt_q, ctx.pole_margin
+    q, rq = ctx.q, ctx.sqrt_q
     z2, qm = z * z, [q ** s for s in range(1 - m, m)]
     qq = list(accumulate([1.0 - q ** s for s in range(1, m + 1)], operator.mul, initial=1.0 + 0.0j))
     d1 = [1.0 - x * z2 for x in qm]
     d2 = [z2 - x for x in qm]
     # z^2 - q^s = -q^s (1 - q^-s z^2): the factors 1 - q^s z^2 guard both kinds.
     # |q^s| peaks at qm[0] = q^(1-m): below that bound no factor is within its margin
-    if min(map(abs, d1)) <= margin * max(1.0, abs(qm[0] * z2)):
+    if min(map(abs, d1)) <= POLE_MARGIN * max(1.0, abs(qm[0] * z2)):
         for x in qm:
-            if abs(1.0 - x * z2) <= margin * max(1.0, abs(x * z2)):
+            if abs(1.0 - x * z2) <= POLE_MARGIN * max(1.0, abs(x * z2)):
                 raise ExceptionalPoint(f"cardinal denominator factor 1-({x * z2}) within margin")
     cz, cw, hm = c * z, c / z, [rq ** e for e in range(-m, 3 * m - 1, 2)]
     n1 = [1.0 - cz * h for h in hm]

@@ -13,7 +13,8 @@ from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
                            jackson_8w7_terms, rogers_6w5_terms, series_eval, sum_through,
                            term_ratio, vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
-from qtaylor.qcore import TAIL_TARGET, QContext, geometric_depth, q_powers, scaled_residual
+from qtaylor.qcore import (POLE_MARGIN, TAIL_TARGET, QContext, geometric_depth, q_powers,
+                           scaled_residual)
 from qtaylor.quadratic import h_spec, r_spec
 from qtaylor.sampling import sample_complex, sample_kernel_params, sample_quadratic_params
 from qtaylor.suites import SuiteConfig, run_hyper
@@ -213,7 +214,7 @@ class TestJacksonSummation:
 
 def _loop_ratio(nums, dens, z, ctx, lead=None):
     """The scalar term ratio of the one-term-at-a-time loop that the block sum replaced."""
-    q, margin = ctx.q, ctx.pole_margin
+    q, margin = ctx.q, POLE_MARGIN
     x = 1.0 + 0.0j
 
     def ratio(k):

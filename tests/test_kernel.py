@@ -13,7 +13,7 @@ from qtaylor.kernel import (H_lowering_terms, K_lowering_terms, KernelParams,
                             kernel_products, M_clearing,
                             pole_cleared_E_terms, remainder_gap_curve,
                             two_basis_terms, kernel_taylor_terms)
-from qtaylor.qcore import (QContext, factor_clearance, qpoch_groups, qpoch_multi,
+from qtaylor.qcore import (POLE_MARGIN, QContext, factor_clearance, qpoch_groups, qpoch_multi,
                            scaled_residual)
 from qtaylor.sampling import (sample_kernel_params,
                               sample_profile_kernel_params, sample_z)
@@ -217,7 +217,7 @@ def closed_summand(x, nums, bases, k, ctx, name):
         return 1.0 + 0.0j
     q = ctx.q
     lead = (1.0 - x * q ** (2 * k)) / (1.0 - x)
-    if min(factor_clearance(u, ctx) for u in bases) <= ctx.pole_margin:
+    if min(factor_clearance(u, ctx) for u in bases) <= POLE_MARGIN:
         raise ZeroDenominator(f"vanishing denominator in {name}")
     num = qpoch_multi([x, *nums], k, ctx).value
     den = qpoch_multi([q, *bases], k, ctx).value

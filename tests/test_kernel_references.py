@@ -23,7 +23,7 @@ from qtaylor import hyper, qcore
 from qtaylor.errors import (DivergenceSuspected, QTaylorError, TruncationFailure,
                             ZeroDenominator)
 from qtaylor.hyper import PhiSeriesSpec, SeriesSum, SeriesSums, VWPSpec
-from qtaylor.qcore import TAIL_TARGET, QContext, TailBound, geometric_depth
+from qtaylor.qcore import POLE_MARGIN, TAIL_TARGET, QContext, TailBound, geometric_depth
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -157,7 +157,7 @@ def ref_series_sum(ratio, truncs, ctx):
 
 
 def ref_term_ratio(series, ctx):
-    q, margin, m = ctx.q, ctx.pole_margin, len(series[0][0])
+    q, margin, m = ctx.q, POLE_MARGIN, len(series[0][0])
     lead = series[0][3]
     params = np.array([(*nums, q, *dens, z, 0.0 if lead is None else a)
                        for nums, dens, z, a in series], dtype=complex).T.copy()[:, None]

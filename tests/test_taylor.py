@@ -7,7 +7,7 @@ import pytest
 from qtaylor import taylor
 from qtaylor.errors import ExceptionalPoint, PoleProximity, ZeroDenominator
 from qtaylor.kernel import kernel_products
-from qtaylor.qcore import QContext, qpoch_finite, qpoch_infinite
+from qtaylor.qcore import POLE_MARGIN, QContext, qpoch_finite, qpoch_infinite
 from qtaylor.sampling import (sample_basis_pair, sample_complex,
                               sample_profile_kernel_params, sample_z)
 from qtaylor.suites import SuiteConfig, parse_complex, run_taylor
@@ -65,10 +65,10 @@ def _loop_basis_terms(z, pair, coeffs, ctx):
     x = 1.0 + 0.0j
     for k, u in enumerate(coeffs):
         if k:
-            den = (1.0 - c * z * x) * (1.0 - c * x / z)
-            if abs(den) <= ctx.pole_margin ** 2:
+            cz, cw = 1.0 - c * z * x, 1.0 - c * x / z
+            if min(abs(cz), abs(cw)) <= POLE_MARGIN:
                 raise PoleProximity(f"z = {z} within margin of the (c = {c}) basis pole set")
-            basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / den
+            basis *= (1.0 - a * z * x) * (1.0 - a * x / z) / (cz * cw)
             x *= q
         terms.append(u * basis)
     return terms

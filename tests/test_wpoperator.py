@@ -5,7 +5,7 @@ import pytest
 
 from qtaylor import wpoperator
 from qtaylor.errors import (DomainError, ExceptionalPoint, NearSingularPoint)
-from qtaylor.qcore import QContext, qpoch_finite
+from qtaylor.qcore import POLE_MARGIN, QContext, qpoch_finite
 from qtaylor.sampling import sample_basis_pair, sample_complex, sample_with
 from qtaylor.taylor import (BasisPair, phi_basis, phi_combination, phi_function,
                             taylor_expand)
@@ -208,7 +208,7 @@ def guarded_qpoch(a, n, ctx):
     value, x = 1.0 + 0.0j, complex(a)
     for _ in range(n):
         fac = 1.0 - x
-        if abs(fac) <= ctx.pole_margin * max(1.0, abs(x)):
+        if abs(fac) <= POLE_MARGIN * max(1.0, abs(x)):
             raise ExceptionalPoint(f"cardinal denominator factor 1-({x}) within margin")
         value *= fac
         x *= ctx.q
@@ -230,7 +230,7 @@ def product_form_weights(z, c, m, ctx):
         for j in range(m - r):
             s = q ** (2 * r - m + 1 + j)
             fac = z2 - s
-            if abs(fac) <= ctx.pole_margin * max(abs(z2), abs(s)):
+            if abs(fac) <= POLE_MARGIN * max(abs(z2), abs(s)):
                 raise ExceptionalPoint("cardinal denominator z^2 - q^s within margin")
             d2 *= fac
         num = (qpoch_finite(c * rq ** (m - 2 * r) * z, m - 1, ctx)
