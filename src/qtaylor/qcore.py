@@ -112,7 +112,7 @@ class QContext:
 
 
 TAIL_TARGET = 2.0 ** -55
-# the least admissible |1 - u q^j| of a denominator factor (the "delta" of every pole guard)
+# every pole guard admits a denominator factor 1 - u q^j only when |1 - u q^j| > POLE_MARGIN
 POLE_MARGIN = 1e-6
 
 
