@@ -24,7 +24,7 @@ from .profiles import (ProfileMoments, annular_factorization_terms, bridge_terms
                        profile_coefficient_terms, profile_kernel_P,
                        profile_kernel_coefficients, profile_sums_and_closed_forms)
 from .qcore import (QContext, TailBound, geometric_depth, qpoch_finite,
-                    qpoch_infinite, qpoch_multi, residual_and_scale, scaled_residual, theta)
+                    qpoch_infinite, residual_and_scale, scaled_residual, theta)
 from .quadratic import (QuadraticParams, companion_taylor_terms, companion_terms,
                         folding_terms, quadratic_taylor_terms, quadratic_terms)
 from .suites import (SuiteConfig, VerificationReport, emit_decay_csv,

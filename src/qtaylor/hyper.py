@@ -8,14 +8,15 @@ and the terminating 8W7) are exposed as scale-relative residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergenceSuspected, DomainError, TruncationFailure, ZeroDenominator
-from .qcore import (POLE_MARGIN, TAIL_TARGET, QContext, TailBound, geometric_depth,
-                    qpoch_multi, qpoch_quotient)
+from .qcore import (POLE_MARGIN, TAIL_TARGET, QContext, TailBound, draw_lists,
+                    geometric_depth, qpoch_finite, qpoch_quotient)
 
 
 @dataclass(frozen=True)
@@ -305,11 +306,6 @@ def sum_through(specs: Sequence, ns: Sequence[int], ctx: QContext,
     return out
 
 
-def _columns(*params) -> list[tuple]:
-    """The draws of a batch as tuples of Python numbers, one per draw (one for numbers)."""
-    return list(zip(*(np.ravel(p).tolist() for p in params)))
-
-
 def _summation_terms(rhs, sums: Sequence[SeriesSum], batch: bool):
     """(rhs, t_0, ..., t_N) of a summation: a tuple for one draw, for a batch an ndarray of a
     row per term and a column per draw, the shorter columns padded with exact zeros."""
@@ -329,7 +325,7 @@ def rogers_6w5_terms(a, b, c, d, ctx: QContext):
     if np.any(abs(arg) >= 1.0):
         raise DomainError(f"|aq/(bcd)| = {np.max(abs(arg)):.3g} >= 1")
     sums = series_sums([VWPSpec(a_, (b_, c_, d_), a_ * q / (b_ * c_ * d_))
-                        for a_, b_, c_, d_ in _columns(a, b, c, d)], None, ctx)
+                        for a_, b_, c_, d_ in zip(*draw_lists(a, b, c, d))], None, ctx)
     rhs = qpoch_quotient([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
                          [a * q / b, a * q / c, a * q / d, arg], ctx,
                          "vanishing denominator product in 6W5 evaluation", ZeroDenominator)
@@ -340,23 +336,25 @@ def jackson_8w7_terms(a, b, c, d, n, ctx: QContext):
     """The additive terms (rhs, t_0, ..., t_n) of the terminating 8W7 summation at depth n:
     a quotient of finite products and the n+1 terms of the series, the balancing parameter
     a^2 q^{n+1}/(bcd) and the terminating q^{-n} substituted internally.  ndarrays of draws
-    (each with its own n) give the table of _summation_terms, the series from one call."""
+    (each with its own n) give the table of _summation_terms, the series from one call and
+    every finite product from one qpoch_finite table, multiplied out per draw."""
     if np.any(np.asarray(n) < 0):
         raise DomainError("termination depth must be nonnegative")
     q = ctx.q
-    draws = _columns(a, b, c, d, n)
+    *params, ns = draw_lists(a, b, c, d, n)
     lhs = series_sums([VWPSpec(a_, (b_, c_, d_, a_ * a_ * q ** (n_ + 1) / (b_ * c_ * d_),
-                                    q ** (-n_)), q) for a_, b_, c_, d_, n_ in draws],
-                      [n_ for *_, n_ in draws], ctx)
+                                    q ** (-n_)), q) for a_, b_, c_, d_, n_ in zip(*params, ns)],
+                      ns, ctx)
+    # a row per draw: its four numerator and four denominator bases, each at its depth
+    bases = [[a_ * q, a_ * q / (b_ * c_), a_ * q / (b_ * d_), a_ * q / (c_ * d_),
+              a_ * q / b_, a_ * q / c_, a_ * q / d_, a_ * q / (b_ * c_ * d_)]
+             for a_, b_, c_, d_ in zip(*params)]
     rhs = []
-    for a_, b_, c_, d_, n_ in draws:
-        num = qpoch_multi([a_ * q, a_ * q / (b_ * c_), a_ * q / (b_ * d_), a_ * q / (c_ * d_)],
-                          n_, ctx).value
-        den = qpoch_multi([a_ * q / b_, a_ * q / c_, a_ * q / d_, a_ * q / (b_ * c_ * d_)],
-                          n_, ctx).value
+    for row in qpoch_finite(np.array(bases), np.array(ns)[:, None], ctx).tolist():
+        den = math.prod(row[4:], start=1.0 + 0.0j)
         if abs(den) == 0.0:
             raise ZeroDenominator("vanishing denominator product in 8W7 evaluation")
-        rhs.append(num / den)
+        rhs.append(math.prod(row[:4], start=1.0 + 0.0j) / den)
     return _summation_terms(rhs if np.ndim(a) else rhs[0], lhs, np.ndim(a) > 0)
 
 

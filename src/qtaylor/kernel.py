@@ -192,14 +192,13 @@ def kernel_factors(z, kp: KernelParams) -> KernelFactors:
     return KernelFactors(F, A, B, H, K)
 
 
-def _closed_family(x: complex, nums: list, bases: tuple, n: int, ctx: QContext,
-                   name: str) -> list[complex]:
+def _closed_family(x: complex, nums: list, bases: tuple, n: int,
+                   ctx: QContext) -> list[complex]:
     """(1 - x q^{2k}) / (1 - x) (x, nums;q)_k / (q, bases;q)_k q^k, k = 0..n, in closed
     product form: every (u;q)_k from one qpoch_table, the products over the
-    parameters and the rest in Python scalar arithmetic, as qpoch_multi does."""
+    parameters and the rest in Python scalar arithmetic.  The bases are among
+    KernelParams.denominator_bases, which construction holds clear of every pole."""
     q = ctx.q
-    # guard each factor: the product (q;q)_40 alone is 1.5e-6 at q = 0.9
-    require_clear(ctx, f"vanishing denominator in {name}", *bases, error=ZeroDenominator)
     top = 1 + len(nums)
     table = qpoch_table([x, *nums, q, *bases], n, ctx).tolist()
     return [1.0 + 0.0j] + [(1.0 - x * q ** (2 * k)) / (1.0 - x)
@@ -212,7 +211,7 @@ def fk_coefficients(kp: KernelParams, n: int) -> list[complex]:
     """The first family f_0..f_n (very-well-poised summands, q^k included)."""
     b, c, d, e, q = kp.b, kp.c, kp.d, kp.e, kp.ctx.q
     return _closed_family(b * c / q, [d, e, c * c / (d * e * q)],
-                          (b * c / d, b * c / e, b * d * e * q / c), n, kp.ctx, "f_k")
+                          (b * c / d, b * c / e, b * d * e * q / c), n, kp.ctx)
 
 
 def gk_coefficients(kp: KernelParams, n: int) -> list[complex]:
@@ -221,7 +220,7 @@ def gk_coefficients(kp: KernelParams, n: int) -> list[complex]:
     return _closed_family(c ** 3 / (b * d ** 2 * e ** 2 * q),
                           [c / (b * d), c / (b * e), c * c / (d * e * q)],
                           (c * c / (d * e * e), c * c / (d * d * e), c * q / (b * d * e)),
-                          n, kp.ctx, "g_k")
+                          n, kp.ctx)
 
 
 def f_spec(kp: KernelParams) -> VWPSpec:

@@ -391,7 +391,8 @@ def canonical_growth_profile(lam: complex, points: list, kp: KernelParams) -> li
 
     The C factor is computed from its own product expression; the record
     therefore certifies the split rather than defining C as a quotient.
-    The infinite products of each point come from one qpoch_groups call.
+    The infinite products of each point come from one qpoch_groups call, the
+    finite ones of every point from one qpoch_finite table.
     """
     b, c, d, e, ctx = kp.b, kp.c, kp.d, kp.e, kp.ctx
     q = ctx.q
@@ -400,10 +401,12 @@ def canonical_growth_profile(lam: complex, points: list, kp: KernelParams) -> li
     for N, w in points:
         z = lam * q ** N * w
         calls.append([sym_bases(z, b, cde), [b * z, cde * z, b / (lam * w), cde / (lam * w)]])
+    infinite = [qpoch_groups(call, ctx) for call in calls]
+    finite = qpoch_finite(np.array([[lam * w * q / b, lam * w * q / cde] for _, w in points]),
+                          np.array([N for N, _ in points])[:, None], ctx).tolist()
     return [CanonicalGrowth(zval, q ** (-N * (N + 1)) * (b * c / (d * e * lam * lam * w * w)) ** N,
-                            cinf * qpoch_finite(lam * w * q / b, N, ctx)
-                            * qpoch_finite(lam * w * q / cde, N, ctx))
-            for (N, w), (zval, cinf) in zip(points, [qpoch_groups(call, ctx) for call in calls])]
+                            cinf * fb * fc)
+            for (N, w), (zval, cinf), (fb, fc) in zip(points, infinite, finite)]
 
 
 def bridge_terms(N, w, kp: KernelParams, lam: complex) -> tuple:

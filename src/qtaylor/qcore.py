@@ -16,6 +16,7 @@ Conventions
   term ratio.
 * Every ``x q^j`` of a product is one vector multiply by ``q^j`` from the
   context's table of running powers (:meth:`QContext.powers`, :func:`q_powers`).
+* One table, :func:`qpoch_table`, holds every ``(a;q)_n`` (:func:`qpoch_finite` reads it).
 * One array kernel, :func:`qpoch_infinite`, evaluates every ``(a;q)_inf``;
   the quotients of an identity pass all their bases in one call
   (:func:`qpoch_groups`, :func:`qpoch_quotients`), at the depth of the
@@ -192,9 +193,9 @@ class TailBound:
 
 
 def qpoch_finite(a, n, ctx: QContext):
-    """Finite q-shifted factorial (a;q)_n, exact product; (a;q)_0 = 1: row n of qpoch_table
-    (for a number, its factors multiplied down in Python, which rounds alike).  ndarrays of
-    a and n (of one shape) give (a;q)_n at each entry, read from one qpoch_table."""
+    """Finite q-shifted factorial (a;q)_n, exact product; (a;q)_0 = 1: row n of one
+    qpoch_table, a complex for numbers and (a;q)_n at each entry of an ndarray of a, n or
+    both (of one shape)."""
     each = isinstance(n, np.ndarray)
     if (n.min(initial=0) if each else n) < 0:
         raise DomainError("qpoch_finite requires n >= 0")
@@ -204,7 +205,7 @@ def qpoch_finite(a, n, ctx: QContext):
         return table[n.ravel(), np.arange(n.size)].reshape(n.shape)
     if isinstance(a, np.ndarray):
         return qpoch_table(a.ravel(), n, ctx)[n].reshape(a.shape)
-    return math.prod(np.subtract(1.0, q_powers(a, n, ctx)[:n]).tolist(), start=1.0 + 0.0j)
+    return complex(qpoch_table([a], n, ctx)[n, 0])
 
 
 def qpoch_table(params: Sequence[complex], n: int, ctx: QContext) -> np.ndarray:
@@ -307,21 +308,6 @@ def qpoch_quotient(num: Sequence, den: Sequence, ctx: QContext, what: str,
                    error: type[QTaylorError] = PoleProximity):
     """The one quotient prod (a;q)_inf over num / prod (b;q)_inf over den (qpoch_quotients)."""
     return qpoch_quotients([(num, den, what)], ctx, error)[0]
-
-
-def qpoch_multi(params: Sequence[complex], n: int | None, ctx: QContext) -> TailBound:
-    """Product of q-shifted factorials over a parameter list.
-
-    ``n=None`` means the infinite product, all factors from one
-    qpoch_infinite call; the tail certificate of the largest factor bounds
-    each one, and the bounds add in the log domain.  The empty list gives 1.
-    """
-    if n is None:
-        tb = qpoch_infinite(params, ctx)
-        value = math.prod(tb.value.tolist(), start=1.0 + 0.0j)
-        return TailBound(value, tb.tail_abs * len(params), tb.terms_used)
-    value = math.prod(qpoch_table(params, n, ctx)[n].tolist(), start=1.0 + 0.0j)
-    return TailBound(value, 0.0, n * len(params))
 
 
 def theta_bases(ctx: QContext, *us) -> list:

@@ -258,7 +258,7 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("multi-factorwise", "qpoch-multi", 1e-12) as c:
         a, b = sample_complex(c.rng), sample_complex(c.rng)
         c.params.update(a=a, b=b)
-        c.rel(qcore.qpoch_multi([a, b], None, ctx).value,
+        c.rel(qcore.qpoch_groups([[a, b]], ctx)[0],
               qcore.qpoch_infinite(a, ctx).value * qcore.qpoch_infinite(b, ctx).value)
 
     with check("theta-symmetry", "theta-def", 1e-12, draws=200) as c:
@@ -319,13 +319,13 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
         vspec = hyper.VWPSpec(0.55, (0.6 + 0.2j, 0.7, 0.4 - 0.3j), 0.3 + 0.1j)
         s8 = hyper.series_eval(vspec, 8, ctx).value
         s9 = hyper.series_eval(vspec, 9, ctx).value
-        # the k=9 summand rebuilt from shifted factorial products
-        a0 = vspec.a
+        # the k=9 summand rebuilt from shifted factorial products, all from one table
+        a0, m = vspec.a, len(vspec.b_list)
+        row = qcore.qpoch_finite(np.array([a0, *vspec.b_list, q,
+                                           *(a0 * q / b for b in vspec.b_list)]), k, ctx).tolist()
         summand = ((1 - a0 * q ** (2 * k)) / (1 - a0)
-                   * qcore.qpoch_finite(a0, k, ctx)
-                   * qcore.qpoch_multi(vspec.b_list, k, ctx).value
-                   / (qcore.qpoch_finite(q, k, ctx)
-                      * qcore.qpoch_multi([a0 * q / b for b in vspec.b_list], k, ctx).value)
+                   * row[0] * math.prod(row[1:1 + m], start=1.0 + 0.0j)
+                   / (row[1 + m] * math.prod(row[2 + m:], start=1.0 + 0.0j))
                    * vspec.argument ** k)
         c.terms(s9, s8, summand)
 
@@ -403,12 +403,15 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
         # prefactor of each draw in scalar arithmetic
         def iterated_lowering(pair, n, k, z):
             got = wpoperator.apply_iterated(taylor.phi_function(pair, n, ctx), z, pair.c, k, ctx)
+            draws = list(zip(*qcore.draw_lists(pair.a, pair.c, n, k)))
+            # (q;q)_n, (c/a;q)_k, (acq^(n-1);q)_k and (q;q)_(n-k) of every draw from one table
+            pochs = qcore.qpoch_finite(
+                np.array([[q, c / a, a * c * q ** (nj - 1), q] for a, c, nj, _ in draws]),
+                np.array([[nj, kj, kj, nj - kj] for *_, nj, kj in draws]), ctx).tolist()
             prefs, shifted = [], []
-            for a, c, nj, kj in zip(*qcore.draw_lists(pair.a, pair.c, n, k)):
+            for (a, c, nj, kj), (qn, ca, acq, qnk) in zip(draws, pochs):
                 prefs.append((-1) ** kj * (2 * a) ** kj * rq ** (kj * (kj - 1) // 2)
-                             * qcore.qpoch_finite(q, nj, ctx) * qcore.qpoch_finite(c / a, kj, ctx)
-                             * qcore.qpoch_finite(a * c * q ** (nj - 1), kj, ctx)
-                             / (qcore.qpoch_finite(q, nj - kj, ctx) * (1 - q) ** kj))
+                             * qn * ca * acq / (qnk * (1 - q) ** kj))
                 shifted.append(taylor.BasisPair(a * rq ** kj, c * rq ** (3 * kj)))
             want = taylor.phi_basis(z, taylor.BasisPair.batch(shifted), n - k, ctx)
             for g, p, w in zip(*qcore.draw_lists(got, prefs, want)):
@@ -447,7 +450,7 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             return ((w + 1 / w) / 2) ** 3 + 2.0 * (w + 1 / w) / 2
         z = c.params["z"] = _sample_operator_point(c.rng, ctx)
         c.terms(wpoperator.apply_Dq(g_odd, z, ctx),
-                wpoperator.apply_Dq(g_odd, z, ctx, root=-ctx.sqrt_q))
+                wpoperator.apply_Dq(g_odd, z, ctx.other_branch()))
         pair = sample_basis_pair(c.rng)
         f = taylor.phi_combination(pair, [0.7, 1.1 - 0.3j, 0.8j, 0.5], ctx)
         t, t_flipped = (taylor.taylor_expand(f, pair, 3, branch)

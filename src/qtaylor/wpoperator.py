@@ -14,9 +14,9 @@ an ndarray z with a c (and an order) per draw, f taking the draws on the last
 axis; the closed form and the recursion keep each draw's weights and
 recursion in scalar Python, so each value is its scalar call's, bit for bit.
 
-The square root of q is always the principal branch (ctx.sqrt_q); the
-operators are branch-independent on symmetric functions and the tests
-confirm this by negating the root.
+The square root of q is the context's branch (ctx.sqrt_q, principal by default); the
+operators are branch-independent on symmetric functions and the tests confirm this on
+ctx.other_branch().
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def _check_point(z, ctx: QContext):
     return w
 
 
-def apply_Dq(f, z, ctx: QContext, *, root: complex | None = None):
+def apply_Dq(f, z, ctx: QContext):
     """Askey-Wilson divided difference at z (or at each point of an ndarray z).
 
-    [f(q^{1/2} z) - f(q^{-1/2} z)] / [(q^{1/2} - q^{-1/2}) (z - 1/z) / 2].
-    `root` overrides the branch of q^{1/2} (branch-invariance testing only).
+    [f(q^{1/2} z) - f(q^{-1/2} z)] / [(q^{1/2} - q^{-1/2}) (z - 1/z) / 2], q^{1/2} the
+    context's branch.
     """
-    rq = ctx.sqrt_q if root is None else complex(root)
+    rq = ctx.sqrt_q
     w = _check_point(z, ctx)
     upper, lower = sample(f, [rq * z, z / rq])
     return (upper - lower) / ((rq - 1.0 / rq) * w / 2.0)

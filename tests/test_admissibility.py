@@ -12,7 +12,7 @@ import random
 import pytest
 
 from qtaylor.errors import ConfigError, PoleProximity, ZeroDenominator
-from qtaylor.kernel import KernelParams, fk_coefficients
+from qtaylor.kernel import KernelParams
 from qtaylor.profiles import annular_factorization_terms, profile_kernel_P
 from qtaylor.qcore import POLE_MARGIN, QContext
 from qtaylor.quadratic import QuadraticParams, companion_product, quadratic_product
@@ -21,17 +21,6 @@ from qtaylor.taylor import BasisPair, basis_terms, phi_basis
 
 CTX = QContext(0.45)
 NEAR, FAR = 1e-9, 1e-5
-
-
-def unchecked(b, c, d, e) -> KernelParams:
-    """A quadruple that skips construction's genericity check, so that a later guard is
-    the one reached."""
-    kp = object.__new__(KernelParams)
-    for name, value in zip("bcde", (b, c, d, e)):
-        object.__setattr__(kp, name, complex(value))
-    object.__setattr__(kp, "ctx", CTX)
-    object.__setattr__(kp, "draws", ())
-    return kp
 
 
 class FixedDraw(random.Random):
@@ -57,10 +46,6 @@ SITES = {
     # b c = 1 - gap: the factor j = 0 of (bc;q)_inf and j = 1 of (bc/q;q)_inf
     "KernelParams": (lambda g: KernelParams(0.5, 2 * (1 - g), 0.6, 0.7, CTX),
                      ZeroDenominator, "kernel genericity violated", FAR),
-    # b c / d = (1 - gap) / q: the factor j = 1 of (bc/d;q)_k
-    "fk_coefficients": (lambda g: fk_coefficients(unchecked(0.5, 0.6 * (1 - g) / 0.5 / 0.45,
-                                                            0.6, 0.7), 8),
-                        ZeroDenominator, "vanishing denominator in f_k", FAR),
     # 1 / w = 1 - gap
     "annular_factorization_terms": (lambda g: annular_factorization_terms(0.7, 2, 1 / (1 - g),
                                                                           CTX),

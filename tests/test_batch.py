@@ -13,6 +13,7 @@ and the number of rounded operations, not from observed differences.
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qtaylor.qcore import (QContext, geometric_depth, qpoch_infinite,
 from qtaylor.sampling import (sample_basis_pair, sample_complex, sample_kernel_params,
                               sample_kernel_z, sample_profile_kernel_params,
                               sample_quadratic_params, sample_with, sample_z)
-from qtaylor.suites import SuiteConfig, run_suites
+from qtaylor.suites import SuiteConfig, run_hyper, run_operator, run_profiles, run_suites
 
 EPS = np.finfo(float).eps  # 2^-52
 
@@ -270,7 +271,7 @@ def grouped_cases(ctx):
         ("Kcde", lambda: KernelParams(kp.b, kp.c, kp.d, kp.e, ctx).Kcde),
         ("M_clearing", lambda: kernel.M_clearing(z, kp)),
         ("pole_cleared_E_terms", lambda: kernel.pole_cleared_E_terms(z, kp, 12)),
-        ("qpoch_multi", lambda: qcore.qpoch_multi([x, y, u, v], None, ctx)),
+        ("qpoch_groups", lambda: qcore.qpoch_groups([[x, y, u, v]], ctx)),
         ("theta", lambda: qcore.theta(x, ctx)),
         ("weierstrass_terms", lambda: qcore.weierstrass_terms(x, y, u, v, ctx)),
         ("L_profile", lambda: profiles.L_profile(w, al, be, lam, ctx)),
@@ -908,6 +909,47 @@ class TestDrawAxis:
             assert got[i] == qcore.qpoch_finite(complex(a[i]), int(n[i]), ctx)
         with pytest.raises(DomainError):
             qcore.qpoch_finite(a, n - 20, ctx)
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_check_finite_products_are_number_reads(self, monkeypatch, q):
+        # jackson-summation, vwp-telescoping (in run_hyper), iterated-lowering and
+        # canonical-growth each read all their finite products from one table: every entry
+        # is qpoch_finite of its number, bit for bit
+        real = qcore.qpoch_finite
+        sites = set()
+
+        def checked(a, n, ctx):
+            got = real(a, n, ctx)
+            if isinstance(got, np.ndarray):
+                sites.add(sys._getframe(1).f_code.co_name)
+                bases, depths = (x.ravel().tolist() for x in np.broadcast_arrays(a, n))
+                assert repr(got.ravel().tolist()) == repr(
+                    [real(a_, n_, ctx) for a_, n_ in zip(bases, depths)])
+            return got
+        for module in (qcore, hyper, profiles):
+            monkeypatch.setattr(module, "qpoch_finite", checked)
+        cfg = SuiteConfig(q=q, seed=7, draws=4)
+        for run in (run_hyper, run_operator, run_profiles):
+            run(cfg)
+        assert {"jackson_8w7_terms", "run_hyper", "iterated_lowering",
+                "canonical_growth_profile"} <= sites
+
+    @pytest.mark.parametrize("q", BASES)
+    def test_jackson_right_sides_are_products_of_number_reads(self, q):
+        ctx = QContext(q)
+        rng = random.Random(39)
+        a, b, c, d = (np.array([sample_complex(rng, 0.3, 0.9) for _ in range(5)])
+                      for _ in range(4))
+        n = np.array([0, 1, 4, 9, 12])
+        rhs = hyper.jackson_8w7_terms(a, b, c, d, n, ctx)[0]
+        q = ctx.q
+        for j, (a_, b_, c_, d_, n_) in enumerate(zip(*(x.tolist() for x in (a, b, c, d, n)))):
+            num, den = (math.prod([qcore.qpoch_finite(x, n_, ctx) for x in xs], start=1.0 + 0.0j)
+                        for xs in ([a_ * q, a_ * q / (b_ * c_), a_ * q / (b_ * d_),
+                                    a_ * q / (c_ * d_)],
+                                   [a_ * q / b_, a_ * q / c_, a_ * q / d_,
+                                    a_ * q / (b_ * c_ * d_)]))
+            assert repr(complex(rhs[j])) == repr(num / den)
 
 
 def loop_require_clear(ctx, what, *bases):

@@ -14,7 +14,7 @@ from qtaylor.hyper import (PhiSeriesSpec, SeriesSum, VWPSpec, _series_sum,
                            term_ratio, vwp_expanded_spec, well_poised_defect)
 from qtaylor.kernel import f_spec, g_spec
 from qtaylor.qcore import (POLE_MARGIN, TAIL_TARGET, QContext, geometric_depth, q_powers,
-                           scaled_residual)
+                           qpoch_finite, scaled_residual)
 from qtaylor.quadratic import h_spec, r_spec
 from qtaylor.sampling import sample_complex, sample_kernel_params, sample_quadratic_params
 from qtaylor.suites import SuiteConfig, run_hyper
@@ -97,13 +97,12 @@ class TestVWPSeries:
         s9 = series_eval(spec, 9, ctx).value
         q = ctx.q
         k = 9
-        from qtaylor.qcore import qpoch_finite, qpoch_multi
         summand = ((1 - spec.a * q ** (2 * k)) / (1 - spec.a)
                    * qpoch_finite(spec.a, k, ctx)
-                   * qpoch_multi(spec.b_list, k, ctx).value
+                   * math.prod(qpoch_finite(np.array(spec.b_list), k, ctx).tolist())
                    / (qpoch_finite(q, k, ctx)
-                      * qpoch_multi([spec.a * q / b for b in spec.b_list],
-                                    k, ctx).value)
+                      * math.prod(qpoch_finite(np.array([spec.a * q / b for b in spec.b_list]),
+                                               k, ctx).tolist()))
                    * spec.argument ** k)
         assert abs((s9 - s8) - summand) <= 1e-14 * max(abs(s9), abs(summand))
 

@@ -6,7 +6,7 @@ import pytest
 
 from qtaylor.errors import DomainError, TruncationFailure
 from qtaylor.qcore import (TAIL_TARGET, QContext, fit_window, fitted_rate,
-                           geometric_depth, qpoch_finite, qpoch_infinite, qpoch_multi,
+                           geometric_depth, qpoch_finite, qpoch_groups, qpoch_infinite,
                            qpoch_table, residual_and_scale, scaled_residual, theta,
                            weierstrass_terms)
 from qtaylor.sampling import sample_complex
@@ -225,20 +225,22 @@ class TestGeometricDepth:
 
 
 class TestQPochhammerMulti:
+    """Products over parameter lists: of a qpoch_finite row, or one qpoch_groups group."""
+
     def test_empty_list(self, ctx):
-        assert qpoch_multi([], 5, ctx).value == 1.0
-        assert qpoch_multi([], None, ctx).value == 1.0
+        assert math.prod(qpoch_finite(np.array([]), 5, ctx).tolist()) == 1.0
+        assert qpoch_groups([[]], ctx)[0] == 1.0
 
     def test_singleton_matches_finite(self, ctx):
         a = 0.6 - 0.2j
-        assert qpoch_multi([a], 7, ctx).value == qpoch_finite(a, 7, ctx)
+        assert qpoch_finite(np.array([a]), 7, ctx).tolist() == [qpoch_finite(a, 7, ctx)]
 
     def test_pair_factorwise(self, ctx, rng):
         a, b = sample_complex(rng), sample_complex(rng)
-        lhs = qpoch_multi([a, b], None, ctx)
+        lhs = qpoch_groups([[a, b]], ctx)[0]
         rhs = qpoch_infinite(a, ctx).value * qpoch_infinite(b, ctx).value
-        assert abs(lhs.value - rhs) / abs(rhs) < 1e-12
-        assert lhs.tail_abs > 0.0
+        assert abs(lhs - rhs) / abs(rhs) < 1e-12
+        assert qpoch_infinite([a, b], ctx).tail_abs > 0.0
 
 
 class TestTheta:

@@ -70,7 +70,7 @@ class TestDividedDifference:
             return ((w + 1 / w) / 2) ** 3 - (w + 1 / w)
         z = operator_point(rng, ctx)
         v1 = apply_Dq(f, z, ctx)
-        v2 = apply_Dq(f, z, ctx, root=-ctx.sqrt_q)
+        v2 = apply_Dq(f, z, ctx.other_branch())
         assert v1 == pytest.approx(v2, rel=1e-14)
 
 
