@@ -370,13 +370,18 @@ def laurent_coefficient_detail(G: Callable[[np.ndarray], Sequence],
     calls), until every coefficient changes by at most eps_rel * scale;
     scale is r^n times the largest sampled |t_i|, because G itself may be
     a near-cancelling identity residual.  Returns (coefficient, scale,
-    nodes) for each n; QuadratureNonConvergence past 1024 nodes.
+    nodes) for each n; QuadratureNonConvergence past 1024 nodes, or at once
+    when a sampled term overflows.
     """
     ns = list(ns)
 
     def sample(m: int, offset: float) -> np.ndarray:
         nodes = radius * np.exp(2j * np.pi * (np.arange(m) + offset) / m)
-        return np.stack(G(nodes), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+            terms = np.stack(G(nodes), axis=1)
+        if not np.isfinite(terms).all():
+            raise QuadratureNonConvergence(f"a term is not finite on the contour of {m} nodes")
+        return terms
 
     terms = sample(64, 0.0)
     prev = None

@@ -13,11 +13,13 @@ Every check is a ``with check(name, anchor, tol, **params) as c:`` block
 what that residual was divided by: the largest |t_i| of an identity
 t_0 = t_1 + ... judged by ``c.terms`` (``qcore.residual_and_scale``), |ref| of
 a relative error judged by ``c.rel``, and 1.0 for a residual passed to ``c.see``
-as is.  A ``QTaylorError`` or ``ArithmeticError`` raised inside a block fails
-that check alone, with residual inf and ``"<Type>: message"`` in ``detail``.
-Draws and values that several checks share are made before the first of them
-opens; an error there, such as a sampler that runs out of tries, aborts the
-suite as one ``suite-abort`` record.
+as is.  ``c.draws`` makes a check's draws, ``c.each`` judges them in one batch,
+``c.control`` a yes/no outcome and ``c.fit`` a fitted decay rate.  A
+``QTaylorError`` or ``ArithmeticError`` raised inside a block fails that check
+alone, with residual inf and ``"<Type>: message"`` in ``detail``; a value that
+several checks read is computed in each (once, by ``functools.cache``), so its
+error fails each of them.  A ``ConfigError``, such as a sampler that runs out of
+its ``sampling.MAX_TRIES`` draws, ends the run.
 
 Anchor strings are stable identity labels used for traceability in reports;
 check ids are unique within a suite.
@@ -31,7 +33,7 @@ import os
 import pickle
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial, wraps
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +202,25 @@ class Check:
         """Judge t_0 = t_1 + ... by residual_and_scale at a point or an array of points."""
         self._see_worst(*residual_and_scale(*terms))
 
+    def draws(self, count, make) -> list:
+        """count draws make(rng) from the check's own stream, in order.  A grid of points in
+        place of count makes one draw for each point, led by it: (point, *make(rng))."""
+        if isinstance(count, int):
+            return [make(self.rng) for _ in range(count)]
+        return [(point, *make(self.rng)) for point in count]
+
+    def control(self, holds: bool, detail: str, failure: str) -> None:
+        """Judge a yes/no outcome: residual 0.0 and detail if it holds, else inf and
+        "control failed: <failure>", where failure gives the value measured."""
+        self.see(0.0 if holds else math.inf)
+        self.detail = detail if holds else f"control failed: {failure}"
+
+    def fit(self, key: str, orders, values, rate) -> None:
+        """Fit a decay rate to the values at the orders (qcore.fitted_rate), keep it as
+        params[key] and judge it against rate."""
+        self.params[key] = fitted = qcore.fitted_rate(orders, values)
+        self.rel(fitted, rate)
+
     def each(self, judge, draws, batch: tuple | None = None) -> None:
         """judge(*batch), by default each entry of the draws stacked (by its class's batch, else
         as an ndarray): every draw in one evaluation.  If that raises, judge(*draw) for each
@@ -234,26 +255,38 @@ class Check:
         return True
 
 
+def _suite(run):
+    """The runner run_<suite>(cfg) -> records of run(check, ctx, cfg), where check opens a
+    Check of the suite that writes to its records."""
+    suite = run.__name__.removeprefix("run_")
+
+    @wraps(run)
+    def runner(cfg: SuiteConfig) -> list[CheckRecord]:
+        records = []
+        run(partial(Check, records, cfg, suite), cfg.context(), cfg)
+        return records
+    return runner
+
+
 # ---------------------------------------------------------------- qcore
 
-def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "qcore")
+@_suite
+def run_qcore(check, ctx, cfg):
     q = ctx.q
 
     with check("recurrence", "qpoch-def", 1e-13, draws=32) as c:
         def recurrence(a, n):
             top, below = qcore.qpoch_finite(np.array([a, a]), np.array([n + 1, n]), ctx)
             c.terms(top, below * (1 - a * q ** n))
-        c.each(recurrence, [(sample_complex(c.rng, 0.1, 1.4), c.rng.randrange(0, 32))
-                            for _ in range(32)])
+        c.each(recurrence, c.draws(32, lambda r: (sample_complex(r, 0.1, 1.4),
+                                                  r.randrange(0, 32))))
 
     with check("infinite-shift", "qpoch-infinite-split", 1e-12, draws=cfg.draws) as c:
         def infinite_shift(a, k):
             whole, shifted = qcore.qpoch_infinite(np.array([a, a * q ** k]), ctx).value
             c.terms(whole, qcore.qpoch_finite(a, k, ctx) * shifted)
-        c.each(infinite_shift, [(sample_complex(c.rng, 0.2, 0.95), c.rng.randrange(0, 9))
-                                for _ in range(cfg.draws)])
+        c.each(infinite_shift, c.draws(cfg.draws, lambda r: (sample_complex(r, 0.2, 0.95),
+                                                             r.randrange(0, 9))))
 
     with check("multi-factorwise", "qpoch-multi", 1e-12) as c:
         a, b = sample_complex(c.rng), sample_complex(c.rng)
@@ -262,8 +295,8 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
               qcore.qpoch_infinite(a, ctx).value * qcore.qpoch_infinite(b, ctx).value)
 
     with check("theta-symmetry", "theta-def", 1e-12, draws=200) as c:
-        u = np.array([sample_complex(c.rng, 0.3, 1.6) for _ in range(200)])
-        c.terms(qcore.theta(u, ctx), qcore.theta(q / u, ctx))
+        c.each(lambda u: c.terms(qcore.theta(u, ctx), qcore.theta(q / u, ctx)),
+               c.draws(200, lambda r: (sample_complex(r, 0.3, 1.6),)))
 
     with check("theta-grid-zero", "theta-def", 1e-12) as c:
         zero_dev = max(abs(qcore.theta(1.0, ctx)), abs(qcore.theta(q, ctx)))
@@ -271,10 +304,8 @@ def run_qcore(cfg: SuiteConfig) -> list[CheckRecord]:
         c.see(zero_dev / scale, scale=scale)
 
     with check("weierstrass-addition", "weierstrass-addition", 1e-12, draws=200) as c:
-        x, y, u, v = np.array([[sample_complex(c.rng, 0.5, 1.5) for _ in range(4)]
-                               for _ in range(200)]).T
-        c.terms(*qcore.weierstrass_terms(x, y, u, v, ctx))
-    return out
+        c.each(lambda x, y, u, v: c.terms(*qcore.weierstrass_terms(x, y, u, v, ctx)),
+               c.draws(200, lambda r: tuple(sample_complex(r, 0.5, 1.5) for _ in range(4))))
 
 
 # ---------------------------------------------------------------- hyper
@@ -286,9 +317,8 @@ def _rogers_draw(rng, ctx):
                        lambda p: abs(p[0] * ctx.q / (p[1] * p[2] * p[3])) <= 0.7)
 
 
-def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "hyper")
+@_suite
+def run_hyper(check, ctx, cfg):
     q = ctx.q
 
     with check("phi-z0", "basic-hypergeometric-def", 1e-15) as c:
@@ -302,17 +332,13 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("phi-vs-long-sum", "basic-hypergeometric-def", 1e-12,
                draws=cfg.draws) as c:
-        specs = []
-        for _ in range(cfg.draws):
-            nums = tuple(sample_complex(c.rng, 0.2, 0.9) for _ in range(3))
-            dens = tuple(sample_complex(c.rng, 0.3, 0.9) for _ in range(2))
-            z = sample_complex(c.rng, 0.1, 0.5)
-            specs.append(hyper.PhiSeriesSpec(nums, dens, z))
-
         def long_sum(*specs):
             c.rel(*(np.array([tb.value for tb in hyper.series_sums(specs, trunc, ctx)])
                     for trunc in (None, 220)))
-        c.each(long_sum, [(spec,) for spec in specs], specs)
+        draws = c.draws(cfg.draws, lambda r: (hyper.PhiSeriesSpec(
+            tuple(sample_complex(r, 0.2, 0.9) for _ in range(3)),
+            tuple(sample_complex(r, 0.3, 0.9) for _ in range(2)), sample_complex(r, 0.1, 0.5)),))
+        c.each(long_sum, draws, [spec for spec, in draws])
 
     k = 9
     with check("vwp-telescoping", "W-summand", 1e-14, k=k) as c:
@@ -330,12 +356,6 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
         c.terms(s9, s8, summand)
 
     with check("vwp-expanded-roots", "W-notation", 1e-12, draws=6) as c:
-        specs = []
-        for _ in range(6):
-            a = c.rng.uniform(0.3, 0.8)  # real positive: explicit root exists
-            blist = tuple(sample_complex(c.rng, 0.4, 0.9) for _ in range(2))
-            specs.append(hyper.VWPSpec(a, blist, sample_complex(c.rng, 0.1, 0.4)))
-
         def expanded_roots(*specs):
             v1 = hyper.series_sums(specs, 24, ctx)
             roots = iter(hyper.series_sums(
@@ -345,20 +365,23 @@ def run_hyper(cfg: SuiteConfig) -> list[CheckRecord]:
                 for expanded in (next(roots), next(roots)):
                     c.rel(expanded.value, tb.value)
                 c.see(hyper.well_poised_defect(vs, ctx))
-        c.each(expanded_roots, [(vs,) for vs in specs], specs)
+        # a real positive: an explicit root exists
+        draws = c.draws(6, lambda r: (hyper.VWPSpec(
+            r.uniform(0.3, 0.8), tuple(sample_complex(r, 0.4, 0.9) for _ in range(2)),
+            sample_complex(r, 0.1, 0.4)),))
+        c.each(expanded_roots, draws, [spec for spec, in draws])
 
     with check("rogers-summation", "rogers-6w5", 1e-9, draws=cfg.draws) as c:
-        draws = [_rogers_draw(c.rng, ctx) for _ in range(cfg.draws)]
-        c.each(lambda *p: c.terms(*hyper.rogers_6w5_terms(*p, ctx)), draws)
+        c.each(lambda *p: c.terms(*hyper.rogers_6w5_terms(*p, ctx)),
+               c.draws(cfg.draws, lambda r: _rogers_draw(r, ctx)))
         # a = 0.018/|q| holds |aq/(bcd)| at 0.55 for every base (a = 0.04 at q = 0.45)
         c.terms(*hyper.rogers_6w5_terms(0.018 / abs(q), 0.8, 0.05 + 0.01j, 0.8, ctx))
 
     with check("jackson-summation", "jackson-8w7", 1e-10, draws=cfg.draws,
-               n_max=12) as ch:
-        draws = [(*(sample_complex(ch.rng, 0.3, 0.9) for _ in range(4)), ch.rng.randrange(0, 13))
-                 for _ in range(cfg.draws)]
-        ch.each(lambda *p: ch.terms(*hyper.jackson_8w7_terms(*p, ctx)), draws)
-    return out
+               n_max=12) as c:
+        c.each(lambda *p: c.terms(*hyper.jackson_8w7_terms(*p, ctx)),
+               c.draws(cfg.draws, lambda r: (*(sample_complex(r, 0.3, 0.9) for _ in range(4)),
+                                             r.randrange(0, 13))))
 
 
 # ---------------------------------------------------------------- operator
@@ -369,9 +392,8 @@ def _sample_operator_point(rng, ctx):
     return sample_with(rng, lambda r: sample_z(r), ok)
 
 
-def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "operator")
+@_suite
+def run_operator(check, ctx, cfg):
     q = ctx.q
     rq = ctx.sqrt_q
 
@@ -386,9 +408,9 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             f = taylor.phi_combination(taylor.BasisPair(pair.a, 0.0), coeffs, ctx)
             c.terms(wpoperator.apply_Dcq(f, z, 0.0, ctx),
                     *taylor.lowered_terms(z, pair.a, coeffs, ctx))
-        c.each(reduction, [(sample_basis_pair(c.rng), [sample_complex(c.rng, 0.5, 1.5)
-                                                        for _ in range(4)],
-                            _sample_operator_point(c.rng, ctx)) for _ in range(cfg.draws)])
+        c.each(reduction, c.draws(cfg.draws, lambda r: (
+            sample_basis_pair(r), [sample_complex(r, 0.5, 1.5) for _ in range(4)],
+            _sample_operator_point(r, ctx))))
 
     with check("phi1-lowering", "lowering-Phi", 1e-12) as c:
         pair = sample_basis_pair(c.rng)
@@ -396,7 +418,7 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
         f1 = taylor.phi_function(pair, 1, ctx)
         want = -2 * pair.a * (1 - pair.c / pair.a) * (1 - pair.a * pair.c)
         c.each(lambda z: c.rel(wpoperator.apply_Dcq(f1, z, pair.c, ctx), want),
-               [(_sample_operator_point(c.rng, ctx),) for _ in range(4)])
+               c.draws(4, lambda r: (_sample_operator_point(r, ctx),)))
 
     with check("iterated-lowering", "iterated-lowering", 1e-9, n_max=5) as ch:
         # D^(k) Phi_n(.; a, c) = pref Phi_{n-k}(.; a q^{k/2}, c q^{3k/2}) at each k <= n, the
@@ -416,9 +438,9 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             want = taylor.phi_basis(z, taylor.BasisPair.batch(shifted), n - k, ctx)
             for g, p, w in zip(*qcore.draw_lists(got, prefs, want)):
                 ch.rel(g, p * w)
-        draws = [(sample_basis_pair(ch.rng), n, _sample_operator_point(ch.rng, ctx))
-                 for n in range(1, 6)]
-        ch.each(iterated_lowering, [(p, n, k, z) for p, n, z in draws for k in range(n + 1)])
+        draws = ch.draws(range(1, 6), lambda r: (sample_basis_pair(r),
+                                                 _sample_operator_point(r, ctx)))
+        ch.each(iterated_lowering, [(p, n, k, z) for n, p, z in draws for k in range(n + 1)])
 
     with check("closed-form-vs-recursion", "p0-cooper", 1e-8, draws=cfg.draws,
                m_max=6) as ch:
@@ -427,10 +449,9 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
             for terms in zip(*qcore.draw_lists(wpoperator.cooper_eval(f, z, c, m, ctx),
                                                wpoperator.apply_iterated(f, z, c, m, ctx))):
                 ch.terms(*terms)
-        ch.each(closed_vs_recursion, [(sample_basis_pair(ch.rng),
-                                       [sample_complex(ch.rng, 0.5, 1.5) for _ in range(9)],
-                                       _sample_operator_point(ch.rng, ctx), ch.rng.randrange(0, 7),
-                                       sample_complex(ch.rng)) for _ in range(cfg.draws)])
+        ch.each(closed_vs_recursion, ch.draws(cfg.draws, lambda r: (
+            sample_basis_pair(r), [sample_complex(r, 0.5, 1.5) for _ in range(9)],
+            _sample_operator_point(r, ctx), r.randrange(0, 7), sample_complex(r))))
 
     with check("delta-property", "delta-property", 1e-8) as c:
         pair = sample_basis_pair(c.rng, lo=0.4, hi=0.85)
@@ -467,14 +488,12 @@ def run_operator(cfg: SuiteConfig) -> list[CheckRecord]:
         want = -2 * a * (1 - c / a) * (1 - a * c)  # order-1 lowering value
         ch.terms(w[0], -w[1])  # the weights annihilate constants
         ch.rel(scalar, want)
-    return out
 
 
 # ---------------------------------------------------------------- taylor
 
-def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "taylor")
+@_suite
+def run_taylor(check, ctx, cfg):
     q = ctx.q
 
     with check("coefficient-recovery", "finite-coeff", 1e-8, n_max=8) as c:
@@ -484,10 +503,9 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
             for ts, us in zip(got, coeffs) if np.ndim(n) else [(got, coeffs)]:
                 for t, want in zip(ts, us):
                     c.rel(t, want)
-        draws = []
-        for _ in range(max(cfg.draws // 2, 4)):
-            pair, n = sample_basis_pair(c.rng, lo=0.4, hi=0.85), c.rng.randrange(1, 9)
-            draws.append((pair, n, [sample_complex(c.rng, 0.5, 1.5) for _ in range(n + 1)]))
+        draws = c.draws(max(cfg.draws // 2, 4), lambda r: (
+            sample_basis_pair(r, lo=0.4, hi=0.85), n := r.randrange(1, 9),
+            [sample_complex(r, 0.5, 1.5) for _ in range(n + 1)]))
         pairs, ns, coeffs = zip(*draws)  # ragged coefficient lists: batched by hand
         c.each(recovery, draws, (taylor.BasisPair.batch(pairs), np.array(ns), coeffs))
 
@@ -531,8 +549,8 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         c.see(taylor.flatness_check(lambda z: flat(z) * (1.3 + 0.5 * (z + 1 / z)), pair,
                                     k_flat - 1, ctx))
         bumpy = taylor.flatness_check(taylor.phi_function(pair, 3, ctx), pair, 4, ctx)
-        c.see(0.0 if bumpy > 1e-4 else math.inf)
-        c.detail = f"negative control (phi_3) flatness={bumpy:.3e}"
+        c.control(bumpy > 1e-4, f"negative control (phi_3) flatness={bumpy:.3e}",
+                  f"phi_3 flatness {bumpy:.3e} <= 1e-04")
 
     with check("basis-boundedness", "basis-bounded", 1e-4) as c:
         pair = taylor.BasisPair(sample_complex(c.rng, 0.4, 0.8), 0.5)
@@ -544,14 +562,12 @@ def run_taylor(cfg: SuiteConfig) -> list[CheckRecord]:
         tail_dev = abs(abs(taylor.phi_basis(z0, pair, 40, ctx)) - lim) / lim
         c.see(abs(plateau - 1.0), tail_dev, abs(sups[0] - 1.0))
         c.detail = f"sampled sup={max(sups):.4g}"
-    return out
 
 
 # ---------------------------------------------------------------- kernel
 
-def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "kernel")
+@_suite
+def run_kernel(check, ctx, cfg):
     q = ctx.q
     n_half = max(cfg.draws // 2, 4)
 
@@ -605,13 +621,15 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(*(t.T for t in kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth)))
         c.each(two_basis, two_basis_draws)
 
+    first_kp, first_z = two_basis_draws[0]
+    # the first draw's terms with H(b) forced to 1, summed once for this and the sabotaged check
+    forced = cache(lambda: kernel.two_basis_terms(first_z, first_kp, first_kp.series_depth,
+                                                  force_unit_Hb=True))
     with check("negative-control-Hb", "two-basis-identity", 1e-6) as c:
-        kp, z = two_basis_draws[0]
-        depth = kp.series_depth
-        r = scaled_residual(*kernel.two_basis_terms(np.array([z, 1 / z]), kp, depth))[0]
-        c.params["z"] = z
-        ratio = (scaled_residual(*kernel.two_basis_terms(z, kp, depth, force_unit_Hb=True))
-                 / max(r, 1e-300))
+        r = scaled_residual(*kernel.two_basis_terms(np.array([first_z, 1 / first_z]), first_kp,
+                                                    first_kp.series_depth))[0]
+        c.params["z"] = first_z
+        ratio = scaled_residual(*forced()) / max(r, 1e-300)
         c.see(1.0 / ratio)
         c.detail = f"degradation {ratio:.3e}x"
 
@@ -620,25 +638,21 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
                orders=f"{orders[0]}..{orders[-1]}") as c:
         kp, z = _remainder_gap_draw(cfg, ctx)
         for key, kq in (("fit", kp), ("fit_involuted", kernel.involute(kp))):
-            gaps, _ = kernel.remainder_gap_curve(z, kq, orders)
-            c.params[key] = qcore.fitted_rate(orders, gaps)
-            c.rel(c.params[key], abs(q))
+            c.fit(key, orders, kernel.remainder_gap_curve(z, kq, orders)[0], abs(q))
 
     with check("lowering-laws", "H-lowering", 1e-8, draws=n_half) as c:
-        draws = [(sample_kernel_params(c.rng, ctx), sample_z(c.rng)) for _ in range(n_half)]
-
         def lowering_laws(kp, z):
             ip = kernel.involute(kp)
             laws = (kernel.H_lowering_terms(z, kp), kernel.H_lowering_terms(z, ip),
                     kernel.K_lowering_terms(z, kp))
             # the three laws of each draw together, as a loop over the draws sees them
             c.terms(*(np.array(sides).T for sides in zip(*laws)))
-        c.each(lowering_laws, draws)
+        c.each(lowering_laws, c.draws(n_half, lambda r: (sample_kernel_params(r, ctx),
+                                                         sample_z(r))))
 
     kp = sample_kernel_params(cfg.stream("kernel", "E-kp"), ctx)
-    depth = kp.series_depth
-    with check("E-grid-zeros", "E-grid-zeros", 1e-7, grid_powers="0..10",
-               depth=depth) as c:
+    with check("E-grid-zeros", "E-grid-zeros", 1e-7, grid_powers="0..10") as c:
+        depth = c.params["depth"] = kp.series_depth
         grid = np.array([z0 for m in range(11)
                          for z0 in (kp.b * q ** m, kp.c / (kp.d * kp.e) * q ** m)])
         c.terms(*kernel.pole_cleared_E_terms(grid, kp, depth))
@@ -646,8 +660,8 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
     with check("pole-clearing-paths", "M-pole-clear", 1e-8) as c:
         z = c.params["z"] = sample_z(c.rng)
         m_val = kernel.M_clearing(z, kp)
-        t1, t2, t3 = kernel.two_basis_terms(z, kp, depth)
-        e_terms = kernel.pole_cleared_E_terms(z, kp, depth)
+        t1, t2, t3 = kernel.two_basis_terms(z, kp, kp.series_depth)
+        e_terms = kernel.pole_cleared_E_terms(z, kp, kp.series_depth)
         e_direct = e_terms[0] - e_terms[1] - e_terms[2]
         # both routes are near-cancelling sums: scale by their largest additive term
         scale = max(abs(t) for t in (m_val * t1, m_val * t2, m_val * t3) + e_terms)
@@ -659,17 +673,21 @@ def run_kernel(cfg: SuiteConfig) -> list[CheckRecord]:
         terms = kernel.pole_cleared_E_terms(grid, kp, N)
         c.terms(*(t[:-1] for t in terms))
         beyond = scaled_residual(*(t[-1] for t in terms))
-        c.see(0.0 if beyond > 1e-5 else math.inf)
-        c.detail = f"beyond-depth residual {beyond:.3e} (not flat)"
+        c.control(beyond > 1e-5, f"beyond-depth residual {beyond:.3e} (not flat)",
+                  f"beyond-depth residual {beyond:.3e} <= 1e-05")
 
     n_third = max(cfg.draws // 3, 3)
     with check("vwp-rewriting", "deduce-bailey-8phi7", 1e-7, draws=n_third) as c:
-        draws = []
-        for _ in range(n_third):
-            kp = sample_kernel_params(c.rng, ctx)
-            draws.append((kp, np.array([sample_kernel_z(c.rng, kp), sample_on_circle(c.rng)])))
-        c.each(lambda kp, z: c.terms(*(t.T for t in kernel.bailey_terms(kp, z.T))), draws)
-    return out
+        c.each(lambda kp, z: c.terms(*(t.T for t in kernel.bailey_terms(kp, z.T))),
+               c.draws(n_third, lambda r: (kp := sample_kernel_params(r, ctx), np.array(
+                   [sample_kernel_z(r, kp), sample_on_circle(r)]))))
+
+    if cfg.negative_controls:  # outside the block an error ends the run: no designed failure
+        terms = forced()
+        with check("two-basis-identity-sabotaged", "two-basis-identity", 1e-7, z=first_z,
+                   forced_unit_Hb=True) as c:
+            c.terms(*terms)
+            c.detail = "expected failure: zeroth Taylor value dropped"
 
 
 def _remainder_gap_draw(cfg: SuiteConfig, ctx: QContext) -> tuple:
@@ -692,19 +710,16 @@ def _two_basis_draws(cfg: SuiteConfig, ctx: QContext, count: int) -> list:
 
 # ---------------------------------------------------------------- laurent
 
-def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "laurent")
-
+@_suite
+def run_laurent(check, ctx, cfg):
     with check("monomial", "laurent-criterion", 1e-12) as c:
         (v1, _, _), (v2, _, _) = kernel.laurent_coefficient_detail(
             lambda z: (z ** 5,), (-5, 2), 1.0, ctx)
         c.see(abs(v1 - 1.0), abs(v2))
 
     with check("quadruple-vs-contour", "calP-quadruple", 1e-8, draws=3) as c:
-        for _ in range(3):
-            al, be, ga, de = (sample_complex(c.rng, 0.3, 0.9) for _ in range(4))
-            n = c.rng.randrange(0, 4)
+        for al, be, ga, de, n in c.draws(3, lambda r: (
+                *(sample_complex(r, 0.3, 0.9) for _ in range(4)), r.randrange(0, 4))):
             qd = kernel.calP_quadruple(al, be, ga, de, n, ctx)
 
             def g(z, al=al, be=be, ga=ga, de=de):
@@ -714,10 +729,10 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
             c.terms(qd, ct)
 
     kp = sample_kernel_params(cfg.stream("laurent", "kp"), ctx)
-    e_coeffs = kernel.E_contour_coefficient(kp, range(1, 7))
+    e_coeffs = cache(partial(kernel.E_contour_coefficient, kp, range(1, 7)))
     with check("E-negative-coefficients", "coefficient-cancellation", 1e-6,
                n="1..6") as c:
-        for coeff, scale, _ in e_coeffs:
+        for coeff, scale, _ in e_coeffs():
             c.see(abs(coeff) / scale, scale=scale)
 
     with check("structured-cancellation", "coefficient-cancellation", 1e-6,
@@ -726,27 +741,25 @@ def run_laurent(cfg: SuiteConfig) -> list[CheckRecord]:
         tables = kernel.calP_tables(kp, depth)
         routes = [(kernel.fk_coefficients(kp, depth), kernel.gk_coefficients(kp, depth)),
                   kp.family_terms(depth)]
-        for n, (coeff, scale, _) in zip((1, 2), e_coeffs):
+        for n, (coeff, scale, _) in zip((1, 2), e_coeffs()):
             (t1, t2, t3), series = kernel.structured_E_terms(kp, n, tables, routes)
             c.terms(*series)
             c.see(abs(t1 - t2 - t3 - coeff) / scale, scale=scale)
         not_small = abs(kernel.laurent_pair(tables[0][0], tables[0][0], 1))
-        c.see(0.0 if not_small > 1e-3 else math.inf)
-        c.detail = f"individual |P1_(1,0)|={not_small:.3e} (not small)"
-    return out
+        c.control(not_small > 1e-3, f"individual |P1_(1,0)|={not_small:.3e} (not small)",
+                  f"individual |P1_(1,0)|={not_small:.3e} <= 1e-03")
 
 
 # ---------------------------------------------------------------- profiles
 
-def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "profiles")
+@_suite
+def run_profiles(check, ctx, cfg):
     q = ctx.q
 
     lam = sample_complex(cfg.stream("profiles", "lam"), 0.4, 0.8)
     with check("annular-factorisation", "q-annular-factorization", 1e-10, N_max=20) as c:
         c.each(lambda N, w: c.terms(*profiles.annular_factorization_terms(lam, N, w, ctx)),
-               [(N, sample_z(c.rng, 0.9, 1.15)) for N in (0, 5, 10, 20)])
+               c.draws((0, 5, 10, 20), lambda r: (sample_z(r, 0.9, 1.15),)))
 
     with check("profile-quotient", "L-alpha-beta", 1e-12) as c:
         al, be = sample_complex(c.rng, 0.4, 0.9), sample_complex(c.rng, 0.4, 0.9)
@@ -757,8 +770,9 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
 
     kp, limits_w = _profile_draws(cfg, ctx)
     lam = kp.b
-    cf = profiles.profile_sums_and_closed_forms(kp)
+    closed_forms = cache(partial(profiles.profile_sums_and_closed_forms, kp))
     with check("scalar-profile-sums", "Fstar-eval", 1e-9, b=kp.b, c=kp.c) as c:
+        cf = closed_forms()
         c.rel(cf.F_star_series, cf.F_star_product)
         c.rel(cf.G_star_series, cf.G_star_product)
         c.rel(cf.Hb * cf.F_star_product, cf.Hb_F_star_theta)
@@ -767,8 +781,9 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
         c.rel(cfi.F_star_product, cf.G_star_product)
 
     with check("leading-profile", "first-profile-identity", 1e-8, draws=cfg.draws) as c:
+        cf = closed_forms()
         c.each(lambda w: c.terms(*profiles.leading_profile_terms(w, kp, lam, cf)),
-               [(sample_z(c.rng, 0.8, 1.25),) for _ in range(cfg.draws)])
+               c.draws(cfg.draws, lambda r: (sample_z(r, 0.8, 1.25),)))
         t_anchor = max(scaled_residual(*profiles.leading_profile_theta_terms(t, kp, cf))
                        for t in (1 / kp.b, kp.d * kp.e / kp.c))
         c.terms(*profiles.leading_profile_theta_terms(0.9 + 0.3j, kp, cf))
@@ -796,35 +811,34 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
 
     with check("generating-residual", "global-Q-zero", 1e-7, s="0,q^8,q^6,q^4") as c:
         c.each(lambda s, w: c.terms(*profiles.generating_Q_terms(s, w, kp, lam)),
-               [(s, sample_z(c.rng, 0.85, 1.2)) for s in (0.0, q ** 8, q ** 6, q ** 4)
-                for _ in range(3)])
+               c.draws([s for s in (0.0, q ** 8, q ** 6, q ** 4) for _ in range(3)],
+                       lambda r: (sample_z(r, 0.85, 1.2),)))
 
     with check("bridge-identity", "scaled-Q-equals-profile-generator", 1e-6, N="4..10") as c:
         c.each(lambda N, w: c.terms(*profiles.bridge_terms(N, w, kp, lam)),
-               [(N, sample_z(c.rng, 0.9, 1.15)) for N in range(4, 11)])
+               c.draws(range(4, 11), lambda r: (sample_z(r, 0.9, 1.15),)))
 
     moments = {}  # each F_m, G_m summed once for kp
     with check("contiguous-moments", "profile-moments", 1e-12) as c:
         mom0 = moments[0] = profiles.contiguous_moment(kp, 0)
         mom1 = moments[1] = profiles.contiguous_moment(kp, 1)
-        c.rel(mom0.F_m, cf.F_star_series)
+        c.rel(mom0.F_m, closed_forms().F_star_series)
         boundary = profiles.contiguous_moment(kp, -12)
-        flags_ok = mom0.convergent and mom1.convergent and not boundary.convergent
-        c.see(0.0 if flags_ok else math.inf)
-        c.detail = "m=-12 correctly flagged nonconvergent"
+        c.control(mom0.convergent and mom1.convergent and not boundary.convergent,
+                  "m=-12 correctly flagged nonconvergent",
+                  f"convergent at m=0: {mom0.convergent}, m=1: {mom1.convergent}, "
+                  f"m=-12: {boundary.convergent}")
 
     with check("coefficient-hierarchy", "first-correction-target", 1e-6, j="0,1") as c:
         for terms in profiles.profile_coefficient_terms(
-                [(j, sample_z(c.rng, 0.9, 1.15)) for j in (0, 1)], kp, lam, moments):
+                c.draws((0, 1), lambda r: (sample_z(r, 0.9, 1.15),)), kp, lam, moments):
             c.terms(*terms)
 
     with check("exponential-profile-limits", "R-profile-limit", 0.25, k=2) as c:
         *limits, res9, res9i = profiles.exponential_profile_limit_residual(
             2, [(limits_w, kp, N) for N in (6, 8, 10, 12, 9)]
             + [(limits_w, kernel.involute(kp), 9)], lam)
-        trend = c.params["trend"] = qcore.fitted_rate([6, 8, 10, 12],
-                                                      [r.r_residual for r in limits])
-        c.rel(trend, abs(q))
+        c.fit("trend", [6, 8, 10, 12], [r.r_residual for r in limits], abs(q))
         c.rel(res9i.r_residual, res9.s_residual)
 
     # radius in the widest gap between the zero circles of the split's
@@ -843,10 +857,7 @@ def run_profiles(cfg: SuiteConfig) -> list[CheckRecord]:
             mags = [abs(cg.C_factor) for cg in layers[t:t + 9]]
             spread = max(spread, max(mags) / min(mags))
         c.params["spread"] = spread
-        c.see(0.0 if spread < 10.0 else math.inf)
-        if spread >= 10.0:
-            c.detail = f"C-factor spread {spread:.3g} >= 10 at radius {radius:.3g}"
-    return out
+        c.control(spread < 10.0, "", f"C-factor spread {spread:.3g} >= 10 at radius {radius:.3g}")
 
 
 def _profile_draws(cfg: SuiteConfig, ctx: QContext) -> tuple:
@@ -872,10 +883,8 @@ def _clear_w_radius(kp) -> float:
 
 # ---------------------------------------------------------------- quadratic
 
-def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
-    ctx, out = cfg.context(), []
-    check = partial(Check, out, cfg, "quadratic")
-
+@_suite
+def run_quadratic(check, ctx, cfg):
     points, z = _quadratic_draws(cfg, ctx, cfg.draws)
     params = quadratic.QuadraticParams
     batch = (params.batch([qp for qp, _ in points]), np.array([z for _, z in points]))
@@ -905,9 +914,8 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
     orders = qcore.fit_window(abs(qp0.b / qp0.a))
     with check("tail-decay", "quadratic-remainder-tail", 0.10,
                orders=f"{orders[0]}..{orders[-1]}") as c:
-        tails, _ = quadratic.quadratic_tail_curve(z, qp0, orders)
-        fit = c.params["fit"] = qcore.fitted_rate(orders, tails)
-        c.rel(fit, abs(qp0.b / qp0.a))
+        c.fit("fit", orders, quadratic.quadratic_tail_curve(z, qp0, orders)[0],
+              abs(qp0.b / qp0.a))
 
     with check("companion-vwp-form", "quadratic-companion-bailey", 1e-10, z=z) as c:
         c.terms(*quadratic.companion_vwp_terms(z, qp0))
@@ -916,7 +924,6 @@ def run_quadratic(cfg: SuiteConfig) -> list[CheckRecord]:
         x = c.params["x"] = sample_complex(c.rng, 0.3, 0.9)
         for terms in (*quadratic.folding_terms(x, 5, ctx), *quadratic.folding_terms(0.9, 0, ctx)):
             c.terms(*terms)
-    return out
 
 
 def _quadratic_draws(cfg: SuiteConfig, ctx: QContext, count: int) -> tuple:
@@ -944,18 +951,6 @@ def run_suites(cfg: SuiteConfig) -> VerificationReport:
     return report
 
 
-def _suite_records(cfg: SuiteConfig, name: str) -> list[CheckRecord]:
-    """The records of one suite, its kernel negative control included."""
-    try:
-        records = _RUNNERS[name](cfg)
-    except QTaylorError as exc:  # outside every check, or a ConfigError
-        records = [CheckRecord(name, "suite-abort", "runner", {}, math.inf,
-                               0.0, 0.0, False, f"{type(exc).__name__}: {exc}")]
-    if cfg.negative_controls and name == "kernel":
-        _sabotaged_kernel_check(cfg, records)
-    return records
-
-
 # A worker's suites, half a run: 21.0 ms against 20.5 at q = 0.7, 16.9 against 17.5 at 0.45.
 _WORKER_SUITES = ("profiles", "laurent", "quadratic", "taylor")
 
@@ -966,13 +961,13 @@ def _fan_out(cfg: SuiteConfig, names: tuple[str, ...]) -> list[list[CheckRecord]
     forked = [i for i, name in enumerate(names) if name in _WORKER_SUITES]
     if (len(forked) < 2 or len(names) - len(forked) < 2 or not hasattr(os, "fork")
             or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2):
-        return [_suite_records(cfg, name) for name in names]
+        return [_RUNNERS[name](cfg) for name in names]
     read_fd, write_fd = os.pipe()
     if (pid := os.fork()) == 0:
         try:
             os.close(read_fd)
             try:
-                result = [_suite_records(cfg, names[i]) for i in forked]
+                result = [_RUNNERS[names[i]](cfg) for i in forked]
             except BaseException as exc:  # raised again in the parent, if it survives pickling
                 try:
                     result = pickle.loads(pickle.dumps(exc))
@@ -986,7 +981,7 @@ def _fan_out(cfg: SuiteConfig, names: tuple[str, ...]) -> list[list[CheckRecord]
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            out = {i: _suite_records(cfg, name) for i, name in enumerate(names) if i not in forked}
+            out = {i: _RUNNERS[name](cfg) for i, name in enumerate(names) if i not in forked}
             payload = pipe.read()
     finally:  # also when this half raises, or a signal becomes SystemExit
         status = os.waitpid(pid, 0)[1]
@@ -997,17 +992,6 @@ def _fan_out(cfg: SuiteConfig, names: tuple[str, ...]) -> list[list[CheckRecord]
         raise result
     out.update(zip(forked, result))
     return [out[i] for i in range(len(names))]
-
-
-def _sabotaged_kernel_check(cfg: SuiteConfig, records: list) -> None:
-    """Negative control: H(b) forced to 1 at the first two-basis draw must be reported failing."""
-    [(kp, z)] = _two_basis_draws(cfg, cfg.context(), 1)
-    # evaluated outside the block: an error must escape, not pass for the designed failure
-    terms = kernel.two_basis_terms(z, kp, kp.series_depth, force_unit_Hb=True)
-    with Check(records, cfg, "kernel", "two-basis-identity-sabotaged", "two-basis-identity",
-               1e-7, z=z, forced_unit_Hb=True) as c:
-        c.terms(*terms)
-        c.detail = "expected failure: zeroth Taylor value dropped"
 
 
 # ---------------------------------------------------------------- decay CSV

@@ -1,18 +1,20 @@
 """The check runner: every suite check is a block that fails on its own."""
 
+import dataclasses
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from qtaylor import hyper, kernel, suites, taylor, wpoperator
+from qtaylor import hyper, kernel, profiles, qcore, suites, taylor, wpoperator
 from qtaylor.errors import DomainError, ZeroDenominator
-from qtaylor.suites import (SuiteConfig, parse_complex, run_operator, run_profiles,
-                            run_qcore, run_suites, run_taylor)
+from qtaylor.suites import (SuiteConfig, parse_complex, run_kernel, run_laurent, run_operator,
+                            run_profiles, run_qcore, run_suites, run_taylor)
 
 from conftest import replay_fixture
 
@@ -107,6 +109,73 @@ def test_batched_check_reports_the_first_failing_draw(monkeypatch):
     [rec] = [r for r in run_suites(SuiteConfig(suites=("hyper",))).records
              if r.check == "jackson-summation"]
     assert not rec.passed and rec.detail == "DomainError: draw 3" and len(singles) == 3
+
+
+@pytest.mark.parametrize("name, check, per_draw", [
+    ("theta", "theta-symmetry", 2), ("weierstrass_terms", "weierstrass-addition", 1)])
+def test_stacked_qcore_checks_report_the_first_failing_draw(monkeypatch, name, check,
+                                                            per_draw):
+    # theta-symmetry evaluates theta at u and q/u, weierstrass-addition one set of terms a
+    # draw: the batch fails, and judged one by one the third draw names its own error
+    real, singles = getattr(qcore, name), []
+
+    def flaky(*args):
+        if np.ndim(args[0]):
+            raise ZeroDenominator("somewhere in the batch")
+        singles.append(args[0])
+        if len(singles) == 2 * per_draw + 1:
+            raise DomainError(f"draw 3 at {args[0]!r}")
+        return real(*args)
+    monkeypatch.setattr(qcore, name, flaky)
+    [rec] = [r for r in run_qcore(SuiteConfig()) if r.check == check]
+    assert not rec.passed and rec.detail == f"DomainError: draw 3 at {singles[2 * per_draw]!r}"
+
+
+def test_a_depth_cap_fails_only_the_checks_that_reach_it():
+    # E-kp's depth, laurent's contour coefficients and the profile closed forms are read
+    # inside the checks that use them: a cap of 60 terms at q = 0.45 fails those checks
+    # one by one and keeps the other records of each suite
+    for run, count in ((run_kernel, 13), (run_laurent, 4), (run_profiles, 12)):
+        records = run(SuiteConfig(q=0.45, max_terms=60))
+        failed = [r for r in records if not r.passed]
+        assert len(records) == count and 0 < len(failed) < count
+        assert all(r.detail.startswith("TruncationFailure: ") for r in failed)
+
+
+def _scaled_laurent_row(monkeypatch):  # the suite's row |P1_(1,0)| scaled down to 1e-9 of it
+    real = kernel.laurent_pair
+    monkeypatch.setattr(kernel, "laurent_pair", lambda pos, neg, n: real(pos, neg, n)
+                        * (1e-9 if np.ndim(pos) == 1 else 1.0))
+
+
+def _convergent_boundary(monkeypatch):  # every contiguous moment flagged convergent
+    real = profiles.contiguous_moment
+    monkeypatch.setattr(profiles, "contiguous_moment",
+                        lambda kp, m: dataclasses.replace(real(kp, m), convergent=True))
+
+
+@pytest.mark.parametrize("run, q, seed, force, check, detail", [
+    (run_taylor, 0.45, 20240901,
+     lambda mp: mp.setattr(taylor, "flatness_check", lambda *args: 0.0),
+     "flat-function", r"control failed: phi_3 flatness 0\.000e\+00 <= 1e-04"),
+    # from bench structured-moderate seed 1; 9.734e-07 at q = 0.45 and 3.478e-06 at -0.3
+    (run_kernel, 0.2, 2367369324, None, "truncated-flatness",
+     r"control failed: beyond-depth residual 9\.993e-08 <= 1e-05"),
+    (run_laurent, 0.45, 20240901, _scaled_laurent_row, "structured-cancellation",
+     r"control failed: individual \|P1_\(1,0\)\|=\d\.\d{3}e-\d\d <= 1e-03"),
+    (run_profiles, 0.45, 20240901, _convergent_boundary, "contiguous-moments",
+     r"control failed: convergent at m=0: True, m=1: True, m=-12: True"),
+    (run_profiles, 0.7, 2, None, "canonical-growth",
+     r"control failed: C-factor spread 12\.1 >= 10 at radius 1\.72"),
+], ids=["flat-function", "truncated-flatness", "structured-cancellation", "contiguous-moments",
+        "canonical-growth"])
+def test_a_failed_control_says_so_and_gives_its_value(monkeypatch, run, q, seed, force, check,
+                                                      detail):
+    if force:
+        force(monkeypatch)
+    [rec] = [r for r in run(SuiteConfig(q=q, seed=seed)) if r.check == check]
+    assert not rec.passed and rec.residual == math.inf
+    assert re.fullmatch(detail, rec.detail), rec.detail
 
 
 def test_a_check_that_draws_more_moves_no_other_record(monkeypatch):
@@ -289,7 +358,7 @@ def test_canonical_growth_failure_names_the_spread(replay):
     rec = replay(replay_fixture("profiles", "canonical-growth", "0.7", 2798990346))[
         "canonical-growth"]
     assert not rec.passed and rec.params["spread"] >= 10.0
-    assert rec.detail == "C-factor spread 11.3 >= 10 at radius 1.58"
+    assert rec.detail == "control failed: C-factor spread 11.3 >= 10 at radius 1.58"
 
 
 # every record of verify --suite profiles at these verify seeds and bases ("seed@q"): each

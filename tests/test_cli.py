@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtaylor import cli
+from qtaylor import cli, sampling
 from qtaylor.errors import ConfigError
 from qtaylor.suites import (SuiteConfig, decay_rows, format_complex,
                             parse_complex, run_suites)
@@ -278,6 +278,17 @@ class TestCommandLine:
         cfgfile = tmp_path / "params.json"
         cfgfile.write_text(json.dumps({"explicit": []}))
         assert cli.main(["--params", str(cfgfile)]) == 2
+
+    def test_a_sampler_out_of_draws_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # a sampler that finds no admissible draw ends the run as a bad setting does
+        monkeypatch.setattr(sampling, "MAX_TRIES", 0)
+        report = tmp_path / "report.jsonl"
+        report.write_text("an earlier report\n")
+        assert cli.main(["--suite", "kernel", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: no admissible sample within 0 draws\n"
+        assert report.read_text() == "an earlier report\n"
 
     def test_bad_q_is_config_error(self):
         assert cli.main(["--q", "1.5"]) == 2

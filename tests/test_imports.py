@@ -1,7 +1,8 @@
-"""Every name a qtaylor module imports is used in it (the unused-import rule, F401).
+"""Every name a qtaylor module imports is used in it (the unused-import rule, F401), and
+every private module-level function or class is used somewhere in the package.
 
-The package's __init__ imports to re-export, so it is not scanned.  An import kept for
-another module's sake is listed in KEPT with its reason.
+The package's __init__ imports to re-export, so it is not scanned for unused imports.  An
+import kept for another module's sake is listed in KEPT with its reason.
 """
 
 import ast
@@ -44,3 +45,28 @@ def test_kept_imports_are_still_imported():
     for module, name in KEPT:
         imported, _ = imported_and_used(ast.parse((SRC / f"{module}.py").read_text()))
         assert name in imported, f"{module} no longer imports {name}: drop it from KEPT"
+
+
+def referenced(tree: ast.Module) -> set:
+    """The names a module reads, the attributes it reads and the names it imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_helper_is_used(module):
+    # the private-name counterpart of F401: a _name helper that no module reads is left over
+    used = set().union(*(referenced(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    unused = sorted(f"{node.name} (line {node.lineno})" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and node.name not in used)
+    assert not unused, f"{module} defines but nothing in qtaylor uses: {', '.join(unused)}"

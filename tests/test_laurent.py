@@ -211,3 +211,13 @@ def test_structured_cancellation_at_high_base():
     [rec] = [r for r in records if r.check == "structured-cancellation"]
     assert rec.params["k_trunc"] > 50
     assert rec.passed and rec.residual < 1e-6
+
+
+@pytest.mark.slow
+def test_a_contour_that_overflows_fails_only_its_checks():
+    # at q = 0.99 the pole-cleared terms of E overflow on the unit circle: the two checks
+    # that read its contour coefficients fail on their own, and monomial still passes
+    records = {r.check: r for r in run_laurent(SuiteConfig(q=0.99))}
+    assert len(records) == 4 and records["monomial"].passed
+    for check in ("E-negative-coefficients", "structured-cancellation"):
+        assert records[check].detail.startswith("QuadratureNonConvergence: ")
